@@ -81,6 +81,13 @@ def _get_model(name: str) -> ModelSpec:
         raise UsageError("cannot load model %r: %s" % (name, exc)) from exc
 
 
+def _order(args) -> int:
+    """The Novikov order given by --n; a negative one is a usage error."""
+    if args.n < 0:
+        raise UsageError("--n must be at least 0")
+    return args.n
+
+
 def _expression_file(value, model):
     """Locate an operator/relation file argument: a real path wins, then a
     shipped data file of the same name."""
@@ -161,8 +168,8 @@ def _relations_report(model, rels, order, source):
 
 
 def cmd_check(args):
+    order = _order(args)
     model = _get_model(args.model)
-    order = args.n
     run_all = not (args.flatness or args.assoc or args.relations is not None)
     checks = []
     if args.flatness or run_all:
@@ -187,8 +194,8 @@ def cmd_check(args):
 
 
 def cmd_jfun(args):
+    order = _order(args)
     model = _get_model(args.model)
-    order = args.n
     if not (args.closed_form or args.solve or args.diff):
         raise UsageError(
             "choose a construction: --closed-form, --solve, or --diff"
@@ -259,10 +266,11 @@ def _allowed_levels(model, D):
 
 
 def cmd_gw(args):
+    order = _order(args)
     model = _get_model(args.model)
     if args.max_degree < 1:
         raise UsageError("--max-degree must be at least 1")
-    order = max(args.n, args.max_degree)
+    order = max(order, args.max_degree)
     Hm = solve_fundamental(model, order)
     degrees = [D for D in _degrees_upto(model.rank, args.max_degree) if any(D)]
     max_level = 0
@@ -387,11 +395,12 @@ def _v_at_h1(tp, model):
 
 
 def cmd_tilde(args):
+    order = _order(args)
     model = _get_model(args.model)
     torder = args.t_order
     if torder < 2:
         raise UsageError("--t-order must be at least 2")
-    tp = exp_quantum(model, torder, args.n)
+    tp = exp_quantum(model, torder, order)
     try:
         ops = builtin_operators(model, defining_only=True)
     except LookupError:
@@ -415,7 +424,7 @@ def cmd_tilde(args):
     status = "pass" if all(r["status"] == "pass" for r in residuals) else "fail"
     payload = {
         "model": model.name,
-        "N": args.n,
+        "N": order,
         "t_order": torder,
         "residuals": residuals,
         "v_at_h1": _v_at_h1(tp, model),

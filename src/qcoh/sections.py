@@ -45,10 +45,6 @@ def _lift_matrix(mat):
     )
 
 
-def _zero_matrix(size):
-    return tuple((HLaurent(),) * size for _ in range(size))
-
-
 def _identity_matrix(size):
     return tuple(
         tuple(H_ONE if i == j else HLaurent() for j in range(size))
@@ -59,12 +55,6 @@ def _identity_matrix(size):
 def _mat_add(a, b):
     return tuple(
         tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def _mat_sub(a, b):
-    return tuple(
-        tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
 
 
@@ -85,6 +75,51 @@ def _mat_scale(a, x):
 
 def _mat_is_zero(a):
     return not any(any(row) for row in a)
+
+
+# -- sparse rational matrices ------------------------------------------------
+# A sparse matrix is a list of rows, each a dict {column: nonzero Fraction}.
+
+
+def _sparse(mat):
+    return [{k: v for k, v in enumerate(row) if v} for row in mat]
+
+
+def _sparse_addmul(acc, a, b):
+    """acc += a * b in place; the caller prunes zeros."""
+    for row, out in zip(a, acc):
+        for u, x in row.items():
+            for k, y in b[u].items():
+                p = x * y
+                out[k] = out[k] + p if k in out else p
+    return acc
+
+
+def _sparse_addscaled(acc, m, x):
+    """acc += x * m in place; the caller prunes zeros."""
+    for row, out in zip(m, acc):
+        for k, v in row.items():
+            p = v * x
+            out[k] = out[k] + p if k in out else p
+    return acc
+
+
+def _sparse_pruned(m):
+    return [{k: v for k, v in row.items() if v} for row in m]
+
+
+def _sparse_scaled(m, x):
+    """x * m with zero entries dropped."""
+    return [{k: v * x for k, v in row.items() if v} for row in m]
+
+
+def _first_difference(a, b):
+    """(i, k, a_ik, b_ik) for the first entry, row-major, where a and b differ."""
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        for k in sorted(set(ra) | set(rb)):
+            x, y = ra.get(k, Fraction(0)), rb.get(k, Fraction(0))
+            if x != y:
+                return i, k, x, y
 
 
 # -- solver ----------------------------------------------------------------
@@ -181,6 +216,17 @@ class HMatrix:
         }
 
 
+def _solver_failure(model, check, witness):
+    return CheckFailure(
+        {
+            "check": check,
+            "model": model.name,
+            "status": "fail",
+            "witnesses": [witness],
+        }
+    )
+
+
 def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     """Solve h d_j H = M_j H degree by degree.
 
@@ -193,91 +239,142 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     quantum multiplication matrix.  Each step inverts (d_j h - ad B_j) by a
     finite geometric sum (ad B_j is nilpotent); directions not used for the
     solve are verified, which makes the step an integrability check.
+
+    The system is homogeneous (deg h = 2, deg q^D = 2<c1, D>), so entry
+    (i, k) of G_D is a single monomial c * h^e with
+    e = (deg b_k - deg b_i - deg q^D) / 2.  The solver therefore computes
+    at h = 1 over sparse rational matrices and puts h^e back only when it
+    builds the rows.  This needs a graded model, which `validate()`
+    guarantees; every input entry is checked against the grading first
+    (CheckFailure "solver-grading").  Because both sides of each checked
+    equation are homogeneous of one degree, equality at h = 1 is equality
+    over Laurent polynomials in h.
     """
     size = model.size
     rank = model.rank
-    cup = {j: _lift_matrix(model.cup_matrix(j)) for j in range(1, rank + 1)}
+    degrees = model.degrees
+    qweights = model.qdegrees
+
+    def qdeg(D):
+        return sum(d * w for d, w in zip(D, qweights))
+
+    def exponent(i, k, D):
+        """The power of h at entry (i, k) of G_D."""
+        return (degrees[k] - degrees[i] - qdeg(D)) // 2
+
+    def monomial(i, k, D, value, shift=0):
+        return HLaurent.term(value, exponent(i, k, D) + shift)
+
+    def graded(j, D, mat):
+        # entry (r, c) of the q^D part of b_j o - may be nonzero only when
+        # deg b_r + deg q^D = deg b_c + 2
+        sparse = _sparse(mat)
+        for r, row in enumerate(sparse):
+            for c, v in row.items():
+                if degrees[r] + qdeg(D) != degrees[c] + 2:
+                    raise _solver_failure(
+                        model,
+                        "solver-grading",
+                        {
+                            "direction": j,
+                            "degree": list(D),
+                            "entry": [r, c],
+                            "value": format_rational(v),
+                            "detail": "b_%d o b_%d has a b_%d-component "
+                            "that breaks the grading" % (j, c, r),
+                        },
+                    )
+        return sparse
+
+    zero = (0,) * rank
+    cup = {}
     mparts = {}
     for j in range(1, rank + 1):
+        cup[j] = graded(j, zero, model.cup_matrix(j))
+        mparts[j] = []
         for D in model.quantum_degrees(j):
             if any(D):
                 mat = model.quantum_part(j, D)
                 if mat is not None:
-                    mparts[(j, D)] = _lift_matrix(mat)
+                    mparts[j].append((D, graded(j, D, mat)))
+    negcup = {j: _sparse_scaled(B, -1) for j, B in cup.items()}
 
-    def commutator(B, X):
-        return _mat_sub(_mat_mul(B, X), _mat_mul(X, B))
+    def commutator(j, X):
+        acc = _sparse_addmul([{} for _ in range(size)], cup[j], X)
+        return _sparse_addmul(acc, X, negcup[j])
 
-    G = {(0,) * rank: _identity_matrix(size)}
+    G = {zero: [{i: Fraction(1)} for i in range(size)]}
     for D in _degrees_upto(rank, order):
         if not any(D):
             continue
         rhs = {}
         for j in range(1, rank + 1):
-            acc = _zero_matrix(size)
-            for (jj, Dp), mat in mparts.items():
-                if jj != j:
-                    continue
+            acc = [{} for _ in range(size)]
+            for Dp, mat in mparts[j]:
                 rest = tuple(a - b for a, b in zip(D, Dp))
-                if any(x < 0 for x in rest):
-                    continue
-                acc = _mat_add(acc, _mat_mul(mat, G[rest]))
-            rhs[j] = acc
+                if min(rest) >= 0:
+                    _sparse_addmul(acc, mat, G[rest])
+            rhs[j] = _sparse_pruned(acc)
         jstar = next(j for j in range(1, rank + 1) if D[j - 1] > 0)
-        inv = HLaurent.term(Fraction(1, D[jstar - 1]), -1)
-        term = _mat_scale(rhs[jstar], inv)
-        total = term
+        inv = Fraction(1, D[jstar - 1])
+        term = _sparse_scaled(rhs[jstar], inv)
+        total = [dict(row) for row in term]
         guard = 0
-        while not _mat_is_zero(term):
+        while any(term):
             guard += 1
             if guard > 2 * size + 2:
-                raise CheckFailure(
+                i = next(i for i, row in enumerate(term) if row)
+                k, v = min(term[i].items())
+                raise _solver_failure(
+                    model,
+                    "solver-recursion",
                     {
-                        "check": "solver-recursion",
-                        "model": model.name,
-                        "status": "fail",
-                        "witnesses": [
-                            {
-                                "degree": list(D),
-                                "detail": "commutator series did not terminate",
-                            }
-                        ],
-                    }
+                        "degree": list(D),
+                        "direction": jstar,
+                        "entry": [i, k],
+                        "value": monomial(i, k, D, v).to_json(),
+                        "detail": "commutator series did not terminate",
+                    },
                 )
-            term = _mat_scale(commutator(cup[jstar], term), inv)
-            total = _mat_add(total, term)
-        G[D] = total
+            term = _sparse_scaled(commutator(jstar, term), inv)
+            _sparse_addscaled(total, term, 1)
+        G[D] = _sparse_pruned(total)
         # every other direction must agree: integrability of the system
         for j in range(1, rank + 1):
-            dj = D[j - 1]
-            lhs = _mat_scale(G[D], HLaurent.term(Fraction(dj), 1)) if dj else _zero_matrix(size)
-            lhs = _mat_sub(lhs, commutator(cup[j], G[D]))
+            # d_j G_D - [B_j, G_D], to compare with the quantum part
+            lhs = _sparse_addscaled(commutator(j, G[D]), G[D], -D[j - 1])
+            lhs = _sparse_scaled(lhs, -1)
             if lhs != rhs[j]:
-                raise CheckFailure(
+                i, k, want, got = _first_difference(rhs[j], lhs)
+                raise _solver_failure(
+                    model,
+                    "solver-consistency",
                     {
-                        "check": "solver-consistency",
-                        "model": model.name,
-                        "status": "fail",
-                        "witnesses": [
-                            {"degree": list(D), "direction": j}
-                        ],
-                    }
+                        "degree": list(D),
+                        "direction": j,
+                        "entry": [i, k],
+                        "expected": monomial(i, k, D, want, 1).to_json(),
+                        "got": monomial(i, k, D, got, 1).to_json(),
+                    },
                 )
 
-    duals = [cls.lifted() for cls in model.dual_basis()]
+    duals = [
+        {k: v for k, v in enumerate(cls.coords) if v} for cls in model.dual_basis()
+    ]
     rows = []
     for i in range(size):
         terms = {}
         for D, mat in G.items():
-            acc = None
-            for l in range(size):
-                v = mat[i][l]
-                if not v:
-                    continue
-                add = duals[l].scaled(v)
-                acc = add if acc is None else acc + add
-            if acc is not None and acc:
-                terms[D] = acc
+            coords = [{} for _ in range(size)]
+            for l, v in mat[i].items():
+                exp = exponent(i, l, D)
+                for k, a in duals[l].items():
+                    c = coords[k]
+                    p = a * v
+                    c[exp] = c[exp] + p if exp in c else p
+            cls = CohClass(tuple(HLaurent(c) for c in coords))
+            if cls:
+                terms[D] = cls
         rows.append(GaugeSeries(model, order, terms))
     return HMatrix(model, order, rows)
 

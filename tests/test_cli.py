@@ -16,6 +16,16 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def assert_order_checked(capsys, argv):
+    """A negative --n exits 2 naming the flag, with nothing on stdout;
+    --n 0 stays valid."""
+    code, out, err = run(capsys, argv + ["--n", "-1"])
+    assert code == 2 and not out
+    assert "--n" in json.loads(err)["error"]
+    code, out, _ = run(capsys, argv + ["--n", "0"])
+    assert code == 0 and json.loads(out)["N"] >= 0
+
+
 # -- models -------------------------------------------------------------------
 
 
@@ -114,12 +124,20 @@ def test_check_failing_relation_exits_1(capsys, tmp_path):
     assert json.loads(out)["status"] == "fail"
 
 
+def test_check_negative_order_exits_2(capsys):
+    assert_order_checked(capsys, ["check", "--model", "cp1"])
+
+
 # -- jfun ---------------------------------------------------------------------
 
 
 def test_jfun_requires_construction(capsys):
     code, _, err = run(capsys, ["jfun", "--model", "cp1"])
     assert code == 2
+
+
+def test_jfun_negative_order_exits_2(capsys):
+    assert_order_checked(capsys, ["jfun", "--model", "cp1", "--solve"])
 
 
 def test_jfun_closed_form_verify(capsys):
@@ -215,6 +233,10 @@ def test_gw_bad_degree_exits_2(capsys):
     assert code == 2
 
 
+def test_gw_negative_order_exits_2(capsys):
+    assert_order_checked(capsys, ["gw", "--model", "cp1", "--max-degree", "1"])
+
+
 # -- classical ------------------------------------------------------------------
 
 
@@ -272,6 +294,10 @@ def test_tilde_short_order_warns(capsys):
 def test_tilde_rejects_tiny_order(capsys):
     code, _, err = run(capsys, ["tilde", "--model", "cp1", "--t-order", "1"])
     assert code == 2
+
+
+def test_tilde_negative_order_exits_2(capsys):
+    assert_order_checked(capsys, ["tilde", "--model", "cp1"])
 
 
 def test_tilde_v_leading_terms(capsys):

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from qcoh.algebra import HLaurent, NovikovSeries
-from qcoh.model import ModelSpec, builtin_model
+from qcoh.model import BUILTIN_NAMES, ModelSpec, builtin_model
 from qcoh.operators import builtin_operators, builtin_rowspec, parse_operator
 from qcoh.sections import (
     CheckFailure,
@@ -117,8 +117,56 @@ def test_solver_detects_non_integrable_deformation():
             rec["c"] = "2"
             break
     broken = ModelSpec.from_json(data, check=False)
-    with pytest.raises(CheckFailure):
+    with pytest.raises(CheckFailure) as info:
         solve_fundamental(broken, 4)
+    report = info.value.report
+    assert report["check"] == "solver-consistency"
+    (witness,) = report["witnesses"]
+    assert witness["degree"] == [1, 0]
+    assert witness["direction"] in (1, 2)
+    i, k = witness["entry"]
+    assert 0 <= i < broken.size and 0 <= k < broken.size
+    assert witness["expected"] != witness["got"]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_solver_satisfies_first_order_system(name):
+    # check_system applies theta_j over Laurent polynomials in h, an oracle
+    # independent of the solver's h = 1 arithmetic
+    report = solve_fundamental(builtin_model(name), ORDER).check_system()
+    assert report["status"] == "pass", report["witnesses"]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_solver_entries_are_graded_monomials(name):
+    # entry (i, k) of G_D is c * h^e, e = (deg b_k - deg b_i)/2 - <c1, D>
+    model = builtin_model(name)
+    mats = solve_fundamental(model, ORDER).gauge_matrices()
+    assert len(mats) > 1
+    for D, mat in mats.items():
+        c1 = sum(c * d for c, d in zip(model.chern, D))
+        for i, row in enumerate(mat):
+            for k, v in enumerate(row):
+                if v:
+                    e = (model.degrees[k] - model.degrees[i]) // 2 - c1
+                    assert set(v.c) == {e}, (D, i, k, v)
+
+
+def test_solver_rejects_ungraded_model():
+    data = builtin_model("cp2").to_json()
+    # the same retargeted x * x^2 = q term that validate() flags
+    for rec in data["quantum"]:
+        if rec["D"] == [1] and rec["i"] == 1 and rec["j"] == 2:
+            rec["k"] = 1
+    broken = ModelSpec.from_json(data, check=False)
+    with pytest.raises(CheckFailure) as info:
+        solve_fundamental(broken, 4)
+    report = info.value.report
+    assert report["check"] == "solver-grading"
+    (witness,) = report["witnesses"]
+    assert witness["direction"] == 1
+    assert witness["degree"] == [1]
+    assert witness["entry"] == [1, 2]
 
 
 # -- annihilation ------------------------------------------------------------------
