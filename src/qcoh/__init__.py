@@ -21,6 +21,7 @@ from .operators import (
     apply_classical,
     apply_constq,
     apply_gauge,
+    apply_gauge_many,
     builtin_operators,
     builtin_relations,
     builtin_rowspec,

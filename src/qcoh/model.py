@@ -128,6 +128,11 @@ class ModelSpec:
         # cup[(i,j)] and quantum[(i,j)][D] are CohClass values over Fraction,
         # stored for every ordered pair
         self.cup_table = dict(cup)
+        # the nonzero entries (k, c) of every cup product b_i cup b_j
+        self._cup_entries = {
+            key: tuple((k, c) for k, c in enumerate(cls.coords) if c)
+            for key, cls in self.cup_table.items()
+        }
         self.quantum_table = dict(quantum)
         self.chern = tuple(int(c) for c in chern)
         self.aliases = dict(aliases or {})
@@ -173,17 +178,21 @@ class ModelSpec:
     def cup_basis(self, i, j) -> CohClass:
         return self.cup_table[(i, j)]
 
+    def generator_action(self, i):
+        """Cup multiplication by b_i as a sparse table: entry j lists the
+        nonzero pairs (k, c) of b_i cup b_j = sum_k c b_k."""
+        return tuple(self._cup_entries[(i, j)] for j in range(self.size))
+
     def cup(self, x: CohClass, y: CohClass) -> CohClass:
         out = [0] * self.size
+        ys = [(j, yj) for j, yj in enumerate(y.coords) if yj]
         for i, xi in enumerate(x.coords):
             if not xi:
                 continue
-            for j, yj in enumerate(y.coords):
-                if not yj:
-                    continue
-                for k, c in enumerate(self.cup_table[(i, j)].coords):
-                    if c:
-                        out[k] = out[k] + c * xi * yj
+            for j, yj in ys:
+                p = xi * yj
+                for k, c in self._cup_entries[(i, j)]:
+                    out[k] = out[k] + c * p
         return CohClass(tuple(a if a else Fraction(0) for a in out))
 
     def cup_matrix(self, j):
@@ -855,19 +864,24 @@ def save_model(model: ModelSpec, path):
         fh.write("\n")
 
 
+def _is_builtin_name(name: str) -> bool:
+    name = name.strip().lower()
+    return name in BUILTIN_NAMES or bool(_CP_RE.match(name))
+
+
 def resolve_model(name: str, search_path=None) -> ModelSpec:
-    """Find a model by builtin name, file path, or NAME.model on the search
-    path (a list of directories, e.g. from QCOH_MODEL_PATH)."""
+    """Find a model by builtin name, then as a model file, then as
+    NAME.model on the search path (a list of directories, e.g. from
+    QCOH_MODEL_PATH).  A builtin name that fails to build (such as cp0)
+    reports its own error instead of falling through."""
     import os
 
-    if os.path.exists(name):
-        return load_model(name)
-    try:
+    if _is_builtin_name(name):
         return builtin_model(name)
-    except ModelError:
-        pass
+    if os.path.isfile(name):
+        return load_model(name)
     for d in search_path or ():
         cand = os.path.join(d, name + ".model")
-        if os.path.exists(cand):
+        if os.path.isfile(cand):
             return load_model(cand)
     raise ModelError("no model named %r (not builtin, not on the search path)" % name)

@@ -578,20 +578,67 @@ def load_rowspec(path, rank, subs=None):
 # -- application ---------------------------------------------------------
 
 
+def apply_gauge_many(ops, s: GaugeSeries) -> list:
+    """Apply several normal-ordered operators to one gauge-normalized
+    section, returning one series per operator.
+
+    theta^E is reached from s along the path theta_monomial takes: the word
+    1^{e_1} 2^{e_2} ... of generator indices.  The terms of all operators
+    are grouped by that word and the words are visited in lexicographic
+    order, so a prefix comes before its extensions and the words sharing
+    it are adjacent.  Only the chain of prefixes of the current word is
+    held, so each distinct prefix is computed once, by one call of
+    GaugeSeries.theta (which runs over the sparse generator action), and
+    memory stays proportional to the theta degree.  Each term then adds
+    its theta^E s, shifted by q^qdeg and scaled by v*h^hexp, to the
+    result of its operator."""
+    ops = list(ops)
+    for op in ops:
+        if op.rank != s.model.rank:
+            raise ValueError("rank mismatch")
+    groups = {}
+    for pos, op in enumerate(ops):
+        for (hexp, qdeg, thexp), v in op.c.items():
+            word = tuple(i for i, e in enumerate(thexp, start=1) for _ in range(e))
+            groups.setdefault(word, []).append((pos, hexp, qdeg, v))
+    order = s.order
+    acc = [{} for _ in ops]
+    chain = [s]  # chain[n] is theta applied along the first n letters
+    prev = ()
+    for word in sorted(groups):
+        common = 0
+        while common < min(len(word), len(prev)) and word[common] == prev[common]:
+            common += 1
+        del chain[common + 1:]
+        for i in word[common:]:
+            chain.append(chain[-1].theta(i))
+        prev = word
+        for pos, hexp, qdeg, v in groups[word]:
+            scale = HLaurent.term(v, hexp)
+            shift = any(qdeg)
+            out = acc[pos]
+            for D, cls in chain[-1].c.items():
+                if shift:
+                    D = tuple(a + b for a, b in zip(D, qdeg))
+                    if sum(D) > order:
+                        continue
+                cls = cls.scaled(scale)
+                out[D] = out[D] + cls if D in out else cls
+    results = []
+    for out in acc:
+        res = GaugeSeries(s.model, order)
+        res.c = {D: cls for D, cls in out.items() if cls}
+        results.append(res)
+    return results
+
+
 def apply_gauge(op: QDEOperator, s: GaugeSeries) -> GaugeSeries:
     """Apply a normal-ordered operator to a gauge-normalized section: the
     theta-part acts termwise as cup-by-generator plus degree-weighted h,
-    the q-part shifts the Novikov degree, h scales the coefficients."""
-    if op.rank != s.model.rank:
-        raise ValueError("rank mismatch")
-    out = GaugeSeries(s.model, s.order, {})
-    for (hexp, qdeg, thexp), v in op.c.items():
-        part = s.theta_monomial(thexp)
-        if any(qdeg):
-            part = part.shifted(qdeg)
-        part = part.scaled(HLaurent.term(v, hexp))
-        out = out + part
-    return out
+    the q-part shifts the Novikov degree, h scales the coefficients.  The
+    terms share one walk over the prefixes of their theta monomials; see
+    apply_gauge_many, which applies several operators in one walk."""
+    return apply_gauge_many((op,), s)[0]
 
 
 def _theta_t(tp: TPoly, i: int) -> TPoly:

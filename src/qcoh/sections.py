@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .algebra import H, H_ONE, HLaurent, NovikovSeries, TPoly, format_rational
 from .model import CohClass, ModelSpec, invert_unit, _invert_rational_matrix
-from .operators import QDEOperator, apply_gauge
+from .operators import QDEOperator, apply_gauge_many
 from .series import CohSeries, GaugeSeries
 
 
@@ -216,7 +216,7 @@ class HMatrix:
         }
 
 
-def _solver_failure(model, check, witness):
+def _check_failure(model, check, witness):
     return CheckFailure(
         {
             "check": check,
@@ -272,7 +272,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         for r, row in enumerate(sparse):
             for c, v in row.items():
                 if degrees[r] + qdeg(D) != degrees[c] + 2:
-                    raise _solver_failure(
+                    raise _check_failure(
                         model,
                         "solver-grading",
                         {
@@ -325,7 +325,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
             if guard > 2 * size + 2:
                 i = next(i for i, row in enumerate(term) if row)
                 k, v = min(term[i].items())
-                raise _solver_failure(
+                raise _check_failure(
                     model,
                     "solver-recursion",
                     {
@@ -346,7 +346,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
             lhs = _sparse_scaled(lhs, -1)
             if lhs != rhs[j]:
                 i, k, want, got = _first_difference(rhs[j], lhs)
-                raise _solver_failure(
+                raise _check_failure(
                     model,
                     "solver-consistency",
                     {
@@ -391,10 +391,6 @@ def _cup_linear_factor(model, cls, shift):
     return out + unit.scaled(HLaurent.term(Fraction(shift), 1))
 
 
-def _cup_product(model, x, y):
-    return model.cup(x, y)
-
-
 def closed_form_cp(m: int, order: int, model: ModelSpec = None) -> GaugeSeries:
     """Hypergeometric series for projective m-space: the degree-d coefficient
     is the inverse of prod_{k=1..d} (x + k h)^{m+1}."""
@@ -410,8 +406,8 @@ def closed_form_cp(m: int, order: int, model: ModelSpec = None) -> GaugeSeries:
             factor = _cup_linear_factor(model, x, d)
             power = model.unit().lifted()
             for _ in range(m + 1):
-                power = _cup_product(model, power, factor)
-            denom = _cup_product(model, denom, power)
+                power = model.cup(power, factor)
+            denom = model.cup(denom, power)
         terms[(d,)] = invert_unit(model, denom)
     return GaugeSeries(model, order, terms)
 
@@ -431,17 +427,17 @@ def closed_form_f3(order: int, model: ModelSpec = None) -> GaugeSeries:
         for d2 in range(order + 1 - d1):
             numer = model.unit().lifted()
             for k in range(1, d1 + d2 + 1):
-                numer = _cup_product(model, numer, _cup_linear_factor(model, ab, k))
+                numer = model.cup(numer, _cup_linear_factor(model, ab, k))
             denom = model.unit().lifted()
             for k in range(1, d1 + 1):
                 f = _cup_linear_factor(model, a, k)
                 for _ in range(3):
-                    denom = _cup_product(model, denom, f)
+                    denom = model.cup(denom, f)
             for k in range(1, d2 + 1):
                 f = _cup_linear_factor(model, b, k)
                 for _ in range(3):
-                    denom = _cup_product(model, denom, f)
-            terms[(d1, d2)] = _cup_product(model, numer, invert_unit(model, denom))
+                    denom = model.cup(denom, f)
+            terms[(d1, d2)] = model.cup(numer, invert_unit(model, denom))
     return GaugeSeries(model, order, terms)
 
 
@@ -468,22 +464,18 @@ def closed_form_sigma1(order: int, model: ModelSpec = None) -> GaugeSeries:
             denom = model.unit().lifted()
             for k in range(1, e + 1):
                 f = _cup_linear_factor(model, x1, k)
-                denom = _cup_product(model, denom, _cup_product(model, f, f))
+                denom = model.cup(denom, model.cup(f, f))
             for k in range(1, d + 1):
-                denom = _cup_product(model, denom, _cup_linear_factor(model, x4, k))
+                denom = model.cup(denom, _cup_linear_factor(model, x4, k))
             coeff = invert_unit(model, denom)
             if d > e:
                 extra = model.unit().lifted()
                 for k in range(1, d - e + 1):
-                    extra = _cup_product(
-                        model, extra, _cup_linear_factor(model, x2, k)
-                    )
-                coeff = _cup_product(model, coeff, invert_unit(model, extra))
+                    extra = model.cup(extra, _cup_linear_factor(model, x2, k))
+                coeff = model.cup(coeff, invert_unit(model, extra))
             elif d < e:
                 for k in range(d - e + 1, 1):
-                    coeff = _cup_product(
-                        model, coeff, _cup_linear_factor(model, x2, k)
-                    )
+                    coeff = model.cup(coeff, _cup_linear_factor(model, x2, k))
             if coeff:
                 terms[(e, d)] = coeff
     return GaugeSeries(model, order, terms)
@@ -505,9 +497,9 @@ def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
 
 def verify_annihilated(J: GaugeSeries, ops, names=None) -> dict:
     """Apply each operator to the series and report residuals."""
+    ops = list(ops)
     witnesses = []
-    for pos, op in enumerate(ops):
-        residual = apply_gauge(op, J)
+    for pos, (op, residual) in enumerate(zip(ops, apply_gauge_many(ops, J))):
         if residual:
             degs = [list(D) for D, _ in residual.items_sorted()]
             witnesses.append(
@@ -521,7 +513,7 @@ def verify_annihilated(J: GaugeSeries, ops, names=None) -> dict:
         "check": "annihilation",
         "model": J.model.name,
         "order": J.order,
-        "operators": len(list(ops)),
+        "operators": len(ops),
         "status": "pass" if not witnesses else "fail",
         "witnesses": witnesses,
     }
@@ -534,7 +526,7 @@ def build_H_from_J(model: ModelSpec, J: GaugeSeries, rowspec) -> HMatrix:
         raise ValueError("row operators must end with the identity row")
     if len(rowspec) != model.size:
         raise ValueError("expected %d row operators" % model.size)
-    rows = [apply_gauge(op, J) for op in rowspec]
+    rows = apply_gauge_many(rowspec, J)
     H = HMatrix(model, J.order, rows)
     report = H.check_system()
     if report["status"] != "pass":
@@ -557,20 +549,60 @@ def _qmat_mul(A, B, size, rank, order):
     return {D: m for D, m in out.items() if not _mat_is_zero(m)}
 
 
-def _qmat_inverse(A, size, rank, order):
+def _qmat_difference(A, B, size, rank, order):
+    """(D, i, k, a, b) for the first entry, by degree and then row-major,
+    where the q-matrix series A and B differ; None when they agree."""
+    zero_mat = ((HLaurent(),) * size,) * size
+    for D in _degrees_upto(rank, order):
+        ma, mb = A.get(D, zero_mat), B.get(D, zero_mat)
+        if ma != mb:
+            return (D,) + _first_difference(_sparse(ma), _sparse(mb))
+    return None
+
+
+def _qfactor_failure(model, D, i, k, expected, got, detail):
+    def lifted(v):
+        return v if isinstance(v, HLaurent) else HLaurent.const(v)
+
+    return _check_failure(
+        model,
+        "q-factorization",
+        {
+            "degree": list(D),
+            "entry": [i, k],
+            "expected": lifted(expected).to_json(),
+            "got": lifted(got).to_json(),
+            "detail": detail,
+        },
+    )
+
+
+def _qmat_inverse(model, A, order):
     """Inverse of a q-matrix series whose q^0 term is an invertible
     h-free matrix; finite geometric series in the q-positive part."""
+    size = model.size
+    rank = model.rank
     zero = (0,) * rank
-    head = A[zero]
+    head = A.get(zero, ((HLaurent(),) * size,) * size)
     rational_head = []
-    for row in head:
+    for i, row in enumerate(head):
         rrow = []
-        for v in row:
+        for k, v in enumerate(row):
             if v and set(v.c) != {0}:
-                raise ValueError("series head is not h-free")
+                raise _qfactor_failure(
+                    model, zero, i, k, v.coeff(0), v,
+                    "q^0 entry of H_0 depends on h",
+                )
             rrow.append(v.coeff(0))
         rational_head.append(rrow)
-    inv0 = _lift_matrix(_invert_rational_matrix(rational_head))
+    try:
+        inv0 = _lift_matrix(_invert_rational_matrix(rational_head))
+    except ZeroDivisionError:
+        raise _check_failure(
+            model,
+            "q-factorization",
+            {"degree": list(zero), "detail": "q^0 part of H_0 is singular"},
+        ) from None
     tail = {D: m for D, m in A.items() if any(D)}
     # X = sum_k (-inv0 * tail)^k * inv0
     base = {
@@ -592,27 +624,25 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
     """Split H = Q * H_0 where H_0 is built from the q-free parts of the
     row operators and Q is a q-polynomial matrix with rational entries.
 
-    Returns (Q, H_0) with Q a matrix of scalar Novikov series.
+    Returns (Q, H_0) with Q a matrix of scalar Novikov series.  A failure
+    raises CheckFailure "q-factorization" naming the degree, the entry
+    [i, k] and the expected and obtained values.
     """
     size = model.size
     rank = model.rank
     order = Hm.order
     J = Hm.jrow()
     theta_rows = [op.theta_part() for op in rowspec]
-    H0 = HMatrix(model, order, [apply_gauge(op, J) for op in theta_rows])
+    H0 = HMatrix(model, order, apply_gauge_many(theta_rows, J))
     GH = Hm.gauge_matrices()
     GH0 = H0.gauge_matrices()
-    Q = _qmat_mul(GH, _qmat_inverse(GH0, size, rank, order), size, rank, order)
+    Q = _qmat_mul(GH, _qmat_inverse(model, GH0, order), size, rank, order)
     zero = (0,) * rank
     ident = _identity_matrix(size)
     if Q.get(zero) != ident:
-        raise CheckFailure(
-            {
-                "check": "q-factorization",
-                "model": model.name,
-                "status": "fail",
-                "witnesses": [{"detail": "q^0 part of Q is not the identity"}],
-            }
+        D, i, k, want, got = _qmat_difference({zero: ident}, Q, size, rank, 0)
+        raise _qfactor_failure(
+            model, D, i, k, want, got, "q^0 part of Q is not the identity"
         )
     entries = [[NovikovSeries(rank, order) for _ in range(size)] for _ in range(size)]
     for D, mat in Q.items():
@@ -622,19 +652,9 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
                 if not v:
                     continue
                 if set(v.c) != {0}:
-                    raise CheckFailure(
-                        {
-                            "check": "q-factorization",
-                            "model": model.name,
-                            "status": "fail",
-                            "witnesses": [
-                                {
-                                    "entry": [i, k],
-                                    "degree": list(D),
-                                    "detail": "entry depends on h: %s" % v,
-                                }
-                            ],
-                        }
+                    raise _qfactor_failure(
+                        model, D, i, k, v.coeff(0), v,
+                        "entry depends on h: %s" % v,
                     )
                 entries[i][k] = entries[i][k] + NovikovSeries(
                     rank, order, {D: v.coeff(0)}
@@ -642,13 +662,9 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
     # confirm the factorization reproduces H exactly (to the truncation)
     recon = _qmat_mul(Q, GH0, size, rank, order)
     if recon != GH:
-        raise CheckFailure(
-            {
-                "check": "q-factorization",
-                "model": model.name,
-                "status": "fail",
-                "witnesses": [{"detail": "Q*H_0 does not reproduce H"}],
-            }
+        D, i, k, want, got = _qmat_difference(GH, recon, size, rank, order)
+        raise _qfactor_failure(
+            model, D, i, k, want, got, "Q*H_0 does not reproduce H"
         )
     return [list(row) for row in entries], H0
 

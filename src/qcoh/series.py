@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import H_ONE, HLaurent
+from .algebra import HLaurent
 from .model import CohClass, ModelSpec
 
-
-def _lift(cls: CohClass) -> CohClass:
-    return cls.lifted()
+_ZERO = HLaurent()
 
 
 class CohSeries:
@@ -36,7 +34,7 @@ class CohSeries:
                     raise ValueError("bad multidegree %r" % (D,))
                 if sum(D) > order:
                     continue
-                cls = _lift(cls)
+                cls = cls.lifted()
                 if cls:
                     c[D] = cls
         self.c = c
@@ -168,20 +166,30 @@ class GaugeSeries(CohSeries):
 
     def theta(self, i: int) -> "GaugeSeries":
         """Apply theta_i: on the q^D coefficient this is cup-by-b_i plus
-        multiplication by d_i*h."""
-        model = self.model
-        gen = model.basis_class(i)
+        multiplication by d_i*h.  The cup part runs over the model's sparse
+        generator action."""
+        action = self.model.generator_action(i)
         c = {}
         for D, cls in self.c.items():
-            out = model.cup(gen, cls)
+            out = [_ZERO] * len(action)
+            for j, a in enumerate(cls.coords):
+                if not a:
+                    continue
+                for k, v in action[j]:
+                    out[k] = out[k] + (a if v == 1 else a * v)
             d = D[i - 1]
             if d:
-                out = out + cls.scaled(HLaurent.term(d, 1))
-            if out:
-                c[D] = out
+                dh = HLaurent.term(d, 1)
+                for k, a in enumerate(cls.coords):
+                    if a:
+                        out[k] = out[k] + a * dh
+            if any(out):
+                c[D] = CohClass(tuple(out))
         return self._new(c)
 
     def theta_monomial(self, exps) -> "GaugeSeries":
+        """theta^E applied factor by factor, theta_1 first; the reference
+        for the shared-prefix walk in `operators.apply_gauge_many`."""
         out = self
         for i, e in enumerate(exps, start=1):
             for _ in range(e):

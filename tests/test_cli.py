@@ -86,6 +86,29 @@ def test_model_path_env_var(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["dim"] == 3
 
 
+def test_builtin_name_wins_over_directory_of_that_name(capsys, tmp_path, monkeypatch):
+    (tmp_path / "cp1").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["jfun", "--model", "cp1", "--closed-form", "--n", "2"])
+    assert code == 0 and not err
+    assert json.loads(out)["model"] == "cp1"
+
+
+def test_bad_builtin_dimension_reports_its_cause(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["jfun", "--model", "cp0", "--closed-form"])
+    assert code == 2 and not out
+    message = json.loads(err)["error"]
+    assert "dimension >= 1" in message and "no model named" not in message
+
+
+def test_model_file_in_working_directory_still_loads(capsys, tmp_path, monkeypatch):
+    save_model(builtin_model("cp2"), tmp_path / "mine.model")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, ["models", "show", "mine.model"])
+    assert code == 0 and json.loads(out)["dim"] == 2
+
+
 # -- check --------------------------------------------------------------------
 
 

@@ -2,12 +2,15 @@
 
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
+from qcoh.algebra import HLaurent
 from qcoh.model import (
     BUILTIN_NAMES,
+    CohClass,
     ModelError,
     ModelSpec,
     builtin_model,
@@ -79,6 +82,48 @@ def test_quantum_table_q0_is_cup(name):
         cup = model.cup_matrix(j)
         q0 = model.quantum_part(j, zero)
         assert q0 == cup
+
+
+def _random_class(rng, size):
+    return CohClass(
+        tuple(
+            HLaurent({rng.randint(-2, 2): rng.randint(-4, 4) for _ in range(2)})
+            if rng.random() < 0.7
+            else HLaurent()
+            for _ in range(size)
+        )
+    )
+
+
+def _dense_cup(model, x, y):
+    """b_i cup b_j read off the table coordinate by coordinate."""
+    out = [HLaurent()] * model.size
+    for i in range(model.size):
+        for j in range(model.size):
+            for k, c in enumerate(model.cup_basis(i, j).coords):
+                out[k] = out[k] + x.coords[i] * y.coords[j] * c
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_sparse_cup_matches_dense_table(name):
+    model = builtin_model(name)
+    rng = random.Random(4711)
+    for _ in range(20):
+        x = _random_class(rng, model.size)
+        y = _random_class(rng, model.size)
+        assert list(model.cup(x, y).coords) == _dense_cup(model, x, y)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_generator_action_lists_nonzero_cup_entries(name):
+    model = builtin_model(name)
+    for i in range(1, model.rank + 1):
+        action = model.generator_action(i)
+        assert len(action) == model.size
+        for j, pairs in enumerate(action):
+            coords = model.cup_basis(i, j).coords
+            assert pairs == tuple((k, c) for k, c in enumerate(coords) if c)
 
 
 def test_cp_dimension_and_top_power():

@@ -8,9 +8,16 @@ import pytest
 
 from qcoh.algebra import HLaurent, NovikovSeries
 from qcoh.model import BUILTIN_NAMES, ModelSpec, builtin_model
-from qcoh.operators import builtin_operators, builtin_rowspec, parse_operator
+from qcoh import sections
+from qcoh.operators import (
+    apply_gauge_many,
+    builtin_operators,
+    builtin_rowspec,
+    parse_operator,
+)
 from qcoh.sections import (
     CheckFailure,
+    HMatrix,
     asymptotic_H,
     asymptotic_J,
     build_H_from_J,
@@ -85,6 +92,27 @@ def test_closed_form_sigma1_hand_expanded_degrees():
     assert cls.coords[1] == HLaurent.term(-2, -4)
     assert cls.coords[2] == HLaurent.term(-1, -4)
     assert cls.coords[3] == HLaurent.term(3, -5)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_closed_form_cp_matches_sympy_expansion(m):
+    """Independent oracle: expand prod_{k<=d} 1/(x+kh)^(m+1) in x with
+    sympy and truncate at x^(m+1); coordinate j of J_d is the x^j
+    coefficient, since the CP^m basis is 1, x, ..., x^m."""
+    import sympy
+
+    x, h = sympy.symbols("x h")
+    J = closed_form(builtin_model("cp%d" % m), 4)
+    for d in range(5):
+        f = sympy.Mul(*[(x + k * h) ** -(m + 1) for k in range(1, d + 1)])
+        for j in range(m + 1):
+            want = sympy.diff(f, x, j).subs(x, 0) / sympy.factorial(j)
+            got = sum(
+                (sympy.Rational(v.numerator, v.denominator) * h**e
+                 for e, v in J.c[(d,)].coords[j].c.items()),
+                sympy.Integer(0),
+            )
+            assert sympy.cancel(want - got) == 0, (m, d, j)
 
 
 def test_closed_form_unavailable_for_gr24():
@@ -253,6 +281,76 @@ def test_q_factorization_f3_matches_printed_matrix():
     # H0 satisfies the h-free-head property implicitly; its top row is J's
     # theta-free image, i.e. J itself for the identity row
     assert H0.jrow().c == J.c
+
+
+def _q_factorization_witness(info):
+    report = info.value.report
+    assert report["check"] == "q-factorization" and report["status"] == "fail"
+    (witness,) = report["witnesses"]
+    return witness
+
+
+def test_q_factorization_wrong_rowspec_names_entry():
+    model = builtin_model("sigma1")
+    J = closed_form(model, 3)
+    Hm = build_H_from_J(model, J, builtin_rowspec(model))
+    # row 2 should be D1: with D2 the q^0 part of Q is not the identity
+    wrong = [parse_operator(t, 2) for t in ("D1*D2", "D2 - D1", "D2", "1")]
+    with pytest.raises(CheckFailure) as info:
+        q_factorize(model, Hm, wrong)
+    witness = _q_factorization_witness(info)
+    assert witness["degree"] == [0, 0] and witness["entry"] == [2, 1]
+    assert witness["expected"] == [] and witness["got"] == [[0, "-1"]]
+
+
+def test_q_factorization_h_dependent_head_names_entry():
+    model = builtin_model("cp1")
+    J = closed_form(model, 2).scaled(HLaurent({0: 1, 1: 1}))
+    Hm = HMatrix(model, 2, [J, J])
+    with pytest.raises(CheckFailure) as info:
+        q_factorize(model, Hm, builtin_rowspec(model))
+    witness = _q_factorization_witness(info)
+    assert witness["degree"] == [0] and witness["entry"] == [0, 0]
+    assert witness["expected"] == [[0, "1"]]
+    assert witness["got"] == [[0, "1"], [1, "1"]]
+
+
+def test_q_factorization_singular_head_is_a_check_failure():
+    model = builtin_model("sigma1")
+    J = closed_form(model, 2)
+    rows = [parse_operator(t, 2) for t in ("D1*D2", "D1", "D1", "1")]
+    Hm = HMatrix(model, 2, apply_gauge_many(rows, J))
+    with pytest.raises(CheckFailure) as info:
+        q_factorize(model, Hm, rows)
+    assert _q_factorization_witness(info)["degree"] == [0, 0]
+
+
+def test_q_factorization_reconstruction_witness(monkeypatch):
+    """A wrong inverse of H_0 leaves Q h-free at order 1 but breaks
+    Q * H_0 = H; the witness names the first differing entry."""
+    model = builtin_model("f3")
+    rowspec = builtin_rowspec(model)
+    Hm = build_H_from_J(model, closed_form(model, 1), rowspec)
+    inverse = sections._qmat_inverse
+
+    def perturbed(model, A, order):
+        out = dict(inverse(model, A, order))
+        size = model.size
+        bump = tuple(
+            tuple(HLaurent.const(1) if (i, k) == (0, 0) else HLaurent() for k in range(size))
+            for i in range(size)
+        )
+        D = (1, 0)
+        out[D] = sections._mat_add(out[D], bump) if D in out else bump
+        return out
+
+    monkeypatch.setattr(sections, "_qmat_inverse", perturbed)
+    with pytest.raises(CheckFailure) as info:
+        q_factorize(model, Hm, rowspec)
+    witness = _q_factorization_witness(info)
+    assert witness["detail"] == "Q*H_0 does not reproduce H"
+    assert witness["degree"] == [1, 0] and len(witness["entry"]) == 2
+    assert witness["expected"] != witness["got"]
 
 
 # -- classical limit ----------------------------------------------------------------
