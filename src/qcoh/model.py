@@ -485,29 +485,37 @@ def _invert_rational_matrix(m):
 
 
 def invert_unit(model: ModelSpec, x: CohClass) -> CohClass:
-    """Invert a class of the form (monomial in h) * 1 + nilpotent, e.g. the
-    factors a + m*h appearing in hypergeometric denominators.
+    """Invert a class of the form u * 1 + nilpotent, e.g. the factors
+    a + m*h appearing in hypergeometric denominators.  Over HLaurent u must
+    be a monomial in h; over the rationals (a + m at h = 1) u must be
+    nonzero, and the inverse stays rational.
 
     The inverse is exact: the geometric series terminates because positive
     degree classes are nilpotent of depth <= dim.
     """
-    x = x.lifted()
-    scalar = x.coords[0]
-    if not isinstance(scalar, HLaurent) or not scalar.is_monomial():
-        raise ValueError(
-            "class is not invertible: unit component %r is not a monomial in h"
-            % (scalar,)
-        )
-    u = scalar.monomial_inverse()
-    y = x.scaled(u)
-    one = model.unit().lifted()
-    n = y - one
+    if any(isinstance(a, HLaurent) for a in x.coords):
+        x = x.lifted()
+        scalar = x.coords[0]
+        if not scalar.is_monomial():
+            raise ValueError(
+                "class is not invertible: unit component %r is not a monomial "
+                "in h" % (scalar,)
+            )
+        u = scalar.monomial_inverse()
+        one = model.unit().lifted()
+    else:
+        scalar = x.coords[0]
+        if not scalar:
+            raise ValueError("class is not invertible: unit component is 0")
+        u = Fraction(1) / scalar
+        one = model.unit()
+    n = x.scaled(u) - one
     if n.coords[0]:
         raise ValueError("unit component did not normalize; class %r" % (x,))
     out = one
     power = one
     for _ in range(model.dim):
-        power = model.cup(power, n).scaled(HLaurent.const(-1))
+        power = -model.cup(power, n)
         if not power:
             break
         out = out + power

@@ -14,6 +14,14 @@ from .model import CohClass, ModelSpec
 from .series import CohSeries
 
 
+class CheckFailure(Exception):
+    """A mathematical verification failed; carries the full report."""
+
+    def __init__(self, report):
+        super().__init__(report.get("check", "check failed"))
+        self.report = report
+
+
 class QElem:
     """Element of the quantum ring: {multidegree: CohClass over Fraction},
     truncated at total degree `order`.  Multiplication is the small quantum
@@ -354,7 +362,9 @@ def integrate_connection(model: ModelSpec, order: int) -> ConnectionPotential:
     """Antiderivative of the connection form: d_j K = (1/h) M_j for all j.
 
     Exists by flatness; the q^D coefficient is m_{j,D}/d_j for any direction
-    with d_j > 0, and agreement across directions is asserted.
+    with d_j > 0.  Directions that disagree raise CheckFailure
+    "connection-closed" naming the degree, both directions, the first
+    differing entry and both values.
     """
     size = model.size
     linear = {
@@ -379,11 +389,33 @@ def integrate_connection(model: ModelSpec, order: int) -> ConnectionPotential:
                 tuple(x / dj for x in row) for row in mat
             )
             if candidate is None:
-                candidate = scaled
+                first, candidate = j, scaled
             elif candidate != scaled:
-                raise ValueError(
-                    "connection form is not closed at q^%r: directions disagree"
-                    % (D,)
+                i, k = next(
+                    (i, k)
+                    for i in range(size)
+                    for k in range(size)
+                    if candidate[i][k] != scaled[i][k]
+                )
+                raise CheckFailure(
+                    {
+                        "check": "connection-closed",
+                        "model": model.name,
+                        "status": "fail",
+                        "witnesses": [
+                            {
+                                "degree": list(D),
+                                "directions": [first, j],
+                                "entry": [i, k],
+                                "values": [
+                                    format_rational(candidate[i][k]),
+                                    format_rational(scaled[i][k]),
+                                ],
+                                "detail": "the q^D part of the potential "
+                                "differs between the two directions",
+                            }
+                        ],
+                    }
                 )
         if candidate is not None and any(any(row) for row in candidate):
             qpart[D] = candidate

@@ -12,19 +12,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import zip_longest
 
-from .algebra import H, H_ONE, HLaurent, NovikovSeries, TPoly, format_rational
+from .algebra import H_ONE, HLaurent, NovikovSeries, TPoly, format_rational
 from .model import CohClass, ModelSpec, invert_unit, _invert_rational_matrix
 from .operators import QDEOperator, apply_gauge_many
-from .series import CohSeries, GaugeSeries
-
-
-class CheckFailure(Exception):
-    """A mathematical verification failed; carries the full report."""
-
-    def __init__(self, report):
-        super().__init__(report.get("check", "check failed"))
-        self.report = report
+from .quantum import CheckFailure
+from .series import GaugeSeries
 
 
 def _degrees_upto(rank, order):
@@ -33,48 +27,6 @@ def _degrees_upto(rank, order):
     for _ in range(rank):
         out = [d + (k,) for d in out for k in range(order + 1 - sum(d))]
     return sorted(out, key=lambda d: (sum(d), d))
-
-
-# -- exact matrices over HLaurent -----------------------------------------
-
-
-def _lift_matrix(mat):
-    return tuple(
-        tuple(x if isinstance(x, HLaurent) else HLaurent.const(x) for x in row)
-        for row in mat
-    )
-
-
-def _identity_matrix(size):
-    return tuple(
-        tuple(H_ONE if i == j else HLaurent() for j in range(size))
-        for i in range(size)
-    )
-
-
-def _mat_add(a, b):
-    return tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def _mat_mul(a, b):
-    size = len(a)
-    return tuple(
-        tuple(
-            sum((a[i][u] * b[u][j] for u in range(size)), HLaurent())
-            for j in range(size)
-        )
-        for i in range(size)
-    )
-
-
-def _mat_scale(a, x):
-    return tuple(tuple(v * x for v in row) for row in a)
-
-
-def _mat_is_zero(a):
-    return not any(any(row) for row in a)
 
 
 # -- sparse rational matrices ------------------------------------------------
@@ -114,12 +66,28 @@ def _sparse_scaled(m, x):
 
 
 def _first_difference(a, b):
-    """(i, k, a_ik, b_ik) for the first entry, row-major, where a and b differ."""
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        for k in sorted(set(ra) | set(rb)):
-            x, y = ra.get(k, Fraction(0)), rb.get(k, Fraction(0))
-            if x != y:
-                return i, k, x, y
+    """(D, i, k, a_ik, b_ik) for the first entry, by degree and then
+    row-major, where the series {D: sparse matrix} a and b differ."""
+    for D in sorted(set(a) | set(b), key=lambda d: (sum(d), d)):
+        rows = zip_longest(a.get(D, ()), b.get(D, ()), fillvalue={})
+        for i, (ra, rb) in enumerate(rows):
+            for k in sorted(set(ra) | set(rb)):
+                x, y = ra.get(k, Fraction(0)), rb.get(k, Fraction(0))
+                if x != y:
+                    return D, i, k, x, y
+
+
+def _grading(model):
+    """exponent(i, k, D): the power of h at entry (i, k) of the q^D part of
+    a graded matrix, (deg b_k - deg b_i - deg q^D) / 2."""
+    degrees = model.degrees
+    qweights = model.qdegrees
+
+    def exponent(i, k, D):
+        qdeg = sum(d * w for d, w in zip(D, qweights))
+        return (degrees[k] - degrees[i] - qdeg) // 2
+
+    return exponent
 
 
 # -- solver ----------------------------------------------------------------
@@ -161,7 +129,7 @@ class HMatrix:
                 tuple(comps[i][k].get(D, HLaurent()) for k in range(size))
                 for i in range(size)
             )
-            if not _mat_is_zero(mat):
+            if any(any(row) for row in mat):
                 out[D] = mat
         return out
 
@@ -254,13 +222,10 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     rank = model.rank
     degrees = model.degrees
     qweights = model.qdegrees
+    exponent = _grading(model)
 
     def qdeg(D):
         return sum(d * w for d, w in zip(D, qweights))
-
-    def exponent(i, k, D):
-        """The power of h at entry (i, k) of G_D."""
-        return (degrees[k] - degrees[i] - qdeg(D)) // 2
 
     def monomial(i, k, D, value, shift=0):
         return HLaurent.term(value, exponent(i, k, D) + shift)
@@ -345,7 +310,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
             lhs = _sparse_addscaled(commutator(j, G[D]), G[D], -D[j - 1])
             lhs = _sparse_scaled(lhs, -1)
             if lhs != rhs[j]:
-                i, k, want, got = _first_difference(rhs[j], lhs)
+                _, i, k, want, got = _first_difference({D: rhs[j]}, {D: lhs})
                 raise _check_failure(
                     model,
                     "solver-consistency",
@@ -380,15 +345,45 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
 
 
 # -- closed forms ----------------------------------------------------------
+# The hypergeometric coefficients are built over the rationals at h = 1:
+# the factor x + k*h becomes x + k.  Each coefficient J_D is homogeneous of
+# degree -deg q^D (deg h = 2), so h comes back from the grading alone.
 
 _CP_NAME_RE = re.compile(r"^cp([1-9][0-9]*)$")
 
 
-def _cup_linear_factor(model, cls, shift):
-    """cls + shift*h as a cohomology class over HLaurent."""
-    out = cls.lifted()
-    unit = model.unit().lifted()
-    return out + unit.scaled(HLaurent.term(Fraction(shift), 1))
+def _linear(x, k):
+    """The factor x + k*h at h = 1, for a degree-2 class x."""
+    return CohClass((x.coords[0] + k,) + x.coords[1:])
+
+
+def _graded_series(model, order, terms):
+    """GaugeSeries from coefficients computed at h = 1: the b_k coordinate
+    of the q^D coefficient is c * h^e with e = -(deg b_k + deg q^D) / 2."""
+    degrees = model.degrees
+    qweights = model.qdegrees
+    out = {}
+    for D, cls in terms.items():
+        qdeg = sum(d * w for d, w in zip(D, qweights))
+        out[D] = CohClass(
+            tuple(
+                HLaurent.term(v, -(degrees[k] + qdeg) // 2)
+                for k, v in enumerate(cls.coords)
+            )
+        )
+    return GaugeSeries(model, order, out)
+
+
+def _inverse_powers(model, x, power, order):
+    """[prod_{k=1..n} (x + k)^-power for n = 0..order] at h = 1."""
+    out = [model.unit()]
+    for k in range(1, order + 1):
+        f = invert_unit(model, _linear(x, k))
+        acc = out[-1]
+        for _ in range(power):
+            acc = model.cup(acc, f)
+        out.append(acc)
+    return out
 
 
 def closed_form_cp(m: int, order: int, model: ModelSpec = None) -> GaugeSeries:
@@ -398,18 +393,8 @@ def closed_form_cp(m: int, order: int, model: ModelSpec = None) -> GaugeSeries:
 
     if model is None:
         model = builtin_model("cp%d" % m)
-    x = model.basis_class(1)
-    terms = {}
-    denom = model.unit().lifted()
-    for d in range(order + 1):
-        if d:
-            factor = _cup_linear_factor(model, x, d)
-            power = model.unit().lifted()
-            for _ in range(m + 1):
-                power = model.cup(power, factor)
-            denom = model.cup(denom, power)
-        terms[(d,)] = invert_unit(model, denom)
-    return GaugeSeries(model, order, terms)
+    coeffs = _inverse_powers(model, model.basis_class(1), m + 1, order)
+    return _graded_series(model, order, {(d,): c for d, c in enumerate(coeffs)})
 
 
 def closed_form_f3(order: int, model: ModelSpec = None) -> GaugeSeries:
@@ -421,24 +406,18 @@ def closed_form_f3(order: int, model: ModelSpec = None) -> GaugeSeries:
         model = builtin_model("f3")
     a = model.basis_class(1)
     b = model.basis_class(2)
-    ab = a + b
+    numer = [model.unit()]
+    for k in range(1, order + 1):
+        numer.append(model.cup(numer[-1], _linear(a + b, k)))
+    inv_a = _inverse_powers(model, a, 3, order)
+    inv_b = _inverse_powers(model, b, 3, order)
     terms = {}
     for d1 in range(order + 1):
         for d2 in range(order + 1 - d1):
-            numer = model.unit().lifted()
-            for k in range(1, d1 + d2 + 1):
-                numer = model.cup(numer, _cup_linear_factor(model, ab, k))
-            denom = model.unit().lifted()
-            for k in range(1, d1 + 1):
-                f = _cup_linear_factor(model, a, k)
-                for _ in range(3):
-                    denom = model.cup(denom, f)
-            for k in range(1, d2 + 1):
-                f = _cup_linear_factor(model, b, k)
-                for _ in range(3):
-                    denom = model.cup(denom, f)
-            terms[(d1, d2)] = model.cup(numer, invert_unit(model, denom))
-    return GaugeSeries(model, order, terms)
+            terms[(d1, d2)] = model.cup(
+                numer[d1 + d2], model.cup(inv_a[d1], inv_b[d2])
+            )
+    return _graded_series(model, order, terms)
 
 
 def closed_form_sigma1(order: int, model: ModelSpec = None) -> GaugeSeries:
@@ -458,27 +437,21 @@ def closed_form_sigma1(order: int, model: ModelSpec = None) -> GaugeSeries:
     x1 = model.basis_class(1)
     x4 = model.basis_class(2)
     x2 = x4 - x1
+    inv_x1 = _inverse_powers(model, x1, 2, order)
+    inv_x4 = _inverse_powers(model, x4, 1, order)
+    # ratio(n) for n = d - e > 0, and ratio(-n) for n = e - d > 0
+    ratio = dict(enumerate(_inverse_powers(model, x2, 1, order)))
+    prod = model.unit()
+    for n in range(1, order + 1):
+        prod = model.cup(prod, _linear(x2, 1 - n))
+        ratio[-n] = prod
     terms = {}
     for e in range(order + 1):
         for d in range(order + 1 - e):
-            denom = model.unit().lifted()
-            for k in range(1, e + 1):
-                f = _cup_linear_factor(model, x1, k)
-                denom = model.cup(denom, model.cup(f, f))
-            for k in range(1, d + 1):
-                denom = model.cup(denom, _cup_linear_factor(model, x4, k))
-            coeff = invert_unit(model, denom)
-            if d > e:
-                extra = model.unit().lifted()
-                for k in range(1, d - e + 1):
-                    extra = model.cup(extra, _cup_linear_factor(model, x2, k))
-                coeff = model.cup(coeff, invert_unit(model, extra))
-            elif d < e:
-                for k in range(d - e + 1, 1):
-                    coeff = model.cup(coeff, _cup_linear_factor(model, x2, k))
-            if coeff:
-                terms[(e, d)] = coeff
-    return GaugeSeries(model, order, terms)
+            terms[(e, d)] = model.cup(
+                ratio[d - e], model.cup(inv_x1[e], inv_x4[d])
+            )
+    return _graded_series(model, order, terms)
 
 
 def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
@@ -535,89 +508,92 @@ def build_H_from_J(model: ModelSpec, J: GaugeSeries, rowspec) -> HMatrix:
 
 
 # -- Q-factorization -------------------------------------------------------
+# H, H_0 and Q are graded like the solver's matrices: entry (i, k) at q^D
+# is c * h^e with e = (deg b_k - deg b_i - deg q^D) / 2.  Once the entries
+# of H and H_0 are checked against that rule, the factorization runs over
+# sparse rational matrices at h = 1; a q-matrix series is {D: sparse matrix}.
 
 
-def _qmat_mul(A, B, size, rank, order):
+def _qmat_mul(A, B, size, order):
     out = {}
     for Da, mata in A.items():
         for Db, matb in B.items():
             D = tuple(a + b for a, b in zip(Da, Db))
-            if sum(D) > order:
-                continue
-            prod = _mat_mul(mata, matb)
-            out[D] = _mat_add(out[D], prod) if D in out else prod
-    return {D: m for D, m in out.items() if not _mat_is_zero(m)}
-
-
-def _qmat_difference(A, B, size, rank, order):
-    """(D, i, k, a, b) for the first entry, by degree and then row-major,
-    where the q-matrix series A and B differ; None when they agree."""
-    zero_mat = ((HLaurent(),) * size,) * size
-    for D in _degrees_upto(rank, order):
-        ma, mb = A.get(D, zero_mat), B.get(D, zero_mat)
-        if ma != mb:
-            return (D,) + _first_difference(_sparse(ma), _sparse(mb))
-    return None
+            if sum(D) <= order:
+                if D not in out:
+                    out[D] = [{} for _ in range(size)]
+                _sparse_addmul(out[D], mata, matb)
+    out = {D: _sparse_pruned(m) for D, m in out.items()}
+    return {D: m for D, m in out.items() if any(m)}
 
 
 def _qfactor_failure(model, D, i, k, expected, got, detail):
-    def lifted(v):
-        return v if isinstance(v, HLaurent) else HLaurent.const(v)
-
     return _check_failure(
         model,
         "q-factorization",
         {
             "degree": list(D),
             "entry": [i, k],
-            "expected": lifted(expected).to_json(),
-            "got": lifted(got).to_json(),
+            "expected": expected.to_json(),
+            "got": got.to_json(),
             "detail": detail,
         },
     )
 
 
+def _graded_at_one(model, mats, name):
+    """The HLaurent gauge matrices `mats` of `name` at h = 1, after checking
+    every entry against the grading."""
+    exponent = _grading(model)
+    out = {}
+    for D, mat in mats.items():
+        rows = []
+        for i, row in enumerate(mat):
+            srow = {}
+            for k, v in enumerate(row):
+                if not v:
+                    continue
+                e = exponent(i, k, D)
+                if list(v.c) != [e]:
+                    raise _qfactor_failure(
+                        model, D, i, k, HLaurent.term(v.coeff(e), e), v,
+                        "entry of %s breaks the grading: expected a multiple "
+                        "of h^%d" % (name, e),
+                    )
+                srow[k] = v.c[e]
+            rows.append(srow)
+        out[D] = rows
+    return out
+
+
 def _qmat_inverse(model, A, order):
-    """Inverse of a q-matrix series whose q^0 term is an invertible
-    h-free matrix; finite geometric series in the q-positive part."""
+    """Inverse of a q-matrix series whose q^0 term is invertible: the
+    finite geometric series sum_n (-inv0 * tail)^n, times inv0."""
     size = model.size
-    rank = model.rank
-    zero = (0,) * rank
-    head = A.get(zero, ((HLaurent(),) * size,) * size)
-    rational_head = []
-    for i, row in enumerate(head):
-        rrow = []
-        for k, v in enumerate(row):
-            if v and set(v.c) != {0}:
-                raise _qfactor_failure(
-                    model, zero, i, k, v.coeff(0), v,
-                    "q^0 entry of H_0 depends on h",
-                )
-            rrow.append(v.coeff(0))
-        rational_head.append(rrow)
+    zero = (0,) * model.rank
+    head = [[row.get(k, 0) for k in range(size)] for row in A.get(zero, [{}] * size)]
     try:
-        inv0 = _lift_matrix(_invert_rational_matrix(rational_head))
+        inv0 = _sparse(_invert_rational_matrix(head))
     except ZeroDivisionError:
         raise _check_failure(
             model,
             "q-factorization",
             {"degree": list(zero), "detail": "q^0 part of H_0 is singular"},
         ) from None
-    tail = {D: m for D, m in A.items() if any(D)}
-    # X = sum_k (-inv0 * tail)^k * inv0
     base = {
-        D: _mat_scale(_mat_mul(inv0, m), HLaurent.const(Fraction(-1)))
-        for D, m in tail.items()
+        D: _sparse_scaled(_sparse_addmul([{} for _ in range(size)], inv0, m), -1)
+        for D, m in A.items()
+        if any(D)
     }
-    out = {zero: inv0}
-    power = {zero: _identity_matrix(size)}
+    identity = [{i: Fraction(1)} for i in range(size)]
+    series, power = {zero: identity}, {zero: identity}
     for _ in range(order):
-        power = _qmat_mul(power, base, size, rank, order)
+        power = _qmat_mul(power, base, size, order)
         if not power:
             break
-        for D, m in _qmat_mul(power, {zero: inv0}, size, rank, order).items():
-            out[D] = _mat_add(out[D], m) if D in out else m
-    return {D: m for D, m in out.items() if not _mat_is_zero(m)}
+        for D, m in power.items():
+            _sparse_addscaled(series.setdefault(D, [{} for _ in range(size)]), m, 1)
+    return _qmat_mul(series, {zero: inv0}, size, order)
 
 
 def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
@@ -631,42 +607,51 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
     size = model.size
     rank = model.rank
     order = Hm.order
+    zero = (0,) * rank
+    exponent = _grading(model)
     J = Hm.jrow()
     theta_rows = [op.theta_part() for op in rowspec]
     H0 = HMatrix(model, order, apply_gauge_many(theta_rows, J))
-    GH = Hm.gauge_matrices()
     GH0 = H0.gauge_matrices()
-    Q = _qmat_mul(GH, _qmat_inverse(model, GH0, order), size, rank, order)
-    zero = (0,) * rank
-    ident = _identity_matrix(size)
-    if Q.get(zero) != ident:
-        D, i, k, want, got = _qmat_difference({zero: ident}, Q, size, rank, 0)
-        raise _qfactor_failure(
-            model, D, i, k, want, got, "q^0 part of Q is not the identity"
-        )
-    entries = [[NovikovSeries(rank, order) for _ in range(size)] for _ in range(size)]
-    for D, mat in Q.items():
-        for i in range(size):
-            for k in range(size):
-                v = mat[i][k]
-                if not v:
-                    continue
-                if set(v.c) != {0}:
-                    raise _qfactor_failure(
-                        model, D, i, k, v.coeff(0), v,
-                        "entry depends on h: %s" % v,
-                    )
-                entries[i][k] = entries[i][k] + NovikovSeries(
-                    rank, order, {D: v.coeff(0)}
+    for i, row in enumerate(GH0.get(zero, ())):
+        for k, v in enumerate(row):
+            if v and set(v.c) != {0}:
+                raise _qfactor_failure(
+                    model, zero, i, k, HLaurent.const(v.coeff(0)), v,
+                    "q^0 entry of H_0 depends on h",
                 )
-    # confirm the factorization reproduces H exactly (to the truncation)
-    recon = _qmat_mul(Q, GH0, size, rank, order)
-    if recon != GH:
-        D, i, k, want, got = _qmat_difference(GH, recon, size, rank, order)
-        raise _qfactor_failure(
-            model, D, i, k, want, got, "Q*H_0 does not reproduce H"
+    A0 = _graded_at_one(model, GH0, "H_0")
+    inverse = _qmat_inverse(model, A0, order)
+    A = _graded_at_one(model, Hm.gauge_matrices(), "H")
+
+    def failure(expected, got, detail):
+        D, i, k, want, have = _first_difference(expected, got)
+        e = exponent(i, k, D)
+        return _qfactor_failure(
+            model, D, i, k, HLaurent.term(want, e), HLaurent.term(have, e), detail
         )
-    return [list(row) for row in entries], H0
+
+    Q = _qmat_mul(A, inverse, size, order)
+    identity = [{i: Fraction(1)} for i in range(size)]
+    if Q.get(zero) != identity:
+        raise failure({zero: identity}, Q, "q^0 part of Q is not the identity")
+    entries = [[{} for _ in range(size)] for _ in range(size)]
+    for D, mat in sorted(Q.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        for i, row in enumerate(mat):
+            for k, v in sorted(row.items()):
+                e = exponent(i, k, D)
+                if e:
+                    got = HLaurent.term(v, e)
+                    raise _qfactor_failure(
+                        model, D, i, k, HLaurent(), got,
+                        "entry depends on h: %s" % got,
+                    )
+                entries[i][k][D] = v
+    # confirm the factorization reproduces H exactly (to the truncation)
+    recon = _qmat_mul(Q, A0, size, order)
+    if recon != A:
+        raise failure(A, recon, "Q*H_0 does not reproduce H")
+    return [[NovikovSeries(rank, order, c) for c in row] for row in entries], H0
 
 
 # -- classical (asymptotic) limit -------------------------------------------

@@ -197,12 +197,16 @@ class GaugeSeries(CohSeries):
         return out
 
     def scalar_component(self, j: int):
-        """The coefficient along the dual class a_j, per multidegree."""
-        model = self.model
-        bj = model.basis_class(j)
+        """The coefficient along the dual class a_j, per multidegree: the
+        pairing of each coefficient with b_j."""
+        column = [(m, row[j]) for m, row in enumerate(self.model.pairing) if row[j]]
         out = {}
         for D, cls in self.c.items():
-            v = model.pair(cls, bj)
+            v = _ZERO
+            for m, g in column:
+                a = cls.coords[m]
+                if a:
+                    v = v + (a if g == 1 else a * g)
             if v:
-                out[D] = v if isinstance(v, HLaurent) else HLaurent.const(v)
+                out[D] = v
         return out

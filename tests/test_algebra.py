@@ -1,10 +1,11 @@
 """Exact scalar arithmetic: h-Laurent polynomials, truncated Novikov series,
 and t-polynomials."""
 
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcoh.algebra import (
     HLaurent,
@@ -140,19 +141,13 @@ def test_tpoly_items_sorted_by_total_degree_then_lex():
     assert [e for e, _ in p.items_sorted()] == [(0, 1), (1, 1), (2, 0)]
 
 
-def test_random_ring_axioms_hlaurent():
-    rng = random.Random(20240817)
+_COEFFS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+_HLAURENT = st.dictionaries(st.integers(-4, 4), _COEFFS, max_size=4).map(HLaurent)
 
-    def rand_poly():
-        return HLaurent(
-            {
-                rng.randint(-4, 4): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                for _ in range(4)
-            }
-        )
 
-    for _ in range(50):
-        a, b, c = rand_poly(), rand_poly(), rand_poly()
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
+@settings(max_examples=100, deadline=None)
+@given(_HLAURENT, _HLAURENT, _HLAURENT)
+def test_random_ring_axioms_hlaurent(a, b, c):
+    assert (a + b) * c == a * c + b * c
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)

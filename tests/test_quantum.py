@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from qcoh.algebra import NovikovSeries
-from qcoh.model import BUILTIN_NAMES, builtin_model
+from qcoh.model import BUILTIN_NAMES, ModelSpec, builtin_model
 from qcoh.operators import builtin_relations
 from qcoh.quantum import (
+    CheckFailure,
     QElem,
     check_associativity,
     check_flatness,
@@ -217,6 +218,25 @@ def test_integrate_connection_f3_directions_agree():
     pot = integrate_connection(model, ORDER)
     # every stored degree divides out consistently; spot-check q1 and q2 parts
     assert (1, 0) in pot.qpart and (0, 1) in pot.qpart and (1, 1) in pot.qpart
+
+
+def test_open_connection_form_is_a_check_failure():
+    # b_1 o b_5 = 2 q1 q2 instead of q1 q2: graded and commutative, so the
+    # model validates, but d_1 and d_2 of the potential disagree at q1 q2
+    data = builtin_model("f3").to_json()
+    (rec,) = [r for r in data["quantum"] if (r["i"], r["j"], r["D"]) == (1, 5, [1, 1])]
+    rec["c"] = "2"
+    model = ModelSpec.from_json(data)
+    assert model.validate() == []
+    with pytest.raises(CheckFailure) as info:
+        integrate_connection(model, ORDER)
+    report = info.value.report
+    assert report["check"] == "connection-closed" and report["status"] == "fail"
+    (witness,) = report["witnesses"]
+    assert witness["degree"] == [1, 1]
+    assert witness["directions"] == [1, 2]
+    assert witness["entry"] == [0, 5]
+    assert witness["values"] == ["2", "1"]
 
 
 def test_exp_quantum_cp1_coefficients():

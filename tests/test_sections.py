@@ -15,6 +15,7 @@ from qcoh.operators import (
     builtin_rowspec,
     parse_operator,
 )
+from qcoh.series import GaugeSeries
 from qcoh.sections import (
     CheckFailure,
     HMatrix,
@@ -113,6 +114,31 @@ def test_closed_form_cp_matches_sympy_expansion(m):
                 sympy.Integer(0),
             )
             assert sympy.cancel(want - got) == 0, (m, d, j)
+
+
+@pytest.mark.parametrize(
+    "name", ["cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1"]
+)
+def test_closed_form_entries_are_graded_monomials(name):
+    # the b_k coordinate of J_D is c * h^e, e = -deg b_k / 2 - <c1, D>; the
+    # matrix assembled from J by the row operators over HLaurent then obeys
+    # the solver's rule (deg b_k - deg b_i)/2 - <c1, D>
+    model = builtin_model(name)
+    J = closed_form(model, ORDER)
+    assert len(J.c) > 1
+    for D, cls in J.c.items():
+        c1 = sum(c * d for c, d in zip(model.chern, D))
+        for k, v in enumerate(cls.coords):
+            if v:
+                assert set(v.c) == {-model.degrees[k] // 2 - c1}, (D, k, v)
+    mats = build_H_from_J(model, J, builtin_rowspec(model)).gauge_matrices()
+    for D, mat in mats.items():
+        c1 = sum(c * d for c, d in zip(model.chern, D))
+        for i, row in enumerate(mat):
+            for k, v in enumerate(row):
+                if v:
+                    e = (model.degrees[k] - model.degrees[i]) // 2 - c1
+                    assert set(v.c) == {e}, (D, i, k, v)
 
 
 def test_closed_form_unavailable_for_gr24():
@@ -315,6 +341,23 @@ def test_q_factorization_h_dependent_head_names_entry():
     assert witness["got"] == [[0, "1"], [1, "1"]]
 
 
+def test_q_factorization_off_grade_entry_names_entry():
+    # the head stays h-free; a constant added to the unit coordinate of
+    # row 0 at q^1 lands in entry (0, 1), where the grading predicts h^-1
+    model = builtin_model("cp1")
+    rowspec = builtin_rowspec(model)
+    Hm = build_H_from_J(model, closed_form(model, 2), rowspec)
+    extra = GaugeSeries(model, 2, {(1,): model.unit().scaled(5)})
+    bad = HMatrix(model, 2, [Hm.rows[0] + extra, Hm.rows[1]])
+    with pytest.raises(CheckFailure) as info:
+        q_factorize(model, bad, rowspec)
+    witness = _q_factorization_witness(info)
+    assert witness["degree"] == [1] and witness["entry"] == [0, 1]
+    assert [0, "5"] in witness["got"]
+    assert witness["expected"] != witness["got"]
+    assert all(e == -1 for e, _ in witness["expected"])
+
+
 def test_q_factorization_singular_head_is_a_check_failure():
     model = builtin_model("sigma1")
     J = closed_form(model, 2)
@@ -335,13 +378,12 @@ def test_q_factorization_reconstruction_witness(monkeypatch):
 
     def perturbed(model, A, order):
         out = dict(inverse(model, A, order))
-        size = model.size
-        bump = tuple(
-            tuple(HLaurent.const(1) if (i, k) == (0, 0) else HLaurent() for k in range(size))
-            for i in range(size)
-        )
+        # matrices are sparse rows at h = 1; entry (0, 3) of the q^(1, 0)
+        # part of the inverse carries h^0, so Q stays h-free
         D = (1, 0)
-        out[D] = sections._mat_add(out[D], bump) if D in out else bump
+        rows = [dict(row) for row in out.get(D, [{}] * model.size)]
+        rows[0][3] = rows[0].get(3, 0) + 1
+        out[D] = rows
         return out
 
     monkeypatch.setattr(sections, "_qmat_inverse", perturbed)
