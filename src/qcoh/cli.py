@@ -100,6 +100,16 @@ def _expression_file(value, model):
     raise UsageError("no such expression file: %r" % value)
 
 
+def _load_expressions(value, model, loader, what):
+    """Load the expressions of a file argument; a file that holds none
+    (only blank or comment lines) is a usage error, never an empty pass."""
+    path, subs = _expression_file(value, model)
+    items = loader(path, model.rank, subs)
+    if not items:
+        raise UsageError("%s file %r holds no expressions" % (what, value))
+    return items
+
+
 # -- models ------------------------------------------------------------------
 
 
@@ -181,8 +191,7 @@ def cmd_check(args):
             rels = builtin_relations(model)
             source = "builtin"
         else:
-            path, subs = _expression_file(args.relations, model)
-            rels = load_relations(path, model.rank, subs)
+            rels = _load_expressions(args.relations, model, load_relations, "relation")
             source = args.relations
         checks.append(_relations_report(model, rels, order, source))
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
@@ -235,8 +244,7 @@ def cmd_jfun(args):
             ops = builtin_operators(model)
             names = [str(op) for op in ops]
         else:
-            path, subs = _expression_file(args.verify, model)
-            ops = load_operators(path, model.rank, subs)
+            ops = _load_expressions(args.verify, model, load_operators, "operator")
             names = [str(op) for op in ops]
         report = verify_annihilated(J, ops, names)
         payload["verification"] = report

@@ -17,7 +17,7 @@ from math import comb
 from .algebra import H, HLaurent, TPoly, format_rational, rational
 from .model import ModelSpec
 from .quantum import QElem, quantum_monomial
-from .series import GaugeSeries
+from .series import GaugeSeries, _add_term, _flat, _from_flat, _pruned, _theta_flat
 
 
 class ParseError(ValueError):
@@ -587,11 +587,14 @@ def apply_gauge_many(ops, s: GaugeSeries) -> list:
     are grouped by that word and the words are visited in lexicographic
     order, so a prefix comes before its extensions and the words sharing
     it are adjacent.  Only the chain of prefixes of the current word is
-    held, so each distinct prefix is computed once, by one call of
-    GaugeSeries.theta (which runs over the sparse generator action), and
-    memory stays proportional to the theta degree.  Each term then adds
-    its theta^E s, shifted by q^qdeg and scaled by v*h^hexp, to the
-    result of its operator."""
+    held, so each distinct prefix is computed once, by one call of the
+    theta kernel, and memory stays proportional to the theta degree.
+
+    The walk runs on the flat exact coordinates of s ({D: {(k, x):
+    Fraction}}, every h-exponent kept): s is unpacked once, each term
+    v * h^hexp * q^qdeg * theta^E adds v times its prefix, moved by hexp
+    in h and by qdeg in q, to its operator's result, and each result is
+    repacked into a GaugeSeries once at the end."""
     ops = list(ops)
     for op in ops:
         if op.rank != s.model.rank:
@@ -601,9 +604,9 @@ def apply_gauge_many(ops, s: GaugeSeries) -> list:
         for (hexp, qdeg, thexp), v in op.c.items():
             word = tuple(i for i, e in enumerate(thexp, start=1) for _ in range(e))
             groups.setdefault(word, []).append((pos, hexp, qdeg, v))
-    order = s.order
+    model, order = s.model, s.order
     acc = [{} for _ in ops]
-    chain = [s]  # chain[n] is theta applied along the first n letters
+    chain = [_flat(s)]  # chain[n] is theta applied along the first n letters
     prev = ()
     for word in sorted(groups):
         common = 0
@@ -611,25 +614,11 @@ def apply_gauge_many(ops, s: GaugeSeries) -> list:
             common += 1
         del chain[common + 1:]
         for i in word[common:]:
-            chain.append(chain[-1].theta(i))
+            chain.append(_theta_flat(model, chain[-1], i))
         prev = word
         for pos, hexp, qdeg, v in groups[word]:
-            scale = HLaurent.term(v, hexp)
-            shift = any(qdeg)
-            out = acc[pos]
-            for D, cls in chain[-1].c.items():
-                if shift:
-                    D = tuple(a + b for a, b in zip(D, qdeg))
-                    if sum(D) > order:
-                        continue
-                cls = cls.scaled(scale)
-                out[D] = out[D] + cls if D in out else cls
-    results = []
-    for out in acc:
-        res = GaugeSeries(s.model, order)
-        res.c = {D: cls for D, cls in out.items() if cls}
-        results.append(res)
-    return results
+            _add_term(acc[pos], chain[-1], v, hexp, qdeg, order)
+    return [_from_flat(model, order, _pruned(out)) for out in acc]
 
 
 def apply_gauge(op: QDEOperator, s: GaugeSeries) -> GaugeSeries:

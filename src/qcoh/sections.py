@@ -18,7 +18,7 @@ from .algebra import H_ONE, HLaurent, NovikovSeries, TPoly, format_rational
 from .model import CohClass, ModelSpec, invert_unit, _invert_rational_matrix
 from .operators import QDEOperator, apply_gauge_many
 from .quantum import CheckFailure
-from .series import GaugeSeries
+from .series import GaugeSeries, _add_term, _flat, _from_flat, _pruned, _theta_flat
 
 
 def _degrees_upto(rank, order):
@@ -134,16 +134,24 @@ class HMatrix:
         return out
 
     def check_system(self) -> dict:
-        """Verify h d_j(row i) = sum_u (M_j)_{iu} (row u) for all i, j."""
+        """Verify h d_j(row i) = sum_u (M_j)_{iu} (row u) for all i, j.
+
+        Both sides are built on flat exact coordinates (see series.py), so
+        every h-exponent is compared and no grading is assumed: the left
+        side by the theta kernel, the right side by adding q^D (M_j)_{iu}
+        times row u for every q^D part M_j of multiplication by b_j.  A
+        failing row's witness names the first differing coordinate: the
+        degree, the entry [i, k] (row i, coordinate along b_k) and the
+        expected (right side) and obtained (left side) values."""
         model = self.model
         size = model.size
+        order = self.order
+        rows = [_flat(row) for row in self.rows]
         witnesses = []
         for j in range(1, model.rank + 1):
-            rhs_rows = [
-                GaugeSeries(model, self.order, {}) for _ in range(size)
-            ]
+            rhs = [{} for _ in range(size)]
             for D in model.quantum_degrees(j):
-                if sum(D) > self.order:
+                if sum(D) > order:
                     continue
                 mat = model.quantum_part(j, D)
                 if mat is None:
@@ -151,29 +159,50 @@ class HMatrix:
                 for i in range(size):
                     for u in range(size):
                         v = mat[i][u]
-                        if not v:
-                            continue
-                        add = self.rows[u].scaled(v)
-                        if any(D):
-                            add = add.shifted(D)
-                        rhs_rows[i] = rhs_rows[i] + add
+                        if v:
+                            _add_term(rhs[i], rows[u], v, 0, D, order)
             for i in range(size):
-                lhs = self.rows[i].theta(j)
-                if lhs != rhs_rows[i]:
-                    diff = lhs - rhs_rows[i]
-                    witnesses.append(
-                        {
-                            "direction": j,
-                            "row": i,
-                            "detail": diff.describe(),
-                        }
-                    )
+                want = _pruned(rhs[i])
+                got = _theta_flat(model, rows[i], j)
+                if got != want:
+                    witnesses.append(self._system_witness(j, i, want, got))
         return {
             "check": "first-order-system",
             "model": model.name,
-            "order": self.order,
+            "order": order,
             "status": "pass" if not witnesses else "fail",
             "witnesses": witnesses,
+        }
+
+    def _system_witness(self, j, i, want, got):
+        """Witness for row i in direction j, whose flat sides differ."""
+        D = next(
+            D
+            for D in sorted(set(want) | set(got), key=lambda d: (sum(d), d))
+            if want.get(D) != got.get(D)
+        )
+
+        def coordinate(flat, k):
+            return HLaurent(
+                {x: v for (c, x), v in flat.get(D, {}).items() if c == k}
+            )
+
+        k = next(
+            k
+            for k in range(self.model.size)
+            if coordinate(want, k) != coordinate(got, k)
+        )
+        diff = _from_flat(self.model, self.order, got) - _from_flat(
+            self.model, self.order, want
+        )
+        return {
+            "direction": j,
+            "row": i,
+            "degree": list(D),
+            "entry": [i, k],
+            "expected": coordinate(want, k).to_json(),
+            "got": coordinate(got, k).to_json(),
+            "detail": diff.describe(),
         }
 
     def to_json(self):

@@ -158,6 +158,97 @@ class CohSeries:
         )
 
 
+# -- flat exact coordinates ---------------------------------------------------
+# A flat series is {D: {(k, x): Fraction}}: the entry c at (k, x) of degree D
+# is the term c * h^x of the b_k coordinate of the q^D coefficient.  Every
+# h-exponent is kept, so nothing here assumes a grading.  Zero entries and
+# empty degrees are never stored, so two flat series are equal exactly when
+# their dicts are.
+
+
+def _flat(s: CohSeries) -> dict:
+    """The flat coordinates of a series."""
+    return {
+        D: {(k, x): v for k, a in enumerate(cls.coords) for x, v in a.c.items()}
+        for D, cls in s.c.items()
+    }
+
+
+def _from_flat(model: ModelSpec, order: int, flat) -> "GaugeSeries":
+    """The GaugeSeries with the given flat coordinates."""
+    size = model.size
+    c = {}
+    for D, terms in flat.items():
+        coords = [{} for _ in range(size)]
+        for (k, x), v in terms.items():
+            coords[k][x] = v
+        laurents = []
+        for coeffs in coords:
+            a = HLaurent()
+            a.c = coeffs
+            laurents.append(a)
+        c[D] = CohClass(tuple(laurents))
+    out = GaugeSeries(model, order)
+    out.c = c
+    return out
+
+
+def _pruned(acc) -> dict:
+    """A flat series accumulated with possible zeros, with them dropped."""
+    out = {}
+    for D, terms in acc.items():
+        terms = {key: v for key, v in terms.items() if v}
+        if terms:
+            out[D] = terms
+    return out
+
+
+def _theta_flat(model: ModelSpec, flat, i: int) -> dict:
+    """theta_i on a flat series: the entry a at (j, x) of degree D adds
+    a * v at (k, x) for each (k, v) of b_i cup b_j, and d_i * a at
+    (j, x + 1) where d_i = D[i - 1].  The one theta kernel, shared by
+    GaugeSeries.theta, the operator walk and the first-order-system check."""
+    # a coefficient of 1 (the usual cup constant) is marked None: no product
+    action = [
+        [(k, None if v == 1 else v) for k, v in row]
+        for row in model.generator_action(i)
+    ]
+    out = {}
+    for D, terms in flat.items():
+        d = D[i - 1]
+        acc = {}
+        for (j, x), a in terms.items():
+            for k, v in action[j]:
+                key = (k, x)
+                p = a if v is None else a * v
+                acc[key] = acc[key] + p if key in acc else p
+            if d:
+                key = (j, x + 1)
+                p = a * d
+                acc[key] = acc[key] + p if key in acc else p
+        acc = {key: v for key, v in acc.items() if v}
+        if acc:
+            out[D] = acc
+    return out
+
+
+def _add_term(acc, flat, v, hexp, qdeg, order):
+    """acc += v * h^hexp * q^qdeg * flat in place, dropping degrees past
+    `order`; the caller prunes zeros (`_pruned`)."""
+    shift = any(qdeg)
+    unit = v == 1
+    for D, terms in flat.items():
+        if shift:
+            D = tuple(a + b for a, b in zip(D, qdeg))
+            if sum(D) > order:
+                continue
+        out = acc.setdefault(D, {})
+        for (k, x), a in terms.items():
+            key = (k, x + hexp)
+            p = a if unit else a * v
+            out[key] = out[key] + p if key in out else p
+
+
 class GaugeSeries(CohSeries):
     """CohSeries read as e^{t/h} * sum c_D q^D, with the induced action of
     theta_i = h d/dt_i."""
@@ -166,26 +257,10 @@ class GaugeSeries(CohSeries):
 
     def theta(self, i: int) -> "GaugeSeries":
         """Apply theta_i: on the q^D coefficient this is cup-by-b_i plus
-        multiplication by d_i*h.  The cup part runs over the model's sparse
-        generator action."""
-        action = self.model.generator_action(i)
-        c = {}
-        for D, cls in self.c.items():
-            out = [_ZERO] * len(action)
-            for j, a in enumerate(cls.coords):
-                if not a:
-                    continue
-                for k, v in action[j]:
-                    out[k] = out[k] + (a if v == 1 else a * v)
-            d = D[i - 1]
-            if d:
-                dh = HLaurent.term(d, 1)
-                for k, a in enumerate(cls.coords):
-                    if a:
-                        out[k] = out[k] + a * dh
-            if any(out):
-                c[D] = CohClass(tuple(out))
-        return self._new(c)
+        multiplication by d_i*h, computed by the flat kernel `_theta_flat`
+        over the model's sparse generator action."""
+        flat = _theta_flat(self.model, _flat(self), i)
+        return _from_flat(self.model, self.order, flat)
 
     def theta_monomial(self, exps) -> "GaugeSeries":
         """theta^E applied factor by factor, theta_1 first; the reference

@@ -147,6 +147,21 @@ def test_check_failing_relation_exits_1(capsys, tmp_path):
     assert json.loads(out)["status"] == "fail"
 
 
+NO_EXPRESSIONS = {"empty": "", "comments-only": "# nothing here\n\n   # still nothing\n"}
+
+
+@pytest.mark.parametrize("kind", sorted(NO_EXPRESSIONS))
+def test_check_relation_file_without_expressions_exits_2(capsys, tmp_path, kind):
+    rel = tmp_path / "none.rel"
+    rel.write_text(NO_EXPRESSIONS[kind])
+    code, out, err = run(
+        capsys, ["check", "--model", "cp1", "--relations", str(rel)]
+    )
+    assert code == 2
+    assert out == ""
+    assert str(rel) in json.loads(err)["error"]
+
+
 def test_check_negative_order_exits_2(capsys):
     assert_order_checked(capsys, ["check", "--model", "cp1"])
 
@@ -199,6 +214,19 @@ def test_jfun_wrong_operator_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(out)["verification"]["status"] == "fail"
+
+
+@pytest.mark.parametrize("kind", sorted(NO_EXPRESSIONS))
+def test_jfun_operator_file_without_expressions_exits_2(capsys, tmp_path, kind):
+    ops = tmp_path / "none.ops"
+    ops.write_text(NO_EXPRESSIONS[kind])
+    code, out, err = run(
+        capsys,
+        ["jfun", "--model", "cp1", "--closed-form", "--verify", str(ops)],
+    )
+    assert code == 2
+    assert out == ""
+    assert str(ops) in json.loads(err)["error"]
 
 
 def test_jfun_out_file_matches_stdout(capsys, tmp_path):

@@ -1,0 +1,89 @@
+"""Golden outputs: the CLI JSON and exit code of a fixed command corpus.
+
+Each case in CORPUS has a recording tests/golden/<name>.json holding its
+argv, exit code, stdout and stderr (both parsed from JSON, or null when
+empty).  The replay runs every command in process from tests/golden, so
+the expression files in that directory are named by their bare names, and
+requires the exact stdout bytes and the exit code.
+
+Re-record only when an output is meant to change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from qcoh.cli import _dump, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CLOSED_FORM_MODELS = ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1")
+
+CORPUS = {
+    **{
+        "jfun-%s-closed-form-verify" % m: [
+            "jfun", "--model", m, "--closed-form", "--verify", "--n", "5"
+        ]
+        for m in CLOSED_FORM_MODELS
+    },
+    "jfun-f3-diff": ["jfun", "--model", "f3", "--diff", "--n", "4"],
+    "jfun-f3-verify-inhomogeneous": [
+        "jfun", "--model", "f3", "--closed-form", "--verify",
+        "inhomogeneous.ops", "--n", "3",
+    ],
+    "jfun-verify-empty-file": [
+        "jfun", "--model", "cp1", "--closed-form", "--verify", "empty.ops"
+    ],
+    "check-relations-empty-file": [
+        "check", "--model", "cp1", "--relations", "empty.rel"
+    ],
+}
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parsed(text):
+    return json.loads(text) if text else None
+
+
+def record():
+    for name, argv in CORPUS.items():
+        code, out, err = _run(argv)
+        payload = {
+            "argv": argv,
+            "exit": code,
+            "stdout": _parsed(out),
+            "stderr": _parsed(err),
+        }
+        (GOLDEN / ("%s.json" % name)).write_text(_dump(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_golden_output(name):
+    stored = json.loads((GOLDEN / ("%s.json" % name)).read_text(encoding="utf-8"))
+    assert stored["argv"] == CORPUS[name]
+    code, out, err = _run(stored["argv"])
+    assert code == stored["exit"]
+    assert out == ("" if stored["stdout"] is None else _dump(stored["stdout"]))
+    assert _parsed(err) == stored["stderr"]
+
+
+if __name__ == "__main__":
+    sys.exit(record())

@@ -185,8 +185,8 @@ def test_solver_detects_non_integrable_deformation():
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_solver_satisfies_first_order_system(name):
-    # check_system applies theta_j over Laurent polynomials in h, an oracle
-    # independent of the solver's h = 1 arithmetic
+    # check_system applies theta_j on exact coordinates that keep every power
+    # of h, an oracle independent of the solver's h = 1 arithmetic
     report = solve_fundamental(builtin_model(name), ORDER).check_system()
     assert report["status"] == "pass", report["witnesses"]
 
@@ -255,6 +255,25 @@ def test_build_H_from_J_satisfies_first_order_system(name):
     Hm = build_H_from_J(model, J, builtin_rowspec(model))
     assert Hm.jrow().c == J.c
     assert Hm.check_system()["status"] == "pass"
+
+
+def test_first_order_system_witness_names_entry():
+    model = builtin_model("f3")
+    solved = solve_fundamental(model, 3)
+    D, k = (1, 0), 2
+    bump = GaugeSeries(model, 3, {D: model.basis_class(k).scaled(HLaurent.term(5, -1))})
+    broken = HMatrix(model, 3, (solved.rows[0] + bump,) + solved.rows[1:])
+    report = broken.check_system()
+    assert report["status"] == "fail"
+    witness = report["witnesses"][0]
+    assert (witness["direction"], witness["row"]) == (1, 0)
+    assert witness["degree"] == [1, 0]
+    i, k = witness["entry"]
+    assert i == 0
+    assert witness["expected"] != witness["got"]
+    got = broken.rows[0].theta(1).coeff(witness["degree"]).coords[k]
+    assert witness["got"] == got.to_json()
+    assert witness["detail"]
 
 
 def test_build_H_rejects_wrong_rowspec():

@@ -1,9 +1,13 @@
 """Cohomology-valued Novikov series and the gauge-normalized theta action."""
 
 from fractions import Fraction
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcoh.algebra import HLaurent, NovikovSeries
-from qcoh.model import builtin_model
+from qcoh.model import CohClass, builtin_model
 from qcoh.series import CohSeries, GaugeSeries
 
 
@@ -36,6 +40,56 @@ def test_theta_adds_degree_weighted_h():
     # x + 2h on the unit: coefficient 2h on basis 1, coefficient 1 on x
     assert got.coords[0] == HLaurent.term(2, 1)
     assert got.coords[1] == HLaurent.const(1)
+
+
+# -- theta against its definition, on ungraded sections --------------------------
+# Each coordinate is a Laurent polynomial with several powers of h, negative
+# ones included, so no grading holds.  The definition is built slice by slice:
+# the h^x slice of the q^D coefficient, a rational class, goes to its cup
+# product with b_i at h^x plus d_i times itself at h^(x+1).
+
+_MODELS = {name: builtin_model(name) for name in ("cp2", "f3", "sigma1", "gr24")}
+_ORDER = 2
+
+_laurents = st.dictionaries(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+    max_size=3,
+).map(HLaurent)
+
+
+@st.composite
+def ungraded_theta_case(draw):
+    model = _MODELS[draw(st.sampled_from(sorted(_MODELS)))]
+    degree = st.sampled_from(
+        [D for D in product(range(_ORDER + 1), repeat=model.rank) if sum(D) <= _ORDER]
+    )
+    coefficients = st.lists(_laurents, min_size=model.size, max_size=model.size)
+    terms = draw(st.dictionaries(degree, coefficients.map(CohClass), max_size=4))
+    return GaugeSeries(model, _ORDER, terms), draw(st.integers(1, model.rank))
+
+
+def theta_by_definition(s, i):
+    model = s.model
+    generator = model.basis_class(i)
+    out = {}
+    for D, cls in s.c.items():
+        coords = [HLaurent() for _ in range(model.size)]
+        for x in sorted({x for a in cls.coords for x in a.c}):
+            part = CohClass(tuple(a.coeff(x) for a in cls.coords))
+            cup = model.cup(generator, part)
+            for k in range(model.size):
+                coords[k] = coords[k] + HLaurent.term(cup.coords[k], x)
+                coords[k] = coords[k] + HLaurent.term(D[i - 1] * part.coords[k], x + 1)
+        out[D] = CohClass(coords)
+    return GaugeSeries(model, s.order, out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ungraded_theta_case())
+def test_theta_matches_its_definition_on_ungraded_sections(case):
+    s, i = case
+    assert s.theta(i).c == theta_by_definition(s, i).c
 
 
 def test_theta_monomial_matches_iterated_theta():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoh.algebra import HLaurent
+from qcoh import operators
 from qcoh.model import builtin_model
 from qcoh.operators import (
     apply_gauge,
@@ -121,7 +122,7 @@ def test_walk_matches_termwise_application_on_random_operators(case):
         assert series.c == reference_apply(op, J).c, str(op)
 
 
-# -- one theta step per distinct prefix ----------------------------------------
+# -- one theta-kernel call per distinct prefix ---------------------------------
 
 
 def test_verify_annihilated_takes_one_theta_step_per_prefix(monkeypatch):
@@ -132,13 +133,13 @@ def test_verify_annihilated_takes_one_theta_step_per_prefix(monkeypatch):
         for t in ("1/2 + D1 + q2*D1", "-3 + 2*h*D2 + h*q1", "1 + D2 - q1")
     ]
     calls = []
-    theta = GaugeSeries.theta
+    kernel = operators._theta_flat
 
-    def counting(self, i):
+    def counting(model, flat, i):
         calls.append(i)
-        return theta(self, i)
+        return kernel(model, flat, i)
 
-    monkeypatch.setattr(GaugeSeries, "theta", counting)
+    monkeypatch.setattr(operators, "_theta_flat", counting)
     report = verify_annihilated(J, ops)
     assert report["status"] == "pass"
     assert len(calls) == len(theta_words(ops))
