@@ -96,7 +96,13 @@ class CohClass:
             sa = str(a)
             if ("+" in sa[1:]) or (" - " in sa) or ("/" in sa and "h" in sa):
                 sa = "(%s)" % sa
-            parts.append(sa if lab == "1" else "%s*%s" % (sa, lab))
+            if lab == "1":
+                parts.append(sa)
+            elif sa in ("1", "-1"):
+                # a unit coordinate keeps only its sign: a^2, -a^2
+                parts.append(sa[:-1] + lab)
+            else:
+                parts.append("%s*%s" % (sa, lab))
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):

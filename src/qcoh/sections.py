@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd, lcm
 
 from .algebra import H_ONE, HLaurent, NovikovSeries, TPoly, format_rational
 from .model import CohClass, ModelSpec, invert_unit, _invert_rational_matrix
@@ -30,7 +31,10 @@ def _degrees_upto(rank, order):
 
 
 # -- sparse rational matrices ------------------------------------------------
-# A sparse matrix is a list of rows, each a dict {column: nonzero Fraction}.
+# A sparse matrix is a list of rows, each a dict {column: nonzero value}.
+# The values are Fractions, or ints when the matrix is the numerator of a
+# pair (rows, den) with one positive int denominator; the kernels below
+# work on either.
 
 
 def _sparse(mat):
@@ -63,6 +67,32 @@ def _sparse_pruned(m):
 def _sparse_scaled(m, x):
     """x * m with zero entries dropped."""
     return [{k: v * x for k, v in row.items() if v} for row in m]
+
+
+def _integral(m):
+    """The sparse rational matrix m as (int rows, den) over the lcm of its
+    denominators."""
+    den = lcm(*(v.denominator for row in m for v in row.values()))
+    return [
+        {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+        for row in m
+    ], den
+
+
+def _reduced(m, den):
+    """(m, den) divided through by the gcd of den and every entry of m."""
+    g = den
+    for row in m:
+        for v in row.values():
+            g = gcd(g, v)
+            if g == 1:
+                return m, den
+    return [{k: v // g for k, v in row.items()} for row in m], den // g
+
+
+def _rational(m, den):
+    """The sparse int rows m over den as reduced Fractions."""
+    return [{k: Fraction(v, den) for k, v in row.items()} for row in m]
 
 
 def _first_difference(a, b):
@@ -240,12 +270,19 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     The system is homogeneous (deg h = 2, deg q^D = 2<c1, D>), so entry
     (i, k) of G_D is a single monomial c * h^e with
     e = (deg b_k - deg b_i - deg q^D) / 2.  The solver therefore computes
-    at h = 1 over sparse rational matrices and puts h^e back only when it
-    builds the rows.  This needs a graded model, which `validate()`
-    guarantees; every input entry is checked against the grading first
-    (CheckFailure "solver-grading").  Because both sides of each checked
-    equation are homogeneous of one degree, equality at h = 1 is equality
-    over Laurent polynomials in h.
+    at h = 1 and puts h^e back only when it builds the rows.  This needs a
+    graded model, which `validate()` guarantees; every input entry is
+    checked against the grading first (CheckFailure "solver-grading").
+    Because both sides of each checked equation are homogeneous of one
+    degree, equality at h = 1 is equality over Laurent polynomials in h.
+
+    The arithmetic is fraction-free: each cup matrix and quantum part is
+    held as sparse int rows over one denominator, and so is each G_D.  A
+    right side is summed over the lcm of its parts' denominators, each
+    commutator step multiplies the denominator by D_j times the cup
+    denominator, and G_D is reduced by one gcd at the end of its degree.
+    The consistency check cross-multiplies; witnesses and rows carry the
+    reduced Fractions.
     """
     size = model.size
     rank = model.rank
@@ -278,8 +315,9 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                             "that breaks the grading" % (j, c, r),
                         },
                     )
-        return sparse
+        return _integral(sparse)
 
+    # every matrix below is a pair (sparse int rows, positive int denominator)
     zero = (0,) * rank
     cup = {}
     mparts = {}
@@ -291,27 +329,35 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                 mat = model.quantum_part(j, D)
                 if mat is not None:
                     mparts[j].append((D, graded(j, D, mat)))
-    negcup = {j: _sparse_scaled(B, -1) for j, B in cup.items()}
+    negcup = {j: _sparse_scaled(B, -1) for j, (B, _) in cup.items()}
 
     def commutator(j, X):
-        acc = _sparse_addmul([{} for _ in range(size)], cup[j], X)
+        # [B_j, X] times the cup denominator of b_j
+        acc = _sparse_addmul([{} for _ in range(size)], cup[j][0], X)
         return _sparse_addmul(acc, X, negcup[j])
 
-    G = {zero: [{i: Fraction(1)} for i in range(size)]}
+    G = {zero: ([{i: 1} for i in range(size)], 1)}
     for D in _degrees_upto(rank, order):
         if not any(D):
             continue
         rhs = {}
         for j in range(1, rank + 1):
-            acc = [{} for _ in range(size)]
-            for Dp, mat in mparts[j]:
+            parts = []
+            for Dp, (mat, mden) in mparts[j]:
                 rest = tuple(a - b for a, b in zip(D, Dp))
                 if min(rest) >= 0:
-                    _sparse_addmul(acc, mat, G[rest])
-            rhs[j] = _sparse_pruned(acc)
+                    num, den = G[rest]
+                    parts.append((mat, num, mden * den))
+            den = lcm(*(d for _, _, d in parts))
+            acc = [{} for _ in range(size)]
+            for mat, num, d in parts:
+                f = den // d
+                _sparse_addmul(acc, mat if f == 1 else _sparse_scaled(mat, f), num)
+            rhs[j] = (_sparse_pruned(acc), den)
         jstar = next(j for j in range(1, rank + 1) if D[j - 1] > 0)
-        inv = Fraction(1, D[jstar - 1])
-        term = _sparse_scaled(rhs[jstar], inv)
+        step = D[jstar - 1] * cup[jstar][1]
+        term, den = rhs[jstar]
+        den *= D[jstar - 1]
         total = [dict(row) for row in term]
         guard = 0
         while any(term):
@@ -326,20 +372,30 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                         "degree": list(D),
                         "direction": jstar,
                         "entry": [i, k],
-                        "value": monomial(i, k, D, v).to_json(),
+                        "value": monomial(i, k, D, Fraction(v, den)).to_json(),
                         "detail": "commutator series did not terminate",
                     },
                 )
-            term = _sparse_scaled(commutator(jstar, term), inv)
-            _sparse_addscaled(total, term, 1)
-        G[D] = _sparse_pruned(total)
+            term = _sparse_pruned(commutator(jstar, term))
+            if any(term):
+                if step != 1:
+                    total = _sparse_scaled(total, step)
+                    den *= step
+                _sparse_addscaled(total, term, 1)
+        G[D] = num, den = _reduced(_sparse_pruned(total), den)
         # every other direction must agree: integrability of the system
         for j in range(1, rank + 1):
-            # d_j G_D - [B_j, G_D], to compare with the quantum part
-            lhs = _sparse_addscaled(commutator(j, G[D]), G[D], -D[j - 1])
-            lhs = _sparse_scaled(lhs, -1)
-            if lhs != rhs[j]:
-                _, i, k, want, got = _first_difference({D: rhs[j]}, {D: lhs})
+            # [B_j, G_D] - d_j G_D over den times the cup denominator; its
+            # negative is compared with the right side by cross-multiplying
+            bden = cup[j][1]
+            lhs = _sparse_addscaled(commutator(j, num), num, -D[j - 1] * bden)
+            lden = den * bden
+            want, wden = rhs[j]
+            if _sparse_scaled(lhs, -wden) != _sparse_scaled(want, lden):
+                _, i, k, want, got = _first_difference(
+                    {D: _rational(want, wden)},
+                    {D: _rational(_sparse_scaled(lhs, -1), lden)},
+                )
                 raise _check_failure(
                     model,
                     "solver-consistency",
@@ -352,13 +408,12 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                     },
                 )
 
-    duals = [
-        {k: v for k, v in enumerate(cls.coords) if v} for cls in model.dual_basis()
-    ]
+    duals, dual_den = _integral(_sparse(cls.coords for cls in model.dual_basis()))
     rows = []
     for i in range(size):
         terms = {}
-        for D, mat in G.items():
+        for D, (mat, den) in G.items():
+            den *= dual_den
             coords = [{} for _ in range(size)]
             for l, v in mat[i].items():
                 exp = exponent(i, l, D)
@@ -366,7 +421,12 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                     c = coords[k]
                     p = a * v
                     c[exp] = c[exp] + p if exp in c else p
-            cls = CohClass(tuple(HLaurent(c) for c in coords))
+            cls = CohClass(
+                tuple(
+                    HLaurent({e: Fraction(x, den) for e, x in c.items()})
+                    for c in coords
+                )
+            )
             if cls:
                 terms[D] = cls
         rows.append(GaugeSeries(model, order, terms))

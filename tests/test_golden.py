@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from qcoh.cli import _dump, main
+from qcoh.model import BUILTIN_NAMES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -43,6 +44,20 @@ CORPUS = {
     ],
     "check-relations-empty-file": [
         "check", "--model", "cp1", "--relations", "empty.rel"
+    ],
+    **{
+        "gw-%s-max-degree-3" % m: ["gw", "--model", m, "--max-degree", "3"]
+        for m in BUILTIN_NAMES
+    },
+    **{
+        "jfun-%s-solve" % m: ["jfun", "--model", m, "--solve", "--n", "6"]
+        for m in ("f3", "sigma1", "gr24")
+    },
+    "jfun-f3-solve-deep": ["jfun", "--model", "f3", "--solve", "--n", "10"],
+    # f3 with its first q^(1,0) coefficient doubled: structurally valid, but
+    # the system is not integrable, so the solver fails with a witness
+    "jfun-solve-nonintegrable": [
+        "jfun", "--model", "f3-nonintegrable.model", "--solve", "--n", "4"
     ],
 }
 

@@ -142,6 +142,15 @@ def test_invert_unit_over_rationals_is_the_h_one_value():
         invert_unit(model, a)
 
 
+def test_describe_writes_unit_coordinates_as_the_label():
+    labels = builtin_model("f3").labels
+    coords = [HLaurent.const(c) for c in (1, -1, 0, 1, -1, Fraction(1, 2))]
+    assert CohClass(coords).describe(labels) == "1 + -a + a^2 + -b^2 + 1/2*z"
+    laurent = [HLaurent(), HLaurent.term(1, 1), HLaurent({0: 1, -1: 1})]
+    laurent += [HLaurent()] * 3
+    assert CohClass(laurent).describe(labels) == "h*a + (1 + h^-1)*b"
+
+
 def test_cp_dimension_and_top_power():
     # x^m is the top class of CP^m and x * x^m = q * 1 in the quantum ring
     for m in range(1, 6):

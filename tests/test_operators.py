@@ -192,35 +192,32 @@ def test_symbol_map_drops_h_terms():
 # -- application soundness ------------------------------------------------------------
 
 
-def _random_operator(rng, rank, nterms=3):
+# The helpers take integer(lo, hi), a uniform draw from [lo, hi]: a seeded
+# random.Random's randint, or a hypothesis draw.
+
+
+def _random_operator(integer, rank, nterms=3):
     out = QDEOperator.const(rank, 0)
     for _ in range(nterms):
-        term = QDEOperator.const(
-            rank, Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        )
-        term = term * QDEOperator.gen_h(rank) ** rng.randint(0, 2)
+        term = QDEOperator.const(rank, Fraction(integer(-6, 6), integer(1, 4)))
+        term = term * QDEOperator.gen_h(rank) ** integer(0, 2)
         for i in range(1, rank + 1):
-            term = term * QDEOperator.gen_q(rank, i) ** rng.randint(0, 1)
-            term = term * QDEOperator.gen_theta(rank, i) ** rng.randint(0, 2)
-    # multiply in a random order too, to exercise commutation
-        if rng.random() < 0.5:
+            term = term * QDEOperator.gen_q(rank, i) ** integer(0, 1)
+            term = term * QDEOperator.gen_theta(rank, i) ** integer(0, 2)
+        # multiply in a random order too, to exercise commutation
+        if integer(0, 1):
             term = QDEOperator.gen_theta(rank, 1) * term
         out = out + term
     return out
 
 
-def _random_section(rng, model, order):
+def _random_section(integer, model, order):
     from qcoh.model import CohClass
 
     terms = {}
     for D in _all_degrees(model.rank, order):
         coords = tuple(
-            HLaurent(
-                {
-                    rng.randint(-2, 2): Fraction(rng.randint(-5, 5))
-                    for _ in range(2)
-                }
-            )
+            HLaurent({integer(-2, 2): Fraction(integer(-5, 5)) for _ in range(2)})
             for _ in range(model.size)
         )
         cls = CohClass(coords)
@@ -239,16 +236,29 @@ def _all_degrees(rank, order):
     return out
 
 
+F3 = builtin_model("f3")
+
+
+@st.composite
+def operator_pair_and_section(draw):
+    def integer(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    A = _random_operator(integer, F3.rank)
+    B = _random_operator(integer, F3.rank)
+    # the 144 integers of the section come from a drawn seed, which keeps the
+    # number of hypothesis draws per example small
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return A, B, _random_section(rng.randint, F3, 2)
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_operator_product_agrees_with_sequential_application(rng):
+@given(operator_pair_and_section())
+def test_operator_product_agrees_with_sequential_application(case):
     """Normal-ordering soundness: (A*B) applied to a random section equals
-    A applied after B.  Hypothesis drives every call of `rng`, so a failing
-    pair is shrunk and replayed."""
-    model = builtin_model("f3")
-    A = _random_operator(rng, model.rank)
-    B = _random_operator(rng, model.rank)
-    s = _random_section(rng, model, 2)
+    A applied after B.  Hypothesis draws every term of A and B and the seed
+    of the section, so a failing case is shrunk and replayed."""
+    A, B, s = case
     left = apply_gauge(A * B, s)
     right = apply_gauge(A, apply_gauge(B, s))
     assert left.c == right.c
@@ -257,7 +267,7 @@ def test_operator_product_agrees_with_sequential_application(rng):
 def test_normalize_is_identity_on_normal_forms():
     rng = random.Random(5511)
     for _ in range(20):
-        op = _random_operator(rng, 2)
+        op = _random_operator(rng.randint, 2)
         assert normalize(op) == op
 
 

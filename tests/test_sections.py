@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from qcoh.algebra import HLaurent, NovikovSeries
-from qcoh.model import BUILTIN_NAMES, ModelSpec, builtin_model
+from qcoh.model import BUILTIN_NAMES, CohClass, ModelSpec, builtin_model
 from qcoh import sections
 from qcoh.operators import (
     apply_gauge_many,
@@ -221,6 +221,67 @@ def test_solver_rejects_ungraded_model():
     assert witness["direction"] == 1
     assert witness["degree"] == [1]
     assert witness["entry"] == [1, 2]
+
+
+def _rescaled(model, lam):
+    """The model in the basis b'_k = lam_k b_k (lam_k = 1 where not given):
+    structure constants become c lam_i lam_j / lam_k, pairings g lam_i lam_j."""
+    scale = [Fraction(lam.get(k, 1)) for k in range(model.size)]
+
+    def table(cls, i, j):
+        return CohClass(
+            tuple(c * scale[i] * scale[j] / scale[k] for k, c in enumerate(cls.coords))
+        )
+
+    return ModelSpec(
+        name=model.name,
+        dim=model.dim,
+        rank=model.rank,
+        labels=model.labels,
+        degrees=model.degrees,
+        pairing=[
+            [g * scale[i] * scale[j] for j, g in enumerate(row)]
+            for i, row in enumerate(model.pairing)
+        ],
+        cup={(i, j): table(cls, i, j) for (i, j), cls in model.cup_table.items()},
+        quantum={
+            (i, j): {D: table(cls, i, j) for D, cls in parts.items()}
+            for (i, j), parts in model.quantum_table.items()
+        },
+        chern=model.chern,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, lam",
+    [
+        ("f3", {3: 2, 4: -3, 5: 5}),
+        ("sigma1", {3: 7}),
+        ("gr24", {2: 2, 3: 3, 4: -5, 5: 7}),
+        ("cp3", {2: 3, 3: -2}),
+    ],
+)
+def test_solver_on_rescaled_basis_with_rational_tables(name, lam):
+    # every builtin table is integral; rescaling the non-divisor classes by
+    # integers gives cup and quantum entries with denominators 2, 3, 5 and 7
+    model = builtin_model(name)
+    scaled = _rescaled(model, lam)
+    classes = list(scaled.cup_table.values())
+    for parts in scaled.quantum_table.values():
+        classes.extend(cls for D, cls in parts.items() if any(D))
+    assert {c.denominator for cls in classes for c in cls.coords} > {1}
+    assert scaled.validate() == []
+    Hm = solve_fundamental(scaled, ORDER)
+    assert Hm.check_system()["status"] == "pass"
+    # J = sum_k J^k b_k = sum_k J^k / lam_k b'_k, and the J-row is
+    # normalized by the dual of b'_top = lam_top b_top
+    top = model.top
+    want = solve_fundamental(model, ORDER).jrow().c
+    got = Hm.jrow().c
+    assert set(got) == set(want)
+    for D, cls in got.items():
+        for k, v in enumerate(cls.coords):
+            assert v * (lam.get(k, 1) * lam.get(top, 1)) == want[D].coords[k]
 
 
 # -- annihilation ------------------------------------------------------------------

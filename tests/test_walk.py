@@ -12,6 +12,7 @@ from qcoh.algebra import HLaurent
 from qcoh import operators
 from qcoh.model import builtin_model
 from qcoh.operators import (
+    QDEOperator,
     apply_gauge,
     apply_gauge_many,
     builtin_operators,
@@ -87,26 +88,40 @@ def test_walk_rejects_rank_mismatch():
 # h*q_j, with small rational coefficients; A is a shipped operator, so P*A
 # annihilates J exactly, while P and A*P in general do not.
 
-coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool)
+@st.composite
+def coefficients(draw):
+    """A nonzero p/q with q in [1, 4] and |p/q| <= 4."""
+    q = draw(st.integers(1, 4))
+    return Fraction(draw(st.integers(-4 * q, 4 * q).filter(bool)), q)
 
 
 @st.composite
 def inhomogeneous_factor(draw, rank):
-    i = draw(st.integers(1, rank))
-    j = draw(st.integers(1, rank))
-    k = draw(st.integers(1, rank))
-    theta = draw(st.sampled_from(("D%d" % i, "h*D%d" % i)))
-    qterm = draw(st.sampled_from(("q%d" % j, "q%d*D%d" % (j, k), "h*q%d" % j)))
-    c0, c1, c2 = (draw(coefficients) for _ in range(3))
-    return parse_operator("%s + %s*%s + %s*%s" % (c0, c1, theta, c2, qterm), rank)
+    """P = c0 + c1*theta + c2*qterm, built from its drawn terms."""
+    h = QDEOperator.gen_h(rank)
+    i, j, k = (draw(st.integers(1, rank)) for _ in range(3))
+    theta = QDEOperator.gen_theta(rank, i)
+    theta = draw(st.sampled_from((theta, h * theta)))
+    q = QDEOperator.gen_q(rank, j)
+    qterm = draw(st.sampled_from((q, q * QDEOperator.gen_theta(rank, k), h * q)))
+    c0, c1, c2 = (draw(coefficients()) for _ in range(3))
+    return QDEOperator.const(rank, c0) + c1 * theta + c2 * qterm
+
+
+_OPERATORS = {}
+
+
+def shipped_operators(name):
+    if name not in _OPERATORS:
+        _OPERATORS[name] = builtin_operators(closed_form_J(name).model)
+    return _OPERATORS[name]
 
 
 @st.composite
 def model_and_operators(draw):
     name = draw(st.sampled_from(("cp1", "cp2", "f3", "sigma1")))
-    model = builtin_model(name)
-    A = draw(st.sampled_from(builtin_operators(model)))
-    P = draw(inhomogeneous_factor(model.rank))
+    A = draw(st.sampled_from(shipped_operators(name)))
+    P = draw(inhomogeneous_factor(closed_form_J(name).model.rank))
     return name, P, A
 
 
