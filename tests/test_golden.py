@@ -59,6 +59,24 @@ CORPUS = {
     "jfun-solve-nonintegrable": [
         "jfun", "--model", "f3-nonintegrable.model", "--solve", "--n", "4"
     ],
+    # the ring path: the quantum exponential, the classical limit and the
+    # ring checks on every builtin
+    **{
+        "tilde-%s" % m: ["tilde", "--model", m, "--t-order", "6"]
+        for m in BUILTIN_NAMES
+    },
+    **{"classical-%s" % m: ["classical", "--model", m] for m in BUILTIN_NAMES},
+    **{"check-%s" % m: ["check", "--model", m, "--n", "4"] for m in BUILTIN_NAMES},
+    "models-show-f3": ["models", "show", "f3"],
+    "check-relations-failing": [
+        "check", "--model", "f3", "--relations", "wrong-f3.rel", "--n", "3"
+    ],
+    # the non-integrable f3 is not associative: tilde fails its constant-q
+    # equations and check names the failing triples
+    "tilde-nonintegrable": [
+        "tilde", "--model", "f3-nonintegrable.model", "--t-order", "5"
+    ],
+    "check-nonintegrable": ["check", "--model", "f3-nonintegrable.model"],
 }
 
 
