@@ -9,6 +9,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import format_rational
 from .model import (
@@ -452,7 +453,10 @@ def cmd_tilde(args):
 # -- parser ---------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built on first use and shared by every call of
+    `main`; parsing keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="qcoh",
         description=(
@@ -543,8 +547,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CheckFailure as exc:

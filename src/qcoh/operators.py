@@ -14,10 +14,18 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .algebra import H, HLaurent, TPoly, format_rational, rational
+from .algebra import TPoly, format_rational, rational
 from .model import ModelSpec
 from .quantum import QElem, quantum_monomial
-from .series import GaugeSeries, _add_term, _flat, _from_flat, _pruned, _theta_flat
+from .series import (
+    CohSeries,
+    GaugeSeries,
+    _add_term,
+    _flat,
+    _from_flat,
+    _pruned,
+    _theta_flat,
+)
 
 
 class ParseError(ValueError):
@@ -578,35 +586,24 @@ def load_rowspec(path, rank, subs=None):
 # -- application ---------------------------------------------------------
 
 
-def apply_gauge_many(ops, s: GaugeSeries) -> list:
-    """Apply several normal-ordered operators to one gauge-normalized
-    section, returning one series per operator.
+def _prefix_walk(ops, start, theta):
+    """Walk the theta words of the operators' terms from `start`, yielding
+    (theta^E start, [(pos, hexp, qdeg, v), ...]) once per word, where pos
+    is the index of the term's operator.
 
-    theta^E is reached from s along the path theta_monomial takes: the word
-    1^{e_1} 2^{e_2} ... of generator indices.  The terms of all operators
-    are grouped by that word and the words are visited in lexicographic
-    order, so a prefix comes before its extensions and the words sharing
-    it are adjacent.  Only the chain of prefixes of the current word is
-    held, so each distinct prefix is computed once, by one call of the
-    theta kernel, and memory stays proportional to the theta degree.
-
-    The walk runs on the flat exact coordinates of s ({D: {(k, x):
-    Fraction}}, every h-exponent kept): s is unpacked once, each term
-    v * h^hexp * q^qdeg * theta^E adds v times its prefix, moved by hexp
-    in h and by qdeg in q, to its operator's result, and each result is
-    repacked into a GaugeSeries once at the end."""
-    ops = list(ops)
-    for op in ops:
-        if op.rank != s.model.rank:
-            raise ValueError("rank mismatch")
+    theta^E is reached along the path theta_monomial takes: the word
+    1^{e_1} 2^{e_2} ... of generator indices.  The terms are grouped by
+    that word and the words are visited in lexicographic order, so a
+    prefix comes before its extensions and the words sharing it are
+    adjacent.  Only the chain of prefixes of the current word is held, so
+    each distinct prefix is computed once, by one call theta(prefix, i),
+    and memory stays proportional to the theta degree."""
     groups = {}
     for pos, op in enumerate(ops):
         for (hexp, qdeg, thexp), v in op.c.items():
             word = tuple(i for i, e in enumerate(thexp, start=1) for _ in range(e))
             groups.setdefault(word, []).append((pos, hexp, qdeg, v))
-    model, order = s.model, s.order
-    acc = [{} for _ in ops]
-    chain = [_flat(s)]  # chain[n] is theta applied along the first n letters
+    chain = [start]  # chain[n] is theta applied along the first n letters
     prev = ()
     for word in sorted(groups):
         common = 0
@@ -614,10 +611,30 @@ def apply_gauge_many(ops, s: GaugeSeries) -> list:
             common += 1
         del chain[common + 1:]
         for i in word[common:]:
-            chain.append(_theta_flat(model, chain[-1], i))
+            chain.append(theta(chain[-1], i))
         prev = word
-        for pos, hexp, qdeg, v in groups[word]:
-            _add_term(acc[pos], chain[-1], v, hexp, qdeg, order)
+        yield chain[-1], groups[word]
+
+
+def apply_gauge_many(ops, s: GaugeSeries) -> list:
+    """Apply several normal-ordered operators to one gauge-normalized
+    section, returning one series per operator, by one `_prefix_walk`.
+
+    The walk runs on the flat exact coordinates of s ({D: {(k, x):
+    Fraction}}, every h-exponent kept) with the theta kernel: s is
+    unpacked once, each term v * h^hexp * q^qdeg * theta^E adds v times
+    its prefix, moved by hexp in h and by qdeg in q, to its operator's
+    result, and each result is repacked into a GaugeSeries once at the end."""
+    ops = list(ops)
+    for op in ops:
+        if op.rank != s.model.rank:
+            raise ValueError("rank mismatch")
+    model, order = s.model, s.order
+    acc = [{} for _ in ops]
+    walk = _prefix_walk(ops, _flat(s), lambda flat, i: _theta_flat(model, flat, i))
+    for prefix, terms in walk:
+        for pos, hexp, qdeg, v in terms:
+            _add_term(acc[pos], prefix, v, hexp, qdeg, order)
     return [_from_flat(model, order, _pruned(out)) for out in acc]
 
 
@@ -630,45 +647,57 @@ def apply_gauge(op: QDEOperator, s: GaugeSeries) -> GaugeSeries:
     return apply_gauge_many((op,), s)[0]
 
 
-def _theta_t(tp: TPoly, i: int) -> TPoly:
-    return tp.derivative(i).map_coeffs(lambda v: v.scaled(H))
+def _dt_flat(ft, i: int) -> dict:
+    """theta_i = h d/dt_i on a flat t-series {e: flat series of the
+    coefficient of t^e}: the entry a at t^e moves to t^(e - e_i) as
+    e_i * a, one power of h up; nothing else changes."""
+    out = {}
+    for e, flat in ft.items():
+        n = e[i - 1]
+        if n:
+            out[e[:i - 1] + (n - 1,) + e[i:]] = {
+                D: {(k, x + 1): n * a for (k, x), a in terms.items()}
+                for D, terms in flat.items()
+            }
+    return out
+
+
+def _apply_t(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
+    """op on a t-polynomial of CohSeries with q_i a constant scalar, by one
+    `_prefix_walk` over its flat t-series: the term v * h^a * q^Q * theta^E
+    adds v times theta^E of the series, moved by a in h and by Q in q
+    (dropping degrees past the order).  Repacked once at the end.  The
+    walk behind both `apply_constq` and `apply_classical`."""
+    order = next((cs.order for cs in tp.c.values()), 0)
+    acc = {}
+    ft = {e: _flat(cs) for e, cs in tp.c.items()}
+    for prefix, terms in _prefix_walk((op,), ft, _dt_flat):
+        for _, hexp, qdeg, v in terms:
+            for e, flat in prefix.items():
+                _add_term(acc.setdefault(e, {}), flat, v, hexp, qdeg, order)
+    out = TPoly(tp.nvars)
+    for e, flat in acc.items():
+        flat = _pruned(flat)
+        if flat:
+            out.c[e] = _from_flat(model, order, flat, CohSeries)
+    return out
 
 
 def apply_classical(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
     """Apply a q-free operator to a t-polynomial of cohomology classes with
-    theta_i = h d/dt_i (exact polynomial differentiation)."""
+    theta_i = h d/dt_i: the walk of `apply_constq` on series of one degree."""
     zero = (0,) * op.rank
     if any(k[1] != zero for k in op.c):
         raise ValueError("operator has Novikov terms; take the q-free part first")
-    out = TPoly(tp.nvars)
-    for (hexp, _, thexp), v in op.c.items():
-        part = tp
-        for i, e in enumerate(thexp, start=1):
-            for _ in range(e):
-                part = _theta_t(part, i)
-        scale = HLaurent.term(v, hexp)
-        part = part.map_coeffs(lambda cls: cls.scaled(scale))
-        out = out + part
-    return out
+    series = {e: CohSeries(model, 0, {zero: cls}) for e, cls in tp.c.items()}
+    res = _apply_t(op, TPoly(tp.nvars, series), model)
+    return TPoly(tp.nvars, {e: cs.c[zero] for e, cs in res.c.items()})
 
 
 def apply_constq(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
     """Apply an operator to a t-polynomial of Novikov-series coefficients,
     with q_i a constant scalar (no t-coupling) and theta_i = h d/dt_i."""
-    out = TPoly(tp.nvars)
-    for (hexp, qdeg, thexp), v in op.c.items():
-        part = tp
-        for i, e in enumerate(thexp, start=1):
-            for _ in range(e):
-                part = _theta_t(part, i)
-        scale = HLaurent.term(v, hexp)
-        part = part.map_coeffs(
-            lambda cs: cs.shifted(qdeg).scaled(scale)
-            if any(qdeg)
-            else cs.scaled(scale)
-        )
-        out = out + part
-    return out
+    return _apply_t(op, tp, model)
 
 
 def symbol_map(op: QDEOperator, model: ModelSpec, order: int) -> QElem:

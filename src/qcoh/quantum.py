@@ -7,7 +7,7 @@ exponential of quantum multiplication by a degree-2 class.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .algebra import HLaurent, NovikovSeries, TPoly, format_rational
 from .model import CohClass, ModelSpec
@@ -301,13 +301,13 @@ def check_associativity(model: ModelSpec, order: int) -> dict:
     """(b_i o b_j) o b_k = b_i o (b_j o b_k) for all basis triples."""
     size = model.size
     basis = [QElem.basis(model, order, i) for i in range(size)]
+    pairs = {(j, k): basis[j] * basis[k] for j in range(size) for k in range(j, size)}
     witnesses = []
     for i in range(size):
         for j in range(i, size):
-            left_ij = basis[i] * basis[j]
             for k in range(j, size):
-                lhs = left_ij * basis[k]
-                rhs = basis[i] * (basis[j] * basis[k])
+                lhs = pairs[i, j] * basis[k]
+                rhs = basis[i] * pairs[j, k]
                 if lhs != rhs:
                     witnesses.append(
                         {
@@ -434,38 +434,31 @@ def eval_relation(model: ModelSpec, rel, order: int) -> QElem:
 
 def exp_quantum(model: ModelSpec, torder: int, order: int) -> TPoly:
     """The section sum_l (t o)^l 1 / (l! h^l) with t = sum t_i b_i, as a
-    polynomial in t with CohSeries coefficients, up to total t-degree torder."""
+    polynomial in t with CohSeries coefficients, up to total t-degree torder.
+
+    The product for t^e is 1 o b_1^{e_1} o b_2^{e_2} o ..., taken left to
+    right, so a model that is not associative gives the same terms as
+    multiplying out each monomial.  It is built by prefix: the product for
+    the prefix of e (e minus one at its last nonzero index) times one
+    generator, one total degree after another."""
     rank = model.rank
     gens = [QElem.basis(model, order, i) for i in range(1, rank + 1)]
-
-    def build(exps):
-        out = QElem.unit(model, order)
-        for g, e in zip(gens, exps):
-            for _ in range(e):
-                out = out * g
-        return out
-
     coeffs = {}
-    stack = [(0,) * rank]
-    seen = set(stack)
-    while stack:
-        e = stack.pop()
-        l = sum(e)
-        elem = build(e)
-        denom = 1
-        for x in e:
-            denom *= factorial(x)
-        scale = HLaurent.term(Fraction(1, denom), -l)
-        terms = {D: cls.lifted().scaled(scale) for D, cls in elem.c.items()}
-        cs = CohSeries(model, order, terms)
-        if cs:
-            coeffs[e] = cs
-        if l < torder:
-            for i in range(rank):
-                ne = list(e)
-                ne[i] += 1
-                ne = tuple(ne)
-                if ne not in seen:
-                    seen.add(ne)
-                    stack.append(ne)
+    level = {(0,) * rank: QElem.unit(model, order)}
+    for l in range(torder + 1):
+        below, level = level, {}
+        for e, elem in below.items():
+            if elem:
+                # the coefficient h^-l / e! of t^e
+                r = Fraction(1, prod(map(factorial, e)))
+                cs = CohSeries(model, order)
+                cs.c = {
+                    D: CohClass(tuple(HLaurent({-l: r * a}) for a in cls.coords))
+                    for D, cls in elem.c.items()
+                }
+                coeffs[e] = cs
+            if l < torder:
+                last = max((i for i, x in enumerate(e) if x), default=0)
+                for i in range(last, rank):
+                    level[e[:i] + (e[i] + 1,) + e[i + 1:]] = elem * gens[i]
     return TPoly(rank, coeffs)

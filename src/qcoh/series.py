@@ -174,22 +174,15 @@ def _flat(s: CohSeries) -> dict:
     }
 
 
-def _from_flat(model: ModelSpec, order: int, flat) -> "GaugeSeries":
-    """The GaugeSeries with the given flat coordinates."""
-    size = model.size
-    c = {}
+def _from_flat(model: ModelSpec, order: int, flat, kind=None) -> "CohSeries":
+    """The series with the given flat coordinates: a GaugeSeries, or one of
+    the CohSeries class `kind`."""
+    out = (kind or GaugeSeries)(model, order)
     for D, terms in flat.items():
-        coords = [{} for _ in range(size)]
+        coords = [HLaurent() for _ in range(model.size)]
         for (k, x), v in terms.items():
-            coords[k][x] = v
-        laurents = []
-        for coeffs in coords:
-            a = HLaurent()
-            a.c = coeffs
-            laurents.append(a)
-        c[D] = CohClass(tuple(laurents))
-    out = GaugeSeries(model, order)
-    out.c = c
+            coords[k].c[x] = v
+        out.c[D] = CohClass(tuple(coords))
     return out
 
 

@@ -390,3 +390,39 @@ def test_console_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "f3" in proc.stdout
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    """main builds its parser once; a sequence of calls in one process,
+    including an argparse usage error, prints what fresh processes print."""
+    import subprocess
+    import sys
+
+    import qcoh
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcoh.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    calls = (
+        ["check", "--model", "cp1", "--relations", "cpm.rel"],
+        ["check", "--model", "cp1"],
+        ["check", "--model", "cp1", "--n"],
+        ["tilde", "--model", "cp1"],
+    )
+    results = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        results.append((code, capsys.readouterr().out))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "qcoh.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        assert results[-1] == (fresh.returncode, fresh.stdout), argv
+    assert [code for code, _ in results] == [0, 0, 2, 0]
+    # the plain check runs every check, not only the relations of the call
+    # before it
+    checks = json.loads(results[1][1])["checks"]
+    assert [c["check"] for c in checks] == ["flatness", "associativity", "relations"]
+    assert checks[2]["source"] == "builtin"

@@ -3,11 +3,13 @@ relations, and the quantum exponential."""
 
 import itertools
 from fractions import Fraction
+from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
-from qcoh.algebra import NovikovSeries
-from qcoh.model import BUILTIN_NAMES, ModelSpec, builtin_model
+from qcoh.algebra import HLaurent, NovikovSeries, TPoly
+from qcoh.model import BUILTIN_NAMES, ModelSpec, builtin_model, load_model
 from qcoh.operators import builtin_relations
 from qcoh.quantum import (
     CheckFailure,
@@ -20,6 +22,7 @@ from qcoh.quantum import (
     mult_matrix,
     quantum_monomial,
 )
+from qcoh.series import CohSeries
 
 ORDER = 6
 
@@ -263,3 +266,33 @@ def test_exp_quantum_f3_mixed_term():
     cls = cs.c[(0, 0)]
     assert cls.coords[3].c == {-2: Fraction(1)}
     assert cls.coords[4].c == {-2: Fraction(1)}
+
+
+def exp_quantum_from_scratch(model, torder, order, gens_order):
+    """sum_e (1 o g^e) t^e / (e! h^|e|), each product multiplied out from
+    the unit, left to right, with the generators in `gens_order`."""
+    rank = model.rank
+    coeffs = {}
+    for e in itertools.product(range(torder + 1), repeat=rank):
+        if sum(e) > torder:
+            continue
+        elem = QElem.unit(model, order)
+        for i in gens_order:
+            for _ in range(e[i - 1]):
+                elem = elem * QElem.basis(model, order, i)
+        scale = HLaurent.term(Fraction(1, prod(map(factorial, e))), -sum(e))
+        coeffs[e] = CohSeries(
+            model, order, {D: cls.lifted().scaled(scale) for D, cls in elem.c.items()}
+        )
+    return TPoly(rank, coeffs)
+
+
+def test_exp_quantum_keeps_the_product_order_of_a_non_associative_model():
+    # f3 with one quantum coefficient doubled: valid, but not associative,
+    # so the products for t^e depend on how they are bracketed
+    path = Path(__file__).resolve().parent / "golden" / "f3-nonintegrable.model"
+    model = load_model(path)
+    assert check_associativity(model, 4)["status"] == "fail"
+    got = exp_quantum(model, 5, 4)
+    assert got == exp_quantum_from_scratch(model, 5, 4, (1, 2))
+    assert got != exp_quantum_from_scratch(model, 5, 4, (2, 1))

@@ -1,6 +1,7 @@
 """Operator application by one walk over shared theta prefixes: the walk
-against termwise application through theta_monomial, and the number of
-theta steps it takes."""
+against termwise application through theta_monomial, the number of theta
+steps it takes, and the same walk on t-polynomials (apply_constq,
+apply_classical) against termwise differentiation in t."""
 
 from fractions import Fraction
 
@@ -8,19 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoh.algebra import HLaurent
+from qcoh.algebra import H, HLaurent, TPoly
 from qcoh import operators
 from qcoh.model import builtin_model
 from qcoh.operators import (
     QDEOperator,
+    apply_classical,
+    apply_constq,
     apply_gauge,
     apply_gauge_many,
     builtin_operators,
     builtin_rowspec,
     parse_operator,
 )
-from qcoh.sections import closed_form, verify_annihilated
-from qcoh.series import GaugeSeries
+from qcoh.quantum import exp_quantum
+from qcoh.sections import asymptotic_J, closed_form, verify_annihilated
+from qcoh.series import CohSeries, GaugeSeries
 
 CLOSED_FORM_MODELS = ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1")
 ORDER = 4
@@ -159,3 +163,80 @@ def test_verify_annihilated_takes_one_theta_step_per_prefix(monkeypatch):
     assert report["status"] == "pass"
     assert len(calls) == len(theta_words(ops))
     assert len(calls) < sum(sum(e) for op in ops for _, _, e in op.c)
+
+
+# -- the walk on t-polynomials ------------------------------------------------
+
+
+def termwise_t(op, tp):
+    """The termwise definition on a t-polynomial: theta_i = h d/dt_i by
+    polynomial differentiation and a product by H for every letter, then
+    the q-shift and the scale by HLaurent.term(v, hexp)."""
+    out = TPoly(tp.nvars)
+    for (hexp, qdeg, thexp), v in op.c.items():
+        part = tp
+        for i, e in enumerate(thexp, start=1):
+            for _ in range(e):
+                part = part.derivative(i).map_coeffs(lambda c: c.scaled(H))
+        scale = HLaurent.term(v, hexp)
+        out = out + part.map_coeffs(
+            lambda c: (c.shifted(qdeg) if any(qdeg) else c).scaled(scale)
+        )
+    return out
+
+
+T_ORDER, T_NOVIKOV = 5, 2
+_T_SERIES = {}
+
+
+def t_series(name):
+    """exp_quantum and asymptotic_J of a builtin, built once per name."""
+    if name not in _T_SERIES:
+        model = builtin_model(name)
+        _T_SERIES[name] = (
+            model,
+            exp_quantum(model, T_ORDER, T_NOVIKOV),
+            asymptotic_J(model),
+        )
+    return _T_SERIES[name]
+
+
+@st.composite
+def t_operator(draw, rank, q_free):
+    """An operator of one to four drawn terms v * h^a * q^Q * theta^E with
+    a in [0, 3], theta letters repeated up to 3 times and, unless q-free,
+    q-shifts up to T_NOVIKOV + 1, so some land past the truncation."""
+    top = 0 if q_free else T_NOVIKOV + 1
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        key = (
+            draw(st.integers(0, 3)),
+            tuple(draw(st.integers(0, top)) for _ in range(rank)),
+            tuple(draw(st.integers(0, 3)) for _ in range(rank)),
+        )
+        terms[key] = draw(coefficients())
+    return QDEOperator(rank, terms)
+
+
+@st.composite
+def t_case(draw, q_free):
+    name = draw(st.sampled_from(("cp1", "cp3", "f3", "sigma1", "gr24")))
+    return name, draw(t_operator(t_series(name)[0].rank, q_free))
+
+
+@settings(max_examples=40, deadline=None)
+@given(t_case(q_free=False))
+def test_constq_walk_matches_termwise_application(case):
+    name, op = case
+    model, tp, _ = t_series(name)
+    got = apply_constq(op, tp, model)
+    assert got == termwise_t(op, tp), str(op)
+    assert all(type(cs) is CohSeries for cs in got.c.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(t_case(q_free=True))
+def test_classical_walk_matches_termwise_application(case):
+    name, op = case
+    model, _, aj = t_series(name)
+    assert apply_classical(op, aj, model) == termwise_t(op, aj), str(op)
