@@ -6,6 +6,10 @@ empty).  The replay runs every command in process from tests/golden, so
 the expression files in that directory are named by their bare names, and
 requires the exact stdout bytes and the exit code.
 
+No command reaches q_factorize, so QFACTOR_CORPUS records the library chain
+closed_form -> build_H_from_J -> q_factorize directly: the Q entries and
+H_0 of each (model, order), in tests/golden/qfactor-<model>-<order>.json.
+
 Re-record only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,8 +24,11 @@ from pathlib import Path
 
 import pytest
 
+from qcoh.algebra import format_rational
 from qcoh.cli import _dump, main
-from qcoh.model import BUILTIN_NAMES
+from qcoh.model import BUILTIN_NAMES, builtin_model
+from qcoh.operators import builtin_rowspec
+from qcoh.sections import build_H_from_J, closed_form, q_factorize
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -35,6 +42,14 @@ CORPUS = {
         for m in CLOSED_FORM_MODELS
     },
     "jfun-f3-diff": ["jfun", "--model", "f3", "--diff", "--n", "4"],
+    # the deep closed forms, with their larger denominators
+    "jfun-cp5-closed-form-verify-deep": [
+        "jfun", "--model", "cp5", "--closed-form", "--verify", "--n", "8"
+    ],
+    "jfun-sigma1-closed-form-verify-deep": [
+        "jfun", "--model", "sigma1", "--closed-form", "--verify", "--n", "7"
+    ],
+    "jfun-sigma1-diff-deep": ["jfun", "--model", "sigma1", "--diff", "--n", "7"],
     "jfun-f3-verify-inhomogeneous": [
         "jfun", "--model", "f3", "--closed-form", "--verify",
         "inhomogeneous.ops", "--n", "3",
@@ -79,6 +94,8 @@ CORPUS = {
     "check-nonintegrable": ["check", "--model", "f3-nonintegrable.model"],
 }
 
+QFACTOR_CORPUS = {"f3": 3, "sigma1": 4, "cp2": 3, "cp3": 4}
+
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -96,7 +113,34 @@ def _parsed(text):
     return json.loads(text) if text else None
 
 
+def _qfactor(name, order):
+    model = builtin_model(name)
+    rows = builtin_rowspec(model)
+    Hm = build_H_from_J(model, closed_form(model, order), rows)
+    Q, H0 = q_factorize(model, Hm, rows)
+    return {
+        "model": name,
+        "order": order,
+        "Q": [
+            [
+                [{"degree": list(D), "c": format_rational(v)} for D, v in entry.items_sorted()]
+                for entry in row
+            ]
+            for row in Q
+        ],
+        "H0": H0.to_json(),
+    }
+
+
+def _qfactor_path(name, order):
+    return GOLDEN / ("qfactor-%s-%d.json" % (name, order))
+
+
 def record():
+    for name, order in QFACTOR_CORPUS.items():
+        _qfactor_path(name, order).write_text(
+            _dump(_qfactor(name, order)), encoding="utf-8"
+        )
     for name, argv in CORPUS.items():
         code, out, err = _run(argv)
         payload = {
@@ -116,6 +160,13 @@ def test_golden_output(name):
     assert code == stored["exit"]
     assert out == ("" if stored["stdout"] is None else _dump(stored["stdout"]))
     assert _parsed(err) == stored["stderr"]
+
+
+@pytest.mark.parametrize("name", sorted(QFACTOR_CORPUS))
+def test_golden_q_factorization(name):
+    order = QFACTOR_CORPUS[name]
+    stored = _qfactor_path(name, order).read_text(encoding="utf-8")
+    assert _dump(_qfactor(name, order)) == stored
 
 
 if __name__ == "__main__":
