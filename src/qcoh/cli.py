@@ -203,6 +203,21 @@ def cmd_check(args):
 # -- jfun ---------------------------------------------------------------------
 
 
+def _diff_witness(model, closed, solved):
+    """The first coordinate, by degree and then basis order, where the
+    closed-form and the solved J-series differ."""
+    for D in sorted(set(closed.c) | set(solved.c), key=lambda d: (sum(d), d)):
+        a, b = closed.coeff(D).coords, solved.coeff(D).coords
+        for k, label in enumerate(model.labels):
+            if a[k] != b[k]:
+                return {
+                    "degree": list(D),
+                    "entry": label,
+                    "closed": a[k].to_json(),
+                    "solved": b[k].to_json(),
+                }
+
+
 def cmd_jfun(args):
     order = _order(args)
     model = _get_model(args.model)
@@ -223,13 +238,11 @@ def cmd_jfun(args):
     status = "pass"
 
     if args.diff:
-        equal = closed.to_json() == solved.to_json()
-        payload["diff"] = {
-            "check": "construction-diff",
-            "status": "pass" if equal else "fail",
-        }
-        if not equal:
-            status = "fail"
+        diff = {"check": "construction-diff", "status": "pass"}
+        if closed.to_json() != solved.to_json():
+            status = diff["status"] = "fail"
+            diff["witnesses"] = [_diff_witness(model, closed, solved)]
+        payload["diff"] = diff
 
     if closed is not None and solved is not None:
         J, construction = closed, "both"

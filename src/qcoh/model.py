@@ -359,7 +359,8 @@ class ModelSpec:
             for j in range(i, self.size):
                 for k, c in enumerate(self.cup_table[(i, j)].coords):
                     if c:
-                        cup.append({"i": i, "j": j, "k": k, "c": int(c)})
+                        c = int(c) if c.denominator == 1 else format_rational(c)
+                        cup.append({"i": i, "j": j, "k": k, "c": c})
                 for D, cls in sorted(
                     self.quantum_table[(i, j)].items(), key=lambda kv: (sum(kv[0]), kv[0])
                 ):

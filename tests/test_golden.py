@@ -50,6 +50,12 @@ CORPUS = {
         "jfun", "--model", "sigma1", "--closed-form", "--verify", "--n", "7"
     ],
     "jfun-sigma1-diff-deep": ["jfun", "--model", "sigma1", "--diff", "--n", "7"],
+    # f3 in the basis 2 a^2, -3 b^2, 5 z: its tables have rational entries,
+    # and the solved J-row is normalized by the dual of 5 z, so --diff fails
+    # with a witness at q^0
+    "jfun-diff-rescaled": [
+        "jfun", "--model", "f3-rescaled.model", "--diff", "--n", "2"
+    ],
     "jfun-f3-verify-inhomogeneous": [
         "jfun", "--model", "f3", "--closed-form", "--verify",
         "inhomogeneous.ops", "--n", "3",

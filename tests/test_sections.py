@@ -7,7 +7,14 @@ from math import factorial
 import pytest
 
 from qcoh.algebra import HLaurent, NovikovSeries
-from qcoh.model import BUILTIN_NAMES, CohClass, ModelSpec, builtin_model
+from qcoh.model import (
+    BUILTIN_NAMES,
+    CohClass,
+    ModelSpec,
+    builtin_model,
+    load_model,
+    save_model,
+)
 from qcoh import sections
 from qcoh.operators import (
     apply_gauge_many,
@@ -252,18 +259,18 @@ def _rescaled(model, lam):
     )
 
 
-@pytest.mark.parametrize(
-    "name, lam",
-    [
-        ("f3", {3: 2, 4: -3, 5: 5}),
-        ("sigma1", {3: 7}),
-        ("gr24", {2: 2, 3: 3, 4: -5, 5: 7}),
-        ("cp3", {2: 3, 3: -2}),
-    ],
-)
+# every builtin table is integral; rescaling the non-divisor classes by
+# integers gives cup and quantum entries with denominators 2, 3, 5 and 7
+RESCALED = [
+    ("f3", {3: 2, 4: -3, 5: 5}),
+    ("sigma1", {3: 7}),
+    ("gr24", {2: 2, 3: 3, 4: -5, 5: 7}),
+    ("cp3", {2: 3, 3: -2}),
+]
+
+
+@pytest.mark.parametrize("name, lam", RESCALED)
 def test_solver_on_rescaled_basis_with_rational_tables(name, lam):
-    # every builtin table is integral; rescaling the non-divisor classes by
-    # integers gives cup and quantum entries with denominators 2, 3, 5 and 7
     model = builtin_model(name)
     scaled = _rescaled(model, lam)
     classes = list(scaled.cup_table.values())
@@ -282,6 +289,29 @@ def test_solver_on_rescaled_basis_with_rational_tables(name, lam):
     for D, cls in got.items():
         for k, v in enumerate(cls.coords):
             assert v * (lam.get(k, 1) * lam.get(top, 1)) == want[D].coords[k]
+
+
+@pytest.mark.parametrize("name, lam", [r for r in RESCALED if r[0] != "gr24"])
+def test_closed_form_on_rescaled_basis_with_rational_tables(name, lam):
+    # the closed form is a class, J = sum_k J^k b_k = sum_k J^k / lam_k b'_k
+    model = builtin_model(name)
+    want = closed_form(model, ORDER).c
+    got = closed_form(_rescaled(model, lam), ORDER).c
+    assert set(got) == set(want)
+    for D, cls in got.items():
+        for k, v in enumerate(cls.coords):
+            assert v * lam.get(k, 1) == want[D].coords[k]
+
+
+@pytest.mark.parametrize("name, lam", RESCALED)
+def test_rescaled_model_round_trips_through_json(tmp_path, name, lam):
+    # rational cup entries such as 1/2 and -1/3 must survive the model file
+    scaled = _rescaled(builtin_model(name), lam)
+    path = tmp_path / "scaled.model"
+    save_model(scaled, path)
+    for again in (ModelSpec.from_json(scaled.to_json()), load_model(path)):
+        assert again.cup_table == scaled.cup_table
+        assert again.to_json() == scaled.to_json()
 
 
 # -- annihilation ------------------------------------------------------------------
