@@ -207,15 +207,11 @@ def _diff_witness(model, closed, solved):
     """The first coordinate, by degree and then basis order, where the
     closed-form and the solved J-series differ."""
     for D in sorted(set(closed.c) | set(solved.c), key=lambda d: (sum(d), d)):
-        a, b = closed.coeff(D).coords, solved.coeff(D).coords
-        for k, label in enumerate(model.labels):
-            if a[k] != b[k]:
-                return {
-                    "degree": list(D),
-                    "entry": label,
-                    "closed": a[k].to_json(),
-                    "solved": b[k].to_json(),
-                }
+        pairs = zip(model.labels, closed.coeff(D).coords, solved.coeff(D).coords)
+        for label, a, b in pairs:
+            if a != b:
+                got = {"closed": a.to_json(), "solved": b.to_json()}
+                return {"degree": list(D), "entry": label, **got}
 
 
 def cmd_jfun(args):

@@ -16,7 +16,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 
 from .algebra import H_ONE, HLaurent, NovikovSeries, TPoly, format_rational
-from .model import CohClass, ModelSpec, invert_unit, _invert_rational_matrix
+from .model import CohClass, ModelSpec, _invert_rational_matrix
 from .operators import QDEOperator, apply_gauge_many
 from .quantum import CheckFailure
 from .series import GaugeSeries, _add_term, _flat, _from_flat, _pruned, _theta_flat
@@ -97,12 +97,13 @@ def _rational(m, den):
 
 def _first_difference(a, b):
     """(D, i, k, a_ik, b_ik) for the first entry, by degree and then
-    row-major, where the series {D: sparse matrix} a and b differ."""
+    row-major, where the series ({D: int rows}, den) a and b differ."""
+    (a, aden), (b, bden) = a, b
     for D in sorted(set(a) | set(b), key=lambda d: (sum(d), d)):
         rows = zip_longest(a.get(D, ()), b.get(D, ()), fillvalue={})
         for i, (ra, rb) in enumerate(rows):
             for k in sorted(set(ra) | set(rb)):
-                x, y = ra.get(k, Fraction(0)), rb.get(k, Fraction(0))
+                x, y = Fraction(ra.get(k, 0), aden), Fraction(rb.get(k, 0), bden)
                 if x != y:
                     return D, i, k, x, y
 
@@ -393,8 +394,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
             want, wden = rhs[j]
             if _sparse_scaled(lhs, -wden) != _sparse_scaled(want, lden):
                 _, i, k, want, got = _first_difference(
-                    {D: _rational(want, wden)},
-                    {D: _rational(_sparse_scaled(lhs, -1), lden)},
+                    ({D: want}, wden), ({D: _sparse_scaled(lhs, -1)}, lden)
                 )
                 raise _check_failure(
                     model,
@@ -434,43 +434,79 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
 
 
 # -- closed forms ----------------------------------------------------------
-# The hypergeometric coefficients are built over the rationals at h = 1:
-# the factor x + k*h becomes x + k.  Each coefficient J_D is homogeneous of
-# degree -deg q^D (deg h = 2), so h comes back from the grading alone.
+# The hypergeometric coefficients are built at h = 1: the factor x + k*h
+# becomes x + k.  A class is a one-row sparse int matrix over one positive
+# denominator, ([{k: int}], den), and cup runs over the model's cup table
+# made integral once per closed form.  Each coefficient J_D is homogeneous
+# of degree -deg q^D (deg h = 2), so h comes back from the grading alone.
 
 _CP_NAME_RE = re.compile(r"^cp([1-9][0-9]*)$")
 
+_UNIT = ([{0: 1}], 1)
+
+
+def _cup_table(model):
+    """The cup table as int rows over one denominator: the row of the pair
+    (i, j) holds b_i cup b_j."""
+    pairs = list(model.cup_table)
+    rows, den = _integral(_sparse(model.cup_table[p].coords for p in pairs))
+    return dict(zip(pairs, rows)), den
+
+
+def _cup(table, x, y):
+    """x cup y for int classes, over the integral cup table, reduced."""
+    cups, tden = table
+    ([xrow], xden), ([yrow], yden) = x, y
+    outer = {(i, j): a * b for i, a in xrow.items() for j, b in yrow.items()}
+    acc = _sparse_addmul([{}], [outer], cups)
+    return _reduced(_sparse_pruned(acc), xden * yden * tden)
+
 
 def _linear(x, k):
-    """The factor x + k*h at h = 1, for a degree-2 class x."""
-    return CohClass((x.coords[0] + k,) + x.coords[1:])
+    """The factor x + k*h at h = 1, for an int class x of degree 2."""
+    [row], den = x
+    return ([{**row, 0: k * den}] if k else [row]), den
 
 
 def _graded_series(model, order, terms):
-    """GaugeSeries from coefficients computed at h = 1: the b_k coordinate
+    """GaugeSeries from int classes computed at h = 1: the b_k coordinate
     of the q^D coefficient is c * h^e with e = -(deg b_k + deg q^D) / 2."""
     degrees = model.degrees
     qweights = model.qdegrees
     out = {}
-    for D, cls in terms.items():
+    for D, (rows, den) in terms.items():
         qdeg = sum(d * w for d, w in zip(D, qweights))
+        (row,) = _rational(rows, den)
         out[D] = CohClass(
             tuple(
-                HLaurent.term(v, -(degrees[k] + qdeg) // 2)
-                for k, v in enumerate(cls.coords)
+                HLaurent.term(row[k], -(deg + qdeg) // 2) if k in row else HLaurent()
+                for k, deg in enumerate(degrees)
             )
         )
     return GaugeSeries(model, order, out)
 
 
-def _inverse_powers(model, x, power, order):
-    """[prod_{k=1..n} (x + k)^-power for n = 0..order] at h = 1."""
-    out = [model.unit()]
+def _inverse_powers(model, table, x, power, order):
+    """[prod_{k=1..n} (x + k)^-power for n = 0..order] at h = 1, for an int
+    class x of degree 2.  With x^m the last nonzero power of x (m <= dim),
+    (x + k)^-1 is the finite series sum_j (-x)^j k^(m-j) over k^(m+1)."""
+    pows = [_UNIT]
+    for _ in range(model.dim):
+        p = _cup(table, pows[-1], x)
+        if not any(p[0]):
+            break
+        pows.append(p)
+    m = len(pows) - 1
+    common = lcm(*(den for _, den in pows))
+    out = [_UNIT]
     for k in range(1, order + 1):
-        f = invert_unit(model, _linear(x, k))
+        acc = [{}]
+        for j, (rows, den) in enumerate(pows):
+            _sparse_addscaled(acc, rows, (-1) ** j * k ** (m - j) * (common // den))
+        inverse = _reduced(acc, common * k ** (m + 1))
         acc = out[-1]
         for _ in range(power):
-            acc = model.cup(acc, f)
+            acc = _cup(table, acc, inverse)
         out.append(acc)
     return out
 
@@ -482,7 +518,7 @@ def closed_form_cp(m: int, order: int, model: ModelSpec = None) -> GaugeSeries:
 
     if model is None:
         model = builtin_model("cp%d" % m)
-    coeffs = _inverse_powers(model, model.basis_class(1), m + 1, order)
+    coeffs = _inverse_powers(model, _cup_table(model), ([{1: 1}], 1), m + 1, order)
     return _graded_series(model, order, {(d,): c for d, c in enumerate(coeffs)})
 
 
@@ -493,18 +529,18 @@ def closed_form_f3(order: int, model: ModelSpec = None) -> GaugeSeries:
 
     if model is None:
         model = builtin_model("f3")
-    a = model.basis_class(1)
-    b = model.basis_class(2)
-    numer = [model.unit()]
+    table = _cup_table(model)
+    a, b, ab = ([{1: 1}], 1), ([{2: 1}], 1), ([{1: 1, 2: 1}], 1)
+    numer = [_UNIT]
     for k in range(1, order + 1):
-        numer.append(model.cup(numer[-1], _linear(a + b, k)))
-    inv_a = _inverse_powers(model, a, 3, order)
-    inv_b = _inverse_powers(model, b, 3, order)
+        numer.append(_cup(table, numer[-1], _linear(ab, k)))
+    inv_a = _inverse_powers(model, table, a, 3, order)
+    inv_b = _inverse_powers(model, table, b, 3, order)
     terms = {}
     for d1 in range(order + 1):
         for d2 in range(order + 1 - d1):
-            terms[(d1, d2)] = model.cup(
-                numer[d1 + d2], model.cup(inv_a[d1], inv_b[d2])
+            terms[(d1, d2)] = _cup(
+                table, numer[d1 + d2], _cup(table, inv_a[d1], inv_b[d2])
             )
     return _graded_series(model, order, terms)
 
@@ -523,22 +559,21 @@ def closed_form_sigma1(order: int, model: ModelSpec = None) -> GaugeSeries:
 
     if model is None:
         model = builtin_model("sigma1")
-    x1 = model.basis_class(1)
-    x4 = model.basis_class(2)
-    x2 = x4 - x1
-    inv_x1 = _inverse_powers(model, x1, 2, order)
-    inv_x4 = _inverse_powers(model, x4, 1, order)
+    table = _cup_table(model)
+    x1, x4, x2 = ([{1: 1}], 1), ([{2: 1}], 1), ([{1: -1, 2: 1}], 1)
+    inv_x1 = _inverse_powers(model, table, x1, 2, order)
+    inv_x4 = _inverse_powers(model, table, x4, 1, order)
     # ratio(n) for n = d - e > 0, and ratio(-n) for n = e - d > 0
-    ratio = dict(enumerate(_inverse_powers(model, x2, 1, order)))
-    prod = model.unit()
+    ratio = dict(enumerate(_inverse_powers(model, table, x2, 1, order)))
+    prod = _UNIT
     for n in range(1, order + 1):
-        prod = model.cup(prod, _linear(x2, 1 - n))
+        prod = _cup(table, prod, _linear(x2, 1 - n))
         ratio[-n] = prod
     terms = {}
     for e in range(order + 1):
         for d in range(order + 1 - e):
-            terms[(e, d)] = model.cup(
-                ratio[d - e], model.cup(inv_x1[e], inv_x4[d])
+            terms[(e, d)] = _cup(
+                table, ratio[d - e], _cup(table, inv_x1[e], inv_x4[d])
             )
     return _graded_series(model, order, terms)
 
@@ -599,11 +634,13 @@ def build_H_from_J(model: ModelSpec, J: GaugeSeries, rowspec) -> HMatrix:
 # -- Q-factorization -------------------------------------------------------
 # H, H_0 and Q are graded like the solver's matrices: entry (i, k) at q^D
 # is c * h^e with e = (deg b_k - deg b_i - deg q^D) / 2.  Once the entries
-# of H and H_0 are checked against that rule, the factorization runs over
-# sparse rational matrices at h = 1; a q-matrix series is {D: sparse matrix}.
+# of H and H_0 are checked against that rule, the factorization runs at
+# h = 1 on q-matrix series: pairs ({D: sparse int rows}, den) with one
+# positive int denominator for the whole series.
 
 
 def _qmat_mul(A, B, size, order):
+    """Numerator of the product of two q-matrix series, truncated at `order`."""
     out = {}
     for Da, mata in A.items():
         for Db, matb in B.items():
@@ -614,6 +651,13 @@ def _qmat_mul(A, B, size, order):
                 _sparse_addmul(out[D], mata, matb)
     out = {D: _sparse_pruned(m) for D, m in out.items()}
     return {D: m for D, m in out.items() if any(m)}
+
+
+def _qmat_reduced(A, den):
+    """(A, den) divided through by one gcd over the whole series."""
+    flat, den = _reduced([row for m in A.values() for row in m], den)
+    rows = iter(flat)
+    return {D: [next(rows) for _ in m] for D, m in A.items()}, den
 
 
 def _qfactor_failure(model, D, i, k, expected, got, detail):
@@ -632,7 +676,7 @@ def _qfactor_failure(model, D, i, k, expected, got, detail):
 
 def _graded_at_one(model, mats, name):
     """The HLaurent gauge matrices `mats` of `name` at h = 1, after checking
-    every entry against the grading."""
+    every entry against the grading, as a q-matrix series."""
     exponent = _grading(model)
     out = {}
     for D, mat in mats.items():
@@ -652,37 +696,38 @@ def _graded_at_one(model, mats, name):
                 srow[k] = v.c[e]
             rows.append(srow)
         out[D] = rows
-    return out
+    flat, den = _integral([row for m in out.values() for row in m])
+    rows = iter(flat)
+    return {D: [next(rows) for _ in m] for D, m in out.items()}, den
 
 
 def _qmat_inverse(model, A, order):
-    """Inverse of a q-matrix series whose q^0 term is invertible: the
-    finite geometric series sum_n (-inv0 * tail)^n, times inv0."""
+    """Inverse of a q-matrix series (A, den) whose q^0 term is invertible:
+    S * inv0 with inv0 the inverse of the head and S the finite geometric
+    series sum_n (-inv0 * tail)^n, summed by Horner's rule S <- 1 + base * S
+    with one reduced denominator per step."""
     size = model.size
     zero = (0,) * model.rank
+    A, den = A
     head = [[row.get(k, 0) for k in range(size)] for row in A.get(zero, [{}] * size)]
     try:
-        inv0 = _sparse(_invert_rational_matrix(head))
+        # the head of A is head / den, so its inverse is inv0 * den / iden
+        inv0, iden = _integral(_sparse(_invert_rational_matrix(head)))
     except ZeroDivisionError:
         raise _check_failure(
             model,
             "q-factorization",
             {"degree": list(zero), "detail": "q^0 part of H_0 is singular"},
         ) from None
-    base = {
-        D: _sparse_scaled(_sparse_addmul([{} for _ in range(size)], inv0, m), -1)
-        for D, m in A.items()
-        if any(D)
-    }
-    identity = [{i: Fraction(1)} for i in range(size)]
-    series, power = {zero: identity}, {zero: identity}
+    # -(inv0 * den / iden) * (tail / den): the denominator of A cancels
+    tail = {D: m for D, m in A.items() if any(D)}
+    base = _qmat_mul({zero: _sparse_scaled(inv0, -1)}, tail, size, order)
+    series, sden = {zero: [{i: 1} for i in range(size)]}, 1
     for _ in range(order):
-        power = _qmat_mul(power, base, size, order)
-        if not power:
-            break
-        for D, m in power.items():
-            _sparse_addscaled(series.setdefault(D, [{} for _ in range(size)]), m, 1)
-    return _qmat_mul(series, {zero: inv0}, size, order)
+        series, sden = _qmat_reduced(_qmat_mul(base, series, size, order), sden * iden)
+        series[zero] = [{i: sden} for i in range(size)]
+    head_inverse = {zero: _sparse_scaled(inv0, den)}
+    return _qmat_reduced(_qmat_mul(series, head_inverse, size, order), sden * iden)
 
 
 def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
@@ -709,9 +754,9 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
                     model, zero, i, k, HLaurent.const(v.coeff(0)), v,
                     "q^0 entry of H_0 depends on h",
                 )
-    A0 = _graded_at_one(model, GH0, "H_0")
-    inverse = _qmat_inverse(model, A0, order)
-    A = _graded_at_one(model, Hm.gauge_matrices(), "H")
+    A0, a0den = _graded_at_one(model, GH0, "H_0")
+    inverse, iden = _qmat_inverse(model, (A0, a0den), order)
+    A, aden = _graded_at_one(model, Hm.gauge_matrices(), "H")
 
     def failure(expected, got, detail):
         D, i, k, want, have = _first_difference(expected, got)
@@ -720,14 +765,15 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
             model, D, i, k, HLaurent.term(want, e), HLaurent.term(have, e), detail
         )
 
-    Q = _qmat_mul(A, inverse, size, order)
-    identity = [{i: Fraction(1)} for i in range(size)]
-    if Q.get(zero) != identity:
-        raise failure({zero: identity}, Q, "q^0 part of Q is not the identity")
+    Q, qden = _qmat_reduced(_qmat_mul(A, inverse, size, order), aden * iden)
+    identity = {zero: [{i: qden} for i in range(size)]}
+    if Q.get(zero) != identity[zero]:
+        raise failure((identity, qden), (Q, qden), "q^0 part of Q is not the identity")
     entries = [[{} for _ in range(size)] for _ in range(size)]
     for D, mat in sorted(Q.items(), key=lambda kv: (sum(kv[0]), kv[0])):
         for i, row in enumerate(mat):
             for k, v in sorted(row.items()):
+                v = Fraction(v, qden)
                 e = exponent(i, k, D)
                 if e:
                     got = HLaurent.term(v, e)
@@ -736,10 +782,12 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
                         "entry depends on h: %s" % got,
                     )
                 entries[i][k][D] = v
-    # confirm the factorization reproduces H exactly (to the truncation)
-    recon = _qmat_mul(Q, A0, size, order)
-    if recon != A:
-        raise failure(A, recon, "Q*H_0 does not reproduce H")
+    # confirm the factorization reproduces H exactly (to the truncation):
+    # Q * H_0 over qden * a0den against H over aden, cross-multiplied
+    recon, rden = _qmat_mul(Q, A0, size, order), qden * a0den
+    scaled = {D: _sparse_scaled(m, aden) for D, m in recon.items()}
+    if scaled != {D: _sparse_scaled(m, rden) for D, m in A.items()}:
+        raise failure((A, aden), (recon, rden), "Q*H_0 does not reproduce H")
     return [[NovikovSeries(rank, order, c) for c in row] for row in entries], H0
 
 

@@ -2,9 +2,11 @@
 assembly, Q-factorization, classical limits, and descendent extraction."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcoh.algebra import HLaurent, NovikovSeries
 from qcoh.model import (
@@ -487,14 +489,15 @@ def test_q_factorization_reconstruction_witness(monkeypatch):
     inverse = sections._qmat_inverse
 
     def perturbed(model, A, order):
-        out = dict(inverse(model, A, order))
-        # matrices are sparse rows at h = 1; entry (0, 3) of the q^(1, 0)
-        # part of the inverse carries h^0, so Q stays h-free
+        out, den = inverse(model, A, order)
+        out = dict(out)
+        # matrices are sparse int rows over den at h = 1; entry (0, 3) of
+        # the q^(1, 0) part of the inverse carries h^0, so Q stays h-free
         D = (1, 0)
         rows = [dict(row) for row in out.get(D, [{}] * model.size)]
-        rows[0][3] = rows[0].get(3, 0) + 1
+        rows[0][3] = rows[0].get(3, 0) + den
         out[D] = rows
-        return out
+        return out, den
 
     monkeypatch.setattr(sections, "_qmat_inverse", perturbed)
     with pytest.raises(CheckFailure) as info:
@@ -503,6 +506,49 @@ def test_q_factorization_reconstruction_witness(monkeypatch):
     assert witness["detail"] == "Q*H_0 does not reproduce H"
     assert witness["degree"] == [1, 0] and len(witness["entry"]) == 2
     assert witness["expected"] != witness["got"]
+
+
+@st.composite
+def qmat_case(draw):
+    """A model, an order, and a random sparse q-matrix series with
+    denominators up to 7 whose q^0 head, a row permutation of an upper
+    triangular matrix with nonzero diagonal, is invertible."""
+    model = builtin_model(draw(st.sampled_from(["cp2", "sigma1", "f3"])))
+    size, order = model.size, draw(st.integers(1, 3))
+    ratio = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 7))
+    entries = st.dictionaries(
+        st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), ratio, max_size=4
+    )
+    perm = draw(st.permutations(range(size)))
+    head = [{} for _ in range(size)]
+    for i in range(size):
+        head[perm[i]][i] = draw(ratio.filter(bool))
+    for (i, k), v in draw(entries).items():
+        if i < k:
+            head[perm[i]][k] = v
+    series = {sections._degrees_upto(model.rank, 0)[0]: head}
+    for D in sections._degrees_upto(model.rank, order)[1:]:
+        mat = [{} for _ in range(size)]
+        for (i, k), v in draw(entries).items():
+            mat[i][k] = v
+        series[D] = mat
+    return model, order, series
+
+
+@settings(max_examples=60, deadline=None)
+@given(qmat_case())
+def test_qmat_inverse_is_a_two_sided_inverse_to_the_truncation(case):
+    model, order, series = case
+    size, zero = model.size, (0,) * model.rank
+    den = lcm(*(v.denominator for m in series.values() for r in m for v in r.values()))
+    A = {
+        D: [{k: int(v * den) for k, v in row.items() if v} for row in m]
+        for D, m in series.items()
+    }
+    inverse, iden = sections._qmat_inverse(model, (A, den), order)
+    identity = {zero: [{i: den * iden} for i in range(size)]}
+    assert sections._qmat_mul(A, inverse, size, order) == identity
+    assert sections._qmat_mul(inverse, A, size, order) == identity
 
 
 # -- classical limit ----------------------------------------------------------------
