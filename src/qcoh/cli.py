@@ -210,8 +210,8 @@ def _diff_witness(model, closed, solved):
         pairs = zip(model.labels, closed.coeff(D).coords, solved.coeff(D).coords)
         for label, a, b in pairs:
             if a != b:
-                got = {"closed": a.to_json(), "solved": b.to_json()}
-                return {"degree": list(D), "entry": label, **got}
+                values = {"closed": a.to_json(), "solved": b.to_json()}
+                return {"degree": list(D), "entry": label, **values}
 
 
 def cmd_jfun(args):

@@ -526,7 +526,7 @@ def qmat_case(draw):
     for (i, k), v in draw(entries).items():
         if i < k:
             head[perm[i]][k] = v
-    series = {sections._degrees_upto(model.rank, 0)[0]: head}
+    series = {(0,) * model.rank: head}
     for D in sections._degrees_upto(model.rank, order)[1:]:
         mat = [{} for _ in range(size)]
         for (i, k), v in draw(entries).items():
