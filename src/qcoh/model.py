@@ -4,8 +4,9 @@ and the full small quantum product table over exact rationals.
 A model fixes a free module with basis b_0..b_s, b_0 the unit, the degree-2
 generators b_1..b_r, and for every pair (i,j) the finite q-expansion of
 b_i o b_j (the D=0 part of which must be the cup product).  Built-in models
-cover projective spaces, the three-dimensional flag variety, the first
-Hirzebruch surface and the Grassmannian of 2-planes in C^4.
+cover projective spaces, built from their dimension, and the
+three-dimensional flag variety, the first Hirzebruch surface and the
+Grassmannian of 2-planes in C^4, read from their shipped model files.
 """
 
 from __future__ import annotations
@@ -532,306 +533,33 @@ def invert_unit(model: ModelSpec, x: CohClass) -> CohClass:
 # -- builtin models -------------------------------------------------------
 
 
-def _dense(size, sparse):
-    coords = [Fraction(0)] * size
-    for k, v in sparse.items():
-        coords[k] = Fraction(v)
-    return CohClass(coords)
-
-
-def _symmetric_tables(size, rank, cup_sparse, quantum_sparse):
-    """Expand upper-triangular sparse {(i,j): ...} data to full tables."""
-    zero = (0,) * rank
+def _model_cp(m: int) -> ModelSpec:
+    size = m + 1
+    labels = ["1"] + ["x" if k == 1 else "x^%d" % k for k in range(1, size)]
+    pairing = [[int(i + j == m) for j in range(size)] for i in range(size)]
+    zero = CohClass((Fraction(0),) * size)
+    power = [CohClass(Fraction(int(k == i)) for k in range(size)) for i in range(size)]
     cup = {}
     quantum = {}
     for i in range(size):
         for j in range(size):
-            key = (i, j) if (i, j) in cup_sparse else (j, i)
-            cup[(i, j)] = _dense(size, cup_sparse.get(key, {}))
-    for i in range(size):
-        for j in range(size):
-            key = (i, j) if (i, j) in quantum_sparse else (j, i)
-            terms = {
-                tuple(D): _dense(size, cls)
-                for D, cls in quantum_sparse.get(key, {}).items()
-            }
-            quantum[(i, j)] = terms
-    return cup, quantum
-
-
-def _apply_generator_chain(model_quantum, size, j, elem):
-    """Multiply {D: CohClass} data by the generator b_j using the stored
-    generator columns; exact, no truncation."""
-    out = {}
-    for D, cls in elem.items():
-        for i, xi in enumerate(cls.coords):
-            if not xi:
-                continue
-            for D2, add in model_quantum[(j, i)].items():
-                nd = tuple(a + b for a, b in zip(D, D2))
-                cur = out.get(nd)
-                add = add.scaled(xi)
-                out[nd] = add if cur is None else cur + add
-    return {D: c for D, c in out.items() if c}
-
-
-def _complete_from_lifts(size, rank, quantum, lifts):
-    """Fill in products b_k o b_i for k > rank from quantum polynomial lifts.
-
-    A lift is a list of (coeff, D, E) terms meaning coeff * q^D * b^oE, with
-    E an exponent vector over the generators; the products of generators with
-    everything must already be present in `quantum`.
-    """
-    zero_d = (0,) * rank
-    for k in sorted(lifts):
-        terms = lifts[k]
-        for i in range(size):
-            acc = {}
-            for coeff, D, E in terms:
-                elem = {zero_d: _dense(size, {i: 1})}
-                for gen, exp in enumerate(E, start=1):
-                    for _ in range(exp):
-                        elem = _apply_generator_chain(quantum, size, gen, elem)
-                for De, cls in elem.items():
-                    nd = tuple(a + b for a, b in zip(D, De))
-                    add = cls.scaled(Fraction(coeff))
-                    cur = acc.get(nd)
-                    acc[nd] = add if cur is None else cur + add
-            acc = {D: c for D, c in acc.items() if c}
-            prev = quantum.get((k, i))
-            if prev is not None and prev != acc:
-                raise ModelError(
-                    "lift for b_%d is inconsistent with the stored product "
-                    "(%d,%d)" % (k, k, i)
-                )
-            quantum[(k, i)] = acc
-            quantum[(i, k)] = dict(acc)
-    return quantum
-
-
-def _model_cp(m: int) -> ModelSpec:
-    size = m + 1
-    labels = ["1"] + ["x" if k == 1 else "x^%d" % k for k in range(1, size)]
-    degrees = [2 * k for k in range(size)]
-    pairing = [[1 if i + j == m else 0 for j in range(size)] for i in range(size)]
-    cup_sparse = {}
-    quantum_sparse = {}
-    for i in range(size):
-        for j in range(i, size):
             if i + j <= m:
-                cup_sparse[(i, j)] = {i + j: 1}
-                quantum_sparse[(i, j)] = {(0,): {i + j: 1}}
+                cup[(i, j)] = power[i + j]
+                quantum[(i, j)] = {(0,): power[i + j]}
             else:
-                cup_sparse[(i, j)] = {}
+                cup[(i, j)] = zero
                 # x^{m+1} = q, so overflow products pick up one factor of q
-                quantum_sparse[(i, j)] = {(1,): {i + j - m - 1: 1}}
-    cup, quantum = _symmetric_tables(size, 1, cup_sparse, quantum_sparse)
+                quantum[(i, j)] = {(1,): power[i + j - m - 1]}
     return ModelSpec(
         name="cp%d" % m,
         dim=m,
         rank=1,
         labels=labels,
-        degrees=degrees,
+        degrees=[2 * k for k in range(size)],
         pairing=pairing,
         cup=cup,
         quantum=quantum,
         chern=[m + 1],
-    )
-
-
-def _model_f3() -> ModelSpec:
-    # basis 1, a, b, a^2, b^2, z with z = a^2 b = a b^2;
-    # classical relations a b = a^2 + b^2, a^3 = b^3 = 0
-    size = 6
-    labels = ["1", "a", "b", "a^2", "b^2", "z"]
-    degrees = [0, 2, 2, 4, 4, 6]
-    pairing = [
-        [0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 0, 1, 0, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [1, 0, 0, 0, 0, 0],
-    ]
-    cup_sparse = {
-        (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
-        (0, 4): {4: 1}, (0, 5): {5: 1},
-        (1, 1): {3: 1},
-        (1, 2): {3: 1, 4: 1},
-        (1, 3): {},
-        (1, 4): {5: 1},
-        (1, 5): {},
-        (2, 2): {4: 1},
-        (2, 3): {5: 1},
-        (2, 4): {},
-        (2, 5): {},
-        (3, 3): {}, (3, 4): {}, (3, 5): {}, (4, 4): {}, (4, 5): {}, (5, 5): {},
-    }
-    # generator columns of the quantum product
-    quantum_sparse = {
-        (0, 0): {(0, 0): {0: 1}},
-        (0, 1): {(0, 0): {1: 1}},
-        (0, 2): {(0, 0): {2: 1}},
-        (0, 3): {(0, 0): {3: 1}},
-        (0, 4): {(0, 0): {4: 1}},
-        (0, 5): {(0, 0): {5: 1}},
-        (1, 1): {(0, 0): {3: 1}, (1, 0): {0: 1}},
-        (1, 2): {(0, 0): {3: 1, 4: 1}},
-        (1, 3): {(1, 0): {2: 1}},
-        (1, 4): {(0, 0): {5: 1}},
-        (1, 5): {(1, 1): {0: 1}, (1, 0): {4: 1}},
-        (2, 2): {(0, 0): {4: 1}, (0, 1): {0: 1}},
-        (2, 3): {(0, 0): {5: 1}},
-        (2, 4): {(0, 1): {1: 1}},
-        (2, 5): {(1, 1): {0: 1}, (0, 1): {3: 1}},
-    }
-    cup, quantum = _symmetric_tables(size, 2, cup_sparse, quantum_sparse)
-    for key in list(quantum):
-        # pairs of non-generators are not primitive data
-        if key[0] > 2 and key[1] > 2:
-            del quantum[key]
-    # remaining products via quantum polynomial lifts of the basis:
-    # a^2 = a o a - q1, b^2 = b o b - q2, z = a o a o b - q1 b
-    lifts = {
-        3: [(1, (0, 0), (2, 0)), (-1, (1, 0), (0, 0))],
-        4: [(1, (0, 0), (0, 2)), (-1, (0, 1), (0, 0))],
-        5: [(1, (0, 0), (2, 1)), (-1, (1, 0), (0, 1))],
-    }
-    quantum = _complete_from_lifts(size, 2, quantum, lifts)
-    return ModelSpec(
-        name="f3",
-        dim=3,
-        rank=2,
-        labels=labels,
-        degrees=degrees,
-        pairing=pairing,
-        cup=cup,
-        quantum=quantum,
-        chern=[2, 2],
-    )
-
-
-def _model_sigma1() -> ModelSpec:
-    # basis 1, x1, x4, z with z = x1 x4; classically x1^2 = 0, x4^2 = x1 x4
-    size = 4
-    labels = ["1", "x1", "x4", "z"]
-    degrees = [0, 2, 2, 4]
-    pairing = [
-        [0, 0, 0, 1],
-        [0, 0, 1, 0],
-        [0, 1, 1, 0],
-        [1, 0, 0, 0],
-    ]
-    cup_sparse = {
-        (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
-        (1, 1): {},
-        (1, 2): {3: 1},
-        (1, 3): {},
-        (2, 2): {3: 1},
-        (2, 3): {},
-        (3, 3): {},
-    }
-    quantum_sparse = {
-        (0, 0): {(0, 0): {0: 1}},
-        (0, 1): {(0, 0): {1: 1}},
-        (0, 2): {(0, 0): {2: 1}},
-        (0, 3): {(0, 0): {3: 1}},
-        (1, 1): {(1, 0): {1: -1, 2: 1}},
-        (1, 2): {(0, 0): {3: 1}},
-        (1, 3): {(1, 1): {0: 1}},
-        (2, 2): {(0, 0): {3: 1}, (0, 1): {0: 1}},
-        (2, 3): {(1, 1): {0: 1}, (0, 1): {1: 1}},
-    }
-    cup, quantum = _symmetric_tables(size, 2, cup_sparse, quantum_sparse)
-    for key in list(quantum):
-        if key[0] > 2 and key[1] > 2:
-            del quantum[key]
-    lifts = {3: [(1, (0, 0), (1, 1))]}
-    quantum = _complete_from_lifts(size, 2, quantum, lifts)
-    return ModelSpec(
-        name="sigma1",
-        dim=2,
-        rank=2,
-        labels=labels,
-        degrees=degrees,
-        pairing=pairing,
-        cup=cup,
-        quantum=quantum,
-        chern=[1, 2],
-        aliases={"q1": "r1", "q2": "r2"},
-    )
-
-
-def _model_gr24() -> ModelSpec:
-    # Schubert basis 1, a, b, c, d, z: a the hyperplane class, b + c = a^2,
-    # d = ab = ac, z the point class; bc = 0 classically and b o c = q
-    size = 6
-    labels = ["1", "a", "b", "c", "d", "z"]
-    degrees = [0, 2, 4, 4, 6, 8]
-    pairing = [
-        [0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0],
-        [0, 1, 0, 0, 0, 0],
-        [1, 0, 0, 0, 0, 0],
-    ]
-    cup_sparse = {
-        (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 1},
-        (0, 4): {4: 1}, (0, 5): {5: 1},
-        (1, 1): {2: 1, 3: 1},
-        (1, 2): {4: 1},
-        (1, 3): {4: 1},
-        (1, 4): {5: 1},
-        (1, 5): {},
-        (2, 2): {5: 1},
-        (2, 3): {},
-        (2, 4): {},
-        (2, 5): {},
-        (3, 3): {5: 1},
-        (3, 4): {},
-        (3, 5): {},
-        (4, 4): {},
-        (4, 5): {},
-        (5, 5): {},
-    }
-    # the six primitive products determine the rest by associativity;
-    # the derived entries below follow from them
-    quantum_sparse = {
-        (0, 0): {(0,): {0: 1}},
-        (0, 1): {(0,): {1: 1}},
-        (0, 2): {(0,): {2: 1}},
-        (0, 3): {(0,): {3: 1}},
-        (0, 4): {(0,): {4: 1}},
-        (0, 5): {(0,): {5: 1}},
-        (1, 1): {(0,): {2: 1, 3: 1}},
-        (1, 2): {(0,): {4: 1}},
-        (1, 3): {(0,): {4: 1}},
-        (1, 4): {(0,): {5: 1}, (1,): {0: 1}},
-        (1, 5): {(1,): {1: 1}},
-        (2, 2): {(0,): {5: 1}},
-        (2, 3): {(1,): {0: 1}},
-        (2, 4): {(1,): {1: 1}},
-        (2, 5): {(1,): {3: 1}},
-        (3, 3): {(0,): {5: 1}},
-        (3, 4): {(1,): {1: 1}},
-        (3, 5): {(1,): {2: 1}},
-        (4, 4): {(1,): {2: 1, 3: 1}},
-        (4, 5): {(1,): {4: 1}},
-        (5, 5): {(2,): {0: 1}},
-    }
-    cup, quantum = _symmetric_tables(size, 1, cup_sparse, quantum_sparse)
-    return ModelSpec(
-        name="gr24",
-        dim=4,
-        rank=1,
-        labels=labels,
-        degrees=degrees,
-        pairing=pairing,
-        cup=cup,
-        quantum=quantum,
-        chern=[4],
-        aliases={"q1": "q"},
     )
 
 
@@ -840,23 +568,24 @@ _CP_RE = re.compile(r"^cp\(?(\d+)\)?$")
 BUILTIN_NAMES = ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1", "gr24")
 
 
+def cp_dimension(name: str):
+    """m when `name` names projective m-space (cp<m> or cp(<m>)), else None."""
+    got = _CP_RE.match(name)
+    return int(got.group(1)) if got else None
+
+
 def builtin_model(name: str) -> ModelSpec:
-    """Construct a built-in model; cp accepts any positive dimension."""
+    """A built-in model: cp<m> is built for any positive m, the others are
+    read from the shipped data/NAME.model."""
     name = name.strip().lower()
-    m = _CP_RE.match(name)
-    if m:
-        dim = int(m.group(1))
-        if dim < 1:
-            raise ModelError("projective space needs dimension >= 1")
-        model = _model_cp(dim)
-    elif name == "f3":
-        model = _model_f3()
-    elif name == "sigma1":
-        model = _model_sigma1()
-    elif name == "gr24":
-        model = _model_gr24()
-    else:
-        raise ModelError("unknown model %r" % name)
+    m = cp_dimension(name)
+    if m is None:
+        if name not in BUILTIN_NAMES:
+            raise ModelError("unknown model %r" % name)
+        return load_model(data_path(name + ".model"))
+    if m < 1:
+        raise ModelError("projective space needs dimension >= 1")
+    model = _model_cp(m)
     problems = model.validate()
     if problems:
         raise ModelError(["builtin %s failed validation" % name] + problems)
@@ -881,7 +610,7 @@ def save_model(model: ModelSpec, path):
 
 def _is_builtin_name(name: str) -> bool:
     name = name.strip().lower()
-    return name in BUILTIN_NAMES or bool(_CP_RE.match(name))
+    return name in BUILTIN_NAMES or cp_dimension(name) is not None
 
 
 def resolve_model(name: str, search_path=None) -> ModelSpec:

@@ -15,7 +15,7 @@ from itertools import product
 from math import comb
 
 from .algebra import TPoly, format_rational, rational
-from .model import ModelSpec
+from .model import ModelSpec, cp_dimension
 from .quantum import QElem, quantum_monomial
 from .series import (
     CohSeries,
@@ -241,13 +241,6 @@ class QDEOperator:
         return " ".join(parts)
 
     __repr__ = __str__
-
-
-def normalize(op: QDEOperator) -> QDEOperator:
-    """Rebuild the term dictionary; the result is always in normal form.
-    Construction and multiplication already normalize, so this is a
-    verification hook: the output equals the input."""
-    return QDEOperator(op.rank, op.c)
 
 
 class RelPoly:
@@ -715,19 +708,11 @@ def symbol_map(op: QDEOperator, model: ModelSpec, order: int) -> QElem:
 
 # -- shipped expression data ---------------------------------------------
 
-_CP_NAME_RE = re.compile(r"^cp([1-9][0-9]*)$")
-
-
-def _cp_dim(model: ModelSpec):
-    m = _CP_NAME_RE.match(model.name)
-    return int(m.group(1)) if m else None
-
-
 def expression_substitutions(model: ModelSpec):
     """Textual substitutions honoured in expression files for this model
     (the projective-space family parametrizes its files by M1 = dim + 1)."""
-    m = _cp_dim(model)
-    if m is not None:
+    m = cp_dimension(model.name)
+    if m:
         return {"M1": str(m + 1)}
     return None
 
@@ -736,7 +721,7 @@ def builtin_operator_file(model: ModelSpec):
     """(path, substitutions) of the operator file shipped for the model."""
     from .model import data_path
 
-    if _cp_dim(model) is not None:
+    if cp_dimension(model.name):
         return data_path("cpm.ops"), expression_substitutions(model)
     candidate = data_path("%s.ops" % model.name)
     if candidate.is_file():
@@ -755,14 +740,14 @@ def builtin_operators(model: ModelSpec, defining_only=False):
 def defining_count(model: ModelSpec) -> int:
     """How many leading operators in the shipped file generate the system
     (one per projective space, two for the rank-2 surfaces/flags)."""
-    return 1 if _cp_dim(model) is not None else min(2, model.rank + 1)
+    return 1 if cp_dimension(model.name) else min(2, model.rank + 1)
 
 
 def builtin_rowspec(model: ModelSpec):
     from .model import data_path
 
-    m = _cp_dim(model)
-    if m is not None:
+    m = cp_dimension(model.name)
+    if m:
         texts = ["D1^%d" % (m - i) for i in range(m)] + ["1"]
         ops = [parse_operator(t, 1) for t in texts]
         return ops
@@ -775,8 +760,8 @@ def builtin_rowspec(model: ModelSpec):
 def builtin_relations(model: ModelSpec):
     from .model import data_path
 
-    m = _cp_dim(model)
-    if m is not None:
+    m = cp_dimension(model.name)
+    if m:
         return load_relations(data_path("cpm.rel"), 1, {"M1": str(m + 1)})
     candidate = data_path("%s.rel" % model.name)
     if candidate.is_file():

@@ -10,13 +10,12 @@ the scalar entries of the matrix carry the gauge factor on the right.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 
 from .algebra import H_ONE, HLaurent, NovikovSeries, TPoly, format_rational
-from .model import CohClass, ModelSpec, _invert_rational_matrix
+from .model import CohClass, ModelSpec, _invert_rational_matrix, cp_dimension
 from .operators import QDEOperator, apply_gauge_many
 from .quantum import CheckFailure
 from .series import GaugeSeries, _add_term, _flat, _from_flat, _pruned, _theta_flat
@@ -138,8 +137,16 @@ class HMatrix:
         self.rows = rows
 
     def jrow(self) -> GaugeSeries:
-        """The last row: the J-series."""
-        return self.rows[-1]
+        """The J-series, whose q^0 coefficient is the unit.  Row i starts
+        with the dual class a_i and 1 = sum_i <b_0, b_i> a_i, so
+        J = sum_i <b_0, b_i> row_i: the last row when <b_0, b_top> = 1 is
+        the only nonzero pairing of the unit."""
+        J = None
+        for row, g in zip(self.rows, self.model.pairing[0]):
+            if g:
+                term = row if g == 1 else row.scaled(g)
+                J = term if J is None else J + term
+        return J
 
     def entry(self, i, k):
         """Scalar entry (i, k) as {multidegree: HLaurent} (gauge factor
@@ -440,8 +447,6 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
 # made integral once per closed form.  Each coefficient J_D is homogeneous
 # of degree -deg q^D (deg h = 2), so h comes back from the grading alone.
 
-_CP_NAME_RE = re.compile(r"^cp([1-9][0-9]*)$")
-
 _UNIT = ([{0: 1}], 1)
 
 
@@ -511,82 +516,79 @@ def _inverse_powers(model, table, x, power, order):
     return out
 
 
-def closed_form_cp(m: int, order: int, model: ModelSpec = None) -> GaugeSeries:
-    """Hypergeometric series for projective m-space: the degree-d coefficient
-    is the inverse of prod_{k=1..d} (x + k h)^{m+1}."""
-    from .model import builtin_model
-
-    if model is None:
-        model = builtin_model("cp%d" % m)
-    coeffs = _inverse_powers(model, _cup_table(model), ([{1: 1}], 1), m + 1, order)
-    return _graded_series(model, order, {(d,): c for d, c in enumerate(coeffs)})
-
-
-def closed_form_f3(order: int, model: ModelSpec = None) -> GaugeSeries:
-    """Hypergeometric series for the flag threefold: coefficient at
-    (d1, d2) is prod_{k<=d1+d2}(a+b+kh) / [prod(a+kh)^3 prod(b+kh)^3]."""
-    from .model import builtin_model
-
-    if model is None:
-        model = builtin_model("f3")
-    table = _cup_table(model)
-    a, b, ab = ([{1: 1}], 1), ([{2: 1}], 1), ([{1: 1, 2: 1}], 1)
-    numer = [_UNIT]
-    for k in range(1, order + 1):
-        numer.append(_cup(table, numer[-1], _linear(ab, k)))
-    inv_a = _inverse_powers(model, table, a, 3, order)
-    inv_b = _inverse_powers(model, table, b, 3, order)
-    terms = {}
-    for d1 in range(order + 1):
-        for d2 in range(order + 1 - d1):
-            terms[(d1, d2)] = _cup(
-                table, numer[d1 + d2], _cup(table, inv_a[d1], inv_b[d2])
-            )
-    return _graded_series(model, order, terms)
+# The hypergeometric factors (class row, charge vector, power p) of each
+# closed-form model; cp<m> has the one factor (x, (1,), m + 1).
+_FACTORS = {
+    # F3 as the (1, 1) hypersurface in P^2 x P^2
+    "f3": (({1: 1}, (1, 0), 3), ({2: 1}, (0, 1), 3), ({1: 1, 2: 1}, (1, 1), -1)),
+    # Sigma_1 as a toric surface; x4 - x1 is the class x2 of the fourth ray
+    "sigma1": (({1: 1}, (1, 0), 2), ({2: 1}, (0, 1), 1), ({1: -1, 2: 1}, (-1, 1), 1)),
+}
 
 
-def closed_form_sigma1(order: int, model: ModelSpec = None) -> GaugeSeries:
-    """Hypergeometric series for the first Hirzebruch surface.  The Novikov
-    degree is (e, d) for the two curve classes; the coefficient is
+def hypergeometric_factors(model: ModelSpec):
+    """The factors (class row, charge vector, power p) of the model's
+    hypergeometric J-series; LookupError when it has none."""
+    m = cp_dimension(model.name)
+    if m:
+        return (({1: 1}, (1,), m + 1),)
+    try:
+        return _FACTORS[model.name]
+    except KeyError:
+        raise LookupError("no closed-form series for model %r" % model.name) from None
 
-        ratio(d - e) / [prod_{k<=e}(x1+kh)^2 prod_{k<=d}(x4+kh)]
 
-    where ratio resolves the formal quotient of semi-infinite products in
-    x2 = x4 - x1: empty for d = e, the inverse of prod_{k=1..d-e}(x2+kh)
-    for d > e, and the finite product prod_{k=d-e+1..0}(x2+kh) -- which
-    includes the bare factor x2 at k = 0 -- for d < e."""
-    from .model import builtin_model
-
-    if model is None:
-        model = builtin_model("sigma1")
-    table = _cup_table(model)
-    x1, x4, x2 = ([{1: 1}], 1), ([{2: 1}], 1), ([{1: -1, 2: 1}], 1)
-    inv_x1 = _inverse_powers(model, table, x1, 2, order)
-    inv_x4 = _inverse_powers(model, table, x4, 1, order)
-    # ratio(n) for n = d - e > 0, and ratio(-n) for n = e - d > 0
-    ratio = dict(enumerate(_inverse_powers(model, table, x2, 1, order)))
-    prod = _UNIT
-    for n in range(1, order + 1):
-        prod = _cup(table, prod, _linear(x2, 1 - n))
-        ratio[-n] = prod
-    terms = {}
-    for e in range(order + 1):
-        for d in range(order + 1 - e):
-            terms[(e, d)] = _cup(
-                table, ratio[d - e], _cup(table, inv_x1[e], inv_x4[d])
-            )
-    return _graded_series(model, order, terms)
+def _factor_values(model, table, x, power, lo, hi):
+    """{n: [prod_{k<=0}(x + k) / prod_{k<=n}(x + k)]^power for lo <= n <= hi}
+    at h = 1, for an int class x of degree 2.  For n < 0 this is the finite
+    product prod_{k=n+1..0}(x + k)^power, which includes the bare factor x
+    at k = 0, so a negative power needs lo = 0."""
+    if power > 0:
+        values = dict(enumerate(_inverse_powers(model, table, x, power, hi)))
+    else:
+        values = {0: _UNIT}
+        for n in range(1, hi + 1):
+            acc = values[n - 1]
+            for _ in range(-power):
+                acc = _cup(table, acc, _linear(x, n))
+            values[n] = acc
+    for n in range(-1, lo - 1, -1):
+        acc = values[n + 1]
+        for _ in range(power):
+            acc = _cup(table, acc, _linear(x, n + 1))
+        values[n] = acc
+    return values
 
 
 def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
-    got = _CP_NAME_RE.match(model.name)
-    if got:
-        return closed_form_cp(int(got.group(1)), order, model)
-    if model.name == "f3":
-        return closed_form_f3(order, model)
-    if model.name == "sigma1":
-        return closed_form_sigma1(order, model)
-    raise LookupError("no closed-form series for model %r" % model.name)
+    """The hypergeometric J-series (Givental): its q^D coefficient is the
+    product over the model's factors (x, charge, p) of
+
+        [prod_{k<=0}(x + kh) / prod_{k<=<charge, D>}(x + kh)]^p,
+
+    the inverse of prod_{k=1..n}(x + kh)^p for n = <charge, D> >= 0 and the
+    finite product prod_{k=n+1..0}(x + kh)^p for n < 0.  LookupError when
+    the model has no factor list."""
+    factors = hypergeometric_factors(model)
+    table = _cup_table(model)
+    values = [
+        (
+            charge,
+            _factor_values(
+                model, table, ([x], 1), power,
+                order * min(0, *charge), order * max(0, *charge),
+            ),
+        )
+        for x, charge, power in factors
+    ]
+    terms = {}
+    for D in _degrees_upto(model.rank, order):
+        coeffs = [vals[sum(c * d for c, d in zip(charge, D))] for charge, vals in values]
+        acc = coeffs[0]
+        for coeff in coeffs[1:]:
+            acc = _cup(table, acc, coeff)
+        terms[D] = acc
+    return _graded_series(model, order, terms)
 
 
 # -- verification ----------------------------------------------------------
@@ -837,12 +839,11 @@ def asymptotic_H(model: ModelSpec):
     return result
 
 
-def asymptotic_row(model: ModelSpec, i: int) -> TPoly:
-    """Row i of the asymptotic solution as a cohomology-valued t-polynomial:
-    cup multiplication of the i-th dual basis element by e^{t/h}."""
+def asymptotic_J(model: ModelSpec) -> TPoly:
+    """The asymptotic J-series as a cohomology-valued t-polynomial: e^{t/h},
+    cup-applied to the unit."""
     rank = model.rank
-    start = model.dual_basis()[i].lifted()
-    out = TPoly.const(rank, start)
+    out = TPoly.const(rank, model.unit().lifted())
     term = out
     l = 0
     while term:
@@ -860,11 +861,6 @@ def asymptotic_row(model: ModelSpec, i: int) -> TPoly:
         term = new
         out = out + term
     return out
-
-
-def asymptotic_J(model: ModelSpec) -> TPoly:
-    """The last asymptotic row: e^{t/h}, cup-applied to the unit."""
-    return asymptotic_row(model, model.size - 1)
 
 
 def tpoly_matrix_json(mat):

@@ -51,10 +51,15 @@ CORPUS = {
     ],
     "jfun-sigma1-diff-deep": ["jfun", "--model", "sigma1", "--diff", "--n", "7"],
     # f3 in the basis 2 a^2, -3 b^2, 5 z: its tables have rational entries,
-    # and the solved J-row is normalized by the dual of 5 z, so --diff fails
-    # with a witness at q^0
+    # and the unit pairs to 5 with 5 z; the solved J still equals the closed
+    # form
     "jfun-diff-rescaled": [
         "jfun", "--model", "f3-rescaled.model", "--diff", "--n", "2"
+    ],
+    # f3 with every q^D term scaled by 2^d1: a valid, integrable model whose
+    # J is not the f3 closed form, so --diff fails with a witness at q^(1,0)
+    "jfun-diff-q1-doubled": [
+        "jfun", "--model", "f3-q1-doubled.model", "--diff", "--n", "2"
     ],
     "jfun-f3-verify-inhomogeneous": [
         "jfun", "--model", "f3", "--closed-form", "--verify",

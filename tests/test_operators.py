@@ -20,7 +20,6 @@ from qcoh.operators import (
     builtin_rowspec,
     defining_count,
     load_rowspec,
-    normalize,
     parse_operator,
     parse_relation,
     symbol_map,
@@ -262,13 +261,6 @@ def test_operator_product_agrees_with_sequential_application(case):
     left = apply_gauge(A * B, s)
     right = apply_gauge(A, apply_gauge(B, s))
     assert left.c == right.c
-
-
-def test_normalize_is_identity_on_normal_forms():
-    rng = random.Random(5511)
-    for _ in range(20):
-        op = _random_operator(rng.randint, 2)
-        assert normalize(op) == op
 
 
 def test_apply_gauge_annihilates_closed_form():

@@ -34,6 +34,7 @@ from qcoh.sections import (
     closed_form,
     degree_axiom_allows,
     extract_descendents,
+    hypergeometric_factors,
     q_factorize,
     solve_fundamental,
     tpoly_matrix_json,
@@ -153,6 +154,25 @@ def test_closed_form_entries_are_graded_monomials(name):
 def test_closed_form_unavailable_for_gr24():
     with pytest.raises(LookupError):
         closed_form(builtin_model("gr24"), 2)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_hypergeometric_factor_table(name):
+    # sum of p * charge over the factors is c_1, which makes each J_D graded
+    # of degree -deg q^D; a negative power inverts the finite product of a
+    # negative charge, which holds the bare factor x, so it needs charges >= 0
+    model = builtin_model(name)
+    if name == "gr24":
+        with pytest.raises(LookupError):
+            hypergeometric_factors(model)
+        return
+    total = (0,) * model.rank
+    for x, charge, power in hypergeometric_factors(model):
+        assert len(charge) == model.rank
+        assert x and {model.degrees[k] for k in x} == {2}
+        assert power > 0 or min(charge) >= 0
+        total = tuple(t + power * c for t, c in zip(total, charge))
+    assert total == model.chern
 
 
 # -- solver vs closed form ------------------------------------------------------
@@ -280,17 +300,18 @@ def test_solver_on_rescaled_basis_with_rational_tables(name, lam):
         classes.extend(cls for D, cls in parts.items() if any(D))
     assert {c.denominator for cls in classes for c in cls.coords} > {1}
     assert scaled.validate() == []
+    # the classical J starts at the unit, not at the dual of b'_top
+    assert asymptotic_J(scaled).c[(0,) * model.rank] == scaled.unit().lifted()
     Hm = solve_fundamental(scaled, ORDER)
     assert Hm.check_system()["status"] == "pass"
-    # J = sum_k J^k b_k = sum_k J^k / lam_k b'_k, and the J-row is
-    # normalized by the dual of b'_top = lam_top b_top
-    top = model.top
+    # J = sum_k J^k b_k = sum_k J^k / lam_k b'_k, although the unit now
+    # pairs to lam_top with b'_top = lam_top b_top
     want = solve_fundamental(model, ORDER).jrow().c
     got = Hm.jrow().c
     assert set(got) == set(want)
     for D, cls in got.items():
         for k, v in enumerate(cls.coords):
-            assert v * (lam.get(k, 1) * lam.get(top, 1)) == want[D].coords[k]
+            assert v * lam.get(k, 1) == want[D].coords[k]
 
 
 @pytest.mark.parametrize("name, lam", [r for r in RESCALED if r[0] != "gr24"])
