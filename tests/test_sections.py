@@ -304,8 +304,8 @@ def test_solver_on_rescaled_basis_with_rational_tables(name, lam):
     assert asymptotic_J(scaled).c[(0,) * model.rank] == scaled.unit().lifted()
     Hm = solve_fundamental(scaled, ORDER)
     assert Hm.check_system()["status"] == "pass"
-    # J = sum_k J^k b_k = sum_k J^k / lam_k b'_k, although the unit now
-    # pairs to lam_top with b'_top = lam_top b_top
+    # J = sum_k J^k b_k = sum_k J^k / lam_k b'_k, although the unit pairs
+    # to lam_top with b'_top = lam_top b_top
     want = solve_fundamental(model, ORDER).jrow().c
     got = Hm.jrow().c
     assert set(got) == set(want)
