@@ -10,6 +10,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .algebra import format_rational
 from .model import (
@@ -59,7 +60,54 @@ class UsageError(Exception):
 
 
 def _dump(payload) -> str:
-    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    """payload and a newline, byte for byte as json.dumps(payload,
+    indent=1, sort_keys=True) writes them, without the pure-Python encoder
+    that an indent selects.  It writes dicts with str keys, lists, tuples,
+    str, int, bool and None, and raises TypeError on anything else."""
+    out = []
+    _write_json(payload, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(x, nl, out):
+    """Write x through out, nl being the newline and indent of its line."""
+    if isinstance(x, str):
+        out(_quoted(x))
+    elif x is None:
+        out("null")
+    elif x is True:
+        out("true")
+    elif x is False:
+        out("false")
+    elif isinstance(x, int):
+        out(int.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            out("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for k in sorted(x):
+            if not isinstance(k, str):
+                raise TypeError("JSON keys must be str, not %s" % type(k).__name__)
+            out(sep + _quoted(k) + ": ")
+            _write_json(x[k], inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for v in x:
+            out(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    else:
+        raise TypeError("cannot write %s as JSON" % type(x).__name__)
 
 
 def _emit(payload, out=None):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm, prod
 
 from .algebra import TPoly, format_rational, rational
 from .model import ModelSpec, cp_dimension
@@ -21,8 +21,11 @@ from .series import (
     CohSeries,
     GaugeSeries,
     _add_term,
+    _denominator,
     _flat,
     _from_flat,
+    _generator_action,
+    _numerators,
     _pruned,
     _theta_flat,
 )
@@ -609,26 +612,48 @@ def _prefix_walk(ops, start, theta):
         yield chain[-1], groups[word]
 
 
-def apply_gauge_many(ops, s: GaugeSeries) -> list:
-    """Apply several normal-ordered operators to one gauge-normalized
-    section, returning one series per operator, by one `_prefix_walk`.
+def _apply_flat(ops, s: GaugeSeries) -> list:
+    """The walk behind `apply_gauge_many`, returning one flat series
+    (numerators, den) per operator (see series.py).
 
-    The walk runs on the flat exact coordinates of s ({D: {(k, x):
-    Fraction}}, every h-exponent kept) with the theta kernel: s is
-    unpacked once, each term v * h^hexp * q^qdeg * theta^E adds v times
-    its prefix, moved by hexp in h and by qdeg in q, to its operator's
-    result, and each result is repacked into a GaugeSeries once at the end."""
+    s is unpacked once, over the lcm den of its denominators; theta^E
+    multiplies that by growth(E), the product of the cden of its letters
+    (`_generator_action`; 1 for every builtin).  An operator's result is
+    over the lcm of v.denominator * den * growth(E) over its terms
+    v * h^hexp * q^qdeg * theta^E, so each term adds an int multiple of
+    its prefix, moved by hexp in h and by qdeg in q."""
     ops = list(ops)
     for op in ops:
         if op.rank != s.model.rank:
             raise ValueError("rank mismatch")
     model, order = s.model, s.order
+    start = _flat(s)
+    cden = [_generator_action(model, i)[1] for i in range(1, model.rank + 1)]
+    dens = [
+        start[1] * lcm(
+            *(
+                v.denominator * prod(c ** e for c, e in zip(cden, thexp))
+                for (_, _, thexp), v in op.c.items()
+            )
+        )
+        for op in ops
+    ]
     acc = [{} for _ in ops]
-    walk = _prefix_walk(ops, _flat(s), lambda flat, i: _theta_flat(model, flat, i))
-    for prefix, terms in walk:
+    walk = _prefix_walk(ops, start, lambda flat, i: _theta_flat(model, flat, i))
+    for (prefix, den), terms in walk:
         for pos, hexp, qdeg, v in terms:
-            _add_term(acc[pos], prefix, v, hexp, qdeg, order)
-    return [_from_flat(model, order, _pruned(out)) for out in acc]
+            n = v.numerator * (dens[pos] // (v.denominator * den))
+            _add_term(acc[pos], prefix, n, hexp, qdeg, order)
+    return [_pruned(out, den) for out, den in zip(acc, dens)]
+
+
+def apply_gauge_many(ops, s: GaugeSeries) -> list:
+    """Apply several normal-ordered operators to one gauge-normalized
+    section, returning one series per operator, by one `_prefix_walk` on
+    the flat exact coordinates of s (int numerators over one denominator,
+    every h-exponent kept; `_apply_flat`).  Each result is repacked into a
+    GaugeSeries once at the end."""
+    return [_from_flat(s.model, s.order, flat) for flat in _apply_flat(ops, s)]
 
 
 def apply_gauge(op: QDEOperator, s: GaugeSeries) -> GaugeSeries:
@@ -640,10 +665,12 @@ def apply_gauge(op: QDEOperator, s: GaugeSeries) -> GaugeSeries:
     return apply_gauge_many((op,), s)[0]
 
 
-def _dt_flat(ft, i: int) -> dict:
-    """theta_i = h d/dt_i on a flat t-series {e: flat series of the
-    coefficient of t^e}: the entry a at t^e moves to t^(e - e_i) as
-    e_i * a, one power of h up; nothing else changes."""
+def _dt_flat(ft, i: int) -> tuple:
+    """theta_i = h d/dt_i on a flat t-series (ft, den), ft = {e: flat
+    numerators of the coefficient of t^e} over the one den: the numerator
+    a at t^e moves to t^(e - e_i) as e_i * a, one power of h up; nothing
+    else changes, den included."""
+    ft, den = ft
     out = {}
     for e, flat in ft.items():
         n = e[i - 1]
@@ -652,26 +679,31 @@ def _dt_flat(ft, i: int) -> dict:
                 D: {(k, x + 1): n * a for (k, x), a in terms.items()}
                 for D, terms in flat.items()
             }
-    return out
+    return out, den
 
 
 def _apply_t(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
     """op on a t-polynomial of CohSeries with q_i a constant scalar, by one
-    `_prefix_walk` over its flat t-series: the term v * h^a * q^Q * theta^E
-    adds v times theta^E of the series, moved by a in h and by Q in q
-    (dropping degrees past the order).  Repacked once at the end.  The
-    walk behind both `apply_constq` and `apply_classical`."""
+    `_prefix_walk` over its flat t-series, whose coefficients share one
+    denominator den: the term v * h^a * q^Q * theta^E adds v times
+    theta^E of the series, moved by a in h and by Q in q (dropping degrees
+    past the order), over den times the lcm of op's denominators.
+    Repacked once at the end.  The walk behind both `apply_constq` and
+    `apply_classical`."""
     order = next((cs.order for cs in tp.c.values()), 0)
+    den = _denominator(tp.c.values())
+    ft = {e: _numerators(cs, den) for e, cs in tp.c.items()}
+    opden = lcm(*(v.denominator for v in op.c.values()))
     acc = {}
-    ft = {e: _flat(cs) for e, cs in tp.c.items()}
-    for prefix, terms in _prefix_walk((op,), ft, _dt_flat):
+    for (prefix, _), terms in _prefix_walk((op,), (ft, den), _dt_flat):
         for _, hexp, qdeg, v in terms:
+            n = v.numerator * (opden // v.denominator)
             for e, flat in prefix.items():
-                _add_term(acc.setdefault(e, {}), flat, v, hexp, qdeg, order)
+                _add_term(acc.setdefault(e, {}), flat, n, hexp, qdeg, order)
     out = TPoly(tp.nvars)
     for e, flat in acc.items():
-        flat = _pruned(flat)
-        if flat:
+        flat = _pruned(flat, den * opden)
+        if flat[0]:
             out.c[e] = _from_flat(model, order, flat, CohSeries)
     return out
 
@@ -744,17 +776,29 @@ def defining_count(model: ModelSpec) -> int:
 
 
 def builtin_rowspec(model: ModelSpec):
-    from .model import data_path
+    """The row operators shipped for the builtin of the model's name.  They
+    are written for the builtin's basis, so a model whose pairing or cup
+    table differs from the builtin's (the same ring in another basis)
+    raises LookupError, as does a name with no shipped rows."""
+    from .model import builtin_model, data_path
 
     m = cp_dimension(model.name)
     if m:
         texts = ["D1^%d" % (m - i) for i in range(m)] + ["1"]
-        ops = [parse_operator(t, 1) for t in texts]
-        return ops
-    candidate = data_path("%s.rows" % model.name)
-    if candidate.is_file():
-        return load_rowspec(candidate, model.rank)
-    raise LookupError("no row expressions shipped for model %r" % model.name)
+    else:
+        candidate = data_path("%s.rows" % model.name)
+        if not candidate.is_file():
+            raise LookupError("no row expressions shipped for model %r" % model.name)
+    builtin = builtin_model(model.name)
+    if model.pairing != builtin.pairing or model.cup_table != builtin.cup_table:
+        raise LookupError(
+            "the row expressions shipped for %r are written for the builtin "
+            "basis, but this model %r has another pairing or cup table"
+            % (builtin.name, model.name)
+        )
+    if m:
+        return [parse_operator(t, 1) for t in texts]
+    return load_rowspec(candidate, model.rank)
 
 
 def builtin_relations(model: ModelSpec):

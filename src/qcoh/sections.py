@@ -16,9 +16,17 @@ from math import gcd, lcm
 
 from .algebra import H_ONE, HLaurent, NovikovSeries, TPoly, format_rational
 from .model import CohClass, ModelSpec, _invert_rational_matrix, cp_dimension
-from .operators import QDEOperator, apply_gauge_many
+from .operators import QDEOperator, _apply_flat, apply_gauge_many
 from .quantum import CheckFailure
-from .series import GaugeSeries, _add_term, _flat, _from_flat, _pruned, _theta_flat
+from .series import (
+    GaugeSeries,
+    _add_term,
+    _flat,
+    _from_flat,
+    _pruned,
+    _same,
+    _theta_flat,
+)
 
 
 def _degrees_upto(rank, order):
@@ -172,76 +180,10 @@ class HMatrix:
         return out
 
     def check_system(self) -> dict:
-        """Verify h d_j(row i) = sum_u (M_j)_{iu} (row u) for all i, j.
-
-        Both sides are built on flat exact coordinates (see series.py), so
-        every h-exponent is compared and no grading is assumed: the left
-        side by the theta kernel, the right side by adding q^D (M_j)_{iu}
-        times row u for every q^D part M_j of multiplication by b_j.  A
-        failing row's witness names the first differing coordinate: the
-        degree, the entry [i, k] (row i, coordinate along b_k) and the
-        expected (right side) and obtained (left side) values."""
-        model = self.model
-        size = model.size
-        order = self.order
+        """Verify h d_j(row i) = sum_u (M_j)_{iu} (row u) for all i, j, on
+        the flat coordinates of the rows (`_system_report`)."""
         rows = [_flat(row) for row in self.rows]
-        witnesses = []
-        for j in range(1, model.rank + 1):
-            rhs = [{} for _ in range(size)]
-            for D in model.quantum_degrees(j):
-                if sum(D) > order:
-                    continue
-                mat = model.quantum_part(j, D)
-                if mat is None:
-                    continue
-                for i in range(size):
-                    for u in range(size):
-                        v = mat[i][u]
-                        if v:
-                            _add_term(rhs[i], rows[u], v, 0, D, order)
-            for i in range(size):
-                want = _pruned(rhs[i])
-                got = _theta_flat(model, rows[i], j)
-                if got != want:
-                    witnesses.append(self._system_witness(j, i, want, got))
-        return {
-            "check": "first-order-system",
-            "model": model.name,
-            "order": order,
-            "status": "pass" if not witnesses else "fail",
-            "witnesses": witnesses,
-        }
-
-    def _system_witness(self, j, i, want, got):
-        """Witness for row i in direction j, whose flat sides differ."""
-        D = next(
-            D
-            for D in sorted(set(want) | set(got), key=lambda d: (sum(d), d))
-            if want.get(D) != got.get(D)
-        )
-
-        def coordinate(flat, k):
-            return HLaurent(
-                {x: v for (c, x), v in flat.get(D, {}).items() if c == k}
-            )
-
-        k = next(
-            k
-            for k in range(self.model.size)
-            if coordinate(want, k) != coordinate(got, k)
-        )
-        diff = _from_flat(self.model, self.order, got) - _from_flat(
-            self.model, self.order, want
-        )
-        return {
-            "direction": j,
-            "row": i,
-            "degree": list(D),
-            "entry": [i, k],
-            "expected": coordinate(want, k).to_json(),
-            "got": coordinate(got, k).to_json(),
-            "detail": diff.describe(),
-        }
+        return _system_report(self.model, self.order, rows)
 
     def to_json(self):
         return {
@@ -249,6 +191,71 @@ class HMatrix:
             "order": self.order,
             "rows": [row.to_json() for row in self.rows],
         }
+
+
+def _system_report(model, order, rows) -> dict:
+    """The first-order-system report of the flat rows of a solution matrix.
+
+    Both sides are built on flat exact coordinates (see series.py), so
+    every h-exponent is compared and no grading is assumed: the left side
+    by the theta kernel, the right side by adding q^D (M_j)_{iu} times row
+    u for every q^D part M_j of multiplication by b_j, over the lcm of the
+    terms' denominators.  The sides are compared by cross-multiplying.  A
+    failing row's witness names the first differing coordinate: the
+    degree, the entry [i, k] (row i, coordinate along b_k) and the
+    expected (right side) and obtained (left side) values."""
+    size = model.size
+    witnesses = []
+    for j in range(1, model.rank + 1):
+        parts = [
+            (D, model.quantum_part(j, D))
+            for D in model.quantum_degrees(j)
+            if sum(D) <= order
+        ]
+        parts = [(D, mat) for D, mat in parts if mat is not None]
+        for i in range(size):
+            terms = [
+                (D, rows[u], mat[i][u])
+                for D, mat in parts
+                for u in range(size)
+                if mat[i][u]
+            ]
+            den = lcm(*(v.denominator * row[1] for _, row, v in terms))
+            rhs = {}
+            for D, (flat, fden), v in terms:
+                n = v.numerator * (den // (v.denominator * fden))
+                _add_term(rhs, flat, n, 0, D, order)
+            want = _pruned(rhs, den)
+            got = _theta_flat(model, rows[i], j)
+            if not _same(got, want):
+                witnesses.append(_system_witness(model, order, j, i, want, got))
+    return {
+        "check": "first-order-system",
+        "model": model.name,
+        "order": order,
+        "status": "pass" if not witnesses else "fail",
+        "witnesses": witnesses,
+    }
+
+
+def _system_witness(model, order, j, i, want, got):
+    """Witness for row i in direction j, whose flat sides differ."""
+    want, got = (_from_flat(model, order, side) for side in (want, got))
+    D, cw, cg = next(
+        (D, want.coeff(D), got.coeff(D))
+        for D in sorted(set(want.c) | set(got.c), key=lambda d: (sum(d), d))
+        if want.c.get(D) != got.c.get(D)
+    )
+    k = next(k for k in range(model.size) if cw.coords[k] != cg.coords[k])
+    return {
+        "direction": j,
+        "row": i,
+        "degree": list(D),
+        "entry": [i, k],
+        "expected": cw.coords[k].to_json(),
+        "got": cg.coords[k].to_json(),
+        "detail": (got - want).describe(),
+    }
 
 
 def _check_failure(model, check, witness):
@@ -598,8 +605,9 @@ def verify_annihilated(J: GaugeSeries, ops, names=None) -> dict:
     """Apply each operator to the series and report residuals."""
     ops = list(ops)
     witnesses = []
-    for pos, (op, residual) in enumerate(zip(ops, apply_gauge_many(ops, J))):
-        if residual:
+    for pos, (op, residual) in enumerate(zip(ops, _apply_flat(ops, J))):
+        if residual[0]:
+            residual = _from_flat(J.model, J.order, residual)
             degs = [list(D) for D, _ in residual.items_sorted()]
             witnesses.append(
                 {
@@ -625,12 +633,11 @@ def build_H_from_J(model: ModelSpec, J: GaugeSeries, rowspec) -> HMatrix:
         raise ValueError("row operators must end with the identity row")
     if len(rowspec) != model.size:
         raise ValueError("expected %d row operators" % model.size)
-    rows = apply_gauge_many(rowspec, J)
-    H = HMatrix(model, J.order, rows)
-    report = H.check_system()
+    rows = _apply_flat(rowspec, J)
+    report = _system_report(model, J.order, rows)
     if report["status"] != "pass":
         raise CheckFailure(report)
-    return H
+    return HMatrix(model, J.order, [_from_flat(model, J.order, row) for row in rows])
 
 
 # -- Q-factorization -------------------------------------------------------

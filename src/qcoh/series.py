@@ -10,6 +10,7 @@ b_i plus the scalar d_i*h, and q_i shifts D.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .algebra import HLaurent
 from .model import CohClass, ModelSpec
@@ -159,77 +160,135 @@ class CohSeries:
 
 
 # -- flat exact coordinates ---------------------------------------------------
-# A flat series is {D: {(k, x): Fraction}}: the entry c at (k, x) of degree D
-# is the term c * h^x of the b_k coordinate of the q^D coefficient.  Every
-# h-exponent is kept, so nothing here assumes a grading.  Zero entries and
-# empty degrees are never stored, so two flat series are equal exactly when
-# their dicts are.
+# A flat series is a pair (flat, den): flat is {D: {(k, x): int}} and den a
+# positive int, and the numerator n at (k, x) of degree D is the term
+# n/den * h^x of the b_k coordinate of the q^D coefficient.  The arithmetic
+# runs on int numerators; den is not kept reduced, and Fraction(n, den)
+# appears only when a series is packed back (`_from_flat`).  Every
+# h-exponent is kept, so nothing here assumes a grading.  Zero numerators
+# and empty degrees are never stored, so a flat series is zero exactly when
+# its dict is empty, and two are equal exactly when they have the same keys
+# and equal cross-products (`_same`).
 
 
-def _flat(s: CohSeries) -> dict:
-    """The flat coordinates of a series."""
+def _denominator(series) -> int:
+    """The lcm of the coefficient denominators of the given series."""
+    return lcm(
+        *(
+            v.denominator
+            for s in series
+            for cls in s.c.values()
+            for a in cls.coords
+            for v in a.c.values()
+        )
+    )
+
+
+def _numerators(s: CohSeries, den: int) -> dict:
+    """The flat numerators of a series over den, a multiple of its
+    denominators."""
     return {
-        D: {(k, x): v for k, a in enumerate(cls.coords) for x, v in a.c.items()}
+        D: {
+            (k, x): v.numerator * (den // v.denominator)
+            for k, a in enumerate(cls.coords)
+            for x, v in a.c.items()
+        }
         for D, cls in s.c.items()
     }
+
+
+def _flat(s: CohSeries) -> tuple:
+    """The flat coordinates of a series, over the lcm of its denominators."""
+    den = _denominator((s,))
+    return _numerators(s, den), den
 
 
 def _from_flat(model: ModelSpec, order: int, flat, kind=None) -> "CohSeries":
     """The series with the given flat coordinates: a GaugeSeries, or one of
     the CohSeries class `kind`."""
+    flat, den = flat
     out = (kind or GaugeSeries)(model, order)
     for D, terms in flat.items():
         coords = [HLaurent() for _ in range(model.size)]
-        for (k, x), v in terms.items():
-            coords[k].c[x] = v
+        for (k, x), n in terms.items():
+            coords[k].c[x] = Fraction(n, den)
         out.c[D] = CohClass(tuple(coords))
     return out
 
 
-def _pruned(acc) -> dict:
-    """A flat series accumulated with possible zeros, with them dropped."""
+def _pruned(acc, den) -> tuple:
+    """The flat series of numerators acc over den, accumulated with
+    possible zeros, with them dropped."""
     out = {}
     for D, terms in acc.items():
-        terms = {key: v for key, v in terms.items() if v}
+        terms = {key: n for key, n in terms.items() if n}
         if terms:
             out[D] = terms
-    return out
+    return out, den
 
 
-def _theta_flat(model: ModelSpec, flat, i: int) -> dict:
-    """theta_i on a flat series: the entry a at (j, x) of degree D adds
-    a * v at (k, x) for each (k, v) of b_i cup b_j, and d_i * a at
-    (j, x + 1) where d_i = D[i - 1].  The one theta kernel, shared by
-    GaugeSeries.theta, the operator walk and the first-order-system check."""
-    # a coefficient of 1 (the usual cup constant) is marked None: no product
-    action = [
-        [(k, None if v == 1 else v) for k, v in row]
-        for row in model.generator_action(i)
+def _same(a, b) -> bool:
+    """Whether two flat series are equal, by cross-multiplying."""
+    (a, aden), (b, bden) = a, b
+    if a.keys() != b.keys():
+        return False
+    for D, terms in a.items():
+        other = b[D]
+        if terms.keys() != other.keys():
+            return False
+        for key, n in terms.items():
+            if n * bden != other[key] * aden:
+                return False
+    return True
+
+
+def _generator_action(model: ModelSpec, i: int) -> tuple:
+    """Cup multiplication by b_i made integral: (rows, cden) with row j
+    the pairs (k, n) of b_i cup b_j = sum_k n/cden * b_k, cden the lcm
+    of the table's denominators (1 for every builtin)."""
+    action = model.generator_action(i)
+    cden = lcm(*(v.denominator for row in action for _, v in row))
+    rows = [
+        [(k, v.numerator * (cden // v.denominator)) for k, v in row]
+        for row in action
     ]
+    return rows, cden
+
+
+def _theta_flat(model: ModelSpec, flat, i: int) -> tuple:
+    """theta_i on a flat series, over den * cden (see `_generator_action`):
+    the numerator a at (j, x) of degree D adds a * n at (k, x) for each
+    (k, n) of the integral action on b_j, and a * d_i * cden at (j, x + 1)
+    where d_i = D[i - 1].  The one theta kernel, shared by
+    GaugeSeries.theta, the operator walk and the first-order-system check."""
+    flat, den = flat
+    action, cden = _generator_action(model, i)
     out = {}
     for D, terms in flat.items():
-        d = D[i - 1]
+        d = D[i - 1] * cden
         acc = {}
         for (j, x), a in terms.items():
-            for k, v in action[j]:
+            for k, n in action[j]:
                 key = (k, x)
-                p = a if v is None else a * v
+                p = a * n
                 acc[key] = acc[key] + p if key in acc else p
             if d:
                 key = (j, x + 1)
                 p = a * d
                 acc[key] = acc[key] + p if key in acc else p
-        acc = {key: v for key, v in acc.items() if v}
+        acc = {key: n for key, n in acc.items() if n}
         if acc:
             out[D] = acc
-    return out
+    return out, den * cden
 
 
-def _add_term(acc, flat, v, hexp, qdeg, order):
-    """acc += v * h^hexp * q^qdeg * flat in place, dropping degrees past
-    `order`; the caller prunes zeros (`_pruned`)."""
+def _add_term(acc, flat, n, hexp, qdeg, order):
+    """acc += n * h^hexp * q^qdeg * flat in place on numerators, dropping
+    degrees past `order`: flat is the numerator dict of a flat series and
+    n an int that brings it to the denominator of acc.  The caller prunes
+    zeros (`_pruned`)."""
     shift = any(qdeg)
-    unit = v == 1
+    unit = n == 1
     for D, terms in flat.items():
         if shift:
             D = tuple(a + b for a, b in zip(D, qdeg))
@@ -238,7 +297,7 @@ def _add_term(acc, flat, v, hexp, qdeg, order):
         out = acc.setdefault(D, {})
         for (k, x), a in terms.items():
             key = (k, x + hexp)
-            p = a if unit else a * v
+            p = a if unit else a * n
             out[key] = out[key] + p if key in out else p
 
 

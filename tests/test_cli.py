@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcoh.cli import main
+from qcoh.cli import _dump, main
 from qcoh.model import builtin_model, save_model
 
 
@@ -376,6 +376,18 @@ def test_all_reports_have_sorted_keys(capsys):
         assert code == 0, argv
         data = json.loads(out)
         assert out == json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def test_dump_writes_the_bytes_of_json_dumps():
+    payload = {
+        "b": [True, False, None, -3, 10**30, "é\n\"x\u2028"],
+        "a": {"z": [], "y": {}, "x": [[1, [2]], {"k": "v"}]},
+        "t": (1, "two"),
+    }
+    assert _dump(payload) == json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    for bad in (1.5, Fraction(1, 2), {1: "int key"}, {"set": {1}}):
+        with pytest.raises(TypeError):
+            _dump(bad)
 
 
 def test_console_entry_point_installed():

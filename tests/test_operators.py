@@ -3,13 +3,14 @@ sections, and the symbol map to ring relations."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoh.algebra import HLaurent
-from qcoh.model import builtin_model
+from qcoh.model import builtin_model, load_model
 from qcoh.operators import (
     ParseError,
     QDEOperator,
@@ -149,6 +150,16 @@ def test_builtin_rowspec_shapes():
         rows = builtin_rowspec(model)
         assert len(rows) == model.size
         assert rows[-1] == QDEOperator.const(model.rank, 1)
+
+
+def test_builtin_rowspec_refuses_a_model_in_another_basis():
+    # f3 in the basis 2 a^2, -3 b^2, 5 z: the shipped f3.rows are written
+    # for the builtin basis, so they would fail the first-order system
+    path = Path(__file__).resolve().parent / "golden" / "f3-rescaled.model"
+    with pytest.raises(LookupError, match="'f3'"):
+        builtin_rowspec(load_model(path))
+    with pytest.raises(LookupError, match="gr24"):
+        builtin_rowspec(builtin_model("gr24"))
 
 
 def test_builtin_operators_missing_for_gr24():

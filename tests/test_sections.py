@@ -3,6 +3,7 @@ assembly, Q-factorization, classical limits, and descendent extraction."""
 
 from fractions import Fraction
 from math import factorial, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -388,6 +389,28 @@ def test_first_order_system_witness_names_entry():
     got = broken.rows[0].theta(1).coeff(witness["degree"]).coords[k]
     assert witness["got"] == got.to_json()
     assert witness["detail"]
+
+
+def test_first_order_system_witness_on_rational_tables_is_reduced():
+    # f3 in the basis 2 a^2, -3 b^2, 5 z: the check runs on int numerators
+    # over denominators multiplied by 30 per theta_1 step, and the witness
+    # still reports reduced Fractions
+    model = load_model(Path(__file__).resolve().parent / "golden" / "f3-rescaled.model")
+    solved = solve_fundamental(model, 3)
+    assert solved.check_system()["status"] == "pass"
+    D, k = (1, 0), 3
+    bump = GaugeSeries(model, 3, {D: model.basis_class(k).scaled(HLaurent.term(Fraction(7, 6), 0))})
+    broken = HMatrix(model, 3, (solved.rows[0] + bump,) + solved.rows[1:])
+    report = broken.check_system()
+    assert report["status"] == "fail"
+    witness = report["witnesses"][0]
+    assert (witness["direction"], witness["row"], witness["degree"]) == (1, 0, [1, 0])
+    i, k = witness["entry"]
+    want = broken.rows[0].theta(1).coeff(witness["degree"]).coords[k]
+    assert witness["got"] == want.to_json()
+    values = [v for side in ("expected", "got") for _, v in witness[side]]
+    assert any("/" in v for v in values)
+    assert all(str(Fraction(v)) == v for v in values)
 
 
 def test_build_H_rejects_wrong_rowspec():

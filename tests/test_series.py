@@ -2,13 +2,26 @@
 
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoh.algebra import HLaurent, NovikovSeries
-from qcoh.model import CohClass, builtin_model
-from qcoh.series import CohSeries, GaugeSeries
+from qcoh.model import CohClass, builtin_model, load_model
+from qcoh.sections import closed_form
+from qcoh.series import (
+    CohSeries,
+    GaugeSeries,
+    _add_term,
+    _flat,
+    _from_flat,
+    _pruned,
+    _same,
+    _theta_flat,
+)
+
+RESCALED = Path(__file__).resolve().parent / "golden" / "f3-rescaled.model"
 
 
 def _unit_series(model, order):
@@ -134,3 +147,42 @@ def test_subclass_preserved_by_arithmetic():
     assert isinstance(s + s, GaugeSeries)
     assert isinstance(s.scaled(2), GaugeSeries)
     assert isinstance(s.shifted((1,)), GaugeSeries)
+
+
+# -- flat exact coordinates: int numerators over one denominator ---------------
+# A Fraction numerator gives the same values as an int one, only slower, so
+# no output test can tell them apart; these tests look at the types.
+
+
+def _all_int(flat):
+    return all(type(n) is int for terms in flat.values() for n in terms.values())
+
+
+def test_flat_form_holds_only_int_numerators():
+    model = builtin_model("f3")
+    J = closed_form(model, 4)
+    flat, den = _flat(J)
+    assert type(den) is int and den > 1 and _all_int(flat)
+    assert _from_flat(model, 4, (flat, den)).c == J.c
+    stepped, sden = _theta_flat(model, (flat, den), 1)
+    assert sden == den and _all_int(stepped)
+    acc = {}
+    _add_term(acc, flat, 3, 1, (1, 0), 4)
+    _add_term(acc, stepped, -2, 0, (0, 0), 4)
+    summed, _ = _pruned(acc, den)
+    assert summed and _all_int(summed)
+
+
+def test_theta_on_rational_cup_table_is_integral_over_a_common_denominator():
+    # f3 in the basis 2 a^2, -3 b^2, 5 z: b_1 cup b_j has denominators 2, 3, 5
+    model = load_model(RESCALED)
+    J = closed_form(model, 3)
+    flat = _flat(J)
+    stepped = _theta_flat(model, flat, 1)
+    assert stepped[1] == 30 * flat[1] and _all_int(stepped[0])
+    assert _from_flat(model, 3, stepped).c == theta_by_definition(J, 1).c
+    # the same series over a larger denominator is equal by cross-products
+    num, den = stepped
+    doubled = {D: {key: 2 * n for key, n in terms.items()} for D, terms in num.items()}
+    assert _same(stepped, (doubled, 2 * den))
+    assert not _same(stepped, flat)

@@ -1,9 +1,13 @@
 """Operator application by one walk over shared theta prefixes: the walk
-against termwise application through theta_monomial, the number of theta
-steps it takes, and the same walk on t-polynomials (apply_constq,
-apply_classical) against termwise differentiation in t."""
+against termwise application of theta from its definition (cup by b_i on
+HLaurent classes plus d_i * h, without the flat theta kernel), the number
+of theta steps it takes, and the same walk on t-polynomials (apply_constq,
+apply_classical) against termwise differentiation in t.  f3-rescaled is
+f3 in a basis with cup denominators 2, 3 and 5, so its generator action
+is integral only over a common denominator."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 
 from qcoh.algebra import H, HLaurent, TPoly
 from qcoh import operators
-from qcoh.model import builtin_model
+from qcoh.model import builtin_model, load_model
 from qcoh.operators import (
     QDEOperator,
     apply_classical,
@@ -26,16 +30,50 @@ from qcoh.quantum import exp_quantum
 from qcoh.sections import asymptotic_J, closed_form, verify_annihilated
 from qcoh.series import CohSeries, GaugeSeries
 
-CLOSED_FORM_MODELS = ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1")
+CLOSED_FORM_MODELS = ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1", "f3-rescaled")
 ORDER = 4
+RESCALED = Path(__file__).resolve().parent / "golden" / "f3-rescaled.model"
 
 
-def reference_apply(op, s):
-    """The termwise definition: theta^E from scratch for every term, then
-    the q-shift and the h-scale."""
-    out = GaugeSeries(s.model, s.order, {})
+def model_named(name):
+    """A builtin, or f3-rescaled (named f3, in the basis 2 a^2, -3 b^2, 5 z)."""
+    return load_model(RESCALED) if name == "f3-rescaled" else builtin_model(name)
+
+
+def reference_theta(s, i):
+    """theta_i from its definition: on the q^D coefficient c, the cup
+    product b_i c by ModelSpec.cup on HLaurent classes plus d_i * h * c."""
+    model = s.model
+    b = model.basis_class(i).lifted()
+    terms = {
+        D: model.cup(b, cls) + cls.scaled(HLaurent.term(D[i - 1], 1))
+        for D, cls in s.c.items()
+    }
+    return GaugeSeries(model, s.order, terms)
+
+
+_MONOMIALS = {}
+
+
+def reference_monomial(name, word):
+    """theta_{w_1} ... theta_{w_n} of the closed-form J of a model, one
+    reference_theta per letter; each word is computed once per test run."""
+    key = (name, word)
+    if key not in _MONOMIALS:
+        if word:
+            _MONOMIALS[key] = reference_theta(reference_monomial(name, word[:-1]), word[-1])
+        else:
+            _MONOMIALS[key] = closed_form_J(name)
+    return _MONOMIALS[key]
+
+
+def reference_apply(op, name):
+    """The termwise definition on the closed-form J of a model: theta^E
+    letter by letter, theta_1 first, then the q-shift and the h-scale."""
+    out = GaugeSeries(closed_form_J(name).model, ORDER, {})
     for (hexp, qdeg, thexp), v in op.c.items():
-        part = s.theta_monomial(thexp)
+        word = tuple(i for i, e in enumerate(thexp, start=1) for _ in range(e))
+        part = reference_monomial(name, word)
         if any(qdeg):
             part = part.shifted(qdeg)
         out = out + part.scaled(HLaurent.term(v, hexp))
@@ -58,8 +96,7 @@ _J = {}
 
 def closed_form_J(name):
     if name not in _J:
-        model = builtin_model(name)
-        _J[name] = closed_form(model, ORDER)
+        _J[name] = closed_form(model_named(name), ORDER)
     return _J[name]
 
 
@@ -68,13 +105,14 @@ def test_walk_matches_termwise_application_on_shipped_operators(name):
     J = closed_form_J(name)
     model = J.model
     ops = builtin_operators(model) + [op.theta_part() for op in builtin_operators(model)]
-    if name in ("f3", "sigma1"):
-        ops += builtin_rowspec(model)
+    if model.name in ("f3", "sigma1"):
+        # as operators; the rows themselves are written for the builtin basis
+        ops += builtin_rowspec(builtin_model(model.name))
     got = apply_gauge_many(ops, J)
     assert len(got) == len(ops)
     for op, series in zip(ops, got):
         assert isinstance(series, GaugeSeries)
-        assert series.c == reference_apply(op, J).c, str(op)
+        assert series.c == reference_apply(op, name).c, str(op)
         assert apply_gauge(op, J).c == series.c
 
 
@@ -123,7 +161,7 @@ def shipped_operators(name):
 
 @st.composite
 def model_and_operators(draw):
-    name = draw(st.sampled_from(("cp1", "cp2", "f3", "sigma1")))
+    name = draw(st.sampled_from(("cp1", "cp2", "f3", "sigma1", "f3-rescaled")))
     A = draw(st.sampled_from(shipped_operators(name)))
     P = draw(inhomogeneous_factor(closed_form_J(name).model.rank))
     return name, P, A
@@ -138,7 +176,7 @@ def test_walk_matches_termwise_application_on_random_operators(case):
     got = apply_gauge_many(ops, J)
     assert not got[0]
     for op, series in zip(ops, got):
-        assert series.c == reference_apply(op, J).c, str(op)
+        assert series.c == reference_apply(op, name).c, str(op)
 
 
 # -- one theta-kernel call per distinct prefix ---------------------------------
@@ -192,7 +230,7 @@ _T_SERIES = {}
 def t_series(name):
     """exp_quantum and asymptotic_J of a builtin, built once per name."""
     if name not in _T_SERIES:
-        model = builtin_model(name)
+        model = model_named(name)
         _T_SERIES[name] = (
             model,
             exp_quantum(model, T_ORDER, T_NOVIKOV),
@@ -220,7 +258,7 @@ def t_operator(draw, rank, q_free):
 
 @st.composite
 def t_case(draw, q_free):
-    name = draw(st.sampled_from(("cp1", "cp3", "f3", "sigma1", "gr24")))
+    name = draw(st.sampled_from(("cp1", "cp3", "f3", "sigma1", "gr24", "f3-rescaled")))
     return name, draw(t_operator(t_series(name)[0].rank, q_free))
 
 
