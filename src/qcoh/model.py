@@ -574,18 +574,27 @@ def cp_dimension(name: str):
     return int(got.group(1)) if got else None
 
 
+def _builtin_tables(name: str) -> ModelSpec:
+    """The tables of the builtin named `name`, which must have one, not
+    validated: cp<m> built from m, the others read from data/NAME.model.
+    `builtin_model` is this, validated."""
+    m = cp_dimension(name)
+    if m is None:
+        with open(data_path(name + ".model"), "r", encoding="utf-8") as fh:
+            return ModelSpec.from_json(json.load(fh), check=False)
+    return _model_cp(m)
+
+
 def builtin_model(name: str) -> ModelSpec:
     """A built-in model: cp<m> is built for any positive m, the others are
     read from the shipped data/NAME.model."""
     name = name.strip().lower()
     m = cp_dimension(name)
-    if m is None:
-        if name not in BUILTIN_NAMES:
-            raise ModelError("unknown model %r" % name)
-        return load_model(data_path(name + ".model"))
-    if m < 1:
+    if m is None and name not in BUILTIN_NAMES:
+        raise ModelError("unknown model %r" % name)
+    if m is not None and m < 1:
         raise ModelError("projective space needs dimension >= 1")
-    model = _model_cp(m)
+    model = _builtin_tables(name)
     problems = model.validate()
     if problems:
         raise ModelError(["builtin %s failed validation" % name] + problems)

@@ -780,7 +780,7 @@ def builtin_rowspec(model: ModelSpec):
     are written for the builtin's basis, so a model whose pairing or cup
     table differs from the builtin's (the same ring in another basis)
     raises LookupError, as does a name with no shipped rows."""
-    from .model import builtin_model, data_path
+    from .model import _builtin_tables, data_path
 
     m = cp_dimension(model.name)
     if m:
@@ -789,7 +789,7 @@ def builtin_rowspec(model: ModelSpec):
         candidate = data_path("%s.rows" % model.name)
         if not candidate.is_file():
             raise LookupError("no row expressions shipped for model %r" % model.name)
-    builtin = builtin_model(model.name)
+    builtin = _builtin_tables(model.name)
     if model.pairing != builtin.pairing or model.cup_table != builtin.cup_table:
         raise LookupError(
             "the row expressions shipped for %r are written for the builtin "

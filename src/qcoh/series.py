@@ -315,8 +315,8 @@ class GaugeSeries(CohSeries):
         return _from_flat(self.model, self.order, flat)
 
     def theta_monomial(self, exps) -> "GaugeSeries":
-        """theta^E applied factor by factor, theta_1 first; the reference
-        for the shared-prefix walk in `operators.apply_gauge_many`."""
+        """theta^E applied factor by factor, theta_1 first: the path the
+        shared-prefix walk in `operators.apply_gauge_many` takes."""
         out = self
         for i, e in enumerate(exps, start=1):
             for _ in range(e):
