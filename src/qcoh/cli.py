@@ -18,6 +18,7 @@ from .model import (
     ModelError,
     ModelSpec,
     data_path,
+    read_cached,
     resolve_model,
 )
 from .operators import (
@@ -383,6 +384,10 @@ def cmd_gw(args):
 # -- classical ------------------------------------------------------------------
 
 
+def _fixture_entries(data: bytes):
+    return json.loads(data.decode("utf-8"))["entries"]
+
+
 def cmd_classical(args):
     model = _get_model(args.model)
     mat = asymptotic_H(model)
@@ -400,8 +405,8 @@ def cmd_classical(args):
 
     fixture = data_path("%s.classical.json" % model.name)
     if fixture.is_file():
-        stored = json.loads(fixture.read_text(encoding="utf-8"))
-        fixture_status = "match" if stored["entries"] == matjson else "mismatch"
+        stored = read_cached(fixture, _fixture_entries)
+        fixture_status = "match" if stored == matjson else "mismatch"
     else:
         fixture_status = "absent"
 

@@ -12,16 +12,48 @@ Grassmannian of 2-planes in C^4, read from their shipped model files.
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
+from functools import cache
 from importlib import resources
+from types import MappingProxyType
 
 from .algebra import HLaurent, format_rational, rational
 
 
+@cache
+def _data_dir():
+    return resources.files("qcoh").joinpath("data")
+
+
 def data_path(name: str):
     """Path to a shipped data file."""
-    return resources.files("qcoh").joinpath("data", name)
+    return _data_dir().joinpath(name)
+
+
+# (str(path), build, *args) -> (bytes, value) of the last successful build
+_BUILT = {}
+
+
+def read_cached(path, build, *args):
+    """build(data, *args) for the bytes `data` of the file at `path`.
+
+    The file is read on every call, so an edit is always seen.  The value
+    is built, which parses and validates, only when the bytes differ from
+    those of the last successful build for the same path, build and args;
+    otherwise the value built then is returned, shared with every earlier
+    caller, so it must be immutable.  There is one entry per (path, build,
+    args), and a build that raises stores nothing."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    key = (str(path), build) + args
+    hit = _BUILT.get(key)
+    if hit is not None and hit[0] == data:
+        return hit[1]
+    value = build(data, *args)
+    _BUILT[key] = (data, value)
+    return value
 
 
 class ModelError(ValueError):
@@ -111,7 +143,26 @@ class CohClass:
 
 
 class ModelSpec:
-    """Complete description of one small quantum cohomology ring."""
+    """Complete description of one small quantum cohomology ring.
+
+    Instances are immutable: attributes cannot be assigned and the tables
+    are read-only mappings, so one validated model is shared by every
+    caller that loads the same file or builtin (see `read_cached`)."""
+
+    __slots__ = (
+        "name",
+        "dim",
+        "rank",
+        "labels",
+        "degrees",
+        "pairing",
+        "cup_table",
+        "_cup_entries",
+        "quantum_table",
+        "chern",
+        "aliases",
+        "_dual",
+    )
 
     def __init__(
         self,
@@ -126,24 +177,36 @@ class ModelSpec:
         chern,
         aliases=None,
     ):
-        self.name = name
-        self.dim = int(dim)
-        self.rank = int(rank)
-        self.labels = tuple(labels)
-        self.degrees = tuple(int(d) for d in degrees)
-        self.pairing = tuple(tuple(int(x) for x in row) for row in pairing)
-        # cup[(i,j)] and quantum[(i,j)][D] are CohClass values over Fraction,
-        # stored for every ordered pair
-        self.cup_table = dict(cup)
-        # the nonzero entries (k, c) of every cup product b_i cup b_j
-        self._cup_entries = {
-            key: tuple((k, c) for k, c in enumerate(cls.coords) if c)
-            for key, cls in self.cup_table.items()
+        fields = {
+            "name": name,
+            "dim": int(dim),
+            "rank": int(rank),
+            "labels": tuple(labels),
+            "degrees": tuple(int(d) for d in degrees),
+            "pairing": tuple(tuple(int(x) for x in row) for row in pairing),
+            # cup[(i,j)] and quantum[(i,j)][D] are CohClass values over
+            # Fraction, stored for every ordered pair
+            "cup_table": MappingProxyType(dict(cup)),
+            # the nonzero entries (k, c) of every cup product b_i cup b_j
+            "_cup_entries": {
+                key: tuple((k, c) for k, c in enumerate(cls.coords) if c)
+                for key, cls in cup.items()
+            },
+            "quantum_table": MappingProxyType(
+                {key: MappingProxyType(dict(parts)) for key, parts in quantum.items()}
+            ),
+            "chern": tuple(int(c) for c in chern),
+            "aliases": MappingProxyType(dict(aliases or {})),
+            "_dual": None,
         }
-        self.quantum_table = dict(quantum)
-        self.chern = tuple(int(c) for c in chern)
-        self.aliases = dict(aliases or {})
-        self._dual = None
+        for key, value in fields.items():
+            object.__setattr__(self, key, value)
+
+    def __setattr__(self, key, value):
+        raise AttributeError("a ModelSpec is immutable; cannot set %r" % key)
+
+    def __delattr__(self, key):
+        raise AttributeError("a ModelSpec is immutable; cannot delete %r" % key)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -223,10 +286,11 @@ class ModelSpec:
         """Classes a_0..a_s with <a_i, b_j> = delta_ij."""
         if self._dual is None:
             ginv = _invert_rational_matrix(self.pairing)
-            self._dual = tuple(
+            dual = tuple(
                 CohClass(tuple(ginv[i][j] for j in range(self.size)))
                 for i in range(self.size)
             )
+            object.__setattr__(self, "_dual", dual)
         return self._dual
 
     def coords_along_dual(self, x: CohClass):
@@ -235,8 +299,9 @@ class ModelSpec:
 
     # -- quantum structure ---------------------------------------------------
 
-    def qprod_basis(self, i, j) -> dict:
-        """Full product b_i o b_j as a dict {multidegree: CohClass}."""
+    def qprod_basis(self, i, j):
+        """Full product b_i o b_j as a read-only mapping {multidegree:
+        CohClass}."""
         return self.quantum_table[(i, j)]
 
     def quantum_part(self, j, D):
@@ -303,6 +368,12 @@ class ModelSpec:
             except ZeroDivisionError:
                 problems.append("pairing matrix is singular")
         qdeg = self.qdegrees
+        if len(qdeg) != self.rank:
+            # every q-term would then read as a grading violation
+            problems.append(
+                "chern list has %d entries, not rank %d" % (len(qdeg), self.rank)
+            )
+            qdeg = None
         for i in range(s):
             for j in range(s):
                 if (i, j) not in self.cup_table:
@@ -338,6 +409,8 @@ class ModelSpec:
                         problems.append(
                             "bad multidegree %r in product (%d,%d)" % (D, i, j)
                         )
+                        continue
+                    if qdeg is None:
                         continue
                     shift = sum(d * w for d, w in zip(D, qdeg))
                     for k, c in enumerate(cls.coords):
@@ -393,69 +466,74 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, data, check=True):
+        """The model a parsed .model file describes.  A missing or malformed
+        field raises ModelError naming it; with `check`, so does a model
+        that fails `validate`."""
+        if not isinstance(data, dict):
+            raise ModelError("a model is a JSON object, not %s" % type(data).__name__)
         problems = []
         for key in ("name", "dim", "rank", "basis", "pairing", "cup", "quantum", "chern"):
             if key not in data:
                 problems.append("missing field %r" % key)
         if problems:
             raise ModelError(problems)
-        labels = [b["label"] for b in data["basis"]]
-        degrees = [b["degree"] for b in data["basis"]]
+        labels, degrees = [], []
+        for b in _field(data, "basis", _checked(list), "a list"):
+            where = "basis record %r" % (b,)
+            labels.append(_field(b, "label", _checked(str), "a string", where))
+            degrees.append(_field(b, "degree", int, "an integer", where))
         size = len(labels)
-        rank = int(data["rank"])
+        rank = _field(data, "rank", int, "an integer")
+
+        def records(what):
+            for rec in _field(data, what, _checked(list), "a list"):
+                where = "%s record %r" % (what, rec)
+                i, j, k = (_field(rec, x, int, "an integer", where) for x in "ijk")
+                if not (0 <= i < size and 0 <= j < size and 0 <= k < size):
+                    raise ModelError("%s out of range" % where)
+                c = _field(
+                    rec, "c", rational, "an integer or a 'p/q' string with q != 0", where
+                )
+                yield rec, where, (i, j), k, c
+
+        zero = Fraction(0)
         cup_raw = {}
-        for rec in data["cup"]:
-            i, j, k = rec["i"], rec["j"], rec["k"]
-            if not (0 <= i < size and 0 <= j < size and 0 <= k < size):
-                raise ModelError("cup record %r out of range" % (rec,))
-            cup_raw.setdefault((i, j), {})[k] = rational(rec["c"])
+        for _, _, key, k, c in records("cup"):
+            cup_raw.setdefault(key, {})[k] = c
         quantum_raw = {}
-        for rec in data["quantum"]:
-            i, j, k = rec["i"], rec["j"], rec["k"]
-            if not (0 <= i < size and 0 <= j < size and 0 <= k < size):
-                raise ModelError("quantum record %r out of range" % (rec,))
-            D = tuple(int(x) for x in rec["D"])
+        for rec, where, key, k, c in records("quantum"):
+            D = _field(rec, "D", _int_list, "a list of integers", where)
             if len(D) != rank:
-                raise ModelError("quantum record %r has wrong rank" % (rec,))
-            quantum_raw.setdefault((i, j), {}).setdefault(D, {})[k] = rational(rec["c"])
+                raise ModelError("%s has wrong rank" % where)
+            quantum_raw.setdefault(key, {}).setdefault(D, {})[k] = c
 
-        def densify(table, inner=False):
-            out = {}
-            for key, val in table.items():
-                if inner:
-                    out[key] = {
-                        D: CohClass(
-                            tuple(coords.get(k, Fraction(0)) for k in range(size))
-                        )
-                        for D, coords in val.items()
-                    }
-                else:
-                    out[key] = CohClass(
-                        tuple(val.get(k, Fraction(0)) for k in range(size))
-                    )
-            return out
+        def dense(coords):
+            return CohClass(tuple(coords.get(k, zero) for k in range(size)))
 
-        cup = densify(cup_raw)
-        quantum = densify(quantum_raw, inner=True)
-        zero_cls = CohClass((Fraction(0),) * size)
+        cup = {key: dense(coords) for key, coords in cup_raw.items()}
+        quantum = {
+            key: {D: dense(coords) for D, coords in parts.items()}
+            for key, parts in quantum_raw.items()
+        }
+        zero_cls = CohClass((zero,) * size)
         for i in range(size):
             for j in range(size):
                 key, mirror = (i, j), (j, i)
                 if key not in cup:
                     cup[key] = cup.get(mirror, zero_cls)
                 if key not in quantum:
-                    quantum[key] = dict(quantum.get(mirror, {}))
+                    quantum[key] = quantum.get(mirror, {})
         model = cls(
-            name=data["name"],
-            dim=data["dim"],
+            name=_field(data, "name", _checked(str), "a string"),
+            dim=_field(data, "dim", int, "an integer"),
             rank=rank,
             labels=labels,
             degrees=degrees,
-            pairing=data["pairing"],
+            pairing=_field(data, "pairing", _int_rows, "a list of integer rows"),
             cup=cup,
             quantum=quantum,
-            chern=data["chern"],
-            aliases=data.get("aliases", {}),
+            chern=_field(data, "chern", _int_list, "a list of integers"),
+            aliases=_field(data, "aliases", _checked(dict), "an object", default={}),
         )
         if check:
             problems = model.validate()
@@ -470,6 +548,45 @@ class ModelSpec:
             self.rank,
             self.size,
         )
+
+
+def _field(record, key, convert, expected, where="model", default=None):
+    """convert(record[key]), or `default` when the key is absent and a
+    default is given; a missing or malformed value raises ModelError that
+    names `where`, the field and what was `expected`."""
+    try:
+        value = record[key]
+    except KeyError:
+        if default is not None:
+            return default
+        raise ModelError("%s has no field %r" % (where, key)) from None
+    except TypeError:
+        raise ModelError("%s is not a JSON object" % where) from None
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise ModelError(
+            "%s field %r is not %s: %r" % (where, key, expected, value)
+        ) from None
+
+
+def _checked(kind):
+    """A converter that passes values of type `kind` through unchanged."""
+
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError("not a %s" % kind.__name__)
+        return value
+
+    return check
+
+
+def _int_list(value):
+    return tuple(int(x) for x in _checked(list)(value))
+
+
+def _int_rows(value):
+    return [_int_list(row) for row in _checked(list)(value)]
 
 
 def _invert_rational_matrix(m):
@@ -574,41 +691,46 @@ def cp_dimension(name: str):
     return int(got.group(1)) if got else None
 
 
-def _builtin_tables(name: str) -> ModelSpec:
-    """The tables of the builtin named `name`, which must have one, not
-    validated: cp<m> built from m, the others read from data/NAME.model.
-    `builtin_model` is this, validated."""
-    m = cp_dimension(name)
-    if m is None:
-        with open(data_path(name + ".model"), "r", encoding="utf-8") as fh:
-            return ModelSpec.from_json(json.load(fh), check=False)
-    return _model_cp(m)
-
-
 def builtin_model(name: str) -> ModelSpec:
-    """A built-in model: cp<m> is built for any positive m, the others are
-    read from the shipped data/NAME.model."""
+    """A built-in model, validated: cp<m> is built for any positive m, once
+    per process, and the others are read from the shipped data/NAME.model
+    with `load_model`."""
     name = name.strip().lower()
     m = cp_dimension(name)
     if m is None and name not in BUILTIN_NAMES:
         raise ModelError("unknown model %r" % name)
     if m is not None and m < 1:
         raise ModelError("projective space needs dimension >= 1")
-    model = _builtin_tables(name)
+    try:
+        if m is None:
+            return load_model(data_path(name + ".model"))
+        return _projective_space(m)
+    except ModelError as exc:
+        raise ModelError(["builtin %s failed validation" % name] + exc.problems) from None
+
+
+@cache
+def _projective_space(m: int) -> ModelSpec:
+    model = _model_cp(m)
     problems = model.validate()
     if problems:
-        raise ModelError(["builtin %s failed validation" % name] + problems)
+        raise ModelError(problems)
     return model
 
 
+def _model_from_bytes(data: bytes) -> ModelSpec:
+    try:
+        parsed = json.loads(data.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ModelError("not valid JSON: %s" % exc) from exc
+    return ModelSpec.from_json(parsed)
+
+
 def load_model(path) -> ModelSpec:
-    """Load and validate a .model JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError("not valid JSON: %s" % exc) from exc
-    return ModelSpec.from_json(data)
+    """Load and validate a .model JSON file.  The model is shared with
+    every earlier load of the same bytes from the same path, which is not
+    parsed or validated again (`read_cached`)."""
+    return read_cached(path, _model_from_bytes)
 
 
 def save_model(model: ModelSpec, path):
@@ -627,8 +749,6 @@ def resolve_model(name: str, search_path=None) -> ModelSpec:
     NAME.model on the search path (a list of directories, e.g. from
     QCOH_MODEL_PATH).  A builtin name that fails to build (such as cp0)
     reports its own error instead of falling through."""
-    import os
-
     if _is_builtin_name(name):
         return builtin_model(name)
     if os.path.isfile(name):

@@ -9,13 +9,14 @@ the left, obtained by the rewrite theta_i q_j = q_j (theta_i + delta_ij h).
 
 from __future__ import annotations
 
+import io
 import re
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm, prod
 
 from .algebra import TPoly, format_rational, rational
-from .model import ModelSpec, cp_dimension
+from .model import ModelSpec, builtin_model, cp_dimension, data_path, read_cached
 from .quantum import QElem, quantum_monomial
 from .series import (
     CohSeries,
@@ -551,25 +552,44 @@ def parse_relation(src: str, rank: int) -> RelPoly:
 def read_expression_lines(path, subs=None):
     """Expression-per-line text files; '#' starts a comment, blanks skipped.
     `subs` maps placeholder names to replacement text."""
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if subs:
-                for key, val in subs.items():
-                    line = line.replace(key, val)
-            out.append(line)
+        return _expression_lines(fh, subs)
+
+
+def _expression_lines(lines, subs):
+    out = []
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if subs:
+            for key, val in subs.items():
+                line = line.replace(key, val)
+        out.append(line)
     return out
 
 
+def _parsed_lines(data, parse, rank, subs):
+    """The expressions of an expression file's bytes, read as
+    `read_expression_lines` reads the file, each parsed by `parse`."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    return tuple(parse(line, rank) for line in _expression_lines(text, dict(subs)))
+
+
+def _load(path, parse, rank, subs):
+    """A fresh list of the file's parsed expressions, parsed once per
+    distinct content and shared (`read_cached`); `subs` keeps its order,
+    since the substitutions apply in turn."""
+    subs = tuple(subs.items()) if subs else ()
+    return list(read_cached(path, _parsed_lines, parse, rank, subs))
+
+
 def load_operators(path, rank, subs=None):
-    return [parse_operator(line, rank) for line in read_expression_lines(path, subs)]
+    return _load(path, parse_operator, rank, subs)
 
 
 def load_relations(path, rank, subs=None):
-    return [parse_relation(line, rank) for line in read_expression_lines(path, subs)]
+    return _load(path, parse_relation, rank, subs)
 
 
 def load_rowspec(path, rank, subs=None):
@@ -751,8 +771,6 @@ def expression_substitutions(model: ModelSpec):
 
 def builtin_operator_file(model: ModelSpec):
     """(path, substitutions) of the operator file shipped for the model."""
-    from .model import data_path
-
     if cp_dimension(model.name):
         return data_path("cpm.ops"), expression_substitutions(model)
     candidate = data_path("%s.ops" % model.name)
@@ -780,8 +798,6 @@ def builtin_rowspec(model: ModelSpec):
     are written for the builtin's basis, so a model whose pairing or cup
     table differs from the builtin's (the same ring in another basis)
     raises LookupError, as does a name with no shipped rows."""
-    from .model import _builtin_tables, data_path
-
     m = cp_dimension(model.name)
     if m:
         texts = ["D1^%d" % (m - i) for i in range(m)] + ["1"]
@@ -789,7 +805,7 @@ def builtin_rowspec(model: ModelSpec):
         candidate = data_path("%s.rows" % model.name)
         if not candidate.is_file():
             raise LookupError("no row expressions shipped for model %r" % model.name)
-    builtin = _builtin_tables(model.name)
+    builtin = builtin_model(model.name)
     if model.pairing != builtin.pairing or model.cup_table != builtin.cup_table:
         raise LookupError(
             "the row expressions shipped for %r are written for the builtin "
@@ -802,8 +818,6 @@ def builtin_rowspec(model: ModelSpec):
 
 
 def builtin_relations(model: ModelSpec):
-    from .model import data_path
-
     m = cp_dimension(model.name)
     if m:
         return load_relations(data_path("cpm.rel"), 1, {"M1": str(m + 1)})

@@ -104,6 +104,15 @@ CORPUS = {
         "tilde", "--model", "f3-nonintegrable.model", "--t-order", "5"
     ],
     "check-nonintegrable": ["check", "--model", "f3-nonintegrable.model"],
+    # malformed model files: each command exits 2 naming the bad field
+    **{
+        "%s-%s" % (cmd, bad.stem): argv + ["bad/%s" % bad.name]
+        for bad in sorted((GOLDEN / "bad").glob("*.model"))
+        for cmd, argv in (
+            ("models-validate", ["models", "validate"]),
+            ("check", ["check", "--model"]),
+        )
+    },
 }
 
 QFACTOR_CORPUS = {"f3": 3, "sigma1": 4, "cp2": 3, "cp3": 4}
@@ -172,6 +181,18 @@ def test_golden_output(name):
     assert code == stored["exit"]
     assert out == ("" if stored["stdout"] is None else _dump(stored["stdout"]))
     assert _parsed(err) == stored["stderr"]
+
+
+def test_golden_corpus_replays_the_same_when_warm():
+    # the loaded models and files are shared within a process: a second
+    # pass, in the reverse order, must not see an entry a command altered
+    passes = [sorted(CORPUS), sorted(CORPUS, reverse=True)]
+    runs = [{name: _run(CORPUS[name]) for name in names} for names in passes]
+    assert runs[1] == runs[0]
+    for name, (code, out, _) in runs[1].items():
+        stored = json.loads((GOLDEN / ("%s.json" % name)).read_text(encoding="utf-8"))
+        assert code == stored["exit"]
+        assert out == ("" if stored["stdout"] is None else _dump(stored["stdout"]))
 
 
 @pytest.mark.parametrize("name", sorted(QFACTOR_CORPUS))

@@ -4,10 +4,12 @@ import json
 import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qcoh.algebra import HLaurent
+from qcoh.cli import main
 from qcoh.model import (
     BUILTIN_NAMES,
     CohClass,
@@ -269,3 +271,86 @@ def test_package_root_exports_model_api():
         "BUILTIN_NAMES",
     ):
         assert hasattr(qcoh, name), name
+
+
+# -- malformed files ----------------------------------------------------------
+
+MALFORMED = sorted((Path(__file__).resolve().parent / "golden" / "bad").glob("*.model"))
+
+
+@pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.name)
+def test_malformed_field_raises_model_error_naming_it(path):
+    with pytest.raises(ModelError, match="field '(D|c|dim)' is not"):
+        load_model(path)
+    with pytest.raises(ModelError, match="field '(D|c|dim)' is not"):
+        ModelSpec.from_json(json.loads(path.read_text()), check=False)
+
+
+def test_validate_reports_a_chern_list_of_the_wrong_length_once():
+    data = builtin_model("f3").to_json()
+    data["chern"] = [2]
+    model = ModelSpec.from_json(data, check=False)
+    assert model.validate() == ["chern list has 1 entries, not rank 2"]
+
+
+# -- one load per content --------------------------------------------------------
+
+
+def _main(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_model_file_edited_between_main_calls_is_reloaded(capsys, tmp_path):
+    path = tmp_path / "edited.model"
+    argv = ["models", "show", str(path)]
+    save_model(builtin_model("cp2"), path)
+    code, out, _ = _main(capsys, argv)
+    assert code == 0 and json.loads(out)["dim"] == 2
+    assert load_model(path) is load_model(path)
+    save_model(builtin_model("cp3"), path)
+    code, out, _ = _main(capsys, argv)
+    assert code == 0 and json.loads(out)["dim"] == 3
+    # an edit that keeps the file's length is seen as well
+    path.write_text(path.read_text().replace('"cp3"', '"cq3"'))
+    code, out, _ = _main(capsys, argv)
+    assert code == 0 and json.loads(out)["name"] == "cq3"
+
+
+def test_bad_edit_exits_2_and_the_old_model_is_not_served(capsys, tmp_path):
+    path = tmp_path / "edited.model"
+    argv = ["check", "--model", str(path), "--n", "2"]
+    save_model(builtin_model("cp2"), path)
+    good = path.read_bytes()
+    assert _main(capsys, argv)[0] == 0
+    invalid = builtin_model("cp2").to_json()
+    invalid["basis"][1]["degree"] = 4
+    edits = [bad.read_bytes() for bad in MALFORMED]
+    edits += [b"{", json.dumps(invalid).encode()]
+    for edit in edits:
+        path.write_bytes(edit)
+        for _ in range(2):
+            code, out, err = _main(capsys, argv)
+            assert code == 2 and not out
+            assert "cannot load model" in json.loads(err)["error"]
+    path.write_bytes(good)
+    assert _main(capsys, argv)[0] == 0
+
+
+def test_shared_model_cannot_be_mutated():
+    model = builtin_model("f3")
+    assert builtin_model("f3") is model
+    assert builtin_model("cp2") is builtin_model("cp2")
+    with pytest.raises(TypeError):
+        model.cup_table[(0, 0)] = model.zero_class()
+    with pytest.raises(TypeError):
+        model.quantum_table[(1, 1)][(1, 0)] = model.zero_class()
+    with pytest.raises(TypeError):
+        model.aliases["x"] = "f3"
+    with pytest.raises(AttributeError):
+        model.cup_table = {}
+    with pytest.raises(AttributeError):
+        model.rank = 3
+    with pytest.raises(AttributeError):
+        del model.name

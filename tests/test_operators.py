@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qcoh
 from qcoh.algebra import HLaurent
+from qcoh.cli import main
 from qcoh.model import builtin_model, load_model
 from qcoh.operators import (
     ParseError,
@@ -20,9 +22,12 @@ from qcoh.operators import (
     builtin_relations,
     builtin_rowspec,
     defining_count,
+    load_operators,
+    load_relations,
     load_rowspec,
     parse_operator,
     parse_relation,
+    read_expression_lines,
     symbol_map,
 )
 from qcoh.quantum import eval_relation
@@ -160,6 +165,57 @@ def test_builtin_rowspec_refuses_a_model_in_another_basis():
         builtin_rowspec(load_model(path))
     with pytest.raises(LookupError, match="gr24"):
         builtin_rowspec(builtin_model("gr24"))
+
+
+SHIPPED_EXPRESSIONS = sorted(
+    path
+    for path in (Path(qcoh.__file__).resolve().parent / "data").iterdir()
+    if path.suffix in (".ops", ".rel", ".rows")
+)
+
+
+@pytest.mark.parametrize("path", SHIPPED_EXPRESSIONS, ids=lambda p: p.name)
+def test_loaded_expressions_equal_parse_of_every_shipped_line(path):
+    if path.stem == "cpm":
+        cases = [(1, {"M1": str(m + 1)}) for m in range(1, 6)]
+    else:
+        cases = [(builtin_model(path.stem).rank, None)]
+    relations = path.suffix == ".rel"
+    parse = parse_relation if relations else parse_operator
+    load = load_relations if relations else load_operators
+    for rank, subs in cases:
+        want = [parse(line, rank) for line in read_expression_lines(path, subs)]
+        assert want
+        # the first call may parse the file, the second reuses it
+        assert load(path, rank, subs) == want
+        assert load(path, rank, subs) == want
+
+
+def test_loaders_hand_out_fresh_lists():
+    model = builtin_model("f3")
+    ops = builtin_operators(model)
+    want = [str(op) for op in ops]
+    ops.reverse()
+    ops.append(ops[0])
+    assert [str(op) for op in builtin_operators(model)] == want
+    rels = builtin_relations(model)
+    rels.clear()
+    assert builtin_relations(model)
+
+
+def test_operator_file_edited_between_main_calls_is_reloaded(capsys, tmp_path):
+    path = tmp_path / "edited.ops"
+    argv = ["jfun", "--model", "cp1", "--closed-form", "--verify", str(path), "--n", "3"]
+    # each edit but the syntax error keeps the file's length
+    for text, code in [
+        ("D1^2 - q1\n", 0),
+        ("D1^2 + q1\n", 1),
+        ("D1^2 - \n", 2),
+        ("D1^2 - q1\n", 0),
+    ]:
+        path.write_text(text)
+        assert main(argv) == code
+    capsys.readouterr()
 
 
 def test_builtin_operators_missing_for_gr24():
