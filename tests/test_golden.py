@@ -104,6 +104,10 @@ CORPUS = {
         "tilde", "--model", "f3-nonintegrable.model", "--t-order", "5"
     ],
     "check-nonintegrable": ["check", "--model", "f3-nonintegrable.model"],
+    # the rescaled f3: quantum structure constants with denominators 2, 3
+    # and 5 in the ring checks and the quantum exponential
+    "check-rescaled": ["check", "--model", "f3-rescaled.model", "--n", "4"],
+    "tilde-rescaled": ["tilde", "--model", "f3-rescaled.model", "--t-order", "6"],
     # malformed model files: each command exits 2 naming the bad field
     **{
         "%s-%s" % (cmd, bad.stem): argv + ["bad/%s" % bad.name]
