@@ -43,7 +43,6 @@ from .quantum import (
     exp_quantum,
     integrate_connection,
     mult_matrix,
-    qmul,
     quantum_monomial,
 )
 from .sections import (

@@ -214,7 +214,7 @@ def _relations_report(model, rels, order, source):
     witnesses = []
     for rel in rels:
         value = eval_relation(model, rel, order)
-        if value.c:
+        if value:
             witnesses.append({"relation": str(rel), "value": value.describe()})
     return {
         "check": "relations",

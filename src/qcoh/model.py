@@ -16,6 +16,7 @@ import os
 import re
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from importlib import resources
 from types import MappingProxyType
 
@@ -162,6 +163,7 @@ class ModelSpec:
         "chern",
         "aliases",
         "_dual",
+        "_qrows",
     )
 
     def __init__(
@@ -198,6 +200,7 @@ class ModelSpec:
             "chern": tuple(int(c) for c in chern),
             "aliases": MappingProxyType(dict(aliases or {})),
             "_dual": None,
+            "_qrows": None,
         }
         for key, value in fields.items():
             object.__setattr__(self, key, value)
@@ -304,6 +307,26 @@ class ModelSpec:
         CohClass}."""
         return self.quantum_table[(i, j)]
 
+    def quantum_rows(self):
+        """(qden, table): the quantum table over qden, the lcm of its
+        denominators.  table[i][j] lists b_i o b_j by total degree, as terms
+        (|D|, D, ((k, n), ...)) for sum of n/qden q^D b_k.  Built once."""
+        if self._qrows is None:
+            parts = self.quantum_table
+            coords = [c.coords for p in parts.values() for c in p.values()]
+            qden = lcm(*(a.denominator for v in coords for a in v))
+            table = [[()] * self.size for _ in range(self.size)]
+            for (i, j), p in parts.items():
+                table[i][j] = tuple(
+                    sorted(
+                        (sum(D), D, tuple((k, int(a * qden)) for k, a in enumerate(c.coords) if a))
+                        for D, c in p.items()
+                        if c
+                    )
+                )
+            object.__setattr__(self, "_qrows", (qden, tuple(map(tuple, table))))
+        return self._qrows
+
     def quantum_part(self, j, D):
         """Matrix of the q^D part of multiplication by b_j (None if absent)."""
         cols = []
@@ -340,15 +363,21 @@ class ModelSpec:
             problems.append("basis labels are not distinct")
         if len(self.degrees) != s:
             problems.append("degree list length != basis size")
-        if self.degrees[0] != 0:
-            problems.append("b_0 must have degree 0")
-        if sum(1 for d in self.degrees if d == 0) != 1:
-            problems.append("the unit must be the only degree-0 basis element")
-        for i in range(1, self.rank + 1):
-            if self.degrees[i] != 2:
-                problems.append("generator b_%d must have degree 2" % i)
-        if self.degrees[self.top] != 2 * self.dim:
-            problems.append("last basis element must have top degree 2*dim")
+        if s < self.rank + 1:
+            problems.append(
+                "basis has %d elements, fewer than rank + 1 = %d (the unit "
+                "and the generators)" % (s, self.rank + 1)
+            )
+        elif len(self.degrees) == s:
+            if self.degrees[0] != 0:
+                problems.append("b_0 must have degree 0")
+            if sum(1 for d in self.degrees if d == 0) != 1:
+                problems.append("the unit must be the only degree-0 basis element")
+            for i in range(1, self.rank + 1):
+                if self.degrees[i] != 2:
+                    problems.append("generator b_%d must have degree 2" % i)
+            if self.degrees[self.top] != 2 * self.dim:
+                problems.append("last basis element must have top degree 2*dim")
         if len(self.pairing) != s or any(len(r) != s for r in self.pairing):
             problems.append("pairing matrix is not (s+1)x(s+1)")
         else:
@@ -481,14 +510,14 @@ class ModelSpec:
         for b in _field(data, "basis", _checked(list), "a list"):
             where = "basis record %r" % (b,)
             labels.append(_field(b, "label", _checked(str), "a string", where))
-            degrees.append(_field(b, "degree", int, "an integer", where))
+            degrees.append(_field(b, "degree", _integer, "an integer", where))
         size = len(labels)
-        rank = _field(data, "rank", int, "an integer")
+        rank = _field(data, "rank", _integer, "an integer")
 
         def records(what):
             for rec in _field(data, what, _checked(list), "a list"):
                 where = "%s record %r" % (what, rec)
-                i, j, k = (_field(rec, x, int, "an integer", where) for x in "ijk")
+                i, j, k = (_field(rec, x, _integer, "an integer", where) for x in "ijk")
                 if not (0 <= i < size and 0 <= j < size and 0 <= k < size):
                     raise ModelError("%s out of range" % where)
                 c = _field(
@@ -525,7 +554,7 @@ class ModelSpec:
                     quantum[key] = quantum.get(mirror, {})
         model = cls(
             name=_field(data, "name", _checked(str), "a string"),
-            dim=_field(data, "dim", int, "an integer"),
+            dim=_field(data, "dim", _integer, "an integer"),
             rank=rank,
             labels=labels,
             degrees=degrees,
@@ -581,8 +610,15 @@ def _checked(kind):
     return check
 
 
+def _integer(value):
+    """int(value), refusing rather than truncating a fractional float."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not integral")
+    return int(value)
+
+
 def _int_list(value):
-    return tuple(int(x) for x in _checked(list)(value))
+    return tuple(_integer(x) for x in _checked(list)(value))
 
 
 def _int_rows(value):

@@ -7,7 +7,8 @@ exponential of quantum multiplication by a degree-2 class.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
+from operator import add
 
 from .algebra import HLaurent, NovikovSeries, TPoly, format_rational
 from .model import CohClass, ModelSpec
@@ -23,29 +24,33 @@ class CheckFailure(Exception):
 
 
 class QElem:
-    """Element of the quantum ring: {multidegree: CohClass over Fraction},
-    truncated at total degree `order`.  Multiplication is the small quantum
-    product through the model's structure constants."""
+    """Element of the quantum ring, truncated at total degree `order`: int
+    rows {multidegree: {k: n}} over one denominator den > 0, q^D b_k having
+    coefficient n / den.  Canonical (no zeros, gcd of den and the n is 1),
+    so equal elements have equal rows.  Multiplication is the small quantum
+    product through `ModelSpec.quantum_rows`."""
 
-    __slots__ = ("model", "order", "c")
+    __slots__ = ("model", "order", "rows", "den")
 
     def __init__(self, model: ModelSpec, order: int, terms=None):
+        """`terms` maps multidegrees to CohClass values over Fraction."""
         self.model = model
         self.order = order
-        c = {}
-        if terms:
-            for D, cls in terms.items():
-                D = tuple(int(x) for x in D)
-                if len(D) != model.rank or any(x < 0 for x in D):
-                    raise ValueError("bad multidegree %r" % (D,))
-                if sum(D) <= order and cls:
-                    c[D] = cls
-        self.c = c
+        kept = {}
+        for D, cls in (terms or {}).items():
+            D = tuple(int(x) for x in D)
+            if len(D) != model.rank or any(x < 0 for x in D):
+                raise ValueError("bad multidegree %r" % (D,))
+            if sum(D) <= order:
+                kept[D] = cls.coords
+        den = lcm(*(a.denominator for v in kept.values() for a in v))
+        rows = {D: {k: int(a * den) for k, a in enumerate(v)} for D, v in kept.items()}
+        self.rows, self.den = _canonical(rows, den)
 
     @classmethod
     def basis(cls, model, order, i):
-        zero = (0,) * model.rank
-        return cls(model, order, {zero: model.basis_class(i)})
+        rows = {(0,) * model.rank: {i: 1}} if order >= 0 else {}
+        return cls(model, order)._new(rows, 1)
 
     @classmethod
     def unit(cls, model, order):
@@ -55,91 +60,92 @@ class QElem:
     def zero(cls, model, order):
         return cls(model, order)
 
-    def _new(self, terms):
-        out = QElem(self.model, self.order)
-        out.c = terms
+    def _new(self, rows, den):
+        out = object.__new__(QElem)
+        out.model, out.order = self.model, self.order
+        out.rows, out.den = _canonical(rows, den)
         return out
 
     def coeff(self, D) -> CohClass:
-        got = self.c.get(tuple(D))
-        return got if got is not None else self.model.zero_class()
+        row = self.rows.get(tuple(D), {})
+        return CohClass(Fraction(row.get(k, 0), self.den) for k in range(self.model.size))
+
+    @property
+    def c(self):
+        """The terms as a new dict {multidegree: CohClass over Fraction}."""
+        return {D: self.coeff(D) for D in self.rows}
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, QElem):
             return NotImplemented
-        return self.order == other.order and self.c == other.c
+        return (self.order, self.den, self.rows) == (other.order, other.den, other.rows)
 
     def __neg__(self):
-        return self._new({D: -cls for D, cls in self.c.items()})
+        return self.scaled(-1)
 
     def __add__(self, other):
         if not isinstance(other, QElem):
             return NotImplemented
         if self.order != other.order:
             raise ValueError("order mismatch")
-        c = dict(self.c)
-        for D, cls in other.c.items():
-            s = c[D] + cls if D in c else cls
-            if s:
-                c[D] = s
-            else:
-                c.pop(D, None)
-        return self._new(c)
+        den = lcm(self.den, other.den)
+        out = {}
+        for elem in (self, other):
+            m = den // elem.den
+            for D, row in elem.rows.items():
+                acc = out.setdefault(D, {})
+                for k, v in row.items():
+                    acc[k] = acc.get(k, 0) + m * v
+        return self._new(out, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, x):
-        c = {}
-        for D, cls in self.c.items():
-            s = cls.scaled(x)
-            if s:
-                c[D] = s
-        return self._new(c)
+        n, d = Fraction(x).as_integer_ratio()
+        rows = {D: {k: n * v for k, v in row.items()} for D, row in self.rows.items()}
+        return self._new(rows, self.den * d)
 
     def shifted(self, shift):
         shift = tuple(shift)
-        c = {}
-        for D, cls in self.c.items():
+        out = {}
+        for D, row in self.rows.items():
             nd = tuple(a + b for a, b in zip(D, shift))
             if sum(nd) <= self.order:
-                c[nd] = cls
-        return self._new(c)
+                out[nd] = row
+        return self._new(out, self.den)
 
     def __mul__(self, other):
-        """The quantum product, truncated at the series order."""
+        """The quantum product, truncated at the series order: numerators
+        times the integral structure constants, over den * den' * qden."""
         if not isinstance(other, QElem):
             return NotImplemented
         if self.order != other.order:
             raise ValueError("order mismatch")
-        model = self.model
+        qden, table = self.model.quantum_rows()
         out = {}
-        for D1, c1 in self.c.items():
-            for D2, c2 in other.c.items():
-                base = tuple(a + b for a, b in zip(D1, D2))
-                if sum(base) > self.order:
+        for D1, r1 in self.rows.items():
+            room1 = self.order - sum(D1)
+            for D2, r2 in other.rows.items():
+                room = room1 - sum(D2)
+                if room < 0:
                     continue
-                for i, xi in enumerate(c1.coords):
-                    if not xi:
-                        continue
-                    for j, yj in enumerate(c2.coords):
-                        if not yj:
-                            continue
-                        for Dq, cls in model.qprod_basis(i, j).items():
-                            nd = tuple(a + b for a, b in zip(base, Dq))
-                            if sum(nd) > self.order:
-                                continue
-                            add = cls.scaled(xi * yj)
-                            cur = out.get(nd)
-                            s = add if cur is None else cur + add
-                            if s:
-                                out[nd] = s
-                            else:
-                                out.pop(nd, None)
-        return self._new(out)
+                base = tuple(map(add, D1, D2))
+                for i, x in r1.items():
+                    products = table[i]
+                    for j, y in r2.items():
+                        p = x * y
+                        # terms come by total degree: stop at the first past room
+                        for n, Dq, terms in products[j]:
+                            if n > room:
+                                break
+                            acc = out.setdefault(tuple(map(add, base, Dq)), {})
+                            for k, c in terms:
+                                acc[k] = acc.get(k, 0) + c * p
+        return self._new(out, self.den * other.den * qden)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -153,7 +159,7 @@ class QElem:
         return sorted(self.c.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def describe(self):
-        if not self.c:
+        if not self.rows:
             return "0"
         parts = []
         for D, cls in self.items_sorted():
@@ -169,10 +175,15 @@ class QElem:
     __repr__ = describe
 
 
-def qmul(model: ModelSpec, x: QElem, y: QElem, order=None) -> QElem:
-    if order is not None and (x.order != order or y.order != order):
-        raise ValueError("operands do not carry the requested order")
-    return x * y
+def _canonical(rows, den):
+    """(rows, den) without zero numerators or empty rows, and with the gcd
+    of den and every numerator divided out; zero is ({}, 1)."""
+    rows = {D: r for D, row in rows.items() if (r := {k: v for k, v in row.items() if v})}
+    g = gcd(den, *(v for row in rows.values() for v in row.values()))
+    if g > 1:
+        den //= g
+        rows = {D: {k: v // g for k, v in row.items()} for D, row in rows.items()}
+    return rows, den
 
 
 def quantum_monomial(model: ModelSpec, order: int, exps, qshift=None) -> QElem:
@@ -442,6 +453,7 @@ def exp_quantum(model: ModelSpec, torder: int, order: int) -> TPoly:
     the prefix of e (e minus one at its last nonzero index) times one
     generator, one total degree after another."""
     rank = model.rank
+    ks = range(model.size)
     gens = [QElem.basis(model, order, i) for i in range(1, rank + 1)]
     coeffs = {}
     level = {(0,) * rank: QElem.unit(model, order)}
@@ -450,11 +462,11 @@ def exp_quantum(model: ModelSpec, torder: int, order: int) -> TPoly:
         for e, elem in below.items():
             if elem:
                 # the coefficient h^-l / e! of t^e
-                r = Fraction(1, prod(map(factorial, e)))
+                r = elem.den * prod(map(factorial, e))
                 cs = CohSeries(model, order)
                 cs.c = {
-                    D: CohClass(tuple(HLaurent({-l: r * a}) for a in cls.coords))
-                    for D, cls in elem.c.items()
+                    D: CohClass(HLaurent({-l: Fraction(row.get(k, 0), r)}) for k in ks)
+                    for D, row in elem.rows.items()
                 }
                 coeffs[e] = cs
             if l < torder:

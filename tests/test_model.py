@@ -354,3 +354,40 @@ def test_shared_model_cannot_be_mutated():
         model.rank = 3
     with pytest.raises(AttributeError):
         del model.name
+
+
+def test_fractional_basis_degree_is_refused_not_truncated():
+    data = builtin_model("cp1").to_json()
+    data["basis"][1]["degree"] = 2.9
+    with pytest.raises(ModelError, match="basis record .* field 'degree' is not an integer: 2.9"):
+        ModelSpec.from_json(data, check=False)
+    # an integral float is still the integer it spells
+    data["basis"][1]["degree"] = 2.0
+    assert ModelSpec.from_json(data).degrees == (0, 2)
+
+
+def _truncated_basis(name, size):
+    """The model's JSON with only its first `size` basis elements."""
+    data = builtin_model(name).to_json()
+    data["basis"] = data["basis"][:size]
+    for table in ("cup", "quantum"):
+        data[table] = [r for r in data[table] if max(r["i"], r["j"], r["k"]) < size]
+    data["pairing"] = [row[:size] for row in data["pairing"][:size]]
+    return data
+
+
+@pytest.mark.parametrize(
+    "name,size", [("cp1", 0), ("f3", 2)], ids=["empty", "shorter-than-rank-plus-1"]
+)
+def test_validate_reports_a_basis_too_short_for_its_generators(capsys, tmp_path, name, size):
+    data = _truncated_basis(name, size)
+    problems = ModelSpec.from_json(data, check=False).validate()
+    want = "basis has %d elements, fewer than rank + 1 = %d" % (size, data["rank"] + 1)
+    assert problems[0].startswith(want)
+    path = tmp_path / "short.model"
+    path.write_text(json.dumps(data))
+    for argv in (["models", "validate", str(path)], ["check", "--model", str(path)]):
+        code, out, err = _main(capsys, argv)
+        report = json.loads(out or err)
+        assert code == (1 if argv[0] == "models" else 2)
+        assert want in json.dumps(report)

@@ -3,13 +3,15 @@ relations, and the quantum exponential."""
 
 import itertools
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcoh.algebra import HLaurent, NovikovSeries, TPoly
-from qcoh.model import BUILTIN_NAMES, ModelSpec, builtin_model, load_model
+from qcoh.model import BUILTIN_NAMES, CohClass, ModelSpec, builtin_model, load_model
 from qcoh.operators import builtin_relations
 from qcoh.quantum import (
     CheckFailure,
@@ -296,3 +298,94 @@ def test_exp_quantum_keeps_the_product_order_of_a_non_associative_model():
     got = exp_quantum(model, 5, 4)
     assert got == exp_quantum_from_scratch(model, 5, 4, (1, 2))
     assert got != exp_quantum_from_scratch(model, 5, 4, (2, 1))
+
+
+# -- the fraction-free product against the dense Fraction product --------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# f3-rescaled has quantum structure constants with denominators 2, 3 and 5
+PRODUCT_MODELS = ("cp2", "f3", "sigma1", "gr24", "f3-rescaled")
+
+
+def _product_model(name):
+    if name == "f3-rescaled":
+        return load_model(GOLDEN / "f3-rescaled.model")
+    return builtin_model(name)
+
+
+def _dense_product(model, order, x, y):
+    """x o y for x, y of the form {D: [Fraction] * size}: for every pair of
+    nonzero coordinates, every q-term of qprod_basis(i, j) scaled and added
+    over all coordinates, truncated at `order`; zero classes left out."""
+    out = {}
+    for (D1, c1), (D2, c2) in itertools.product(x.items(), y.items()):
+        for (i, xi), (j, yj) in itertools.product(enumerate(c1), enumerate(c2)):
+            if not (xi and yj):
+                continue
+            for Dq, cls in model.qprod_basis(i, j).items():
+                nd = tuple(a + b + c for a, b, c in zip(D1, D2, Dq))
+                if sum(nd) > order:
+                    continue
+                acc = out.setdefault(nd, [Fraction(0)] * model.size)
+                for k, c in enumerate(cls.coords):
+                    acc[k] += xi * yj * c
+    return {D: CohClass(v) for D, v in out.items() if any(v)}
+
+
+def _assert_canonical(elem):
+    nums = [v for row in elem.rows.values() for v in row.values()]
+    assert all(type(v) is int and v for v in nums)
+    assert type(elem.den) is int and elem.den > 0
+    assert gcd(elem.den, *nums) == 1
+    assert elem.den == 1 or nums
+
+
+@st.composite
+def product_case(draw):
+    model = _product_model(draw(st.sampled_from(PRODUCT_MODELS)))
+    order = draw(st.integers(0, 3))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+    def element():
+        out = {}
+        degree = st.tuples(*[st.integers(0, order)] * model.rank)
+        for D, k, c in draw(
+            st.lists(
+                st.tuples(degree, st.integers(0, model.size - 1), coeff), max_size=4
+            )
+        ):
+            if sum(D) <= order:
+                out.setdefault(D, [Fraction(0)] * model.size)[k] += c
+        return out
+
+    return model, order, element(), element()
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_case())
+def test_product_matches_the_dense_fraction_product(case):
+    model, order, x, y = case
+    ex, ey = (
+        QElem(model, order, {D: CohClass(v) for D, v in e.items()}) for e in (x, y)
+    )
+    got = ex * ey
+    assert got.c == _dense_product(model, order, x, y)
+    for elem in (ex, ey, got):
+        _assert_canonical(elem)
+
+
+@pytest.mark.parametrize("name", PRODUCT_MODELS)
+def test_qelem_is_canonical(name):
+    model = _product_model(name)
+    gen, top = QElem.basis(model, 4, 1), QElem.basis(model, 4, model.top)
+    x = gen * top + gen.scaled(Fraction(2, 3)) + top.shifted((1,) * model.rank)
+    _assert_canonical(x)
+    assert x.scaled(6).scaled(Fraction(1, 6)) == x
+    assert x.scaled(Fraction(1, 5)) * gen.scaled(5) == x * gen
+    zero = x - x
+    assert not zero and zero == QElem.zero(model, 4) and zero.den == 1
+    # b_1 o b_top has only q-terms: at order 0 the truncated product is 0
+    assert gen * top
+    low = QElem.basis(model, 0, 1) * QElem.basis(model, 0, model.top)
+    assert not low and low == QElem.zero(model, 0)
