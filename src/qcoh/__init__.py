@@ -9,7 +9,6 @@ from .model import (
     ModelError,
     ModelSpec,
     builtin_model,
-    invert_unit,
     load_model,
     resolve_model,
     save_model,

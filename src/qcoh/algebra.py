@@ -135,15 +135,6 @@ class HLaurent:
                 base = base * base
         return out
 
-    def min_exp(self):
-        return min(self.c) if self.c else None
-
-    def max_exp(self):
-        return max(self.c) if self.c else None
-
-    def is_monomial(self):
-        return len(self.c) == 1
-
     def monomial_inverse(self):
         """Inverse, defined exactly when self is a single term c*h^k."""
         if len(self.c) != 1:
@@ -198,13 +189,8 @@ def _as_hlaurent(x):
     return NotImplemented
 
 
-H_ZERO = HLaurent()
 H_ONE = HLaurent.const(1)
 H = HLaurent.term(1, 1)
-
-
-def hlaurent(coeff, exp=0):
-    return HLaurent.term(coeff, exp)
 
 
 class NovikovSeries:

@@ -237,15 +237,6 @@ class ModelSpec:
     def unit(self):
         return self.basis_class(0)
 
-    def class_degree(self, x: CohClass):
-        """Degree if homogeneous, None for 0, ValueError otherwise."""
-        degs = {self.degrees[i] for i, a in enumerate(x.coords) if a}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("class is not homogeneous: %r" % (x,))
-        return degs.pop()
-
     # -- classical structure -----------------------------------------------
 
     def cup_basis(self, i, j) -> CohClass:
@@ -275,16 +266,6 @@ class ModelSpec:
             tuple(cols[i][k] for i in range(self.size)) for k in range(self.size)
         )
 
-    def pair(self, x: CohClass, y: CohClass):
-        out = 0
-        for i, xi in enumerate(x.coords):
-            if not xi:
-                continue
-            for j, g in enumerate(self.pairing[i]):
-                if g and y.coords[j]:
-                    out = out + xi * y.coords[j] * g
-        return out if out else Fraction(0)
-
     def dual_basis(self):
         """Classes a_0..a_s with <a_i, b_j> = delta_ij."""
         if self._dual is None:
@@ -295,10 +276,6 @@ class ModelSpec:
             )
             object.__setattr__(self, "_dual", dual)
         return self._dual
-
-    def coords_along_dual(self, x: CohClass):
-        """Coefficients lambda_j in x = sum_j lambda_j a_j, i.e. <x, b_j>."""
-        return tuple(self.pair(x, self.basis_class(j)) for j in range(self.size))
 
     # -- quantum structure ---------------------------------------------------
 
@@ -643,44 +620,6 @@ def _invert_rational_matrix(m):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[n:] for row in a]
-
-
-def invert_unit(model: ModelSpec, x: CohClass) -> CohClass:
-    """Invert a class of the form u * 1 + nilpotent, e.g. the factors
-    a + m*h appearing in hypergeometric denominators.  Over HLaurent u must
-    be a monomial in h; over the rationals (a + m at h = 1) u must be
-    nonzero, and the inverse stays rational.
-
-    The inverse is exact: the geometric series terminates because positive
-    degree classes are nilpotent of depth <= dim.
-    """
-    if any(isinstance(a, HLaurent) for a in x.coords):
-        x = x.lifted()
-        scalar = x.coords[0]
-        if not scalar.is_monomial():
-            raise ValueError(
-                "class is not invertible: unit component %r is not a monomial "
-                "in h" % (scalar,)
-            )
-        u = scalar.monomial_inverse()
-        one = model.unit().lifted()
-    else:
-        scalar = x.coords[0]
-        if not scalar:
-            raise ValueError("class is not invertible: unit component is 0")
-        u = Fraction(1) / scalar
-        one = model.unit()
-    n = x.scaled(u) - one
-    if n.coords[0]:
-        raise ValueError("unit component did not normalize; class %r" % (x,))
-    out = one
-    power = one
-    for _ in range(model.dim):
-        power = -model.cup(power, n)
-        if not power:
-            break
-        out = out + power
-    return out.scaled(u)
 
 
 # -- builtin models -------------------------------------------------------

@@ -17,17 +17,13 @@ from math import comb, lcm, prod
 
 from .algebra import TPoly, format_rational, rational
 from .model import ModelSpec, builtin_model, cp_dimension, data_path, read_cached
-from .quantum import QElem, quantum_monomial
+from .quantum import QElem, _eval_terms
 from .series import (
     CohSeries,
     GaugeSeries,
     _add_term,
-    _denominator,
-    _flat,
-    _from_flat,
+    _dt_flat,
     _generator_action,
-    _numerators,
-    _pruned,
     _theta_flat,
 )
 
@@ -632,25 +628,24 @@ def _prefix_walk(ops, start, theta):
         yield chain[-1], groups[word]
 
 
-def _apply_flat(ops, s: GaugeSeries) -> list:
-    """The walk behind `apply_gauge_many`, returning one flat series
-    (numerators, den) per operator (see series.py).
+def apply_gauge_many(ops, s: GaugeSeries) -> list:
+    """Apply several normal-ordered operators to one gauge-normalized
+    section, returning one GaugeSeries per operator, by one `_prefix_walk`
+    on the stored numerators of s over s.den.
 
-    s is unpacked once, over the lcm den of its denominators; theta^E
-    multiplies that by growth(E), the product of the cden of its letters
-    (`_generator_action`; 1 for every builtin).  An operator's result is
-    over the lcm of v.denominator * den * growth(E) over its terms
-    v * h^hexp * q^qdeg * theta^E, so each term adds an int multiple of
-    its prefix, moved by hexp in h and by qdeg in q."""
+    theta^E multiplies that denominator by growth(E), the product of the
+    cden of its letters (`_generator_action`; 1 for every builtin).  An
+    operator's result is over the lcm of v.denominator * den * growth(E)
+    over its terms v * h^hexp * q^qdeg * theta^E, so each term adds an int
+    multiple of its prefix, moved by hexp in h and by qdeg in q."""
     ops = list(ops)
     for op in ops:
         if op.rank != s.model.rank:
             raise ValueError("rank mismatch")
     model, order = s.model, s.order
-    start = _flat(s)
     cden = [_generator_action(model, i)[1] for i in range(1, model.rank + 1)]
     dens = [
-        start[1] * lcm(
+        s.den * lcm(
             *(
                 v.denominator * prod(c ** e for c, e in zip(cden, thexp))
                 for (_, _, thexp), v in op.c.items()
@@ -659,21 +654,13 @@ def _apply_flat(ops, s: GaugeSeries) -> list:
         for op in ops
     ]
     acc = [{} for _ in ops]
+    start = s.flat, s.den
     walk = _prefix_walk(ops, start, lambda flat, i: _theta_flat(model, flat, i))
     for (prefix, den), terms in walk:
         for pos, hexp, qdeg, v in terms:
             n = v.numerator * (dens[pos] // (v.denominator * den))
             _add_term(acc[pos], prefix, n, hexp, qdeg, order)
-    return [_pruned(out, den) for out, den in zip(acc, dens)]
-
-
-def apply_gauge_many(ops, s: GaugeSeries) -> list:
-    """Apply several normal-ordered operators to one gauge-normalized
-    section, returning one series per operator, by one `_prefix_walk` on
-    the flat exact coordinates of s (int numerators over one denominator,
-    every h-exponent kept; `_apply_flat`).  Each result is repacked into a
-    GaugeSeries once at the end."""
-    return [_from_flat(s.model, s.order, flat) for flat in _apply_flat(ops, s)]
+    return [GaugeSeries._stored(model, order, out, den) for out, den in zip(acc, dens)]
 
 
 def apply_gauge(op: QDEOperator, s: GaugeSeries) -> GaugeSeries:
@@ -685,34 +672,20 @@ def apply_gauge(op: QDEOperator, s: GaugeSeries) -> GaugeSeries:
     return apply_gauge_many((op,), s)[0]
 
 
-def _dt_flat(ft, i: int) -> tuple:
-    """theta_i = h d/dt_i on a flat t-series (ft, den), ft = {e: flat
-    numerators of the coefficient of t^e} over the one den: the numerator
-    a at t^e moves to t^(e - e_i) as e_i * a, one power of h up; nothing
-    else changes, den included."""
-    ft, den = ft
-    out = {}
-    for e, flat in ft.items():
-        n = e[i - 1]
-        if n:
-            out[e[:i - 1] + (n - 1,) + e[i:]] = {
-                D: {(k, x + 1): n * a for (k, x), a in terms.items()}
-                for D, terms in flat.items()
-            }
-    return out, den
-
-
 def _apply_t(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
     """op on a t-polynomial of CohSeries with q_i a constant scalar, by one
-    `_prefix_walk` over its flat t-series, whose coefficients share one
-    denominator den: the term v * h^a * q^Q * theta^E adds v times
-    theta^E of the series, moved by a in h and by Q in q (dropping degrees
-    past the order), over den times the lcm of op's denominators.
-    Repacked once at the end.  The walk behind both `apply_constq` and
+    `_prefix_walk` over its flat t-series, the stored numerators of its
+    coefficients brought over one denominator den: the term
+    v * h^a * q^Q * theta^E adds v times theta^E of the series, moved by a
+    in h and by Q in q (dropping degrees past the order), over den times
+    the lcm of op's denominators.  The walk behind both `apply_constq` and
     `apply_classical`."""
     order = next((cs.order for cs in tp.c.values()), 0)
-    den = _denominator(tp.c.values())
-    ft = {e: _numerators(cs, den) for e, cs in tp.c.items()}
+    den = lcm(*(cs.den for cs in tp.c.values()))
+    ft = {
+        e: _add_term({}, cs.flat, den // cs.den, 0, (), order)
+        for e, cs in tp.c.items()
+    }
     opden = lcm(*(v.denominator for v in op.c.values()))
     acc = {}
     for (prefix, _), terms in _prefix_walk((op,), (ft, den), _dt_flat):
@@ -722,9 +695,9 @@ def _apply_t(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
                 _add_term(acc.setdefault(e, {}), flat, n, hexp, qdeg, order)
     out = TPoly(tp.nvars)
     for e, flat in acc.items():
-        flat = _pruned(flat, den * opden)
-        if flat[0]:
-            out.c[e] = _from_flat(model, order, flat, CohSeries)
+        cs = CohSeries._stored(model, order, flat, den * opden)
+        if cs:
+            out.c[e] = cs
     return out
 
 
@@ -736,7 +709,7 @@ def apply_classical(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
         raise ValueError("operator has Novikov terms; take the q-free part first")
     series = {e: CohSeries(model, 0, {zero: cls}) for e, cls in tp.c.items()}
     res = _apply_t(op, TPoly(tp.nvars, series), model)
-    return TPoly(tp.nvars, {e: cs.c[zero] for e, cs in res.c.items()})
+    return TPoly(tp.nvars, {e: cs.coeff(zero) for e, cs in res.c.items()})
 
 
 def apply_constq(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
@@ -750,12 +723,8 @@ def symbol_map(op: QDEOperator, model: ModelSpec, order: int) -> QElem:
     to the unit; an annihilating operator maps to zero in the quantum ring."""
     if op.rank != model.rank:
         raise ValueError("rank mismatch")
-    out = QElem.zero(model, order)
-    for (hexp, qdeg, thexp), v in op.c.items():
-        if hexp > 0:
-            continue
-        out = out + quantum_monomial(model, order, thexp, qdeg).scaled(v)
-    return out
+    terms = ((q, e, v) for (h, q, e), v in op.c.items() if not h)
+    return _eval_terms(model, order, terms)
 
 
 # -- shipped expression data ---------------------------------------------

@@ -7,12 +7,13 @@ exponential of quantum multiplication by a degree-2 class.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from itertools import product
+from math import factorial, prod
 from operator import add
 
-from .algebra import HLaurent, NovikovSeries, TPoly, format_rational
+from .algebra import NovikovSeries, TPoly, format_rational
 from .model import CohClass, ModelSpec
-from .series import CohSeries
+from .series import CohSeries, _canonical, _integral_terms, _sum
 
 
 class CheckFailure(Exception):
@@ -36,16 +37,7 @@ class QElem:
         """`terms` maps multidegrees to CohClass values over Fraction."""
         self.model = model
         self.order = order
-        kept = {}
-        for D, cls in (terms or {}).items():
-            D = tuple(int(x) for x in D)
-            if len(D) != model.rank or any(x < 0 for x in D):
-                raise ValueError("bad multidegree %r" % (D,))
-            if sum(D) <= order:
-                kept[D] = cls.coords
-        den = lcm(*(a.denominator for v in kept.values() for a in v))
-        rows = {D: {k: int(a * den) for k, a in enumerate(v)} for D, v in kept.items()}
-        self.rows, self.den = _canonical(rows, den)
+        self.rows, self.den = _integral_terms(model, order, terms, enumerate)
 
     @classmethod
     def basis(cls, model, order, i):
@@ -91,15 +83,7 @@ class QElem:
             return NotImplemented
         if self.order != other.order:
             raise ValueError("order mismatch")
-        den = lcm(self.den, other.den)
-        out = {}
-        for elem in (self, other):
-            m = den // elem.den
-            for D, row in elem.rows.items():
-                acc = out.setdefault(D, {})
-                for k, v in row.items():
-                    acc[k] = acc.get(k, 0) + m * v
-        return self._new(out, den)
+        return self._new(*_sum(((self.rows, self.den), (other.rows, other.den))))
 
     def __sub__(self, other):
         return self + (-other)
@@ -175,27 +159,32 @@ class QElem:
     __repr__ = describe
 
 
-def _canonical(rows, den):
-    """(rows, den) without zero numerators or empty rows, and with the gcd
-    of den and every numerator divided out; zero is ({}, 1)."""
-    rows = {D: r for D, row in rows.items() if (r := {k: v for k, v in row.items() if v})}
-    g = gcd(den, *(v for row in rows.values() for v in row.values()))
-    if g > 1:
-        den //= g
-        rows = {D: {k: v // g for k, v in row.items()} for D, row in rows.items()}
-    return rows, den
+def _words(model: ModelSpec, order: int):
+    """word(e) = 1 o b_1^{e_1} o b_2^{e_2} o ..., taken left to right, so a
+    model that is not associative gives the same value as multiplying out
+    each monomial.  Each word is built once, as the word of its prefix (e
+    minus one at its last nonzero index) times one generator, and kept for
+    the words that extend it."""
+    words = {(0,) * model.rank: QElem.unit(model, order)}
+
+    def word(e):
+        chain = []
+        while e not in words:
+            i = max(i for i, x in enumerate(e) if x)
+            chain.append((e, i))
+            e = e[:i] + (e[i] - 1,) + e[i + 1:]
+        out = words[e]
+        for e, i in reversed(chain):
+            out = words[e] = out * QElem.basis(model, order, i + 1)
+        return out
+
+    return word
 
 
 def quantum_monomial(model: ModelSpec, order: int, exps, qshift=None) -> QElem:
     """b_1^{o e_1} o ... o b_r^{o e_r} applied to 1, optionally times q^shift."""
-    out = QElem.unit(model, order)
-    for i, e in enumerate(exps, start=1):
-        gen = QElem.basis(model, order, i)
-        for _ in range(e):
-            out = out * gen
-    if qshift:
-        out = out.shifted(qshift)
-    return out
+    out = _words(model, order)(tuple(exps))
+    return out.shifted(qshift) if qshift else out
 
 
 class MultMatrix:
@@ -433,44 +422,47 @@ def integrate_connection(model: ModelSpec, order: int) -> ConnectionPotential:
     return ConnectionPotential(model, order, linear, qpart)
 
 
+def _eval_terms(model: ModelSpec, order: int, terms) -> QElem:
+    """sum of v * q^qdeg * (1 o b^exps) over the terms (qdeg, exps, v), with
+    q-monomials as scalars and each generator word built once (`_words`).
+    The terms are summed over one denominator and made canonical once."""
+    word = _words(model, order)
+    parts = []
+    for qdeg, exps, v in terms:
+        elem = word(tuple(exps))
+        n, d = Fraction(v).as_integer_ratio()
+        rows = {}
+        for D, row in elem.rows.items():
+            D = tuple(map(add, D, qdeg))
+            if sum(D) <= order:
+                rows[D] = {k: n * a for k, a in row.items()}
+        parts.append((rows, elem.den * d))
+    return QElem(model, order)._new(*_sum(parts))
+
+
 def eval_relation(model: ModelSpec, rel, order: int) -> QElem:
     """Evaluate a commutative polynomial in q_1..q_r and b_1..b_r in the
     quantum ring: q-monomials are scalars, generator monomials act by
-    iterated quantum multiplication applied to 1."""
-    out = QElem.zero(model, order)
-    for (qdeg, bexp), coeff in rel.terms.items():
-        out = out + quantum_monomial(model, order, bexp, qdeg).scaled(coeff)
-    return out
+    iterated quantum multiplication applied to 1 (`_eval_terms`)."""
+    return _eval_terms(model, order, ((q, b, v) for (q, b), v in rel.terms.items()))
 
 
 def exp_quantum(model: ModelSpec, torder: int, order: int) -> TPoly:
     """The section sum_l (t o)^l 1 / (l! h^l) with t = sum t_i b_i, as a
     polynomial in t with CohSeries coefficients, up to total t-degree torder.
 
-    The product for t^e is 1 o b_1^{e_1} o b_2^{e_2} o ..., taken left to
-    right, so a model that is not associative gives the same terms as
-    multiplying out each monomial.  It is built by prefix: the product for
-    the prefix of e (e minus one at its last nonzero index) times one
-    generator, one total degree after another."""
-    rank = model.rank
-    ks = range(model.size)
-    gens = [QElem.basis(model, order, i) for i in range(1, rank + 1)]
+    The product for t^e is the word 1 o b_1^{e_1} o b_2^{e_2} o ..., each
+    built once from its prefix (`_words`)."""
+    word = _words(model, order)
     coeffs = {}
-    level = {(0,) * rank: QElem.unit(model, order)}
-    for l in range(torder + 1):
-        below, level = level, {}
-        for e, elem in below.items():
-            if elem:
-                # the coefficient h^-l / e! of t^e
-                r = elem.den * prod(map(factorial, e))
-                cs = CohSeries(model, order)
-                cs.c = {
-                    D: CohClass(HLaurent({-l: Fraction(row.get(k, 0), r)}) for k in ks)
-                    for D, row in elem.rows.items()
-                }
-                coeffs[e] = cs
-            if l < torder:
-                last = max((i for i, x in enumerate(e) if x), default=0)
-                for i in range(last, rank):
-                    level[e[:i] + (e[i] + 1,) + e[i + 1:]] = elem * gens[i]
-    return TPoly(rank, coeffs)
+    for e in product(range(torder + 1), repeat=model.rank):
+        l = sum(e)
+        elem = word(e) if l <= torder else None
+        if elem:
+            # the coefficient h^-l / e! of t^e
+            flat = {
+                D: {(k, -l): n for k, n in row.items()} for D, row in elem.rows.items()
+            }
+            den = elem.den * prod(map(factorial, e))
+            coeffs[e] = CohSeries._stored(model, order, flat, den)
+    return TPoly(model.rank, coeffs)

@@ -12,20 +12,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import lcm
 
 from .algebra import H_ONE, HLaurent, NovikovSeries, TPoly, format_rational
-from .model import CohClass, ModelSpec, _invert_rational_matrix, cp_dimension
-from .operators import QDEOperator, _apply_flat, apply_gauge_many
+from .model import ModelSpec, _invert_rational_matrix, cp_dimension
+from .operators import QDEOperator, apply_gauge_many
 from .quantum import CheckFailure
 from .series import (
     GaugeSeries,
     _add_term,
-    _flat,
-    _from_flat,
-    _pruned,
-    _same,
-    _theta_flat,
+    _canonical,
+    _components,
+    _degree_order,
+    _laurent,
 )
 
 
@@ -87,19 +86,10 @@ def _integral(m):
 
 
 def _reduced(m, den):
-    """(m, den) divided through by the gcd of den and every entry of m."""
-    g = den
-    for row in m:
-        for v in row.values():
-            g = gcd(g, v)
-            if g == 1:
-                return m, den
-    return [{k: v // g for k, v in row.items()} for row in m], den // g
-
-
-def _rational(m, den):
-    """The sparse int rows m over den as reduced Fractions."""
-    return [{k: Fraction(v, den) for k, v in row.items()} for row in m]
+    """(m, den) without zero entries and divided through by the gcd of den
+    and every entry of m (`series._canonical`)."""
+    rows, den = _canonical(dict(enumerate(m)), den)
+    return [rows.get(i, {}) for i in range(len(m))], den
 
 
 def _first_difference(a, b):
@@ -156,34 +146,24 @@ class HMatrix:
                 J = term if J is None else J + term
         return J
 
-    def entry(self, i, k):
-        """Scalar entry (i, k) as {multidegree: HLaurent} (gauge factor
-        implied on the right)."""
-        return self.rows[i].scalar_component(k)
-
     def gauge_matrices(self):
         """{multidegree: matrix of HLaurent} with entry[i][k] the degree-D
-        part of the scalar entry (i, k)."""
+        part of the scalar entry (i, k), read from the rows' components
+        along the dual basis (`series._components`)."""
         size = self.model.size
-        comps = [
-            [self.rows[i].scalar_component(k) for k in range(size)]
-            for i in range(size)
-        ]
+        comps = [_components(row) for row in self.rows]
         out = {}
-        for D in _degrees_upto(self.model.rank, self.order):
-            mat = tuple(
-                tuple(comps[i][k].get(D, HLaurent()) for k in range(size))
-                for i in range(size)
+        for D in sorted(set().union(*(c for c, _ in comps)), key=_degree_order):
+            out[D] = tuple(
+                tuple(_laurent(c.get(D, {}), den, k) for k in range(size))
+                for c, den in comps
             )
-            if any(any(row) for row in mat):
-                out[D] = mat
         return out
 
     def check_system(self) -> dict:
         """Verify h d_j(row i) = sum_u (M_j)_{iu} (row u) for all i, j, on
-        the flat coordinates of the rows (`_system_report`)."""
-        rows = [_flat(row) for row in self.rows]
-        return _system_report(self.model, self.order, rows)
+        the stored rows (`_system_report`)."""
+        return _system_report(self.model, self.order, self.rows)
 
     def to_json(self):
         return {
@@ -194,13 +174,13 @@ class HMatrix:
 
 
 def _system_report(model, order, rows) -> dict:
-    """The first-order-system report of the flat rows of a solution matrix.
+    """The first-order-system report of the rows of a solution matrix.
 
-    Both sides are built on flat exact coordinates (see series.py), so
+    Both sides are built on the stored flat numerators (see series.py), so
     every h-exponent is compared and no grading is assumed: the left side
     by the theta kernel, the right side by adding q^D (M_j)_{iu} times row
     u for every q^D part M_j of multiplication by b_j, over the lcm of the
-    terms' denominators.  The sides are compared by cross-multiplying.  A
+    terms' denominators.  Both are stored canonical and compared.  A
     failing row's witness names the first differing coordinate: the
     degree, the entry [i, k] (row i, coordinate along b_k) and the
     expected (right side) and obtained (left side) values."""
@@ -220,15 +200,15 @@ def _system_report(model, order, rows) -> dict:
                 for u in range(size)
                 if mat[i][u]
             ]
-            den = lcm(*(v.denominator * row[1] for _, row, v in terms))
+            den = lcm(*(v.denominator * row.den for _, row, v in terms))
             rhs = {}
-            for D, (flat, fden), v in terms:
-                n = v.numerator * (den // (v.denominator * fden))
-                _add_term(rhs, flat, n, 0, D, order)
-            want = _pruned(rhs, den)
-            got = _theta_flat(model, rows[i], j)
-            if not _same(got, want):
-                witnesses.append(_system_witness(model, order, j, i, want, got))
+            for D, row, v in terms:
+                n = v.numerator * (den // (v.denominator * row.den))
+                _add_term(rhs, row.flat, n, 0, D, order)
+            want = GaugeSeries._stored(model, order, rhs, den)
+            got = rows[i].theta(j)
+            if got != want:
+                witnesses.append(_system_witness(model, j, i, want, got))
     return {
         "check": "first-order-system",
         "model": model.name,
@@ -238,13 +218,12 @@ def _system_report(model, order, rows) -> dict:
     }
 
 
-def _system_witness(model, order, j, i, want, got):
-    """Witness for row i in direction j, whose flat sides differ."""
-    want, got = (_from_flat(model, order, side) for side in (want, got))
+def _system_witness(model, j, i, want, got):
+    """Witness for row i in direction j, whose sides differ."""
     D, cw, cg = next(
         (D, want.coeff(D), got.coeff(D))
-        for D in sorted(set(want.c) | set(got.c), key=lambda d: (sum(d), d))
-        if want.c.get(D) != got.c.get(D)
+        for D in sorted(set(want.flat) | set(got.flat), key=_degree_order)
+        if want.coeff(D) != got.coeff(D)
     )
     k = next(k for k in range(model.size) if cw.coords[k] != cg.coords[k])
     return {
@@ -296,8 +275,8 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     right side is summed over the lcm of its parts' denominators, each
     commutator step multiplies the denominator by D_j times the cup
     denominator, and G_D is reduced by one gcd at the end of its degree.
-    The consistency check cross-multiplies; witnesses and rows carry the
-    reduced Fractions.
+    The consistency check cross-multiplies; witnesses carry the reduced
+    Fractions, and the rows are stored flat over one denominator.
     """
     size = model.size
     rank = model.rank
@@ -397,7 +376,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                     total = _sparse_scaled(total, step)
                     den *= step
                 _sparse_addscaled(total, term, 1)
-        G[D] = num, den = _reduced(_sparse_pruned(total), den)
+        G[D] = num, den = _reduced(total, den)
         # every other direction must agree: integrability of the system
         for j in range(1, rank + 1):
             # [B_j, G_D] - d_j G_D over den times the cup denominator; its
@@ -422,28 +401,22 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                     },
                 )
 
+    # row i at q^D is sum_l (G_D)_{il} h^e(i, l, D) a_l, over one denominator
     duals, dual_den = _integral(_sparse(cls.coords for cls in model.dual_basis()))
+    den = lcm(*(d for _, d in G.values()))
     rows = []
     for i in range(size):
-        terms = {}
-        for D, (mat, den) in G.items():
-            den *= dual_den
-            coords = [{} for _ in range(size)]
+        flat = {}
+        for D, (mat, d) in G.items():
+            coords = flat[D] = {}
             for l, v in mat[i].items():
+                v *= den // d
                 exp = exponent(i, l, D)
                 for k, a in duals[l].items():
-                    c = coords[k]
+                    key = (k, exp)
                     p = a * v
-                    c[exp] = c[exp] + p if exp in c else p
-            cls = CohClass(
-                tuple(
-                    HLaurent({e: Fraction(x, den) for e, x in c.items()})
-                    for c in coords
-                )
-            )
-            if cls:
-                terms[D] = cls
-        rows.append(GaugeSeries(model, order, terms))
+                    coords[key] = coords[key] + p if key in coords else p
+        rows.append(GaugeSeries._stored(model, order, flat, den * dual_den))
     return HMatrix(model, order, rows)
 
 
@@ -471,7 +444,7 @@ def _cup(table, x, y):
     ([xrow], xden), ([yrow], yden) = x, y
     outer = {(i, j): a * b for i, a in xrow.items() for j, b in yrow.items()}
     acc = _sparse_addmul([{}], [outer], cups)
-    return _reduced(_sparse_pruned(acc), xden * yden * tden)
+    return _reduced(acc, xden * yden * tden)
 
 
 def _linear(x, k):
@@ -485,17 +458,13 @@ def _graded_series(model, order, terms):
     of the q^D coefficient is c * h^e with e = -(deg b_k + deg q^D) / 2."""
     degrees = model.degrees
     qweights = model.qdegrees
-    out = {}
-    for D, (rows, den) in terms.items():
+    den = lcm(*(d for _, d in terms.values()))
+    flat = {}
+    for D, ([row], rden) in terms.items():
         qdeg = sum(d * w for d, w in zip(D, qweights))
-        (row,) = _rational(rows, den)
-        out[D] = CohClass(
-            tuple(
-                HLaurent.term(row[k], -(deg + qdeg) // 2) if k in row else HLaurent()
-                for k, deg in enumerate(degrees)
-            )
-        )
-    return GaugeSeries(model, order, out)
+        m = den // rden
+        flat[D] = {(k, -(degrees[k] + qdeg) // 2): m * n for k, n in row.items()}
+    return GaugeSeries._stored(model, order, flat, den)
 
 
 def _inverse_powers(model, table, x, power, order):
@@ -605,9 +574,8 @@ def verify_annihilated(J: GaugeSeries, ops, names=None) -> dict:
     """Apply each operator to the series and report residuals."""
     ops = list(ops)
     witnesses = []
-    for pos, (op, residual) in enumerate(zip(ops, _apply_flat(ops, J))):
-        if residual[0]:
-            residual = _from_flat(J.model, J.order, residual)
+    for pos, (op, residual) in enumerate(zip(ops, apply_gauge_many(ops, J))):
+        if residual:
             degs = [list(D) for D, _ in residual.items_sorted()]
             witnesses.append(
                 {
@@ -633,19 +601,20 @@ def build_H_from_J(model: ModelSpec, J: GaugeSeries, rowspec) -> HMatrix:
         raise ValueError("row operators must end with the identity row")
     if len(rowspec) != model.size:
         raise ValueError("expected %d row operators" % model.size)
-    rows = _apply_flat(rowspec, J)
+    rows = apply_gauge_many(rowspec, J)
     report = _system_report(model, J.order, rows)
     if report["status"] != "pass":
         raise CheckFailure(report)
-    return HMatrix(model, J.order, [_from_flat(model, J.order, row) for row in rows])
+    return HMatrix(model, J.order, rows)
 
 
 # -- Q-factorization -------------------------------------------------------
 # H, H_0 and Q are graded like the solver's matrices: entry (i, k) at q^D
 # is c * h^e with e = (deg b_k - deg b_i - deg q^D) / 2.  Once the entries
-# of H and H_0 are checked against that rule, the factorization runs at
-# h = 1 on q-matrix series: pairs ({D: sparse int rows}, den) with one
-# positive int denominator for the whole series.
+# of H and H_0, read from the stored rows (`series._components`), are
+# checked against that rule, the factorization runs at h = 1 on q-matrix
+# series: pairs ({D: sparse int rows}, den) with one positive int
+# denominator for the whole series.
 
 
 def _qmat_mul(A, B, size, order):
@@ -683,38 +652,42 @@ def _qfactor_failure(model, D, i, k, expected, got, detail):
     )
 
 
-def _graded_at_one(model, mats, name):
-    """The HLaurent gauge matrices `mats` of `name` at h = 1, after checking
-    every entry against the grading, as a q-matrix series."""
+def _graded_at_one(model, comps, name):
+    """The q-matrix series at h = 1 of a matrix whose row i has the
+    components `comps[i]` (`series._components`), after checking every
+    entry against the grading; the first entry that breaks it, by degree,
+    row and column, names the failure."""
+    size = model.size
     exponent = _grading(model)
+    den = lcm(*(d for _, d in comps))
     out = {}
-    for D, mat in mats.items():
-        rows = []
-        for i, row in enumerate(mat):
-            srow = {}
-            for k, v in enumerate(row):
-                if not v:
-                    continue
-                e = exponent(i, k, D)
-                if list(v.c) != [e]:
-                    raise _qfactor_failure(
-                        model, D, i, k, HLaurent.term(v.coeff(e), e), v,
-                        "entry of %s breaks the grading: expected a multiple "
-                        "of h^%d" % (name, e),
-                    )
-                srow[k] = v.c[e]
-            rows.append(srow)
-        out[D] = rows
-    flat, den = _integral([row for m in out.values() for row in m])
-    rows = iter(flat)
-    return {D: [next(rows) for _ in m] for D, m in out.items()}, den
+    bad = []
+    for i, (comp, d) in enumerate(comps):
+        for D, terms in comp.items():
+            row = out.setdefault(D, [{} for _ in range(size)])[i]
+            for (k, x), n in terms.items():
+                if x == exponent(i, k, D):
+                    row[k] = n * (den // d)
+                else:
+                    bad.append((_degree_order(D), i, k))
+    if bad:
+        (_, D), i, k = min(bad)
+        v, e = _laurent(comps[i][0][D], comps[i][1], k), exponent(i, k, D)
+        raise _qfactor_failure(
+            model, D, i, k, HLaurent.term(v.coeff(e), e), v,
+            "entry of %s breaks the grading: expected a multiple "
+            "of h^%d" % (name, e),
+        )
+    return _qmat_reduced(out, den)
 
 
 def _qmat_inverse(model, A, order):
-    """Inverse of a q-matrix series (A, den) whose q^0 term is invertible:
-    S * inv0 with inv0 the inverse of the head and S the finite geometric
-    series sum_n (-inv0 * tail)^n, summed by Horner's rule S <- 1 + base * S
-    with one reduced denominator per step."""
+    """Inverse of a q-matrix series (A, den) whose q^0 term is invertible,
+    degree by degree (Knuth, TAOCP Vol. 2, 4.7): with a = A / den,
+    inv[0] = a[0]^-1 and inv[D] = -a[0]^-1 * sum_{0 < D' <= D} a[D'] inv[D - D'],
+    so each pair of degrees is multiplied once.  Each inv[D] is held as
+    int rows over its own reduced denominator, and the series is brought
+    over one denominator at the end."""
     size = model.size
     zero = (0,) * model.rank
     A, den = A
@@ -728,15 +701,28 @@ def _qmat_inverse(model, A, order):
             "q-factorization",
             {"degree": list(zero), "detail": "q^0 part of H_0 is singular"},
         ) from None
-    # -(inv0 * den / iden) * (tail / den): the denominator of A cancels
+    # -a[0]^-1 * a[D'] is -(inv0 * den / iden) * (A[D'] / den): den cancels
     tail = {D: m for D, m in A.items() if any(D)}
-    base = _qmat_mul({zero: _sparse_scaled(inv0, -1)}, tail, size, order)
-    series, sden = {zero: [{i: 1} for i in range(size)]}, 1
-    for _ in range(order):
-        series, sden = _qmat_reduced(_qmat_mul(base, series, size, order), sden * iden)
-        series[zero] = [{i: sden} for i in range(size)]
-    head_inverse = {zero: _sparse_scaled(inv0, den)}
-    return _qmat_reduced(_qmat_mul(series, head_inverse, size, order), sden * iden)
+    step = _qmat_mul({zero: _sparse_scaled(inv0, -1)}, tail, size, order)
+    inv = {zero: _reduced(_sparse_scaled(inv0, den), iden)}
+    for D in _degrees_upto(model.rank, order)[1:]:
+        parts = [
+            (m, inv[rest])
+            for Dp, m in step.items()
+            if (rest := tuple(a - b for a, b in zip(D, Dp))) in inv
+        ]
+        common = lcm(*(d for _, (_, d) in parts))
+        acc = [{} for _ in range(size)]
+        for m, (num, d) in parts:
+            f = common // d
+            _sparse_addmul(acc, m, num if f == 1 else _sparse_scaled(num, f))
+        num, d = _reduced(acc, common * iden)
+        if any(num):
+            inv[D] = num, d
+    common = lcm(*(d for _, d in inv.values()))
+    return _qmat_reduced(
+        {D: _sparse_scaled(num, common // d) for D, (num, d) in inv.items()}, common
+    )
 
 
 def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
@@ -755,17 +741,19 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
     J = Hm.jrow()
     theta_rows = [op.theta_part() for op in rowspec]
     H0 = HMatrix(model, order, apply_gauge_many(theta_rows, J))
-    GH0 = H0.gauge_matrices()
-    for i, row in enumerate(GH0.get(zero, ())):
-        for k, v in enumerate(row):
-            if v and set(v.c) != {0}:
-                raise _qfactor_failure(
-                    model, zero, i, k, HLaurent.const(v.coeff(0)), v,
-                    "q^0 entry of H_0 depends on h",
-                )
-    A0, a0den = _graded_at_one(model, GH0, "H_0")
+    comps0 = [_components(row) for row in H0.rows]
+    for i, (comp, d) in enumerate(comps0):
+        head = comp.get(zero, {})
+        bad = sorted(k for k, x in head if x)
+        if bad:
+            v = _laurent(head, d, bad[0])
+            raise _qfactor_failure(
+                model, zero, i, bad[0], HLaurent.const(v.coeff(0)), v,
+                "q^0 entry of H_0 depends on h",
+            )
+    A0, a0den = _graded_at_one(model, comps0, "H_0")
     inverse, iden = _qmat_inverse(model, (A0, a0den), order)
-    A, aden = _graded_at_one(model, Hm.gauge_matrices(), "H")
+    A, aden = _graded_at_one(model, [_components(row) for row in Hm.rows], "H")
 
     def failure(expected, got, detail):
         D, i, k, want, have = _first_difference(expected, got)
@@ -902,28 +890,22 @@ def extract_descendents(model: ModelSpec, Hm: HMatrix, max_degree: int, max_leve
     Positive or zero powers of h at D != 0 would contradict the generating
     function shape and raise CheckFailure.
     """
-    J = Hm.jrow()
+    comps, den = _components(Hm.jrow())
     records = []
     for j in range(model.size):
-        comp = J.scalar_component(j)
-        for D, lau in sorted(comp.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        for D in sorted(comps, key=_degree_order):
             if not any(D) or sum(D) > max_degree:
                 continue
-            for exp, value in sorted(lau.c.items()):
+            for exp, value in sorted(_laurent(comps[D], den, j).c.items()):
                 if exp >= 0:
-                    raise CheckFailure(
+                    raise _check_failure(
+                        model,
+                        "descendent-extraction",
                         {
-                            "check": "descendent-extraction",
-                            "model": model.name,
-                            "status": "fail",
-                            "witnesses": [
-                                {
-                                    "degree": list(D),
-                                    "component": model.labels[j],
-                                    "detail": "nonnegative h power %d" % exp,
-                                }
-                            ],
-                        }
+                            "degree": list(D),
+                            "component": model.labels[j],
+                            "detail": "nonnegative h power %d" % exp,
+                        },
                     )
                 level = -exp - 1
                 if level > max_level:
@@ -932,21 +914,16 @@ def extract_descendents(model: ModelSpec, Hm: HMatrix, max_degree: int, max_leve
                     model, (model.degrees[j], 0), (level, 0), D
                 )
                 if not axiom:
-                    raise CheckFailure(
+                    raise _check_failure(
+                        model,
+                        "descendent-extraction",
                         {
-                            "check": "descendent-extraction",
-                            "model": model.name,
-                            "status": "fail",
-                            "witnesses": [
-                                {
-                                    "degree": list(D),
-                                    "component": model.labels[j],
-                                    "level": level,
-                                    "value": format_rational(value),
-                                    "detail": "nonzero value where the degree axiom forces zero",
-                                }
-                            ],
-                        }
+                            "degree": list(D),
+                            "component": model.labels[j],
+                            "level": level,
+                            "value": format_rational(value),
+                            "detail": "nonzero value where the degree axiom forces zero",
+                        },
                     )
                 records.append(
                     {

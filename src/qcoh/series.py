@@ -1,100 +1,162 @@
 """Cohomology-valued Novikov series and the gauge form of flat sections.
 
-A CohSeries stores, per Novikov multidegree D, a cohomology class with
-HLaurent coordinates, truncated at a total degree.  A GaugeSeries is the
-same data read as the section e^{t/h} * sum_D c_D q^D; in that reading the
-operator theta_i = h d/dt_i acts on the q^D term as cup multiplication by
-b_i plus the scalar d_i*h, and q_i shifts D.
+A CohSeries holds, per Novikov multidegree D, a cohomology class whose
+coordinates are Laurent polynomials in h, truncated at a total degree.  It
+is stored flat and fraction-free, as a pair (flat, den): flat is
+{D: {(k, x): n}} with int numerators n and den one positive int for the
+whole series, the b_k coordinate of the q^D coefficient holding the term
+n/den * h^x.  Every h-exponent is kept, so nothing here assumes a grading.
+The pair is canonical (`_canonical`, shared with `quantum.QElem`): no zero
+numerators or empty degrees, and the gcd of den and every numerator is 1.
+So two series are equal exactly when their pairs are, and zero is ({}, 1).
+
+Every kernel reads and writes that form, and the helpers here are the only
+code that knows its keys: the theta kernel, the t-derivative, the scaled
+shifted sum and the components along the dual basis.  HLaurent and Fraction
+values are built only for output (`to_json`, `describe`) and for the
+read-only views (`c`, `coeff`, `items_sorted`, `scalar_component`).
+
+A GaugeSeries is the same data read as the section e^{t/h} * sum_D c_D q^D;
+in that reading the operator theta_i = h d/dt_i acts on the q^D term as cup
+multiplication by b_i plus the scalar d_i*h, and q_i shifts D.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .algebra import HLaurent
+from .algebra import HLaurent, format_rational, rational
 from .model import CohClass, ModelSpec
 
-_ZERO = HLaurent()
+
+def _canonical(rows, den):
+    """(rows, den) without zero numerators or empty rows, and with the gcd
+    of den and every numerator divided out; zero is ({}, 1).  The rows are
+    dicts of int numerators under any keys: (k, x) for a CohSeries, k for
+    a QElem."""
+    rows = {D: r for D, row in rows.items() if (r := {k: v for k, v in row.items() if v})}
+    g = gcd(den, *(v for row in rows.values() for v in row.values()))
+    if g > 1:
+        den //= g
+        rows = {D: {k: v // g for k, v in row.items()} for D, row in rows.items()}
+    return rows, den
+
+
+def _sum(pairs):
+    """The sum of the pairs (rows, den), as numerators over the lcm of
+    their denominators; zeros are kept, for `_canonical` to drop."""
+    pairs = list(pairs)
+    den = lcm(*(d for _, d in pairs))
+    out = {}
+    for rows, d in pairs:
+        m = den // d
+        for D, row in rows.items():
+            acc = out.setdefault(D, {})
+            for key, n in row.items():
+                acc[key] = acc[key] + m * n if key in acc else m * n
+    return out, den
+
+
+def _degree_order(D):
+    return (sum(D), D)
+
+
+def _integral_terms(model, order, terms, items):
+    """The canonical pair of `terms`, a map {multidegree: CohClass} checked
+    against the model's rank, with the degrees past `order` dropped;
+    items(coords) lists the (key, rational) pairs of a class."""
+    kept = {}
+    for D, cls in (terms or {}).items():
+        D = tuple(int(x) for x in D)
+        if len(D) != model.rank or any(x < 0 for x in D):
+            raise ValueError("bad multidegree %r" % (D,))
+        if sum(D) <= order:
+            kept[D] = [(key, rational(v)) for key, v in items(cls.coords)]
+    den = lcm(*(v.denominator for pairs in kept.values() for _, v in pairs))
+    rows = {
+        D: {key: v.numerator * (den // v.denominator) for key, v in pairs}
+        for D, pairs in kept.items()
+    }
+    return _canonical(rows, den)
+
+
+def _class_terms(coords):
+    """The ((k, x), value) pairs of coordinates that are ints, Fractions or
+    HLaurent values."""
+    for k, a in enumerate(coords):
+        for x, v in a.c.items() if isinstance(a, HLaurent) else ((0, a),):
+            yield (k, x), v
 
 
 class CohSeries:
-    """Map {multidegree: CohClass over HLaurent}, truncated at total degree
-    `order`; treated as immutable."""
+    """Map {multidegree: class over HLaurent}, truncated at total degree
+    `order`, stored as the canonical pair (flat, den) described above;
+    treated as immutable."""
 
-    __slots__ = ("model", "order", "c")
+    __slots__ = ("model", "order", "flat", "den")
 
     def __init__(self, model: ModelSpec, order: int, terms=None):
+        """`terms` maps multidegrees to CohClass values whose coordinates
+        are ints, Fractions or HLaurent values; degrees past `order` are
+        dropped."""
         self.model = model
         self.order = order
-        c = {}
-        if terms:
-            for D, cls in terms.items():
-                D = tuple(int(x) for x in D)
-                if len(D) != model.rank or any(x < 0 for x in D):
-                    raise ValueError("bad multidegree %r" % (D,))
-                if sum(D) > order:
-                    continue
-                cls = cls.lifted()
-                if cls:
-                    c[D] = cls
-        self.c = c
-
-    def _new(self, terms):
-        out = self.__class__(self.model, self.order)
-        out.c = terms
-        return out
+        self.flat, self.den = _integral_terms(model, order, terms, _class_terms)
 
     @classmethod
-    def unit(cls, model, order):
-        zero = (0,) * model.rank
-        return cls(model, order, {zero: model.unit()})
+    def _stored(cls, model, order, flat, den):
+        """The series of the numerators `flat` over den, made canonical:
+        how every producer builds its result."""
+        out = object.__new__(cls)
+        out.model, out.order = model, order
+        out.flat, out.den = _canonical(flat, den)
+        return out
+
+    def _new(self, flat, den):
+        return self._stored(self.model, self.order, flat, den)
 
     def coeff(self, D) -> CohClass:
-        D = tuple(D)
-        got = self.c.get(D)
-        if got is None:
-            return self.model.zero_class().lifted()
-        return got
+        """The q^D coefficient, as a new CohClass over HLaurent."""
+        terms = self.flat.get(tuple(D), {})
+        return CohClass(_laurent(terms, self.den, k) for k in range(self.model.size))
+
+    @property
+    def c(self):
+        """The terms as a new dict {multidegree: CohClass over HLaurent}."""
+        return {D: self.coeff(D) for D in self.flat}
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.flat)
 
     def __eq__(self, other):
         if not isinstance(other, CohSeries):
             return NotImplemented
-        return self.order == other.order and self.c == other.c
+        return (self.order, self.den, self.flat) == (other.order, other.den, other.flat)
 
     def __neg__(self):
-        return self._new({D: -cls for D, cls in self.c.items()})
+        return self.scaled(-1)
 
     def __add__(self, other):
         if not isinstance(other, CohSeries):
             return NotImplemented
         if self.order != other.order:
             raise ValueError("order mismatch")
-        c = dict(self.c)
-        for D, cls in other.c.items():
-            s = c[D] + cls if D in c else cls
-            if s:
-                c[D] = s
-            else:
-                c.pop(D, None)
-        return self._new(c)
+        return self._new(*_sum(((self.flat, self.den), (other.flat, other.den))))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, x):
-        """Scale every coefficient by a Fraction/int/HLaurent scalar."""
-        if isinstance(x, (int, Fraction)):
+        """Scale every coefficient by an int, Fraction or HLaurent scalar."""
+        if not isinstance(x, HLaurent):
             x = HLaurent.const(x)
-        c = {}
-        for D, cls in self.c.items():
-            s = cls.scaled(x)
-            if s:
-                c[D] = s
-        return self._new(c)
+        xden = lcm(*(v.denominator for v in x.c.values()))
+        out = {}
+        for e, v in x.c.items():
+            n = v.numerator * (xden // v.denominator)
+            _add_term(out, self.flat, n, e, (), self.order)
+        return self._new(out, self.den * xden)
 
     def __mul__(self, x):
         return self.scaled(x)
@@ -103,26 +165,14 @@ class CohSeries:
 
     def shifted(self, shift):
         """Multiply by the Novikov monomial q^shift (drops overflow)."""
-        shift = tuple(shift)
-        c = {}
-        for D, cls in self.c.items():
-            nd = tuple(a + b for a, b in zip(D, shift))
-            if sum(nd) <= self.order:
-                c[nd] = cls
-        return self._new(c)
-
-    def mul_scalar_series(self, ns):
-        """Multiply by a scalar Novikov series (Fraction or HLaurent coeffs)."""
-        out = self._new({})
-        for D, v in ns.c.items():
-            out = out + self.shifted(D).scaled(v)
-        return out
+        flat = _add_term({}, self.flat, 1, 0, tuple(shift), self.order)
+        return self._new(flat, self.den)
 
     def items_sorted(self):
-        return sorted(self.c.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return [(D, self.coeff(D)) for D in sorted(self.flat, key=_degree_order)]
 
     def describe(self):
-        if not self.c:
+        if not self.flat:
             return "0"
         labels = self.model.labels
         parts = []
@@ -140,13 +190,15 @@ class CohSeries:
         return " + ".join(parts)
 
     def to_json(self):
+        """[{"degree": D, "coeffs": {label: HLaurent JSON}}] by degree: each
+        coordinate lists [x, "n/den" reduced] by ascending x."""
         labels = self.model.labels
         out = []
-        for D, cls in self.items_sorted():
+        for D in sorted(self.flat, key=_degree_order):
             coeffs = {}
-            for k, v in enumerate(cls.coords):
-                if v:
-                    coeffs[labels[k]] = v.to_json()
+            for (k, x), n in sorted(self.flat[D].items()):
+                value = format_rational(Fraction(n, self.den))
+                coeffs.setdefault(labels[k], []).append([x, value])
             out.append({"degree": list(D), "coeffs": coeffs})
         return out
 
@@ -154,92 +206,15 @@ class CohSeries:
         return "<%s %s: %d terms, order %d>" % (
             type(self).__name__,
             self.model.name,
-            len(self.c),
+            len(self.flat),
             self.order,
         )
 
 
-# -- flat exact coordinates ---------------------------------------------------
-# A flat series is a pair (flat, den): flat is {D: {(k, x): int}} and den a
-# positive int, and the numerator n at (k, x) of degree D is the term
-# n/den * h^x of the b_k coordinate of the q^D coefficient.  The arithmetic
-# runs on int numerators; den is not kept reduced, and Fraction(n, den)
-# appears only when a series is packed back (`_from_flat`).  Every
-# h-exponent is kept, so nothing here assumes a grading.  Zero numerators
-# and empty degrees are never stored, so a flat series is zero exactly when
-# its dict is empty, and two are equal exactly when they have the same keys
-# and equal cross-products (`_same`).
-
-
-def _denominator(series) -> int:
-    """The lcm of the coefficient denominators of the given series."""
-    return lcm(
-        *(
-            v.denominator
-            for s in series
-            for cls in s.c.values()
-            for a in cls.coords
-            for v in a.c.values()
-        )
-    )
-
-
-def _numerators(s: CohSeries, den: int) -> dict:
-    """The flat numerators of a series over den, a multiple of its
-    denominators."""
-    return {
-        D: {
-            (k, x): v.numerator * (den // v.denominator)
-            for k, a in enumerate(cls.coords)
-            for x, v in a.c.items()
-        }
-        for D, cls in s.c.items()
-    }
-
-
-def _flat(s: CohSeries) -> tuple:
-    """The flat coordinates of a series, over the lcm of its denominators."""
-    den = _denominator((s,))
-    return _numerators(s, den), den
-
-
-def _from_flat(model: ModelSpec, order: int, flat, kind=None) -> "CohSeries":
-    """The series with the given flat coordinates: a GaugeSeries, or one of
-    the CohSeries class `kind`."""
-    flat, den = flat
-    out = (kind or GaugeSeries)(model, order)
-    for D, terms in flat.items():
-        coords = [HLaurent() for _ in range(model.size)]
-        for (k, x), n in terms.items():
-            coords[k].c[x] = Fraction(n, den)
-        out.c[D] = CohClass(tuple(coords))
-    return out
-
-
-def _pruned(acc, den) -> tuple:
-    """The flat series of numerators acc over den, accumulated with
-    possible zeros, with them dropped."""
-    out = {}
-    for D, terms in acc.items():
-        terms = {key: n for key, n in terms.items() if n}
-        if terms:
-            out[D] = terms
-    return out, den
-
-
-def _same(a, b) -> bool:
-    """Whether two flat series are equal, by cross-multiplying."""
-    (a, aden), (b, bden) = a, b
-    if a.keys() != b.keys():
-        return False
-    for D, terms in a.items():
-        other = b[D]
-        if terms.keys() != other.keys():
-            return False
-        for key, n in terms.items():
-            if n * bden != other[key] * aden:
-                return False
-    return True
+# -- kernels on the flat form ---------------------------------------------------
+# A flat pair (flat, den) is the storage of a series.  The theta kernel, the
+# t-derivative and `_add_term` return numerators without the canonical
+# reduction, which the caller applies once to the result it keeps.
 
 
 def _generator_action(model: ModelSpec, i: int) -> tuple:
@@ -282,11 +257,28 @@ def _theta_flat(model: ModelSpec, flat, i: int) -> tuple:
     return out, den * cden
 
 
+def _dt_flat(ft, i: int) -> tuple:
+    """theta_i = h d/dt_i on a flat t-series (ft, den), ft = {e: flat
+    numerators of the coefficient of t^e} over the one den: the numerator
+    a at t^e moves to t^(e - e_i) as e_i * a, one power of h up; nothing
+    else changes, den included."""
+    ft, den = ft
+    out = {}
+    for e, flat in ft.items():
+        n = e[i - 1]
+        if n:
+            out[e[:i - 1] + (n - 1,) + e[i:]] = {
+                D: {(k, x + 1): n * a for (k, x), a in terms.items()}
+                for D, terms in flat.items()
+            }
+    return out, den
+
+
 def _add_term(acc, flat, n, hexp, qdeg, order):
     """acc += n * h^hexp * q^qdeg * flat in place on numerators, dropping
-    degrees past `order`: flat is the numerator dict of a flat series and
-    n an int that brings it to the denominator of acc.  The caller prunes
-    zeros (`_pruned`)."""
+    degrees past `order`, and return acc: flat is the numerator dict of a
+    flat series and n an int that brings it to the denominator of acc.
+    Zeros are kept, for `_canonical` to drop."""
     shift = any(qdeg)
     unit = n == 1
     for D, terms in flat.items():
@@ -299,6 +291,28 @@ def _add_term(acc, flat, n, hexp, qdeg, order):
             key = (k, x + hexp)
             p = a if unit else a * n
             out[key] = out[key] + p if key in out else p
+    return acc
+
+
+def _components(s: CohSeries) -> tuple:
+    """The scalar components of s along the dual classes a_0..a_s, as a
+    canonical flat pair ({D: {(j, x): n}}, den): the (j, x) numerator is
+    the h^x term of the pairing of the q^D coefficient with b_j."""
+    pairing = [[(j, g) for j, g in enumerate(row) if g] for row in s.model.pairing]
+    out = {}
+    for D, terms in s.flat.items():
+        acc = out[D] = {}
+        for (m, x), n in terms.items():
+            for j, g in pairing[m]:
+                key = (j, x)
+                acc[key] = acc[key] + g * n if key in acc else g * n
+    return _canonical(out, s.den)
+
+
+def _laurent(terms, den, j) -> HLaurent:
+    """The HLaurent value at index j of the flat numerators `terms` over
+    den."""
+    return HLaurent({x: Fraction(n, den) for (k, x), n in terms.items() if k == j})
 
 
 class GaugeSeries(CohSeries):
@@ -311,8 +325,7 @@ class GaugeSeries(CohSeries):
         """Apply theta_i: on the q^D coefficient this is cup-by-b_i plus
         multiplication by d_i*h, computed by the flat kernel `_theta_flat`
         over the model's sparse generator action."""
-        flat = _theta_flat(self.model, _flat(self), i)
-        return _from_flat(self.model, self.order, flat)
+        return self._new(*_theta_flat(self.model, (self.flat, self.den), i))
 
     def theta_monomial(self, exps) -> "GaugeSeries":
         """theta^E applied factor by factor, theta_1 first: the path the
@@ -325,15 +338,7 @@ class GaugeSeries(CohSeries):
 
     def scalar_component(self, j: int):
         """The coefficient along the dual class a_j, per multidegree: the
-        pairing of each coefficient with b_j."""
-        column = [(m, row[j]) for m, row in enumerate(self.model.pairing) if row[j]]
-        out = {}
-        for D, cls in self.c.items():
-            v = _ZERO
-            for m, g in column:
-                a = cls.coords[m]
-                if a:
-                    v = v + (a if g == 1 else a * g)
-            if v:
-                out[D] = v
-        return out
+        pairing of each coefficient with b_j, as {D: HLaurent}."""
+        comps, den = _components(self)
+        out = {D: _laurent(terms, den, j) for D, terms in comps.items()}
+        return {D: v for D, v in out.items() if v}

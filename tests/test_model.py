@@ -16,7 +16,6 @@ from qcoh.model import (
     ModelError,
     ModelSpec,
     builtin_model,
-    invert_unit,
     load_model,
     resolve_model,
     save_model,
@@ -127,21 +126,6 @@ def test_generator_action_lists_nonzero_cup_entries(name):
         for j, pairs in enumerate(action):
             coords = model.cup_basis(i, j).coords
             assert pairs == tuple((k, c) for k, c in enumerate(coords) if c)
-
-
-def test_invert_unit_over_rationals_is_the_h_one_value():
-    # (a + 2) over Fraction inverts to the h = 1 value of 1/(a + 2h); the
-    # result stays rational, and a zero unit component is not invertible
-    model = builtin_model("f3")
-    a = model.basis_class(1)
-    rational_inverse = invert_unit(model, a + model.unit().scaled(2))
-    assert all(isinstance(v, Fraction) for v in rational_inverse.coords)
-    assert model.cup(rational_inverse, a + model.unit().scaled(2)) == model.unit()
-    lifted = a.lifted() + model.unit().lifted().scaled(HLaurent.term(2, 1))
-    laurent_inverse = invert_unit(model, lifted)
-    assert tuple(v.at_one() for v in laurent_inverse.coords) == rational_inverse.coords
-    with pytest.raises(ValueError):
-        invert_unit(model, a)
 
 
 def test_describe_writes_unit_coordinates_as_the_label():

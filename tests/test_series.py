@@ -2,24 +2,16 @@
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoh.algebra import HLaurent, NovikovSeries
+from qcoh.algebra import HLaurent
 from qcoh.model import CohClass, builtin_model, load_model
 from qcoh.sections import closed_form
-from qcoh.series import (
-    CohSeries,
-    GaugeSeries,
-    _add_term,
-    _flat,
-    _from_flat,
-    _pruned,
-    _same,
-    _theta_flat,
-)
+from qcoh.series import CohSeries, GaugeSeries, _add_term, _canonical, _theta_flat
 
 RESCALED = Path(__file__).resolve().parent / "golden" / "f3-rescaled.model"
 
@@ -120,16 +112,12 @@ def test_shifted_drops_terms_past_order():
     assert set(moved.c) == {(1,)}
 
 
-def test_scaled_and_mul_scalar_series():
+def test_scaled_multiplies_every_coefficient():
     model = builtin_model("cp1")
     cls = model.basis_class(1).lifted()
     s = CohSeries(model, 3, {(0,): cls})
     doubled = s.scaled(Fraction(2))
     assert doubled.c[(0,)].coords[1] == HLaurent.const(2)
-    ns = NovikovSeries(1, 3, {(1,): Fraction(3)})
-    moved = s.mul_scalar_series(ns)
-    assert set(moved.c) == {(1,)}
-    assert moved.c[(1,)].coords[1] == HLaurent.const(3)
 
 
 def test_series_json_sorted_by_degree():
@@ -161,15 +149,15 @@ def _all_int(flat):
 def test_flat_form_holds_only_int_numerators():
     model = builtin_model("f3")
     J = closed_form(model, 4)
-    flat, den = _flat(J)
+    flat, den = J.flat, J.den
     assert type(den) is int and den > 1 and _all_int(flat)
-    assert _from_flat(model, 4, (flat, den)).c == J.c
+    assert GaugeSeries(model, 4, J.c) == J
     stepped, sden = _theta_flat(model, (flat, den), 1)
     assert sden == den and _all_int(stepped)
     acc = {}
     _add_term(acc, flat, 3, 1, (1, 0), 4)
     _add_term(acc, stepped, -2, 0, (0, 0), 4)
-    summed, _ = _pruned(acc, den)
+    summed, _ = _canonical(acc, den)
     assert summed and _all_int(summed)
 
 
@@ -177,12 +165,69 @@ def test_theta_on_rational_cup_table_is_integral_over_a_common_denominator():
     # f3 in the basis 2 a^2, -3 b^2, 5 z: b_1 cup b_j has denominators 2, 3, 5
     model = load_model(RESCALED)
     J = closed_form(model, 3)
-    flat = _flat(J)
+    flat = J.flat, J.den
     stepped = _theta_flat(model, flat, 1)
     assert stepped[1] == 30 * flat[1] and _all_int(stepped[0])
-    assert _from_flat(model, 3, stepped).c == theta_by_definition(J, 1).c
-    # the same series over a larger denominator is equal by cross-products
+    assert GaugeSeries._stored(model, 3, *stepped) == theta_by_definition(J, 1)
+    # the same series over a larger denominator has the same canonical form
     num, den = stepped
     doubled = {D: {key: 2 * n for key, n in terms.items()} for D, terms in num.items()}
-    assert _same(stepped, (doubled, 2 * den))
-    assert not _same(stepped, flat)
+    assert _canonical(doubled, 2 * den) == _canonical(num, den)
+    assert _canonical(num, den) != flat
+
+
+# -- the stored form ---------------------------------------------------------------
+# Coordinates are Fractions or HLaurent values with denominators up to 7 and
+# h-exponents from -3 to 3, zeros included; the reference JSON is built from
+# the HLaurent coordinates themselves.
+
+_STORED_MODELS = {
+    **{name: _MODELS[name] for name in ("cp2", "f3", "sigma1")},
+    "f3-rescaled": load_model(RESCALED),
+}
+_ratios = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 7))
+_coordinates = st.one_of(
+    _ratios, st.dictionaries(st.integers(-3, 3), _ratios, max_size=3).map(HLaurent)
+)
+
+
+@st.composite
+def stored_case(draw):
+    model = _STORED_MODELS[draw(st.sampled_from(sorted(_STORED_MODELS)))]
+    degree = st.sampled_from(
+        [D for D in product(range(_ORDER + 1), repeat=model.rank) if sum(D) <= _ORDER]
+    )
+    coefficients = st.lists(_coordinates, min_size=model.size, max_size=model.size)
+    return model, draw(st.dictionaries(degree, coefficients.map(CohClass), max_size=4))
+
+
+def json_by_definition(model, terms):
+    out = []
+    for D in sorted(terms, key=lambda d: (sum(d), d)):
+        coords = terms[D].lifted().coords
+        coeffs = {lab: a.to_json() for lab, a in zip(model.labels, coords) if a}
+        if coeffs:
+            out.append({"degree": list(D), "coeffs": coeffs})
+    return out
+
+
+def _assert_stored(s):
+    numerators = [n for terms in s.flat.values() for n in terms.values()]
+    assert type(s.den) is int and s.den > 0 and _all_int(s.flat)
+    assert all(numerators) and all(s.flat.values())
+    assert gcd(s.den, *numerators) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(stored_case())
+def test_stored_form_is_canonical_and_round_trips(case):
+    model, terms = case
+    s = CohSeries(model, _ORDER, terms)
+    _assert_stored(s)
+    assert CohSeries(model, _ORDER, s.c) == s
+    assert s.to_json() == json_by_definition(model, terms)
+    there = s.scaled(Fraction(2, 3))
+    _assert_stored(there)
+    assert there.scaled(Fraction(3, 2)) == s
+    zero = s - s
+    assert not zero and zero.c == {} and (zero.flat, zero.den) == ({}, 1)
