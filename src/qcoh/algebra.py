@@ -24,6 +24,16 @@ def rational(x) -> Fraction:
     raise TypeError("cannot make a rational from %r" % (x,))
 
 
+def monomial_text(letter, exps) -> str:
+    """The monomial of the exponents written in the variables letter1,
+    letter2, ...: q1*q2^3 for ("q", (1, 3)), "" when all are zero."""
+    return "*".join(
+        "%s%d" % (letter, i) if e == 1 else "%s%d^%d" % (letter, i, e)
+        for i, e in enumerate(exps, start=1)
+        if e
+    )
+
+
 def format_rational(x: Fraction) -> str:
     # str(Fraction) is canonical: gcd-reduced, '-' on the numerator,
     # no '/1' suffix on integers
@@ -335,11 +345,7 @@ class NovikovSeries:
             return "0"
         parts = []
         for d, v in self.items_sorted():
-            mono = "*".join(
-                "q%d" % (i + 1) if e == 1 else "q%d^%d" % (i + 1, e)
-                for i, e in enumerate(d)
-                if e
-            )
+            mono = monomial_text("q", d)
             sv = str(v)
             if "+" in sv or " - " in sv:
                 sv = "(%s)" % sv
@@ -464,11 +470,7 @@ class TPoly:
             return "0"
         parts = []
         for e, v in self.items_sorted():
-            mono = "*".join(
-                "t%d" % (i + 1) if k == 1 else "t%d^%d" % (i + 1, k)
-                for i, k in enumerate(e)
-                if k
-            )
+            mono = monomial_text("t", e)
             sv = str(v)
             if "+" in sv or " - " in sv:
                 sv = "(%s)" % sv

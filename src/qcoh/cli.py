@@ -18,6 +18,7 @@ from .model import (
     ModelError,
     ModelSpec,
     data_path,
+    in_builtin_basis,
     read_cached,
     resolve_model,
 )
@@ -403,8 +404,9 @@ def cmd_classical(args):
             elif const:
                 identity_ok = False
 
+    # the fixture holds the builtin's matrix, written in the builtin basis
     fixture = data_path("%s.classical.json" % model.name)
-    if fixture.is_file():
+    if fixture.is_file() and in_builtin_basis(model):
         stored = read_cached(fixture, _fixture_entries)
         fixture_status = "match" if stored == matjson else "mismatch"
     else:

@@ -164,6 +164,7 @@ class ModelSpec:
         "aliases",
         "_dual",
         "_qrows",
+        "_actions",
     )
 
     def __init__(
@@ -201,6 +202,7 @@ class ModelSpec:
             "aliases": MappingProxyType(dict(aliases or {})),
             "_dual": None,
             "_qrows": None,
+            "_actions": None,
         }
         for key, value in fields.items():
             object.__setattr__(self, key, value)
@@ -246,6 +248,21 @@ class ModelSpec:
         """Cup multiplication by b_i as a sparse table: entry j lists the
         nonzero pairs (k, c) of b_i cup b_j = sum_k c b_k."""
         return tuple(self._cup_entries[(i, j)] for j in range(self.size))
+
+    def integral_action(self, i):
+        """Cup multiplication by b_i made integral: (rows, cden) with row j
+        the pairs (k, n) of b_i cup b_j = sum_k n/cden * b_k, cden the lcm
+        of the denominators of b_i's action (1 for every builtin).  Built
+        once, for every generator."""
+        if self._actions is None:
+            actions = [None]
+            for g in range(1, self.rank + 1):
+                action = self.generator_action(g)
+                cden = lcm(*(c.denominator for row in action for _, c in row))
+                rows = tuple(tuple((k, int(c * cden)) for k, c in row) for row in action)
+                actions.append((rows, cden))
+            object.__setattr__(self, "_actions", tuple(actions))
+        return self._actions[i]
 
     def cup(self, x: CohClass, y: CohClass) -> CohClass:
         out = [0] * self.size
@@ -691,6 +708,19 @@ def _projective_space(m: int) -> ModelSpec:
     if problems:
         raise ModelError(problems)
     return model
+
+
+def in_builtin_basis(model: ModelSpec) -> bool:
+    """Whether the model has the pairing and cup table of the builtin of
+    its name.  The data shipped for a builtin (row operators, classical
+    tables) is written in that basis, so it applies only then; a model of
+    the same ring in another basis, or with no builtin of its name, is
+    not."""
+    try:
+        builtin = builtin_model(model.name)
+    except ModelError:
+        return False
+    return model.pairing == builtin.pairing and model.cup_table == builtin.cup_table
 
 
 def _model_from_bytes(data: bytes) -> ModelSpec:

@@ -15,15 +15,21 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm, prod
 
-from .algebra import TPoly, format_rational, rational
-from .model import ModelSpec, builtin_model, cp_dimension, data_path, read_cached
-from .quantum import QElem, _eval_terms
+from .algebra import TPoly, format_rational, monomial_text, rational
+from .model import (
+    ModelSpec,
+    builtin_model,
+    cp_dimension,
+    data_path,
+    in_builtin_basis,
+    read_cached,
+)
+from .quantum import QElem, eval_relation
 from .series import (
     CohSeries,
     GaugeSeries,
     _add_term,
     _dt_flat,
-    _generator_action,
     _theta_flat,
 )
 
@@ -49,6 +55,9 @@ class QDEOperator:
 
     __slots__ = ("rank", "c")
 
+    # the letter that writes theta_i
+    _THETA = "D"
+
     def __init__(self, rank: int, terms=None):
         self.rank = rank
         c = {}
@@ -68,28 +77,31 @@ class QDEOperator:
         self.c = c
 
     @classmethod
+    def _monomial(cls, rank, hexp=0, qdeg=None, thexp=None, v=Fraction(1)):
+        """v * h^hexp * q^qdeg * theta^thexp; a missing vector is zero."""
+        zero = (0,) * rank
+        return cls(rank)._new({(hexp, qdeg or zero, thexp or zero): v} if v else {})
+
+    @classmethod
     def const(cls, rank, v):
-        return cls(rank, {(0, (0,) * rank, (0,) * rank): rational(v)})
+        return cls._monomial(rank, v=rational(v))
 
     @classmethod
     def gen_h(cls, rank):
-        return cls(rank, {(1, (0,) * rank, (0,) * rank): Fraction(1)})
+        return cls._monomial(rank, hexp=1)
 
     @classmethod
     def gen_q(cls, rank, i):
-        d = [0] * rank
-        d[i - 1] = 1
-        return cls(rank, {(0, tuple(d), (0,) * rank): Fraction(1)})
+        return cls._monomial(rank, qdeg=_unit_vector(rank, i))
 
     @classmethod
     def gen_theta(cls, rank, i):
-        e = [0] * rank
-        e[i - 1] = 1
-        return cls(rank, {(0, (0,) * rank, tuple(e)): Fraction(1)})
+        return cls._monomial(rank, thexp=_unit_vector(rank, i))
 
     def _new(self, terms):
-        out = QDEOperator(self.rank)
-        out.c = terms
+        """A result of this class, whose terms are `terms`."""
+        out = object.__new__(type(self))
+        out.rank, out.c = self.rank, terms
         return out
 
     def __bool__(self):
@@ -122,10 +134,6 @@ class QDEOperator:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QDEOperator.const(self.rank, other)
-        if not isinstance(other, QDEOperator):
-            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -179,7 +187,8 @@ class QDEOperator:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative operator powers are not defined")
-        out = QDEOperator.const(self.rank, 1)
+        zero = (0,) * self.rank
+        out = self._new({(0, zero, zero): Fraction(1)})
         for _ in range(n):
             out = out * self
         return out
@@ -215,16 +224,12 @@ class QDEOperator:
             return "0"
         parts = []
         for (hexp, qdeg, thexp), v in self.items_sorted():
-            factors = []
-            if hexp:
-                factors.append("h" if hexp == 1 else "h^%d" % hexp)
-            for i, d in enumerate(qdeg):
-                if d:
-                    factors.append("q%d" % (i + 1) if d == 1 else "q%d^%d" % (i + 1, d))
-            for i, e in enumerate(thexp):
-                if e:
-                    factors.append("D%d" % (i + 1) if e == 1 else "D%d^%d" % (i + 1, e))
-            body = "*".join(factors)
+            factors = [
+                "h" if hexp == 1 else "h^%d" % hexp if hexp else "",
+                monomial_text("q", qdeg),
+                monomial_text(self._THETA, thexp),
+            ]
+            body = "*".join(f for f in factors if f)
             if v == 1 and body:
                 term = body
             elif v == -1 and body:
@@ -243,132 +248,27 @@ class QDEOperator:
     __repr__ = __str__
 
 
-class RelPoly:
-    """Commutative polynomial in q_1..q_r and generator symbols b_1..b_r,
-    used for quantum-ring relations."""
+def _unit_vector(rank, i):
+    return tuple(int(k == i - 1) for k in range(rank))
 
-    __slots__ = ("rank", "terms")
+
+class RelPoly(QDEOperator):
+    """A quantum-ring relation: a commutative polynomial in q_1..q_r and
+    the generators b_1..b_r, held as the h = 0 symbol of an operator, with
+    b_i for theta_i.  Every result drops the terms that carry h, and the
+    h^0 part of a normal-ordered product is the commutative product, since
+    theta_i^e q_i^d = q_i^d (theta_i + d h)^e."""
+
+    __slots__ = ()
+
+    _THETA = "b"
 
     def __init__(self, rank, terms=None):
-        self.rank = rank
-        t = {}
-        if terms:
-            for (qdeg, bexp), v in terms.items():
-                key = (_vec_check(rank, qdeg, "q-degree"),
-                       _vec_check(rank, bexp, "generator exponent"))
-                v = rational(v) if not isinstance(v, Fraction) else v
-                s = t.get(key, Fraction(0)) + v
-                if s:
-                    t[key] = s
-                else:
-                    t.pop(key, None)
-        self.terms = t
+        """`terms` maps (q-degree, generator exponent) to coefficients."""
+        super().__init__(rank, {(0, q, b): v for (q, b), v in (terms or {}).items()})
 
-    @classmethod
-    def const(cls, rank, v):
-        return cls(rank, {((0,) * rank, (0,) * rank): rational(v)})
-
-    @classmethod
-    def gen_q(cls, rank, i):
-        d = [0] * rank
-        d[i - 1] = 1
-        return cls(rank, {(tuple(d), (0,) * rank): Fraction(1)})
-
-    @classmethod
-    def gen_b(cls, rank, i):
-        e = [0] * rank
-        e[i - 1] = 1
-        return cls(rank, {((0,) * rank, tuple(e)): Fraction(1)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, RelPoly):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    def __neg__(self):
-        out = RelPoly(self.rank)
-        out.terms = {k: -v for k, v in self.terms.items()}
-        return out
-
-    def __add__(self, other):
-        if not isinstance(other, RelPoly):
-            return NotImplemented
-        t = dict(self.terms)
-        for k, v in other.terms.items():
-            s = t.get(k, Fraction(0)) + v
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        out = RelPoly(self.rank)
-        out.terms = t
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, RelPoly):
-            return NotImplemented
-        t = {}
-        for (q1, b1), v1 in self.terms.items():
-            for (q2, b2), v2 in other.terms.items():
-                key = (
-                    tuple(a + b for a, b in zip(q1, q2)),
-                    tuple(a + b for a, b in zip(b1, b2)),
-                )
-                s = t.get(key, Fraction(0)) + v1 * v2
-                if s:
-                    t[key] = s
-                else:
-                    t.pop(key, None)
-        out = RelPoly(self.rank)
-        out.terms = t
-        return out
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = RelPoly.const(self.rank, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (qdeg, bexp), v in sorted(
-            self.terms.items(),
-            key=lambda kv: (-sum(kv[0][1]), kv[0][1], sum(kv[0][0]), kv[0][0]),
-        ):
-            factors = []
-            for i, d in enumerate(qdeg):
-                if d:
-                    factors.append("q%d" % (i + 1) if d == 1 else "q%d^%d" % (i + 1, d))
-            for i, e in enumerate(bexp):
-                if e:
-                    factors.append("b%d" % (i + 1) if e == 1 else "b%d^%d" % (i + 1, e))
-            body = "*".join(factors)
-            if v == 1 and body:
-                term = body
-            elif v == -1 and body:
-                term = "-" + body
-            else:
-                sv = format_rational(v)
-                term = "%s*%s" % (sv, body) if body else sv
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append("- " + term[1:])
-            else:
-                parts.append("+ " + term)
-        return " ".join(parts)
-
-    __repr__ = __str__
+    def _new(self, terms):
+        return super()._new({k: v for k, v in terms.items() if not k[0]})
 
 
 # -- parsing -------------------------------------------------------------
@@ -397,11 +297,11 @@ class _Parser:
     """Recursive-descent parser over +, -, *, ^, parentheses; exponents are
     nonnegative integer literals; multiplication is always explicit."""
 
-    def __init__(self, text, algebra):
-        self.text = text
+    def __init__(self, text, kind, rank):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.algebra = algebra
+        self.kind = kind
+        self.rank = rank
 
     def peek(self):
         return self.tokens[self.pos]
@@ -477,12 +377,12 @@ class _Parser:
                 self.take()
                 if int(val3) == 0:
                     raise ParseError("zero denominator", pos3)
-                return self.algebra.const(Fraction(num, int(val3)))
-            return self.algebra.const(Fraction(num))
+                return self.kind.const(self.rank, Fraction(num, int(val3)))
+            return self.kind.const(self.rank, Fraction(num))
         if kind == "name":
             if not _NAME_RE.match(val):
                 raise ParseError("unknown symbol %r" % val, pos)
-            return self.algebra.symbol(val, pos)
+            return _symbol(self.kind, self.rank, val, pos)
         if kind == "op" and val == "(":
             out = self.expr()
             self.expect_op(")")
@@ -492,54 +392,31 @@ class _Parser:
         raise ParseError("unexpected %r" % (val or "end of input"), pos)
 
 
-class _OperatorAlgebra:
-    def __init__(self, rank):
-        self.rank = rank
-
-    def const(self, v):
-        return QDEOperator.const(self.rank, v)
-
-    def symbol(self, name, pos):
-        if name == "h":
-            return QDEOperator.gen_h(self.rank)
-        idx = int(name[1:])
-        if idx > self.rank:
-            raise ParseError("index %d exceeds rank %d" % (idx, self.rank), pos)
-        if name[0] == "q":
-            return QDEOperator.gen_q(self.rank, idx)
-        if name[0] == "D":
-            return QDEOperator.gen_theta(self.rank, idx)
+def _symbol(kind, rank, name, pos):
+    """The generator that `name` writes in an expression of class `kind`:
+    h, q_i and theta_i (D_i) in an operator; q_i and b_i in a relation."""
+    if kind is RelPoly and (name == "h" or name[0] == "D"):
+        raise ParseError("symbol %r is not valid in a ring relation" % name, pos)
+    if name == "h":
+        return kind.gen_h(rank)
+    idx = int(name[1:])
+    if idx > rank:
+        raise ParseError("index %d exceeds rank %d" % (idx, rank), pos)
+    if name[0] == "q":
+        return kind.gen_q(rank, idx)
+    if name[0] != kind._THETA:
         raise ParseError(
             "basis symbol %r is not valid in a differential operator" % name, pos
         )
-
-
-class _RelationAlgebra:
-    def __init__(self, rank):
-        self.rank = rank
-
-    def const(self, v):
-        return RelPoly.const(self.rank, v)
-
-    def symbol(self, name, pos):
-        if name == "h" or name[0] == "D":
-            raise ParseError(
-                "symbol %r is not valid in a ring relation" % name, pos
-            )
-        idx = int(name[1:])
-        if idx > self.rank:
-            raise ParseError("index %d exceeds rank %d" % (idx, self.rank), pos)
-        if name[0] == "q":
-            return RelPoly.gen_q(self.rank, idx)
-        return RelPoly.gen_b(self.rank, idx)
+    return kind.gen_theta(rank, idx)
 
 
 def parse_operator(src: str, rank: int) -> QDEOperator:
-    return _Parser(src, _OperatorAlgebra(rank)).parse()
+    return _Parser(src, QDEOperator, rank).parse()
 
 
 def parse_relation(src: str, rank: int) -> RelPoly:
-    return _Parser(src, _RelationAlgebra(rank)).parse()
+    return _Parser(src, RelPoly, rank).parse()
 
 
 # -- expression files ----------------------------------------------------
@@ -634,16 +511,17 @@ def apply_gauge_many(ops, s: GaugeSeries) -> list:
     on the stored numerators of s over s.den.
 
     theta^E multiplies that denominator by growth(E), the product of the
-    cden of its letters (`_generator_action`; 1 for every builtin).  An
-    operator's result is over the lcm of v.denominator * den * growth(E)
-    over its terms v * h^hexp * q^qdeg * theta^E, so each term adds an int
-    multiple of its prefix, moved by hexp in h and by qdeg in q."""
+    cden of its letters (`ModelSpec.integral_action`; 1 for every
+    builtin).  An operator's result is over the lcm of v.denominator * den
+    * growth(E) over its terms v * h^hexp * q^qdeg * theta^E, so each term
+    adds an int multiple of its prefix, moved by hexp in h and by qdeg in
+    q."""
     ops = list(ops)
     for op in ops:
         if op.rank != s.model.rank:
             raise ValueError("rank mismatch")
     model, order = s.model, s.order
-    cden = [_generator_action(model, i)[1] for i in range(1, model.rank + 1)]
+    cden = [model.integral_action(i)[1] for i in range(1, model.rank + 1)]
     dens = [
         s.den * lcm(
             *(
@@ -723,8 +601,7 @@ def symbol_map(op: QDEOperator, model: ModelSpec, order: int) -> QElem:
     to the unit; an annihilating operator maps to zero in the quantum ring."""
     if op.rank != model.rank:
         raise ValueError("rank mismatch")
-    terms = ((q, e, v) for (h, q, e), v in op.c.items() if not h)
-    return _eval_terms(model, order, terms)
+    return eval_relation(model, op, order)
 
 
 # -- shipped expression data ---------------------------------------------
@@ -774,12 +651,11 @@ def builtin_rowspec(model: ModelSpec):
         candidate = data_path("%s.rows" % model.name)
         if not candidate.is_file():
             raise LookupError("no row expressions shipped for model %r" % model.name)
-    builtin = builtin_model(model.name)
-    if model.pairing != builtin.pairing or model.cup_table != builtin.cup_table:
+    if not in_builtin_basis(model):
         raise LookupError(
             "the row expressions shipped for %r are written for the builtin "
             "basis, but this model %r has another pairing or cup table"
-            % (builtin.name, model.name)
+            % (builtin_model(model.name).name, model.name)
         )
     if m:
         return [parse_operator(t, 1) for t in texts]

@@ -11,7 +11,7 @@ from itertools import product
 from math import factorial, prod
 from operator import add
 
-from .algebra import NovikovSeries, TPoly, format_rational
+from .algebra import NovikovSeries, TPoly, format_rational, monomial_text
 from .model import CohClass, ModelSpec
 from .series import CohSeries, _canonical, _integral_terms, _sum
 
@@ -147,11 +147,7 @@ class QElem:
             return "0"
         parts = []
         for D, cls in self.items_sorted():
-            mono = "*".join(
-                "q%d" % (i + 1) if e == 1 else "q%d^%d" % (i + 1, e)
-                for i, e in enumerate(D)
-                if e
-            )
+            mono = monomial_text("q", D)
             body = cls.describe(self.model.labels)
             parts.append("(%s)*%s" % (body, mono) if mono else body)
         return " + ".join(parts)
@@ -202,22 +198,6 @@ class MultMatrix:
     def entry(self, k, i) -> NovikovSeries:
         return self.entries[k][i]
 
-    def to_json(self):
-        return {
-            "model": self.model.name,
-            "generator": self.model.labels[self.index],
-            "entries": [
-                [_series_json(self.entries[k][i]) for i in range(self.model.size)]
-                for k in range(self.model.size)
-            ],
-        }
-
-
-def _series_json(ns: NovikovSeries):
-    return [
-        {"degree": list(D), "c": format_rational(v)} for D, v in ns.items_sorted()
-    ]
-
 
 def mult_matrix(model: ModelSpec, j: int, order: int) -> MultMatrix:
     size = model.size
@@ -237,19 +217,17 @@ def mult_matrix(model: ModelSpec, j: int, order: int) -> MultMatrix:
     return MultMatrix(model, j, order, tuple(tuple(row) for row in entries))
 
 
-def _mat_mul(a, b, size):
-    out = []
-    for k in range(size):
-        row = []
-        for i in range(size):
-            acc = None
-            for u in range(size):
-                if a[k][u] and b[u][i]:
-                    t = a[k][u] * b[u][i]
-                    acc = t if acc is None else acc + t
-            row.append(acc)
-        out.append(row)
-    return out
+def _mat_mul(a, b, zero):
+    """The product of two square matrices of series; an entry with no
+    nonzero products is the series `zero`."""
+    size = len(a)
+    return [
+        [
+            sum((x * b[u][i] for u, x in enumerate(row) if x and b[u][i]), zero)
+            for i in range(size)
+        ]
+        for row in a
+    ]
 
 
 def check_flatness(model: ModelSpec, order: int) -> dict:
@@ -257,16 +235,17 @@ def check_flatness(model: ModelSpec, order: int) -> dict:
     multiplication matrices must commute and have symmetric q-derivatives."""
     size = model.size
     mats = {j: mult_matrix(model, j, order).entries for j in range(1, model.rank + 1)}
+    zero = NovikovSeries(model.rank, order)
     witnesses = []
     for i in range(1, model.rank + 1):
         for j in range(i + 1, model.rank + 1):
-            ab = _mat_mul(mats[i], mats[j], size)
-            ba = _mat_mul(mats[j], mats[i], size)
+            ab = _mat_mul(mats[i], mats[j], zero)
+            ba = _mat_mul(mats[j], mats[i], zero)
             for k in range(size):
                 for l in range(size):
                     lhs = ab[k][l]
                     rhs = ba[k][l]
-                    if (lhs or rhs) and lhs != rhs:
+                    if lhs != rhs:
                         witnesses.append(
                             {
                                 "identity": "[M%d, M%d]" % (i, j),
@@ -441,10 +420,11 @@ def _eval_terms(model: ModelSpec, order: int, terms) -> QElem:
 
 
 def eval_relation(model: ModelSpec, rel, order: int) -> QElem:
-    """Evaluate a commutative polynomial in q_1..q_r and b_1..b_r in the
-    quantum ring: q-monomials are scalars, generator monomials act by
-    iterated quantum multiplication applied to 1 (`_eval_terms`)."""
-    return _eval_terms(model, order, ((q, b, v) for (q, b), v in rel.terms.items()))
+    """Evaluate the h = 0 symbol of an operator (a relation, or the h-free
+    terms of a QDEOperator) in the quantum ring: q-monomials are scalars,
+    theta^E is the generator word 1 o b^E (`_eval_terms`)."""
+    terms = ((q, e, v) for (h, q, e), v in rel.c.items() if not h)
+    return _eval_terms(model, order, terms)
 
 
 def exp_quantum(model: ModelSpec, torder: int, order: int) -> TPoly:

@@ -11,11 +11,12 @@ the scalar entries of the matrix carry the gauge factor on the right.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from math import lcm
 
-from .algebra import H_ONE, HLaurent, NovikovSeries, TPoly, format_rational
-from .model import ModelSpec, _invert_rational_matrix, cp_dimension
+from .algebra import HLaurent, NovikovSeries, TPoly, format_rational
+from .model import CohClass, ModelSpec, _invert_rational_matrix, cp_dimension
 from .operators import QDEOperator, apply_gauge_many
 from .quantum import CheckFailure
 from .series import (
@@ -106,16 +107,18 @@ def _first_difference(a, b):
 
 
 def _grading(model):
-    """exponent(i, k, D): the power of h at entry (i, k) of the q^D part of
-    a graded matrix, (deg b_k - deg b_i - deg q^D) / 2."""
+    """exponents(D): the table whose entry [i][k] is the power of h at entry
+    (i, k) of the q^D part of a graded matrix, (deg b_k - deg b_i - deg q^D)
+    / 2; built once per degree."""
     degrees = model.degrees
     qweights = model.qdegrees
 
-    def exponent(i, k, D):
+    @cache
+    def exponents(D):
         qdeg = sum(d * w for d, w in zip(D, qweights))
-        return (degrees[k] - degrees[i] - qdeg) // 2
+        return tuple(tuple((b - a - qdeg) // 2 for b in degrees) for a in degrees)
 
-    return exponent
+    return exponents
 
 
 # -- solver ----------------------------------------------------------------
@@ -282,21 +285,19 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     rank = model.rank
     degrees = model.degrees
     qweights = model.qdegrees
-    exponent = _grading(model)
-
-    def qdeg(D):
-        return sum(d * w for d, w in zip(D, qweights))
+    exponents = _grading(model)
 
     def monomial(i, k, D, value, shift=0):
-        return HLaurent.term(value, exponent(i, k, D) + shift)
+        return HLaurent.term(value, exponents(D)[i][k] + shift)
 
     def graded(j, D, mat):
         # entry (r, c) of the q^D part of b_j o - may be nonzero only when
         # deg b_r + deg q^D = deg b_c + 2
         sparse = _sparse(mat)
+        qdeg = sum(d * w for d, w in zip(D, qweights))
         for r, row in enumerate(sparse):
             for c, v in row.items():
-                if degrees[r] + qdeg(D) != degrees[c] + 2:
+                if degrees[r] + qdeg != degrees[c] + 2:
                     raise _check_failure(
                         model,
                         "solver-grading",
@@ -409,9 +410,10 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         flat = {}
         for D, (mat, d) in G.items():
             coords = flat[D] = {}
+            exps = exponents(D)[i]
             for l, v in mat[i].items():
                 v *= den // d
-                exp = exponent(i, l, D)
+                exp = exps[l]
                 for k, a in duals[l].items():
                     key = (k, exp)
                     p = a * v
@@ -658,21 +660,22 @@ def _graded_at_one(model, comps, name):
     entry against the grading; the first entry that breaks it, by degree,
     row and column, names the failure."""
     size = model.size
-    exponent = _grading(model)
+    exponents = _grading(model)
     den = lcm(*(d for _, d in comps))
     out = {}
     bad = []
     for i, (comp, d) in enumerate(comps):
         for D, terms in comp.items():
             row = out.setdefault(D, [{} for _ in range(size)])[i]
+            exps = exponents(D)[i]
             for (k, x), n in terms.items():
-                if x == exponent(i, k, D):
+                if x == exps[k]:
                     row[k] = n * (den // d)
                 else:
                     bad.append((_degree_order(D), i, k))
     if bad:
         (_, D), i, k = min(bad)
-        v, e = _laurent(comps[i][0][D], comps[i][1], k), exponent(i, k, D)
+        v, e = _laurent(comps[i][0][D], comps[i][1], k), exponents(D)[i][k]
         raise _qfactor_failure(
             model, D, i, k, HLaurent.term(v.coeff(e), e), v,
             "entry of %s breaks the grading: expected a multiple "
@@ -737,7 +740,7 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
     rank = model.rank
     order = Hm.order
     zero = (0,) * rank
-    exponent = _grading(model)
+    exponents = _grading(model)
     J = Hm.jrow()
     theta_rows = [op.theta_part() for op in rowspec]
     H0 = HMatrix(model, order, apply_gauge_many(theta_rows, J))
@@ -757,7 +760,7 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
 
     def failure(expected, got, detail):
         D, i, k, want, have = _first_difference(expected, got)
-        e = exponent(i, k, D)
+        e = exponents(D)[i][k]
         return _qfactor_failure(
             model, D, i, k, HLaurent.term(want, e), HLaurent.term(have, e), detail
         )
@@ -768,10 +771,11 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
         raise failure((identity, qden), (Q, qden), "q^0 part of Q is not the identity")
     entries = [[{} for _ in range(size)] for _ in range(size)]
     for D, mat in sorted(Q.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        exps = exponents(D)
         for i, row in enumerate(mat):
             for k, v in sorted(row.items()):
                 v = Fraction(v, qden)
-                e = exponent(i, k, D)
+                e = exps[i][k]
                 if e:
                     got = HLaurent.term(v, e)
                     raise _qfactor_failure(
@@ -791,70 +795,63 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
 # -- classical (asymptotic) limit -------------------------------------------
 
 
-def asymptotic_H(model: ModelSpec):
-    """Matrix of cup multiplication by e^{t/h}: entry (i, k) is a polynomial
-    in t over HLaurent.  Finite because degree-2 classes are nilpotent."""
-    size = model.size
-    rank = model.rank
-    cup = {j: model.cup_matrix(j) for j in range(1, rank + 1)}
-    zero_t = TPoly(rank)
-    ident = [
-        [TPoly.const(rank, H_ONE) if i == k else zero_t for k in range(size)]
-        for i in range(size)
+def _cup_exponential(model: ModelSpec):
+    """The matrix E = e^{t/h} of cup multiplication, built at h = 1 on int
+    rows: {e: (columns, den)}, column i of the t^e coefficient holding the
+    numerators of the t^e part of e^{t/h} cup b_i over den, one den per
+    total degree.  E[0] = I and E[e] = (1/|e|) sum_j C_j E[e - e_j], with
+    C_j the integral action of b_j over its cden
+    (`ModelSpec.integral_action`).  The t^e coefficient carries h^-|e|,
+    and the build stops at the first total degree whose coefficients all
+    vanish: finite because degree-2 classes are nilpotent."""
+    rank, size = model.rank, model.size
+    actions = [model.integral_action(j) for j in range(1, rank + 1)]
+    common = lcm(*(cden for _, cden in actions))
+    # C_j over the common denominator: row u holds b_j cup b_u
+    actions = [
+        [{k: n * (common // cden) for k, n in row} for row in rows]
+        for rows, cden in actions
     ]
-    result = [row[:] for row in ident]
-    term = [row[:] for row in ident]
-    l = 0
-    while True:
-        l += 1
-        scale = HLaurent.term(Fraction(1, l), -1)
-        new = [[zero_t for _ in range(size)] for _ in range(size)]
-        nonzero = False
-        for k in range(size):
-            for i in range(size):
-                acc = zero_t
-                for j in range(1, rank + 1):
-                    tj = TPoly.t(rank, j, one=H_ONE)
-                    for u in range(size):
-                        c = cup[j][k][u]
-                        if not c or not term[u][i]:
-                            continue
-                        acc = acc + term[u][i].mul(tj).map_coeffs(
-                            lambda v, m=c * scale: v * m
-                        )
-                if acc:
-                    nonzero = True
-                new[k][i] = acc
-        if not nonzero:
-            break
-        term = new
-        for i in range(size):
-            for k in range(size):
-                result[i][k] = result[i][k] + term[i][k]
-    return result
+    layer, degree, den = {(0,) * rank: [{i: 1} for i in range(size)]}, 0, 1
+    out = {}
+    while layer:
+        out.update((e, (cols, den)) for e, cols in layer.items())
+        degree += 1
+        den *= degree * common
+        following = {}
+        for e, cols in layer.items():
+            for j, action in enumerate(actions):
+                up = e[:j] + (e[j] + 1,) + e[j + 1:]
+                acc = following.setdefault(up, [{} for _ in range(size)])
+                _sparse_addmul(acc, cols, action)
+        following = {e: _sparse_pruned(cols) for e, cols in following.items()}
+        layer = {e: cols for e, cols in following.items() if any(cols)}
+    return out
+
+
+def asymptotic_H(model: ModelSpec):
+    """Matrix of cup multiplication by e^{t/h} (`_cup_exponential`): entry
+    (k, i) is the b_k coordinate of e^{t/h} cup b_i, a polynomial in t over
+    HLaurent."""
+    size = model.size
+    mat = [[TPoly(model.rank) for _ in range(size)] for _ in range(size)]
+    for e, (cols, den) in _cup_exponential(model).items():
+        for i, col in enumerate(cols):
+            for k, n in col.items():
+                mat[k][i].c[e] = HLaurent.term(Fraction(n, den), -sum(e))
+    return mat
 
 
 def asymptotic_J(model: ModelSpec) -> TPoly:
-    """The asymptotic J-series as a cohomology-valued t-polynomial: e^{t/h},
-    cup-applied to the unit."""
-    rank = model.rank
-    out = TPoly.const(rank, model.unit().lifted())
-    term = out
-    l = 0
-    while term:
-        l += 1
-        scale = HLaurent.term(Fraction(1, l), -1)
-        new = TPoly(rank)
-        for e, cls in term.c.items():
-            for j in range(1, rank + 1):
-                prod = model.cup(model.basis_class(j).lifted(), cls).scaled(scale)
-                if not prod:
-                    continue
-                ne = list(e)
-                ne[j - 1] += 1
-                new = new + TPoly(rank, {tuple(ne): prod})
-        term = new
-        out = out + term
+    """The asymptotic J-series as a cohomology-valued t-polynomial: e^{t/h}
+    cup 1, column 0 of `_cup_exponential`."""
+    out = TPoly(model.rank)
+    for e, ([unit, *_], den) in _cup_exponential(model).items():
+        if unit:
+            out.c[e] = CohClass(
+                HLaurent.term(Fraction(unit.get(k, 0), den), -sum(e))
+                for k in range(model.size)
+            )
     return out
 
 

@@ -14,7 +14,7 @@ Every kernel reads and writes that form, and the helpers here are the only
 code that knows its keys: the theta kernel, the t-derivative, the scaled
 shifted sum and the components along the dual basis.  HLaurent and Fraction
 values are built only for output (`to_json`, `describe`) and for the
-read-only views (`c`, `coeff`, `items_sorted`, `scalar_component`).
+read-only views (`c`, `coeff`, `items_sorted`).
 
 A GaugeSeries is the same data read as the section e^{t/h} * sum_D c_D q^D;
 in that reading the operator theta_i = h d/dt_i acts on the q^D term as cup
@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import HLaurent, format_rational, rational
+from .algebra import HLaurent, format_rational, monomial_text, rational
 from .model import CohClass, ModelSpec
 
 
@@ -177,11 +177,7 @@ class CohSeries:
         labels = self.model.labels
         parts = []
         for D, cls in self.items_sorted():
-            mono = "*".join(
-                "q%d" % (i + 1) if e == 1 else "q%d^%d" % (i + 1, e)
-                for i, e in enumerate(D)
-                if e
-            )
+            mono = monomial_text("q", D)
             body = cls.describe(labels)
             if mono:
                 parts.append("(%s)*%s" % (body, mono))
@@ -217,27 +213,14 @@ class CohSeries:
 # reduction, which the caller applies once to the result it keeps.
 
 
-def _generator_action(model: ModelSpec, i: int) -> tuple:
-    """Cup multiplication by b_i made integral: (rows, cden) with row j
-    the pairs (k, n) of b_i cup b_j = sum_k n/cden * b_k, cden the lcm
-    of the table's denominators (1 for every builtin)."""
-    action = model.generator_action(i)
-    cden = lcm(*(v.denominator for row in action for _, v in row))
-    rows = [
-        [(k, v.numerator * (cden // v.denominator)) for k, v in row]
-        for row in action
-    ]
-    return rows, cden
-
-
 def _theta_flat(model: ModelSpec, flat, i: int) -> tuple:
-    """theta_i on a flat series, over den * cden (see `_generator_action`):
-    the numerator a at (j, x) of degree D adds a * n at (k, x) for each
-    (k, n) of the integral action on b_j, and a * d_i * cden at (j, x + 1)
-    where d_i = D[i - 1].  The one theta kernel, shared by
+    """theta_i on a flat series, over den * cden (see
+    `ModelSpec.integral_action`): the numerator a at (j, x) of degree D
+    adds a * n at (k, x) for each (k, n) of the integral action on b_j, and
+    a * d_i * cden at (j, x + 1) where d_i = D[i - 1].  The one theta kernel, shared by
     GaugeSeries.theta, the operator walk and the first-order-system check."""
     flat, den = flat
-    action, cden = _generator_action(model, i)
+    action, cden = model.integral_action(i)
     out = {}
     for D, terms in flat.items():
         d = D[i - 1] * cden
@@ -335,10 +318,3 @@ class GaugeSeries(CohSeries):
             for _ in range(e):
                 out = out.theta(i)
         return out
-
-    def scalar_component(self, j: int):
-        """The coefficient along the dual class a_j, per multidegree: the
-        pairing of each coefficient with b_j, as {D: HLaurent}."""
-        comps, den = _components(self)
-        out = {D: _laurent(terms, den, j) for D, terms in comps.items()}
-        return {D: v for D, v in out.items() if v}

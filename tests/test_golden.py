@@ -108,6 +108,14 @@ CORPUS = {
     # and 5 in the ring checks and the quantum exponential
     "check-rescaled": ["check", "--model", "f3-rescaled.model", "--n", "4"],
     "tilde-rescaled": ["tilde", "--model", "f3-rescaled.model", "--t-order", "6"],
+    # the classical fixture is written in the builtin basis, so it is
+    # "absent" for the rescaled f3, whose own checks pass
+    "classical-rescaled": ["classical", "--model", "f3-rescaled.model"],
+    # P^1 x P^1 with the q2 term of b o b dropped: a valid model whose
+    # M1 and M2 do not commute; a witness entry with no products is 0
+    "check-flatness-p1xp1-no-q2": [
+        "check", "--model", "p1xp1-no-q2.model", "--flatness", "--n", "3"
+    ],
     # malformed model files: each command exits 2 naming the bad field
     **{
         "%s-%s" % (cmd, bad.stem): argv + ["bad/%s" % bad.name]

@@ -255,6 +255,53 @@ def test_symbol_map_drops_h_terms():
     assert elem.c == {(0,): model.basis_class(1)}
 
 
+# A relation is the h = 0 symbol of the operator with the same text, b_i
+# written D_i; the models of each rank it is evaluated on.
+SYMBOL_MODELS = {1: ("cp2", "gr24"), 2: ("f3", "sigma1")}
+
+
+@st.composite
+def relation_texts(draw, rank, depth=1):
+    """A sum of products of q_i, b_i, rational constants and bracketed
+    sums (`depth` levels deep), each factor possibly raised to a power."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 2))):
+            kind = draw(st.sampled_from("qbc(" if depth else "qbc"))
+            if kind == "c":
+                factor = "%d/%d" % (draw(st.integers(0, 6)), draw(st.integers(1, 4)))
+            elif kind == "(":
+                factor = "(%s)" % draw(relation_texts(rank, depth - 1))
+            else:
+                factor = "%s%d" % (kind, draw(st.integers(1, rank)))
+            if draw(st.booleans()):
+                factor += "^%d" % draw(st.integers(0, 2))
+            factors.append(factor)
+        terms.append((draw(st.sampled_from("+-")), "*".join(factors)))
+    return " ".join("%s %s" % term for term in terms)
+
+
+@st.composite
+def ranked_relation_texts(draw):
+    rank = draw(st.sampled_from(sorted(SYMBOL_MODELS)))
+    return rank, draw(relation_texts(rank))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ranked_relation_texts())
+def test_relation_is_the_h0_symbol_of_its_operator(case):
+    rank, text = case
+    rel = parse_relation(text, rank)
+    op = parse_operator(text.replace("b", "D"), rank)
+    assert all(hexp == 0 for hexp, _, _ in rel.c)
+    assert rel.c == {key: v for key, v in op.c.items() if key[0] == 0}
+    assert parse_relation(str(rel), rank) == rel
+    for name in SYMBOL_MODELS[rank]:
+        model = builtin_model(name)
+        assert eval_relation(model, rel, 3) == symbol_map(op, model, 3), name
+
+
 # -- application soundness ------------------------------------------------------------
 
 

@@ -676,20 +676,31 @@ def test_classical_operators_annihilate_asymptotic_row(name):
         assert not residual.c, (name, str(op))
 
 
-def test_asymptotic_J_is_last_row():
-    """Entry (i, k) of the constant-coefficient matrix is the Poincare
-    pairing of the i-th row series with basis element k."""
-    model = builtin_model("sigma1")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name", BUILTIN_NAMES + ("f3-rescaled.model", "f3-nonintegrable.model")
+)
+def test_asymptotic_J_is_last_row(name):
+    """Entry (i, k) of the constant-coefficient matrix is the b_i
+    coordinate of e^{t/h} cup b_k, so its column 0 is the asymptotic J,
+    and its last row, times <1, b_top>, is the pairing of J with b_k."""
+    model = load_model(GOLDEN / name) if name.endswith(".model") else builtin_model(name)
     mat = asymptotic_H(model)
     aj = asymptotic_J(model)
-    i = model.size - 1
-    for e, cls in aj.c.items():
+    top = model.pairing[0][model.top]
+    assert top and not any(model.pairing[0][:-1])
+    for e in set(aj.c) | {e for row in mat for entry in row for e in entry.c}:
+        cls = aj.c.get(e, CohClass((HLaurent(),) * model.size))
         for k in range(model.size):
+            assert mat[k][0].c.get(e, HLaurent()) == cls.coords[k], (e, k)
             want = HLaurent()
             for m, lau in enumerate(cls.coords):
                 if lau and model.pairing[m][k]:
                     want = want + lau * model.pairing[m][k]
-            assert mat[i][k].c.get(e, HLaurent()) == want, (e, k)
+            got = mat[model.top][k].c.get(e, HLaurent()) * top
+            assert got == want, (e, k)
 
 
 # -- descendent extraction ---------------------------------------------------------
