@@ -34,14 +34,12 @@ from .operators import (
     symbol_map,
 )
 from .quantum import (
-    MultMatrix,
     QElem,
     check_associativity,
     check_flatness,
     eval_relation,
     exp_quantum,
     integrate_connection,
-    mult_matrix,
     quantum_monomial,
 )
 from .sections import (

@@ -33,6 +33,7 @@ from .operators import (
     apply_constq,
 )
 from .quantum import (
+    _report,
     check_associativity,
     check_flatness,
     eval_relation,
@@ -217,15 +218,8 @@ def _relations_report(model, rels, order, source):
         value = eval_relation(model, rel, order)
         if value:
             witnesses.append({"relation": str(rel), "value": value.describe()})
-    return {
-        "check": "relations",
-        "model": model.name,
-        "order": order,
-        "relations": len(rels),
-        "source": source,
-        "status": "pass" if not witnesses else "fail",
-        "witnesses": witnesses,
-    }
+    report = _report("relations", model, order, witnesses)
+    return {**report, "relations": len(rels), "source": source}
 
 
 def cmd_check(args):
@@ -450,16 +444,20 @@ def cmd_classical(args):
 
 
 def _v_at_h1(tp, model):
+    """The t-polynomial tp of CohSeries at h = 1: each coordinate's stored
+    numerators summed over their h-exponents, over the series' den."""
     out = []
     for e, cs in tp.items_sorted():
         terms = []
-        for D, cls in cs.items_sorted():
-            coeffs = {}
-            for k, lau in enumerate(cls.coords):
-                if lau:
-                    val = lau.at_one()
-                    if val:
-                        coeffs[model.labels[k]] = format_rational(val)
+        for D in sorted(cs.flat, key=lambda d: (sum(d), d)):
+            sums = {}
+            for (k, _), n in cs.flat[D].items():
+                sums[k] = sums.get(k, 0) + n
+            coeffs = {
+                model.labels[k]: format_rational(Fraction(n, cs.den))
+                for k, n in sums.items()
+                if n
+            }
             if coeffs:
                 terms.append({"degree": list(D), "coeffs": coeffs})
         if terms:

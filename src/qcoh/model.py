@@ -3,7 +3,9 @@ and the full small quantum product table over exact rationals.
 
 A model fixes a free module with basis b_0..b_s, b_0 the unit, the degree-2
 generators b_1..b_r, and for every pair (i,j) the finite q-expansion of
-b_i o b_j (the D=0 part of which must be the cup product).  Built-in models
+b_i o b_j (the D=0 part of which must be the cup product).  Computations
+read the product through its one integral form, `ModelSpec.quantum_rows`;
+the Fraction tables serve validation and serialization.  Built-in models
 cover projective spaces, built from their dimension, and the
 three-dimensional flag variety, the first Hirzebruch surface and the
 Grassmannian of 2-planes in C^4, read from their shipped model files.
@@ -158,7 +160,6 @@ class ModelSpec:
         "degrees",
         "pairing",
         "cup_table",
-        "_cup_entries",
         "quantum_table",
         "chern",
         "aliases",
@@ -190,11 +191,6 @@ class ModelSpec:
             # cup[(i,j)] and quantum[(i,j)][D] are CohClass values over
             # Fraction, stored for every ordered pair
             "cup_table": MappingProxyType(dict(cup)),
-            # the nonzero entries (k, c) of every cup product b_i cup b_j
-            "_cup_entries": {
-                key: tuple((k, c) for k, c in enumerate(cls.coords) if c)
-                for key, cls in cup.items()
-            },
             "quantum_table": MappingProxyType(
                 {key: MappingProxyType(dict(parts)) for key, parts in quantum.items()}
             ),
@@ -241,47 +237,22 @@ class ModelSpec:
 
     # -- classical structure -----------------------------------------------
 
-    def cup_basis(self, i, j) -> CohClass:
-        return self.cup_table[(i, j)]
-
-    def generator_action(self, i):
-        """Cup multiplication by b_i as a sparse table: entry j lists the
-        nonzero pairs (k, c) of b_i cup b_j = sum_k c b_k."""
-        return tuple(self._cup_entries[(i, j)] for j in range(self.size))
-
-    def integral_action(self, i):
-        """Cup multiplication by b_i made integral: (rows, cden) with row j
-        the pairs (k, n) of b_i cup b_j = sum_k n/cden * b_k, cden the lcm
-        of the denominators of b_i's action (1 for every builtin).  Built
-        once, for every generator."""
-        if self._actions is None:
-            actions = [None]
-            for g in range(1, self.rank + 1):
-                action = self.generator_action(g)
-                cden = lcm(*(c.denominator for row in action for _, c in row))
-                rows = tuple(tuple((k, int(c * cden)) for k, c in row) for row in action)
-                actions.append((rows, cden))
-            object.__setattr__(self, "_actions", tuple(actions))
-        return self._actions[i]
-
     def cup(self, x: CohClass, y: CohClass) -> CohClass:
+        """x cup y, over the q^0 terms of `quantum_rows`."""
+        qden, table = self.quantum_rows()
         out = [0] * self.size
         ys = [(j, yj) for j, yj in enumerate(y.coords) if yj]
         for i, xi in enumerate(x.coords):
             if not xi:
                 continue
             for j, yj in ys:
-                p = xi * yj
-                for k, c in self._cup_entries[(i, j)]:
-                    out[k] = out[k] + c * p
-        return CohClass(tuple(a if a else Fraction(0) for a in out))
-
-    def cup_matrix(self, j):
-        """Matrix of cup multiplication by b_j: column i holds b_j cup b_i."""
-        cols = [self.cup_basis(j, i).coords for i in range(self.size)]
-        return tuple(
-            tuple(cols[i][k] for i in range(self.size)) for k in range(self.size)
-        )
+                terms = table[i][j]
+                if terms and not terms[0][0]:
+                    p = xi * yj
+                    for k, n in terms[0][2]:
+                        out[k] = out[k] + n * p
+        scale = Fraction(1, qden)
+        return CohClass(tuple(a * scale if a else Fraction(0) for a in out))
 
     def dual_basis(self):
         """Classes a_0..a_s with <a_i, b_j> = delta_ij."""
@@ -296,15 +267,11 @@ class ModelSpec:
 
     # -- quantum structure ---------------------------------------------------
 
-    def qprod_basis(self, i, j):
-        """Full product b_i o b_j as a read-only mapping {multidegree:
-        CohClass}."""
-        return self.quantum_table[(i, j)]
-
     def quantum_rows(self):
         """(qden, table): the quantum table over qden, the lcm of its
         denominators.  table[i][j] lists b_i o b_j by total degree, as terms
-        (|D|, D, ((k, n), ...)) for sum of n/qden q^D b_k.  Built once."""
+        (|D|, D, ((k, n), ...)) for sum of n/qden q^D b_k.  Built once; the
+        one integral form of the product that any computation reads."""
         if self._qrows is None:
             parts = self.quantum_table
             coords = [c.coords for p in parts.values() for c in p.values()]
@@ -321,31 +288,31 @@ class ModelSpec:
             object.__setattr__(self, "_qrows", (qden, tuple(map(tuple, table))))
         return self._qrows
 
-    def quantum_part(self, j, D):
-        """Matrix of the q^D part of multiplication by b_j (None if absent)."""
-        cols = []
-        seen = False
-        for i in range(self.size):
-            cls = self.quantum_table[(j, i)].get(D)
-            if cls is None:
-                cols.append(None)
-            else:
-                cols.append(cls.coords)
-                seen = True
-        if not seen:
-            return None
-        zero = (Fraction(0),) * self.size
-        cols = [c if c is not None else zero for c in cols]
-        return tuple(
-            tuple(cols[i][k] for i in range(self.size)) for k in range(self.size)
-        )
+    def quantum_action(self, j):
+        """The q^D parts of the matrix of b_j o -, read from `quantum_rows`:
+        pairs (D, rows) sorted by (|D|, D), rows[k] = {c: n} for the b_k
+        coordinate n/qden of the q^D part of b_j o b_c.  Built once, for
+        every generator, and read-only."""
+        if self._actions is None:
+            table = self.quantum_rows()[1]
+            actions = [None]
+            for g in range(1, self.rank + 1):
+                parts = {}
+                for c, terms in enumerate(table[g]):
+                    for _, D, row in terms:
+                        mat = parts.setdefault(D, tuple({} for _ in range(self.size)))
+                        for k, n in row:
+                            mat[k][c] = n
+                ordered = sorted(parts.items(), key=lambda p: (sum(p[0]), p[0]))
+                actions.append(tuple(ordered))
+            object.__setattr__(self, "_actions", tuple(actions))
+        return self._actions[j]
 
-    def quantum_degrees(self, j):
-        """All multidegrees appearing in multiplication by b_j."""
-        ds = set()
-        for i in range(self.size):
-            ds.update(self.quantum_table[(j, i)].keys())
-        return sorted(ds, key=lambda d: (sum(d), d))
+    def integral_action(self, j):
+        """Cup multiplication by b_j: the q^0 terms of `quantum_rows`, entry c
+        the terms (k, n) of b_j cup b_c = sum n/qden b_k."""
+        table = self.quantum_rows()[1]
+        return tuple(t[0][2] if t and not t[0][0] else () for t in table[j])
 
     # -- validation ----------------------------------------------------------
 

@@ -13,7 +13,7 @@ import io
 import re
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm, prod
+from math import comb, lcm
 
 from .algebra import TPoly, format_rational, monomial_text, rational
 from .model import (
@@ -510,25 +510,20 @@ def apply_gauge_many(ops, s: GaugeSeries) -> list:
     section, returning one GaugeSeries per operator, by one `_prefix_walk`
     on the stored numerators of s over s.den.
 
-    theta^E multiplies that denominator by growth(E), the product of the
-    cden of its letters (`ModelSpec.integral_action`; 1 for every
-    builtin).  An operator's result is over the lcm of v.denominator * den
-    * growth(E) over its terms v * h^hexp * q^qdeg * theta^E, so each term
-    adds an int multiple of its prefix, moved by hexp in h and by qdeg in
-    q."""
+    theta^E multiplies that denominator by qden^|E|, qden the denominator
+    of the model's integral product table (`ModelSpec.quantum_rows`; 1 for
+    every builtin).  An operator's result is over the lcm of
+    v.denominator * den * qden^|E| over its terms v * h^hexp * q^qdeg *
+    theta^E, so each term adds an int multiple of its prefix, moved by hexp
+    in h and by qdeg in q."""
     ops = list(ops)
     for op in ops:
         if op.rank != s.model.rank:
             raise ValueError("rank mismatch")
     model, order = s.model, s.order
-    cden = [model.integral_action(i)[1] for i in range(1, model.rank + 1)]
+    qden = model.quantum_rows()[0]
     dens = [
-        s.den * lcm(
-            *(
-                v.denominator * prod(c ** e for c, e in zip(cden, thexp))
-                for (_, _, thexp), v in op.c.items()
-            )
-        )
+        s.den * lcm(*(v.denominator * qden ** sum(E) for (_, _, E), v in op.c.items()))
         for op in ops
     ]
     acc = [{} for _ in ops]

@@ -1,7 +1,9 @@
-"""Quantum ring arithmetic: products of classes with Novikov coefficients,
-multiplication matrices, flatness and associativity checks, the potential
-whose differential is the connection form, ring relations, and the
-exponential of quantum multiplication by a degree-2 class.
+"""Quantum ring arithmetic over the model's one integral product table
+(`ModelSpec.quantum_rows`): products of classes with Novikov coefficients,
+flatness and associativity checks, the potential whose differential is the
+connection form, ring relations, and the exponential of quantum
+multiplication by a degree-2 class.  A multiplication matrix M_j is held
+as its columns, the QElem values b_j o b_l, so flatness compares columns.
 """
 
 from __future__ import annotations
@@ -24,6 +26,29 @@ class CheckFailure(Exception):
         self.report = report
 
 
+def _check_failure(model, check, witness):
+    return CheckFailure(
+        {
+            "check": check,
+            "model": model.name,
+            "status": "fail",
+            "witnesses": [witness],
+        }
+    )
+
+
+def _report(check, model, order, witnesses):
+    """The report of a check run on the model at the order: "pass" exactly
+    when there are no witnesses."""
+    return {
+        "check": check,
+        "model": model.name,
+        "order": order,
+        "status": "pass" if not witnesses else "fail",
+        "witnesses": witnesses,
+    }
+
+
 class QElem:
     """Element of the quantum ring, truncated at total degree `order`: int
     rows {multidegree: {k: n}} over one denominator den > 0, q^D b_k having
@@ -40,9 +65,17 @@ class QElem:
         self.rows, self.den = _integral_terms(model, order, terms, enumerate)
 
     @classmethod
+    def _stored(cls, model, order, rows, den):
+        """The element of the numerators `rows` over den, made canonical."""
+        out = object.__new__(cls)
+        out.model, out.order = model, order
+        out.rows, out.den = _canonical(rows, den)
+        return out
+
+    @classmethod
     def basis(cls, model, order, i):
         rows = {(0,) * model.rank: {i: 1}} if order >= 0 else {}
-        return cls(model, order)._new(rows, 1)
+        return cls._stored(model, order, rows, 1)
 
     @classmethod
     def unit(cls, model, order):
@@ -50,13 +83,10 @@ class QElem:
 
     @classmethod
     def zero(cls, model, order):
-        return cls(model, order)
+        return cls._stored(model, order, {}, 1)
 
     def _new(self, rows, den):
-        out = object.__new__(QElem)
-        out.model, out.order = self.model, self.order
-        out.rows, out.den = _canonical(rows, den)
-        return out
+        return self._stored(self.model, self.order, rows, den)
 
     def coeff(self, D) -> CohClass:
         row = self.rows.get(tuple(D), {})
@@ -183,97 +213,55 @@ def quantum_monomial(model: ModelSpec, order: int, exps, qshift=None) -> QElem:
     return out.shifted(qshift) if qshift else out
 
 
-class MultMatrix:
-    """Matrix of quantum multiplication by a degree-2 generator, entries
-    scalar Novikov series; column i holds the coordinates of b_j o b_i."""
-
-    __slots__ = ("model", "index", "order", "entries")
-
-    def __init__(self, model, index, order, entries):
-        self.model = model
-        self.index = index
-        self.order = order
-        self.entries = entries
-
-    def entry(self, k, i) -> NovikovSeries:
-        return self.entries[k][i]
+def _weighted(elem: QElem, i: int) -> QElem:
+    """elem with its q^D term multiplied by D_i: the action of the Euler
+    field d/dt_i on pure q-dependence."""
+    rows = {
+        D: {k: D[i - 1] * n for k, n in row.items()} for D, row in elem.rows.items()
+    }
+    return elem._new(rows, elem.den)
 
 
-def mult_matrix(model: ModelSpec, j: int, order: int) -> MultMatrix:
-    size = model.size
-    rank = model.rank
-    entries = [
-        [NovikovSeries(rank, order) for _ in range(size)] for _ in range(size)
-    ]
-    for i in range(size):
-        for D, cls in model.qprod_basis(j, i).items():
-            if sum(D) > order:
-                continue
-            for k, v in enumerate(cls.coords):
-                if v:
-                    entries[k][i] = entries[k][i] + NovikovSeries(
-                        rank, order, {D: v}
-                    )
-    return MultMatrix(model, j, order, tuple(tuple(row) for row in entries))
-
-
-def _mat_mul(a, b, zero):
-    """The product of two square matrices of series; an entry with no
-    nonzero products is the series `zero`."""
-    size = len(a)
-    return [
-        [
-            sum((x * b[u][i] for u, x in enumerate(row) if x and b[u][i]), zero)
-            for i in range(size)
-        ]
-        for row in a
-    ]
+def _flatness_witnesses(identity, lhs, rhs):
+    """A witness for each entry (k, l), by k and then l, where the matrices
+    whose columns l are the QElem values lhs[l] and rhs[l] differ; the two
+    entries print as Novikov series."""
+    diff = [l for l, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
+    out = []
+    for k in range(len(lhs)):
+        for l in diff:
+            a, b = (
+                {D: Fraction(row[k], x.den) for D, row in x.rows.items() if k in row}
+                for x in (lhs[l], rhs[l])
+            )
+            if a != b:
+                rank, order = lhs[l].model.rank, lhs[l].order
+                a, b = NovikovSeries(rank, order, a), NovikovSeries(rank, order, b)
+                detail = "%s vs %s" % (a, b)
+                out.append({"identity": identity, "entry": [k, l], "detail": detail})
+    return out
 
 
 def check_flatness(model: ModelSpec, order: int) -> dict:
     """Zero-curvature test for the connection built from the M_j: the
-    multiplication matrices must commute and have symmetric q-derivatives."""
-    size = model.size
-    mats = {j: mult_matrix(model, j, order).entries for j in range(1, model.rank + 1)}
-    zero = NovikovSeries(model.rank, order)
+    multiplication matrices must commute and have symmetric q-derivatives.
+    Column l of M_j is b_j o b_l, so column l of M_i M_j is
+    b_i o (b_j o b_l) and column l of d_i M_j is b_j o b_l weighted by D_i."""
+    gens = range(1, model.rank + 1)
+    basis = [QElem.basis(model, order, l) for l in range(model.size)]
+    cols = {j: [basis[j] * b for b in basis] for j in gens}
+    pairs = [(i, j) for i in gens for j in gens if i < j]
     witnesses = []
-    for i in range(1, model.rank + 1):
-        for j in range(i + 1, model.rank + 1):
-            ab = _mat_mul(mats[i], mats[j], zero)
-            ba = _mat_mul(mats[j], mats[i], zero)
-            for k in range(size):
-                for l in range(size):
-                    lhs = ab[k][l]
-                    rhs = ba[k][l]
-                    if lhs != rhs:
-                        witnesses.append(
-                            {
-                                "identity": "[M%d, M%d]" % (i, j),
-                                "entry": [k, l],
-                                "detail": "%s vs %s" % (lhs, rhs),
-                            }
-                        )
-    for i in range(1, model.rank + 1):
-        for j in range(i + 1, model.rank + 1):
-            for k in range(size):
-                for l in range(size):
-                    lhs = mats[j][k][l].weighted(i)
-                    rhs = mats[i][k][l].weighted(j)
-                    if lhs != rhs:
-                        witnesses.append(
-                            {
-                                "identity": "d_%d M_%d = d_%d M_%d" % (i, j, j, i),
-                                "entry": [k, l],
-                                "detail": "%s vs %s" % (lhs, rhs),
-                            }
-                        )
-    return {
-        "check": "flatness",
-        "model": model.name,
-        "order": order,
-        "status": "pass" if not witnesses else "fail",
-        "witnesses": witnesses,
-    }
+    for i, j in pairs:
+        ab = [basis[i] * c for c in cols[j]]
+        ba = [basis[j] * c for c in cols[i]]
+        witnesses += _flatness_witnesses("[M%d, M%d]" % (i, j), ab, ba)
+    for i, j in pairs:
+        lhs = [_weighted(c, i) for c in cols[j]]
+        rhs = [_weighted(c, j) for c in cols[i]]
+        identity = "d_%d M_%d = d_%d M_%d" % (i, j, j, i)
+        witnesses += _flatness_witnesses(identity, lhs, rhs)
+    return _report("flatness", model, order, witnesses)
 
 
 def check_associativity(model: ModelSpec, order: int) -> dict:
@@ -294,13 +282,7 @@ def check_associativity(model: ModelSpec, order: int) -> dict:
                             "detail": "%s vs %s" % (lhs.describe(), rhs.describe()),
                         }
                     )
-    return {
-        "check": "associativity",
-        "model": model.name,
-        "order": order,
-        "status": "pass" if not witnesses else "fail",
-        "witnesses": witnesses,
-    }
+    return _report("associativity", model, order, witnesses)
 
 
 class ConnectionPotential:
@@ -345,58 +327,52 @@ def integrate_connection(model: ModelSpec, order: int) -> ConnectionPotential:
     "connection-closed" naming the degree, both directions, the first
     differing entry and both values.
     """
-    size = model.size
-    linear = {
-        j: model.cup_matrix(j) for j in range(1, model.rank + 1)
-    }
+    size, rank = model.size, model.rank
+    qden = model.quantum_rows()[0]
+    parts = {}
+    for j in range(1, rank + 1):
+        for D, mat in model.quantum_action(j):
+            if sum(D) <= order:
+                parts.setdefault(D, {})[j] = mat
+
+    def matrix(D, j, scale=1):
+        # the q^D part of b_j o - as a dense Fraction matrix, divided by scale
+        mat = parts.get(D, {}).get(j, ({},) * size)
+        return tuple(
+            tuple(Fraction(row.get(c, 0), qden * scale) for c in range(size))
+            for row in mat
+        )
+
+    linear = {j: matrix((0,) * rank, j) for j in range(1, rank + 1)}
     qpart = {}
-    degrees = set()
-    for j in range(1, model.rank + 1):
-        for D in model.quantum_degrees(j):
-            if any(D) and sum(D) <= order:
-                degrees.add(D)
-    for D in sorted(degrees, key=lambda d: (sum(d), d)):
-        candidate = None
-        for j in range(1, model.rank + 1):
-            dj = D[j - 1]
-            if not dj:
-                continue
-            mat = model.quantum_part(j, D)
-            if mat is None:
-                mat = tuple((Fraction(0),) * size for _ in range(size))
-            scaled = tuple(
-                tuple(x / dj for x in row) for row in mat
-            )
-            if candidate is None:
-                first, candidate = j, scaled
-            elif candidate != scaled:
+    for D in sorted((D for D in parts if any(D)), key=lambda d: (sum(d), d)):
+        # the q^D part of b_j o - over d_j, in every direction j with d_j > 0
+        scaled = [(j, matrix(D, j, D[j - 1])) for j in range(1, rank + 1) if D[j - 1]]
+        (first, candidate), *others = scaled
+        for j, other in others:
+            if other != candidate:
                 i, k = next(
                     (i, k)
                     for i in range(size)
                     for k in range(size)
-                    if candidate[i][k] != scaled[i][k]
+                    if candidate[i][k] != other[i][k]
                 )
-                raise CheckFailure(
+                raise _check_failure(
+                    model,
+                    "connection-closed",
                     {
-                        "check": "connection-closed",
-                        "model": model.name,
-                        "status": "fail",
-                        "witnesses": [
-                            {
-                                "degree": list(D),
-                                "directions": [first, j],
-                                "entry": [i, k],
-                                "values": [
-                                    format_rational(candidate[i][k]),
-                                    format_rational(scaled[i][k]),
-                                ],
-                                "detail": "the q^D part of the potential "
-                                "differs between the two directions",
-                            }
+                        "degree": list(D),
+                        "directions": [first, j],
+                        "entry": [i, k],
+                        "values": [
+                            format_rational(candidate[i][k]),
+                            format_rational(other[i][k]),
                         ],
-                    }
+                        "detail": "the q^D part of the potential "
+                        "differs between the two directions",
+                    },
                 )
-        if candidate is not None and any(any(row) for row in candidate):
+        if any(any(row) for row in candidate):
             qpart[D] = candidate
     return ConnectionPotential(model, order, linear, qpart)
 
@@ -416,7 +392,7 @@ def _eval_terms(model: ModelSpec, order: int, terms) -> QElem:
             if sum(D) <= order:
                 rows[D] = {k: n * a for k, a in row.items()}
         parts.append((rows, elem.den * d))
-    return QElem(model, order)._new(*_sum(parts))
+    return QElem._stored(model, order, *_sum(parts))
 
 
 def eval_relation(model: ModelSpec, rel, order: int) -> QElem:

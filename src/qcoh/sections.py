@@ -18,7 +18,7 @@ from math import lcm
 from .algebra import HLaurent, NovikovSeries, TPoly, format_rational
 from .model import CohClass, ModelSpec, _invert_rational_matrix, cp_dimension
 from .operators import QDEOperator, apply_gauge_many
-from .quantum import CheckFailure
+from .quantum import CheckFailure, _check_failure, _report
 from .series import (
     GaugeSeries,
     _add_term,
@@ -42,10 +42,6 @@ def _degrees_upto(rank, order):
 # The values are Fractions, or ints when the matrix is the numerator of a
 # pair (rows, den) with one positive int denominator; the kernels below
 # work on either.
-
-
-def _sparse(mat):
-    return [{k: v for k, v in enumerate(row) if v} for row in mat]
 
 
 def _sparse_addmul(acc, a, b):
@@ -77,11 +73,11 @@ def _sparse_scaled(m, x):
 
 
 def _integral(m):
-    """The sparse rational matrix m as (int rows, den) over the lcm of its
-    denominators."""
-    den = lcm(*(v.denominator for row in m for v in row.values()))
+    """The dense rational matrix m as (sparse int rows, den) over the lcm
+    of its denominators."""
+    den = lcm(*(v.denominator for row in m for v in row))
     return [
-        {k: v.numerator * (den // v.denominator) for k, v in row.items()}
+        {k: v.numerator * (den // v.denominator) for k, v in enumerate(row) if v}
         for row in m
     ], den
 
@@ -182,43 +178,28 @@ def _system_report(model, order, rows) -> dict:
     Both sides are built on the stored flat numerators (see series.py), so
     every h-exponent is compared and no grading is assumed: the left side
     by the theta kernel, the right side by adding q^D (M_j)_{iu} times row
-    u for every q^D part M_j of multiplication by b_j, over the lcm of the
-    terms' denominators.  Both are stored canonical and compared.  A
-    failing row's witness names the first differing coordinate: the
-    degree, the entry [i, k] (row i, coordinate along b_k) and the
-    expected (right side) and obtained (left side) values."""
+    u for every q^D part M_j of multiplication by b_j (read from
+    `ModelSpec.quantum_action`), over qden times the lcm of the rows'
+    denominators.  Both are stored canonical and compared.  A failing
+    row's witness names the first differing coordinate: the degree, the
+    entry [i, k] (row i, coordinate along b_k) and the expected (right
+    side) and obtained (left side) values."""
     size = model.size
+    qden = model.quantum_rows()[0]
     witnesses = []
     for j in range(1, model.rank + 1):
-        parts = [
-            (D, model.quantum_part(j, D))
-            for D in model.quantum_degrees(j)
-            if sum(D) <= order
-        ]
-        parts = [(D, mat) for D, mat in parts if mat is not None]
+        parts = [(D, mat) for D, mat in model.quantum_action(j) if sum(D) <= order]
         for i in range(size):
-            terms = [
-                (D, rows[u], mat[i][u])
-                for D, mat in parts
-                for u in range(size)
-                if mat[i][u]
-            ]
-            den = lcm(*(v.denominator * row.den for _, row, v in terms))
+            terms = [(D, rows[u], n) for D, mat in parts for u, n in mat[i].items()]
+            den = qden * lcm(*(row.den for _, row, _ in terms))
             rhs = {}
-            for D, row, v in terms:
-                n = v.numerator * (den // (v.denominator * row.den))
-                _add_term(rhs, row.flat, n, 0, D, order)
+            for D, row, n in terms:
+                _add_term(rhs, row.flat, n * (den // (qden * row.den)), 0, D, order)
             want = GaugeSeries._stored(model, order, rhs, den)
             got = rows[i].theta(j)
             if got != want:
                 witnesses.append(_system_witness(model, j, i, want, got))
-    return {
-        "check": "first-order-system",
-        "model": model.name,
-        "order": order,
-        "status": "pass" if not witnesses else "fail",
-        "witnesses": witnesses,
-    }
+    return _report("first-order-system", model, order, witnesses)
 
 
 def _system_witness(model, j, i, want, got):
@@ -238,17 +219,6 @@ def _system_witness(model, j, i, want, got):
         "got": cg.coords[k].to_json(),
         "detail": (got - want).describe(),
     }
-
-
-def _check_failure(model, check, witness):
-    return CheckFailure(
-        {
-            "check": check,
-            "model": model.name,
-            "status": "fail",
-            "witnesses": [witness],
-        }
-    )
 
 
 def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
@@ -274,12 +244,13 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     degree, equality at h = 1 is equality over Laurent polynomials in h.
 
     The arithmetic is fraction-free: each cup matrix and quantum part is
-    held as sparse int rows over one denominator, and so is each G_D.  A
+    sparse int rows over the model's qden, as `ModelSpec.quantum_action`
+    stores them, and each G_D is int rows over its own denominator.  A
     right side is summed over the lcm of its parts' denominators, each
-    commutator step multiplies the denominator by D_j times the cup
-    denominator, and G_D is reduced by one gcd at the end of its degree.
-    The consistency check cross-multiplies; witnesses carry the reduced
-    Fractions, and the rows are stored flat over one denominator.
+    commutator step multiplies the denominator by D_j * qden, and G_D is
+    reduced by one gcd at the end of its degree.  The consistency check
+    cross-multiplies; witnesses carry the reduced Fractions, and the rows
+    are stored flat over one denominator.
     """
     size = model.size
     rank = model.rank
@@ -290,45 +261,43 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     def monomial(i, k, D, value, shift=0):
         return HLaurent.term(value, exponents(D)[i][k] + shift)
 
-    def graded(j, D, mat):
-        # entry (r, c) of the q^D part of b_j o - may be nonzero only when
-        # deg b_r + deg q^D = deg b_c + 2
-        sparse = _sparse(mat)
-        qdeg = sum(d * w for d, w in zip(D, qweights))
-        for r, row in enumerate(sparse):
-            for c, v in row.items():
-                if degrees[r] + qdeg != degrees[c] + 2:
-                    raise _check_failure(
-                        model,
-                        "solver-grading",
-                        {
-                            "direction": j,
-                            "degree": list(D),
-                            "entry": [r, c],
-                            "value": format_rational(v),
-                            "detail": "b_%d o b_%d has a b_%d-component "
-                            "that breaks the grading" % (j, c, r),
-                        },
-                    )
-        return _integral(sparse)
-
-    # every matrix below is a pair (sparse int rows, positive int denominator)
+    # every matrix below is sparse int rows; the model's parts are over
+    # qden, and each G_D is a pair (rows, positive int denominator)
+    qden = model.quantum_rows()[0]
     zero = (0,) * rank
     cup = {}
     mparts = {}
     for j in range(1, rank + 1):
-        cup[j] = graded(j, zero, model.cup_matrix(j))
+        cup[j] = [{} for _ in range(size)]
         mparts[j] = []
-        for D in model.quantum_degrees(j):
+        for D, mat in model.quantum_action(j):
+            # entry (r, c) of the q^D part of b_j o - may be nonzero only
+            # when deg b_r + deg q^D = deg b_c + 2
+            qdeg = sum(d * w for d, w in zip(D, qweights))
+            for r, row in enumerate(mat):
+                for c, n in row.items():
+                    if degrees[r] + qdeg != degrees[c] + 2:
+                        raise _check_failure(
+                            model,
+                            "solver-grading",
+                            {
+                                "direction": j,
+                                "degree": list(D),
+                                "entry": [r, c],
+                                "value": format_rational(Fraction(n, qden)),
+                                "detail": "b_%d o b_%d has a b_%d-component "
+                                "that breaks the grading" % (j, c, r),
+                            },
+                        )
             if any(D):
-                mat = model.quantum_part(j, D)
-                if mat is not None:
-                    mparts[j].append((D, graded(j, D, mat)))
-    negcup = {j: _sparse_scaled(B, -1) for j, (B, _) in cup.items()}
+                mparts[j].append((D, mat))
+            else:
+                cup[j] = mat
+    negcup = {j: _sparse_scaled(B, -1) for j, B in cup.items()}
 
     def commutator(j, X):
-        # [B_j, X] times the cup denominator of b_j
-        acc = _sparse_addmul([{} for _ in range(size)], cup[j][0], X)
+        # [B_j, X] times qden
+        acc = _sparse_addmul([{} for _ in range(size)], cup[j], X)
         return _sparse_addmul(acc, X, negcup[j])
 
     G = {zero: ([{i: 1} for i in range(size)], 1)}
@@ -338,11 +307,11 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         rhs = {}
         for j in range(1, rank + 1):
             parts = []
-            for Dp, (mat, mden) in mparts[j]:
+            for Dp, mat in mparts[j]:
                 rest = tuple(a - b for a, b in zip(D, Dp))
                 if min(rest) >= 0:
                     num, den = G[rest]
-                    parts.append((mat, num, mden * den))
+                    parts.append((mat, num, qden * den))
             den = lcm(*(d for _, _, d in parts))
             acc = [{} for _ in range(size)]
             for mat, num, d in parts:
@@ -350,7 +319,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                 _sparse_addmul(acc, mat if f == 1 else _sparse_scaled(mat, f), num)
             rhs[j] = (_sparse_pruned(acc), den)
         jstar = next(j for j in range(1, rank + 1) if D[j - 1] > 0)
-        step = D[jstar - 1] * cup[jstar][1]
+        step = D[jstar - 1] * qden
         term, den = rhs[jstar]
         den *= D[jstar - 1]
         total = [dict(row) for row in term]
@@ -380,11 +349,10 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         G[D] = num, den = _reduced(total, den)
         # every other direction must agree: integrability of the system
         for j in range(1, rank + 1):
-            # [B_j, G_D] - d_j G_D over den times the cup denominator; its
-            # negative is compared with the right side by cross-multiplying
-            bden = cup[j][1]
-            lhs = _sparse_addscaled(commutator(j, num), num, -D[j - 1] * bden)
-            lden = den * bden
+            # [B_j, G_D] - d_j G_D over den * qden; its negative is
+            # compared with the right side by cross-multiplying
+            lhs = _sparse_addscaled(commutator(j, num), num, -D[j - 1] * qden)
+            lden = den * qden
             want, wden = rhs[j]
             if _sparse_scaled(lhs, -wden) != _sparse_scaled(want, lden):
                 _, i, k, want, got = _first_difference(
@@ -403,7 +371,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                 )
 
     # row i at q^D is sum_l (G_D)_{il} h^e(i, l, D) a_l, over one denominator
-    duals, dual_den = _integral(_sparse(cls.coords for cls in model.dual_basis()))
+    duals, dual_den = _integral([cls.coords for cls in model.dual_basis()])
     den = lcm(*(d for _, d in G.values()))
     rows = []
     for i in range(size):
@@ -425,28 +393,28 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
 # -- closed forms ----------------------------------------------------------
 # The hypergeometric coefficients are built at h = 1: the factor x + k*h
 # becomes x + k.  A class is a one-row sparse int matrix over one positive
-# denominator, ([{k: int}], den), and cup runs over the model's cup table
-# made integral once per closed form.  Each coefficient J_D is homogeneous
-# of degree -deg q^D (deg h = 2), so h comes back from the grading alone.
+# denominator, ([{k: int}], den), and cup runs over the q^0 terms of the
+# model's integral product table (`ModelSpec.quantum_rows`).  Each
+# coefficient J_D is homogeneous of degree -deg q^D (deg h = 2), so h comes
+# back from the grading alone.
 
 _UNIT = ([{0: 1}], 1)
 
 
-def _cup_table(model):
-    """The cup table as int rows over one denominator: the row of the pair
-    (i, j) holds b_i cup b_j."""
-    pairs = list(model.cup_table)
-    rows, den = _integral(_sparse(model.cup_table[p].coords for p in pairs))
-    return dict(zip(pairs, rows)), den
-
-
 def _cup(table, x, y):
-    """x cup y for int classes, over the integral cup table, reduced."""
-    cups, tden = table
+    """x cup y for int classes, over the q^0 terms of the table (qden,
+    rows) of `ModelSpec.quantum_rows`, reduced."""
+    qden, products = table
     ([xrow], xden), ([yrow], yden) = x, y
-    outer = {(i, j): a * b for i, a in xrow.items() for j, b in yrow.items()}
-    acc = _sparse_addmul([{}], [outer], cups)
-    return _reduced(acc, xden * yden * tden)
+    acc = {}
+    for i, a in xrow.items():
+        for j, b in yrow.items():
+            terms = products[i][j]
+            if terms and not terms[0][0]:
+                p = a * b
+                for k, n in terms[0][2]:
+                    acc[k] = acc[k] + n * p if k in acc else n * p
+    return _reduced([acc], xden * yden * qden)
 
 
 def _linear(x, k):
@@ -548,7 +516,7 @@ def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
     finite product prod_{k=n+1..0}(x + kh)^p for n < 0.  LookupError when
     the model has no factor list."""
     factors = hypergeometric_factors(model)
-    table = _cup_table(model)
+    table = model.quantum_rows()
     values = [
         (
             charge,
@@ -586,14 +554,8 @@ def verify_annihilated(J: GaugeSeries, ops, names=None) -> dict:
                     "detail": residual.describe(),
                 }
             )
-    return {
-        "check": "annihilation",
-        "model": J.model.name,
-        "order": J.order,
-        "operators": len(ops),
-        "status": "pass" if not witnesses else "fail",
-        "witnesses": witnesses,
-    }
+    report = _report("annihilation", J.model, J.order, witnesses)
+    return {**report, "operators": len(ops)}
 
 
 def build_H_from_J(model: ModelSpec, J: GaugeSeries, rowspec) -> HMatrix:
@@ -697,7 +659,7 @@ def _qmat_inverse(model, A, order):
     head = [[row.get(k, 0) for k in range(size)] for row in A.get(zero, [{}] * size)]
     try:
         # the head of A is head / den, so its inverse is inv0 * den / iden
-        inv0, iden = _integral(_sparse(_invert_rational_matrix(head)))
+        inv0, iden = _integral(_invert_rational_matrix(head))
     except ZeroDivisionError:
         raise _check_failure(
             model,
@@ -800,24 +762,22 @@ def _cup_exponential(model: ModelSpec):
     rows: {e: (columns, den)}, column i of the t^e coefficient holding the
     numerators of the t^e part of e^{t/h} cup b_i over den, one den per
     total degree.  E[0] = I and E[e] = (1/|e|) sum_j C_j E[e - e_j], with
-    C_j the integral action of b_j over its cden
+    C_j the integral action of b_j over the model's qden
     (`ModelSpec.integral_action`).  The t^e coefficient carries h^-|e|,
     and the build stops at the first total degree whose coefficients all
     vanish: finite because degree-2 classes are nilpotent."""
     rank, size = model.rank, model.size
-    actions = [model.integral_action(j) for j in range(1, rank + 1)]
-    common = lcm(*(cden for _, cden in actions))
-    # C_j over the common denominator: row u holds b_j cup b_u
+    qden = model.quantum_rows()[0]
+    # C_j: row u holds b_j cup b_u
     actions = [
-        [{k: n * (common // cden) for k, n in row} for row in rows]
-        for rows, cden in actions
+        [dict(row) for row in model.integral_action(j)] for j in range(1, rank + 1)
     ]
     layer, degree, den = {(0,) * rank: [{i: 1} for i in range(size)]}, 0, 1
     out = {}
     while layer:
         out.update((e, (cols, den)) for e, cols in layer.items())
         degree += 1
-        den *= degree * common
+        den *= degree * qden
         following = {}
         for e, cols in layer.items():
             for j, action in enumerate(actions):

@@ -214,16 +214,17 @@ class CohSeries:
 
 
 def _theta_flat(model: ModelSpec, flat, i: int) -> tuple:
-    """theta_i on a flat series, over den * cden (see
-    `ModelSpec.integral_action`): the numerator a at (j, x) of degree D
-    adds a * n at (k, x) for each (k, n) of the integral action on b_j, and
-    a * d_i * cden at (j, x + 1) where d_i = D[i - 1].  The one theta kernel, shared by
+    """theta_i on a flat series, over den * qden (`ModelSpec.quantum_rows`):
+    the numerator a at (j, x) of degree D adds a * n at (k, x) for each
+    (k, n) of b_i cup b_j in `ModelSpec.integral_action`, and a * d_i * qden
+    at (j, x + 1) where d_i = D[i - 1].  The one theta kernel, shared by
     GaugeSeries.theta, the operator walk and the first-order-system check."""
     flat, den = flat
-    action, cden = model.integral_action(i)
+    action = model.integral_action(i)
+    qden = model.quantum_rows()[0]
     out = {}
     for D, terms in flat.items():
-        d = D[i - 1] * cden
+        d = D[i - 1] * qden
         acc = {}
         for (j, x), a in terms.items():
             for k, n in action[j]:
@@ -237,7 +238,7 @@ def _theta_flat(model: ModelSpec, flat, i: int) -> tuple:
         acc = {key: n for key, n in acc.items() if n}
         if acc:
             out[D] = acc
-    return out, den * cden
+    return out, den * qden
 
 
 def _dt_flat(ft, i: int) -> tuple:

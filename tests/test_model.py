@@ -80,10 +80,10 @@ def test_dual_basis_inverts_pairing(name):
 def test_quantum_table_q0_is_cup(name):
     model = builtin_model(name)
     zero = (0,) * model.rank
-    for j in range(1, model.rank + 1):
-        cup = model.cup_matrix(j)
-        q0 = model.quantum_part(j, zero)
-        assert q0 == cup
+    for i in range(model.size):
+        for j in range(model.size):
+            q0 = model.quantum_table[(i, j)].get(zero, model.zero_class())
+            assert q0 == model.cup_table[(i, j)]
 
 
 def _random_class(rng, size):
@@ -102,7 +102,7 @@ def _dense_cup(model, x, y):
     out = [HLaurent()] * model.size
     for i in range(model.size):
         for j in range(model.size):
-            for k, c in enumerate(model.cup_basis(i, j).coords):
+            for k, c in enumerate(model.cup_table[(i, j)].coords):
                 out[k] = out[k] + x.coords[i] * y.coords[j] * c
     return out
 
@@ -120,12 +120,13 @@ def test_sparse_cup_matches_dense_table(name):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_generator_action_lists_nonzero_cup_entries(name):
     model = builtin_model(name)
+    qden = model.quantum_rows()[0]
     for i in range(1, model.rank + 1):
-        action = model.generator_action(i)
+        action = model.integral_action(i)
         assert len(action) == model.size
         for j, pairs in enumerate(action):
-            coords = model.cup_basis(i, j).coords
-            assert pairs == tuple((k, c) for k, c in enumerate(coords) if c)
+            coords = model.cup_table[(i, j)].coords
+            assert pairs == tuple((k, c * qden) for k, c in enumerate(coords) if c)
 
 
 def test_describe_writes_unit_coordinates_as_the_label():
@@ -141,7 +142,7 @@ def test_cp_dimension_and_top_power():
     # x^m is the top class of CP^m and x * x^m = q * 1 in the quantum ring
     for m in range(1, 6):
         model = builtin_model("cp%d" % m)
-        prod = model.qprod_basis(1, model.size - 1)
+        prod = model.quantum_table[(1, model.size - 1)]
         assert set(prod) == {(1,)}
         assert prod[(1,)].coords[0] == 1
         assert all(c == 0 for c in prod[(1,)].coords[1:])
@@ -238,8 +239,45 @@ def test_model_json_is_deterministic(tmp_path):
 def test_quantum_degrees_sorted():
     model = builtin_model("f3")
     for j in (1, 2):
-        degs = model.quantum_degrees(j)
+        degs = [D for D, _ in model.quantum_action(j)]
         assert degs == sorted(degs, key=lambda D: (sum(D), D))
+        parts = [model.quantum_table[(j, i)] for i in range(model.size)]
+        assert set(degs) == {D for p in parts for D, cls in p.items() if cls}
+
+
+GOLDEN_MODELS = ("f3-rescaled", "f3-nonintegrable", "f3-q1-doubled", "p1xp1-no-q2")
+
+
+def _fractions(terms, qden):
+    return {k: Fraction(n, qden) for k, n in terms}
+
+
+def _nonzero(cls):
+    return {k: c for k, c in enumerate(cls.coords) if c}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + GOLDEN_MODELS)
+def test_integral_tables_equal_the_fraction_tables(name):
+    """quantum_rows, quantum_action and integral_action hold, over qden,
+    exactly the entries of the Fraction quantum and cup tables."""
+    if name in GOLDEN_MODELS:
+        model = load_model(Path(__file__).resolve().parent / "golden" / (name + ".model"))
+    else:
+        model = builtin_model(name)
+    qden, table = model.quantum_rows()
+    if name == "f3-rescaled":
+        assert qden == 30
+    for (i, j), parts in model.quantum_table.items():
+        want = {D: _nonzero(cls) for D, cls in parts.items() if cls}
+        assert {D: _fractions(terms, qden) for _, D, terms in table[i][j]} == want
+    for j in range(1, model.rank + 1):
+        view = dict(model.quantum_action(j))
+        for i in range(model.size):
+            want = {D: _nonzero(cls) for D, cls in model.quantum_table[(j, i)].items() if cls}
+            column = {D: [(k, row[i]) for k, row in enumerate(mat) if i in row] for D, mat in view.items()}
+            assert {D: _fractions(c, qden) for D, c in column.items() if c} == want
+            cup = _fractions(model.integral_action(j)[i], qden)
+            assert cup == _nonzero(model.cup_table[(j, i)])
 
 
 def test_package_root_exports_model_api():

@@ -21,12 +21,12 @@ from qcoh.quantum import (
     eval_relation,
     exp_quantum,
     integrate_connection,
-    mult_matrix,
     quantum_monomial,
 )
 from qcoh.series import CohSeries
 
 ORDER = 6
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # -- oracle data ---------------------------------------------------------------
 # Multiplication matrices of the two degree-2 generators of the flag manifold,
@@ -73,29 +73,20 @@ SIGMA1_M2 = {
 }
 
 
-def _matrix_oracle(model, j, oracle, order=ORDER):
-    size = model.size
-    want = [
-        [NovikovSeries(model.rank, order) for _ in range(size)]
-        for _ in range(size)
-    ]
-    for (k, i), terms in oracle.items():
-        want[k][i] = NovikovSeries(model.rank, order, terms)
-    return want
-
-
 @pytest.mark.parametrize(
     "name,oracles",
     [("f3", (F3_M1, F3_M2)), ("sigma1", (SIGMA1_M1, SIGMA1_M2))],
 )
 def test_generator_matrices_match_printed_tables(name, oracles):
     model = builtin_model(name)
+    qden = model.quantum_rows()[0]
     for j, oracle in enumerate(oracles, start=1):
-        got = mult_matrix(model, j, ORDER)
-        want = _matrix_oracle(model, j, oracle)
-        for k in range(model.size):
-            for i in range(model.size):
-                assert got.entry(k, i) == want[k][i], (name, j, k, i)
+        got = {}
+        for D, mat in model.quantum_action(j):
+            for k, row in enumerate(mat):
+                for i, n in row.items():
+                    got.setdefault((k, i), {})[D] = Fraction(n, qden)
+        assert got == oracle, (name, j)
 
 
 # -- Gr_2(C^4) product chain -----------------------------------------------------
@@ -188,6 +179,95 @@ def test_flatness_fails_on_deformed_product():
     assert bad_flat or bad_assoc
 
 
+# -- flatness against the dense matrix reference ----------------------------------
+
+
+def _mult_matrix(model, j, order):
+    """The multiplication matrix of b_j as dense NovikovSeries entries:
+    column i holds the q-expansion of b_j o b_i from the quantum table."""
+    size, zero = model.size, NovikovSeries(model.rank, order)
+    entries = [[zero] * size for _ in range(size)]
+    for i in range(size):
+        for D, cls in model.quantum_table[(j, i)].items():
+            for k, v in enumerate(cls.coords):
+                if v:
+                    entries[k][i] = entries[k][i] + NovikovSeries(model.rank, order, {D: v})
+    return entries
+
+
+def _mat_mul(a, b, zero):
+    return [
+        [sum((x * b[u][i] for u, x in enumerate(row) if x and b[u][i]), zero) for i in range(len(b))]
+        for row in a
+    ]
+
+
+def _reference_flatness(model, order):
+    """The flatness report computed on dense matrices of series: the
+    products M_i M_j and M_j M_i entry by entry, then the q-derivatives."""
+    size, rank = model.size, model.rank
+    mats = {j: _mult_matrix(model, j, order) for j in range(1, rank + 1)}
+    zero = NovikovSeries(rank, order)
+    pairs = [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
+    witnesses = []
+    for i, j in pairs:
+        ab = _mat_mul(mats[i], mats[j], zero)
+        ba = _mat_mul(mats[j], mats[i], zero)
+        for k, l in itertools.product(range(size), repeat=2):
+            if ab[k][l] != ba[k][l]:
+                detail = "%s vs %s" % (ab[k][l], ba[k][l])
+                witnesses.append({"identity": "[M%d, M%d]" % (i, j), "entry": [k, l], "detail": detail})
+    for i, j in pairs:
+        for k, l in itertools.product(range(size), repeat=2):
+            lhs, rhs = mats[j][k][l].weighted(i), mats[i][k][l].weighted(j)
+            if lhs != rhs:
+                witnesses.append(
+                    {
+                        "identity": "d_%d M_%d = d_%d M_%d" % (i, j, j, i),
+                        "entry": [k, l],
+                        "detail": "%s vs %s" % (lhs, rhs),
+                    }
+                )
+    status = "pass" if not witnesses else "fail"
+    return {"check": "flatness", "model": model.name, "order": order, "status": status, "witnesses": witnesses}
+
+
+def _deformed_f3():
+    """f3 with the first q1-coefficient 1 doubled, as in
+    test_flatness_fails_on_deformed_product."""
+    data = builtin_model("f3").to_json()
+    rec = next(r for r in data["quantum"] if r["D"] == [1, 0] and r["c"] == "1")
+    rec["c"] = "2"
+    return ModelSpec.from_json(data, check=False)
+
+
+def _noncommutative_f3():
+    """f3 whose b_2 o b_1 has the graded term q1 b_0 that b_1 o b_2 lacks,
+    so the table is not commutative."""
+    data = builtin_model("f3").to_json()
+    swapped = [dict(r, i=r["j"], j=r["i"]) for r in data["quantum"] if (r["i"], r["j"]) == (1, 2)]
+    swapped.append({"i": 2, "j": 1, "k": 0, "D": [1, 0], "c": "1"})
+    data["quantum"] += swapped
+    return ModelSpec.from_json(data, check=False)
+
+
+FLATNESS_CASES = [(name, n) for name in BUILTIN_NAMES for n in (3, 4, 5)] + [
+    (name + ".model", 4)
+    for name in ("f3-rescaled", "f3-nonintegrable", "f3-q1-doubled", "p1xp1-no-q2")
+] + [("deformed-f3", 4), ("noncommutative-f3", 4)]
+
+
+@pytest.mark.parametrize("name,order", FLATNESS_CASES)
+def test_flatness_report_matches_the_dense_reference(name, order):
+    if name.endswith(".model"):
+        model = load_model(GOLDEN / name)
+    else:
+        model = {"deformed-f3": _deformed_f3, "noncommutative-f3": _noncommutative_f3}.get(
+            name, lambda: builtin_model(name)
+        )()
+    assert check_flatness(model, order) == _reference_flatness(model, order)
+
+
 def test_quantum_product_commutes_and_unit():
     model = builtin_model("sigma1")
     basis = [QElem.basis(model, ORDER, i) for i in range(model.size)]
@@ -209,7 +289,8 @@ def test_integrate_connection_cp1():
     model = builtin_model("cp1")
     pot = integrate_connection(model, ORDER)
     # linear part is the cup matrix: x . 1 = x, x . x = 0
-    assert pot.linear[1] == model.cup_matrix(1)
+    cols = [model.cup_table[(1, i)].coords for i in range(model.size)]
+    assert pot.linear[1] == tuple(zip(*cols))
     # q part: d/dt of q*K_D with D=(1) recovers the q-coefficient of M_1
     assert set(pot.qpart) == {(1,)}
     mat = pot.qpart[(1,)]
@@ -302,8 +383,6 @@ def test_exp_quantum_keeps_the_product_order_of_a_non_associative_model():
 
 # -- the fraction-free product against the dense Fraction product --------------
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-
 # f3-rescaled has quantum structure constants with denominators 2, 3 and 5
 PRODUCT_MODELS = ("cp2", "f3", "sigma1", "gr24", "f3-rescaled")
 
@@ -316,14 +395,15 @@ def _product_model(name):
 
 def _dense_product(model, order, x, y):
     """x o y for x, y of the form {D: [Fraction] * size}: for every pair of
-    nonzero coordinates, every q-term of qprod_basis(i, j) scaled and added
-    over all coordinates, truncated at `order`; zero classes left out."""
+    nonzero coordinates, every q-term of b_i o b_j in the quantum table
+    scaled and added over all coordinates, truncated at `order`; zero
+    classes left out."""
     out = {}
     for (D1, c1), (D2, c2) in itertools.product(x.items(), y.items()):
         for (i, xi), (j, yj) in itertools.product(enumerate(c1), enumerate(c2)):
             if not (xi and yj):
                 continue
-            for Dq, cls in model.qprod_basis(i, j).items():
+            for Dq, cls in model.quantum_table[(i, j)].items():
                 nd = tuple(a + b + c for a, b, c in zip(D1, D2, Dq))
                 if sum(nd) > order:
                     continue
