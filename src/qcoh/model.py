@@ -166,6 +166,7 @@ class ModelSpec:
         "_dual",
         "_qrows",
         "_actions",
+        "_cups",
     )
 
     def __init__(
@@ -199,6 +200,7 @@ class ModelSpec:
             "_dual": None,
             "_qrows": None,
             "_actions": None,
+            "_cups": None,
         }
         for key, value in fields.items():
             object.__setattr__(self, key, value)
@@ -310,9 +312,12 @@ class ModelSpec:
 
     def integral_action(self, j):
         """Cup multiplication by b_j: the q^0 terms of `quantum_rows`, entry c
-        the terms (k, n) of b_j cup b_c = sum n/qden b_k."""
-        table = self.quantum_rows()[1]
-        return tuple(t[0][2] if t and not t[0][0] else () for t in table[j])
+        the terms (k, n) of b_j cup b_c = sum n/qden b_k.  Built once, read-only."""
+        if self._cups is None:
+            table = self.quantum_rows()[1]
+            cups = tuple(tuple(t[0][2] if t and not t[0][0] else () for t in r) for r in table)
+            object.__setattr__(self, "_cups", cups)
+        return self._cups[j]
 
     # -- validation ----------------------------------------------------------
 

@@ -121,27 +121,39 @@ def _grading(model):
 
 
 class HMatrix:
-    """Fundamental solution data: one gauge-normalized series per row."""
+    """Fundamental solution data: one gauge-normalized series per row,
+    given as the rows (ValueError unless one per basis element) or as a
+    function row(i) that builds row i.  A row is built when first read and
+    kept: `jrow` builds only the rows it sums, `rows` builds every row."""
 
-    __slots__ = ("model", "order", "rows")
+    __slots__ = ("model", "order", "_build", "_built")
 
     def __init__(self, model: ModelSpec, order: int, rows):
-        rows = tuple(rows)
-        if len(rows) != model.size:
-            raise ValueError("expected %d rows" % model.size)
-        self.model = model
-        self.order = order
-        self.rows = rows
+        if not callable(rows):
+            rows = tuple(rows)
+            if len(rows) != model.size:
+                raise ValueError("expected %d rows" % model.size)
+            rows = rows.__getitem__
+        self.model, self.order, self._build, self._built = model, order, rows, {}
+
+    def row(self, i) -> GaugeSeries:
+        if i not in self._built:
+            self._built[i] = self._build(i)
+        return self._built[i]
+
+    @property
+    def rows(self):
+        return tuple(map(self.row, range(self.model.size)))
 
     def jrow(self) -> GaugeSeries:
         """The J-series, whose q^0 coefficient is the unit.  Row i starts
         with the dual class a_i and 1 = sum_i <b_0, b_i> a_i, so
         J = sum_i <b_0, b_i> row_i: the last row when <b_0, b_top> = 1 is
-        the only nonzero pairing of the unit."""
+        the only nonzero pairing of the unit.  Only those rows are built."""
         J = None
-        for row, g in zip(self.rows, self.model.pairing[0]):
+        for i, g in enumerate(self.model.pairing[0]):
             if g:
-                term = row if g == 1 else row.scaled(g)
+                term = self.row(i) if g == 1 else self.row(i).scaled(g)
                 J = term if J is None else J + term
         return J
 
@@ -246,11 +258,13 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     The arithmetic is fraction-free: each cup matrix and quantum part is
     sparse int rows over the model's qden, as `ModelSpec.quantum_action`
     stores them, and each G_D is int rows over its own denominator.  A
-    right side is summed over the lcm of its parts' denominators, each
-    commutator step multiplies the denominator by D_j * qden, and G_D is
-    reduced by one gcd at the end of its degree.  The consistency check
-    cross-multiplies; witnesses carry the reduced Fractions, and the rows
-    are stored flat over one denominator.
+    right side is summed over the lcm of its parts' denominators.  With
+    step = D_j * qden, the commutator term T_n is int rows over den * step^n,
+    so G_D is summed once, as sum_n T_n step^(N-n) over den * step^N for
+    the last nonzero term T_N, and reduced by one gcd.  The consistency
+    check cross-multiplies; witnesses carry the reduced Fractions.  A row
+    is stored flat over one denominator and built from the G_D when first
+    read (`HMatrix`), so `jrow` builds only the rows that pair with 1.
     """
     size = model.size
     rank = model.rank
@@ -322,13 +336,13 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         step = D[jstar - 1] * qden
         term, den = rhs[jstar]
         den *= D[jstar - 1]
-        total = [dict(row) for row in term]
-        guard = 0
+        terms = []
         while any(term):
-            guard += 1
-            if guard > 2 * size + 2:
+            terms.append(term)
+            if len(terms) > 2 * size + 2:
                 i = next(i for i, row in enumerate(term) if row)
                 k, v = min(term[i].items())
+                value = Fraction(v, den * step ** (len(terms) - 1))
                 raise _check_failure(
                     model,
                     "solver-recursion",
@@ -336,17 +350,16 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                         "degree": list(D),
                         "direction": jstar,
                         "entry": [i, k],
-                        "value": monomial(i, k, D, Fraction(v, den)).to_json(),
+                        "value": monomial(i, k, D, value).to_json(),
                         "detail": "commutator series did not terminate",
                     },
                 )
             term = _sparse_pruned(commutator(jstar, term))
-            if any(term):
-                if step != 1:
-                    total = _sparse_scaled(total, step)
-                    den *= step
-                _sparse_addscaled(total, term, 1)
-        G[D] = num, den = _reduced(total, den)
+        last = max(len(terms) - 1, 0)
+        total = [{} for _ in range(size)]
+        for n, term in enumerate(terms):
+            _sparse_addscaled(total, term, step ** (last - n))
+        G[D] = num, den = _reduced(total, den * step ** last)
         # every other direction must agree: integrability of the system
         for j in range(1, rank + 1):
             # [B_j, G_D] - d_j G_D over den * qden; its negative is
@@ -373,8 +386,8 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     # row i at q^D is sum_l (G_D)_{il} h^e(i, l, D) a_l, over one denominator
     duals, dual_den = _integral([cls.coords for cls in model.dual_basis()])
     den = lcm(*(d for _, d in G.values()))
-    rows = []
-    for i in range(size):
+
+    def row(i):
         flat = {}
         for D, (mat, d) in G.items():
             coords = flat[D] = {}
@@ -386,8 +399,9 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                     key = (k, exp)
                     p = a * v
                     coords[key] = coords[key] + p if key in coords else p
-        rows.append(GaugeSeries._stored(model, order, flat, den * dual_den))
-    return HMatrix(model, order, rows)
+        return GaugeSeries._stored(model, order, flat, den * dual_den)
+
+    return HMatrix(model, order, row)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -848,49 +862,50 @@ def extract_descendents(model: ModelSpec, Hm: HMatrix, max_degree: int, max_leve
     function shape and raise CheckFailure.
     """
     comps, den = _components(Hm.jrow())
+    # (j, degree, exp, n), component first: the first bad entry names the failure
+    entries = sorted(
+        (j, _degree_order(D), exp, n)
+        for D, terms in comps.items()
+        if any(D) and sum(D) <= max_degree
+        for (j, exp), n in terms.items()
+    )
     records = []
-    for j in range(model.size):
-        for D in sorted(comps, key=_degree_order):
-            if not any(D) or sum(D) > max_degree:
-                continue
-            for exp, value in sorted(_laurent(comps[D], den, j).c.items()):
-                if exp >= 0:
-                    raise _check_failure(
-                        model,
-                        "descendent-extraction",
-                        {
-                            "degree": list(D),
-                            "component": model.labels[j],
-                            "detail": "nonnegative h power %d" % exp,
-                        },
-                    )
-                level = -exp - 1
-                if level > max_level:
-                    continue
-                axiom = degree_axiom_allows(
-                    model, (model.degrees[j], 0), (level, 0), D
-                )
-                if not axiom:
-                    raise _check_failure(
-                        model,
-                        "descendent-extraction",
-                        {
-                            "degree": list(D),
-                            "component": model.labels[j],
-                            "level": level,
-                            "value": format_rational(value),
-                            "detail": "nonzero value where the degree axiom forces zero",
-                        },
-                    )
-                records.append(
-                    {
-                        "degree": list(D),
-                        "level": level,
-                        "label": model.labels[j],
-                        "j": j,
-                        "value": value,
-                        "axiom": True,
-                    }
-                )
+    for j, (_, D), exp, n in entries:
+        value = Fraction(n, den)
+        if exp >= 0:
+            raise _check_failure(
+                model,
+                "descendent-extraction",
+                {
+                    "degree": list(D),
+                    "component": model.labels[j],
+                    "detail": "nonnegative h power %d" % exp,
+                },
+            )
+        level = -exp - 1
+        if level > max_level:
+            continue
+        if not degree_axiom_allows(model, (model.degrees[j], 0), (level, 0), D):
+            raise _check_failure(
+                model,
+                "descendent-extraction",
+                {
+                    "degree": list(D),
+                    "component": model.labels[j],
+                    "level": level,
+                    "value": format_rational(value),
+                    "detail": "nonzero value where the degree axiom forces zero",
+                },
+            )
+        records.append(
+            {
+                "degree": list(D),
+                "level": level,
+                "label": model.labels[j],
+                "j": j,
+                "value": value,
+                "axiom": True,
+            }
+        )
     records.sort(key=lambda r: (sum(r["degree"]), r["degree"], r["level"], r["j"]))
     return records

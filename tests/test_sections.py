@@ -315,6 +315,74 @@ def test_solver_on_rescaled_basis_with_rational_tables(name, lam):
             assert v * lam.get(k, 1) == want[D].coords[k]
 
 
+@pytest.mark.parametrize(
+    "name, lam", [(name, {}) for name in BUILTIN_NAMES] + RESCALED
+)
+def test_jrow_builds_only_the_rows_that_pair_with_the_unit(name, lam):
+    # on the rescaled models qden > 1, so each commutator step is not 1,
+    # and the unit pairs to lam_top with b'_top, so jrow scales its row
+    model = _rescaled(builtin_model(name), lam) if lam else builtin_model(name)
+    Hm = solve_fundamental(model, 4)
+    J = Hm.jrow()
+    assert set(Hm._built) == {i for i, g in enumerate(model.pairing[0]) if g}
+    assert Hm.check_system()["status"] == "pass"
+    assert set(Hm._built) == set(range(model.size))
+    full = solve_fundamental(model, 4)
+    assert len(full.rows) == model.size
+    assert full.check_system()["status"] == "pass"
+    assert full.jrow() == J
+    assert full.to_json() == Hm.to_json()
+
+
+def test_hmatrix_builds_each_row_once():
+    model = builtin_model("f3")
+    rows = solve_fundamental(model, 3).rows
+    built = []
+
+    def row(i):
+        built.append(i)
+        return rows[i]
+
+    Hm = HMatrix(model, 3, row)
+    assert built == []
+    assert Hm.jrow() == rows[-1]
+    assert Hm.rows == rows
+    assert Hm.check_system()["status"] == "pass"
+    assert sorted(built) == list(range(model.size))
+
+
+def test_hmatrix_rejects_the_wrong_number_of_rows():
+    model = builtin_model("cp1")
+    rows = solve_fundamental(model, 2).rows
+    for bad in (rows[:1], rows + rows[:1], ()):
+        with pytest.raises(ValueError):
+            HMatrix(model, 2, bad)
+    assert HMatrix(model, 2, list(rows)).rows == rows
+
+
+def test_solver_on_a_direction_without_quantum_terms():
+    # QH(P^1) tensor the classical H(P^1): q_2 never appears, so every
+    # G_D with D_2 > 0 has an empty commutator series and vanishes, and
+    # J is the J-function of P^1 in the first factor
+    data = load_model(Path(__file__).resolve().parent / "golden" / "p1xp1-no-q2.model").to_json()
+    data["quantum"] = [rec for rec in data["quantum"] if rec["D"][1] == 0]
+    model = ModelSpec.from_json(data)
+    Hm = solve_fundamental(model, 4)
+    assert Hm.check_system()["status"] == "pass"
+    J, cp1 = Hm.jrow().c, closed_form(builtin_model("cp1"), 4).c
+    assert set(J) == {(d, 0) for d in range(5)}
+    for (d, _), cls in J.items():
+        assert cls.coords[:2] == cp1[(d,)].coords
+        assert not any(cls.coords[2:])
+
+
+def test_solver_matches_closed_form_on_f3_rescaled():
+    # qden = 30, so G_D is summed over den * (D_j * 30)^N
+    model = load_model(Path(__file__).resolve().parent / "golden" / "f3-rescaled.model")
+    assert model.quantum_rows()[0] == 30
+    assert solve_fundamental(model, 6).jrow() == closed_form(model, 6)
+
+
 @pytest.mark.parametrize("name, lam", [r for r in RESCALED if r[0] != "gr24"])
 def test_closed_form_on_rescaled_basis_with_rational_tables(name, lam):
     # the closed form is a class, J = sum_k J^k b_k = sum_k J^k / lam_k b'_k
