@@ -39,7 +39,6 @@ from .quantum import (
     check_flatness,
     eval_relation,
     exp_quantum,
-    integrate_connection,
     quantum_monomial,
 )
 from .sections import (

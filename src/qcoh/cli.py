@@ -45,7 +45,6 @@ from .sections import (
     asymptotic_H,
     asymptotic_J,
     closed_form,
-    degree_axiom_allows,
     extract_descendents,
     solve_fundamental,
     tpoly_matrix_json,
@@ -313,20 +312,6 @@ def cmd_jfun(args):
 # -- gw ------------------------------------------------------------------------
 
 
-def _allowed_levels(model, D):
-    """Largest descendent level the degree axiom allows at D, or None."""
-    c1 = sum(c * d for c, d in zip(model.chern, D))
-    rhs = 2 * (model.dim + 2 - 3) + 2 * c1
-    best = None
-    for j in range(model.size):
-        n2 = rhs - model.degrees[j]
-        if n2 >= 0 and n2 % 2 == 0:
-            n = n2 // 2
-            if best is None or n > best:
-                best = n
-    return best
-
-
 def cmd_gw(args):
     order = _order(args)
     model = _get_model(args.model)
@@ -334,25 +319,27 @@ def cmd_gw(args):
         raise UsageError("--max-degree must be at least 1")
     order = max(order, args.max_degree)
     Hm = solve_fundamental(model, order)
-    degrees = [D for D in _degrees_upto(model.rank, args.max_degree) if any(D)]
-    max_level = 0
-    bounds = {}
-    for D in degrees:
-        b = _allowed_levels(model, D)
-        if b is not None:
-            bounds[D] = b
-            max_level = max(max_level, b)
+    # levels[D][j]: the one descendent level n that the degree axiom allows
+    # along b_j at D, deg b_j + 2n = 2(dim - 1) + 2 c1(D), or None; a
+    # degree D != 0 is kept when some j has a level
+    levels = {}
+    for D in _degrees_upto(model.rank, args.max_degree)[1:]:
+        rhs = 2 * (model.dim - 1) + 2 * sum(c * d for c, d in zip(model.chern, D))
+        allowed = [
+            (rhs - deg) // 2 if rhs >= deg and (rhs - deg) % 2 == 0 else None
+            for deg in model.degrees
+        ]
+        if any(n is not None for n in allowed):
+            levels[D] = allowed
+    bounds = {D: max(n for n in allowed if n is not None) for D, allowed in levels.items()}
+    max_level = max(bounds.values(), default=0)
     records = extract_descendents(model, Hm, args.max_degree, max_level)
     found = {(tuple(r["degree"]), r["level"], r["j"]): r["value"] for r in records}
     table = []
-    for D in degrees:
-        if D not in bounds:
-            continue
+    for D, allowed in levels.items():
         for n in range(bounds[D] + 1):
             for j in range(model.size):
-                axiom = degree_axiom_allows(
-                    model, (model.degrees[j], 0), (n, 0), D
-                )
+                axiom = allowed[j] == n
                 value = found.get((D, n, j), Fraction(0)) if axiom else Fraction(0)
                 rec = {
                     "D": list(D),
@@ -385,18 +372,9 @@ def _fixture_entries(data: bytes):
 
 def cmd_classical(args):
     model = _get_model(args.model)
-    mat = asymptotic_H(model)
-    matjson = tpoly_matrix_json(mat)
-    zero_t = [0] * model.rank
-    identity_ok = True
-    for i in range(model.size):
-        for k in range(model.size):
-            const = [term for term in matjson[i][k] if term["t"] == zero_t]
-            if i == k:
-                if const != [{"t": zero_t, "h": [[0, "1"]]}]:
-                    identity_ok = False
-            elif const:
-                identity_ok = False
+    E = asymptotic_H(model)
+    matjson = tpoly_matrix_json(E)
+    identity_ok = E[(0,) * model.rank] == ([{i: 1} for i in range(model.size)], 1)
 
     # the fixture holds the builtin's matrix, written in the builtin basis
     fixture = data_path("%s.classical.json" % model.name)
@@ -406,7 +384,7 @@ def cmd_classical(args):
     else:
         fixture_status = "absent"
 
-    aj = asymptotic_J(model)
+    aj = asymptotic_J(model, E)
     annihilation = []
     try:
         ops = builtin_operators(model, defining_only=True)

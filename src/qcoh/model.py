@@ -22,7 +22,7 @@ from math import lcm
 from importlib import resources
 from types import MappingProxyType
 
-from .algebra import HLaurent, format_rational, rational
+from .algebra import format_rational, rational
 
 
 @cache
@@ -70,19 +70,17 @@ class ModelError(ValueError):
 
 
 class CohClass:
-    """A cohomology class: dense coordinate vector over basis b_0..b_s.
-
-    Coordinates may be Fractions or HLaurent values; the container is
-    agnostic and instances are treated as immutable.
+    """A cohomology class as a dense coordinate vector over the basis
+    b_0..b_s: the entries of a model's Fraction tables, and the printed
+    and witness form of a series coefficient (coordinates Fractions or
+    HLaurent values).  Computations read the integral forms instead
+    (`ModelSpec.quantum_rows`); instances are treated as immutable.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
         self.coords = tuple(coords)
-
-    def __len__(self):
-        return len(self.coords)
 
     def __bool__(self):
         return any(self.coords)
@@ -93,36 +91,6 @@ class CohClass:
         if len(self.coords) != len(other.coords):
             return False
         return all(a == b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self):
-        return CohClass(tuple(-a for a in self.coords))
-
-    def __add__(self, other):
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        return CohClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, x):
-        return CohClass(tuple(x * a for a in self.coords))
-
-    def __mul__(self, x):
-        if isinstance(x, CohClass):
-            return NotImplemented
-        return self.scaled(x)
-
-    __rmul__ = __mul__
-
-    def lifted(self):
-        """Coerce rational coordinates to HLaurent constants."""
-        return CohClass(
-            tuple(
-                a if isinstance(a, HLaurent) else HLaurent.const(a)
-                for a in self.coords
-            )
-        )
 
     def describe(self, labels):
         parts = []
@@ -140,9 +108,6 @@ class CohClass:
             else:
                 parts.append("%s*%s" % (sa, lab))
         return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return "CohClass%r" % (self.coords,)
 
 
 class ModelSpec:
@@ -226,16 +191,10 @@ class ModelSpec:
         """Degree of q_i: twice the pairing of c_1 with the i-th curve class."""
         return tuple(2 * c for c in self.chern)
 
-    def zero_class(self):
-        return CohClass((Fraction(0),) * self.size)
-
     def basis_class(self, i):
         coords = [Fraction(0)] * self.size
         coords[i] = Fraction(1)
         return CohClass(coords)
-
-    def unit(self):
-        return self.basis_class(0)
 
     # -- classical structure -----------------------------------------------
 

@@ -104,9 +104,6 @@ class QDEOperator:
         out.rank, out.c = self.rank, terms
         return out
 
-    def __bool__(self):
-        return bool(self.c)
-
     def __eq__(self, other):
         if not isinstance(other, QDEOperator):
             return NotImplemented
@@ -178,11 +175,6 @@ class QDEOperator:
                     else:
                         out.pop(key, None)
         return self._new(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
@@ -480,8 +472,8 @@ def _prefix_walk(ops, start, theta):
     (theta^E start, [(pos, hexp, qdeg, v), ...]) once per word, where pos
     is the index of the term's operator.
 
-    theta^E is reached along the path theta_monomial takes: the word
-    1^{e_1} 2^{e_2} ... of generator indices.  The terms are grouped by
+    theta^E is reached letter by letter along the word 1^{e_1} 2^{e_2} ...
+    of generator indices, theta_1 first.  The terms are grouped by
     that word and the words are visited in lexicographic order, so a
     prefix comes before its extensions and the words sharing it are
     adjacent.  Only the chain of prefixes of the current word is held, so
@@ -575,14 +567,13 @@ def _apply_t(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
 
 
 def apply_classical(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
-    """Apply a q-free operator to a t-polynomial of cohomology classes with
-    theta_i = h d/dt_i: the walk of `apply_constq` on series of one degree."""
+    """Apply a q-free operator to a t-polynomial of CohSeries of Novikov
+    order 0, such as the classical J of `asymptotic_J`, with theta_i =
+    h d/dt_i: the walk of `apply_constq`."""
     zero = (0,) * op.rank
     if any(k[1] != zero for k in op.c):
         raise ValueError("operator has Novikov terms; take the q-free part first")
-    series = {e: CohSeries(model, 0, {zero: cls}) for e, cls in tp.c.items()}
-    res = _apply_t(op, TPoly(tp.nvars, series), model)
-    return TPoly(tp.nvars, {e: cs.coeff(zero) for e, cs in res.c.items()})
+    return _apply_t(op, tp, model)
 
 
 def apply_constq(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:

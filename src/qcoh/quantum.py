@@ -1,9 +1,9 @@
 """Quantum ring arithmetic over the model's one integral product table
 (`ModelSpec.quantum_rows`): products of classes with Novikov coefficients,
-flatness and associativity checks, the potential whose differential is the
-connection form, ring relations, and the exponential of quantum
-multiplication by a degree-2 class.  A multiplication matrix M_j is held
-as its columns, the QElem values b_j o b_l, so flatness compares columns.
+flatness and associativity checks, ring relations, and the exponential of
+quantum multiplication by a degree-2 class.  A multiplication matrix M_j
+is held as its columns, the QElem values b_j o b_l, so flatness compares
+columns.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from itertools import product
 from math import factorial, prod
 from operator import add
 
-from .algebra import NovikovSeries, TPoly, format_rational, monomial_text
+from .algebra import NovikovSeries, TPoly, monomial_text
 from .model import CohClass, ModelSpec
 from .series import CohSeries, _canonical, _integral_terms, _sum
 
@@ -283,98 +283,6 @@ def check_associativity(model: ModelSpec, order: int) -> dict:
                         }
                     )
     return _report("associativity", model, order, witnesses)
-
-
-class ConnectionPotential:
-    """Matrix potential K with dK equal to 1/h times the connection form:
-    K = (1/h) (sum_j t_j B_j + sum_{D != 0} K_D q^D), stored without the
-    overall 1/h."""
-
-    __slots__ = ("model", "order", "linear", "qpart")
-
-    def __init__(self, model, order, linear, qpart):
-        self.model = model
-        self.order = order
-        self.linear = linear  # j -> cup matrix of b_j
-        self.qpart = qpart  # D -> rational matrix
-
-    def to_json(self):
-        return {
-            "model": self.model.name,
-            "order": self.order,
-            "h_power": -1,
-            "linear": {
-                "t%d" % j: [[format_rational(x) for x in row] for row in mat]
-                for j, mat in sorted(self.linear.items())
-            },
-            "qpart": [
-                {
-                    "degree": list(D),
-                    "matrix": [[format_rational(x) for x in row] for row in mat],
-                }
-                for D, mat in sorted(
-                    self.qpart.items(), key=lambda kv: (sum(kv[0]), kv[0])
-                )
-            ],
-        }
-
-
-def integrate_connection(model: ModelSpec, order: int) -> ConnectionPotential:
-    """Antiderivative of the connection form: d_j K = (1/h) M_j for all j.
-
-    Exists by flatness; the q^D coefficient is m_{j,D}/d_j for any direction
-    with d_j > 0.  Directions that disagree raise CheckFailure
-    "connection-closed" naming the degree, both directions, the first
-    differing entry and both values.
-    """
-    size, rank = model.size, model.rank
-    qden = model.quantum_rows()[0]
-    parts = {}
-    for j in range(1, rank + 1):
-        for D, mat in model.quantum_action(j):
-            if sum(D) <= order:
-                parts.setdefault(D, {})[j] = mat
-
-    def matrix(D, j, scale=1):
-        # the q^D part of b_j o - as a dense Fraction matrix, divided by scale
-        mat = parts.get(D, {}).get(j, ({},) * size)
-        return tuple(
-            tuple(Fraction(row.get(c, 0), qden * scale) for c in range(size))
-            for row in mat
-        )
-
-    linear = {j: matrix((0,) * rank, j) for j in range(1, rank + 1)}
-    qpart = {}
-    for D in sorted((D for D in parts if any(D)), key=lambda d: (sum(d), d)):
-        # the q^D part of b_j o - over d_j, in every direction j with d_j > 0
-        scaled = [(j, matrix(D, j, D[j - 1])) for j in range(1, rank + 1) if D[j - 1]]
-        (first, candidate), *others = scaled
-        for j, other in others:
-            if other != candidate:
-                i, k = next(
-                    (i, k)
-                    for i in range(size)
-                    for k in range(size)
-                    if candidate[i][k] != other[i][k]
-                )
-                raise _check_failure(
-                    model,
-                    "connection-closed",
-                    {
-                        "degree": list(D),
-                        "directions": [first, j],
-                        "entry": [i, k],
-                        "values": [
-                            format_rational(candidate[i][k]),
-                            format_rational(other[i][k]),
-                        ],
-                        "detail": "the q^D part of the potential "
-                        "differs between the two directions",
-                    },
-                )
-        if any(any(row) for row in candidate):
-            qpart[D] = candidate
-    return ConnectionPotential(model, order, linear, qpart)
 
 
 def _eval_terms(model: ModelSpec, order: int, terms) -> QElem:

@@ -16,10 +16,11 @@ from itertools import zip_longest
 from math import lcm
 
 from .algebra import HLaurent, NovikovSeries, TPoly, format_rational
-from .model import CohClass, ModelSpec, _invert_rational_matrix, cp_dimension
+from .model import ModelSpec, _invert_rational_matrix, cp_dimension
 from .operators import QDEOperator, apply_gauge_many
 from .quantum import CheckFailure, _check_failure, _report
 from .series import (
+    CohSeries,
     GaugeSeries,
     _add_term,
     _canonical,
@@ -653,7 +654,7 @@ def _graded_at_one(model, comps, name):
         (_, D), i, k = min(bad)
         v, e = _laurent(comps[i][0][D], comps[i][1], k), exponents(D)[i][k]
         raise _qfactor_failure(
-            model, D, i, k, HLaurent.term(v.coeff(e), e), v,
+            model, D, i, k, HLaurent.term(v.c.get(e, 0), e), v,
             "entry of %s breaks the grading: expected a multiple "
             "of h^%d" % (name, e),
         )
@@ -727,7 +728,7 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
         if bad:
             v = _laurent(head, d, bad[0])
             raise _qfactor_failure(
-                model, zero, i, bad[0], HLaurent.const(v.coeff(0)), v,
+                model, zero, i, bad[0], HLaurent.const(v.c.get(0, 0)), v,
                 "q^0 entry of H_0 depends on h",
             )
     A0, a0den = _graded_at_one(model, comps0, "H_0")
@@ -804,40 +805,38 @@ def _cup_exponential(model: ModelSpec):
 
 
 def asymptotic_H(model: ModelSpec):
-    """Matrix of cup multiplication by e^{t/h} (`_cup_exponential`): entry
-    (k, i) is the b_k coordinate of e^{t/h} cup b_i, a polynomial in t over
-    HLaurent."""
-    size = model.size
-    mat = [[TPoly(model.rank) for _ in range(size)] for _ in range(size)]
-    for e, (cols, den) in _cup_exponential(model).items():
+    """The matrix of cup multiplication by e^{t/h}, as `_cup_exponential`
+    builds it: {e: (columns, den)}, column i of the t^e coefficient the
+    numerators of the b_k coordinates of e^{t/h} cup b_i, times h^-|e|."""
+    return _cup_exponential(model)
+
+
+def asymptotic_J(model: ModelSpec, E=None) -> TPoly:
+    """The asymptotic J-series e^{t/h} cup 1, column 0 of the matrix E of
+    `asymptotic_H` (built when not given), as a t-polynomial of CohSeries
+    of Novikov order 0: the series `apply_classical` acts on."""
+    E = asymptotic_H(model) if E is None else E
+    zero = (0,) * model.rank
+    coeffs = {
+        e: CohSeries._stored(model, 0, {zero: {(k, -sum(e)): n for k, n in unit.items()}}, den)
+        for e, ([unit, *_], den) in E.items()
+    }
+    return TPoly(model.rank, coeffs)
+
+
+def tpoly_matrix_json(E):
+    """Deterministic JSON form of the matrix E of `asymptotic_H`: entry
+    (k, i) lists {"t": e, "h": [[-|e|, value]]} for the t^e terms of the b_k
+    coordinate of e^{t/h} cup b_i, by total degree and then e."""
+    size = len(next(iter(E.values()))[0])
+    out = [[[] for _ in range(size)] for _ in range(size)]
+    for e in sorted(E, key=_degree_order):
+        cols, den = E[e]
         for i, col in enumerate(cols):
             for k, n in col.items():
-                mat[k][i].c[e] = HLaurent.term(Fraction(n, den), -sum(e))
-    return mat
-
-
-def asymptotic_J(model: ModelSpec) -> TPoly:
-    """The asymptotic J-series as a cohomology-valued t-polynomial: e^{t/h}
-    cup 1, column 0 of `_cup_exponential`."""
-    out = TPoly(model.rank)
-    for e, ([unit, *_], den) in _cup_exponential(model).items():
-        if unit:
-            out.c[e] = CohClass(
-                HLaurent.term(Fraction(unit.get(k, 0), den), -sum(e))
-                for k in range(model.size)
-            )
+                value = format_rational(Fraction(n, den))
+                out[k][i].append({"t": list(e), "h": [[-sum(e), value]]})
     return out
-
-
-def tpoly_matrix_json(mat):
-    """Deterministic JSON form of a matrix of t-polynomials over HLaurent."""
-    return [
-        [
-            [{"t": list(e), "h": v.to_json()} for e, v in entry.items_sorted()]
-            for entry in row
-        ]
-        for row in mat
-    ]
 
 
 # -- descendent extraction ---------------------------------------------------

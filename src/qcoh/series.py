@@ -134,9 +134,6 @@ class CohSeries:
             return NotImplemented
         return (self.order, self.den, self.flat) == (other.order, other.den, other.flat)
 
-    def __neg__(self):
-        return self.scaled(-1)
-
     def __add__(self, other):
         if not isinstance(other, CohSeries):
             return NotImplemented
@@ -145,28 +142,13 @@ class CohSeries:
         return self._new(*_sum(((self.flat, self.den), (other.flat, other.den))))
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + other.scaled(-1)
 
     def scaled(self, x):
-        """Scale every coefficient by an int, Fraction or HLaurent scalar."""
-        if not isinstance(x, HLaurent):
-            x = HLaurent.const(x)
-        xden = lcm(*(v.denominator for v in x.c.values()))
-        out = {}
-        for e, v in x.c.items():
-            n = v.numerator * (xden // v.denominator)
-            _add_term(out, self.flat, n, e, (), self.order)
-        return self._new(out, self.den * xden)
-
-    def __mul__(self, x):
-        return self.scaled(x)
-
-    __rmul__ = __mul__
-
-    def shifted(self, shift):
-        """Multiply by the Novikov monomial q^shift (drops overflow)."""
-        flat = _add_term({}, self.flat, 1, 0, tuple(shift), self.order)
-        return self._new(flat, self.den)
+        """Scale every coefficient by an int or Fraction."""
+        n, d = Fraction(x).as_integer_ratio()
+        flat = {D: {key: n * v for key, v in terms.items()} for D, terms in self.flat.items()}
+        return self._new(flat, self.den * d)
 
     def items_sorted(self):
         return [(D, self.coeff(D)) for D in sorted(self.flat, key=_degree_order)]
@@ -197,14 +179,6 @@ class CohSeries:
                 coeffs.setdefault(labels[k], []).append([x, value])
             out.append({"degree": list(D), "coeffs": coeffs})
         return out
-
-    def __repr__(self):
-        return "<%s %s: %d terms, order %d>" % (
-            type(self).__name__,
-            self.model.name,
-            len(self.flat),
-            self.order,
-        )
 
 
 # -- kernels on the flat form ---------------------------------------------------
@@ -310,12 +284,3 @@ class GaugeSeries(CohSeries):
         multiplication by d_i*h, computed by the flat kernel `_theta_flat`
         over the model's sparse generator action."""
         return self._new(*_theta_flat(self.model, (self.flat, self.den), i))
-
-    def theta_monomial(self, exps) -> "GaugeSeries":
-        """theta^E applied factor by factor, theta_1 first: the path the
-        shared-prefix walk in `operators.apply_gauge_many` takes."""
-        out = self
-        for i, e in enumerate(exps, start=1):
-            for _ in range(e):
-                out = out.theta(i)
-        return out

@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: h-Laurent polynomials, truncated Novikov series,
-and t-polynomials."""
+"""The output containers: h-Laurent polynomials, truncated Novikov series,
+and t-polynomials, with the products that build and compare them."""
 
 from fractions import Fraction
 
@@ -33,7 +33,8 @@ def test_rational_coercion_and_format():
 
 def test_hlaurent_binomial_oracle():
     one_plus_h = HLaurent({0: 1, 1: 1})
-    assert (one_plus_h ** 4).c == {k: Fraction(v) for k, v in BINOMIAL_4.items()}
+    power = one_plus_h * one_plus_h * one_plus_h * one_plus_h
+    assert power.c == {k: Fraction(v) for k, v in BINOMIAL_4.items()}
 
 
 def test_hlaurent_product_difference_of_squares():
@@ -45,31 +46,15 @@ def test_hlaurent_product_difference_of_squares():
 def test_hlaurent_zero_terms_dropped():
     x = HLaurent({0: 1, 3: 0})
     assert x.c == {0: Fraction(1)}
-    assert not (x - x)
-    assert (x - x).c == {}
-
-
-def test_hlaurent_monomial_inverse_and_negative_power():
-    m = HLaurent.term(Fraction(2, 3), 5)
-    assert m.monomial_inverse() * m == HLaurent.const(1)
-    assert m ** -2 == HLaurent.term(Fraction(9, 4), -10)
-    with pytest.raises(ValueError):
-        HLaurent({0: 1, 1: 1}).monomial_inverse()
-
-
-def test_hlaurent_scalar_ops_and_at_one():
-    x = HLaurent({-1: Fraction(1, 2), 2: 3})
-    assert 2 * x == HLaurent({-1: 1, 2: 6})
-    assert (x + 1).coeff(0) == 1
-    assert x.at_one() == Fraction(7, 2)
-    assert x.shifted(1) == HLaurent({0: Fraction(1, 2), 3: 3})
+    assert not (x + (-1) * x)
+    assert (x + (-1) * x).c == {}
 
 
 def test_hlaurent_json_round_trip():
     x = HLaurent({-2: Fraction(-5, 7), 0: 1, 4: Fraction(3)})
     data = x.to_json()
     assert data == [[-2, "-5/7"], [0, "1"], [4, "3"]]
-    assert HLaurent.from_json(data) == x
+    assert HLaurent(dict(data)) == x
 
 
 def test_hlaurent_str_round_trippable_form():
@@ -78,24 +63,17 @@ def test_hlaurent_str_round_trippable_form():
 
 
 def test_novikov_truncation_at_order():
-    q = NovikovSeries.q(1, 3, 1)
-    assert (q ** 3).c == {(3,): Fraction(1)}
-    assert not q ** 4  # degree 4 > order 3 is dropped entirely
+    q = NovikovSeries(1, 3, {(1,): 1})
+    assert (q * q * q).c == {(3,): Fraction(1)}
+    assert not q * q * q * q  # degree 4 > order 3 is dropped entirely
 
 
 def test_novikov_geometric_series_product():
     # (1 - q)(1 + q + q^2 + q^3) == 1 truncated at order 3
     order = 3
-    one = NovikovSeries.const(1, order, Fraction(1))
-    q = NovikovSeries.q(1, order, 1)
+    one_minus_q = NovikovSeries(1, order, {(0,): 1, (1,): -1})
     geom = NovikovSeries(1, order, {(k,): 1 for k in range(order + 1)})
-    assert (one - q) * geom == one
-
-
-def test_novikov_weighted_is_euler_action():
-    s = NovikovSeries(2, 4, {(1, 2): Fraction(5), (0, 3): 1})
-    assert s.weighted(1).c == {(1, 2): Fraction(5)}
-    assert s.weighted(2).c == {(1, 2): Fraction(10), (0, 3): Fraction(3)}
+    assert one_minus_q * geom == NovikovSeries(1, order, {(0,): 1})
 
 
 def test_novikov_rejects_bad_degrees():
@@ -103,10 +81,10 @@ def test_novikov_rejects_bad_degrees():
         NovikovSeries(2, 4, {(1,): 1})
     with pytest.raises(ValueError):
         NovikovSeries(1, 4, {(-1,): 1})
-    a = NovikovSeries.const(1, 3, Fraction(1))
-    b = NovikovSeries.const(1, 4, Fraction(1))
+    a = NovikovSeries(1, 3, {(0,): 1})
+    b = NovikovSeries(1, 4, {(0,): 1})
     with pytest.raises(ValueError):
-        a + b
+        a * b
 
 
 def test_novikov_hlaurent_coefficients():
@@ -116,24 +94,14 @@ def test_novikov_hlaurent_coefficients():
 
 
 def test_tpoly_multiplication_and_truncation():
-    t1 = TPoly.t(2, 1)
-    t2 = TPoly.t(2, 2)
-    p = (t1 + t2).mul(t1 + t2, max_total=2)
+    s = TPoly(2, {(1, 0): 1, (0, 1): 1})  # t1 + t2
+    p = s.mul(s, max_total=2)
     assert p.c == {
         (2, 0): Fraction(1),
         (1, 1): Fraction(2),
         (0, 2): Fraction(1),
     }
-    assert (t1 + t2).mul(t1 + t2, max_total=1).c == {}
-
-
-def test_tpoly_derivative_is_exact():
-    # d/dt1 of t1^3*t2 = 3 t1^2 t2
-    t1 = TPoly.t(2, 1)
-    t2 = TPoly.t(2, 2)
-    p = t1 * t1 * t1 * t2
-    assert p.derivative(1).c == {(2, 1): Fraction(3)}
-    assert p.derivative(2).c == {(3, 0): Fraction(1)}
+    assert s.mul(s, max_total=1).c == {}
 
 
 def test_tpoly_items_sorted_by_total_degree_then_lex():

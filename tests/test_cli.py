@@ -315,6 +315,43 @@ def test_classical_without_fixture(capsys):
     assert data["fixture"] == "absent" and data["status"] == "pass"
 
 
+def test_classical_builds_the_cup_exponential_once(capsys, monkeypatch):
+    from qcoh import sections
+    from qcoh.algebra import HLaurent
+    from qcoh.model import CohClass
+
+    builtin_model("f3")  # loading the model builds its CohClass tables, once
+    calls = []
+
+    def counting(build):
+        def wrapper(*args, **kwargs):
+            calls.append(build.__qualname__)
+            return build(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(sections, "_cup_exponential", counting(sections._cup_exponential))
+    for cls in (HLaurent, CohClass):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    code, _, _ = run(capsys, ["classical", "--model", "f3"])
+    # no HLaurent or CohClass on the way: the output is written from int rows
+    assert code == 0 and calls == ["_cup_exponential"]
+
+
+def test_classical_failing_annihilation_exits_1(capsys, tmp_path):
+    # the ring of P^3 under the name cp2: the shipped operator of cp2, D1^3,
+    # does not annihilate its classical J, and no fixture applies
+    data = builtin_model("cp3").to_json()
+    data["name"] = "cp2"
+    path = tmp_path / "cp3-named-cp2.model"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, _ = run(capsys, ["classical", "--model", str(path)])
+    assert code == 1
+    data = json.loads(out)
+    assert data["fixture"] == "absent" and data["status"] == "fail"
+    assert data["annihilation"] == [{"operator": "D1^3", "status": "fail"}]
+
+
 # -- tilde ------------------------------------------------------------------------
 
 

@@ -82,7 +82,7 @@ def test_quantum_table_q0_is_cup(name):
     zero = (0,) * model.rank
     for i in range(model.size):
         for j in range(model.size):
-            q0 = model.quantum_table[(i, j)].get(zero, model.zero_class())
+            q0 = model.quantum_table[(i, j)].get(zero, CohClass((0,) * model.size))
             assert q0 == model.cup_table[(i, j)]
 
 
@@ -365,9 +365,9 @@ def test_shared_model_cannot_be_mutated():
     assert builtin_model("f3") is model
     assert builtin_model("cp2") is builtin_model("cp2")
     with pytest.raises(TypeError):
-        model.cup_table[(0, 0)] = model.zero_class()
+        model.cup_table[(0, 0)] = model.basis_class(0)
     with pytest.raises(TypeError):
-        model.quantum_table[(1, 1)][(1, 0)] = model.zero_class()
+        model.quantum_table[(1, 1)][(1, 0)] = model.basis_class(0)
     with pytest.raises(TypeError):
         model.aliases["x"] = "f3"
     with pytest.raises(AttributeError):

@@ -14,13 +14,11 @@ from qcoh.algebra import HLaurent, NovikovSeries, TPoly
 from qcoh.model import BUILTIN_NAMES, CohClass, ModelSpec, builtin_model, load_model
 from qcoh.operators import builtin_relations
 from qcoh.quantum import (
-    CheckFailure,
     QElem,
     check_associativity,
     check_flatness,
     eval_relation,
     exp_quantum,
-    integrate_connection,
     quantum_monomial,
 )
 from qcoh.series import CohSeries
@@ -185,21 +183,37 @@ def test_flatness_fails_on_deformed_product():
 def _mult_matrix(model, j, order):
     """The multiplication matrix of b_j as dense NovikovSeries entries:
     column i holds the q-expansion of b_j o b_i from the quantum table."""
-    size, zero = model.size, NovikovSeries(model.rank, order)
-    entries = [[zero] * size for _ in range(size)]
+    size = model.size
+    entries = [[{} for _ in range(size)] for _ in range(size)]
     for i in range(size):
         for D, cls in model.quantum_table[(j, i)].items():
             for k, v in enumerate(cls.coords):
                 if v:
-                    entries[k][i] = entries[k][i] + NovikovSeries(model.rank, order, {D: v})
-    return entries
+                    entries[k][i][D] = v
+    return [[NovikovSeries(model.rank, order, c) for c in row] for row in entries]
 
 
-def _mat_mul(a, b, zero):
+def _series_sum(rank, order, terms):
+    c = {}
+    for s in terms:
+        for d, v in s.c.items():
+            c[d] = c.get(d, 0) + v
+    return NovikovSeries(rank, order, c)
+
+
+def _mat_mul(a, b, rank, order):
     return [
-        [sum((x * b[u][i] for u, x in enumerate(row) if x and b[u][i]), zero) for i in range(len(b))]
+        [
+            _series_sum(rank, order, (x * b[u][i] for u, x in enumerate(row) if x and b[u][i]))
+            for i in range(len(b))
+        ]
         for row in a
     ]
+
+
+def _weighted(s, i):
+    """The q^d term of s times d_i: the Euler field d/dt_i on q^d."""
+    return NovikovSeries(s.rank, s.order, {d: d[i - 1] * v for d, v in s.c.items()})
 
 
 def _reference_flatness(model, order):
@@ -207,19 +221,18 @@ def _reference_flatness(model, order):
     products M_i M_j and M_j M_i entry by entry, then the q-derivatives."""
     size, rank = model.size, model.rank
     mats = {j: _mult_matrix(model, j, order) for j in range(1, rank + 1)}
-    zero = NovikovSeries(rank, order)
     pairs = [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
     witnesses = []
     for i, j in pairs:
-        ab = _mat_mul(mats[i], mats[j], zero)
-        ba = _mat_mul(mats[j], mats[i], zero)
+        ab = _mat_mul(mats[i], mats[j], rank, order)
+        ba = _mat_mul(mats[j], mats[i], rank, order)
         for k, l in itertools.product(range(size), repeat=2):
             if ab[k][l] != ba[k][l]:
                 detail = "%s vs %s" % (ab[k][l], ba[k][l])
                 witnesses.append({"identity": "[M%d, M%d]" % (i, j), "entry": [k, l], "detail": detail})
     for i, j in pairs:
         for k, l in itertools.product(range(size), repeat=2):
-            lhs, rhs = mats[j][k][l].weighted(i), mats[i][k][l].weighted(j)
+            lhs, rhs = _weighted(mats[j][k][l], i), _weighted(mats[i][k][l], j)
             if lhs != rhs:
                 witnesses.append(
                     {
@@ -285,44 +298,25 @@ def test_quantum_monomial_with_q_shift():
     assert elem == QElem.basis(model, ORDER, 1).shifted((1,))
 
 
-def test_integrate_connection_cp1():
-    model = builtin_model("cp1")
-    pot = integrate_connection(model, ORDER)
-    # linear part is the cup matrix: x . 1 = x, x . x = 0
-    cols = [model.cup_table[(1, i)].coords for i in range(model.size)]
-    assert pot.linear[1] == tuple(zip(*cols))
-    # q part: d/dt of q*K_D with D=(1) recovers the q-coefficient of M_1
-    assert set(pot.qpart) == {(1,)}
-    mat = pot.qpart[(1,)]
-    assert mat[0][1] == 1  # x o x = q . 1
-    data = pot.to_json()
-    assert data["h_power"] == -1
-
-
-def test_integrate_connection_f3_directions_agree():
-    model = builtin_model("f3")
-    pot = integrate_connection(model, ORDER)
-    # every stored degree divides out consistently; spot-check q1 and q2 parts
-    assert (1, 0) in pot.qpart and (0, 1) in pot.qpart and (1, 1) in pot.qpart
-
-
 def test_open_connection_form_is_a_check_failure():
     # b_1 o b_5 = 2 q1 q2 instead of q1 q2: graded and commutative, so the
-    # model validates, but d_1 and d_2 of the potential disagree at q1 q2
+    # model validates, but the connection form is not closed at q1 q2 (d_1
+    # M_2 and d_2 M_1 differ at entry (0, 5)), M_1 and M_2 do not commute,
+    # and the product is not associative
     data = builtin_model("f3").to_json()
     (rec,) = [r for r in data["quantum"] if (r["i"], r["j"], r["D"]) == (1, 5, [1, 1])]
     rec["c"] = "2"
     model = ModelSpec.from_json(data)
     assert model.validate() == []
-    with pytest.raises(CheckFailure) as info:
-        integrate_connection(model, ORDER)
-    report = info.value.report
-    assert report["check"] == "connection-closed" and report["status"] == "fail"
-    (witness,) = report["witnesses"]
-    assert witness["degree"] == [1, 1]
-    assert witness["directions"] == [1, 2]
-    assert witness["entry"] == [0, 5]
-    assert witness["values"] == ["2", "1"]
+    report = check_flatness(model, ORDER)
+    assert report["status"] == "fail"
+    first, *_, closed = report["witnesses"]
+    assert (first["identity"], first["entry"]) == ("[M1, M2]", [0, 3])
+    assert (closed["identity"], closed["entry"]) == ("d_1 M_2 = d_2 M_1", [0, 5])
+    assert closed["detail"] == "1*q1*q2 vs 2*q1*q2"
+    report = check_associativity(model, ORDER)
+    assert report["status"] == "fail"
+    assert report["witnesses"][0]["triple"] == [1, 1, 4]
 
 
 def test_exp_quantum_cp1_coefficients():
@@ -365,7 +359,7 @@ def exp_quantum_from_scratch(model, torder, order, gens_order):
                 elem = elem * QElem.basis(model, order, i)
         scale = HLaurent.term(Fraction(1, prod(map(factorial, e))), -sum(e))
         coeffs[e] = CohSeries(
-            model, order, {D: cls.lifted().scaled(scale) for D, cls in elem.c.items()}
+            model, order, {D: CohClass(scale * a for a in cls.coords) for D, cls in elem.c.items()}
         )
     return TPoly(rank, coeffs)
 

@@ -302,7 +302,8 @@ def test_solver_on_rescaled_basis_with_rational_tables(name, lam):
     assert {c.denominator for cls in classes for c in cls.coords} > {1}
     assert scaled.validate() == []
     # the classical J starts at the unit, not at the dual of b'_top
-    assert asymptotic_J(scaled).c[(0,) * model.rank] == scaled.unit().lifted()
+    zero = (0,) * model.rank
+    assert asymptotic_J(scaled).c[zero].coeff(zero) == scaled.basis_class(0)
     Hm = solve_fundamental(scaled, ORDER)
     assert Hm.check_system()["status"] == "pass"
     # J = sum_k J^k b_k = sum_k J^k / lam_k b'_k, although the unit pairs
@@ -440,11 +441,16 @@ def test_build_H_from_J_satisfies_first_order_system(name):
     assert Hm.check_system()["status"] == "pass"
 
 
+def _basis_multiple(model, k, x):
+    """x b_k, for a rational or HLaurent x."""
+    return CohClass(x if j == k else 0 for j in range(model.size))
+
+
 def test_first_order_system_witness_names_entry():
     model = builtin_model("f3")
     solved = solve_fundamental(model, 3)
     D, k = (1, 0), 2
-    bump = GaugeSeries(model, 3, {D: model.basis_class(k).scaled(HLaurent.term(5, -1))})
+    bump = GaugeSeries(model, 3, {D: _basis_multiple(model, k, HLaurent.term(5, -1))})
     broken = HMatrix(model, 3, (solved.rows[0] + bump,) + solved.rows[1:])
     report = broken.check_system()
     assert report["status"] == "fail"
@@ -467,7 +473,7 @@ def test_first_order_system_witness_on_rational_tables_is_reduced():
     solved = solve_fundamental(model, 3)
     assert solved.check_system()["status"] == "pass"
     D, k = (1, 0), 3
-    bump = GaugeSeries(model, 3, {D: model.basis_class(k).scaled(HLaurent.term(Fraction(7, 6), 0))})
+    bump = GaugeSeries(model, 3, {D: _basis_multiple(model, k, Fraction(7, 6))})
     broken = HMatrix(model, 3, (solved.rows[0] + bump,) + solved.rows[1:])
     report = broken.check_system()
     assert report["status"] == "fail"
@@ -502,9 +508,7 @@ def test_q_factorization_identity_models():
         for i in range(size):
             for k in range(size):
                 if i == k:
-                    assert Q[i][k] == NovikovSeries.const(
-                        model.rank, 4, Fraction(1)
-                    ), name
+                    assert Q[i][k] == NovikovSeries(model.rank, 4, {(0,) * model.rank: 1}), name
                 else:
                     assert not Q[i][k], (name, i, k)
 
@@ -523,7 +527,7 @@ def test_q_factorization_f3_matches_printed_matrix():
     for i in range(6):
         for k in range(6):
             if i == k:
-                assert Q[i][k] == NovikovSeries.const(2, 4, Fraction(1))
+                assert Q[i][k] == NovikovSeries(2, 4, {(0, 0): 1})
             elif (i, k) in expected_offdiag:
                 assert Q[i][k] == NovikovSeries(2, 4, expected_offdiag[(i, k)])
             else:
@@ -555,7 +559,11 @@ def test_q_factorization_wrong_rowspec_names_entry():
 
 def test_q_factorization_h_dependent_head_names_entry():
     model = builtin_model("cp1")
-    J = closed_form(model, 2).scaled(HLaurent({0: 1, 1: 1}))
+    one_plus_h = HLaurent({0: 1, 1: 1})
+    J = closed_form(model, 2)
+    J = GaugeSeries(
+        model, 2, {D: CohClass(a * one_plus_h for a in cls.coords) for D, cls in J.c.items()}
+    )
     Hm = HMatrix(model, 2, [J, J])
     with pytest.raises(CheckFailure) as info:
         q_factorize(model, Hm, builtin_rowspec(model))
@@ -571,7 +579,7 @@ def test_q_factorization_off_grade_entry_names_entry():
     model = builtin_model("cp1")
     rowspec = builtin_rowspec(model)
     Hm = build_H_from_J(model, closed_form(model, 2), rowspec)
-    extra = GaugeSeries(model, 2, {(1,): model.unit().scaled(5)})
+    extra = GaugeSeries(model, 2, {(1,): _basis_multiple(model, 0, 5)})
     bad = HMatrix(model, 2, [Hm.rows[0] + extra, Hm.rows[1]])
     with pytest.raises(CheckFailure) as info:
         q_factorize(model, bad, rowspec)
@@ -755,19 +763,22 @@ def test_asymptotic_J_is_last_row(name):
     coordinate of e^{t/h} cup b_k, so its column 0 is the asymptotic J,
     and its last row, times <1, b_top>, is the pairing of J with b_k."""
     model = load_model(GOLDEN / name) if name.endswith(".model") else builtin_model(name)
-    mat = asymptotic_H(model)
+    E = asymptotic_H(model)
     aj = asymptotic_J(model)
     top = model.pairing[0][model.top]
     assert top and not any(model.pairing[0][:-1])
-    for e in set(aj.c) | {e for row in mat for entry in row for e in entry.c}:
-        cls = aj.c.get(e, CohClass((HLaurent(),) * model.size))
+    zero = (0,) * model.rank
+    assert set(aj.c) <= set(E)
+    for e, (cols, den) in E.items():
+        cls = aj.c[e].coeff(zero) if e in aj.c else CohClass((0,) * model.size)
         for k in range(model.size):
-            assert mat[k][0].c.get(e, HLaurent()) == cls.coords[k], (e, k)
+            entry = HLaurent.term(Fraction(cols[0].get(k, 0), den), -sum(e))
+            assert entry == cls.coords[k], (e, k)
             want = HLaurent()
             for m, lau in enumerate(cls.coords):
                 if lau and model.pairing[m][k]:
                     want = want + lau * model.pairing[m][k]
-            got = mat[model.top][k].c.get(e, HLaurent()) * top
+            got = HLaurent.term(Fraction(cols[k].get(model.top, 0), den) * top, -sum(e))
             assert got == want, (e, k)
 
 

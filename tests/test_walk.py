@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoh.algebra import H, HLaurent, TPoly
+from qcoh.algebra import HLaurent, TPoly
 from qcoh import operators
-from qcoh.model import builtin_model, load_model
+from qcoh.model import CohClass, builtin_model, load_model
 from qcoh.operators import (
     QDEOperator,
     apply_classical,
@@ -44,12 +44,22 @@ def reference_theta(s, i):
     """theta_i from its definition: on the q^D coefficient c, the cup
     product b_i c by ModelSpec.cup on HLaurent classes plus d_i * h * c."""
     model = s.model
-    b = model.basis_class(i).lifted()
+    b = model.basis_class(i)
+    terms = {}
+    for D, cls in s.c.items():
+        dh = HLaurent.term(D[i - 1], 1)
+        terms[D] = CohClass(x + dh * a for x, a in zip(model.cup(b, cls).coords, cls.coords))
+    return GaugeSeries(model, s.order, terms)
+
+
+def reference_times(s, qdeg, scale):
+    """q^qdeg * scale * s for an HLaurent scale, through the CohSeries
+    constructor, which drops the degrees past the order."""
     terms = {
-        D: model.cup(b, cls) + cls.scaled(HLaurent.term(D[i - 1], 1))
+        tuple(a + b for a, b in zip(D, qdeg)): CohClass(scale * x for x in cls.coords)
         for D, cls in s.c.items()
     }
-    return GaugeSeries(model, s.order, terms)
+    return type(s)(s.model, s.order, terms)
 
 
 _MONOMIALS = {}
@@ -74,9 +84,7 @@ def reference_apply(op, name):
     for (hexp, qdeg, thexp), v in op.c.items():
         word = tuple(i for i, e in enumerate(thexp, start=1) for _ in range(e))
         part = reference_monomial(name, word)
-        if any(qdeg):
-            part = part.shifted(qdeg)
-        out = out + part.scaled(HLaurent.term(v, hexp))
+        out = out + reference_times(part, qdeg, HLaurent.term(v, hexp))
     return out
 
 
@@ -147,7 +155,7 @@ def inhomogeneous_factor(draw, rank):
     q = QDEOperator.gen_q(rank, j)
     qterm = draw(st.sampled_from((q, q * QDEOperator.gen_theta(rank, k), h * q)))
     c0, c1, c2 = (draw(coefficients()) for _ in range(3))
-    return QDEOperator.const(rank, c0) + c1 * theta + c2 * qterm
+    return QDEOperator.const(rank, c0) + theta * c1 + qterm * c2
 
 
 _OPERATORS = {}
@@ -208,19 +216,23 @@ def test_verify_annihilated_takes_one_theta_step_per_prefix(monkeypatch):
 
 def termwise_t(op, tp):
     """The termwise definition on a t-polynomial: theta_i = h d/dt_i by
-    polynomial differentiation and a product by H for every letter, then
+    polynomial differentiation and a product by h for every letter, then
     the q-shift and the scale by HLaurent.term(v, hexp)."""
-    out = TPoly(tp.nvars)
+    zero = (0,) * tp.nvars
+    out = {}
     for (hexp, qdeg, thexp), v in op.c.items():
-        part = tp
+        part = tp.c
         for i, e in enumerate(thexp, start=1):
             for _ in range(e):
-                part = part.derivative(i).map_coeffs(lambda c: c.scaled(H))
-        scale = HLaurent.term(v, hexp)
-        out = out + part.map_coeffs(
-            lambda c: (c.shifted(qdeg) if any(qdeg) else c).scaled(scale)
-        )
-    return out
+                part = {
+                    t[: i - 1] + (n - 1,) + t[i:]: reference_times(cs, zero, HLaurent.term(n, 1))
+                    for t, cs in part.items()
+                    if (n := t[i - 1])
+                }
+        for t, cs in part.items():
+            cs = reference_times(cs, qdeg, HLaurent.term(v, hexp))
+            out[t] = out[t] + cs if t in out else cs
+    return TPoly(tp.nvars, out)
 
 
 T_ORDER, T_NOVIKOV = 5, 2
