@@ -278,7 +278,7 @@ def cmd_jfun(args):
 
     if args.diff:
         diff = {"check": "construction-diff", "status": "pass"}
-        if closed.to_json() != solved.to_json():
+        if closed != solved:
             status = diff["status"] = "fail"
             diff["witnesses"] = [_diff_witness(model, closed, solved)]
         payload["diff"] = diff

@@ -148,6 +148,7 @@ class QElem:
                 if room < 0:
                     continue
                 base = tuple(map(add, D1, D2))
+                targets = {}  # Dq: the row of q^(base + Dq)
                 for i, x in r1.items():
                     products = table[i]
                     for j, y in r2.items():
@@ -156,7 +157,9 @@ class QElem:
                         for n, Dq, terms in products[j]:
                             if n > room:
                                 break
-                            acc = out.setdefault(tuple(map(add, base, Dq)), {})
+                            acc = targets.get(Dq)
+                            if acc is None:
+                                acc = targets[Dq] = out.setdefault(tuple(map(add, base, Dq)), {})
                             for k, c in terms:
                                 acc[k] = acc.get(k, 0) + c * p
         return self._new(out, self.den * other.den * qden)

@@ -13,12 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm, prod
 
 from .algebra import HLaurent, NovikovSeries, TPoly, format_rational
 from .model import ModelSpec, _invert_rational_matrix, cp_dimension
 from .operators import QDEOperator, apply_gauge_many
-from .quantum import CheckFailure, _check_failure, _report
+from .quantum import CheckFailure, QElem, _check_failure, _report
 from .series import (
     CohSeries,
     GaugeSeries,
@@ -27,6 +27,7 @@ from .series import (
     _components,
     _degree_order,
     _laurent,
+    _sum,
 )
 
 
@@ -407,74 +408,28 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
 
 # -- closed forms ----------------------------------------------------------
 # The hypergeometric coefficients are built at h = 1: the factor x + k*h
-# becomes x + k.  A class is a one-row sparse int matrix over one positive
-# denominator, ([{k: int}], den), and cup runs over the q^0 terms of the
-# model's integral product table (`ModelSpec.quantum_rows`).  Each
-# coefficient J_D is homogeneous of degree -deg q^D (deg h = 2), so h comes
-# back from the grading alone.
-
-_UNIT = ([{0: 1}], 1)
-
-
-def _cup(table, x, y):
-    """x cup y for int classes, over the q^0 terms of the table (qden,
-    rows) of `ModelSpec.quantum_rows`, reduced."""
-    qden, products = table
-    ([xrow], xden), ([yrow], yden) = x, y
-    acc = {}
-    for i, a in xrow.items():
-        for j, b in yrow.items():
-            terms = products[i][j]
-            if terms and not terms[0][0]:
-                p = a * b
-                for k, n in terms[0][2]:
-                    acc[k] = acc[k] + n * p if k in acc else n * p
-    return _reduced([acc], xden * yden * qden)
-
-
-def _linear(x, k):
-    """The factor x + k*h at h = 1, for an int class x of degree 2."""
-    [row], den = x
-    return ([{**row, 0: k * den}] if k else [row]), den
+# becomes x + k.  Each factor value is a polynomial in the factor's class
+# x, computed in Z[x]/(x^m), x^m the first power of x that vanishes, as int
+# coefficients over one positive denominator; the powers of x stop at
+# x^(dim + 1).  A class is a QElem of Novikov order 0, and classes multiply
+# only as QElem.  Each coefficient J_D is homogeneous of degree -deg q^D
+# (deg h = 2), so h comes back from the grading alone.
 
 
 def _graded_series(model, order, terms):
-    """GaugeSeries from int classes computed at h = 1: the b_k coordinate
-    of the q^D coefficient is c * h^e with e = -(deg b_k + deg q^D) / 2."""
+    """GaugeSeries from classes (QElem of order 0) computed at h = 1: the
+    b_k coordinate of the q^D coefficient is c * h^e with e = -(deg b_k +
+    deg q^D) / 2."""
     degrees = model.degrees
     qweights = model.qdegrees
-    den = lcm(*(d for _, d in terms.values()))
+    zero = (0,) * model.rank
+    den = lcm(*(v.den for v in terms.values()))
     flat = {}
-    for D, ([row], rden) in terms.items():
+    for D, v in terms.items():
         qdeg = sum(d * w for d, w in zip(D, qweights))
-        m = den // rden
+        m, row = den // v.den, v.rows.get(zero, {})
         flat[D] = {(k, -(degrees[k] + qdeg) // 2): m * n for k, n in row.items()}
     return GaugeSeries._stored(model, order, flat, den)
-
-
-def _inverse_powers(model, table, x, power, order):
-    """[prod_{k=1..n} (x + k)^-power for n = 0..order] at h = 1, for an int
-    class x of degree 2.  With x^m the last nonzero power of x (m <= dim),
-    (x + k)^-1 is the finite series sum_j (-x)^j k^(m-j) over k^(m+1)."""
-    pows = [_UNIT]
-    for _ in range(model.dim):
-        p = _cup(table, pows[-1], x)
-        if not any(p[0]):
-            break
-        pows.append(p)
-    m = len(pows) - 1
-    common = lcm(*(den for _, den in pows))
-    out = [_UNIT]
-    for k in range(1, order + 1):
-        acc = [{}]
-        for j, (rows, den) in enumerate(pows):
-            _sparse_addscaled(acc, rows, (-1) ** j * k ** (m - j) * (common // den))
-        inverse = _reduced(acc, common * k ** (m + 1))
-        acc = out[-1]
-        for _ in range(power):
-            acc = _cup(table, acc, inverse)
-        out.append(acc)
-    return out
 
 
 # The hypergeometric factors (class row, charge vector, power p) of each
@@ -499,26 +454,56 @@ def hypergeometric_factors(model: ModelSpec):
         raise LookupError("no closed-form series for model %r" % model.name) from None
 
 
-def _factor_values(model, table, x, power, lo, hi):
-    """{n: [prod_{k<=0}(x + k) / prod_{k<=n}(x + k)]^power for lo <= n <= hi}
-    at h = 1, for an int class x of degree 2.  For n < 0 this is the finite
-    product prod_{k=n+1..0}(x + k)^power, which includes the bare factor x
-    at k = 0, so a negative power needs lo = 0."""
-    if power > 0:
-        values = dict(enumerate(_inverse_powers(model, table, x, power, hi)))
+def _factor_values(model, factor, order):
+    """{n: [prod_{k<=0}(x + k) / prod_{k<=n}(x + k)]^p for the n = <charge,
+    D> of the degrees D up to the order}, as classes at h = 1, for the
+    factor (x, charge, p) with x of degree 2.  For n < 0 this is the finite
+    product prod_{k=n+1..0}(x + k)^p, which includes the bare factor x at
+    k = 0, so a negative p needs charges >= 0.  ValueError when x^(dim + 1)
+    is not zero: Z[x]/(x^m) is then not the cohomology ring."""
+    row, charge, power = factor
+    x = QElem._stored(model, 0, {(0,) * model.rank: row}, 1)
+    pows = [QElem.unit(model, 0)]
+    for _ in range(model.dim + 1):
+        p = pows[-1] * x
+        if not p:
+            break
+        pows.append(p)
     else:
-        values = {0: _UNIT}
-        for n in range(1, hi + 1):
-            acc = values[n - 1]
-            for _ in range(-power):
-                acc = _cup(table, acc, _linear(x, n))
-            values[n] = acc
-    for n in range(-1, lo - 1, -1):
-        acc = values[n + 1]
-        for _ in range(power):
-            acc = _cup(table, acc, _linear(x, n + 1))
-        values[n] = acc
-    return values
+        raise ValueError("model %r, factor %r: x^(dim + 1) != 0" % (model.name, factor))
+    m = len(pows)
+
+    def step(value, k, e):
+        """value * (x + k)^e in Z[x]/(x^m), reduced by one gcd; k >= 1 when
+        e < 0.  Each inverse is out_j = (c_j - out_{j-1}) / k: in ints,
+        O_j = c_j k^j - O_{j-1} is the numerator of out_j over den * k^(j+1)."""
+        c, den = value
+        for _ in range(e):
+            c = [k * a + b for a, b in zip(c, [0, *c])]
+        for _ in range(-e):
+            o, out = 0, []
+            for j, a in enumerate(c):
+                o = a * k**j - o
+                out.append(o * k ** (m - 1 - j))
+            c, den = out, den * k**m
+        g = gcd(den, *c)
+        return [a // g for a in c], den // g
+
+    values = {0: ([1] + [0] * (m - 1), 1)}
+    for n in range(1, order * max(0, *charge) + 1):
+        values[n] = step(values[n - 1], n, -power)
+    for n in range(-1, order * min(0, *charge) - 1, -1):
+        values[n] = step(values[n + 1], n + 1, power)
+
+    def to_class(c, den):
+        scaled = (
+            ({D: {k: a * v for k, v in r.items()} for D, r in xj.rows.items()}, den * xj.den)
+            for a, xj in zip(c, pows)
+            if a
+        )
+        return QElem._stored(model, 0, *_sum(scaled))
+
+    return {n: to_class(*v) for n, v in values.items()}
 
 
 def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
@@ -529,26 +514,18 @@ def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
 
     the inverse of prod_{k=1..n}(x + kh)^p for n = <charge, D> >= 0 and the
     finite product prod_{k=n+1..0}(x + kh)^p for n < 0.  LookupError when
-    the model has no factor list."""
-    factors = hypergeometric_factors(model)
-    table = model.quantum_rows()
+    the model has no factor list, ValueError when a factor's class x has
+    x^(dim + 1) != 0."""
     values = [
-        (
-            charge,
-            _factor_values(
-                model, table, ([x], 1), power,
-                order * min(0, *charge), order * max(0, *charge),
-            ),
-        )
-        for x, charge, power in factors
+        (factor[1], _factor_values(model, factor, order))
+        for factor in hypergeometric_factors(model)
     ]
     terms = {}
     for D in _degrees_upto(model.rank, order):
-        coeffs = [vals[sum(c * d for c, d in zip(charge, D))] for charge, vals in values]
-        acc = coeffs[0]
-        for coeff in coeffs[1:]:
-            acc = _cup(table, acc, coeff)
-        terms[D] = acc
+        first, *rest = [
+            vals[sum(c * d for c, d in zip(charge, D))] for charge, vals in values
+        ]
+        terms[D] = prod(rest, start=first)
     return _graded_series(model, order, terms)
 
 
@@ -561,7 +538,7 @@ def verify_annihilated(J: GaugeSeries, ops, names=None) -> dict:
     witnesses = []
     for pos, (op, residual) in enumerate(zip(ops, apply_gauge_many(ops, J))):
         if residual:
-            degs = [list(D) for D, _ in residual.items_sorted()]
+            degs = [list(D) for D in sorted(residual.flat, key=_degree_order)]
             witnesses.append(
                 {
                     "operator": names[pos] if names else str(op),
@@ -772,15 +749,16 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
 # -- classical (asymptotic) limit -------------------------------------------
 
 
-def _cup_exponential(model: ModelSpec):
+def asymptotic_H(model: ModelSpec):
     """The matrix E = e^{t/h} of cup multiplication, built at h = 1 on int
     rows: {e: (columns, den)}, column i of the t^e coefficient holding the
-    numerators of the t^e part of e^{t/h} cup b_i over den, one den per
-    total degree.  E[0] = I and E[e] = (1/|e|) sum_j C_j E[e - e_j], with
-    C_j the integral action of b_j over the model's qden
-    (`ModelSpec.integral_action`).  The t^e coefficient carries h^-|e|,
-    and the build stops at the first total degree whose coefficients all
-    vanish: finite because degree-2 classes are nilpotent."""
+    numerators of the b_k coordinates of the t^e part of e^{t/h} cup b_i
+    over den, one den per total degree; the t^e coefficient carries
+    h^-|e|.  E[0] = I and E[e] = (1/|e|) sum_j C_j E[e - e_j], with C_j the
+    integral action of b_j over the model's qden
+    (`ModelSpec.integral_action`).  The build stops at the first total
+    degree whose coefficients all vanish: finite because degree-2 classes
+    are nilpotent."""
     rank, size = model.rank, model.size
     qden = model.quantum_rows()[0]
     # C_j: row u holds b_j cup b_u
@@ -802,13 +780,6 @@ def _cup_exponential(model: ModelSpec):
         following = {e: _sparse_pruned(cols) for e, cols in following.items()}
         layer = {e: cols for e, cols in following.items() if any(cols)}
     return out
-
-
-def asymptotic_H(model: ModelSpec):
-    """The matrix of cup multiplication by e^{t/h}, as `_cup_exponential`
-    builds it: {e: (columns, den)}, column i of the t^e coefficient the
-    numerators of the b_k coordinates of e^{t/h} cup b_i, times h^-|e|."""
-    return _cup_exponential(model)
 
 
 def asymptotic_J(model: ModelSpec, E=None) -> TPoly:

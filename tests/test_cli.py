@@ -316,7 +316,7 @@ def test_classical_without_fixture(capsys):
 
 
 def test_classical_builds_the_cup_exponential_once(capsys, monkeypatch):
-    from qcoh import sections
+    from qcoh import cli
     from qcoh.algebra import HLaurent
     from qcoh.model import CohClass
 
@@ -330,12 +330,12 @@ def test_classical_builds_the_cup_exponential_once(capsys, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(sections, "_cup_exponential", counting(sections._cup_exponential))
+    monkeypatch.setattr(cli, "asymptotic_H", counting(cli.asymptotic_H))
     for cls in (HLaurent, CohClass):
         monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
     code, _, _ = run(capsys, ["classical", "--model", "f3"])
     # no HLaurent or CohClass on the way: the output is written from int rows
-    assert code == 0 and calls == ["_cup_exponential"]
+    assert code == 0 and calls == ["asymptotic_H"]
 
 
 def test_classical_failing_annihilation_exits_1(capsys, tmp_path):

@@ -106,7 +106,7 @@ def test_closed_form_sigma1_hand_expanded_degrees():
     assert cls.coords[3] == HLaurent.term(3, -5)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_closed_form_cp_matches_sympy_expansion(m):
     """Independent oracle: expand prod_{k<=d} 1/(x+kh)^(m+1) in x with
     sympy and truncate at x^(m+1); coordinate j of J_d is the x^j
@@ -125,6 +125,49 @@ def test_closed_form_cp_matches_sympy_expansion(m):
                 sympy.Integer(0),
             )
             assert sympy.cancel(want - got) == 0, (m, d, j)
+
+
+@pytest.mark.parametrize("name", ["f3", "sigma1"])
+def test_factor_values_match_sympy_expansion(name):
+    """Independent oracle for each factor (x, charge, p): expand
+    [prod_{k<=0}(x+k) / prod_{k<=n}(x+k)]^p in x with sympy at h = 1 and
+    sum the coefficients against the powers of x under the model's cup,
+    for every n = <charge, D> with |D| <= 4.  Covers n < 0 (sigma1) and
+    p = -1 (f3)."""
+    import sympy
+
+    model = builtin_model(name)
+    order, zero = 4, (0,) * model.rank
+    x = sympy.symbols("x")
+    for factor in hypergeometric_factors(model):
+        row, charge, power = factor
+        cls = CohClass(Fraction(row.get(k, 0)) for k in range(model.size))
+        pows = [CohClass(Fraction(int(k == 0)) for k in range(model.size))]
+        while pows[-1]:
+            pows.append(model.cup(pows[-1], cls))
+        values = sections._factor_values(model, factor, order)
+        lo, hi = order * min(0, *charge), order * max(0, *charge)
+        assert sorted(values) == list(range(lo, hi + 1))
+        for n, value in values.items():
+            ks = range(n + 1, 1) if n < 0 else range(1, n + 1)
+            f = sympy.Mul(*[(x + k) ** (power if n < 0 else -power) for k in ks])
+            want = [Fraction(0)] * model.size
+            for j, xj in enumerate(pows):
+                a = sympy.diff(f, x, j).subs(x, 0) / sympy.factorial(j)
+                a = Fraction(int(a.p), int(a.q))
+                want = [w + a * c for w, c in zip(want, xj.coords)]
+            assert list(value.coeff(zero).coords) == want, (factor, n)
+
+
+def test_closed_form_rejects_a_factor_that_is_not_nilpotent():
+    # b1 . b1 = b1 makes x^k = x for every k: Z[x]/(x^m) has no m
+    data = builtin_model("cp1").to_json()
+    data["cup"].append({"i": 1, "j": 1, "k": 1, "c": 1})
+    data["quantum"].append({"i": 1, "j": 1, "k": 1, "D": [0], "c": "1"})
+    model = ModelSpec.from_json(data, check=False)
+    assert model.name == "cp1"
+    with pytest.raises(ValueError, match="cp1"):
+        closed_form(model, 3)
 
 
 @pytest.mark.parametrize(
