@@ -232,6 +232,14 @@ def test_solver_reproduces_closed_form(name):
     assert solved.c == closed.c
 
 
+@pytest.mark.parametrize("name, order", [("f3", 10), ("sigma1", 10), ("cp5", 12)])
+def test_solver_reproduces_closed_form_at_high_order(name, order):
+    # past ORDER the commutator series and the numerators of each G_D run
+    # longest, and the rows are compared exactly, as stored
+    model = builtin_model(name)
+    assert solve_fundamental(model, order).jrow() == closed_form(model, order)
+
+
 def test_solver_runs_for_gr24():
     Hm = solve_fundamental(builtin_model("gr24"), 4)
     assert Hm.check_system()["status"] == "pass"
@@ -254,6 +262,38 @@ def test_solver_detects_non_integrable_deformation():
     i, k = witness["entry"]
     assert 0 <= i < broken.size and 0 <= k < broken.size
     assert witness["expected"] != witness["got"]
+
+
+@pytest.mark.parametrize("path, qden", [(None, 1), ("f3-rescaled.model", 30)])
+def test_solver_consistency_witness_in_the_second_direction(path, qden):
+    # doubling b_1 o b_5 at q^(1, 1) leaves a valid table; the degree is
+    # solved along q_1 and must fail the check along q_2, with the same
+    # reduced witness over the rational table
+    model = builtin_model("f3") if path is None else load_model(
+        Path(__file__).resolve().parent / "golden" / path
+    )
+    data = model.to_json()
+    (rec,) = [
+        r for r in data["quantum"]
+        if r["D"] == [1, 1] and (r["i"], r["j"], r["k"]) == (1, 5, 0)
+    ]
+    rec["c"] = str(2 * Fraction(rec["c"]))
+    broken = ModelSpec.from_json(data, check=False)
+    assert broken.validate() == []
+    assert broken.quantum_rows()[0] == qden
+    with pytest.raises(CheckFailure) as info:
+        solve_fundamental(broken, 4)
+    report = info.value.report
+    assert report["check"] == "solver-consistency"
+    assert report["witnesses"] == [
+        {
+            "degree": [1, 1],
+            "direction": 2,
+            "entry": [0, 0],
+            "expected": [[-3, "1"]],
+            "got": [[-3, "2"]],
+        }
+    ]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
