@@ -127,7 +127,17 @@ CORPUS = {
     },
 }
 
-QFACTOR_CORPUS = {"f3": 3, "sigma1": 4, "cp2": 3, "cp3": 4}
+# case name: (model, order); the first four cases are named by the model alone
+QFACTOR_CORPUS = {
+    "f3": ("f3", 3),
+    "sigma1": ("sigma1", 4),
+    "cp2": ("cp2", 3),
+    "cp3": ("cp3", 4),
+    "sigma1-3": ("sigma1", 3),
+    "cp4-3": ("cp4", 3),
+    "cp5-4": ("cp5", 4),
+    "f3-5": ("f3", 5),
+}
 
 
 def _run(argv):
@@ -170,7 +180,7 @@ def _qfactor_path(name, order):
 
 
 def record():
-    for name, order in QFACTOR_CORPUS.items():
+    for name, order in QFACTOR_CORPUS.values():
         _qfactor_path(name, order).write_text(
             _dump(_qfactor(name, order)), encoding="utf-8"
         )
@@ -207,9 +217,9 @@ def test_golden_corpus_replays_the_same_when_warm():
         assert out == ("" if stored["stdout"] is None else _dump(stored["stdout"]))
 
 
-@pytest.mark.parametrize("name", sorted(QFACTOR_CORPUS))
-def test_golden_q_factorization(name):
-    order = QFACTOR_CORPUS[name]
+@pytest.mark.parametrize("case", sorted(QFACTOR_CORPUS))
+def test_golden_q_factorization(case):
+    name, order = QFACTOR_CORPUS[case]
     stored = _qfactor_path(name, order).read_text(encoding="utf-8")
     assert _dump(_qfactor(name, order)) == stored
 
