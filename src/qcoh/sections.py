@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cache
 from itertools import product, zip_longest
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .algebra import HLaurent, NovikovSeries, TPoly, format_rational
 from .model import ModelSpec, _invert_rational_matrix, cp_dimension
@@ -24,7 +23,6 @@ from .series import (
     CohSeries,
     GaugeSeries,
     _add_term,
-    _canonical,
     _components,
     _degree_order,
     _laurent,
@@ -40,78 +38,52 @@ def _degrees_upto(rank, order):
     return sorted(out, key=lambda d: (sum(d), d))
 
 
-# -- sparse rational matrices ------------------------------------------------
-# A sparse matrix is a list of rows, each a dict {column: nonzero value}.
-# The values are Fractions, or ints when the matrix is the numerator of a
-# pair (rows, den) with one positive int denominator; the kernels below
-# work on either.  Their callers are the q-matrix series of `q_factorize`
-# and `asymptotic_H`.  `solve_fundamental` keeps its G_D dense instead:
-# they are full (f3 at n = 8: 30.7 of 36 entries nonzero on average; cp5
-# at n = 6: 36 of 36; sigma1 at n = 8: 10.9 of 16).
+# -- matrices at h = 1 ---------------------------------------------------------
+# Every matrix this module computes at h = 1 (the solver's G_D, the q-matrix
+# series of `q_factorize` and the classical limit E) is one flat list of
+# size * size ints, entry (i, k) at i * size + k, over a positive int
+# denominator.  Two kernels multiply them, one per access pattern: the
+# solver applies fixed sparse operators at every degree, compiled once per
+# call (`_flat_map`, `_flat_apply`); the one-shot products of `q_factorize`
+# and `asymptotic_H` run one direct loop (`_flat_mul`).
 
 
-def _sparse_addmul(acc, a, b):
-    """acc += a * b in place; the caller prunes zeros."""
-    for row, out in zip(a, acc):
-        for u, x in row.items():
-            for k, y in b[u].items():
-                p = x * y
-                out[k] = out[k] + p if k in out else p
-    return acc
-
-
-def _sparse_pruned(m):
-    return [{k: v for k, v in row.items() if v} for row in m]
-
-
-def _sparse_scaled(m, x):
-    """x * m with zero entries dropped."""
-    return [{k: v * x for k, v in row.items() if v} for row in m]
+def _flat_mul(a, b, size, out, f=1):
+    """out += f * a * b in place, for flat size x size int matrices: each
+    nonzero a_iu adds f * a_iu * b_uk to out_ik."""
+    for e, x in enumerate(a):
+        if x:
+            x *= f
+            u = e % size
+            i, u = e - u, u * size
+            for k in range(size):
+                if y := b[u + k]:
+                    out[i + k] += x * y
+    return out
 
 
 def _integral(m):
-    """The dense rational matrix m as (sparse int rows, den) over the lcm
-    of its denominators."""
+    """The dense rational matrix m as (flat ints, den) over the lcm of its
+    denominators."""
     den = lcm(*(v.denominator for row in m for v in row))
-    return [
-        {k: v.numerator * (den // v.denominator) for k, v in enumerate(row) if v}
-        for row in m
-    ], den
+    return [v.numerator * (den // v.denominator) for row in m for v in row], den
 
 
-def _reduced(m, den):
-    """(m, den) without zero entries and divided through by the gcd of den
-    and every entry of m (`series._canonical`)."""
-    rows, den = _canonical(dict(enumerate(m)), den)
-    return [rows.get(i, {}) for i in range(len(m))], den
-
-
-def _first_difference(a, b):
+def _first_difference(a, b, size):
     """(D, i, k, a_ik, b_ik) for the first entry, by degree and then
-    row-major, where the series ({D: int rows}, den) a and b differ."""
+    row-major, where the series ({D: flat ints}, den) a and b differ."""
     (a, aden), (b, bden) = a, b
-    for D in sorted(set(a) | set(b), key=lambda d: (sum(d), d)):
-        rows = zip_longest(a.get(D, ()), b.get(D, ()), fillvalue={})
-        for i, (ra, rb) in enumerate(rows):
-            for k in sorted(set(ra) | set(rb)):
-                x, y = Fraction(ra.get(k, 0), aden), Fraction(rb.get(k, 0), bden)
-                if x != y:
-                    return D, i, k, x, y
+    for D in sorted(set(a) | set(b), key=_degree_order):
+        for e, (x, y) in enumerate(zip_longest(a.get(D, ()), b.get(D, ()), fillvalue=0)):
+            x, y = Fraction(x, aden), Fraction(y, bden)
+            if x != y:
+                return D, *divmod(e, size), x, y
 
 
-def _grading(model):
-    """exponents(D): the table whose entry [i][k] is the power of h at entry
-    (i, k) of the q^D part of a graded matrix, (deg b_k - deg b_i - deg q^D)
-    / 2; built once per degree."""
-    degrees = model.degrees
-    qweights = model.qdegrees
-
-    @cache
-    def exponents(D):
-        qdeg = sum(d * w for d, w in zip(D, qweights))
-        return tuple(tuple((b - a - qdeg) // 2 for b in degrees) for a in degrees)
-
-    return exponents
+def _qdegree(model, D):
+    """deg q^D = 2 <c1, D>: the grading puts c * h^e at entry (i, k) of the
+    q^D part of a graded matrix, e = (deg b_k - deg b_i - deg q^D) // 2."""
+    return 2 * sum(d * c for d, c in zip(D, model.chern))
 
 
 # -- solver ----------------------------------------------------------------
@@ -294,11 +266,10 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     area = size * size
     rank = model.rank
     degrees = model.degrees
-    qweights = model.qdegrees
-    exponents = _grading(model)
 
     def monomial(i, k, D, value, shift=0):
-        return HLaurent.term(value, exponents(D)[i][k] + shift)
+        e = (degrees[k] - degrees[i] - _qdegree(model, D)) // 2
+        return HLaurent.term(value, e + shift)
 
     # commutator[j] maps X to [B_j, X] times qden; mparts[j] holds the
     # maps X -> m_{j,D'} X times qden
@@ -310,7 +281,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         for D, mat in model.quantum_action(j):
             # entry (r, c) of the q^D part of b_j o - may be nonzero only
             # when deg b_r + deg q^D = deg b_c + 2
-            qdeg = sum(d * w for d, w in zip(D, qweights))
+            qdeg = _qdegree(model, D)
             for r, row in enumerate(mat):
                 for c, n in row.items():
                     if degrees[r] + qdeg != degrees[c] + 2:
@@ -329,7 +300,8 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
             if any(D):
                 mparts[j].append((D, _flat_map(size, mat)))
             else:
-                commutator[j] = _flat_map(size, mat, _sparse_scaled(mat, -1))
+                negated = [{c: -n for c, n in row.items()} for row in mat]
+                commutator[j] = _flat_map(size, mat, negated)
 
     G = {zero: ([int(e % (size + 1) == 0) for e in range(area)], 1)}
     for D in _degrees_upto(rank, order):
@@ -394,19 +366,23 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                     },
                 )
 
-    # row i at q^D is sum_l (G_D)_{il} h^e(i, l, D) a_l, over one denominator
-    duals, dual_den = _integral([cls.coords for cls in model.dual_basis()])
+    # row i at q^D is sum_l (G_D)_{il} h^e(i, l, D) a_l, over one denominator;
+    # duals[l] lists the nonzero (k, n) of a_l
+    flat, dual_den = _integral([cls.coords for cls in model.dual_basis()])
+    duals = [
+        [(k, a) for k, a in enumerate(flat[l : l + size]) if a] for l in range(0, area, size)
+    ]
     den = lcm(*(d for _, d in G.values()))
 
     def row(i):
         flat = {}
         for D, (mat, d) in G.items():
             coords = flat[D] = {}
-            exps = exponents(D)[i]
+            qdeg = _qdegree(model, D)
             for l, v in enumerate(mat[i * size : (i + 1) * size]):
                 v *= den // d
-                exp = exps[l]
-                for k, a in duals[l].items():
+                exp = (degrees[l] - degrees[i] - qdeg) // 2
+                for k, a in duals[l]:
                     key = (k, exp)
                     p = a * v
                     coords[key] = coords[key] + p if key in coords else p
@@ -430,12 +406,11 @@ def _graded_series(model, order, terms):
     b_k coordinate of the q^D coefficient is c * h^e with e = -(deg b_k +
     deg q^D) / 2."""
     degrees = model.degrees
-    qweights = model.qdegrees
     zero = (0,) * model.rank
     den = lcm(*(v.den for v in terms.values()))
     flat = {}
     for D, v in terms.items():
-        qdeg = sum(d * w for d, w in zip(D, qweights))
+        qdeg = _qdegree(model, D)
         m, row = den // v.den, v.rows.get(zero, {})
         flat[D] = {(k, -(degrees[k] + qdeg) // 2): m * n for k, n in row.items()}
     return GaugeSeries._stored(model, order, flat, den)
@@ -578,29 +553,27 @@ def build_H_from_J(model: ModelSpec, J: GaugeSeries, rowspec) -> HMatrix:
 # is c * h^e with e = (deg b_k - deg b_i - deg q^D) / 2.  Once the entries
 # of H and H_0, read from the stored rows (`series._components`), are
 # checked against that rule, the factorization runs at h = 1 on q-matrix
-# series: pairs ({D: sparse int rows}, den) with one positive int
-# denominator for the whole series.
+# series: pairs ({D: flat ints}, den) with one positive int denominator
+# for the whole series.
 
 
 def _qmat_mul(A, B, size, order):
     """Numerator of the product of two q-matrix series, truncated at `order`."""
     out = {}
-    for Da, mata in A.items():
-        for Db, matb in B.items():
-            D = tuple(a + b for a, b in zip(Da, Db))
+    for Da, a in A.items():
+        for Db, b in B.items():
+            D = tuple(x + y for x, y in zip(Da, Db))
             if sum(D) <= order:
                 if D not in out:
-                    out[D] = [{} for _ in range(size)]
-                _sparse_addmul(out[D], mata, matb)
-    out = {D: _sparse_pruned(m) for D, m in out.items()}
+                    out[D] = [0] * len(a)
+                _flat_mul(a, b, size, out[D])
     return {D: m for D, m in out.items() if any(m)}
 
 
 def _qmat_reduced(A, den):
     """(A, den) divided through by one gcd over the whole series."""
-    flat, den = _reduced([row for m in A.values() for row in m], den)
-    rows = iter(flat)
-    return {D: [next(rows) for _ in m] for D, m in A.items()}, den
+    g = gcd(den, *(v for m in A.values() for v in m))
+    return {D: [v // g for v in m] for D, m in A.items()}, den // g
 
 
 def _qfactor_failure(model, D, i, k, expected, got, detail):
@@ -623,22 +596,24 @@ def _graded_at_one(model, comps, name):
     entry against the grading; the first entry that breaks it, by degree,
     row and column, names the failure."""
     size = model.size
-    exponents = _grading(model)
+    degrees = model.degrees
     den = lcm(*(d for _, d in comps))
     out = {}
     bad = []
     for i, (comp, d) in enumerate(comps):
         for D, terms in comp.items():
-            row = out.setdefault(D, [{} for _ in range(size)])[i]
-            exps = exponents(D)[i]
+            if D not in out:
+                out[D] = [0] * (size * size)
+            mat, qdeg = out[D], _qdegree(model, D)
             for (k, x), n in terms.items():
-                if x == exps[k]:
-                    row[k] = n * (den // d)
+                if x == (degrees[k] - degrees[i] - qdeg) // 2:
+                    mat[i * size + k] = n * (den // d)
                 else:
                     bad.append((_degree_order(D), i, k))
     if bad:
         (_, D), i, k = min(bad)
-        v, e = _laurent(comps[i][0][D], comps[i][1], k), exponents(D)[i][k]
+        v = _laurent(comps[i][0][D], comps[i][1], k)
+        e = (degrees[k] - degrees[i] - _qdegree(model, D)) // 2
         raise _qfactor_failure(
             model, D, i, k, HLaurent.term(v.c.get(e, 0), e), v,
             "entry of %s breaks the grading: expected a multiple "
@@ -651,16 +626,18 @@ def _qmat_inverse(model, A, order):
     """Inverse of a q-matrix series (A, den) whose q^0 term is invertible,
     degree by degree (Knuth, TAOCP Vol. 2, 4.7): with a = A / den,
     inv[0] = a[0]^-1 and inv[D] = -a[0]^-1 * sum_{0 < D' <= D} a[D'] inv[D - D'],
-    so each pair of degrees is multiplied once.  Each inv[D] is held as
-    int rows over its own reduced denominator, and the series is brought
-    over one denominator at the end."""
+    so each pair of degrees is multiplied once.  Each inv[D] is held flat
+    over its own reduced denominator, and the series is brought over one
+    denominator at the end."""
     size = model.size
     zero = (0,) * model.rank
     A, den = A
-    head = [[row.get(k, 0) for k in range(size)] for row in A.get(zero, [{}] * size)]
+    head = A.get(zero, [0] * (size * size))
     try:
         # the head of A is head / den, so its inverse is inv0 * den / iden
-        inv0, iden = _integral(_invert_rational_matrix(head))
+        inv0, iden = _integral(
+            _invert_rational_matrix([head[i : i + size] for i in range(0, len(head), size)])
+        )
     except ZeroDivisionError:
         raise _check_failure(
             model,
@@ -669,25 +646,26 @@ def _qmat_inverse(model, A, order):
         ) from None
     # -a[0]^-1 * a[D'] is -(inv0 * den / iden) * (A[D'] / den): den cancels
     tail = {D: m for D, m in A.items() if any(D)}
-    step = _qmat_mul({zero: _sparse_scaled(inv0, -1)}, tail, size, order)
-    inv = {zero: _reduced(_sparse_scaled(inv0, den), iden)}
+    step = _qmat_mul({zero: [-v for v in inv0]}, tail, size, order)
+    head_inv = [v * den for v in inv0]
+    g = gcd(iden, *head_inv)
+    inv = {zero: ([v // g for v in head_inv], iden // g)}
     for D in _degrees_upto(model.rank, order)[1:]:
         parts = [
-            (m, inv[rest])
+            (m, *inv[rest])
             for Dp, m in step.items()
             if (rest := tuple(a - b for a, b in zip(D, Dp))) in inv
         ]
-        common = lcm(*(d for _, (_, d) in parts))
-        acc = [{} for _ in range(size)]
-        for m, (num, d) in parts:
-            f = common // d
-            _sparse_addmul(acc, m, num if f == 1 else _sparse_scaled(num, f))
-        num, d = _reduced(acc, common * iden)
-        if any(num):
-            inv[D] = num, d
+        common = lcm(*(d for _, _, d in parts))
+        acc = [0] * len(head)
+        for m, num, d in parts:
+            _flat_mul(m, num, size, acc, common // d)
+        if any(acc):
+            g = gcd(common * iden, *acc)
+            inv[D] = [v // g for v in acc], common * iden // g
     common = lcm(*(d for _, d in inv.values()))
     return _qmat_reduced(
-        {D: _sparse_scaled(num, common // d) for D, (num, d) in inv.items()}, common
+        {D: [v * (common // d) for v in num] for D, (num, d) in inv.items()}, common
     )
 
 
@@ -702,8 +680,8 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
     size = model.size
     rank = model.rank
     order = Hm.order
+    degrees = model.degrees
     zero = (0,) * rank
-    exponents = _grading(model)
     J = Hm.jrow()
     theta_rows = [op.theta_part() for op in rowspec]
     H0 = HMatrix(model, order, apply_gauge_many(theta_rows, J))
@@ -722,24 +700,24 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
     A, aden = _graded_at_one(model, [_components(row) for row in Hm.rows], "H")
 
     def failure(expected, got, detail):
-        D, i, k, want, have = _first_difference(expected, got)
-        e = exponents(D)[i][k]
+        D, i, k, want, have = _first_difference(expected, got, size)
+        e = (degrees[k] - degrees[i] - _qdegree(model, D)) // 2
         return _qfactor_failure(
             model, D, i, k, HLaurent.term(want, e), HLaurent.term(have, e), detail
         )
 
     Q, qden = _qmat_reduced(_qmat_mul(A, inverse, size, order), aden * iden)
-    identity = {zero: [{i: qden} for i in range(size)]}
+    identity = {zero: [qden * (e % (size + 1) == 0) for e in range(size * size)]}
     if Q.get(zero) != identity[zero]:
         raise failure((identity, qden), (Q, qden), "q^0 part of Q is not the identity")
     entries = [[{} for _ in range(size)] for _ in range(size)]
-    for D, mat in sorted(Q.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-        exps = exponents(D)
-        for i, row in enumerate(mat):
-            for k, v in sorted(row.items()):
+    for D, mat in sorted(Q.items(), key=lambda kv: _degree_order(kv[0])):
+        qdeg = _qdegree(model, D)
+        for e, v in enumerate(mat):
+            if v:
+                i, k = divmod(e, size)
                 v = Fraction(v, qden)
-                e = exps[i][k]
-                if e:
+                if e := (degrees[k] - degrees[i] - qdeg) // 2:
                     got = HLaurent.term(v, e)
                     raise _qfactor_failure(
                         model, D, i, k, HLaurent(), got,
@@ -749,8 +727,8 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
     # confirm the factorization reproduces H exactly (to the truncation):
     # Q * H_0 over qden * a0den against H over aden, cross-multiplied
     recon, rden = _qmat_mul(Q, A0, size, order), qden * a0den
-    scaled = {D: _sparse_scaled(m, aden) for D, m in recon.items()}
-    if scaled != {D: _sparse_scaled(m, rden) for D, m in A.items()}:
+    scaled = {D: [v * aden for v in m] for D, m in recon.items()}
+    if scaled != {D: [v * rden for v in m] for D, m in A.items()}:
         raise failure((A, aden), (recon, rden), "Q*H_0 does not reproduce H")
     return [[NovikovSeries(rank, order, c) for c in row] for row in entries], H0
 
@@ -759,47 +737,51 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
 
 
 def asymptotic_H(model: ModelSpec):
-    """The matrix E = e^{t/h} of cup multiplication, built at h = 1 on int
-    rows: {e: (columns, den)}, column i of the t^e coefficient holding the
-    numerators of the b_k coordinates of the t^e part of e^{t/h} cup b_i
-    over den, one den per total degree; the t^e coefficient carries
-    h^-|e|.  E[0] = I and E[e] = (1/|e|) sum_j C_j E[e - e_j], with C_j the
-    integral action of b_j over the model's qden
-    (`ModelSpec.integral_action`).  The build stops at the first total
-    degree whose coefficients all vanish: finite because degree-2 classes
-    are nilpotent."""
+    """The matrix E = e^{t/h} of cup multiplication, built at h = 1 on flat
+    int matrices: {e: (flat, den)}, row i of the t^e coefficient holding
+    the numerators of the b_k coordinates of the t^e part of e^{t/h} cup
+    b_i over den, one den per total degree; the t^e coefficient carries
+    h^-|e|.  E[0] = I and E[e] = (1/|e|) sum_j E[e - e_j] C_j, with row u
+    of C_j holding b_j cup b_u, the integral action of b_j over the
+    model's qden (`ModelSpec.integral_action`).  The build stops at the
+    first total degree whose coefficients all vanish: finite because
+    degree-2 classes are nilpotent."""
     rank, size = model.rank, model.size
+    area = size * size
     qden = model.quantum_rows()[0]
-    # C_j: row u holds b_j cup b_u
-    actions = [
-        [dict(row) for row in model.integral_action(j)] for j in range(1, rank + 1)
-    ]
-    layer, degree, den = {(0,) * rank: [{i: 1} for i in range(size)]}, 0, 1
-    out = {}
+    actions = [[0] * area for _ in range(rank)]
+    for j, action in enumerate(actions, 1):
+        for u, row in enumerate(model.integral_action(j)):
+            for k, n in row:
+                action[u * size + k] = n
+    identity = [int(e % (size + 1) == 0) for e in range(area)]
+    layer, degree, den, out = {(0,) * rank: identity}, 0, 1, {}
     while layer:
-        out.update((e, (cols, den)) for e, cols in layer.items())
+        out.update((e, (mat, den)) for e, mat in layer.items())
         degree += 1
         den *= degree * qden
         following = {}
-        for e, cols in layer.items():
+        for e, mat in layer.items():
             for j, action in enumerate(actions):
                 up = e[:j] + (e[j] + 1,) + e[j + 1:]
-                acc = following.setdefault(up, [{} for _ in range(size)])
-                _sparse_addmul(acc, cols, action)
-        following = {e: _sparse_pruned(cols) for e, cols in following.items()}
-        layer = {e: cols for e, cols in following.items() if any(cols)}
+                if up not in following:
+                    following[up] = [0] * area
+                _flat_mul(mat, action, size, following[up])
+        layer = {e: mat for e, mat in following.items() if any(mat)}
     return out
 
 
 def asymptotic_J(model: ModelSpec, E=None) -> TPoly:
-    """The asymptotic J-series e^{t/h} cup 1, column 0 of the matrix E of
+    """The asymptotic J-series e^{t/h} cup 1, row 0 of the matrix E of
     `asymptotic_H` (built when not given), as a t-polynomial of CohSeries
     of Novikov order 0: the series `apply_classical` acts on."""
     E = asymptotic_H(model) if E is None else E
-    zero = (0,) * model.rank
+    size, zero = model.size, (0,) * model.rank
     coeffs = {
-        e: CohSeries._stored(model, 0, {zero: {(k, -sum(e)): n for k, n in unit.items()}}, den)
-        for e, ([unit, *_], den) in E.items()
+        e: CohSeries._stored(
+            model, 0, {zero: {(k, -sum(e)): n for k, n in enumerate(mat[:size])}}, den
+        )
+        for e, (mat, den) in E.items()
     }
     return TPoly(model.rank, coeffs)
 
@@ -808,12 +790,13 @@ def tpoly_matrix_json(E):
     """Deterministic JSON form of the matrix E of `asymptotic_H`: entry
     (k, i) lists {"t": e, "h": [[-|e|, value]]} for the t^e terms of the b_k
     coordinate of e^{t/h} cup b_i, by total degree and then e."""
-    size = len(next(iter(E.values()))[0])
+    size = isqrt(len(next(iter(E.values()))[0]))
     out = [[[] for _ in range(size)] for _ in range(size)]
     for e in sorted(E, key=_degree_order):
-        cols, den = E[e]
-        for i, col in enumerate(cols):
-            for k, n in col.items():
+        mat, den = E[e]
+        for ik, n in enumerate(mat):
+            if n:
+                i, k = divmod(ik, size)
                 value = format_rational(Fraction(n, den))
                 out[k][i].append({"t": list(e), "h": [[-sum(e), value]]})
     return out

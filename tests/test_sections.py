@@ -683,9 +683,9 @@ def test_q_factorization_singular_head_is_a_check_failure():
     assert _q_factorization_witness(info)["degree"] == [0, 0]
 
 
-def test_q_factorization_reconstruction_witness(monkeypatch):
-    """A wrong inverse of H_0 leaves Q h-free at order 1 but breaks
-    Q * H_0 = H; the witness names the first differing entry."""
+def _perturbed_inverse_witness(monkeypatch, index):
+    """The q-factorization witness of f3 at order 1 when 1 is added to the
+    flat entry `index` of the q^(1, 0) part of the inverse of H_0."""
     model = builtin_model("f3")
     rowspec = builtin_rowspec(model)
     Hm = build_H_from_J(model, closed_form(model, 1), rowspec)
@@ -693,22 +693,42 @@ def test_q_factorization_reconstruction_witness(monkeypatch):
 
     def perturbed(model, A, order):
         out, den = inverse(model, A, order)
-        out = dict(out)
-        # matrices are sparse int rows over den at h = 1; entry (0, 3) of
-        # the q^(1, 0) part of the inverse carries h^0, so Q stays h-free
+        # matrices are flat int lists over den at h = 1
         D = (1, 0)
-        rows = [dict(row) for row in out.get(D, [{}] * model.size)]
-        rows[0][3] = rows[0].get(3, 0) + den
-        out[D] = rows
-        return out, den
+        mat = list(out.get(D, [0] * model.size**2))
+        mat[index] += den
+        return {**out, D: mat}, den
 
     monkeypatch.setattr(sections, "_qmat_inverse", perturbed)
     with pytest.raises(CheckFailure) as info:
         q_factorize(model, Hm, rowspec)
-    witness = _q_factorization_witness(info)
-    assert witness["detail"] == "Q*H_0 does not reproduce H"
-    assert witness["degree"] == [1, 0] and len(witness["entry"]) == 2
-    assert witness["expected"] != witness["got"]
+    return _q_factorization_witness(info)
+
+
+def test_q_factorization_reconstruction_witness(monkeypatch):
+    """A wrong inverse of H_0 leaves Q h-free at order 1 but breaks
+    Q * H_0 = H; the witness names the first differing entry.  Entry
+    (0, 3), flat index 3, of the q^(1, 0) part carries h^0."""
+    assert _perturbed_inverse_witness(monkeypatch, 3) == {
+        "degree": [1, 0],
+        "entry": [0, 3],
+        "expected": [],
+        "got": [[0, "1"]],
+        "detail": "Q*H_0 does not reproduce H",
+    }
+
+
+def test_q_factorization_h_dependent_entry_witness(monkeypatch):
+    """Entry (0, 5), flat index 5, of the q^(1, 0) part of a graded matrix
+    carries h^1 for f3 ((6 - 0 - 4) / 2), so a wrong inverse there makes
+    Q depend on h; the witness names that entry with its h power."""
+    assert _perturbed_inverse_witness(monkeypatch, 5) == {
+        "degree": [1, 0],
+        "entry": [0, 5],
+        "expected": [],
+        "got": [[1, "1"]],
+        "detail": "entry depends on h: h",
+    }
 
 
 @st.composite
@@ -744,12 +764,13 @@ def test_qmat_inverse_is_a_two_sided_inverse_to_the_truncation(case):
     model, order, series = case
     size, zero = model.size, (0,) * model.rank
     den = lcm(*(v.denominator for m in series.values() for r in m for v in r.values()))
+    # flat int matrices over den, entry (i, k) at i * size + k
     A = {
-        D: [{k: int(v * den) for k, v in row.items() if v} for row in m]
+        D: [int(row.get(k, 0) * den) for row in m for k in range(size)]
         for D, m in series.items()
     }
     inverse, iden = sections._qmat_inverse(model, (A, den), order)
-    identity = {zero: [{i: den * iden} for i in range(size)]}
+    identity = {zero: [den * iden * (e % (size + 1) == 0) for e in range(size * size)]}
     assert sections._qmat_mul(A, inverse, size, order) == identity
     assert sections._qmat_mul(inverse, A, size, order) == identity
 
@@ -842,9 +863,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     "name", BUILTIN_NAMES + ("f3-rescaled.model", "f3-nonintegrable.model")
 )
 def test_asymptotic_J_is_last_row(name):
-    """Entry (i, k) of the constant-coefficient matrix is the b_i
-    coordinate of e^{t/h} cup b_k, so its column 0 is the asymptotic J,
-    and its last row, times <1, b_top>, is the pairing of J with b_k."""
+    """Entry (i, k) of the constant-coefficient matrix, as printed, is the
+    b_i coordinate of e^{t/h} cup b_k, so its column 0 is the asymptotic J,
+    and its last row, times <1, b_top>, is the pairing of J with b_k.
+    `asymptotic_H` stores the transpose: row k holds e^{t/h} cup b_k."""
     model = load_model(GOLDEN / name) if name.endswith(".model") else builtin_model(name)
     E = asymptotic_H(model)
     aj = asymptotic_J(model)
@@ -852,16 +874,17 @@ def test_asymptotic_J_is_last_row(name):
     assert top and not any(model.pairing[0][:-1])
     zero = (0,) * model.rank
     assert set(aj.c) <= set(E)
-    for e, (cols, den) in E.items():
-        cls = aj.c[e].coeff(zero) if e in aj.c else CohClass((0,) * model.size)
-        for k in range(model.size):
-            entry = HLaurent.term(Fraction(cols[0].get(k, 0), den), -sum(e))
+    size = model.size
+    for e, (mat, den) in E.items():
+        cls = aj.c[e].coeff(zero) if e in aj.c else CohClass((0,) * size)
+        for k in range(size):
+            entry = HLaurent.term(Fraction(mat[k], den), -sum(e))
             assert entry == cls.coords[k], (e, k)
             want = HLaurent()
             for m, lau in enumerate(cls.coords):
                 if lau and model.pairing[m][k]:
                     want = want + lau * model.pairing[m][k]
-            got = HLaurent.term(Fraction(cols[k].get(model.top, 0), den) * top, -sum(e))
+            got = HLaurent.term(Fraction(mat[k * size + model.top], den) * top, -sum(e))
             assert got == want, (e, k)
 
 
