@@ -238,7 +238,10 @@ class TPoly:
 
     Keys are tuples of nonnegative ints.  Holds the t-series of the
     constant-coefficient and classical theories (`exp_quantum`,
-    `asymptotic_J`, `apply_constq`), with CohSeries coefficients.
+    `asymptotic_J`, `apply_constq`), with CohSeries coefficients.  An
+    operator acts on it by one exponent shift per term (`series._shift_t`,
+    on the coefficients times e!); `tilde` shifts the quantum word table
+    (`quantum._exp_words`) itself and builds no TPoly.
     """
 
     __slots__ = ("nvars", "c")

@@ -30,18 +30,16 @@ from .operators import (
     load_operators,
     load_relations,
     apply_classical,
-    apply_constq,
 )
 from .quantum import (
+    _exp_words,
     _report,
     check_associativity,
     check_flatness,
     eval_relation,
-    exp_quantum,
 )
 from .sections import (
     CheckFailure,
-    _degrees_upto,
     asymptotic_H,
     asymptotic_J,
     closed_form,
@@ -50,6 +48,7 @@ from .sections import (
     tpoly_matrix_json,
     verify_annihilated,
 )
+from .series import _degree_order, _degrees_upto, _factorial, _shift_t
 
 DEFAULT_N = 6
 DEFAULT_L = 6
@@ -423,25 +422,24 @@ def cmd_classical(args):
 # -- tilde ------------------------------------------------------------------------
 
 
-def _v_at_h1(tp, model):
-    """The t-polynomial tp of CohSeries at h = 1: each coordinate's stored
-    numerators summed over their h-exponents, over the series' den."""
+def _v_at_h1(model, words):
+    """The quantum exponential at h = 1, word(e)/e! for each t^e by (|e|, e),
+    read from its divided-power word table (`quantum._exp_words`), whose
+    every b_k coordinate is one h-power."""
     out = []
-    for e, cs in tp.items_sorted():
-        terms = []
-        for D in sorted(cs.flat, key=lambda d: (sum(d), d)):
-            sums = {}
-            for (k, _), n in cs.flat[D].items():
-                sums[k] = sums.get(k, 0) + n
-            coeffs = {
-                model.labels[k]: format_rational(Fraction(n, cs.den))
-                for k, n in sums.items()
-                if n
+    for e, (flat, den) in words.items():
+        den *= _factorial(e)
+        terms = [
+            {
+                "degree": list(D),
+                "coeffs": {
+                    model.labels[k]: format_rational(Fraction(n, den))
+                    for (k, _), n in flat[D].items()
+                },
             }
-            if coeffs:
-                terms.append({"degree": list(D), "coeffs": coeffs})
-        if terms:
-            out.append({"t": list(e), "terms": terms})
+            for D in sorted(flat, key=_degree_order)
+        ]
+        out.append({"t": list(e), "terms": terms})
     return out
 
 
@@ -451,19 +449,23 @@ def cmd_tilde(args):
     torder = args.t_order
     if torder < 2:
         raise UsageError("--t-order must be at least 2")
-    tp = exp_quantum(model, torder, order)
     try:
         ops = builtin_operators(model, defining_only=True)
     except LookupError:
         ops = []
+    words = _exp_words(model, order, torder)
     residuals = []
     for op in ops:
         bound = torder - op.theta_degree()
-        bad = []
-        res = apply_constq(op, tp, model)
-        for e, cs in res.items_sorted():
-            if sum(e) <= bound and cs:
-                bad.append({"t": list(e), "detail": cs.describe()})
+        if bound < 0:
+            raise UsageError(
+                "--t-order %d is below the theta-degree %d of the operator %s, "
+                "so none of its residuals would be checked"
+                % (torder, op.theta_degree(), op)
+            )
+        targets = _degrees_upto(model.rank, bound)
+        res = _shift_t(op.c.items(), words, targets, model, order)
+        bad = [{"t": list(f), "detail": cs.describe()} for f, cs in res.items()]
         residuals.append(
             {
                 "operator": str(op),
@@ -478,7 +480,7 @@ def cmd_tilde(args):
         "N": order,
         "t_order": torder,
         "residuals": residuals,
-        "v_at_h1": _v_at_h1(tp, model),
+        "v_at_h1": _v_at_h1(model, words),
         "status": status,
     }
     if torder == 2:

@@ -26,10 +26,10 @@ from .model import (
 )
 from .quantum import QElem, eval_relation
 from .series import (
-    CohSeries,
     GaugeSeries,
     _add_term,
-    _dt_flat,
+    _factorial,
+    _shift_t,
     _theta_flat,
 )
 
@@ -539,37 +539,26 @@ def apply_gauge(op: QDEOperator, s: GaugeSeries) -> GaugeSeries:
 
 def _apply_t(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
     """op on a t-polynomial of CohSeries with q_i a constant scalar, by one
-    `_prefix_walk` over its flat t-series, the stored numerators of its
-    coefficients brought over one denominator den: the term
-    v * h^a * q^Q * theta^E adds v times theta^E of the series, moved by a
-    in h and by Q in q (dropping degrees past the order), over den times
-    the lcm of op's denominators.  The walk behind both `apply_constq` and
-    `apply_classical`."""
+    `_shift_t` over its coefficients in divided powers (the t^e coefficient
+    times e!), on every exponent a term's theta^E shifts one to.  The
+    kernel call behind both `apply_constq` and `apply_classical`."""
     order = next((cs.order for cs in tp.c.values()), 0)
-    den = lcm(*(cs.den for cs in tp.c.values()))
     ft = {
-        e: _add_term({}, cs.flat, den // cs.den, 0, (), order)
+        e: (_add_term({}, cs.flat, _factorial(e), 0, (), order), cs.den)
         for e, cs in tp.c.items()
     }
-    opden = lcm(*(v.denominator for v in op.c.values()))
-    acc = {}
-    for (prefix, _), terms in _prefix_walk((op,), (ft, den), _dt_flat):
-        for _, hexp, qdeg, v in terms:
-            n = v.numerator * (opden // v.denominator)
-            for e, flat in prefix.items():
-                _add_term(acc.setdefault(e, {}), flat, n, hexp, qdeg, order)
-    out = TPoly(tp.nvars)
-    for e, flat in acc.items():
-        cs = CohSeries._stored(model, order, flat, den * opden)
-        if cs:
-            out.c[e] = cs
-    return out
+    thetas = {E for _, _, E in op.c}
+    targets = {
+        tuple(x - y for x, y in zip(e, E))
+        for e in ft for E in thetas if all(x >= y for x, y in zip(e, E))
+    }
+    return TPoly(tp.nvars, _shift_t(op.c.items(), ft, targets, model, order))
 
 
 def apply_classical(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
     """Apply a q-free operator to a t-polynomial of CohSeries of Novikov
     order 0, such as the classical J of `asymptotic_J`, with theta_i =
-    h d/dt_i: the walk of `apply_constq`."""
+    h d/dt_i: the shift of `apply_constq`."""
     zero = (0,) * op.rank
     if any(k[1] != zero for k in op.c):
         raise ValueError("operator has Novikov terms; take the q-free part first")

@@ -9,13 +9,11 @@ columns.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import factorial, prod
 from operator import add
 
 from .algebra import NovikovSeries, TPoly, monomial_text
 from .model import CohClass, ModelSpec
-from .series import CohSeries, _canonical, _integral_terms, _sum
+from .series import CohSeries, _canonical, _degrees_upto, _factorial, _integral_terms, _sum
 
 
 class CheckFailure(Exception):
@@ -314,22 +312,27 @@ def eval_relation(model: ModelSpec, rel, order: int) -> QElem:
     return _eval_terms(model, order, terms)
 
 
+def _exp_words(model: ModelSpec, order: int, torder: int) -> dict:
+    """The quantum exponential up to t-degree torder in divided powers:
+    {e: the flat pair of word(e) h^-|e|} (`_words`), its coefficient of
+    t^e/e!, for each e whose word is not zero, by (|e|, e)."""
+    word = _words(model, order)
+    out = {}
+    for e in _degrees_upto(model.rank, torder):
+        elem, l = word(e), -sum(e)
+        if elem:
+            flat = {D: {(k, l): n for k, n in row.items()} for D, row in elem.rows.items()}
+            out[e] = flat, elem.den
+    return out
+
+
 def exp_quantum(model: ModelSpec, torder: int, order: int) -> TPoly:
     """The section sum_l (t o)^l 1 / (l! h^l) with t = sum t_i b_i, as a
-    polynomial in t with CohSeries coefficients, up to total t-degree torder.
-
-    The product for t^e is the word 1 o b_1^{e_1} o b_2^{e_2} o ..., each
-    built once from its prefix (`_words`)."""
-    word = _words(model, order)
-    coeffs = {}
-    for e in product(range(torder + 1), repeat=model.rank):
-        l = sum(e)
-        elem = word(e) if l <= torder else None
-        if elem:
-            # the coefficient h^-l / e! of t^e
-            flat = {
-                D: {(k, -l): n for k, n in row.items()} for D, row in elem.rows.items()
-            }
-            den = elem.den * prod(map(factorial, e))
-            coeffs[e] = CohSeries._stored(model, order, flat, den)
+    polynomial in t with CohSeries coefficients, up to total t-degree torder:
+    the t^e coefficient is the word 1 o b_1^{e_1} o b_2^{e_2} o ... over
+    e! h^|e|, read from the divided-power table `_exp_words`."""
+    coeffs = {
+        e: CohSeries._stored(model, order, flat, den * _factorial(e))
+        for e, (flat, den) in _exp_words(model, order, torder).items()
+    }
     return TPoly(model.rank, coeffs)

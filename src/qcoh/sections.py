@@ -25,17 +25,10 @@ from .series import (
     _add_term,
     _components,
     _degree_order,
+    _degrees_upto,
     _laurent,
     _sum,
 )
-
-
-def _degrees_upto(rank, order):
-    """All multidegrees with total degree <= order, ascending by (total, lex)."""
-    out = [()]
-    for _ in range(rank):
-        out = [d + (k,) for d in out for k in range(order + 1 - sum(d))]
-    return sorted(out, key=lambda d: (sum(d), d))
 
 
 # -- matrices at h = 1 ---------------------------------------------------------

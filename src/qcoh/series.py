@@ -11,7 +11,7 @@ numerators or empty degrees, and the gcd of den and every numerator is 1.
 So two series are equal exactly when their pairs are, and zero is ({}, 1).
 
 Every kernel reads and writes that form, and the helpers here are the only
-code that knows its keys: the theta kernel, the t-derivative, the scaled
+code that knows its keys: the theta kernel, the t-shift, the scaled
 shifted sum and the components along the dual basis.  HLaurent and Fraction
 values are built only for output (`to_json`, `describe`) and for the
 read-only views (`c`, `coeff`, `items_sorted`).
@@ -24,7 +24,8 @@ multiplication by b_i plus the scalar d_i*h, and q_i shifts D.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
+from operator import add
 
 from .algebra import HLaurent, format_rational, monomial_text, rational
 from .model import CohClass, ModelSpec
@@ -36,6 +37,8 @@ def _canonical(rows, den):
     dicts of int numerators under any keys: (k, x) for a CohSeries, k for
     a QElem."""
     rows = {D: r for D, row in rows.items() if (r := {k: v for k, v in row.items() if v})}
+    if den == 1:
+        return rows, den
     g = gcd(den, *(v for row in rows.values() for v in row.values()))
     if g > 1:
         den //= g
@@ -60,6 +63,14 @@ def _sum(pairs):
 
 def _degree_order(D):
     return (sum(D), D)
+
+
+def _degrees_upto(rank, order):
+    """All multidegrees with total degree <= order, ascending by (total, lex)."""
+    out = [()]
+    for _ in range(rank):
+        out = [d + (k,) for d in out for k in range(order + 1 - sum(d))]
+    return sorted(out, key=_degree_order)
 
 
 def _integral_terms(model, order, terms, items):
@@ -183,7 +194,7 @@ class CohSeries:
 
 # -- kernels on the flat form ---------------------------------------------------
 # A flat pair (flat, den) is the storage of a series.  The theta kernel, the
-# t-derivative and `_add_term` return numerators without the canonical
+# t-shift and `_add_term` return numerators without the canonical
 # reduction, which the caller applies once to the result it keeps.
 
 
@@ -215,21 +226,36 @@ def _theta_flat(model: ModelSpec, flat, i: int) -> tuple:
     return out, den * qden
 
 
-def _dt_flat(ft, i: int) -> tuple:
-    """theta_i = h d/dt_i on a flat t-series (ft, den), ft = {e: flat
-    numerators of the coefficient of t^e} over the one den: the numerator
-    a at t^e moves to t^(e - e_i) as e_i * a, one power of h up; nothing
-    else changes, den included."""
-    ft, den = ft
+def _shift_t(terms, ft, targets, model, order) -> dict:
+    """Operator terms on a t-series held in divided powers, sum_e ft[e]
+    t^e/e!, where theta^E = h^|E| d^E/dt^E is one exponent shift:
+    theta^E t^e/e! = h^|E| t^(e - E)/(e - E)!.  ft maps t-exponents to the
+    flat pairs of the nonzero t^e/e! coefficients; `terms` are the items
+    ((a, Q, E), v) of an operator.  Each term adds v times ft[f + E] once
+    to the t^f/f! coefficient, moved by a + |E| in h and by Q in q
+    (dropping degrees past `order`).  Returns {f: the t^f coefficient as a
+    CohSeries} for the targets f where it is not zero.  The one t-series
+    kernel, behind `apply_constq`, `apply_classical` and `tilde`."""
+    terms = [(a + sum(E), Q, E, v) for (a, Q, E), v in terms]
     out = {}
-    for e, flat in ft.items():
-        n = e[i - 1]
-        if n:
-            out[e[:i - 1] + (n - 1,) + e[i:]] = {
-                D: {(k, x + 1): n * a for (k, x), a in terms.items()}
-                for D, terms in flat.items()
-            }
-    return out, den
+    for f in targets:
+        parts = [
+            (pair, a, Q, v)
+            for a, Q, E, v in terms
+            if (pair := ft.get(tuple(map(add, f, E))))
+        ]
+        den = lcm(*(d * v.denominator for (_, d), _, _, v in parts))
+        acc = {}
+        for (flat, d), a, Q, v in parts:
+            _add_term(acc, flat, v.numerator * (den // (d * v.denominator)), a, Q, order)
+        if cs := CohSeries._stored(model, order, acc, den * _factorial(f)):
+            out[f] = cs
+    return out
+
+
+def _factorial(e) -> int:
+    """e! = e_1! e_2! ... of a t-exponent."""
+    return prod(map(factorial, e))
 
 
 def _add_term(acc, flat, n, hexp, qdeg, order):

@@ -384,6 +384,21 @@ def test_tilde_rejects_tiny_order(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "model, torder, operator, degree",
+    [("cp5", 3, "D1^6 - q1", 6), ("f3", 2, "D1*D2^2 - D1^2*D2 + q1*D2 - q2*D1", 3)],
+)
+def test_tilde_order_below_an_operator_degree_exits_2(capsys, model, torder, operator, degree):
+    # such an order would check no residual of the operator at all
+    code, out, err = run(capsys, ["tilde", "--model", model, "--t-order", str(torder)])
+    assert code == 2 and not out
+    error = json.loads(err)["error"]
+    assert operator in error and "theta-degree %d" % degree in error
+    code, out, _ = run(capsys, ["tilde", "--model", model, "--t-order", str(degree)])
+    assert code == 0
+    assert min(r["checked_t_order"] for r in json.loads(out)["residuals"]) == 0
+
+
 def test_tilde_negative_order_exits_2(capsys):
     assert_order_checked(capsys, ["tilde", "--model", "cp1"])
 

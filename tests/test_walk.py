@@ -1,10 +1,11 @@
 """Operator application by one walk over shared theta prefixes: the walk
 against termwise application of theta from its definition (cup by b_i on
 HLaurent classes plus d_i * h, without the flat theta kernel), the number
-of theta steps it takes, and the same walk on t-polynomials (apply_constq,
-apply_classical) against termwise differentiation in t.  f3-rescaled is
-f3 in a basis with cup denominators 2, 3 and 5, so its generator action
-is integral only over a common denominator."""
+of theta steps it takes; and the one exponent shift on t-series
+(apply_constq, apply_classical, and tilde's residuals read from the
+quantum word table) against termwise differentiation in t.  f3-rescaled
+is f3 in a basis with cup denominators 2, 3 and 5, so its generator
+action is integral only over a common denominator."""
 
 from fractions import Fraction
 from pathlib import Path
@@ -26,9 +27,9 @@ from qcoh.operators import (
     builtin_rowspec,
     parse_operator,
 )
-from qcoh.quantum import exp_quantum
+from qcoh.quantum import _exp_words, exp_quantum
 from qcoh.sections import asymptotic_J, closed_form, verify_annihilated
-from qcoh.series import CohSeries, GaugeSeries
+from qcoh.series import CohSeries, GaugeSeries, _degrees_upto, _shift_t
 
 CLOSED_FORM_MODELS = ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1", "f3-rescaled")
 ORDER = 4
@@ -211,7 +212,7 @@ def test_verify_annihilated_takes_one_theta_step_per_prefix(monkeypatch):
     assert len(calls) < sum(sum(e) for op in ops for _, _, e in op.c)
 
 
-# -- the walk on t-polynomials ------------------------------------------------
+# -- the exponent shift on t-series ------------------------------------------
 
 
 def termwise_t(op, tp):
@@ -290,3 +291,31 @@ def test_classical_walk_matches_termwise_application(case):
     name, op = case
     model, _, aj = t_series(name)
     assert apply_classical(op, aj, model) == termwise_t(op, aj), str(op)
+
+
+# operators that annihilate no quantum exponential, with h, q-shifts past
+# the truncation, rational coefficients and mixed theta words
+NON_ANNIHILATING = {
+    1: ("D1", "D1^2 - 1/3*h*q1*D1 + 2", "h^2*D1^3 + q1^3 - 5/2*D1 + q1*D1^4"),
+    2: (
+        "D1*D2 - 2*q2*D1^2 + h",
+        "3/4*D2^3 - h*q1*D2 + 1/5*D1 - 7",
+        "D1^2*D2^2 + q1*q2*D1 - 1/6*h^3*D2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ("cp1", "cp5", "f3", "sigma1", "gr24", "f3-rescaled"))
+def test_tilde_word_table_residuals_match_termwise_application(name):
+    # the call of `qcoh tilde`: the shift on the word table, up to the bound
+    model = model_named(name)
+    words = _exp_words(model, T_NOVIKOV, T_ORDER)
+    tp = exp_quantum(model, T_ORDER, T_NOVIKOV)
+    for text in NON_ANNIHILATING[model.rank]:
+        op = parse_operator(text, model.rank)
+        bound = T_ORDER - op.theta_degree()
+        targets = _degrees_upto(model.rank, bound)
+        got = _shift_t(op.c.items(), words, targets, model, T_NOVIKOV)
+        want = {e: cs for e, cs in termwise_t(op, tp).c.items() if sum(e) <= bound}
+        assert got and got == want, text
+        assert list(got) == sorted(got, key=lambda e: (sum(e), e))
