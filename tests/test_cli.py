@@ -3,6 +3,7 @@
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -304,6 +305,15 @@ def test_classical_f3(capsys):
 
 def test_classical_sigma1(capsys):
     code, out, _ = run(capsys, ["classical", "--model", "sigma1"])
+    assert code == 0
+    assert json.loads(out)["fixture"] == "match"
+
+
+def test_classical_fixture_matches_a_rational_quantum_table_in_the_builtin_basis(capsys):
+    # the classical limit sees only the cup table, which f3-q1-halved shares
+    # with f3, although its quantum table is over 2
+    path = Path(__file__).resolve().parent / "golden" / "f3-q1-halved.model"
+    code, out, _ = run(capsys, ["classical", "--model", str(path)])
     assert code == 0
     assert json.loads(out)["fixture"] == "match"
 

@@ -9,6 +9,8 @@ requires the exact stdout bytes and the exit code.
 No command reaches q_factorize, so QFACTOR_CORPUS records the library chain
 closed_form -> build_H_from_J -> q_factorize directly: the Q entries and
 H_0 of each (model, order), in tests/golden/qfactor-<model>-<order>.json.
+VALIDATE_MODELS records the problems `ModelSpec.validate` finds in
+single-record mutants of each model file, in tests/golden/validate-<model>.json.
 
 Re-record only when an output is meant to change:
 
@@ -20,13 +22,14 @@ import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qcoh.algebra import format_rational
 from qcoh.cli import _dump, main
-from qcoh.model import BUILTIN_NAMES, builtin_model
+from qcoh.model import BUILTIN_NAMES, ModelSpec, builtin_model
 from qcoh.operators import builtin_rowspec
 from qcoh.sections import build_H_from_J, closed_form, q_factorize
 
@@ -95,6 +98,12 @@ CORPUS = {
     **{"check-%s" % m: ["check", "--model", m, "--n", "4"] for m in BUILTIN_NAMES},
     # the builtin tables, pinned byte for byte
     **{"models-show-%s" % m: ["models", "show", m] for m in BUILTIN_NAMES},
+    # rational entries: cup entries 1/2 and -1/3, and a quantum table over 2
+    # with the builtin f3 cup table; and pairs (i, j) filled from (j, i)
+    **{
+        "models-show-%s" % m: ["models", "show", "%s.model" % m]
+        for m in ("f3-rescaled", "f3-q1-halved", "p1xp1-no-q2")
+    },
     "check-relations-failing": [
         "check", "--model", "f3", "--relations", "wrong-f3.rel", "--n", "3"
     ],
@@ -140,6 +149,57 @@ QFACTOR_CORPUS = {
 }
 
 
+# validate() on single-record mutants of each model's JSON: every cup and
+# quantum record doubled, zeroed, re-targeted to the next basis element and,
+# off the diagonal, with i and j swapped; every quantum record also raised
+# by one in each coordinate of D.  A mutant that would repeat the entry of
+# another record is left out.  Only the problem lists are stored, in
+# tests/golden/validate-<model>.json.
+VALIDATE_MODELS = ("cp2", "f3", "sigma1", "gr24")
+
+
+def _entry(rec):
+    return rec["i"], rec["j"], rec["k"], tuple(rec.get("D", ()))
+
+
+def _mutants(data):
+    """(label, mutated model JSON) for each single-record mutant."""
+    size = len(data["basis"])
+    for table in ("cup", "quantum"):
+        records = data[table]
+        entries = {_entry(rec) for rec in records}
+        for n, rec in enumerate(records):
+            changes = {
+                "double": {"c": format_rational(2 * Fraction(rec["c"]))},
+                "zero": {"c": 0},
+                "next-k": {"k": (rec["k"] + 1) % size},
+            }
+            if rec["i"] != rec["j"]:
+                changes["swap-ij"] = {"i": rec["j"], "j": rec["i"]}
+            for t in range(len(rec.get("D", ()))):
+                changes["raise-d%d" % (t + 1)] = {
+                    "D": [d + (u == t) for u, d in enumerate(rec["D"])]
+                }
+            for what, change in changes.items():
+                mutant = {**rec, **change}
+                if _entry(mutant) != _entry(rec) and _entry(mutant) in entries:
+                    continue
+                mutated = records[:n] + [mutant] + records[n + 1:]
+                yield "%s[%d] %s" % (table, n, what), {**data, table: mutated}
+
+
+def _validate(name):
+    problems = {
+        label: ModelSpec.from_json(mutant, check=False).validate()
+        for label, mutant in _mutants(builtin_model(name).to_json())
+    }
+    return {"model": name, "problems": problems}
+
+
+def _validate_path(name):
+    return GOLDEN / ("validate-%s.json" % name)
+
+
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
@@ -180,6 +240,8 @@ def _qfactor_path(name, order):
 
 
 def record():
+    for name in VALIDATE_MODELS:
+        _validate_path(name).write_text(_dump(_validate(name)), encoding="utf-8")
     for name, order in QFACTOR_CORPUS.values():
         _qfactor_path(name, order).write_text(
             _dump(_qfactor(name, order)), encoding="utf-8"
@@ -222,6 +284,12 @@ def test_golden_q_factorization(case):
     name, order = QFACTOR_CORPUS[case]
     stored = _qfactor_path(name, order).read_text(encoding="utf-8")
     assert _dump(_qfactor(name, order)) == stored
+
+
+@pytest.mark.parametrize("name", VALIDATE_MODELS)
+def test_golden_validate_on_single_record_mutants(name):
+    stored = _validate_path(name).read_text(encoding="utf-8")
+    assert _dump(_validate(name)) == stored
 
 
 if __name__ == "__main__":

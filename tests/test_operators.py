@@ -167,6 +167,16 @@ def test_builtin_rowspec_refuses_a_model_in_another_basis():
         builtin_rowspec(builtin_model("gr24"))
 
 
+def test_builtin_rowspec_accepts_a_rational_quantum_table_in_the_builtin_basis():
+    # f3 with every q^D term scaled by 2^-d1 (q_1 -> q_1 / 2): the quantum
+    # table has denominator 2, but the pairing and cup table are the
+    # builtin's, so the shipped rows apply
+    path = Path(__file__).resolve().parent / "golden" / "f3-q1-halved.model"
+    model = load_model(path)
+    assert model.quantum_rows()[0] == 2
+    assert builtin_rowspec(model) == builtin_rowspec(builtin_model("f3"))
+
+
 SHIPPED_EXPRESSIONS = sorted(
     path
     for path in (Path(qcoh.__file__).resolve().parent / "data").iterdir()
