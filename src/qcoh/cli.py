@@ -248,7 +248,7 @@ def cmd_check(args):
 def _diff_witness(model, closed, solved):
     """The first coordinate, by degree and then basis order, where the
     closed-form and the solved J-series differ."""
-    for D in sorted(set(closed.c) | set(solved.c), key=lambda d: (sum(d), d)):
+    for D in sorted(closed.flat.keys() | solved.flat.keys(), key=_degree_order):
         pairs = zip(model.labels, closed.coeff(D).coords, solved.coeff(D).coords)
         for label, a, b in pairs:
             if a != b:

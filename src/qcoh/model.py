@@ -3,9 +3,12 @@ and the full small quantum product table over exact rationals.
 
 A model fixes a free module with basis b_0..b_s, b_0 the unit, the degree-2
 generators b_1..b_r, and for every pair (i,j) the finite q-expansion of
-b_i o b_j (the D=0 part of which must be the cup product).  Computations
-read the product through its one integral form, `ModelSpec.quantum_rows`;
-the Fraction tables serve validation and serialization.  Built-in models
+b_i o b_j (the D=0 part of which must be the cup product).  A model holds
+each table once, as int numerators over the lcm of the table's
+denominators: the cup table over its own, and the quantum table over
+qden, `ModelSpec.quantum_rows`, the one form of the product that
+computations read.  Validation, serialization and the basis comparison
+with a builtin read the same int tables.  Built-in models
 cover projective spaces, built from their dimension, and the
 three-dimensional flag variety, the first Hirzebruch surface and the
 Grassmannian of 2-planes in C^4, read from their shipped model files.
@@ -71,10 +74,10 @@ class ModelError(ValueError):
 
 class CohClass:
     """A cohomology class as a dense coordinate vector over the basis
-    b_0..b_s: the entries of a model's Fraction tables, and the printed
-    and witness form of a series coefficient (coordinates Fractions or
-    HLaurent values).  Computations read the integral forms instead
-    (`ModelSpec.quantum_rows`); instances are treated as immutable.
+    b_0..b_s: the printed and witness form of a series coefficient
+    (coordinates Fractions or HLaurent values).  Computations read the
+    integral forms instead (`ModelSpec.quantum_rows`); instances are
+    treated as immutable.
     """
 
     __slots__ = ("coords",)
@@ -113,8 +116,13 @@ class CohClass:
 class ModelSpec:
     """Complete description of one small quantum cohomology ring.
 
-    Instances are immutable: attributes cannot be assigned and the tables
-    are read-only mappings, so one validated model is shared by every
+    The constructor takes the products as sparse rational records,
+    cup[(i, j)] = {k: c} for b_i cup b_j = sum c b_k and quantum[(i, j)] =
+    {D: {k: c}} for b_i o b_j = sum c q^D b_k; a pair that is absent is
+    read from its mirror (j, i), else as zero.  It stores them once, as int
+    tables over the lcm of their denominators, and builds the views the
+    computations read (`quantum_action`, `integral_action`) from them.
+    Instances are immutable, so one validated model is shared by every
     caller that loads the same file or builtin (see `read_cached`)."""
 
     __slots__ = (
@@ -124,14 +132,13 @@ class ModelSpec:
         "labels",
         "degrees",
         "pairing",
-        "cup_table",
-        "quantum_table",
         "chern",
         "aliases",
         "_dual",
-        "_qrows",
-        "_actions",
-        "_cups",
+        "_cup",
+        "_quantum",
+        "_quantum_actions",
+        "_cup_actions",
     )
 
     def __init__(
@@ -147,6 +154,29 @@ class ModelSpec:
         chern,
         aliases=None,
     ):
+        size = len(labels)
+
+        def filled(records):
+            return [[records.get((i, j), records.get((j, i), {})) for j in range(size)]
+                    for i in range(size)]
+
+        cup, quantum = filled(cup), filled(quantum)
+        cden = _lcm_denominator(c for row in cup for coords in row for c in coords.values())
+        qden = _lcm_denominator(
+            c for row in quantum for parts in row for coords in parts.values()
+            for c in coords.values()
+        )
+        table = tuple(tuple(_int_parts(parts, qden) for parts in row) for row in quantum)
+        # per generator j: the q^D parts of b_j o -, rows[k] = {c: n}
+        actions = [None]
+        for row in table[1 : int(rank) + 1]:
+            parts = {}
+            for c, terms in enumerate(row):
+                for _, D, coords in terms:
+                    mat = parts.setdefault(D, tuple({} for _ in range(size)))
+                    for k, n in coords:
+                        mat[k][c] = n
+            actions.append(tuple(sorted(parts.items(), key=lambda p: (sum(p[0]), p[0]))))
         fields = {
             "name": name,
             "dim": int(dim),
@@ -154,18 +184,16 @@ class ModelSpec:
             "labels": tuple(labels),
             "degrees": tuple(int(d) for d in degrees),
             "pairing": tuple(tuple(int(x) for x in row) for row in pairing),
-            # cup[(i,j)] and quantum[(i,j)][D] are CohClass values over
-            # Fraction, stored for every ordered pair
-            "cup_table": MappingProxyType(dict(cup)),
-            "quantum_table": MappingProxyType(
-                {key: MappingProxyType(dict(parts)) for key, parts in quantum.items()}
-            ),
             "chern": tuple(int(c) for c in chern),
             "aliases": MappingProxyType(dict(aliases or {})),
             "_dual": None,
-            "_qrows": None,
-            "_actions": None,
-            "_cups": None,
+            # b_i cup b_j = sum n/cden b_k for the terms (k, n) of [i][j]
+            "_cup": (cden, tuple(tuple(_int_terms(c, cden) for c in row) for row in cup)),
+            "_quantum": (qden, table),
+            "_quantum_actions": tuple(actions),
+            "_cup_actions": tuple(
+                tuple(t[0][2] if t and not t[0][0] else () for t in row) for row in table
+            ),
         }
         for key, value in fields.items():
             object.__setattr__(self, key, value)
@@ -200,23 +228,22 @@ class ModelSpec:
 
     def cup(self, x: CohClass, y: CohClass) -> CohClass:
         """x cup y, over the q^0 terms of `quantum_rows`."""
-        qden, table = self.quantum_rows()
+        qden, cups = self._quantum[0], self._cup_actions
         out = [0] * self.size
         ys = [(j, yj) for j, yj in enumerate(y.coords) if yj]
         for i, xi in enumerate(x.coords):
             if not xi:
                 continue
             for j, yj in ys:
-                terms = table[i][j]
-                if terms and not terms[0][0]:
-                    p = xi * yj
-                    for k, n in terms[0][2]:
-                        out[k] = out[k] + n * p
+                p = xi * yj
+                for k, n in cups[i][j]:
+                    out[k] = out[k] + n * p
         scale = Fraction(1, qden)
         return CohClass(tuple(a * scale if a else Fraction(0) for a in out))
 
     def dual_basis(self):
-        """Classes a_0..a_s with <a_i, b_j> = delta_ij."""
+        """Classes a_0..a_s with <a_i, b_j> = delta_ij, built on first use
+        (a singular pairing is a `validate` problem, not an error here)."""
         if self._dual is None:
             ginv = _invert_rational_matrix(self.pairing)
             dual = tuple(
@@ -231,52 +258,20 @@ class ModelSpec:
     def quantum_rows(self):
         """(qden, table): the quantum table over qden, the lcm of its
         denominators.  table[i][j] lists b_i o b_j by total degree, as terms
-        (|D|, D, ((k, n), ...)) for sum of n/qden q^D b_k.  Built once; the
-        one integral form of the product that any computation reads."""
-        if self._qrows is None:
-            parts = self.quantum_table
-            coords = [c.coords for p in parts.values() for c in p.values()]
-            qden = lcm(*(a.denominator for v in coords for a in v))
-            table = [[()] * self.size for _ in range(self.size)]
-            for (i, j), p in parts.items():
-                table[i][j] = tuple(
-                    sorted(
-                        (sum(D), D, tuple((k, int(a * qden)) for k, a in enumerate(c.coords) if a))
-                        for D, c in p.items()
-                        if c
-                    )
-                )
-            object.__setattr__(self, "_qrows", (qden, tuple(map(tuple, table))))
-        return self._qrows
+        (|D|, D, ((k, n), ...)) for sum of n/qden q^D b_k.  The one integral
+        form of the product that any computation reads."""
+        return self._quantum
 
     def quantum_action(self, j):
         """The q^D parts of the matrix of b_j o -, read from `quantum_rows`:
         pairs (D, rows) sorted by (|D|, D), rows[k] = {c: n} for the b_k
-        coordinate n/qden of the q^D part of b_j o b_c.  Built once, for
-        every generator, and read-only."""
-        if self._actions is None:
-            table = self.quantum_rows()[1]
-            actions = [None]
-            for g in range(1, self.rank + 1):
-                parts = {}
-                for c, terms in enumerate(table[g]):
-                    for _, D, row in terms:
-                        mat = parts.setdefault(D, tuple({} for _ in range(self.size)))
-                        for k, n in row:
-                            mat[k][c] = n
-                ordered = sorted(parts.items(), key=lambda p: (sum(p[0]), p[0]))
-                actions.append(tuple(ordered))
-            object.__setattr__(self, "_actions", tuple(actions))
-        return self._actions[j]
+        coordinate n/qden of the q^D part of b_j o b_c.  Read-only."""
+        return self._quantum_actions[j]
 
     def integral_action(self, j):
         """Cup multiplication by b_j: the q^0 terms of `quantum_rows`, entry c
-        the terms (k, n) of b_j cup b_c = sum n/qden b_k.  Built once, read-only."""
-        if self._cups is None:
-            table = self.quantum_rows()[1]
-            cups = tuple(tuple(t[0][2] if t and not t[0][0] else () for t in r) for r in table)
-            object.__setattr__(self, "_cups", cups)
-        return self._cups[j]
+        the terms (k, n) of b_j cup b_c = sum n/qden b_k."""
+        return self._cup_actions[j]
 
     # -- validation ----------------------------------------------------------
 
@@ -328,37 +323,33 @@ class ModelSpec:
                 "chern list has %d entries, not rank %d" % (len(qdeg), self.rank)
             )
             qdeg = None
+        (cden, cups), (qden, table) = self._cup, self._quantum
+        zero = (0,) * self.rank
         for i in range(s):
             for j in range(s):
-                if (i, j) not in self.cup_table:
-                    problems.append("cup table missing pair (%d,%d)" % (i, j))
-                    continue
-                if (i, j) not in self.quantum_table:
-                    problems.append("quantum table missing pair (%d,%d)" % (i, j))
-                    continue
-                cup = self.cup_table[(i, j)]
-                if cup != self.cup_table[(j, i)]:
+                cup = cups[i][j]
+                if cup != cups[j][i]:
                     problems.append("cup table not symmetric at (%d,%d)" % (i, j))
                 deg = self.degrees[i] + self.degrees[j]
-                for k, c in enumerate(cup.coords):
-                    if c and self.degrees[k] != deg:
+                for k, _ in cup:
+                    if self.degrees[k] != deg:
                         problems.append(
                             "cup product b_%d.b_%d has a component of wrong "
                             "degree (b_%d)" % (i, j, k)
                         )
-                qp = self.quantum_table[(i, j)]
-                if qp != self.quantum_table[(j, i)]:
+                qp = table[i][j]
+                if qp != table[j][i]:
                     problems.append(
                         "quantum product not commutative at (%d,%d)" % (i, j)
                     )
-                q0 = qp.get((0,) * self.rank)
-                q0_matches = (not cup) if q0 is None else (q0 == cup)
-                if not q0_matches:
+                q0 = next((terms for _, D, terms in qp if D == zero), ())
+                # the two tables have their own denominators
+                if [(k, n * cden) for k, n in q0] != [(k, n * qden) for k, n in cup]:
                     problems.append(
                         "q^0 part of b_%d o b_%d differs from the cup product"
                         % (i, j)
                     )
-                for D, cls in qp.items():
+                for _, D, terms in qp:
                     if len(D) != self.rank or any(d < 0 for d in D):
                         problems.append(
                             "bad multidegree %r in product (%d,%d)" % (D, i, j)
@@ -367,42 +358,40 @@ class ModelSpec:
                     if qdeg is None:
                         continue
                     shift = sum(d * w for d, w in zip(D, qdeg))
-                    for k, c in enumerate(cls.coords):
-                        if c and self.degrees[k] + shift != deg:
+                    for k, _ in terms:
+                        if self.degrees[k] + shift != deg:
                             problems.append(
                                 "term q^%r b_%d in b_%d o b_%d violates the "
                                 "grading" % (D, k, i, j)
                             )
         for j in range(s):
-            if self.cup_table.get((0, j)) != self.basis_class(j):
+            if cups[0][j] != ((j, cden),):
                 problems.append("b_0 does not act as the unit on b_%d" % j)
         return problems
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self):
+        (cden, cups), (qden, table) = self._cup, self._quantum
         cup = []
         quantum = []
         for i in range(self.size):
             for j in range(i, self.size):
-                for k, c in enumerate(self.cup_table[(i, j)].coords):
-                    if c:
-                        c = int(c) if c.denominator == 1 else format_rational(c)
-                        cup.append({"i": i, "j": j, "k": k, "c": c})
-                for D, cls in sorted(
-                    self.quantum_table[(i, j)].items(), key=lambda kv: (sum(kv[0]), kv[0])
-                ):
-                    for k, c in enumerate(cls.coords):
-                        if c:
-                            quantum.append(
-                                {
-                                    "i": i,
-                                    "j": j,
-                                    "k": k,
-                                    "D": list(D),
-                                    "c": format_rational(c),
-                                }
-                            )
+                for k, n in cups[i][j]:
+                    c = Fraction(n, cden)
+                    c = int(c) if c.denominator == 1 else format_rational(c)
+                    cup.append({"i": i, "j": j, "k": k, "c": c})
+                for _, D, terms in table[i][j]:
+                    for k, n in terms:
+                        quantum.append(
+                            {
+                                "i": i,
+                                "j": j,
+                                "k": k,
+                                "D": list(D),
+                                "c": format_rational(Fraction(n, qden)),
+                            }
+                        )
         return {
             "name": self.name,
             "dim": self.dim,
@@ -440,43 +429,33 @@ class ModelSpec:
         rank = _field(data, "rank", _integer, "an integer")
 
         def records(what):
+            """((i, j, k[, D]), c) for each record; a repeated entry raises."""
+            seen = set()
             for rec in _field(data, what, _checked(list), "a list"):
                 where = "%s record %r" % (what, rec)
-                i, j, k = (_field(rec, x, _integer, "an integer", where) for x in "ijk")
-                if not (0 <= i < size and 0 <= j < size and 0 <= k < size):
+                entry = tuple(_field(rec, x, _integer, "an integer", where) for x in "ijk")
+                if not all(0 <= x < size for x in entry):
                     raise ModelError("%s out of range" % where)
                 c = _field(
                     rec, "c", rational, "an integer or a 'p/q' string with q != 0", where
                 )
-                yield rec, where, (i, j), k, c
+                names = "i, j, k"
+                if what == "quantum":
+                    D = _field(rec, "D", _int_list, "a list of integers", where)
+                    if len(D) != rank:
+                        raise ModelError("%s has wrong rank" % where)
+                    entry, names = entry + (D,), names + ", D"
+                if entry in seen:
+                    raise ModelError("%s repeats (%s) = %r" % (where, names, entry))
+                seen.add(entry)
+                yield entry, c
 
-        zero = Fraction(0)
-        cup_raw = {}
-        for _, _, key, k, c in records("cup"):
-            cup_raw.setdefault(key, {})[k] = c
-        quantum_raw = {}
-        for rec, where, key, k, c in records("quantum"):
-            D = _field(rec, "D", _int_list, "a list of integers", where)
-            if len(D) != rank:
-                raise ModelError("%s has wrong rank" % where)
-            quantum_raw.setdefault(key, {}).setdefault(D, {})[k] = c
-
-        def dense(coords):
-            return CohClass(tuple(coords.get(k, zero) for k in range(size)))
-
-        cup = {key: dense(coords) for key, coords in cup_raw.items()}
-        quantum = {
-            key: {D: dense(coords) for D, coords in parts.items()}
-            for key, parts in quantum_raw.items()
-        }
-        zero_cls = CohClass((zero,) * size)
-        for i in range(size):
-            for j in range(size):
-                key, mirror = (i, j), (j, i)
-                if key not in cup:
-                    cup[key] = cup.get(mirror, zero_cls)
-                if key not in quantum:
-                    quantum[key] = quantum.get(mirror, {})
+        cup = {}
+        for (i, j, k), c in records("cup"):
+            cup.setdefault((i, j), {})[k] = c
+        quantum = {}
+        for (i, j, k, D), c in records("quantum"):
+            quantum.setdefault((i, j), {}).setdefault(D, {})[k] = c
         model = cls(
             name=_field(data, "name", _checked(str), "a string"),
             dim=_field(data, "dim", _integer, "an integer"),
@@ -550,6 +529,24 @@ def _int_rows(value):
     return [_int_list(row) for row in _checked(list)(value)]
 
 
+def _lcm_denominator(values):
+    """The lcm of the denominators of ints and Fractions (1 for none)."""
+    return lcm(1, *(c.denominator for c in values))
+
+
+def _int_terms(coords, den):
+    """The sparse class {k: c} as its nonzero terms ((k, c * den), ...),
+    ascending in k; den is a multiple of every denominator."""
+    return tuple((k, int(c * den)) for k, c in sorted(coords.items()) if c)
+
+
+def _int_parts(parts, den):
+    """The q-expansion {D: {k: c}} as terms (|D|, D, ((k, n), ...)) over
+    den, ascending in (|D|, D), with zero classes left out."""
+    terms = ((tuple(D), _int_terms(coords, den)) for D, coords in parts.items())
+    return tuple(sorted((sum(D), D, t) for D, t in terms if t))
+
+
 def _invert_rational_matrix(m):
     """Exact inverse by Gauss-Jordan elimination; raises ZeroDivisionError
     when singular."""
@@ -577,19 +574,16 @@ def _model_cp(m: int) -> ModelSpec:
     size = m + 1
     labels = ["1"] + ["x" if k == 1 else "x^%d" % k for k in range(1, size)]
     pairing = [[int(i + j == m) for j in range(size)] for i in range(size)]
-    zero = CohClass((Fraction(0),) * size)
-    power = [CohClass(Fraction(int(k == i)) for k in range(size)) for i in range(size)]
     cup = {}
     quantum = {}
     for i in range(size):
-        for j in range(size):
+        for j in range(i, size):
             if i + j <= m:
-                cup[(i, j)] = power[i + j]
-                quantum[(i, j)] = {(0,): power[i + j]}
+                cup[(i, j)] = {i + j: 1}
+                quantum[(i, j)] = {(0,): {i + j: 1}}
             else:
-                cup[(i, j)] = zero
                 # x^{m+1} = q, so overflow products pick up one factor of q
-                quantum[(i, j)] = {(1,): power[i + j - m - 1]}
+                quantum[(i, j)] = {(1,): {i + j - m - 1: 1}}
     return ModelSpec(
         name="cp%d" % m,
         dim=m,
@@ -651,7 +645,7 @@ def in_builtin_basis(model: ModelSpec) -> bool:
         builtin = builtin_model(model.name)
     except ModelError:
         return False
-    return model.pairing == builtin.pairing and model.cup_table == builtin.cup_table
+    return model.pairing == builtin.pairing and model._cup == builtin._cup
 
 
 def _model_from_bytes(data: bytes) -> ModelSpec:

@@ -638,9 +638,8 @@ def builtin_rowspec(model: ModelSpec):
 
 
 def builtin_relations(model: ModelSpec):
-    m = cp_dimension(model.name)
-    if m:
-        return load_relations(data_path("cpm.rel"), 1, {"M1": str(m + 1)})
+    if cp_dimension(model.name):
+        return load_relations(data_path("cpm.rel"), 1, expression_substitutions(model))
     candidate = data_path("%s.rel" % model.name)
     if candidate.is_file():
         return load_relations(candidate, model.rank)

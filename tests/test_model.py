@@ -20,6 +20,7 @@ from qcoh.model import (
     resolve_model,
     save_model,
 )
+from reference_tables import model_json, product_tables
 
 # -- oracle data: global facts about each space ------------------------------
 # (complex dimension, generator count, basis size, first-Chern pairings with
@@ -78,12 +79,10 @@ def test_dual_basis_inverts_pairing(name):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_quantum_table_q0_is_cup(name):
-    model = builtin_model(name)
-    zero = (0,) * model.rank
-    for i in range(model.size):
-        for j in range(model.size):
-            q0 = model.quantum_table[(i, j)].get(zero, CohClass((0,) * model.size))
-            assert q0 == model.cup_table[(i, j)]
+    cup, quantum = product_tables(model_json(name))
+    zero = (0,) * builtin_model(name).rank
+    for key, parts in quantum.items():
+        assert parts.get(zero, {}) == cup[key]
 
 
 def _random_class(rng, size):
@@ -97,13 +96,12 @@ def _random_class(rng, size):
     )
 
 
-def _dense_cup(model, x, y):
-    """b_i cup b_j read off the table coordinate by coordinate."""
-    out = [HLaurent()] * model.size
-    for i in range(model.size):
-        for j in range(model.size):
-            for k, c in enumerate(model.cup_table[(i, j)].coords):
-                out[k] = out[k] + x.coords[i] * y.coords[j] * c
+def _dense_cup(name, x, y):
+    """b_i cup b_j read off the model's JSON cup table entry by entry."""
+    out = [HLaurent()] * len(x.coords)
+    for (i, j), coords in product_tables(model_json(name))[0].items():
+        for k, c in coords.items():
+            out[k] = out[k] + x.coords[i] * y.coords[j] * c
     return out
 
 
@@ -114,19 +112,19 @@ def test_sparse_cup_matches_dense_table(name):
     for _ in range(20):
         x = _random_class(rng, model.size)
         y = _random_class(rng, model.size)
-        assert list(model.cup(x, y).coords) == _dense_cup(model, x, y)
+        assert list(model.cup(x, y).coords) == _dense_cup(name, x, y)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_generator_action_lists_nonzero_cup_entries(name):
     model = builtin_model(name)
+    cup = product_tables(model_json(name))[0]
     qden = model.quantum_rows()[0]
     for i in range(1, model.rank + 1):
         action = model.integral_action(i)
         assert len(action) == model.size
         for j, pairs in enumerate(action):
-            coords = model.cup_table[(i, j)].coords
-            assert pairs == tuple((k, c * qden) for k, c in enumerate(coords) if c)
+            assert pairs == tuple((k, c * qden) for k, c in sorted(cup[(i, j)].items()))
 
 
 def test_describe_writes_unit_coordinates_as_the_label():
@@ -141,11 +139,8 @@ def test_describe_writes_unit_coordinates_as_the_label():
 def test_cp_dimension_and_top_power():
     # x^m is the top class of CP^m and x * x^m = q * 1 in the quantum ring
     for m in range(1, 6):
-        model = builtin_model("cp%d" % m)
-        prod = model.quantum_table[(1, model.size - 1)]
-        assert set(prod) == {(1,)}
-        assert prod[(1,)].coords[0] == 1
-        assert all(c == 0 for c in prod[(1,)].coords[1:])
+        qden, table = builtin_model("cp%d" % m).quantum_rows()
+        assert (qden, table[1][m]) == (1, ((1, (1,), ((0, 1),)),))
 
 
 def test_unknown_builtin_name():
@@ -238,11 +233,11 @@ def test_model_json_is_deterministic(tmp_path):
 
 def test_quantum_degrees_sorted():
     model = builtin_model("f3")
+    quantum = product_tables(model_json("f3"))[1]
     for j in (1, 2):
         degs = [D for D, _ in model.quantum_action(j)]
         assert degs == sorted(degs, key=lambda D: (sum(D), D))
-        parts = [model.quantum_table[(j, i)] for i in range(model.size)]
-        assert set(degs) == {D for p in parts for D, cls in p.items() if cls}
+        assert set(degs) == {D for i in range(model.size) for D in quantum[(j, i)]}
 
 
 GOLDEN_MODELS = ("f3-rescaled", "f3-nonintegrable", "f3-q1-doubled", "p1xp1-no-q2")
@@ -252,32 +247,27 @@ def _fractions(terms, qden):
     return {k: Fraction(n, qden) for k, n in terms}
 
 
-def _nonzero(cls):
-    return {k: c for k, c in enumerate(cls.coords) if c}
-
-
 @pytest.mark.parametrize("name", BUILTIN_NAMES + GOLDEN_MODELS)
 def test_integral_tables_equal_the_fraction_tables(name):
     """quantum_rows, quantum_action and integral_action hold, over qden,
-    exactly the entries of the Fraction quantum and cup tables."""
+    exactly the entries of the Fraction quantum and cup tables of the
+    model's JSON."""
     if name in GOLDEN_MODELS:
         model = load_model(Path(__file__).resolve().parent / "golden" / (name + ".model"))
     else:
         model = builtin_model(name)
+    cup, quantum = product_tables(model_json(name))
     qden, table = model.quantum_rows()
     if name == "f3-rescaled":
         assert qden == 30
-    for (i, j), parts in model.quantum_table.items():
-        want = {D: _nonzero(cls) for D, cls in parts.items() if cls}
-        assert {D: _fractions(terms, qden) for _, D, terms in table[i][j]} == want
+    for (i, j), parts in quantum.items():
+        assert {D: _fractions(terms, qden) for _, D, terms in table[i][j]} == parts
     for j in range(1, model.rank + 1):
         view = dict(model.quantum_action(j))
         for i in range(model.size):
-            want = {D: _nonzero(cls) for D, cls in model.quantum_table[(j, i)].items() if cls}
             column = {D: [(k, row[i]) for k, row in enumerate(mat) if i in row] for D, mat in view.items()}
-            assert {D: _fractions(c, qden) for D, c in column.items() if c} == want
-            cup = _fractions(model.integral_action(j)[i], qden)
-            assert cup == _nonzero(model.cup_table[(j, i)])
+            assert {D: _fractions(c, qden) for D, c in column.items() if c} == quantum[(j, i)]
+            assert _fractions(model.integral_action(j)[i], qden) == cup[(j, i)]
 
 
 def test_package_root_exports_model_api():
@@ -299,13 +289,27 @@ def test_package_root_exports_model_api():
 
 MALFORMED = sorted((Path(__file__).resolve().parent / "golden" / "bad").glob("*.model"))
 
+# what each malformed file's error names, when not a field of one record
+MALFORMED_MESSAGES = {
+    "bad-duplicate-record.model": r"repeats \(i, j, k, D\) = \(5, 5, 4, \(1, 1\)\)",
+}
+
 
 @pytest.mark.parametrize("path", MALFORMED, ids=lambda p: p.name)
 def test_malformed_field_raises_model_error_naming_it(path):
-    with pytest.raises(ModelError, match="field '(D|c|dim)' is not"):
+    match = MALFORMED_MESSAGES.get(path.name, "field '(D|c|dim)' is not")
+    with pytest.raises(ModelError, match=match):
         load_model(path)
-    with pytest.raises(ModelError, match="field '(D|c|dim)' is not"):
+    with pytest.raises(ModelError, match=match):
         ModelSpec.from_json(json.loads(path.read_text()), check=False)
+
+
+def test_repeated_cup_record_is_refused():
+    # the last value would otherwise win silently
+    data = builtin_model("cp2").to_json()
+    data["cup"].append(dict(data["cup"][1], c=5))
+    with pytest.raises(ModelError, match=r"cup record .* repeats \(i, j, k\) = \(0, 1, 1\)"):
+        ModelSpec.from_json(data, check=False)
 
 
 def test_validate_reports_a_chern_list_of_the_wrong_length_once():
@@ -364,14 +368,17 @@ def test_shared_model_cannot_be_mutated():
     model = builtin_model("f3")
     assert builtin_model("f3") is model
     assert builtin_model("cp2") is builtin_model("cp2")
+    table = model.quantum_rows()[1]
     with pytest.raises(TypeError):
-        model.cup_table[(0, 0)] = model.basis_class(0)
+        table[0][0] = ()
     with pytest.raises(TypeError):
-        model.quantum_table[(1, 1)][(1, 0)] = model.basis_class(0)
+        table[1][1][0] = ()
+    with pytest.raises(TypeError):
+        model.integral_action(1)[0] = ()
     with pytest.raises(TypeError):
         model.aliases["x"] = "f3"
     with pytest.raises(AttributeError):
-        model.cup_table = {}
+        model.labels = ()
     with pytest.raises(AttributeError):
         model.rank = 3
     with pytest.raises(AttributeError):

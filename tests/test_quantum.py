@@ -22,6 +22,7 @@ from qcoh.quantum import (
     quantum_monomial,
 )
 from qcoh.series import CohSeries
+from reference_tables import model_json, product_tables
 
 ORDER = 6
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -180,16 +181,16 @@ def test_flatness_fails_on_deformed_product():
 # -- flatness against the dense matrix reference ----------------------------------
 
 
-def _mult_matrix(model, j, order):
+def _mult_matrix(model, quantum, j, order):
     """The multiplication matrix of b_j as dense NovikovSeries entries:
-    column i holds the q-expansion of b_j o b_i from the quantum table."""
+    column i holds the q-expansion of b_j o b_i from the reference quantum
+    table (`product_tables`)."""
     size = model.size
     entries = [[{} for _ in range(size)] for _ in range(size)]
     for i in range(size):
-        for D, cls in model.quantum_table[(j, i)].items():
-            for k, v in enumerate(cls.coords):
-                if v:
-                    entries[k][i][D] = v
+        for D, coords in quantum[(j, i)].items():
+            for k, v in coords.items():
+                entries[k][i][D] = v
     return [[NovikovSeries(model.rank, order, c) for c in row] for row in entries]
 
 
@@ -216,11 +217,13 @@ def _weighted(s, i):
     return NovikovSeries(s.rank, s.order, {d: d[i - 1] * v for d, v in s.c.items()})
 
 
-def _reference_flatness(model, order):
-    """The flatness report computed on dense matrices of series: the
-    products M_i M_j and M_j M_i entry by entry, then the q-derivatives."""
+def _reference_flatness(model, data, order):
+    """The flatness report computed on dense matrices of series, read from
+    the model's JSON `data`: the products M_i M_j and M_j M_i entry by
+    entry, then the q-derivatives."""
     size, rank = model.size, model.rank
-    mats = {j: _mult_matrix(model, j, order) for j in range(1, rank + 1)}
+    quantum = product_tables(data)[1]
+    mats = {j: _mult_matrix(model, quantum, j, order) for j in range(1, rank + 1)}
     pairs = [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
     witnesses = []
     for i, j in pairs:
@@ -246,22 +249,22 @@ def _reference_flatness(model, order):
 
 
 def _deformed_f3():
-    """f3 with the first q1-coefficient 1 doubled, as in
+    """The JSON of f3 with the first q1-coefficient 1 doubled, as in
     test_flatness_fails_on_deformed_product."""
-    data = builtin_model("f3").to_json()
+    data = model_json("f3")
     rec = next(r for r in data["quantum"] if r["D"] == [1, 0] and r["c"] == "1")
     rec["c"] = "2"
-    return ModelSpec.from_json(data, check=False)
+    return data
 
 
 def _noncommutative_f3():
-    """f3 whose b_2 o b_1 has the graded term q1 b_0 that b_1 o b_2 lacks,
-    so the table is not commutative."""
-    data = builtin_model("f3").to_json()
+    """The JSON of f3 whose b_2 o b_1 has the graded term q1 b_0 that
+    b_1 o b_2 lacks, so the table is not commutative."""
+    data = model_json("f3")
     swapped = [dict(r, i=r["j"], j=r["i"]) for r in data["quantum"] if (r["i"], r["j"]) == (1, 2)]
     swapped.append({"i": 2, "j": 1, "k": 0, "D": [1, 0], "c": "1"})
     data["quantum"] += swapped
-    return ModelSpec.from_json(data, check=False)
+    return data
 
 
 FLATNESS_CASES = [(name, n) for name in BUILTIN_NAMES for n in (3, 4, 5)] + [
@@ -273,12 +276,13 @@ FLATNESS_CASES = [(name, n) for name in BUILTIN_NAMES for n in (3, 4, 5)] + [
 @pytest.mark.parametrize("name,order", FLATNESS_CASES)
 def test_flatness_report_matches_the_dense_reference(name, order):
     if name.endswith(".model"):
-        model = load_model(GOLDEN / name)
+        model, data = load_model(GOLDEN / name), model_json(name[: -len(".model")])
+    elif name in ("deformed-f3", "noncommutative-f3"):
+        data = {"deformed-f3": _deformed_f3, "noncommutative-f3": _noncommutative_f3}[name]()
+        model = ModelSpec.from_json(data, check=False)
     else:
-        model = {"deformed-f3": _deformed_f3, "noncommutative-f3": _noncommutative_f3}.get(
-            name, lambda: builtin_model(name)
-        )()
-    assert check_flatness(model, order) == _reference_flatness(model, order)
+        model, data = builtin_model(name), model_json(name)
+    assert check_flatness(model, order) == _reference_flatness(model, data, order)
 
 
 def test_quantum_product_commutes_and_unit():
@@ -387,22 +391,23 @@ def _product_model(name):
     return builtin_model(name)
 
 
-def _dense_product(model, order, x, y):
+def _dense_product(name, model, order, x, y):
     """x o y for x, y of the form {D: [Fraction] * size}: for every pair of
-    nonzero coordinates, every q-term of b_i o b_j in the quantum table
-    scaled and added over all coordinates, truncated at `order`; zero
-    classes left out."""
+    nonzero coordinates, every q-term of b_i o b_j in the quantum table of
+    the model's JSON scaled and added over all coordinates, truncated at
+    `order`; zero classes left out."""
+    quantum = product_tables(model_json(name))[1]
     out = {}
     for (D1, c1), (D2, c2) in itertools.product(x.items(), y.items()):
         for (i, xi), (j, yj) in itertools.product(enumerate(c1), enumerate(c2)):
             if not (xi and yj):
                 continue
-            for Dq, cls in model.quantum_table[(i, j)].items():
+            for Dq, coords in quantum[(i, j)].items():
                 nd = tuple(a + b + c for a, b, c in zip(D1, D2, Dq))
                 if sum(nd) > order:
                     continue
                 acc = out.setdefault(nd, [Fraction(0)] * model.size)
-                for k, c in enumerate(cls.coords):
+                for k, c in coords.items():
                     acc[k] += xi * yj * c
     return {D: CohClass(v) for D, v in out.items() if any(v)}
 
@@ -417,7 +422,8 @@ def _assert_canonical(elem):
 
 @st.composite
 def product_case(draw):
-    model = _product_model(draw(st.sampled_from(PRODUCT_MODELS)))
+    name = draw(st.sampled_from(PRODUCT_MODELS))
+    model = _product_model(name)
     order = draw(st.integers(0, 3))
     coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
@@ -433,18 +439,18 @@ def product_case(draw):
                 out.setdefault(D, [Fraction(0)] * model.size)[k] += c
         return out
 
-    return model, order, element(), element()
+    return name, model, order, element(), element()
 
 
 @settings(max_examples=150, deadline=None)
 @given(product_case())
 def test_product_matches_the_dense_fraction_product(case):
-    model, order, x, y = case
+    name, model, order, x, y = case
     ex, ey = (
         QElem(model, order, {D: CohClass(v) for D, v in e.items()}) for e in (x, y)
     )
     got = ex * ey
-    assert got.c == _dense_product(model, order, x, y)
+    assert got.c == _dense_product(name, model, order, x, y)
     for elem in (ex, ey, got):
         _assert_canonical(elem)
 

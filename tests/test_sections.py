@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoh.algebra import HLaurent, NovikovSeries
+from qcoh.algebra import HLaurent, NovikovSeries, format_rational
 from qcoh.model import (
     BUILTIN_NAMES,
     CohClass,
@@ -337,32 +337,19 @@ def test_solver_rejects_ungraded_model():
 
 
 def _rescaled(model, lam):
-    """The model in the basis b'_k = lam_k b_k (lam_k = 1 where not given):
-    structure constants become c lam_i lam_j / lam_k, pairings g lam_i lam_j."""
+    """The model in the basis b'_k = lam_k b_k (lam_k = 1 where not given),
+    read back from its JSON records: structure constants become
+    c lam_i lam_j / lam_k, pairings g lam_i lam_j (integral lam)."""
     scale = [Fraction(lam.get(k, 1)) for k in range(model.size)]
-
-    def table(cls, i, j):
-        return CohClass(
-            tuple(c * scale[i] * scale[j] / scale[k] for k, c in enumerate(cls.coords))
-        )
-
-    return ModelSpec(
-        name=model.name,
-        dim=model.dim,
-        rank=model.rank,
-        labels=model.labels,
-        degrees=model.degrees,
-        pairing=[
-            [g * scale[i] * scale[j] for j, g in enumerate(row)]
-            for i, row in enumerate(model.pairing)
-        ],
-        cup={(i, j): table(cls, i, j) for (i, j), cls in model.cup_table.items()},
-        quantum={
-            (i, j): {D: table(cls, i, j) for D, cls in parts.items()}
-            for (i, j), parts in model.quantum_table.items()
-        },
-        chern=model.chern,
-    )
+    data = model.to_json()
+    for rec in data["cup"] + data["quantum"]:
+        c = Fraction(rec["c"]) * scale[rec["i"]] * scale[rec["j"]] / scale[rec["k"]]
+        rec["c"] = format_rational(c)
+    data["pairing"] = [
+        [int(g * scale[i] * scale[j]) for j, g in enumerate(row)]
+        for i, row in enumerate(data["pairing"])
+    ]
+    return ModelSpec.from_json(data, check=False)
 
 
 # every builtin table is integral; rescaling the non-divisor classes by
@@ -379,10 +366,9 @@ RESCALED = [
 def test_solver_on_rescaled_basis_with_rational_tables(name, lam):
     model = builtin_model(name)
     scaled = _rescaled(model, lam)
-    classes = list(scaled.cup_table.values())
-    for parts in scaled.quantum_table.values():
-        classes.extend(cls for D, cls in parts.items() if any(D))
-    assert {c.denominator for cls in classes for c in cls.coords} > {1}
+    data = scaled.to_json()
+    records = data["cup"] + [rec for rec in data["quantum"] if any(rec["D"])]
+    assert {Fraction(rec["c"]).denominator for rec in records} > {1}
     assert scaled.validate() == []
     # the classical J starts at the unit, not at the dual of b'_top
     zero = (0,) * model.rank
@@ -486,7 +472,7 @@ def test_rescaled_model_round_trips_through_json(tmp_path, name, lam):
     path = tmp_path / "scaled.model"
     save_model(scaled, path)
     for again in (ModelSpec.from_json(scaled.to_json()), load_model(path)):
-        assert again.cup_table == scaled.cup_table
+        assert again.quantum_rows() == scaled.quantum_rows()
         assert again.to_json() == scaled.to_json()
 
 
