@@ -12,6 +12,7 @@ stored, so `not x` is a reliable zero test and equal values compare equal.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 
@@ -41,6 +42,12 @@ def format_rational(x: Fraction) -> str:
     # str(Fraction) is canonical: gcd-reduced, '-' on the numerator,
     # no '/1' suffix on integers
     return str(x)
+
+
+def format_ratio(n: int, den: int) -> str:
+    """format_rational(Fraction(n, den)) for an int n and den >= 1, by one gcd."""
+    g = gcd(n, den)
+    return f"{n // g}/{den // g}" if den != g else str(n // g)
 
 
 class HLaurent:

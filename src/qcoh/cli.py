@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quoted
 
-from .algebra import format_rational
+from .algebra import format_ratio, format_rational
 from .model import (
     BUILTIN_NAMES,
     ModelError,
@@ -433,7 +433,7 @@ def _v_at_h1(model, words):
             {
                 "degree": list(D),
                 "coeffs": {
-                    model.labels[k]: format_rational(Fraction(n, den))
+                    model.labels[k]: format_ratio(n, den)
                     for (k, _), n in flat[D].items()
                 },
             }

@@ -25,7 +25,7 @@ from math import lcm
 from importlib import resources
 from types import MappingProxyType
 
-from .algebra import format_rational, rational
+from .algebra import format_ratio, format_rational, rational
 
 
 @cache
@@ -135,6 +135,7 @@ class ModelSpec:
         "chern",
         "aliases",
         "_dual",
+        "_solver",
         "_cup",
         "_quantum",
         "_quantum_actions",
@@ -176,7 +177,8 @@ class ModelSpec:
                     mat = parts.setdefault(D, tuple({} for _ in range(size)))
                     for k, n in coords:
                         mat[k][c] = n
-            actions.append(tuple(sorted(parts.items(), key=lambda p: (sum(p[0]), p[0]))))
+            parts = ((D, tuple(map(MappingProxyType, mat))) for D, mat in parts.items())
+            actions.append(tuple(sorted(parts, key=lambda p: (sum(p[0]), p[0]))))
         fields = {
             "name": name,
             "dim": int(dim),
@@ -187,6 +189,7 @@ class ModelSpec:
             "chern": tuple(int(c) for c in chern),
             "aliases": MappingProxyType(dict(aliases or {})),
             "_dual": None,
+            "_solver": None,
             # b_i cup b_j = sum n/cden b_k for the terms (k, n) of [i][j]
             "_cup": (cden, tuple(tuple(_int_terms(c, cden) for c in row) for row in cup)),
             "_quantum": (qden, table),
@@ -253,6 +256,12 @@ class ModelSpec:
             object.__setattr__(self, "_dual", dual)
         return self._dual
 
+    def solver_maps(self, build):
+        """The solver's operators build(self), kept from the first call that returns."""
+        if self._solver is None:
+            object.__setattr__(self, "_solver", build(self))
+        return self._solver
+
     # -- quantum structure ---------------------------------------------------
 
     def quantum_rows(self):
@@ -264,8 +273,8 @@ class ModelSpec:
 
     def quantum_action(self, j):
         """The q^D parts of the matrix of b_j o -, read from `quantum_rows`:
-        pairs (D, rows) sorted by (|D|, D), rows[k] = {c: n} for the b_k
-        coordinate n/qden of the q^D part of b_j o b_c.  Read-only."""
+        pairs (D, rows) sorted by (|D|, D), read-only rows[k] = {c: n} for
+        the b_k coordinate n/qden of the q^D part of b_j o b_c."""
         return self._quantum_actions[j]
 
     def integral_action(self, j):
@@ -389,7 +398,7 @@ class ModelSpec:
                                 "j": j,
                                 "k": k,
                                 "D": list(D),
-                                "c": format_rational(Fraction(n, qden)),
+                                "c": format_ratio(n, qden),
                             }
                         )
         return {

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product, zip_longest
 from math import gcd, isqrt, lcm, prod
 
-from .algebra import HLaurent, NovikovSeries, TPoly, format_rational
+from .algebra import HLaurent, NovikovSeries, TPoly, format_ratio, format_rational
 from .model import ModelSpec, _invert_rational_matrix, cp_dimension
 from .operators import QDEOperator, apply_gauge_many
 from .quantum import CheckFailure, QElem, _check_failure, _report
@@ -37,7 +37,7 @@ from .series import (
 # size * size ints, entry (i, k) at i * size + k, over a positive int
 # denominator.  Two kernels multiply them, one per access pattern: the
 # solver applies fixed sparse operators at every degree, compiled once per
-# call (`_flat_map`, `_flat_apply`); the one-shot products of `q_factorize`
+# model (`_flat_map`, `_flat_apply`); the one-shot products of `q_factorize`
 # and `asymptotic_H` run one direct loop (`_flat_mul`).
 
 
@@ -219,6 +219,38 @@ def _flat_apply(lmap, X, out, f=1):
     return out
 
 
+def _solver_maps(model):
+    """The solver's operators, which depend on the model alone, once every
+    q^D part of b_j o - passes the grading check ("solver-grading"):
+    commutator[j] maps X to [B_j, X] times qden, mparts[j] holds the maps
+    X -> m_{j,D'} X times qden, and duals[l] the (k, n) of a_l over dual_den."""
+    size, degrees = model.size, model.degrees
+    qden = model.quantum_rows()[0]
+    commutator, mparts = {}, {}
+    for j in range(1, model.rank + 1):
+        commutator[j], mparts[j] = (), []
+        for D, mat in model.quantum_action(j):
+            # entry (r, c) of the q^D part of b_j o - may be nonzero only
+            # when deg b_r + deg q^D = deg b_c + 2
+            qdeg = _qdegree(model, D)
+            for r, row in enumerate(mat):
+                for c, n in row.items():
+                    if degrees[r] + qdeg != degrees[c] + 2:
+                        detail = "b_%d o b_%d has a b_%d-component that breaks the grading"
+                        raise _check_failure(model, "solver-grading", {
+                            "direction": j, "degree": list(D), "entry": [r, c],
+                            "value": format_ratio(n, qden), "detail": detail % (j, c, r),
+                        })
+            if any(D):
+                mparts[j].append((D, _flat_map(size, mat)))
+            else:
+                commutator[j] = _flat_map(size, mat, [{c: -n for c, n in r.items()} for r in mat])
+    flat, dual_den = _integral([cls.coords for cls in model.dual_basis()])
+    rows = (flat[l : l + size] for l in range(0, len(flat), size))
+    duals = tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in rows)
+    return commutator, mparts, duals, dual_den
+
+
 def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     """Solve h d_j H = M_j H degree by degree.
 
@@ -246,9 +278,9 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     size * size ints over its own denominator, entry (i, k) at i * size + k.
     The commutator with each B_j and the left product by each m_{j,D'},
     sparse int rows over the model's qden (`ModelSpec.quantum_action`), are
-    compiled once per call (`_flat_map`).  A right side is summed over the
-    lcm of its parts' denominators.  With step = D_j * qden, the commutator
-    term T_n is over den * step^n, so G_D is summed once, as
+    compiled once per model, kept on it (`_solver_maps`).  A right side is
+    summed over the lcm of its parts' denominators.  With step = D_j * qden,
+    the commutator term T_n is over den * step^n, so G_D is summed once, as
     sum_n T_n step^(N-n) over den * step^N for the last nonzero term T_N,
     and reduced by one gcd.  The consistency check cross-multiplies entry
     by entry; witnesses carry the reduced Fractions.  A row is stored flat
@@ -264,37 +296,9 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         e = (degrees[k] - degrees[i] - _qdegree(model, D)) // 2
         return HLaurent.term(value, e + shift)
 
-    # commutator[j] maps X to [B_j, X] times qden; mparts[j] holds the
-    # maps X -> m_{j,D'} X times qden
     qden = model.quantum_rows()[0]
     zero = (0,) * rank
-    commutator, mparts = {}, {}
-    for j in range(1, rank + 1):
-        commutator[j], mparts[j] = (), []
-        for D, mat in model.quantum_action(j):
-            # entry (r, c) of the q^D part of b_j o - may be nonzero only
-            # when deg b_r + deg q^D = deg b_c + 2
-            qdeg = _qdegree(model, D)
-            for r, row in enumerate(mat):
-                for c, n in row.items():
-                    if degrees[r] + qdeg != degrees[c] + 2:
-                        raise _check_failure(
-                            model,
-                            "solver-grading",
-                            {
-                                "direction": j,
-                                "degree": list(D),
-                                "entry": [r, c],
-                                "value": format_rational(Fraction(n, qden)),
-                                "detail": "b_%d o b_%d has a b_%d-component "
-                                "that breaks the grading" % (j, c, r),
-                            },
-                        )
-            if any(D):
-                mparts[j].append((D, _flat_map(size, mat)))
-            else:
-                negated = [{c: -n for c, n in row.items()} for row in mat]
-                commutator[j] = _flat_map(size, mat, negated)
+    commutator, mparts, duals, dual_den = model.solver_maps(_solver_maps)
 
     G = {zero: ([int(e % (size + 1) == 0) for e in range(area)], 1)}
     for D in _degrees_upto(rank, order):
@@ -359,12 +363,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                     },
                 )
 
-    # row i at q^D is sum_l (G_D)_{il} h^e(i, l, D) a_l, over one denominator;
-    # duals[l] lists the nonzero (k, n) of a_l
-    flat, dual_den = _integral([cls.coords for cls in model.dual_basis()])
-    duals = [
-        [(k, a) for k, a in enumerate(flat[l : l + size]) if a] for l in range(0, area, size)
-    ]
+    # row i at q^D is sum_l (G_D)_{il} h^e(i, l, D) a_l, over one denominator
     den = lcm(*(d for _, d in G.values()))
 
     def row(i):
@@ -790,7 +789,7 @@ def tpoly_matrix_json(E):
         for ik, n in enumerate(mat):
             if n:
                 i, k = divmod(ik, size)
-                value = format_rational(Fraction(n, den))
+                value = format_ratio(n, den)
                 out[k][i].append({"t": list(e), "h": [[-sum(e), value]]})
     return out
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from operator import add
 
-from .algebra import HLaurent, format_rational, monomial_text, rational
+from .algebra import HLaurent, format_ratio, monomial_text, rational
 from .model import CohClass, ModelSpec
 
 
@@ -186,7 +186,7 @@ class CohSeries:
         for D in sorted(self.flat, key=_degree_order):
             coeffs = {}
             for (k, x), n in sorted(self.flat[D].items()):
-                value = format_rational(Fraction(n, self.den))
+                value = format_ratio(n, self.den)
                 coeffs.setdefault(labels[k], []).append([x, value])
             out.append({"degree": list(D), "coeffs": coeffs})
         return out

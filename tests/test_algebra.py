@@ -11,6 +11,7 @@ from qcoh.algebra import (
     HLaurent,
     NovikovSeries,
     TPoly,
+    format_ratio,
     format_rational,
     rational,
 )
@@ -29,6 +30,13 @@ def test_rational_coercion_and_format():
     assert format_rational(Fraction(8, 2)) == "4"
     with pytest.raises(TypeError):
         rational(1.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(), st.integers(min_value=1))
+def test_format_ratio_prints_the_reduced_fraction(n, den):
+    assert format_ratio(n, den) == str(Fraction(n, den))
+    assert format_ratio(n * den, den) == str(n)
 
 
 def test_hlaurent_binomial_oracle():

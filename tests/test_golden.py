@@ -29,9 +29,9 @@ import pytest
 
 from qcoh.algebra import format_rational
 from qcoh.cli import _dump, main
-from qcoh.model import BUILTIN_NAMES, ModelSpec, builtin_model
+from qcoh.model import BUILTIN_NAMES, ModelSpec, builtin_model, load_model
 from qcoh.operators import builtin_rowspec
-from qcoh.sections import build_H_from_J, closed_form, q_factorize
+from qcoh.sections import build_H_from_J, closed_form, q_factorize, solve_fundamental
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -277,6 +277,28 @@ def test_golden_corpus_replays_the_same_when_warm():
         stored = json.loads((GOLDEN / ("%s.json" % name)).read_text(encoding="utf-8"))
         assert code == stored["exit"]
         assert out == ("" if stored["stdout"] is None else _dump(stored["stdout"]))
+
+
+def test_solver_operators_are_kept_per_model_not_per_name():
+    # four models named f3, each solved in turn: every solve must read its
+    # own model's operators, as a fresh copy of the model (nothing kept)
+    # does; then the q1-doubled case still replays after a builtin f3 solve
+    models = [
+        builtin_model("f3"),
+        load_model(GOLDEN / "f3-q1-doubled.model"),
+        load_model(GOLDEN / "f3-rescaled.model"),
+        builtin_model("f3"),
+    ]
+    assert {m.name for m in models} == {"f3"}
+    fresh = [ModelSpec.from_json(m.to_json()) for m in models]
+    want = [solve_fundamental(m, 4).jrow() for m in fresh]
+    assert want[0] != want[1] and want[0] != want[2]
+    first = [solve_fundamental(m, 4).jrow() for m in models]
+    assert first == want
+    assert [solve_fundamental(m, 4).jrow() for m in models] == first
+    stored = json.loads((GOLDEN / "jfun-diff-q1-doubled.json").read_text(encoding="utf-8"))
+    code, out, _ = _run(CORPUS["jfun-diff-q1-doubled"])
+    assert (code, out) == (stored["exit"], _dump(stored["stdout"]))
 
 
 @pytest.mark.parametrize("case", sorted(QFACTOR_CORPUS))

@@ -375,6 +375,9 @@ def test_shared_model_cannot_be_mutated():
         table[1][1][0] = ()
     with pytest.raises(TypeError):
         model.integral_action(1)[0] = ()
+    # the rows of each q^D part, which the solver compiles once per model
+    with pytest.raises(TypeError):
+        model.quantum_action(1)[0][1][1][0] = 5
     with pytest.raises(TypeError):
         model.aliases["x"] = "f3"
     with pytest.raises(AttributeError):
