@@ -48,7 +48,7 @@ from .sections import (
     tpoly_matrix_json,
     verify_annihilated,
 )
-from .series import _degree_order, _degrees_upto, _factorial, _shift_t
+from .series import _degree_order, _degrees_upto, _factorial, _first_mismatch, _shift_t
 
 DEFAULT_N = 6
 DEFAULT_L = 6
@@ -248,12 +248,9 @@ def cmd_check(args):
 def _diff_witness(model, closed, solved):
     """The first coordinate, by degree and then basis order, where the
     closed-form and the solved J-series differ."""
-    for D in sorted(closed.flat.keys() | solved.flat.keys(), key=_degree_order):
-        pairs = zip(model.labels, closed.coeff(D).coords, solved.coeff(D).coords)
-        for label, a, b in pairs:
-            if a != b:
-                values = {"closed": a.to_json(), "solved": b.to_json()}
-                return {"degree": list(D), "entry": label, **values}
+    D, k, a, b = _first_mismatch(closed, solved)
+    values = {"closed": a.to_json(), "solved": b.to_json()}
+    return {"degree": list(D), "entry": model.labels[k], **values}
 
 
 def cmd_jfun(args):

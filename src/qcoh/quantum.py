@@ -13,7 +13,7 @@ from operator import add
 
 from .algebra import NovikovSeries, TPoly, monomial_text
 from .model import CohClass, ModelSpec
-from .series import CohSeries, _canonical, _degrees_upto, _factorial, _integral_terms, _sum
+from .series import CohSeries, IntSeries, _degrees_upto, _factorial, _sum
 
 
 class CheckFailure(Exception):
@@ -47,33 +47,20 @@ def _report(check, model, order, witnesses):
     }
 
 
-class QElem:
-    """Element of the quantum ring, truncated at total degree `order`: int
-    rows {multidegree: {k: n}} over one denominator den > 0, q^D b_k having
-    coefficient n / den.  Canonical (no zeros, gcd of den and the n is 1),
-    so equal elements have equal rows.  Multiplication is the small quantum
-    product through `ModelSpec.quantum_rows`."""
+class QElem(IntSeries):
+    """Element of the quantum ring, truncated at total degree `order`: the
+    canonical pair (flat, den) of `series.IntSeries` with keys k, q^D b_k
+    having coefficient n / den at flat[D][k].  The constructor takes classes
+    over Fraction.  Multiplication is the small quantum product through
+    `ModelSpec.quantum_rows`."""
 
-    __slots__ = ("model", "order", "rows", "den")
-
-    def __init__(self, model: ModelSpec, order: int, terms=None):
-        """`terms` maps multidegrees to CohClass values over Fraction."""
-        self.model = model
-        self.order = order
-        self.rows, self.den = _integral_terms(model, order, terms, enumerate)
-
-    @classmethod
-    def _stored(cls, model, order, rows, den):
-        """The element of the numerators `rows` over den, made canonical."""
-        out = object.__new__(cls)
-        out.model, out.order = model, order
-        out.rows, out.den = _canonical(rows, den)
-        return out
+    __slots__ = ()
+    _coords = staticmethod(enumerate)
 
     @classmethod
     def basis(cls, model, order, i):
-        rows = {(0,) * model.rank: {i: 1}} if order >= 0 else {}
-        return cls._stored(model, order, rows, 1)
+        flat = {(0,) * model.rank: {i: 1}} if order >= 0 else {}
+        return cls._stored(model, order, flat, 1)
 
     @classmethod
     def unit(cls, model, order):
@@ -83,48 +70,17 @@ class QElem:
     def zero(cls, model, order):
         return cls._stored(model, order, {}, 1)
 
-    def _new(self, rows, den):
-        return self._stored(self.model, self.order, rows, den)
-
     def coeff(self, D) -> CohClass:
-        row = self.rows.get(tuple(D), {})
+        row = self.flat.get(tuple(D), {})
         return CohClass(Fraction(row.get(k, 0), self.den) for k in range(self.model.size))
-
-    @property
-    def c(self):
-        """The terms as a new dict {multidegree: CohClass over Fraction}."""
-        return {D: self.coeff(D) for D in self.rows}
-
-    def __bool__(self):
-        return bool(self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, QElem):
-            return NotImplemented
-        return (self.order, self.den, self.rows) == (other.order, other.den, other.rows)
 
     def __neg__(self):
         return self.scaled(-1)
 
-    def __add__(self, other):
-        if not isinstance(other, QElem):
-            return NotImplemented
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        return self._new(*_sum(((self.rows, self.den), (other.rows, other.den))))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, x):
-        n, d = Fraction(x).as_integer_ratio()
-        rows = {D: {k: n * v for k, v in row.items()} for D, row in self.rows.items()}
-        return self._new(rows, self.den * d)
-
     def shifted(self, shift):
         shift = tuple(shift)
         out = {}
-        for D, row in self.rows.items():
+        for D, row in self.flat.items():
             nd = tuple(a + b for a, b in zip(D, shift))
             if sum(nd) <= self.order:
                 out[nd] = row
@@ -139,9 +95,9 @@ class QElem:
             raise ValueError("order mismatch")
         qden, table = self.model.quantum_rows()
         out = {}
-        for D1, r1 in self.rows.items():
+        for D1, r1 in self.flat.items():
             room1 = self.order - sum(D1)
-            for D2, r2 in other.rows.items():
+            for D2, r2 in other.flat.items():
                 room = room1 - sum(D2)
                 if room < 0:
                     continue
@@ -170,11 +126,8 @@ class QElem:
             out = out * self
         return out
 
-    def items_sorted(self):
-        return sorted(self.c.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
     def describe(self):
-        if not self.rows:
+        if not self.flat:
             return "0"
         parts = []
         for D, cls in self.items_sorted():
@@ -218,7 +171,7 @@ def _weighted(elem: QElem, i: int) -> QElem:
     """elem with its q^D term multiplied by D_i: the action of the Euler
     field d/dt_i on pure q-dependence."""
     rows = {
-        D: {k: D[i - 1] * n for k, n in row.items()} for D, row in elem.rows.items()
+        D: {k: D[i - 1] * n for k, n in row.items()} for D, row in elem.flat.items()
     }
     return elem._new(rows, elem.den)
 
@@ -232,7 +185,7 @@ def _flatness_witnesses(identity, lhs, rhs):
     for k in range(len(lhs)):
         for l in diff:
             a, b = (
-                {D: Fraction(row[k], x.den) for D, row in x.rows.items() if k in row}
+                {D: Fraction(row[k], x.den) for D, row in x.flat.items() if k in row}
                 for x in (lhs[l], rhs[l])
             )
             if a != b:
@@ -296,7 +249,7 @@ def _eval_terms(model: ModelSpec, order: int, terms) -> QElem:
         elem = word(tuple(exps))
         n, d = Fraction(v).as_integer_ratio()
         rows = {}
-        for D, row in elem.rows.items():
+        for D, row in elem.flat.items():
             D = tuple(map(add, D, qdeg))
             if sum(D) <= order:
                 rows[D] = {k: n * a for k, a in row.items()}
@@ -321,7 +274,7 @@ def _exp_words(model: ModelSpec, order: int, torder: int) -> dict:
     for e in _degrees_upto(model.rank, torder):
         elem, l = word(e), -sum(e)
         if elem:
-            flat = {D: {(k, l): n for k, n in row.items()} for D, row in elem.rows.items()}
+            flat = {D: {(k, l): n for k, n in row.items()} for D, row in elem.flat.items()}
             out[e] = flat, elem.den
     return out
 

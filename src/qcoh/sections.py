@@ -26,6 +26,7 @@ from .series import (
     _components,
     _degree_order,
     _degrees_upto,
+    _first_mismatch,
     _laurent,
     _sum,
 )
@@ -172,25 +173,20 @@ def _system_report(model, order, rows) -> dict:
             want = GaugeSeries._stored(model, order, rhs, den)
             got = rows[i].theta(j)
             if got != want:
-                witnesses.append(_system_witness(model, j, i, want, got))
+                witnesses.append(_system_witness(j, i, want, got))
     return _report("first-order-system", model, order, witnesses)
 
 
-def _system_witness(model, j, i, want, got):
+def _system_witness(j, i, want, got):
     """Witness for row i in direction j, whose sides differ."""
-    D, cw, cg = next(
-        (D, want.coeff(D), got.coeff(D))
-        for D in sorted(set(want.flat) | set(got.flat), key=_degree_order)
-        if want.coeff(D) != got.coeff(D)
-    )
-    k = next(k for k in range(model.size) if cw.coords[k] != cg.coords[k])
+    D, k, cw, cg = _first_mismatch(want, got)
     return {
         "direction": j,
         "row": i,
         "degree": list(D),
         "entry": [i, k],
-        "expected": cw.coords[k].to_json(),
-        "got": cg.coords[k].to_json(),
+        "expected": cw.to_json(),
+        "got": cg.to_json(),
         "detail": (got - want).describe(),
     }
 
@@ -403,7 +399,7 @@ def _graded_series(model, order, terms):
     flat = {}
     for D, v in terms.items():
         qdeg = _qdegree(model, D)
-        m, row = den // v.den, v.rows.get(zero, {})
+        m, row = den // v.den, v.flat.get(zero, {})
         flat[D] = {(k, -(degrees[k] + qdeg) // 2): m * n for k, n in row.items()}
     return GaugeSeries._stored(model, order, flat, den)
 
@@ -473,7 +469,7 @@ def _factor_values(model, factor, order):
 
     def to_class(c, den):
         scaled = (
-            ({D: {k: a * v for k, v in r.items()} for D, r in xj.rows.items()}, den * xj.den)
+            ({D: {k: a * v for k, v in r.items()} for D, r in xj.flat.items()}, den * xj.den)
             for a, xj in zip(c, pows)
             if a
         )

@@ -6,15 +6,21 @@ is stored flat and fraction-free, as a pair (flat, den): flat is
 {D: {(k, x): n}} with int numerators n and den one positive int for the
 whole series, the b_k coordinate of the q^D coefficient holding the term
 n/den * h^x.  Every h-exponent is kept, so nothing here assumes a grading.
-The pair is canonical (`_canonical`, shared with `quantum.QElem`): no zero
-numerators or empty degrees, and the gcd of den and every numerator is 1.
-So two series are equal exactly when their pairs are, and zero is ({}, 1).
+The pair and its linear arithmetic live in one base, `IntSeries`, which
+`quantum.QElem` shares with keys k in place of (k, x).  The pair is
+canonical (`_canonical`): no zero numerators or empty degrees, and the gcd
+of den and every numerator is 1.  So two series are equal exactly when
+their pairs are, and zero is ({}, 1).
 
-Every kernel reads and writes that form, and the helpers here are the only
-code that knows its keys: the theta kernel, the t-shift, the scaled
-shifted sum and the components along the dual basis.  HLaurent and Fraction
-values are built only for output (`to_json`, `describe`) and for the
-read-only views (`c`, `coeff`, `items_sorted`).
+Every kernel reads and writes that form.  The helpers here know its keys
+(the theta kernel, the t-shift, the scaled shifted sum and the components
+along the dual basis), and so do the producers and readers that write or
+read the pair directly: in `sections` the solver's row builder,
+`_graded_series`, `_graded_at_one`, `asymptotic_J`, `extract_descendents`
+and the H_0 head check of `q_factorize`; `quantum._exp_words`; and
+`cli._v_at_h1`.  HLaurent and Fraction values are built only for output
+(`to_json`, `describe`) and for the read-only views (`c`, `coeff`,
+`items_sorted`).
 
 A GaugeSeries is the same data read as the section e^{t/h} * sum_D c_D q^D;
 in that reading the operator theta_i = h d/dt_i acts on the q^D term as cup
@@ -73,47 +79,38 @@ def _degrees_upto(rank, order):
     return sorted(out, key=_degree_order)
 
 
-def _integral_terms(model, order, terms, items):
-    """The canonical pair of `terms`, a map {multidegree: CohClass} checked
-    against the model's rank, with the degrees past `order` dropped;
-    items(coords) lists the (key, rational) pairs of a class."""
-    kept = {}
-    for D, cls in (terms or {}).items():
-        D = tuple(int(x) for x in D)
-        if len(D) != model.rank or any(x < 0 for x in D):
-            raise ValueError("bad multidegree %r" % (D,))
-        if sum(D) <= order:
-            kept[D] = [(key, rational(v)) for key, v in items(cls.coords)]
-    den = lcm(*(v.denominator for pairs in kept.values() for _, v in pairs))
-    rows = {
-        D: {key: v.numerator * (den // v.denominator) for key, v in pairs}
-        for D, pairs in kept.items()
-    }
-    return _canonical(rows, den)
-
-
-def _class_terms(coords):
-    """The ((k, x), value) pairs of coordinates that are ints, Fractions or
-    HLaurent values."""
-    for k, a in enumerate(coords):
-        for x, v in a.c.items() if isinstance(a, HLaurent) else ((0, a),):
-            yield (k, x), v
-
-
-class CohSeries:
-    """Map {multidegree: class over HLaurent}, truncated at total degree
-    `order`, stored as the canonical pair (flat, den) described above;
-    treated as immutable."""
+class IntSeries:
+    """The canonical pair (flat, den) of a truncated series in q: flat is
+    {D: {key: n}} with int numerators over the one int den > 0, made
+    canonical by `_canonical`.  The shared storage and linear arithmetic of
+    CohSeries (keys (k, x)) and quantum.QElem (keys k); a subclass says how
+    its constructor reads a class's coordinates (`_coords`, giving (key,
+    value) pairs) and keeps its own coeff, describe and ring code.  The
+    types mix when one derives from the other (a GaugeSeries with a
+    CohSeries), not otherwise."""
 
     __slots__ = ("model", "order", "flat", "den")
 
     def __init__(self, model: ModelSpec, order: int, terms=None):
-        """`terms` maps multidegrees to CohClass values whose coordinates
-        are ints, Fractions or HLaurent values; degrees past `order` are
-        dropped."""
+        """`terms` maps multidegrees to CohClass values, checked against the
+        model's rank and size; degrees past `order` are dropped."""
         self.model = model
         self.order = order
-        self.flat, self.den = _integral_terms(model, order, terms, _class_terms)
+        kept = {}
+        for D, cls in (terms or {}).items():
+            D = tuple(int(x) for x in D)
+            if len(D) != model.rank or any(x < 0 for x in D):
+                raise ValueError("bad multidegree %r" % (D,))
+            if len(cls.coords) != model.size:
+                raise ValueError("class of size %d, model size %d" % (len(cls.coords), model.size))
+            if sum(D) <= order:
+                kept[D] = [(key, rational(v)) for key, v in self._coords(cls.coords)]
+        den = lcm(*(v.denominator for pairs in kept.values() for _, v in pairs))
+        flat = {
+            D: {key: v.numerator * (den // v.denominator) for key, v in pairs}
+            for D, pairs in kept.items()
+        }
+        self.flat, self.den = _canonical(flat, den)
 
     @classmethod
     def _stored(cls, model, order, flat, den):
@@ -127,33 +124,31 @@ class CohSeries:
     def _new(self, flat, den):
         return self._stored(self.model, self.order, flat, den)
 
-    def coeff(self, D) -> CohClass:
-        """The q^D coefficient, as a new CohClass over HLaurent."""
-        terms = self.flat.get(tuple(D), {})
-        return CohClass(_laurent(terms, self.den, k) for k in range(self.model.size))
+    def _mixes(self, other):
+        return isinstance(other, type(self)) or isinstance(self, type(other))
 
     @property
     def c(self):
-        """The terms as a new dict {multidegree: CohClass over HLaurent}."""
+        """The terms as a new dict {multidegree: CohClass}."""
         return {D: self.coeff(D) for D in self.flat}
 
     def __bool__(self):
         return bool(self.flat)
 
     def __eq__(self, other):
-        if not isinstance(other, CohSeries):
+        if not self._mixes(other):
             return NotImplemented
         return (self.order, self.den, self.flat) == (other.order, other.den, other.flat)
 
     def __add__(self, other):
-        if not isinstance(other, CohSeries):
+        if not self._mixes(other):
             return NotImplemented
         if self.order != other.order:
             raise ValueError("order mismatch")
         return self._new(*_sum(((self.flat, self.den), (other.flat, other.den))))
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        return self + other.scaled(-1) if self._mixes(other) else NotImplemented
 
     def scaled(self, x):
         """Scale every coefficient by an int or Fraction."""
@@ -163,6 +158,38 @@ class CohSeries:
 
     def items_sorted(self):
         return [(D, self.coeff(D)) for D in sorted(self.flat, key=_degree_order)]
+
+
+def _first_mismatch(a, b):
+    """The first (D, k, a_k, b_k), by degree and then basis order, where the
+    b_k coordinates of the q^D coefficients of a and b differ; None when
+    a == b."""
+    for D in sorted(a.flat.keys() | b.flat.keys(), key=_degree_order):
+        for k, (x, y) in enumerate(zip(a.coeff(D).coords, b.coeff(D).coords)):
+            if x != y:
+                return D, k, x, y
+
+
+class CohSeries(IntSeries):
+    """Map {multidegree: class over HLaurent}, truncated at total degree
+    `order`, stored as the canonical pair (flat, den) described above;
+    treated as immutable.  The constructor takes classes whose coordinates
+    are ints, Fractions or HLaurent values."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _coords(coords):
+        """The ((k, x), value) pairs of coordinates that are ints, Fractions
+        or HLaurent values."""
+        for k, a in enumerate(coords):
+            for x, v in a.c.items() if isinstance(a, HLaurent) else ((0, a),):
+                yield (k, x), v
+
+    def coeff(self, D) -> CohClass:
+        """The q^D coefficient, as a new CohClass over HLaurent."""
+        terms = self.flat.get(tuple(D), {})
+        return CohClass(_laurent(terms, self.den, k) for k in range(self.model.size))
 
     def describe(self):
         if not self.flat:

@@ -413,7 +413,7 @@ def _dense_product(name, model, order, x, y):
 
 
 def _assert_canonical(elem):
-    nums = [v for row in elem.rows.values() for v in row.values()]
+    nums = [v for row in elem.flat.values() for v in row.values()]
     assert all(type(v) is int and v for v in nums)
     assert type(elem.den) is int and elem.den > 0
     assert gcd(elem.den, *nums) == 1

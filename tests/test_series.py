@@ -5,12 +5,14 @@ from itertools import product
 from math import gcd
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoh.algebra import HLaurent
 from qcoh.model import CohClass, builtin_model, load_model
 from qcoh.operators import apply_gauge, parse_operator
+from qcoh.quantum import QElem
 from qcoh.sections import closed_form
 from qcoh.series import CohSeries, GaugeSeries, _add_term, _canonical, _theta_flat
 
@@ -129,6 +131,29 @@ def test_subclass_preserved_by_arithmetic():
     assert isinstance(s + s, GaugeSeries)
     assert isinstance(s.scaled(2), GaugeSeries)
     assert isinstance(s - s, GaugeSeries)
+    # a plain CohSeries of the same pair mixes with it, the left type winning
+    c = CohSeries(model, 2, {(0,): cls})
+    assert type(s + c) is GaugeSeries and type(c + s) is CohSeries
+    assert s == c and c == s
+    # a quantum-ring element is another type: never equal, never summed
+    q, z = QElem.zero(model, 2), CohSeries(model, 2)
+    assert q != z and z != q
+    for a, b in ((QElem.unit(model, 2), c), (c, QElem.unit(model, 2))):
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a - b
+    with pytest.raises(TypeError):
+        q - 1
+
+
+def test_constructor_rejects_a_class_of_the_wrong_size():
+    # a third coordinate on cp1 would be a key past the basis, unequal to
+    # the pair without it though its coefficients read the same
+    model = builtin_model("cp1")
+    for kind in (CohSeries, QElem):
+        with pytest.raises(ValueError, match="class of size 3, model size 2"):
+            kind(model, 2, {(0,): CohClass([1, 0, 7])})
 
 
 # -- flat exact coordinates: int numerators over one denominator ---------------
