@@ -29,6 +29,7 @@ from .series import (
     GaugeSeries,
     _add_term,
     _factorial,
+    _prefix_walk,
     _shift_t,
     _theta_flat,
 )
@@ -467,40 +468,13 @@ def load_rowspec(path, rank, subs=None):
 # -- application ---------------------------------------------------------
 
 
-def _prefix_walk(ops, start, theta):
-    """Walk the theta words of the operators' terms from `start`, yielding
-    (theta^E start, [(pos, hexp, qdeg, v), ...]) once per word, where pos
-    is the index of the term's operator.
-
-    theta^E is reached letter by letter along the word 1^{e_1} 2^{e_2} ...
-    of generator indices, theta_1 first.  The terms are grouped by
-    that word and the words are visited in lexicographic order, so a
-    prefix comes before its extensions and the words sharing it are
-    adjacent.  Only the chain of prefixes of the current word is held, so
-    each distinct prefix is computed once, by one call theta(prefix, i),
-    and memory stays proportional to the theta degree."""
-    groups = {}
-    for pos, op in enumerate(ops):
-        for (hexp, qdeg, thexp), v in op.c.items():
-            word = tuple(i for i, e in enumerate(thexp, start=1) for _ in range(e))
-            groups.setdefault(word, []).append((pos, hexp, qdeg, v))
-    chain = [start]  # chain[n] is theta applied along the first n letters
-    prev = ()
-    for word in sorted(groups):
-        common = 0
-        while common < min(len(word), len(prev)) and word[common] == prev[common]:
-            common += 1
-        del chain[common + 1:]
-        for i in word[common:]:
-            chain.append(theta(chain[-1], i))
-        prev = word
-        yield chain[-1], groups[word]
-
-
 def apply_gauge_many(ops, s: GaugeSeries) -> list:
     """Apply several normal-ordered operators to one gauge-normalized
-    section, returning one GaugeSeries per operator, by one `_prefix_walk`
-    on the stored numerators of s over s.den.
+    section, returning one GaugeSeries per operator.  The terms of all the
+    operators are grouped by their theta exponent E, and one
+    `series._prefix_walk` from the stored numerators of s over s.den, with
+    the theta kernel `_theta_flat` as its step, reaches each theta^E once,
+    one kernel call per distinct prefix.
 
     theta^E multiplies that denominator by qden^|E|, qden the denominator
     of the model's integral product table (`ModelSpec.quantum_rows`; 1 for
@@ -508,21 +482,21 @@ def apply_gauge_many(ops, s: GaugeSeries) -> list:
     v.denominator * den * qden^|E| over its terms v * h^hexp * q^qdeg *
     theta^E, so each term adds an int multiple of its prefix, moved by hexp
     in h and by qdeg in q."""
-    ops = list(ops)
-    for op in ops:
-        if op.rank != s.model.rank:
-            raise ValueError("rank mismatch")
     model, order = s.model, s.order
     qden = model.quantum_rows()[0]
-    dens = [
-        s.den * lcm(*(v.denominator * qden ** sum(E) for (_, _, E), v in op.c.items()))
-        for op in ops
-    ]
-    acc = [{} for _ in ops]
-    start = s.flat, s.den
-    walk = _prefix_walk(ops, start, lambda flat, i: _theta_flat(model, flat, i))
-    for (prefix, den), terms in walk:
-        for pos, hexp, qdeg, v in terms:
+    dens, groups = [], {}  # groups: E: the terms (pos, hexp, qdeg, v) of theta^E
+    for pos, op in enumerate(ops):
+        if op.rank != model.rank:
+            raise ValueError("rank mismatch")
+        den = s.den
+        for (hexp, qdeg, E), v in op.c.items():
+            den = lcm(den, s.den * v.denominator * qden ** sum(E))
+            groups.setdefault(E, []).append((pos, hexp, qdeg, v))
+        dens.append(den)
+    acc = [{} for _ in dens]
+    walk = _prefix_walk(groups, (s.flat, s.den), lambda flat, i: _theta_flat(model, flat, i))
+    for E, (prefix, den) in walk:
+        for pos, hexp, qdeg, v in groups[E]:
             n = v.numerator * (dens[pos] // (v.denominator * den))
             _add_term(acc[pos], prefix, n, hexp, qdeg, order)
     return [GaugeSeries._stored(model, order, out, den) for out, den in zip(acc, dens)]
@@ -542,6 +516,8 @@ def _apply_t(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
     `_shift_t` over its coefficients in divided powers (the t^e coefficient
     times e!), on every exponent a term's theta^E shifts one to.  The
     kernel call behind both `apply_constq` and `apply_classical`."""
+    if op.rank != model.rank:
+        raise ValueError("rank mismatch")
     order = next((cs.order for cs in tp.c.values()), 0)
     ft = {
         e: (_add_term({}, cs.flat, _factorial(e), 0, (), order), cs.den)
@@ -574,8 +550,6 @@ def apply_constq(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
 def symbol_map(op: QDEOperator, model: ModelSpec, order: int) -> QElem:
     """Send h to 0 and theta^E to the quantum monomial of generators applied
     to the unit; an annihilating operator maps to zero in the quantum ring."""
-    if op.rank != model.rank:
-        raise ValueError("rank mismatch")
     return eval_relation(model, op, order)
 
 

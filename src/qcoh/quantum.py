@@ -13,7 +13,7 @@ from operator import add
 
 from .algebra import NovikovSeries, TPoly, monomial_text
 from .model import CohClass, ModelSpec
-from .series import CohSeries, IntSeries, _degrees_upto, _factorial, _sum
+from .series import CohSeries, IntSeries, _degrees_upto, _factorial, _prefix_walk, _sum
 
 
 class CheckFailure(Exception):
@@ -139,31 +139,22 @@ class QElem(IntSeries):
     __repr__ = describe
 
 
-def _words(model: ModelSpec, order: int):
-    """word(e) = 1 o b_1^{e_1} o b_2^{e_2} o ..., taken left to right, so a
-    model that is not associative gives the same value as multiplying out
-    each monomial.  Each word is built once, as the word of its prefix (e
-    minus one at its last nonzero index) times one generator, and kept for
-    the words that extend it."""
-    words = {(0,) * model.rank: QElem.unit(model, order)}
-
-    def word(e):
-        chain = []
-        while e not in words:
-            i = max(i for i, x in enumerate(e) if x)
-            chain.append((e, i))
-            e = e[:i] + (e[i] - 1,) + e[i + 1:]
-        out = words[e]
-        for e, i in reversed(chain):
-            out = words[e] = out * QElem.basis(model, order, i + 1)
-        return out
-
-    return word
+def _word_walk(model: ModelSpec, order: int, exps):
+    """(e, 1 o b_1^{e_1} o b_2^{e_2} o ...) for each distinct e in `exps` by
+    `series._prefix_walk`, one product by a generator per distinct prefix,
+    left to right, so a model that is not associative keeps its terms."""
+    basis = [QElem.basis(model, order, i) for i in range(model.rank + 1)]  # basis[0] = 1
+    return _prefix_walk(exps, basis[0], lambda x, i: x * basis[i])
 
 
 def quantum_monomial(model: ModelSpec, order: int, exps, qshift=None) -> QElem:
     """b_1^{o e_1} o ... o b_r^{o e_r} applied to 1, optionally times q^shift."""
-    out = _words(model, order)(tuple(exps))
+    exps = tuple(exps)
+    if len(exps) != model.rank:
+        raise ValueError("rank mismatch")
+    if any(e < 0 for e in exps):
+        raise ValueError("negative exponent in %r" % (exps,))
+    ((_, out),) = _word_walk(model, order, (exps,))
     return out.shifted(qshift) if qshift else out
 
 
@@ -239,15 +230,19 @@ def check_associativity(model: ModelSpec, order: int) -> dict:
     return _report("associativity", model, order, witnesses)
 
 
-def _eval_terms(model: ModelSpec, order: int, terms) -> QElem:
-    """sum of v * q^qdeg * (1 o b^exps) over the terms (qdeg, exps, v), with
-    q-monomials as scalars and each generator word built once (`_words`).
-    The terms are summed over one denominator and made canonical once."""
-    word = _words(model, order)
+def eval_relation(model: ModelSpec, rel, order: int) -> QElem:
+    """Evaluate the h = 0 symbol of an operator (a relation, or the h-free
+    terms of a QDEOperator) in the quantum ring: q-monomials are scalars,
+    theta^E is the word 1 o b^E, from one walk over the terms' exponents
+    (`_word_walk`), and the terms are summed over one denominator."""
+    if rel.rank != model.rank:
+        raise ValueError("rank mismatch")
+    terms = [(qdeg, E, v) for (h, qdeg, E), v in rel.c.items() if not h]
+    words = dict(_word_walk(model, order, (E for _, E, _ in terms)))
     parts = []
-    for qdeg, exps, v in terms:
-        elem = word(tuple(exps))
-        n, d = Fraction(v).as_integer_ratio()
+    for qdeg, E, v in terms:
+        elem = words[E]
+        n, d = v.numerator, v.denominator
         rows = {}
         for D, row in elem.flat.items():
             D = tuple(map(add, D, qdeg))
@@ -257,26 +252,19 @@ def _eval_terms(model: ModelSpec, order: int, terms) -> QElem:
     return QElem._stored(model, order, *_sum(parts))
 
 
-def eval_relation(model: ModelSpec, rel, order: int) -> QElem:
-    """Evaluate the h = 0 symbol of an operator (a relation, or the h-free
-    terms of a QDEOperator) in the quantum ring: q-monomials are scalars,
-    theta^E is the generator word 1 o b^E (`_eval_terms`)."""
-    terms = ((q, e, v) for (h, q, e), v in rel.c.items() if not h)
-    return _eval_terms(model, order, terms)
-
-
 def _exp_words(model: ModelSpec, order: int, torder: int) -> dict:
     """The quantum exponential up to t-degree torder in divided powers:
-    {e: the flat pair of word(e) h^-|e|} (`_words`), its coefficient of
-    t^e/e!, for each e whose word is not zero, by (|e|, e)."""
-    word = _words(model, order)
+    {e: the flat pair of word(e) h^-|e|} (`_word_walk`), its coefficient of
+    t^e/e!, for each e whose word is not zero, by (|e|, e) as `cli._v_at_h1`
+    writes them (the walk visits the words in their own order)."""
+    degrees = _degrees_upto(model.rank, torder)
     out = {}
-    for e in _degrees_upto(model.rank, torder):
-        elem, l = word(e), -sum(e)
+    for e, elem in _word_walk(model, order, degrees):
         if elem:
+            l = -sum(e)
             flat = {D: {(k, l): n for k, n in row.items()} for D, row in elem.flat.items()}
             out[e] = flat, elem.den
-    return out
+    return {e: out[e] for e in degrees if e in out}
 
 
 def exp_quantum(model: ModelSpec, torder: int, order: int) -> TPoly:

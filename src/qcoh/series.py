@@ -14,11 +14,13 @@ their pairs are, and zero is ({}, 1).
 
 Every kernel reads and writes that form.  The helpers here know its keys
 (the theta kernel, the t-shift, the scaled shifted sum and the components
-along the dual basis), and so do the producers and readers that write or
-read the pair directly: in `sections` the solver's row builder,
-`_graded_series`, `_graded_at_one`, `asymptotic_J`, `extract_descendents`
-and the H_0 head check of `q_factorize`; `quantum._exp_words`; and
-`cli._v_at_h1`.  HLaurent and Fraction values are built only for output
+along the dual basis; not `_prefix_walk`, the one walk over generator
+words, which `operators.apply_gauge_many` steps with the theta kernel and
+`quantum` with a product by b_i), and so do the producers and readers
+that write or read the pair directly: in `sections` the solver's row
+builder, `_graded_series`, `_graded_at_one`, `asymptotic_J`,
+`extract_descendents` and the H_0 head check of `q_factorize`;
+`quantum._exp_words`; and `cli._v_at_h1`.  HLaurent and Fraction values are built only for output
 (`to_json`, `describe`) and for the read-only views (`c`, `coeff`,
 `items_sorted`).
 
@@ -77,6 +79,25 @@ def _degrees_upto(rank, order):
     for _ in range(rank):
         out = [d + (k,) for d in out for k in range(order + 1 - sum(d))]
     return sorted(out, key=_degree_order)
+
+
+def _prefix_walk(exps, start, step):
+    """Yield (E, start theta^E) once per distinct exponent vector E in
+    `exps`, theta^E applying step(value, i) along the word 1^{e_1} 2^{e_2}
+    ... of generator indices.  The words come in lexicographic order, so
+    the words sharing a prefix are adjacent; only the chain of prefixes of
+    the current word is held, and each distinct prefix costs one step."""
+    words = {sum(((i,) * e for i, e in enumerate(E, start=1)), ()): E for E in exps}
+    chain, prev = [start], ()  # chain[n] is the value after the first n letters of prev
+    for word in sorted(words):
+        n = min(len(word), len(prev))
+        while word[:n] != prev[:n]:
+            n -= 1
+        del chain[n + 1:]
+        for i in word[n:]:
+            chain.append(step(chain[-1], i))
+        prev = word
+        yield words[word], chain[-1]
 
 
 class IntSeries:

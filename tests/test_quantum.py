@@ -302,6 +302,11 @@ def test_quantum_monomial_with_q_shift():
     assert elem == QElem.basis(model, ORDER, 1).shifted((1,))
 
 
+def test_quantum_monomial_refuses_a_negative_exponent():
+    with pytest.raises(ValueError, match="negative exponent"):
+        quantum_monomial(builtin_model("f3"), ORDER, (1, -1))
+
+
 def test_open_connection_form_is_a_check_failure():
     # b_1 o b_5 = 2 q1 q2 instead of q1 q2: graded and commutative, so the
     # model validates, but the connection form is not closed at q1 q2 (d_1

@@ -1,7 +1,9 @@
 """Operator application by one walk over shared theta prefixes: the walk
 against termwise application of theta from its definition (cup by b_i on
 HLaurent classes plus d_i * h, without the flat theta kernel), the number
-of theta steps it takes; and the one exponent shift on t-series
+of theta steps it takes, and the number of quantum products the same walk
+takes for the word table and the relations; the refusal of an operator of
+another rank; and the one exponent shift on t-series
 (apply_constq, apply_classical, and tilde's residuals read from the
 quantum word table) against termwise differentiation in t.  f3-rescaled
 is f3 in a basis with cup denominators 2, 3 and 5, so its generator
@@ -24,10 +26,12 @@ from qcoh.operators import (
     apply_gauge,
     apply_gauge_many,
     builtin_operators,
+    builtin_relations,
     builtin_rowspec,
     parse_operator,
+    parse_relation,
 )
-from qcoh.quantum import _exp_words, exp_quantum
+from qcoh.quantum import QElem, _exp_words, eval_relation, exp_quantum, quantum_monomial
 from qcoh.sections import asymptotic_J, closed_form, verify_annihilated
 from qcoh.series import CohSeries, GaugeSeries, _degrees_upto, _shift_t
 
@@ -210,6 +214,68 @@ def test_verify_annihilated_takes_one_theta_step_per_prefix(monkeypatch):
     assert report["status"] == "pass"
     assert len(calls) == len(theta_words(ops))
     assert len(calls) < sum(sum(e) for op in ops for _, _, e in op.c)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The list that gets one entry per QElem product."""
+    calls = []
+    mul = QElem.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(QElem, "__mul__", counting)
+    return calls
+
+
+def test_word_table_takes_one_product_per_word(products):
+    # every nonzero e with |e| <= t-order is a distinct prefix
+    for name, torder, want in (("f3", 8, 44), ("sigma1", 9, 54), ("gr24", 10, 10)):
+        products.clear()
+        _exp_words(builtin_model(name), 3, torder)
+        assert len(products) == want, name
+
+
+@pytest.mark.parametrize("name", ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1", "gr24"))
+def test_relation_takes_one_product_per_prefix(name, products):
+    model = builtin_model(name)
+    factor = parse_relation("1/2 + b1 + q%d" % model.rank, model.rank)
+    for rel in builtin_relations(model):
+        for r in (rel, factor * rel):
+            products.clear()
+            assert not eval_relation(model, r, 4), str(r)
+            assert len(products) == len(theta_words([r])), str(r)
+
+
+# operators of rank 1 and 3, neither the rank 2 of f3: a relation, a q-free
+# operator and one with a q-shift
+OTHER_RANK = {
+    1: ("b1^2 - q1", "D1^2", "D1^2 - q1*D1"),
+    3: ("b1^2 - q1*b3", "D1^2 - D3", "D1^2 - q1*D3"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry", ("eval_relation", "quantum_monomial", "apply_classical", "apply_constq")
+)
+@pytest.mark.parametrize("rank", (1, 3))
+def test_word_and_t_series_appliers_refuse_another_rank(rank, entry):
+    model = builtin_model("f3")
+    rel, classical, constq = OTHER_RANK[rank]
+    calls = {
+        "eval_relation": lambda: eval_relation(model, parse_relation(rel, rank), 3),
+        "quantum_monomial": lambda: quantum_monomial(model, 3, (2,) * rank),
+        "apply_classical": lambda: apply_classical(
+            parse_operator(classical, rank), asymptotic_J(model), model
+        ),
+        "apply_constq": lambda: apply_constq(
+            parse_operator(constq, rank), exp_quantum(model, 4, 3), model
+        ),
+    }
+    with pytest.raises(ValueError, match="rank mismatch"):
+        calls[entry]()
 
 
 # -- the exponent shift on t-series ------------------------------------------
