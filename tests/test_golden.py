@@ -53,16 +53,35 @@ CORPUS = {
         "jfun", "--model", "sigma1", "--closed-form", "--verify", "--n", "7"
     ],
     "jfun-sigma1-diff-deep": ["jfun", "--model", "sigma1", "--diff", "--n", "7"],
+    "jfun-cp5-diff-deep": ["jfun", "--model", "cp5", "--diff", "--n", "8"],
     # f3 in the basis 2 a^2, -3 b^2, 5 z: its tables have rational entries,
     # and the unit pairs to 5 with 5 z; the solved J still equals the closed
     # form
     "jfun-diff-rescaled": [
         "jfun", "--model", "f3-rescaled.model", "--diff", "--n", "2"
     ],
+    "jfun-diff-rescaled-deep": [
+        "jfun", "--model", "f3-rescaled.model", "--diff", "--n", "4"
+    ],
+    "jfun-closed-form-verify-rescaled": [
+        "jfun", "--model", "f3-rescaled.model", "--closed-form", "--verify", "--n", "4"
+    ],
+    # the solver's kept operators over qden 30, through the CLI
+    "jfun-solve-rescaled": [
+        "jfun", "--model", "f3-rescaled.model", "--solve", "--n", "6"
+    ],
+    "gw-rescaled-max-degree-3": [
+        "gw", "--model", "f3-rescaled.model", "--max-degree", "3"
+    ],
     # f3 with every q^D term scaled by 2^d1: a valid, integrable model whose
     # J is not the f3 closed form, so --diff fails with a witness at q^(1,0)
     "jfun-diff-q1-doubled": [
         "jfun", "--model", "f3-q1-doubled.model", "--diff", "--n", "2"
+    ],
+    # the same failing --diff one order deeper: the first coordinate where
+    # the closed form and the solver differ
+    "jfun-diff-q1-doubled-deep": [
+        "jfun", "--model", "f3-q1-doubled.model", "--diff", "--n", "3"
     ],
     "jfun-f3-verify-inhomogeneous": [
         "jfun", "--model", "f3", "--closed-form", "--verify",
@@ -78,11 +97,16 @@ CORPUS = {
         "gw-%s-max-degree-3" % m: ["gw", "--model", m, "--max-degree", "3"]
         for m in BUILTIN_NAMES
     },
+    "gw-sigma1-max-degree-4": [
+        "gw", "--model", "sigma1", "--max-degree", "4", "--n", "6"
+    ],
+    "gw-gr24-max-degree-4": ["gw", "--model", "gr24", "--max-degree", "4"],
     **{
         "jfun-%s-solve" % m: ["jfun", "--model", m, "--solve", "--n", "6"]
         for m in ("f3", "sigma1", "gr24")
     },
     "jfun-f3-solve-deep": ["jfun", "--model", "f3", "--solve", "--n", "10"],
+    "jfun-sigma1-solve-deep": ["jfun", "--model", "sigma1", "--solve", "--n", "8"],
     # f3 with its first q^(1,0) coefficient doubled: structurally valid, but
     # the system is not integrable, so the solver fails with a witness
     "jfun-solve-nonintegrable": [
@@ -95,7 +119,13 @@ CORPUS = {
         for m in BUILTIN_NAMES
     },
     **{"classical-%s" % m: ["classical", "--model", m] for m in BUILTIN_NAMES},
+    "tilde-f3-deep": ["tilde", "--model", "f3", "--t-order", "8"],
+    "tilde-sigma1-deep": ["tilde", "--model", "sigma1", "--t-order", "9"],
+    "tilde-gr24-deep": ["tilde", "--model", "gr24", "--t-order", "10"],
     **{"check-%s" % m: ["check", "--model", m, "--n", "4"] for m in BUILTIN_NAMES},
+    "check-gr24-default-n": ["check", "--model", "gr24"],
+    "check-sigma1-deep": ["check", "--model", "sigma1", "--n", "6"],
+    "check-f3-relations": ["check", "--model", "f3", "--relations", "--n", "6"],
     # the builtin tables, pinned byte for byte
     **{"models-show-%s" % m: ["models", "show", m] for m in BUILTIN_NAMES},
     # rational entries: cup entries 1/2 and -1/3, and a quantum table over 2
@@ -108,11 +138,15 @@ CORPUS = {
         "check", "--model", "f3", "--relations", "wrong-f3.rel", "--n", "3"
     ],
     # the non-integrable f3 is not associative: tilde fails its constant-q
-    # equations and check names the failing triples
+    # equations, with witnesses written by the shift, and check names the
+    # failing triples, with witnesses written by QElem.describe
     "tilde-nonintegrable": [
         "tilde", "--model", "f3-nonintegrable.model", "--t-order", "5"
     ],
     "check-nonintegrable": ["check", "--model", "f3-nonintegrable.model"],
+    "check-nonintegrable-n3": [
+        "check", "--model", "f3-nonintegrable.model", "--n", "3"
+    ],
     # the rescaled f3: quantum structure constants with denominators 2, 3
     # and 5 in the ring checks and the quantum exponential
     "check-rescaled": ["check", "--model", "f3-rescaled.model", "--n", "4"],
@@ -121,7 +155,8 @@ CORPUS = {
     # "absent" for the rescaled f3, whose own checks pass
     "classical-rescaled": ["classical", "--model", "f3-rescaled.model"],
     # P^1 x P^1 with the q2 term of b o b dropped: a valid model whose
-    # M1 and M2 do not commute; a witness entry with no products is 0
+    # M1 and M2 do not commute; its witnesses are printed as Novikov series,
+    # and a witness entry with no products is 0
     "check-flatness-p1xp1-no-q2": [
         "check", "--model", "p1xp1-no-q2.model", "--flatness", "--n", "3"
     ],
