@@ -31,7 +31,6 @@ from .operators import (
     load_rowspec,
     parse_operator,
     parse_relation,
-    symbol_map,
 )
 from .quantum import (
     QElem,

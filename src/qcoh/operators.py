@@ -1,7 +1,8 @@
 """Noncommutative differential operators in (h, q_i, theta_i) with
 theta_i = h q_i d/dq_i, a parser for operator and relation expressions,
-application of operators to flat-section data in three representations,
-and the symbol map from operators to quantum-ring elements.
+and application of operators to flat-section data in three
+representations.  The h = 0 symbol of an operator in the quantum ring is
+`quantum.eval_relation`.
 
 Normal form: every term is coeff * h^k * q^D * theta^E with the q-part on
 the left, obtained by the rewrite theta_i q_j = q_j (theta_i + delta_ij h).
@@ -24,7 +25,6 @@ from .model import (
     in_builtin_basis,
     read_cached,
 )
-from .quantum import QElem, eval_relation
 from .series import (
     GaugeSeries,
     _add_term,
@@ -545,12 +545,6 @@ def apply_constq(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
     """Apply an operator to a t-polynomial of Novikov-series coefficients,
     with q_i a constant scalar (no t-coupling) and theta_i = h d/dt_i."""
     return _apply_t(op, tp, model)
-
-
-def symbol_map(op: QDEOperator, model: ModelSpec, order: int) -> QElem:
-    """Send h to 0 and theta^E to the quantum monomial of generators applied
-    to the unit; an annihilating operator maps to zero in the quantum ring."""
-    return eval_relation(model, op, order)
 
 
 # -- shipped expression data ---------------------------------------------

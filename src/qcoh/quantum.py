@@ -118,14 +118,6 @@ class QElem(IntSeries):
                                 acc[k] = acc.get(k, 0) + c * p
         return self._new(out, self.den * other.den * qden)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative quantum powers are not defined")
-        out = QElem.unit(self.model, self.order)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def describe(self):
         if not self.flat:
             return "0"

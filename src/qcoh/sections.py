@@ -134,11 +134,6 @@ class HMatrix:
             )
         return out
 
-    def check_system(self) -> dict:
-        """Verify h d_j(row i) = sum_u (M_j)_{iu} (row u) for all i, j, on
-        the stored rows (`_system_report`)."""
-        return _system_report(self.model, self.order, self.rows)
-
     def to_json(self):
         return {
             "model": self.model.name,

@@ -21,7 +21,6 @@ from qcoh.operators import (
     builtin_operators,
     builtin_relations,
     builtin_rowspec,
-    symbol_map,
 )
 from qcoh.quantum import (
     QElem,
@@ -120,7 +119,7 @@ def test_criterion_3_flag_threefold_suite():
         assert solved.c == J.c
         rels = builtin_relations(model)
         for op, rel in zip(ops[:2], rels):
-            assert not symbol_map(op, model, N).c
+            assert not eval_relation(model, op, N).c
             assert _operator_as_relation(op) == rel
             assert not eval_relation(model, rel, N).c
 
@@ -135,7 +134,7 @@ def test_criterion_4_hirzebruch_suite_and_q_matrices():
         solved = solve_fundamental(model, N).jrow()
         assert solved.c == J.c
         for op, rel in zip(ops[:2], builtin_relations(model)):
-            assert not symbol_map(op, model, N).c
+            assert not eval_relation(model, op, N).c
             assert _operator_as_relation(op) == rel
         # Q = identity for the Hirzebruch surface
         rowspec = builtin_rowspec(model)
