@@ -160,6 +160,19 @@ CORPUS = {
     "check-flatness-p1xp1-no-q2": [
         "check", "--model", "p1xp1-no-q2.model", "--flatness", "--n", "3"
     ],
+    # a model with no shipped expression files: asking for the shipped
+    # operators or relations exits 2 naming the model; tilde and classical
+    # check no operators and say so
+    "jfun-gr24-verify-no-operators": [
+        "jfun", "--model", "gr24", "--solve", "--verify", "--n", "2"
+    ],
+    "check-relations-p1xp1-no-q2": [
+        "check", "--model", "p1xp1-no-q2.model", "--relations"
+    ],
+    "tilde-p1xp1-no-q2": [
+        "tilde", "--model", "p1xp1-no-q2.model", "--t-order", "6"
+    ],
+    "classical-p1xp1-no-q2": ["classical", "--model", "p1xp1-no-q2.model"],
     # malformed model files: each command exits 2 naming the bad field
     **{
         "%s-%s" % (cmd, bad.stem): argv + ["bad/%s" % bad.name]
