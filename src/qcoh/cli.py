@@ -291,11 +291,9 @@ def cmd_jfun(args):
     if args.verify is not None:
         if args.verify == _BUILTIN_SENTINEL:
             ops = builtin_operators(model)
-            names = [str(op) for op in ops]
         else:
             ops = _load_expressions(args.verify, model, load_operators, "operator")
-            names = [str(op) for op in ops]
-        report = verify_annihilated(J, ops, names)
+        report = verify_annihilated(J, ops)
         payload["verification"] = report
         if report["status"] != "pass":
             status = "fail"
@@ -316,11 +314,11 @@ def cmd_gw(args):
     order = max(order, args.max_degree)
     Hm = solve_fundamental(model, order)
     # levels[D][j]: the one descendent level n that the degree axiom allows
-    # along b_j at D, deg b_j + 2n = 2(dim - 1) + 2 c1(D), or None; a
+    # along b_j at D, deg b_j + 2n = 2(dim - 1) + deg q^D, or None; a
     # degree D != 0 is kept when some j has a level
     levels = {}
     for D in _degrees_upto(model.rank, args.max_degree)[1:]:
-        rhs = 2 * (model.dim - 1) + 2 * sum(c * d for c, d in zip(model.chern, D))
+        rhs = 2 * (model.dim - 1) + model.qdegree(D)
         allowed = [
             (rhs - deg) // 2 if rhs >= deg and (rhs - deg) % 2 == 0 else None
             for deg in model.degrees
@@ -594,10 +592,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         _emit({"report": exc.report, "status": "fail"})
         return 1
-    except UsageError as exc:
-        sys.stderr.write(_dump({"error": str(exc)}))
-        return 2
-    except (ModelError, ParseError, OSError, ValueError, LookupError) as exc:
+    except (UsageError, ModelError, ParseError, OSError, ValueError, LookupError) as exc:
         sys.stderr.write(_dump({"error": str(exc)}))
         return 2
 

@@ -134,7 +134,6 @@ class ModelSpec:
         "pairing",
         "chern",
         "aliases",
-        "_dual",
         "_solver",
         "_cup",
         "_quantum",
@@ -188,7 +187,6 @@ class ModelSpec:
             "pairing": tuple(tuple(int(x) for x in row) for row in pairing),
             "chern": tuple(int(c) for c in chern),
             "aliases": MappingProxyType(dict(aliases or {})),
-            "_dual": None,
             "_solver": None,
             # b_i cup b_j = sum n/cden b_k for the terms (k, n) of [i][j]
             "_cup": (cden, tuple(tuple(_int_terms(c, cden) for c in row) for row in cup)),
@@ -217,10 +215,9 @@ class ModelSpec:
     def top(self):
         return len(self.labels) - 1
 
-    @property
-    def qdegrees(self):
-        """Degree of q_i: twice the pairing of c_1 with the i-th curve class."""
-        return tuple(2 * c for c in self.chern)
+    def qdegree(self, D):
+        """deg q^D = 2 <c_1, D>: twice the pairing of c_1 with the curve class D."""
+        return 2 * sum(d * c for d, c in zip(D, self.chern))
 
     def basis_class(self, i):
         coords = [Fraction(0)] * self.size
@@ -243,18 +240,6 @@ class ModelSpec:
                     out[k] = out[k] + n * p
         scale = Fraction(1, qden)
         return CohClass(tuple(a * scale if a else Fraction(0) for a in out))
-
-    def dual_basis(self):
-        """Classes a_0..a_s with <a_i, b_j> = delta_ij, built on first use
-        (a singular pairing is a `validate` problem, not an error here)."""
-        if self._dual is None:
-            ginv = _invert_rational_matrix(self.pairing)
-            dual = tuple(
-                CohClass(tuple(ginv[i][j] for j in range(self.size)))
-                for i in range(self.size)
-            )
-            object.__setattr__(self, "_dual", dual)
-        return self._dual
 
     def solver_maps(self, build):
         """The solver's operators build(self), kept from the first call that returns."""
@@ -325,13 +310,12 @@ class ModelSpec:
                 _invert_rational_matrix(self.pairing)
             except ZeroDivisionError:
                 problems.append("pairing matrix is singular")
-        qdeg = self.qdegrees
-        if len(qdeg) != self.rank:
+        graded = len(self.chern) == self.rank
+        if not graded:
             # every q-term would then read as a grading violation
             problems.append(
-                "chern list has %d entries, not rank %d" % (len(qdeg), self.rank)
+                "chern list has %d entries, not rank %d" % (len(self.chern), self.rank)
             )
-            qdeg = None
         (cden, cups), (qden, table) = self._cup, self._quantum
         zero = (0,) * self.rank
         for i in range(s):
@@ -364,9 +348,9 @@ class ModelSpec:
                             "bad multidegree %r in product (%d,%d)" % (D, i, j)
                         )
                         continue
-                    if qdeg is None:
+                    if not graded:
                         continue
-                    shift = sum(d * w for d, w in zip(D, qdeg))
+                    shift = self.qdegree(D)
                     for k, _ in terms:
                         if self.degrees[k] + shift != deg:
                             problems.append(

@@ -558,18 +558,17 @@ def expression_substitutions(model: ModelSpec):
     return None
 
 
-def builtin_operator_file(model: ModelSpec):
-    """(path, substitutions) of the operator file shipped for the model."""
-    if cp_dimension(model.name):
-        return data_path("cpm.ops"), expression_substitutions(model)
-    candidate = data_path("%s.ops" % model.name)
-    if candidate.is_file():
-        return candidate, None
-    raise LookupError("no operator file shipped for model %r" % model.name)
+def _shipped(model: ModelSpec, ext, what):
+    """(path, substitutions) of the `what` file shipped for the model:
+    data/cpm.EXT for every cp<m>, else data/NAME.EXT."""
+    path = data_path("%s.%s" % ("cpm" if cp_dimension(model.name) else model.name, ext))
+    if not path.is_file():
+        raise LookupError("no %s shipped for model %r" % (what, model.name))
+    return path, expression_substitutions(model)
 
 
 def builtin_operators(model: ModelSpec, defining_only=False):
-    path, subs = builtin_operator_file(model)
+    path, subs = _shipped(model, "ops", "operator file")
     ops = load_operators(path, model.rank, subs)
     if defining_only:
         return ops[: defining_count(model)]
@@ -591,9 +590,7 @@ def builtin_rowspec(model: ModelSpec):
     if m:
         texts = ["D1^%d" % (m - i) for i in range(m)] + ["1"]
     else:
-        candidate = data_path("%s.rows" % model.name)
-        if not candidate.is_file():
-            raise LookupError("no row expressions shipped for model %r" % model.name)
+        path, subs = _shipped(model, "rows", "row expressions")
     if not in_builtin_basis(model):
         raise LookupError(
             "the row expressions shipped for %r are written for the builtin "
@@ -602,13 +599,9 @@ def builtin_rowspec(model: ModelSpec):
         )
     if m:
         return [parse_operator(t, 1) for t in texts]
-    return load_rowspec(candidate, model.rank)
+    return load_rowspec(path, model.rank, subs)
 
 
 def builtin_relations(model: ModelSpec):
-    if cp_dimension(model.name):
-        return load_relations(data_path("cpm.rel"), 1, expression_substitutions(model))
-    candidate = data_path("%s.rel" % model.name)
-    if candidate.is_file():
-        return load_relations(candidate, model.rank)
-    raise LookupError("no relation file shipped for model %r" % model.name)
+    path, subs = _shipped(model, "rel", "relation file")
+    return load_relations(path, model.rank, subs)

@@ -74,12 +74,6 @@ def _first_difference(a, b, size):
                 return D, *divmod(e, size), x, y
 
 
-def _qdegree(model, D):
-    """deg q^D = 2 <c1, D>: the grading puts c * h^e at entry (i, k) of the
-    q^D part of a graded matrix, e = (deg b_k - deg b_i - deg q^D) // 2."""
-    return 2 * sum(d * c for d, c in zip(D, model.chern))
-
-
 # -- solver ----------------------------------------------------------------
 
 
@@ -223,7 +217,7 @@ def _solver_maps(model):
         for D, mat in model.quantum_action(j):
             # entry (r, c) of the q^D part of b_j o - may be nonzero only
             # when deg b_r + deg q^D = deg b_c + 2
-            qdeg = _qdegree(model, D)
+            qdeg = model.qdegree(D)
             for r, row in enumerate(mat):
                 for c, n in row.items():
                     if degrees[r] + qdeg != degrees[c] + 2:
@@ -236,7 +230,7 @@ def _solver_maps(model):
                 mparts[j].append((D, _flat_map(size, mat)))
             else:
                 commutator[j] = _flat_map(size, mat, [{c: -n for c, n in r.items()} for r in mat])
-    flat, dual_den = _integral([cls.coords for cls in model.dual_basis()])
+    flat, dual_den = _integral(_invert_rational_matrix(model.pairing))
     rows = (flat[l : l + size] for l in range(0, len(flat), size))
     duals = tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in rows)
     return commutator, mparts, duals, dual_den
@@ -284,7 +278,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     degrees = model.degrees
 
     def monomial(i, k, D, value, shift=0):
-        e = (degrees[k] - degrees[i] - _qdegree(model, D)) // 2
+        e = (degrees[k] - degrees[i] - model.qdegree(D)) // 2
         return HLaurent.term(value, e + shift)
 
     qden = model.quantum_rows()[0]
@@ -361,7 +355,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         flat = {}
         for D, (mat, d) in G.items():
             coords = flat[D] = {}
-            qdeg = _qdegree(model, D)
+            qdeg = model.qdegree(D)
             for l, v in enumerate(mat[i * size : (i + 1) * size]):
                 v *= den // d
                 exp = (degrees[l] - degrees[i] - qdeg) // 2
@@ -393,7 +387,7 @@ def _graded_series(model, order, terms):
     den = lcm(*(v.den for v in terms.values()))
     flat = {}
     for D, v in terms.items():
-        qdeg = _qdegree(model, D)
+        qdeg = model.qdegree(D)
         m, row = den // v.den, v.flat.get(zero, {})
         flat[D] = {(k, -(degrees[k] + qdeg) // 2): m * n for k, n in row.items()}
     return GaugeSeries._stored(model, order, flat, den)
@@ -499,16 +493,16 @@ def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
 # -- verification ----------------------------------------------------------
 
 
-def verify_annihilated(J: GaugeSeries, ops, names=None) -> dict:
+def verify_annihilated(J: GaugeSeries, ops) -> dict:
     """Apply each operator to the series and report residuals."""
     ops = list(ops)
     witnesses = []
-    for pos, (op, residual) in enumerate(zip(ops, apply_gauge_many(ops, J))):
+    for op, residual in zip(ops, apply_gauge_many(ops, J)):
         if residual:
             degs = [list(D) for D in sorted(residual.flat, key=_degree_order)]
             witnesses.append(
                 {
-                    "operator": names[pos] if names else str(op),
+                    "operator": str(op),
                     "nonzero_degrees": degs,
                     "detail": residual.describe(),
                 }
@@ -587,7 +581,7 @@ def _graded_at_one(model, comps, name):
         for D, terms in comp.items():
             if D not in out:
                 out[D] = [0] * (size * size)
-            mat, qdeg = out[D], _qdegree(model, D)
+            mat, qdeg = out[D], model.qdegree(D)
             for (k, x), n in terms.items():
                 if x == (degrees[k] - degrees[i] - qdeg) // 2:
                     mat[i * size + k] = n * (den // d)
@@ -596,7 +590,7 @@ def _graded_at_one(model, comps, name):
     if bad:
         (_, D), i, k = min(bad)
         v = _laurent(comps[i][0][D], comps[i][1], k)
-        e = (degrees[k] - degrees[i] - _qdegree(model, D)) // 2
+        e = (degrees[k] - degrees[i] - model.qdegree(D)) // 2
         raise _qfactor_failure(
             model, D, i, k, HLaurent.term(v.c.get(e, 0), e), v,
             "entry of %s breaks the grading: expected a multiple "
@@ -684,7 +678,7 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
 
     def failure(expected, got, detail):
         D, i, k, want, have = _first_difference(expected, got, size)
-        e = (degrees[k] - degrees[i] - _qdegree(model, D)) // 2
+        e = (degrees[k] - degrees[i] - model.qdegree(D)) // 2
         return _qfactor_failure(
             model, D, i, k, HLaurent.term(want, e), HLaurent.term(have, e), detail
         )
@@ -695,7 +689,7 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
         raise failure((identity, qden), (Q, qden), "q^0 part of Q is not the identity")
     entries = [[{} for _ in range(size)] for _ in range(size)]
     for D, mat in sorted(Q.items(), key=lambda kv: _degree_order(kv[0])):
-        qdeg = _qdegree(model, D)
+        qdeg = model.qdegree(D)
         for e, v in enumerate(mat):
             if v:
                 i, k = divmod(e, size)
@@ -793,8 +787,7 @@ def degree_axiom_allows(model: ModelSpec, insertion_degrees, levels, D) -> bool:
     degrees plus twice the descendent levels must equal
     2(dim + #insertions - 3) plus twice the pairing of c1 with D."""
     lhs = sum(insertion_degrees) + 2 * sum(levels)
-    c1 = sum(c * d for c, d in zip(model.chern, D))
-    rhs = 2 * (model.dim + len(insertion_degrees) - 3) + 2 * c1
+    rhs = 2 * (model.dim + len(insertion_degrees) - 3) + model.qdegree(D)
     return lhs == rhs
 
 

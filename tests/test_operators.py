@@ -16,6 +16,7 @@ from qcoh.model import builtin_model, load_model
 from qcoh.operators import (
     ParseError,
     QDEOperator,
+    RelPoly,
     apply_classical,
     apply_gauge,
     builtin_operators,
@@ -254,6 +255,22 @@ def test_symbol_map_matches_shipped_relations():
     ):
         assert not eval_relation(model, op, 6).c
         assert not eval_relation(model, rel, 6).c
+
+
+@pytest.mark.parametrize("name", ["cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1"])
+def test_defining_operator_symbols_are_the_shipped_relations(name):
+    """The h = 0 symbols of the first `defining_count` shipped operators are
+    the shipped relations, in order, and no later operator's symbol is one:
+    the name-based count matches the data files."""
+    model = builtin_model(name)
+    symbols = [
+        RelPoly(op.rank, {(q, E): v for (h, q, E), v in op.c.items() if not h})
+        for op in builtin_operators(model)
+    ]
+    rels = builtin_relations(model)
+    count = defining_count(model)
+    assert symbols[:count] == rels
+    assert not [s for s in symbols[count:] if s in rels]
 
 
 def test_symbol_map_drops_h_terms():

@@ -73,20 +73,61 @@ SIGMA1_M2 = {
 }
 
 
+def generator_matrix(model, j):
+    """b_j o -, as {(k, i): {D: c}} for the b_k coefficient of b_j o b_i."""
+    qden = model.quantum_rows()[0]
+    got = {}
+    for D, mat in model.quantum_action(j):
+        for k, row in enumerate(mat):
+            for i, n in row.items():
+                got.setdefault((k, i), {})[D] = Fraction(n, qden)
+    return got
+
+
 @pytest.mark.parametrize(
     "name,oracles",
     [("f3", (F3_M1, F3_M2)), ("sigma1", (SIGMA1_M1, SIGMA1_M2))],
 )
 def test_generator_matrices_match_printed_tables(name, oracles):
     model = builtin_model(name)
-    qden = model.quantum_rows()[0]
     for j, oracle in enumerate(oracles, start=1):
-        got = {}
-        for D, mat in model.quantum_action(j):
-            for k, row in enumerate(mat):
-                for i, n in row.items():
-                    got.setdefault((k, i), {})[D] = Fraction(n, qden)
-        assert got == oracle, (name, j)
+        assert generator_matrix(model, j) == oracle, (name, j)
+
+
+# -- the quantum Monk rule (Fomin, Gelfand and Postnikov, J. AMS 10, 1997) -----
+# f3's basis (1, a, b, a^2, b^2, z) as Schubert classes of permutations of
+# S_3 in one-line notation; b_r is the class of s_r, and q_r goes with s_r.
+F3_SCHUBERT = ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 1, 2), (2, 3, 1), (3, 2, 1))
+
+
+def _length(w):
+    return sum(1 for x, y in itertools.combinations(w, 2) if x > y)
+
+
+def monk_matrix(perms, r):
+    """sigma_{s_r} o -, as {(k, i): {D: c}}: sigma_{s_r} sigma_w is the sum
+    of sigma_{w t_ab} over a <= r < b, with coefficient 1 when
+    l(w t_ab) = l(w) + 1 and q_a ... q_{b-1} when l(w t_ab) = l(w) - 2(b - a) + 1."""
+    n = len(perms[0])
+    out = {}
+    for i, w in enumerate(perms):
+        for a, b in itertools.product(range(1, r + 1), range(r + 1, n + 1)):
+            v = list(w)
+            v[a - 1], v[b - 1] = v[b - 1], v[a - 1]
+            if _length(v) == _length(w) + 1:
+                D = (0,) * (n - 1)
+            elif _length(v) == _length(w) - 2 * (b - a) + 1:
+                D = tuple(int(a <= c < b) for c in range(1, n))
+            else:
+                continue
+            cell = out.setdefault((perms.index(tuple(v)), i), {})
+            cell[D] = cell.get(D, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_f3_generator_rows_follow_the_quantum_monk_rule(r):
+    assert generator_matrix(builtin_model("f3"), r) == monk_matrix(F3_SCHUBERT, r)
 
 
 # -- Gr_2(C^4) product chain -----------------------------------------------------
