@@ -2,7 +2,7 @@
 for a family of worked examples (projective spaces, the flag variety F3,
 the Hirzebruch surface Sigma_1, and Gr_2(C^4))."""
 
-from .algebra import HLaurent, NovikovSeries, Rational, TPoly
+from .algebra import HLaurent, NovikovSeries, TPoly
 from .model import (
     BUILTIN_NAMES,
     CohClass,
@@ -47,7 +47,7 @@ from .sections import (
     asymptotic_J,
     build_H_from_J,
     closed_form,
-    degree_axiom_allows,
+    descendent_level,
     extract_descendents,
     q_factorize,
     solve_fundamental,

@@ -14,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
-
 
 def rational(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to an exact rational."""
@@ -273,15 +271,13 @@ class TPoly:
             return NotImplemented
         return (self.nvars, self.c) == (other.nvars, other.c)
 
-    def mul(self, other, max_total=None):
+    def mul(self, other):
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
         c = {}
         for e1, v1 in self.c.items():
             for e2, v2 in other.c.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if max_total is not None and sum(e) > max_total:
-                    continue
                 s = c[e] + v1 * v2 if e in c else v1 * v2
                 if s:
                     c[e] = s

@@ -43,6 +43,7 @@ from .sections import (
     asymptotic_H,
     asymptotic_J,
     closed_form,
+    descendent_level,
     extract_descendents,
     solve_fundamental,
     tpoly_matrix_json,
@@ -313,16 +314,11 @@ def cmd_gw(args):
         raise UsageError("--max-degree must be at least 1")
     order = max(order, args.max_degree)
     Hm = solve_fundamental(model, order)
-    # levels[D][j]: the one descendent level n that the degree axiom allows
-    # along b_j at D, deg b_j + 2n = 2(dim - 1) + deg q^D, or None; a
-    # degree D != 0 is kept when some j has a level
+    # levels[D][j]: the one descendent level that the degree axiom allows
+    # along b_j at D, or None; a degree D != 0 is kept when some j has one
     levels = {}
     for D in _degrees_upto(model.rank, args.max_degree)[1:]:
-        rhs = 2 * (model.dim - 1) + model.qdegree(D)
-        allowed = [
-            (rhs - deg) // 2 if rhs >= deg and (rhs - deg) % 2 == 0 else None
-            for deg in model.degrees
-        ]
+        allowed = [descendent_level(model, j, D) for j in range(model.size)]
         if any(n is not None for n in allowed):
             levels[D] = allowed
     bounds = {D: max(n for n in allowed if n is not None) for D, allowed in levels.items()}

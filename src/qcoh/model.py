@@ -120,8 +120,8 @@ class ModelSpec:
     cup[(i, j)] = {k: c} for b_i cup b_j = sum c b_k and quantum[(i, j)] =
     {D: {k: c}} for b_i o b_j = sum c q^D b_k; a pair that is absent is
     read from its mirror (j, i), else as zero.  It stores them once, as int
-    tables over the lcm of their denominators, and builds the views the
-    computations read (`quantum_action`, `integral_action`) from them.
+    tables over the lcm of their denominators, and builds from them the
+    cup view `integral_action` that the theta kernel reads.
     Instances are immutable, so one validated model is shared by every
     caller that loads the same file or builtin (see `read_cached`)."""
 
@@ -137,7 +137,6 @@ class ModelSpec:
         "_solver",
         "_cup",
         "_quantum",
-        "_quantum_actions",
         "_cup_actions",
     )
 
@@ -167,17 +166,6 @@ class ModelSpec:
             for c in coords.values()
         )
         table = tuple(tuple(_int_parts(parts, qden) for parts in row) for row in quantum)
-        # per generator j: the q^D parts of b_j o -, rows[k] = {c: n}
-        actions = [None]
-        for row in table[1 : int(rank) + 1]:
-            parts = {}
-            for c, terms in enumerate(row):
-                for _, D, coords in terms:
-                    mat = parts.setdefault(D, tuple({} for _ in range(size)))
-                    for k, n in coords:
-                        mat[k][c] = n
-            parts = ((D, tuple(map(MappingProxyType, mat))) for D, mat in parts.items())
-            actions.append(tuple(sorted(parts, key=lambda p: (sum(p[0]), p[0]))))
         fields = {
             "name": name,
             "dim": int(dim),
@@ -191,7 +179,6 @@ class ModelSpec:
             # b_i cup b_j = sum n/cden b_k for the terms (k, n) of [i][j]
             "_cup": (cden, tuple(tuple(_int_terms(c, cden) for c in row) for row in cup)),
             "_quantum": (qden, table),
-            "_quantum_actions": tuple(actions),
             "_cup_actions": tuple(
                 tuple(t[0][2] if t and not t[0][0] else () for t in row) for row in table
             ),
@@ -255,12 +242,6 @@ class ModelSpec:
         (|D|, D, ((k, n), ...)) for sum of n/qden q^D b_k.  The one integral
         form of the product that any computation reads."""
         return self._quantum
-
-    def quantum_action(self, j):
-        """The q^D parts of the matrix of b_j o -, read from `quantum_rows`:
-        pairs (D, rows) sorted by (|D|, D), read-only rows[k] = {c: n} for
-        the b_k coordinate n/qden of the q^D part of b_j o b_c."""
-        return self._quantum_actions[j]
 
     def integral_action(self, j):
         """Cup multiplication by b_j: the q^0 terms of `quantum_rows`, entry c

@@ -139,15 +139,15 @@ def _word_walk(model: ModelSpec, order: int, exps):
     return _prefix_walk(exps, basis[0], lambda x, i: x * basis[i])
 
 
-def quantum_monomial(model: ModelSpec, order: int, exps, qshift=None) -> QElem:
-    """b_1^{o e_1} o ... o b_r^{o e_r} applied to 1, optionally times q^shift."""
+def quantum_monomial(model: ModelSpec, order: int, exps) -> QElem:
+    """b_1^{o e_1} o ... o b_r^{o e_r} applied to 1."""
     exps = tuple(exps)
     if len(exps) != model.rank:
         raise ValueError("rank mismatch")
     if any(e < 0 for e in exps):
         raise ValueError("negative exponent in %r" % (exps,))
     ((_, out),) = _word_walk(model, order, (exps,))
-    return out.shifted(qshift) if qshift else out
+    return out
 
 
 def _weighted(elem: QElem, i: int) -> QElem:

@@ -143,21 +143,26 @@ def _system_report(model, order, rows) -> dict:
     every h-exponent is compared and no grading is assumed: the left side
     by the theta kernel, the right side by adding q^D (M_j)_{iu} times row
     u for every q^D part M_j of multiplication by b_j (read from
-    `ModelSpec.quantum_action`), over qden times the lcm of the rows'
+    `ModelSpec.quantum_rows`), over qden times the lcm of the rows'
     denominators.  Both are stored canonical and compared.  A failing
     row's witness names the first differing coordinate: the degree, the
     entry [i, k] (row i, coordinate along b_k) and the expected (right
     side) and obtained (left side) values."""
     size = model.size
-    qden = model.quantum_rows()[0]
+    qden, table = model.quantum_rows()
     witnesses = []
     for j in range(1, model.rank + 1):
-        parts = [(D, mat) for D, mat in model.quantum_action(j) if sum(D) <= order]
+        # terms[k]: (D, row u, n) for each b_k coordinate n/qden of b_j o b_u
+        terms = [[] for _ in range(size)]
+        for u, parts in enumerate(table[j]):
+            for total, D, coords in parts:
+                if total <= order:
+                    for k, n in coords:
+                        terms[k].append((D, rows[u], n))
         for i in range(size):
-            terms = [(D, rows[u], n) for D, mat in parts for u, n in mat[i].items()]
-            den = qden * lcm(*(row.den for _, row, _ in terms))
+            den = qden * lcm(*(row.den for _, row, _ in terms[i]))
             rhs = {}
-            for D, row, n in terms:
+            for D, row, n in terms[i]:
                 _add_term(rhs, row.flat, n * (den // (qden * row.den)), 0, D, order)
             want = GaugeSeries._stored(model, order, rhs, den)
             got = rows[i].theta(j)
@@ -210,11 +215,19 @@ def _solver_maps(model):
     commutator[j] maps X to [B_j, X] times qden, mparts[j] holds the maps
     X -> m_{j,D'} X times qden, and duals[l] the (k, n) of a_l over dual_den."""
     size, degrees = model.size, model.degrees
-    qden = model.quantum_rows()[0]
+    qden, table = model.quantum_rows()
     commutator, mparts = {}, {}
     for j in range(1, model.rank + 1):
+        # the q^D parts of b_j o -: rows mat[r] = {c: n} for the b_r
+        # coordinate n/qden of b_j o b_c
+        parts = {}
+        for c, terms in enumerate(table[j]):
+            for _, D, coords in terms:
+                mat = parts.setdefault(D, [{} for _ in range(size)])
+                for r, n in coords:
+                    mat[r][c] = n
         commutator[j], mparts[j] = (), []
-        for D, mat in model.quantum_action(j):
+        for D, mat in sorted(parts.items(), key=lambda p: _degree_order(p[0])):
             # entry (r, c) of the q^D part of b_j o - may be nonzero only
             # when deg b_r + deg q^D = deg b_c + 2
             qdeg = model.qdegree(D)
@@ -262,7 +275,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     The arithmetic is fraction-free and dense: each G_D is one flat list of
     size * size ints over its own denominator, entry (i, k) at i * size + k.
     The commutator with each B_j and the left product by each m_{j,D'},
-    sparse int rows over the model's qden (`ModelSpec.quantum_action`), are
+    sparse int rows over the model's qden (`ModelSpec.quantum_rows`), are
     compiled once per model, kept on it (`_solver_maps`).  A right side is
     summed over the lcm of its parts' denominators.  With step = D_j * qden,
     the commutator term T_n is over den * step^n, so G_D is summed once, as
@@ -782,13 +795,12 @@ def tpoly_matrix_json(E):
 # -- descendent extraction ---------------------------------------------------
 
 
-def degree_axiom_allows(model: ModelSpec, insertion_degrees, levels, D) -> bool:
-    """Dimension count for genus-0 descendent invariants: the insertion
-    degrees plus twice the descendent levels must equal
-    2(dim + #insertions - 3) plus twice the pairing of c1 with D."""
-    lhs = sum(insertion_degrees) + 2 * sum(levels)
-    rhs = 2 * (model.dim + len(insertion_degrees) - 3) + model.qdegree(D)
-    return lhs == rhs
+def descendent_level(model: ModelSpec, j, D):
+    """The one level n at which the degree axiom lets the two-point
+    invariant <tau_n b_j, 1>_D be nonzero, deg b_j + 2n = 2(dim - 1) +
+    deg q^D, or None when no n >= 0 solves it."""
+    n, odd = divmod(2 * (model.dim - 1) + model.qdegree(D) - model.degrees[j], 2)
+    return n if n >= 0 and not odd else None
 
 
 def extract_descendents(model: ModelSpec, Hm: HMatrix, max_degree: int, max_level: int):
@@ -823,7 +835,7 @@ def extract_descendents(model: ModelSpec, Hm: HMatrix, max_degree: int, max_leve
         level = -exp - 1
         if level > max_level:
             continue
-        if not degree_axiom_allows(model, (model.degrees[j], 0), (level, 0), D):
+        if level != descendent_level(model, j, D):
             raise _check_failure(
                 model,
                 "descendent-extraction",
@@ -842,7 +854,6 @@ def extract_descendents(model: ModelSpec, Hm: HMatrix, max_degree: int, max_leve
                 "label": model.labels[j],
                 "j": j,
                 "value": value,
-                "axiom": True,
             }
         )
     records.sort(key=lambda r: (sum(r["degree"]), r["degree"], r["level"], r["j"]))

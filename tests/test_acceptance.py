@@ -34,7 +34,7 @@ from qcoh.sections import (
     asymptotic_J,
     build_H_from_J,
     closed_form,
-    degree_axiom_allows,
+    descendent_level,
     extract_descendents,
     q_factorize,
     solve_fundamental,
@@ -250,12 +250,7 @@ def test_criterion_9_property_suites():
             )
             assert records
             for r in records:
-                assert degree_axiom_allows(
-                    model,
-                    (model.degrees[r["j"]], 0),
-                    (r["level"], 0),
-                    tuple(r["degree"]),
-                )
+                assert r["level"] == descendent_level(model, r["j"], tuple(r["degree"]))
 
         # normalization soundness on 100 random operator pairs
         rng = random.Random(20240819)

@@ -103,13 +103,12 @@ def test_novikov_hlaurent_coefficients():
 
 def test_tpoly_multiplication_and_truncation():
     s = TPoly(2, {(1, 0): 1, (0, 1): 1})  # t1 + t2
-    p = s.mul(s, max_total=2)
+    p = s.mul(s)
     assert p.c == {
         (2, 0): Fraction(1),
         (1, 1): Fraction(2),
         (0, 2): Fraction(1),
     }
-    assert s.mul(s, max_total=1).c == {}
 
 
 def test_tpoly_items_sorted_by_total_degree_then_lex():

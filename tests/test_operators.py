@@ -1,5 +1,5 @@
 """Differential-operator algebra: parsing, normal ordering, application to
-sections, and the symbol map to ring relations."""
+sections, and `eval_relation` of operators to ring relations."""
 
 import random
 from fractions import Fraction
@@ -233,28 +233,17 @@ def test_builtin_operators_missing_for_gr24():
         builtin_operators(builtin_model("gr24"))
 
 
-# -- symbol map ---------------------------------------------------------------------
+# -- eval_relation on operators ------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1"])
 def test_symbol_map_of_defining_operators_vanishes(name):
-    """h -> 0, theta -> generator sends every annihilating operator to a
-    relation that holds in the quantum ring."""
+    """eval_relation (h -> 0, theta -> generator) sends every annihilating
+    operator to a relation that holds in the quantum ring."""
     model = builtin_model(name)
     for op in builtin_operators(model):
         elem = eval_relation(model, op, 6)
         assert not elem.c, (name, str(op))
-
-
-def test_symbol_map_matches_shipped_relations():
-    """For the defining operators the symbol map reproduces the relation
-    polynomial evaluated in the ring."""
-    model = builtin_model("f3")
-    for op, rel in zip(
-        builtin_operators(model, defining_only=True), builtin_relations(model)
-    ):
-        assert not eval_relation(model, op, 6).c
-        assert not eval_relation(model, rel, 6).c
 
 
 @pytest.mark.parametrize("name", ["cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1"])
@@ -273,7 +262,7 @@ def test_defining_operator_symbols_are_the_shipped_relations(name):
     assert not [s for s in symbols[count:] if s in rels]
 
 
-def test_symbol_map_drops_h_terms():
+def test_eval_relation_drops_h_terms():
     model = builtin_model("cp1")
     op = parse_operator("h*D1 + D1", 1)
     elem = eval_relation(model, op, 4)

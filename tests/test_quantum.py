@@ -75,11 +75,11 @@ SIGMA1_M2 = {
 
 def generator_matrix(model, j):
     """b_j o -, as {(k, i): {D: c}} for the b_k coefficient of b_j o b_i."""
-    qden = model.quantum_rows()[0]
+    qden, table = model.quantum_rows()
     got = {}
-    for D, mat in model.quantum_action(j):
-        for k, row in enumerate(mat):
-            for i, n in row.items():
+    for i, terms in enumerate(table[j]):
+        for _, D, coords in terms:
+            for k, n in coords:
                 got.setdefault((k, i), {})[D] = Fraction(n, qden)
     return got
 
@@ -410,9 +410,11 @@ def test_quantum_product_commutes_and_unit():
 
 def test_quantum_monomial_with_q_shift():
     model = builtin_model("cp1")
-    # q1 * x in the ring
-    elem = quantum_monomial(model, ORDER, (1,), qshift=(1,))
-    assert elem == QElem.basis(model, ORDER, 1).shifted((1,))
+    # q1 * x in the ring: x^3 = q1 x, and q1 o x is x shifted by q1
+    q = QElem.unit(model, ORDER).shifted((1,))
+    qx = QElem.basis(model, ORDER, 1).shifted((1,))
+    assert quantum_monomial(model, ORDER, (3,)) == qx
+    assert q * quantum_monomial(model, ORDER, (1,)) == qx
 
 
 def test_quantum_monomial_refuses_a_negative_exponent():

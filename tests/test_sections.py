@@ -33,7 +33,7 @@ from qcoh.sections import (
     asymptotic_J,
     build_H_from_J,
     closed_form,
-    degree_axiom_allows,
+    descendent_level,
     extract_descendents,
     hypergeometric_factors,
     q_factorize,
@@ -907,13 +907,10 @@ def test_descendent_records_all_satisfy_degree_axiom():
         records = extract_descendents(model, Hm, 3, 40)
         assert records, name
         for r in records:
-            assert r["axiom"] is True
-            assert degree_axiom_allows(
-                model,
-                (model.degrees[r["j"]], 0),
-                (r["level"], 0),
-                tuple(r["degree"]),
-            )
+            # deg b_j + 2n = 2(dim - 1) + 2<c_1, D>
+            c1 = sum(d * c for d, c in zip(r["degree"], model.chern))
+            assert model.degrees[r["j"]] + 2 * r["level"] == 2 * (model.dim - 1) + 2 * c1
+            assert set(r) == {"degree", "level", "label", "j", "value"}
 
 
 def test_degree_axiom_forces_known_zeros():
@@ -921,7 +918,40 @@ def test_degree_axiom_forces_known_zeros():
     # the only allowed two-point levels with a fundamental-class second slot
     # at degree d are n = 2d-1 (point) and n = 2d (fundamental class)
     for d in (1, 2, 3):
-        assert degree_axiom_allows(model, (2, 0), (2 * d - 1, 0), (d,))
-        assert degree_axiom_allows(model, (0, 0), (2 * d, 0), (d,))
-        assert not degree_axiom_allows(model, (2, 0), (2 * d, 0), (d,))
-        assert not degree_axiom_allows(model, (0, 0), (2 * d - 1, 0), (d,))
+        assert descendent_level(model, 1, (d,)) == 2 * d - 1
+        assert descendent_level(model, 0, (d,)) == 2 * d
+    # deg b_1 = 2 exceeds 2(dim - 1) + deg q^0 = 0: no level at all
+    assert descendent_level(model, 1, (0,)) is None
+
+
+def _descendent_witness(e):
+    """The witness of extract_descendents on cp1 once 3 h^e q x is added
+    to J, row 1 of the solved matrix."""
+    model = builtin_model("cp1")
+    Hm = solve_fundamental(model, 2)
+    extra = GaugeSeries(model, 2, {(1,): CohClass([HLaurent.term(3, e), 0])})
+    rows = (Hm.row(0), Hm.row(1) + extra)
+    with pytest.raises(CheckFailure) as info:
+        extract_descendents(model, HMatrix(model, 2, rows), 2, 10)
+    assert info.value.report["check"] == "descendent-extraction"
+    (witness,) = info.value.report["witnesses"]
+    return witness
+
+
+def test_descendent_extraction_rejects_a_nonnegative_h_power():
+    assert _descendent_witness(0) == {
+        "degree": [1],
+        "component": "x",
+        "detail": "nonnegative h power 0",
+    }
+
+
+def test_descendent_extraction_rejects_a_value_the_degree_axiom_forbids():
+    # h^-5 is level 4 along a_1 = 1 at q^1, where the axiom allows only level 1
+    assert _descendent_witness(-5) == {
+        "degree": [1],
+        "component": "x",
+        "level": 4,
+        "value": "3",
+        "detail": "nonzero value where the degree axiom forces zero",
+    }
