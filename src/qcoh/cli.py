@@ -314,23 +314,17 @@ def cmd_gw(args):
         raise UsageError("--max-degree must be at least 1")
     order = max(order, args.max_degree)
     Hm = solve_fundamental(model, order)
-    # levels[D][j]: the one descendent level that the degree axiom allows
-    # along b_j at D, or None; a degree D != 0 is kept when some j has one
-    levels = {}
-    for D in _degrees_upto(model.rank, args.max_degree)[1:]:
-        allowed = [descendent_level(model, j, D) for j in range(model.size)]
-        if any(n is not None for n in allowed):
-            levels[D] = allowed
-    bounds = {D: max(n for n in allowed if n is not None) for D, allowed in levels.items()}
-    max_level = max(bounds.values(), default=0)
-    records = extract_descendents(model, Hm, args.max_degree, max_level)
-    found = {(tuple(r["degree"]), r["level"], r["j"]): r["value"] for r in records}
+    # each record sits at the one level the degree axiom allows: (D, j) names it
+    records = extract_descendents(model, Hm, args.max_degree)
+    found = {(tuple(r["degree"]), r["j"]): r["value"] for r in records}
     table = []
-    for D, allowed in levels.items():
-        for n in range(bounds[D] + 1):
+    for D in _degrees_upto(model.rank, args.max_degree)[1:]:
+        # allowed[j]: the one level the degree axiom allows along b_j at D, or None
+        allowed = [descendent_level(model, j, D) for j in range(model.size)]
+        for n in range(max((m for m in allowed if m is not None), default=-1) + 1):
             for j in range(model.size):
                 axiom = allowed[j] == n
-                value = found.get((D, n, j), Fraction(0)) if axiom else Fraction(0)
+                value = found.get((D, j), Fraction(0)) if axiom else Fraction(0)
                 rec = {
                     "D": list(D),
                     "n": n,

@@ -59,6 +59,8 @@ class QElem(IntSeries):
 
     @classmethod
     def basis(cls, model, order, i):
+        if not 0 <= i < model.size:
+            raise ValueError("basis element %r outside 0..%d" % (i, model.size - 1))
         flat = {(0,) * model.rank: {i: 1}} if order >= 0 else {}
         return cls._stored(model, order, flat, 1)
 

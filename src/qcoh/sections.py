@@ -95,6 +95,8 @@ class HMatrix:
 
     def row(self, i) -> GaugeSeries:
         if i not in self._built:
+            if not 0 <= i < self.model.size:
+                raise IndexError("row %r outside 0..%d" % (i, self.model.size - 1))
             self._built[i] = self._build(i)
         return self._built[i]
 
@@ -803,13 +805,13 @@ def descendent_level(model: ModelSpec, j, D):
     return n if n >= 0 and not odd else None
 
 
-def extract_descendents(model: ModelSpec, Hm: HMatrix, max_degree: int, max_level: int):
+def extract_descendents(model: ModelSpec, Hm: HMatrix, max_degree: int):
     """Read two-point descendent invariants against the fundamental class
     from the J-row: the value at level n along the j-th dual basis element
     and degree D is the h^{-(n+1)} coefficient of the scalar entry.
 
-    Positive or zero powers of h at D != 0 would contradict the generating
-    function shape and raise CheckFailure.
+    Every entry with 0 < |D| <= max_degree is checked: a nonnegative h power
+    or a level other than `descendent_level` raises CheckFailure.
     """
     comps, den = _components(Hm.jrow())
     # (j, degree, exp, n), component first: the first bad entry names the failure
@@ -833,8 +835,6 @@ def extract_descendents(model: ModelSpec, Hm: HMatrix, max_degree: int, max_leve
                 },
             )
         level = -exp - 1
-        if level > max_level:
-            continue
         if level != descendent_level(model, j, D):
             raise _check_failure(
                 model,

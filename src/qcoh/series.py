@@ -357,4 +357,6 @@ class GaugeSeries(CohSeries):
         """Apply theta_i: on the q^D coefficient this is cup-by-b_i plus
         multiplication by d_i*h, computed by the flat kernel `_theta_flat`
         over the model's sparse generator action."""
+        if not 1 <= i <= self.model.rank:
+            raise ValueError("theta_%r: generators are 1..%d" % (i, self.model.rank))
         return self._new(*_theta_flat(self.model, (self.flat, self.den), i))

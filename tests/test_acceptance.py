@@ -74,7 +74,7 @@ def test_criterion_1_cp1_descendent_table():
     with criterion(1, "two-point descendent table of the projective line", 1):
         model = builtin_model("cp1")
         Hm = solve_fundamental(model, N)
-        records = extract_descendents(model, Hm, N, 2 * N)
+        records = extract_descendents(model, Hm, N)
         table = {
             (tuple(r["degree"]), r["level"], r["j"]): r["value"]
             for r in records
@@ -245,9 +245,7 @@ def test_criterion_9_property_suites():
         # degree-axiom zero-forcing on extracted invariants
         for name in ("cp2", "f3", "sigma1", "gr24"):
             model = builtin_model(name)
-            records = extract_descendents(
-                model, solve_fundamental(model, 3), 3, 40
-            )
+            records = extract_descendents(model, solve_fundamental(model, 3), 3)
             assert records
             for r in records:
                 assert r["level"] == descendent_level(model, r["j"], tuple(r["degree"]))

@@ -60,6 +60,22 @@ def test_models_validate_good_file(capsys, tmp_path):
     assert json.loads(out)["status"] == "pass"
 
 
+ROOT = Path(__file__).resolve().parent.parent
+MODEL_FILES = sorted(ROOT.glob("src/qcoh/data/*.model")) + sorted(
+    ROOT.glob("tests/golden/*.model")
+)
+
+
+@pytest.mark.parametrize(
+    "path", MODEL_FILES, ids=[str(p.relative_to(ROOT)) for p in MODEL_FILES]
+)
+def test_shipped_and_golden_model_files_validate(capsys, path):
+    # the malformed files under tests/golden/bad are pinned by the golden corpus
+    code, out, _ = run(capsys, ["models", "validate", str(path)])
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+
 def test_models_validate_broken_model_exits_1(capsys, tmp_path):
     data = builtin_model("cp2").to_json()
     data["basis"][1]["degree"] = 4

@@ -422,6 +422,15 @@ def test_quantum_monomial_refuses_a_negative_exponent():
         quantum_monomial(builtin_model("f3"), ORDER, (1, -1))
 
 
+def test_basis_refuses_an_index_outside_the_basis():
+    # -1 would name no class in the output but multiply like the top class
+    model = builtin_model("f3")
+    assert QElem.basis(model, 2, 5).coeff((0, 0)) == model.basis_class(5)
+    for i in (-1, 6):
+        with pytest.raises(ValueError, match="basis element"):
+            QElem.basis(model, 2, i)
+
+
 def test_open_connection_form_is_a_check_failure():
     # b_1 o b_5 = 2 q1 q2 instead of q1 q2: graded and commutative, so the
     # model validates, but the connection form is not closed at q1 q2 (d_1

@@ -440,6 +440,18 @@ def test_hmatrix_rejects_the_wrong_number_of_rows():
     assert HMatrix(model, 2, list(rows)).rows == rows
 
 
+def test_hmatrix_row_refuses_an_index_outside_the_basis():
+    # on both construction paths, and nothing out of range is kept
+    model = builtin_model("f3")
+    solved = solve_fundamental(model, 2)
+    for Hm in (solved, HMatrix(model, 2, solved.rows)):
+        for i in (-1, 6):
+            with pytest.raises(IndexError, match="outside 0..5"):
+                Hm.row(i)
+        assert Hm.row(5) == solved.rows[5]
+    assert set(solved._built) == set(range(model.size))
+
+
 def test_solver_on_a_direction_without_quantum_terms():
     # QH(P^1) tensor the classical H(P^1): q_2 never appears, so every
     # G_D with D_2 > 0 has an empty commutator series and vanishes, and
@@ -890,7 +902,7 @@ def test_asymptotic_J_is_last_row(name):
 def test_descendent_table_cp1_exact_values():
     model = builtin_model("cp1")
     Hm = solve_fundamental(model, ORDER)
-    records = extract_descendents(model, Hm, ORDER, 2 * ORDER)
+    records = extract_descendents(model, Hm, ORDER)
     table = {(tuple(r["degree"]), r["level"], r["j"]): r["value"] for r in records}
     for d in range(1, ORDER + 1):
         scalar = Fraction(1, factorial(d) ** 2)
@@ -904,7 +916,7 @@ def test_descendent_records_all_satisfy_degree_axiom():
     for name in ("cp2", "f3", "sigma1", "gr24"):
         model = builtin_model(name)
         Hm = solve_fundamental(model, 3)
-        records = extract_descendents(model, Hm, 3, 40)
+        records = extract_descendents(model, Hm, 3)
         assert records, name
         for r in records:
             # deg b_j + 2n = 2(dim - 1) + 2<c_1, D>
@@ -932,7 +944,7 @@ def _descendent_witness(e):
     extra = GaugeSeries(model, 2, {(1,): CohClass([HLaurent.term(3, e), 0])})
     rows = (Hm.row(0), Hm.row(1) + extra)
     with pytest.raises(CheckFailure) as info:
-        extract_descendents(model, HMatrix(model, 2, rows), 2, 10)
+        extract_descendents(model, HMatrix(model, 2, rows), 2)
     assert info.value.report["check"] == "descendent-extraction"
     (witness,) = info.value.report["witnesses"]
     return witness
@@ -952,6 +964,18 @@ def test_descendent_extraction_rejects_a_value_the_degree_axiom_forbids():
         "degree": [1],
         "component": "x",
         "level": 4,
+        "value": "3",
+        "detail": "nonzero value where the degree axiom forces zero",
+    }
+
+
+def test_descendent_extraction_checks_levels_above_every_allowed_level():
+    # h^-9 is level 8, above the largest level the axiom allows up to |D| = 2
+    # (4, for 1 at q^2): every entry is checked, none is cut by level
+    assert _descendent_witness(-9) == {
+        "degree": [1],
+        "component": "x",
+        "level": 8,
         "value": "3",
         "detail": "nonzero value where the degree axiom forces zero",
     }

@@ -50,6 +50,16 @@ def test_theta_adds_degree_weighted_h():
     assert got.coords[1] == HLaurent.const(1)
 
 
+def test_theta_refuses_an_index_outside_the_generators():
+    # the kernel trusts its index: it reads theta_0 as cup-by-unit plus a D_r h weight
+    model = builtin_model("f3")
+    s = _unit_series(model, 2)
+    assert s.theta(2).c[(0, 0)] == model.basis_class(2)
+    for i in (0, -1, 3):
+        with pytest.raises(ValueError, match="generators are 1..2"):
+            s.theta(i)
+
+
 # -- theta against its definition, on ungraded sections --------------------------
 # Each coordinate is a Laurent polynomial with several powers of h, negative
 # ones included, so no grading holds.  The definition is built slice by slice:
