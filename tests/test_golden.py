@@ -194,6 +194,9 @@ QFACTOR_CORPUS = {
     "cp4-3": ("cp4", 3),
     "cp5-4": ("cp5", 4),
     "f3-5": ("f3", 5),
+    "f3-7": ("f3", 7),
+    "sigma1-6": ("sigma1", 6),
+    "cp5-6": ("cp5", 6),
 }
 
 
