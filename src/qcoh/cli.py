@@ -113,11 +113,13 @@ def _write_json(x, nl, out):
 
 
 def _emit(payload, out=None):
+    """Write the payload to `out`, when given, and then to stdout, so a path
+    that cannot be written leaves stdout empty."""
     text = _dump(payload)
-    sys.stdout.write(text)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _search_path():

@@ -19,6 +19,7 @@ from math import comb, lcm
 from .algebra import TPoly, format_rational, monomial_text, rational
 from .model import (
     ModelSpec,
+    _integer,
     builtin_model,
     cp_dimension,
     data_path,
@@ -44,7 +45,7 @@ class ParseError(ValueError):
 
 
 def _vec_check(rank, v, what):
-    v = tuple(int(x) for x in v)
+    v = tuple(_integer(x) for x in v)
     if len(v) != rank or any(x < 0 for x in v):
         raise ValueError("bad %s %r" % (what, v))
     return v
@@ -64,7 +65,7 @@ class QDEOperator:
         c = {}
         if terms:
             for (hexp, qdeg, thexp), v in terms.items():
-                hexp = int(hexp)
+                hexp = _integer(hexp)
                 if hexp < 0:
                     raise ValueError("negative h exponent")
                 key = (hexp, _vec_check(rank, qdeg, "q-degree"),

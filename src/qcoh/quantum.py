@@ -80,7 +80,11 @@ class QElem(IntSeries):
         return self.scaled(-1)
 
     def shifted(self, shift):
+        """The series times q^shift, truncated at the order; ValueError
+        unless shift holds one int >= 0 per generator."""
         shift = tuple(shift)
+        if len(shift) != self.model.rank or not all(isinstance(x, int) and x >= 0 for x in shift):
+            raise ValueError("bad multidegree %r" % (shift,))
         out = {}
         for D, row in self.flat.items():
             nd = tuple(a + b for a, b in zip(D, shift))

@@ -614,51 +614,36 @@ def _graded_at_one(model, comps, name):
     return _qmat_reduced(out, den)
 
 
-def _qmat_inverse(model, A, order):
-    """Inverse of a q-matrix series (A, den) whose q^0 term is invertible,
-    degree by degree (Knuth, TAOCP Vol. 2, 4.7): with a = A / den,
-    inv[0] = a[0]^-1 and inv[D] = -a[0]^-1 * sum_{0 < D' <= D} a[D'] inv[D - D'],
-    so each pair of degrees is multiplied once.  Each inv[D] is held flat
-    over its own reduced denominator, and the series is brought over one
-    denominator at the end."""
+def _qmat_divide(model, A, B, head_inverse, order):
+    """The quotient Q of two q-matrix series with Q * B = A to the
+    truncation, where head_inverse = (inv0, iden) inverts B's q^0
+    numerator: with a = A / aden and b = B / bden, degree by degree
+    Q[D] = (a[D] - sum_{0 < D' <= D} Q[D - D'] b[D']) * b[0]^-1, and
+    b[0]^-1 = bden * inv0 / iden.  Each Q[D] is held flat over its own
+    reduced denominator, a zero Q[D] is never stored, and the series is
+    brought over one denominator at the end; its gcd is then 1."""
     size = model.size
-    zero = (0,) * model.rank
-    A, den = A
-    head = A.get(zero, [0] * (size * size))
-    try:
-        # the head of A is head / den, so its inverse is inv0 * den / iden
-        inv0, iden = _integral(
-            _invert_rational_matrix([head[i : i + size] for i in range(0, len(head), size)])
-        )
-    except ZeroDivisionError:
-        raise _check_failure(
-            model,
-            "q-factorization",
-            {"degree": list(zero), "detail": "q^0 part of H_0 is singular"},
-        ) from None
-    # -a[0]^-1 * a[D'] is -(inv0 * den / iden) * (A[D'] / den): den cancels
-    tail = {D: m for D, m in A.items() if any(D)}
-    step = _qmat_mul({zero: [-v for v in inv0]}, tail, size, order)
-    head_inv = [v * den for v in inv0]
-    g = gcd(iden, *head_inv)
-    inv = {zero: ([v // g for v in head_inv], iden // g)}
-    for D in _degrees_upto(model.rank, order)[1:]:
+    (A, aden), (B, bden), (inv0, iden) = A, B, head_inverse
+    tail = {D: m for D, m in B.items() if any(D)}
+    Q = {}
+    for D in _degrees_upto(model.rank, order):
         parts = [
-            (m, *inv[rest])
-            for Dp, m in step.items()
-            if (rest := tuple(a - b for a, b in zip(D, Dp))) in inv
+            (m, *Q[rest])
+            for Dp, m in tail.items()
+            if (rest := tuple(a - b for a, b in zip(D, Dp))) in Q
         ]
-        common = lcm(*(d for _, _, d in parts))
-        acc = [0] * len(head)
+        # bden * (a[D] - sum Q[D - D'] b[D']) over the lcm of the denominators
+        common = lcm(aden, *(d for _, _, d in parts))
+        f = bden * (common // aden)
+        acc = [v * f for v in A.get(D, [0] * (size * size))]
         for m, num, d in parts:
-            _flat_mul(m, num, size, acc, common // d)
+            _flat_mul(num, m, size, acc, -(common // d))
         if any(acc):
-            g = gcd(common * iden, *acc)
-            inv[D] = [v // g for v in acc], common * iden // g
-    common = lcm(*(d for _, d in inv.values()))
-    return _qmat_reduced(
-        {D: [v * (common // d) for v in num] for D, (num, d) in inv.items()}, common
-    )
+            out = _flat_mul(acc, inv0, size, [0] * len(acc))
+            g = gcd(common * iden, *out)
+            Q[D] = [v // g for v in out], common * iden // g
+    common = lcm(*(d for _, d in Q.values()))
+    return {D: [v * (common // d) for v in num] for D, (num, d) in Q.items()}, common
 
 
 def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
@@ -688,7 +673,17 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
                 "q^0 entry of H_0 depends on h",
             )
     A0, a0den = _graded_at_one(model, comps0, "H_0")
-    inverse, iden = _qmat_inverse(model, (A0, a0den), order)
+    head = A0.get(zero, [0] * (size * size))
+    try:
+        head_inverse = _integral(
+            _invert_rational_matrix([head[i : i + size] for i in range(0, len(head), size)])
+        )
+    except ZeroDivisionError:
+        raise _check_failure(
+            model,
+            "q-factorization",
+            {"degree": list(zero), "detail": "q^0 part of H_0 is singular"},
+        ) from None
     A, aden = _graded_at_one(model, [_components(row) for row in Hm.rows], "H")
 
     def failure(expected, got, detail):
@@ -698,7 +693,7 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
             model, D, i, k, HLaurent.term(want, e), HLaurent.term(have, e), detail
         )
 
-    Q, qden = _qmat_reduced(_qmat_mul(A, inverse, size, order), aden * iden)
+    Q, qden = _qmat_divide(model, (A, aden), (A0, a0den), head_inverse, order)
     identity = {zero: [qden * (e % (size + 1) == 0) for e in range(size * size)]}
     if Q.get(zero) != identity[zero]:
         raise failure((identity, qden), (Q, qden), "q^0 part of Q is not the identity")

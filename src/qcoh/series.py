@@ -36,7 +36,7 @@ from math import factorial, gcd, lcm, prod
 from operator import add
 
 from .algebra import HLaurent, format_ratio, monomial_text, rational
-from .model import CohClass, ModelSpec
+from .model import CohClass, ModelSpec, _integer
 
 
 def _canonical(rows, den):
@@ -119,7 +119,7 @@ class IntSeries:
         self.order = order
         kept = {}
         for D, cls in (terms or {}).items():
-            D = tuple(int(x) for x in D)
+            D = tuple(_integer(x) for x in D)
             if len(D) != model.rank or any(x < 0 for x in D):
                 raise ValueError("bad multidegree %r" % (D,))
             if len(cls.coords) != model.size:
@@ -172,8 +172,9 @@ class IntSeries:
         return self + other.scaled(-1) if self._mixes(other) else NotImplemented
 
     def scaled(self, x):
-        """Scale every coefficient by an int or Fraction."""
-        n, d = Fraction(x).as_integer_ratio()
+        """Scale every coefficient by an exact rational (`algebra.rational`:
+        TypeError for a float)."""
+        n, d = rational(x).as_integer_ratio()
         flat = {D: {key: n * v for key, v in terms.items()} for D, terms in self.flat.items()}
         return self._new(flat, self.den * d)
 

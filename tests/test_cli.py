@@ -256,6 +256,19 @@ def test_jfun_out_file_matches_stdout(capsys, tmp_path):
     assert dest.read_text() == out
 
 
+def assert_unwritable_out_exits_2(capsys, argv, dest):
+    """--out to a path that cannot be written exits 2 naming the path, with
+    nothing on stdout."""
+    code, out, err = run(capsys, argv + ["--out", str(dest)])
+    assert code == 2 and out == ""
+    assert str(dest) in json.loads(err)["error"]
+
+
+def test_jfun_out_to_a_missing_directory_exits_2(capsys, tmp_path):
+    argv = ["jfun", "--model", "cp1", "--solve", "--n", "1"]
+    assert_unwritable_out_exits_2(capsys, argv, tmp_path / "missing" / "x.json")
+
+
 # -- gw -----------------------------------------------------------------------
 
 
@@ -294,6 +307,11 @@ def test_gw_deterministic_and_out(capsys, tmp_path):
     dest = tmp_path / "gw.json"
     code3, out3, _ = run(capsys, args + ["--out", str(dest)])
     assert dest.read_text() == out3 == out1
+
+
+def test_gw_out_to_a_directory_exits_2(capsys, tmp_path):
+    argv = ["gw", "--model", "cp1", "--max-degree", "2"]
+    assert_unwritable_out_exits_2(capsys, argv, tmp_path)
 
 
 def test_gw_bad_degree_exits_2(capsys):

@@ -118,6 +118,13 @@ def test_negative_h_power_rejected():
         QDEOperator(1, {(-1, (0,), (0,)): Fraction(1)})
 
 
+def test_fractional_exponents_rejected():
+    # the q-degree (1.5,) became (1,) and the h exponent 0.9 became 0
+    for key in ((0, (1.5,), (0,)), (0, (0,), (0.5,)), (0.9, (0,), (0,))):
+        with pytest.raises(ValueError, match="not integral"):
+            QDEOperator(1, {key: Fraction(1)})
+
+
 def test_rowspec_requires_trailing_identity(tmp_path):
     good = tmp_path / "rows.txt"
     good.write_text("D1\n1\n")

@@ -422,6 +422,16 @@ def test_quantum_monomial_refuses_a_negative_exponent():
         quantum_monomial(builtin_model("f3"), ORDER, (1, -1))
 
 
+def test_shifted_refuses_a_shift_that_is_not_a_multidegree():
+    # a negative entry stored q^(-1, 0), a short shift a rank-1 key and a
+    # long one dropped its extra entries
+    f3, cp1 = builtin_model("f3"), builtin_model("cp1")
+    assert QElem.unit(f3, 2).shifted((1, 1)).coeff((1, 1)) == f3.basis_class(0)
+    for model, shift in ((f3, (-1, 0)), (f3, (1,)), (cp1, (1, 5)), (cp1, (1.0,))):
+        with pytest.raises(ValueError, match="bad multidegree"):
+            QElem.unit(model, 2).shifted(shift)
+
+
 def test_basis_refuses_an_index_outside_the_basis():
     # -1 would name no class in the output but multiply like the top class
     model = builtin_model("f3")

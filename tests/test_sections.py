@@ -691,33 +691,33 @@ def test_q_factorization_singular_head_is_a_check_failure():
     assert _q_factorization_witness(info)["degree"] == [0, 0]
 
 
-def _perturbed_inverse_witness(monkeypatch, index):
+def _perturbed_quotient_witness(monkeypatch, index):
     """The q-factorization witness of f3 at order 1 when 1 is added to the
-    flat entry `index` of the q^(1, 0) part of the inverse of H_0."""
+    flat entry `index` of the q^(1, 0) part of Q."""
     model = builtin_model("f3")
     rowspec = builtin_rowspec(model)
     Hm = build_H_from_J(model, closed_form(model, 1), rowspec)
-    inverse = sections._qmat_inverse
+    divide = sections._qmat_divide
 
-    def perturbed(model, A, order):
-        out, den = inverse(model, A, order)
+    def perturbed(*args):
+        out, den = divide(*args)
         # matrices are flat int lists over den at h = 1
         D = (1, 0)
         mat = list(out.get(D, [0] * model.size**2))
         mat[index] += den
         return {**out, D: mat}, den
 
-    monkeypatch.setattr(sections, "_qmat_inverse", perturbed)
+    monkeypatch.setattr(sections, "_qmat_divide", perturbed)
     with pytest.raises(CheckFailure) as info:
         q_factorize(model, Hm, rowspec)
     return _q_factorization_witness(info)
 
 
 def test_q_factorization_reconstruction_witness(monkeypatch):
-    """A wrong inverse of H_0 leaves Q h-free at order 1 but breaks
-    Q * H_0 = H; the witness names the first differing entry.  Entry
-    (0, 3), flat index 3, of the q^(1, 0) part carries h^0."""
-    assert _perturbed_inverse_witness(monkeypatch, 3) == {
+    """A wrong Q that stays h-free at order 1 breaks Q * H_0 = H; the
+    witness names the first differing entry.  Entry (0, 3), flat index 3,
+    of the q^(1, 0) part carries h^0."""
+    assert _perturbed_quotient_witness(monkeypatch, 3) == {
         "degree": [1, 0],
         "entry": [0, 3],
         "expected": [],
@@ -728,9 +728,9 @@ def test_q_factorization_reconstruction_witness(monkeypatch):
 
 def test_q_factorization_h_dependent_entry_witness(monkeypatch):
     """Entry (0, 5), flat index 5, of the q^(1, 0) part of a graded matrix
-    carries h^1 for f3 ((6 - 0 - 4) / 2), so a wrong inverse there makes
-    Q depend on h; the witness names that entry with its h power."""
-    assert _perturbed_inverse_witness(monkeypatch, 5) == {
+    carries h^1 for f3 ((6 - 0 - 4) / 2), so a wrong Q there depends on
+    h; the witness names that entry with its h power."""
+    assert _perturbed_quotient_witness(monkeypatch, 5) == {
         "degree": [1, 0],
         "entry": [0, 5],
         "expected": [],
@@ -741,9 +741,10 @@ def test_q_factorization_h_dependent_entry_witness(monkeypatch):
 
 @st.composite
 def qmat_case(draw):
-    """A model, an order, and a random sparse q-matrix series with
+    """A model, an order, a random sparse q-matrix series B with
     denominators up to 7 whose q^0 head, a row permutation of an upper
-    triangular matrix with nonzero diagonal, is invertible."""
+    triangular matrix with nonzero diagonal, is invertible, and a second
+    such series A with any head."""
     model = builtin_model(draw(st.sampled_from(["cp2", "sigma1", "f3"])))
     size, order = model.size, draw(st.integers(1, 3))
     ratio = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 7))
@@ -757,30 +758,50 @@ def qmat_case(draw):
     for (i, k), v in draw(entries).items():
         if i < k:
             head[perm[i]][k] = v
-    series = {(0,) * model.rank: head}
-    for D in sections._degrees_upto(model.rank, order)[1:]:
-        mat = [{} for _ in range(size)]
-        for (i, k), v in draw(entries).items():
-            mat[i][k] = v
-        series[D] = mat
-    return model, order, series
+    zero = (0,) * model.rank
+    B, A = {zero: head}, {}
+    for D in sections._degrees_upto(model.rank, order):
+        for series in (B, A) if any(D) else (A,):
+            mat = [{} for _ in range(size)]
+            for (i, k), v in draw(entries).items():
+                mat[i][k] = v
+            series[D] = mat
+    return model, order, B, A
+
+
+def _flat_over_den(series, size):
+    """A qmat_case series as (flat int matrices, den) over the lcm of its
+    denominators, entry (i, k) at i * size + k."""
+    den = lcm(*(v.denominator for m in series.values() for r in m for v in r.values()))
+    flat = {
+        D: [int(row.get(k, 0) * den) for row in m for k in range(size)]
+        for D, m in series.items()
+    }
+    return flat, den
 
 
 @settings(max_examples=60, deadline=None)
 @given(qmat_case())
-def test_qmat_inverse_is_a_two_sided_inverse_to_the_truncation(case):
-    model, order, series = case
+def test_qmat_divide_solves_q_times_b_equals_a_to_the_truncation(case):
+    model, order, B, A = case
     size, zero = model.size, (0,) * model.rank
-    den = lcm(*(v.denominator for m in series.values() for r in m for v in r.values()))
-    # flat int matrices over den, entry (i, k) at i * size + k
-    A = {
-        D: [int(row.get(k, 0) * den) for row in m for k in range(size)]
-        for D, m in series.items()
+    (B, bden), (A, aden) = _flat_over_den(B, size), _flat_over_den(A, size)
+    head = B[zero]
+    head_inverse = sections._integral(
+        sections._invert_rational_matrix([head[i : i + size] for i in range(0, len(head), size)])
+    )
+    Q, qden = sections._qmat_divide(model, (A, aden), (B, bden), head_inverse, order)
+    # Q * B over qden * bden against A over aden, cross-multiplied
+    product = sections._qmat_mul(Q, B, size, order)
+    assert {D: [v * aden for v in m] for D, m in product.items()} == {
+        D: [v * qden * bden for v in m] for D, m in A.items() if any(m)
     }
-    inverse, iden = sections._qmat_inverse(model, (A, den), order)
-    identity = {zero: [den * iden * (e % (size + 1) == 0) for e in range(size * size)]}
-    assert sections._qmat_mul(A, inverse, size, order) == identity
-    assert sections._qmat_mul(inverse, A, size, order) == identity
+    # with A the unit series, Q is B's two-sided inverse to the truncation
+    unit = {zero: [int(e % (size + 1) == 0) for e in range(size * size)]}
+    inverse, iden = sections._qmat_divide(model, (unit, 1), (B, bden), head_inverse, order)
+    identity = {zero: [bden * iden * v for v in unit[zero]]}
+    assert sections._qmat_mul(B, inverse, size, order) == identity
+    assert sections._qmat_mul(inverse, B, size, order) == identity
 
 
 # -- classical limit ----------------------------------------------------------------

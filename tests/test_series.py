@@ -126,6 +126,24 @@ def test_scaled_multiplies_every_coefficient():
     assert doubled.c[(0,)].coords[1] == HLaurent.const(2)
 
 
+def test_scaled_refuses_a_float():
+    # 0.1 was scaled by its binary value, 3602879701896397/36028797018963968
+    s = CohSeries(builtin_model("cp1"), 3, {(0,): builtin_model("cp1").basis_class(1)})
+    assert s.scaled("1/10") == s.scaled(Fraction(1, 10))
+    with pytest.raises(TypeError, match="rational"):
+        s.scaled(0.1)
+
+
+def test_constructor_refuses_a_fractional_degree():
+    # the degree (1.7,) was stored as (1,)
+    model = builtin_model("cp1")
+    cls = model.basis_class(0)
+    assert CohSeries(model, 2, {(1.0,): cls}) == CohSeries(model, 2, {(1,): cls})
+    for kind in (CohSeries, QElem):
+        with pytest.raises(ValueError, match="not integral"):
+            kind(model, 2, {(1.7,): cls})
+
+
 def test_series_json_sorted_by_degree():
     model = builtin_model("f3")
     cls = model.basis_class(0)
