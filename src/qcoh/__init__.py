@@ -24,7 +24,6 @@ from .operators import (
     builtin_operators,
     builtin_relations,
     builtin_rowspec,
-    defining_count,
     expression_substitutions,
     load_operators,
     load_relations,
@@ -38,7 +37,6 @@ from .quantum import (
     check_flatness,
     eval_relation,
     exp_quantum,
-    quantum_monomial,
 )
 from .sections import (
     CheckFailure,

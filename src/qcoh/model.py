@@ -571,15 +571,15 @@ def _model_cp(m: int) -> ModelSpec:
     )
 
 
-_CP_RE = re.compile(r"^cp\(?(\d+)\)?$")
+_CP_RE = re.compile(r"cp(?:([0-9]+)|\(([0-9]+)\))")
 
 BUILTIN_NAMES = ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1", "gr24")
 
 
 def cp_dimension(name: str):
     """m when `name` names projective m-space (cp<m> or cp(<m>)), else None."""
-    got = _CP_RE.match(name)
-    return int(got.group(1)) if got else None
+    got = _CP_RE.fullmatch(name)
+    return int(got.group(1) or got.group(2)) if got else None
 
 
 def builtin_model(name: str) -> ModelSpec:

@@ -512,11 +512,11 @@ def apply_gauge(op: QDEOperator, s: GaugeSeries) -> GaugeSeries:
     return apply_gauge_many((op,), s)[0]
 
 
-def _apply_t(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
-    """op on a t-polynomial of CohSeries with q_i a constant scalar, by one
+def apply_constq(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
+    """Apply an operator to a t-polynomial of Novikov-series coefficients,
+    with q_i a constant scalar (no t-coupling) and theta_i = h d/dt_i: one
     `_shift_t` over its coefficients in divided powers (the t^e coefficient
-    times e!), on every exponent a term's theta^E shifts one to.  The
-    kernel call behind both `apply_constq` and `apply_classical`."""
+    times e!), on every exponent a term's theta^E shifts one to."""
     if op.rank != model.rank:
         raise ValueError("rank mismatch")
     order = next((cs.order for cs in tp.c.values()), 0)
@@ -539,13 +539,7 @@ def apply_classical(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
     zero = (0,) * op.rank
     if any(k[1] != zero for k in op.c):
         raise ValueError("operator has Novikov terms; take the q-free part first")
-    return _apply_t(op, tp, model)
-
-
-def apply_constq(op: QDEOperator, tp: TPoly, model: ModelSpec) -> TPoly:
-    """Apply an operator to a t-polynomial of Novikov-series coefficients,
-    with q_i a constant scalar (no t-coupling) and theta_i = h d/dt_i."""
-    return _apply_t(op, tp, model)
+    return apply_constq(op, tp, model)
 
 
 # -- shipped expression data ---------------------------------------------
@@ -569,17 +563,14 @@ def _shipped(model: ModelSpec, ext, what):
 
 
 def builtin_operators(model: ModelSpec, defining_only=False):
+    """The operators shipped for the model; with `defining_only`, the first
+    `model.rank` of them, which generate the system (every shipped file
+    lists its defining operators first, one per ring relation)."""
     path, subs = _shipped(model, "ops", "operator file")
     ops = load_operators(path, model.rank, subs)
     if defining_only:
-        return ops[: defining_count(model)]
+        return ops[: model.rank]
     return ops
-
-
-def defining_count(model: ModelSpec) -> int:
-    """How many leading operators in the shipped file generate the system
-    (one per projective space, two for the rank-2 surfaces/flags)."""
-    return 1 if cp_dimension(model.name) else min(2, model.rank + 1)
 
 
 def builtin_rowspec(model: ModelSpec):

@@ -145,17 +145,6 @@ def _word_walk(model: ModelSpec, order: int, exps):
     return _prefix_walk(exps, basis[0], lambda x, i: x * basis[i])
 
 
-def quantum_monomial(model: ModelSpec, order: int, exps) -> QElem:
-    """b_1^{o e_1} o ... o b_r^{o e_r} applied to 1."""
-    exps = tuple(exps)
-    if len(exps) != model.rank:
-        raise ValueError("rank mismatch")
-    if any(e < 0 for e in exps):
-        raise ValueError("negative exponent in %r" % (exps,))
-    ((_, out),) = _word_walk(model, order, (exps,))
-    return out
-
-
 def _weighted(elem: QElem, i: int) -> QElem:
     """elem with its q^D term multiplied by D_i: the action of the Euler
     field d/dt_i on pure q-dependence."""

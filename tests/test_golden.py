@@ -128,6 +128,10 @@ CORPUS = {
     "check-f3-relations": ["check", "--model", "f3", "--relations", "--n", "6"],
     # the builtin tables, pinned byte for byte
     **{"models-show-%s" % m: ["models", "show", m] for m in BUILTIN_NAMES},
+    # cp(<m>) names cp<m>; a name with one parenthesis names no model
+    "models-show-cp-of-3": ["models", "show", "cp(3)"],
+    "models-show-cp-open-paren": ["models", "show", "cp(3"],
+    "models-show-cp-close-paren": ["models", "show", "cp3)"],
     # rational entries: cup entries 1/2 and -1/3, and a quantum table over 2
     # with the builtin f3 cup table; and pairs (i, j) filled from (j, i)
     **{

@@ -3,11 +3,13 @@
 import json
 import os
 import random
+from fnmatch import fnmatch
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import qcoh.model
 from qcoh.algebra import HLaurent
 from qcoh.cli import main
 from qcoh.model import (
@@ -16,10 +18,12 @@ from qcoh.model import (
     ModelError,
     ModelSpec,
     builtin_model,
+    cp_dimension,
     load_model,
     resolve_model,
     save_model,
 )
+from qcoh.operators import builtin_operators, builtin_relations, builtin_rowspec
 from qcoh.sections import _solver_maps
 from reference_tables import model_json, product_tables
 
@@ -137,6 +141,12 @@ def test_describe_writes_unit_coordinates_as_the_label():
     assert CohClass(laurent).describe(labels) == "h*a + (1 + h^-1)*b"
 
 
+def test_cp_dimension_reads_cp_m_or_cp_of_m_only():
+    assert [cp_dimension(n) for n in ("cp3", "cp(3)", "cp12")] == [3, 3, 12]
+    for name in ("cp(3", "cp3)", "cp()", "cp", "xcp3", "cp-1", "cp3\n", "cp\u0663"):
+        assert cp_dimension(name) is None, name
+
+
 def test_cp_dimension_and_top_power():
     # x^m is the top class of CP^m and x * x^m = q * 1 in the quantum ring
     for m in range(1, 6):
@@ -160,12 +170,38 @@ def test_save_load_round_trip(tmp_path, name):
     assert again.to_json() == model.to_json()
 
 
-def test_shipped_model_files_match_builtins():
-    from qcoh.model import data_path
+# -- shipped data files --------------------------------------------------------
 
+ROOT = Path(__file__).resolve().parent.parent
+DATA_FILES = sorted(p for p in (ROOT / "src" / "qcoh" / "data").iterdir() if p.is_file())
+
+
+def test_every_shipped_data_file_is_read_by_a_builtin_lookup(monkeypatch, capsys):
+    # every file read goes through read_cached, which keys _BUILT by path;
+    # a file no lookup reads is a second, unchecked copy of some data
+    monkeypatch.setattr(qcoh.model, "_BUILT", {})
     for name in BUILTIN_NAMES:
-        shipped = load_model(data_path("%s.model" % name))
-        assert shipped.to_json() == builtin_model(name).to_json()
+        model = builtin_model(name)
+        for lookup in (builtin_operators, builtin_relations, builtin_rowspec):
+            try:
+                lookup(model)
+            except LookupError:
+                pass
+        assert main(["classical", "--model", name]) == 0
+    capsys.readouterr()
+    read = {Path(key[0]).resolve() for key in qcoh.model._BUILT}
+    assert [p.name for p in DATA_FILES if p.resolve() not in read] == []
+
+
+def test_every_shipped_data_file_matches_a_package_data_glob():
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    globs = config["tool"]["setuptools"]["package-data"]["qcoh"]
+    unshipped = [
+        p.name for p in DATA_FILES
+        if not any(fnmatch("data/" + p.name, g) for g in globs)
+    ]
+    assert unshipped == []
 
 
 def test_resolve_model_by_path_and_search_path(tmp_path):

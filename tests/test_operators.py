@@ -22,7 +22,6 @@ from qcoh.operators import (
     builtin_operators,
     builtin_relations,
     builtin_rowspec,
-    defining_count,
     load_operators,
     load_relations,
     load_rowspec,
@@ -153,7 +152,8 @@ def test_builtin_operator_files_parse(name, count):
     model = builtin_model(name)
     ops = builtin_operators(model)
     assert len(ops) == count
-    assert len(builtin_operators(model, defining_only=True)) == defining_count(model)
+    defining = {"cp1": 1, "cp3": 1, "f3": 2, "sigma1": 2}[name]
+    assert builtin_operators(model, defining_only=True) == ops[:defining]
 
 
 def test_builtin_rowspec_shapes():
@@ -255,16 +255,16 @@ def test_symbol_map_of_defining_operators_vanishes(name):
 
 @pytest.mark.parametrize("name", ["cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1"])
 def test_defining_operator_symbols_are_the_shipped_relations(name):
-    """The h = 0 symbols of the first `defining_count` shipped operators are
-    the shipped relations, in order, and no later operator's symbol is one:
-    the name-based count matches the data files."""
+    """The h = 0 symbols of the defining operators, the first `rank` in the
+    shipped file, are the shipped relations, in order, and no later
+    operator's symbol is one."""
     model = builtin_model(name)
     symbols = [
         RelPoly(op.rank, {(q, E): v for (h, q, E), v in op.c.items() if not h})
         for op in builtin_operators(model)
     ]
     rels = builtin_relations(model)
-    count = defining_count(model)
+    count = len(builtin_operators(model, defining_only=True))
     assert symbols[:count] == rels
     assert not [s for s in symbols[count:] if s in rels]
 

@@ -19,7 +19,6 @@ from qcoh.quantum import (
     check_flatness,
     eval_relation,
     exp_quantum,
-    quantum_monomial,
 )
 from qcoh.sections import hypergeometric_factors
 from qcoh.series import CohSeries
@@ -413,13 +412,9 @@ def test_quantum_monomial_with_q_shift():
     # q1 * x in the ring: x^3 = q1 x, and q1 o x is x shifted by q1
     q = QElem.unit(model, ORDER).shifted((1,))
     qx = QElem.basis(model, ORDER, 1).shifted((1,))
-    assert quantum_monomial(model, ORDER, (3,)) == qx
-    assert q * quantum_monomial(model, ORDER, (1,)) == qx
-
-
-def test_quantum_monomial_refuses_a_negative_exponent():
-    with pytest.raises(ValueError, match="negative exponent"):
-        quantum_monomial(builtin_model("f3"), ORDER, (1, -1))
+    assert q * QElem.basis(model, ORDER, 1) == qx
+    assert eval_relation(model, parse_relation("b1^3", 1), ORDER) == qx
+    assert eval_relation(model, parse_relation("q1*b1", 1), ORDER) == qx
 
 
 def test_shifted_refuses_a_shift_that_is_not_a_multidegree():

@@ -31,7 +31,7 @@ from qcoh.operators import (
     parse_operator,
     parse_relation,
 )
-from qcoh.quantum import QElem, _exp_words, eval_relation, exp_quantum, quantum_monomial
+from qcoh.quantum import QElem, _exp_words, eval_relation, exp_quantum
 from qcoh.sections import asymptotic_J, closed_form, verify_annihilated
 from qcoh.series import CohSeries, GaugeSeries, _degrees_upto, _shift_t
 
@@ -258,7 +258,7 @@ OTHER_RANK = {
 
 
 @pytest.mark.parametrize(
-    "entry", ("eval_relation", "quantum_monomial", "apply_classical", "apply_constq")
+    "entry", ("eval_relation", "apply_classical", "apply_constq")
 )
 @pytest.mark.parametrize("rank", (1, 3))
 def test_word_and_t_series_appliers_refuse_another_rank(rank, entry):
@@ -266,7 +266,6 @@ def test_word_and_t_series_appliers_refuse_another_rank(rank, entry):
     rel, classical, constq = OTHER_RANK[rank]
     calls = {
         "eval_relation": lambda: eval_relation(model, parse_relation(rel, rank), 3),
-        "quantum_monomial": lambda: quantum_monomial(model, 3, (2,) * rank),
         "apply_classical": lambda: apply_classical(
             parse_operator(classical, rank), asymptotic_J(model), model
         ),
