@@ -6,6 +6,7 @@ from .algebra import HLaurent, NovikovSeries, TPoly
 from .model import (
     BUILTIN_NAMES,
     CohClass,
+    InvalidModel,
     ModelError,
     ModelSpec,
     builtin_model,

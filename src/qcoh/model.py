@@ -72,6 +72,11 @@ class ModelError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+class InvalidModel(ModelError):
+    """Raised when well-formed tables are not a graded commutative ring with
+    unit; `problems` lists every inconsistency found."""
+
+
 class CohClass:
     """A cohomology class as a dense coordinate vector over the basis
     b_0..b_s: the printed and witness form of a series coefficient
@@ -121,9 +126,10 @@ class ModelSpec:
     {D: {k: c}} for b_i o b_j = sum c q^D b_k; a pair that is absent is
     read from its mirror (j, i), else as zero.  It stores them once, as int
     tables over the lcm of their denominators, and builds from them the
-    cup view `integral_action` that the theta kernel reads.
-    Instances are immutable, so one validated model is shared by every
-    caller that loads the same file or builtin (see `read_cached`)."""
+    cup view `integral_action` that the theta kernel reads.  Tables that are
+    not a graded commutative ring with unit raise InvalidModel, so every
+    instance is valid.  Instances are immutable, so one model is shared by
+    every caller that loads the same file or builtin (see `read_cached`)."""
 
     __slots__ = (
         "name",
@@ -185,6 +191,9 @@ class ModelSpec:
         }
         for key, value in fields.items():
             object.__setattr__(self, key, value)
+        problems = self._problems()
+        if problems:
+            raise InvalidModel(problems)
 
     def __setattr__(self, key, value):
         raise AttributeError("a ModelSpec is immutable; cannot set %r" % key)
@@ -250,8 +259,8 @@ class ModelSpec:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self):
-        """Return a list of human-readable problems (empty when consistent)."""
+    def _problems(self):
+        """Human-readable problems of the tables (empty when consistent)."""
         problems = []
         s = self.size
         if len(set(self.labels)) != s:
@@ -382,10 +391,10 @@ class ModelSpec:
         }
 
     @classmethod
-    def from_json(cls, data, check=True):
+    def from_json(cls, data):
         """The model a parsed .model file describes.  A missing or malformed
-        field raises ModelError naming it; with `check`, so does a model
-        that fails `validate`."""
+        field raises ModelError naming it, and inconsistent tables raise
+        InvalidModel."""
         if not isinstance(data, dict):
             raise ModelError("a model is a JSON object, not %s" % type(data).__name__)
         problems = []
@@ -430,7 +439,7 @@ class ModelSpec:
         quantum = {}
         for (i, j, k, D), c in records("quantum"):
             quantum.setdefault((i, j), {}).setdefault(D, {})[k] = c
-        model = cls(
+        return cls(
             name=_field(data, "name", _checked(str), "a string"),
             dim=_field(data, "dim", _integer, "an integer"),
             rank=rank,
@@ -442,11 +451,6 @@ class ModelSpec:
             chern=_field(data, "chern", _int_list, "a list of integers"),
             aliases=_field(data, "aliases", _checked(dict), "an object", default={}),
         )
-        if check:
-            problems = model.validate()
-            if problems:
-                raise ModelError(problems)
-        return model
 
     def __repr__(self):
         return "<ModelSpec %s: dim %d, rank %d, basis %d>" % (
@@ -544,6 +548,7 @@ def _invert_rational_matrix(m):
 # -- builtin models -------------------------------------------------------
 
 
+@cache
 def _model_cp(m: int) -> ModelSpec:
     size = m + 1
     labels = ["1"] + ["x" if k == 1 else "x^%d" % k for k in range(1, size)]
@@ -575,6 +580,9 @@ _CP_RE = re.compile(r"cp(?:([0-9]+)|\(([0-9]+)\))")
 
 BUILTIN_NAMES = ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1", "gr24")
 
+# the largest m of a builtin cp<m>: its tables grow as m^2
+CP_MAX = 64
+
 
 def cp_dimension(name: str):
     """m when `name` names projective m-space (cp<m> or cp(<m>)), else None."""
@@ -583,30 +591,21 @@ def cp_dimension(name: str):
 
 
 def builtin_model(name: str) -> ModelSpec:
-    """A built-in model, validated: cp<m> is built for any positive m, once
-    per process, and the others are read from the shipped data/NAME.model
+    """A built-in model: cp<m> is built for 1 <= m <= CP_MAX, once per
+    process, and the others are read from the shipped data/NAME.model
     with `load_model`."""
     name = name.strip().lower()
     m = cp_dimension(name)
     if m is None and name not in BUILTIN_NAMES:
         raise ModelError("unknown model %r" % name)
-    if m is not None and m < 1:
-        raise ModelError("projective space needs dimension >= 1")
+    if m is not None and not 1 <= m <= CP_MAX:
+        raise ModelError("projective space needs dimension >= 1 and <= %d" % CP_MAX)
     try:
         if m is None:
             return load_model(data_path(name + ".model"))
-        return _projective_space(m)
+        return _model_cp(m)
     except ModelError as exc:
         raise ModelError(["builtin %s failed validation" % name] + exc.problems) from None
-
-
-@cache
-def _projective_space(m: int) -> ModelSpec:
-    model = _model_cp(m)
-    problems = model.validate()
-    if problems:
-        raise ModelError(problems)
-    return model
 
 
 def in_builtin_basis(model: ModelSpec) -> bool:

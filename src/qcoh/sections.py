@@ -212,12 +212,11 @@ def _flat_apply(lmap, X, out, f=1):
 
 
 def _solver_maps(model):
-    """The solver's operators, which depend on the model alone, once every
-    q^D part of b_j o - passes the grading check ("solver-grading"):
+    """The solver's operators, which depend on the model alone:
     commutator[j] maps X to [B_j, X] times qden, mparts[j] holds the maps
     X -> m_{j,D'} X times qden, and duals[l] the (k, n) of a_l over dual_den."""
-    size, degrees = model.size, model.degrees
-    qden, table = model.quantum_rows()
+    size = model.size
+    table = model.quantum_rows()[1]
     commutator, mparts = {}, {}
     for j in range(1, model.rank + 1):
         # the q^D parts of b_j o -: rows mat[r] = {c: n} for the b_r
@@ -230,17 +229,6 @@ def _solver_maps(model):
                     mat[r][c] = n
         commutator[j], mparts[j] = (), []
         for D, mat in sorted(parts.items(), key=lambda p: _degree_order(p[0])):
-            # entry (r, c) of the q^D part of b_j o - may be nonzero only
-            # when deg b_r + deg q^D = deg b_c + 2
-            qdeg = model.qdegree(D)
-            for r, row in enumerate(mat):
-                for c, n in row.items():
-                    if degrees[r] + qdeg != degrees[c] + 2:
-                        detail = "b_%d o b_%d has a b_%d-component that breaks the grading"
-                        raise _check_failure(model, "solver-grading", {
-                            "direction": j, "degree": list(D), "entry": [r, c],
-                            "value": format_ratio(n, qden), "detail": detail % (j, c, r),
-                        })
             if any(D):
                 mparts[j].append((D, _flat_map(size, mat)))
             else:
@@ -269,10 +257,9 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     (i, k) of G_D is a single monomial c * h^e with
     e = (deg b_k - deg b_i - deg q^D) / 2.  The solver therefore computes
     at h = 1 and puts h^e back only when it builds the rows.  This needs a
-    graded model, which `validate()` guarantees; every input entry is
-    checked against the grading first (CheckFailure "solver-grading").
-    Because both sides of each checked equation are homogeneous of one
-    degree, equality at h = 1 is equality over Laurent polynomials in h.
+    graded model, which every ModelSpec is.  Because both sides of each
+    checked equation are homogeneous of one degree, equality at h = 1 is
+    equality over Laurent polynomials in h.
 
     The arithmetic is fraction-free and dense: each G_D is one flat list of
     size * size ints over its own denominator, entry (i, k) at i * size + k.
@@ -408,26 +395,29 @@ def _graded_series(model, order, terms):
     return GaugeSeries._stored(model, order, flat, den)
 
 
-# The hypergeometric factors (class row, charge vector, power p) of each
-# closed-form model; cp<m> has the one factor (x, (1,), m + 1).
+# The hypergeometric factors (class row, power p) of each closed-form
+# model; cp<m> has the one factor (x, m + 1).
 _FACTORS = {
     # F3 as the (1, 1) hypersurface in P^2 x P^2
-    "f3": (({1: 1}, (1, 0), 3), ({2: 1}, (0, 1), 3), ({1: 1, 2: 1}, (1, 1), -1)),
+    "f3": (({1: 1}, 3), ({2: 1}, 3), ({1: 1, 2: 1}, -1)),
     # Sigma_1 as a toric surface; x4 - x1 is the class x2 of the fourth ray
-    "sigma1": (({1: 1}, (1, 0), 2), ({2: 1}, (0, 1), 1), ({1: -1, 2: 1}, (-1, 1), 1)),
+    "sigma1": (({1: 1}, 2), ({2: 1}, 1), ({1: -1, 2: 1}, 1)),
 }
 
 
 def hypergeometric_factors(model: ModelSpec):
     """The factors (class row, charge vector, power p) of the model's
-    hypergeometric J-series; LookupError when it has none."""
+    hypergeometric J-series, charge_i the coefficient of b_i in the class;
+    LookupError when it has none or a class is not in b_1..b_rank."""
     m = cp_dimension(model.name)
-    if m:
-        return (({1: 1}, (1,), m + 1),)
-    try:
-        return _FACTORS[model.name]
-    except KeyError:
-        raise LookupError("no closed-form series for model %r" % model.name) from None
+    factors = (({1: 1}, m + 1),) if m else _FACTORS.get(model.name)
+    if factors is None:
+        raise LookupError("no closed-form series for model %r" % model.name)
+    gens = range(1, model.rank + 1)
+    if any(i not in gens for row, _ in factors for i in row):
+        raise LookupError("the closed-form factors of model %r use classes outside "
+                          "b_1..b_%d" % (model.name, model.rank))
+    return tuple((row, tuple(row.get(i, 0) for i in gens), p) for row, p in factors)
 
 
 def _factor_values(model, factor, order):
@@ -435,8 +425,8 @@ def _factor_values(model, factor, order):
     D> of the degrees D up to the order}, as classes at h = 1, for the
     factor (x, charge, p) with x of degree 2.  For n < 0 this is the finite
     product prod_{k=n+1..0}(x + k)^p, which includes the bare factor x at
-    k = 0, so a negative p needs charges >= 0.  ValueError when x^(dim + 1)
-    is not zero: Z[x]/(x^m) is then not the cohomology ring."""
+    k = 0, so a negative p needs charges >= 0.  x is nilpotent, as every
+    positive-degree class of a graded ring is, so x^(dim + 1) = 0."""
     row, charge, power = factor
     x = QElem._stored(model, 0, {(0,) * model.rank: row}, 1)
     pows = [QElem.unit(model, 0)]
@@ -445,8 +435,6 @@ def _factor_values(model, factor, order):
         if not p:
             break
         pows.append(p)
-    else:
-        raise ValueError("model %r, factor %r: x^(dim + 1) != 0" % (model.name, factor))
     m = len(pows)
 
     def step(value, k, e):
@@ -490,8 +478,7 @@ def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
 
     the inverse of prod_{k=1..n}(x + kh)^p for n = <charge, D> >= 0 and the
     finite product prod_{k=n+1..0}(x + kh)^p for n < 0.  LookupError when
-    the model has no factor list, ValueError when a factor's class x has
-    x^(dim + 1) != 0."""
+    the model has no factor list (`hypergeometric_factors`)."""
     values = [
         (factor[1], _factor_values(model, factor, order))
         for factor in hypergeometric_factors(model)

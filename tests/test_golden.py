@@ -9,8 +9,8 @@ requires the exact stdout bytes and the exit code.
 No command reaches q_factorize, so QFACTOR_CORPUS records the library chain
 closed_form -> build_H_from_J -> q_factorize directly: the Q entries and
 H_0 of each (model, order), in tests/golden/qfactor-<model>-<order>.json.
-VALIDATE_MODELS records the problems `ModelSpec.validate` finds in
-single-record mutants of each model file, in tests/golden/validate-<model>.json.
+VALIDATE_MODELS records the problems InvalidModel lists for single-record
+mutants of each model file, in tests/golden/validate-<model>.json.
 
 Re-record only when an output is meant to change:
 
@@ -29,7 +29,7 @@ import pytest
 
 from qcoh.algebra import format_rational
 from qcoh.cli import _dump, main
-from qcoh.model import BUILTIN_NAMES, ModelSpec, builtin_model, load_model
+from qcoh.model import BUILTIN_NAMES, InvalidModel, ModelSpec, builtin_model, load_model
 from qcoh.operators import builtin_rowspec
 from qcoh.sections import build_H_from_J, closed_form, q_factorize, solve_fundamental
 
@@ -83,6 +83,14 @@ CORPUS = {
     "jfun-diff-q1-doubled-deep": [
         "jfun", "--model", "f3-q1-doubled.model", "--diff", "--n", "3"
     ],
+    # valid tables under the name of a closed-form model of higher rank:
+    # its factor classes use a generator the tables lack, so no closed form
+    **{
+        "jfun-closed-form-%s" % m: [
+            "jfun", "--model", "%s.model" % m, "--closed-form", "--n", "2"
+        ]
+        for m in ("cp2-named-f3", "cp1-named-sigma1")
+    },
     "jfun-f3-verify-inhomogeneous": [
         "jfun", "--model", "f3", "--closed-form", "--verify",
         "inhomogeneous.ops", "--n", "3",
@@ -132,6 +140,8 @@ CORPUS = {
     "models-show-cp-of-3": ["models", "show", "cp(3)"],
     "models-show-cp-open-paren": ["models", "show", "cp(3"],
     "models-show-cp-close-paren": ["models", "show", "cp3)"],
+    # a cp<m> above the builtin limit is refused before it is built
+    "models-show-cp65": ["models", "show", "cp65"],
     # rational entries: cup entries 1/2 and -1/3, and a quantum table over 2
     # with the builtin f3 cup table; and pairs (i, j) filled from (j, i)
     **{
@@ -204,7 +214,7 @@ QFACTOR_CORPUS = {
 }
 
 
-# validate() on single-record mutants of each model's JSON: every cup and
+# Construction on single-record mutants of each model's JSON: every cup and
 # quantum record doubled, zeroed, re-targeted to the next basis element and,
 # off the diagonal, with i and j swapped; every quantum record also raised
 # by one in each coordinate of D.  A mutant that would repeat the entry of
@@ -243,10 +253,18 @@ def _mutants(data):
                 yield "%s[%d] %s" % (table, n, what), {**data, table: mutated}
 
 
+def _problems(data):
+    """The problems InvalidModel lists for the model JSON (none if valid)."""
+    try:
+        ModelSpec.from_json(data)
+    except InvalidModel as exc:
+        return exc.problems
+    return []
+
+
 def _validate(name):
     problems = {
-        label: ModelSpec.from_json(mutant, check=False).validate()
-        for label, mutant in _mutants(builtin_model(name).to_json())
+        label: _problems(mutant) for label, mutant in _mutants(builtin_model(name).to_json())
     }
     return {"model": name, "problems": problems}
 

@@ -15,6 +15,7 @@ from qcoh.cli import main
 from qcoh.model import (
     BUILTIN_NAMES,
     CohClass,
+    InvalidModel,
     ModelError,
     ModelSpec,
     builtin_model,
@@ -42,10 +43,18 @@ MODEL_FACTS = {
 }
 
 
+def _problems(data):
+    """The problems InvalidModel lists when the model JSON is built."""
+    with pytest.raises(InvalidModel) as info:
+        ModelSpec.from_json(data)
+    return info.value.problems
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_models_validate_clean(name):
+    # a fresh instance from the builtin's tables is built without a problem
     model = builtin_model(name)
-    assert model.validate() == []
+    assert ModelSpec.from_json(model.to_json()).to_json() == model.to_json()
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -161,6 +170,14 @@ def test_unknown_builtin_name():
         builtin_model("nonsense")
 
 
+def test_cp_above_the_builtin_limit_is_refused_before_it_is_built(monkeypatch):
+    # cp<m> tables grow as m^2; refusing cp65 must not cost its build
+    assert qcoh.model.CP_MAX == 64
+    monkeypatch.setattr(qcoh.model, "_model_cp", None)
+    with pytest.raises(ModelError, match="dimension >= 1 and <= 64"):
+        builtin_model("cp65")
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_save_load_round_trip(tmp_path, name):
     model = builtin_model(name)
@@ -226,11 +243,7 @@ def test_from_json_missing_field():
 def test_validate_catches_degree_mutation(tmp_path):
     data = builtin_model("cp2").to_json()
     data["basis"][1]["degree"] = 4
-    model = ModelSpec.from_json(data, check=False)
-    problems = model.validate()
-    assert any("degree 2" in p for p in problems)
-    with pytest.raises(ModelError):
-        ModelSpec.from_json(data)
+    assert any("degree 2" in p for p in _problems(data))
 
 
 def test_validate_catches_broken_unit():
@@ -239,8 +252,7 @@ def test_validate_catches_broken_unit():
     for rec in data["cup"]:
         if rec["i"] == 0 and rec["j"] == 1:
             rec["k"] = 2
-    model = ModelSpec.from_json(data, check=False)
-    assert any("unit" in p for p in model.validate())
+    assert any("unit" in p for p in _problems(data))
 
 
 def test_validate_catches_quantum_grading_violation():
@@ -249,15 +261,13 @@ def test_validate_catches_quantum_grading_violation():
     for rec in data["quantum"]:
         if rec["D"] == [1] and rec["i"] == 1 and rec["j"] == 2:
             rec["k"] = 1
-    model = ModelSpec.from_json(data, check=False)
-    assert any("grading" in p for p in model.validate())
+    assert any("grading" in p for p in _problems(data))
 
 
 def test_validate_catches_singular_pairing():
     data = builtin_model("cp1").to_json()
     data["pairing"] = [[0, 0], [0, 0]]
-    model = ModelSpec.from_json(data, check=False)
-    assert any("singular" in p or "grading" in p for p in model.validate())
+    assert any("singular" in p or "grading" in p for p in _problems(data))
 
 
 def test_model_json_is_deterministic(tmp_path):
@@ -336,7 +346,7 @@ def test_malformed_field_raises_model_error_naming_it(path):
     with pytest.raises(ModelError, match=match):
         load_model(path)
     with pytest.raises(ModelError, match=match):
-        ModelSpec.from_json(json.loads(path.read_text()), check=False)
+        ModelSpec.from_json(json.loads(path.read_text()))
 
 
 def test_repeated_cup_record_is_refused():
@@ -344,14 +354,13 @@ def test_repeated_cup_record_is_refused():
     data = builtin_model("cp2").to_json()
     data["cup"].append(dict(data["cup"][1], c=5))
     with pytest.raises(ModelError, match=r"cup record .* repeats \(i, j, k\) = \(0, 1, 1\)"):
-        ModelSpec.from_json(data, check=False)
+        ModelSpec.from_json(data)
 
 
 def test_validate_reports_a_chern_list_of_the_wrong_length_once():
     data = builtin_model("f3").to_json()
     data["chern"] = [2]
-    model = ModelSpec.from_json(data, check=False)
-    assert model.validate() == ["chern list has 1 entries, not rank 2"]
+    assert _problems(data) == ["chern list has 1 entries, not rank 2"]
 
 
 # -- one load per content --------------------------------------------------------
@@ -424,7 +433,7 @@ def test_fractional_basis_degree_is_refused_not_truncated():
     data = builtin_model("cp1").to_json()
     data["basis"][1]["degree"] = 2.9
     with pytest.raises(ModelError, match="basis record .* field 'degree' is not an integer: 2.9"):
-        ModelSpec.from_json(data, check=False)
+        ModelSpec.from_json(data)
     # an integral float is still the integer it spells
     data["basis"][1]["degree"] = 2.0
     assert ModelSpec.from_json(data).degrees == (0, 2)
@@ -445,7 +454,7 @@ def _truncated_basis(name, size):
 )
 def test_validate_reports_a_basis_too_short_for_its_generators(capsys, tmp_path, name, size):
     data = _truncated_basis(name, size)
-    problems = ModelSpec.from_json(data, check=False).validate()
+    problems = _problems(data)
     want = "basis has %d elements, fewer than rank + 1 = %d" % (size, data["rank"] + 1)
     assert problems[0].startswith(want)
     path = tmp_path / "short.model"

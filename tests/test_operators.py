@@ -240,6 +240,22 @@ def test_builtin_operators_missing_for_gr24():
         builtin_operators(builtin_model("gr24"))
 
 
+def test_f3_relations_are_the_quantum_toda_relations():
+    """Givental-Kim: the quantum ring of F3 is cut out by the coefficients
+    of det(lambda + A), A the tridiagonal Toda matrix with diagonal (b1,
+    b2 - b1, -b2), q1 and q2 above it and -1 below it.  The lambda^2
+    coefficient is 0; the lambda^1 and lambda^0 coefficients are minus the
+    shipped relations, in order."""
+    import sympy
+
+    lam, b1, b2, q1, q2 = sympy.symbols("lam b1 b2 q1 q2")
+    A = sympy.Matrix([[b1, q1, 0], [-1, b2 - b1, q2], [0, -1, -b2]])
+    top, *coeffs = sympy.Poly((lam * sympy.eye(3) + A).det(), lam).all_coeffs()
+    assert top == 1 and sympy.expand(coeffs[0]) == 0
+    toda = [parse_relation(str(sympy.expand(-c)).replace("**", "^"), 2) for c in coeffs[1:]]
+    assert toda == builtin_relations(builtin_model("f3"))
+
+
 # -- eval_relation on operators ------------------------------------------------------
 
 

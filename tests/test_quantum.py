@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoh.algebra import HLaurent, NovikovSeries, TPoly, format_rational
-from qcoh.model import BUILTIN_NAMES, CohClass, ModelSpec, builtin_model, load_model
+from qcoh.model import (
+    BUILTIN_NAMES,
+    CohClass,
+    InvalidModel,
+    ModelSpec,
+    builtin_model,
+    load_model,
+)
 from qcoh.operators import RelPoly, builtin_relations, parse_relation
 from qcoh.quantum import (
     QElem,
@@ -272,7 +279,6 @@ def test_charge_relations_fail_on_valid_table_mutants(name, mutate):
     data = builtin_model(name).to_json()
     mutate(data)
     model = ModelSpec.from_json(data)
-    assert model.validate() == []
     assert any(eval_relation(model, rel, ORDER) for rel in charge_relations(model))
 
 
@@ -284,7 +290,7 @@ def test_flatness_fails_on_deformed_product():
         if rec["D"] == [1, 0] and rec["c"] == "1":
             rec["c"] = "2"
             break
-    broken = ModelSpec.from_json(data, check=False)
+    broken = ModelSpec.from_json(data)
     bad_flat = check_flatness(broken, 4)["status"] == "fail"
     bad_assoc = check_associativity(broken, 4)["status"] == "fail"
     assert bad_flat or bad_assoc
@@ -369,29 +375,33 @@ def _deformed_f3():
     return data
 
 
-def _noncommutative_f3():
-    """The JSON of f3 whose b_2 o b_1 has the graded term q1 b_0 that
-    b_1 o b_2 lacks, so the table is not commutative."""
+def test_noncommutative_table_is_refused():
+    # f3 whose b_2 o b_1 has the graded term q1 b_0 that b_1 o b_2 lacks
     data = model_json("f3")
     swapped = [dict(r, i=r["j"], j=r["i"]) for r in data["quantum"] if (r["i"], r["j"]) == (1, 2)]
     swapped.append({"i": 2, "j": 1, "k": 0, "D": [1, 0], "c": "1"})
     data["quantum"] += swapped
-    return data
+    with pytest.raises(InvalidModel) as info:
+        ModelSpec.from_json(data)
+    assert info.value.problems == [
+        "quantum product not commutative at (1,2)",
+        "quantum product not commutative at (2,1)",
+    ]
 
 
 FLATNESS_CASES = [(name, n) for name in BUILTIN_NAMES for n in (3, 4, 5)] + [
     (name + ".model", 4)
     for name in ("f3-rescaled", "f3-nonintegrable", "f3-q1-doubled", "p1xp1-no-q2")
-] + [("deformed-f3", 4), ("noncommutative-f3", 4)]
+] + [("deformed-f3", 4)]
 
 
 @pytest.mark.parametrize("name,order", FLATNESS_CASES)
 def test_flatness_report_matches_the_dense_reference(name, order):
     if name.endswith(".model"):
         model, data = load_model(GOLDEN / name), model_json(name[: -len(".model")])
-    elif name in ("deformed-f3", "noncommutative-f3"):
-        data = {"deformed-f3": _deformed_f3, "noncommutative-f3": _noncommutative_f3}[name]()
-        model = ModelSpec.from_json(data, check=False)
+    elif name == "deformed-f3":
+        data = _deformed_f3()
+        model = ModelSpec.from_json(data)
     else:
         model, data = builtin_model(name), model_json(name)
     assert check_flatness(model, order) == _reference_flatness(model, data, order)
@@ -445,7 +455,6 @@ def test_open_connection_form_is_a_check_failure():
     (rec,) = [r for r in data["quantum"] if (r["i"], r["j"], r["D"]) == (1, 5, [1, 1])]
     rec["c"] = "2"
     model = ModelSpec.from_json(data)
-    assert model.validate() == []
     report = check_flatness(model, ORDER)
     assert report["status"] == "fail"
     first, *_, closed = report["witnesses"]

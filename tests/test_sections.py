@@ -13,6 +13,7 @@ from qcoh.algebra import HLaurent, NovikovSeries, format_rational
 from qcoh.model import (
     BUILTIN_NAMES,
     CohClass,
+    InvalidModel,
     ModelSpec,
     builtin_model,
     load_model,
@@ -164,15 +165,18 @@ def test_factor_values_match_sympy_expansion(name):
             assert list(value.coeff(zero).coords) == want, (factor, n)
 
 
-def test_closed_form_rejects_a_factor_that_is_not_nilpotent():
-    # b1 . b1 = b1 makes x^k = x for every k: Z[x]/(x^m) has no m
+def test_a_generator_that_is_not_nilpotent_is_refused():
+    # b1 . b1 = b1 makes x^k = x for every k, so the closed form's Z[x]/(x^m)
+    # would have no m; the grading refuses the table before any series
     data = builtin_model("cp1").to_json()
     data["cup"].append({"i": 1, "j": 1, "k": 1, "c": 1})
     data["quantum"].append({"i": 1, "j": 1, "k": 1, "D": [0], "c": "1"})
-    model = ModelSpec.from_json(data, check=False)
-    assert model.name == "cp1"
-    with pytest.raises(ValueError, match="cp1"):
-        closed_form(model, 3)
+    with pytest.raises(InvalidModel) as info:
+        ModelSpec.from_json(data)
+    assert info.value.problems == [
+        "cup product b_1.b_1 has a component of wrong degree (b_1)",
+        "term q^(0,) b_1 in b_1 o b_1 violates the grading",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -207,21 +211,29 @@ def test_closed_form_unavailable_for_gr24():
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_hypergeometric_factor_table(name):
-    # sum of p * charge over the factors is c_1, which makes each J_D graded
-    # of degree -deg q^D; a negative power inverts the finite product of a
-    # negative charge, which holds the bare factor x, so it needs charges >= 0
+    # a negative power inverts the finite product of a negative charge,
+    # which holds the bare factor x, so it needs charges >= 0
     model = builtin_model(name)
     if name == "gr24":
         with pytest.raises(LookupError):
             hypergeometric_factors(model)
         return
-    total = (0,) * model.rank
     for x, charge, power in hypergeometric_factors(model):
         assert len(charge) == model.rank
         assert x and {model.degrees[k] for k in x} == {2}
         assert power > 0 or min(charge) >= 0
-        total = tuple(t + power * c for t, c in zip(total, charge))
-    assert total == model.chern
+
+
+@pytest.mark.parametrize("name", ["cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1"])
+def test_factor_list_has_degree_c1(name):
+    # sum of p * class over the factors is c_1 = sum_i chern_i b_i, which
+    # makes each J_D homogeneous of degree -deg q^D
+    model = builtin_model(name)
+    total = [0] * model.size
+    for row, _, power in hypergeometric_factors(model):
+        for k, c in row.items():
+            total[k] += power * c
+    assert total == [0, *model.chern] + [0] * (model.size - model.rank - 1)
 
 
 # -- solver vs closed form ------------------------------------------------------
@@ -256,7 +268,7 @@ def test_solver_detects_non_integrable_deformation():
         if rec["D"] == [1, 0] and rec["c"] == "1":
             rec["c"] = "2"
             break
-    broken = ModelSpec.from_json(data, check=False)
+    broken = ModelSpec.from_json(data)
     with pytest.raises(CheckFailure) as info:
         solve_fundamental(broken, 4)
     report = info.value.report
@@ -283,8 +295,7 @@ def test_solver_consistency_witness_in_the_second_direction(path, qden):
         if r["D"] == [1, 1] and (r["i"], r["j"], r["k"]) == (1, 5, 0)
     ]
     rec["c"] = str(2 * Fraction(rec["c"]))
-    broken = ModelSpec.from_json(data, check=False)
-    assert broken.validate() == []
+    broken = ModelSpec.from_json(data)
     assert broken.quantum_rows()[0] == qden
     with pytest.raises(CheckFailure) as info:
         solve_fundamental(broken, 4)
@@ -324,26 +335,19 @@ def test_solver_entries_are_graded_monomials(name):
                     assert set(v.c) == {e}, (D, i, k, v)
 
 
-def test_solver_rejects_ungraded_model():
+def test_ungraded_quantum_table_is_refused():
+    # x * x^2 = q retargeted onto x: the solver's h = 1 arithmetic needs the
+    # grading, and construction refuses the table in both orders of the pair
     data = builtin_model("cp2").to_json()
-    # the same retargeted x * x^2 = q term that validate() flags
     for rec in data["quantum"]:
         if rec["D"] == [1] and rec["i"] == 1 and rec["j"] == 2:
             rec["k"] = 1
-    broken = ModelSpec.from_json(data, check=False)
-    reports = []
-    # a failed build keeps nothing, so every call checks and fails again
-    for _ in range(2):
-        with pytest.raises(CheckFailure) as info:
-            solve_fundamental(broken, 4)
-        reports.append(info.value.report)
-    report = reports[0]
-    assert reports[1] == report
-    assert report["check"] == "solver-grading"
-    (witness,) = report["witnesses"]
-    assert witness["direction"] == 1
-    assert witness["degree"] == [1]
-    assert witness["entry"] == [1, 2]
+    with pytest.raises(InvalidModel) as info:
+        ModelSpec.from_json(data)
+    assert info.value.problems == [
+        "term q^(1,) b_1 in b_1 o b_2 violates the grading",
+        "term q^(1,) b_1 in b_2 o b_1 violates the grading",
+    ]
 
 
 def _rescaled(model, lam):
@@ -359,7 +363,7 @@ def _rescaled(model, lam):
         [int(g * scale[i] * scale[j]) for j, g in enumerate(row)]
         for i, row in enumerate(data["pairing"])
     ]
-    return ModelSpec.from_json(data, check=False)
+    return ModelSpec.from_json(data)
 
 
 # every builtin table is integral; rescaling the non-divisor classes by
@@ -379,7 +383,6 @@ def test_solver_on_rescaled_basis_with_rational_tables(name, lam):
     data = scaled.to_json()
     records = data["cup"] + [rec for rec in data["quantum"] if any(rec["D"])]
     assert {Fraction(rec["c"]).denominator for rec in records} > {1}
-    assert scaled.validate() == []
     # the classical J starts at the unit, not at the dual of b'_top
     zero = (0,) * model.rank
     assert asymptotic_J(scaled).c[zero].coeff(zero) == scaled.basis_class(0)
