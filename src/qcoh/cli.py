@@ -1,7 +1,11 @@
 """Command-line front end: model management, batch verification, series
 emission, and invariant extraction, with deterministic JSON output.
 
-Exit codes: 0 success, 1 mathematical check failure, 2 usage or I/O error.
+Each command returns its payload, and `main` writes it.  The exit code is
+read from the payload's "status": 0 for "pass", 1 for "fail" (a failed
+mathematical check).  `models list`, `models show` and `gw` carry no status
+and exit 0.  Bad arguments, missing files and I/O errors exit 2 with the
+error on stderr.
 """
 
 import argparse
@@ -24,7 +28,6 @@ from .model import (
     resolve_model,
 )
 from .operators import (
-    ParseError,
     builtin_operators,
     builtin_relations,
     expression_substitutions,
@@ -113,16 +116,6 @@ def _write_json(x, nl, out):
         raise TypeError("cannot write %s as JSON" % type(x).__name__)
 
 
-def _emit(payload, out=None):
-    """Write the payload to `out`, when given, and then to stdout, so a path
-    that cannot be written leaves stdout empty."""
-    text = _dump(payload)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-
-
 def _search_path():
     raw = os.environ.get("QCOH_MODEL_PATH", "")
     return [p for p in raw.split(os.pathsep) if p]
@@ -142,49 +135,47 @@ def _order(args) -> int:
     return args.n
 
 
-def _expression_file(value, model):
-    """Locate an operator/relation file argument: a real path wins, then a
-    shipped data file of the same name."""
-    subs = expression_substitutions(model)
-    if os.path.isfile(value):
-        return value, subs
-    candidate = data_path(value)
-    if candidate.is_file():
-        return candidate, subs
-    raise UsageError("no such expression file: %r" % value)
-
-
-def _load_expressions(value, model, loader, what):
-    """Load the expressions of a file argument; a file that holds none
-    (only blank or comment lines) is a usage error, never an empty pass."""
-    path, subs = _expression_file(value, model)
-    items = loader(path, model.rank, subs)
+def _expressions(value, model, builtin, loader, what):
+    """(items, source) for a --relations or --verify value: builtin(model)
+    for the bare flag, else the expressions of the file (a real path first,
+    then a shipped data file of that name).  A file that holds none (only
+    blank or comment lines) is a usage error, never an empty pass."""
+    if value in (None, _BUILTIN_SENTINEL):
+        return builtin(model), "builtin"
+    path = value if os.path.isfile(value) else data_path(value)
+    if not os.path.isfile(path):
+        raise UsageError("no such expression file: %r" % value)
+    items = loader(path, model.rank, expression_substitutions(model))
     if not items:
         raise UsageError("%s file %r holds no expressions" % (what, value))
-    return items
+    return items, value
+
+
+def _defining_operators(model):
+    """The model's shipped defining operators; none when it ships no file."""
+    try:
+        return builtin_operators(model, defining_only=True)
+    except LookupError:
+        return []
 
 
 # -- models ------------------------------------------------------------------
 
 
 def cmd_models_list(args):
-    _emit({"models": list(BUILTIN_NAMES)})
-    return 0
+    return {"models": list(BUILTIN_NAMES)}
 
 
 def cmd_models_show(args):
     model = _get_model(args.name)
-    _emit(
-        {
-            "name": model.name,
-            "dim": model.dim,
-            "rank": model.rank,
-            "size": model.size,
-            "labels": list(model.labels),
-            "spec": model.to_json(),
-        }
-    )
-    return 0
+    return {
+        "name": model.name,
+        "dim": model.dim,
+        "rank": model.rank,
+        "size": model.size,
+        "labels": list(model.labels),
+        "spec": model.to_json(),
+    }
 
 
 def cmd_models_validate(args):
@@ -202,15 +193,12 @@ def cmd_models_validate(args):
         problems = exc.problems
     except (ModelError, KeyError, TypeError, ValueError) as exc:
         raise UsageError("%r is malformed: %s" % (args.file, exc)) from exc
-    _emit(
-        {
-            "file": args.file,
-            "model": data["name"],
-            "problems": problems,
-            "status": "pass" if not problems else "fail",
-        }
-    )
-    return 0 if not problems else 1
+    return {
+        "file": args.file,
+        "model": data["name"],
+        "problems": problems,
+        "status": "pass" if not problems else "fail",
+    }
 
 
 # -- check -------------------------------------------------------------------
@@ -236,16 +224,12 @@ def cmd_check(args):
     if args.assoc or run_all:
         checks.append(check_associativity(model, order))
     if args.relations is not None or run_all:
-        if args.relations in (None, _BUILTIN_SENTINEL):
-            rels = builtin_relations(model)
-            source = "builtin"
-        else:
-            rels = _load_expressions(args.relations, model, load_relations, "relation")
-            source = args.relations
+        rels, source = _expressions(
+            args.relations, model, builtin_relations, load_relations, "relation"
+        )
         checks.append(_relations_report(model, rels, order, source))
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
-    _emit({"model": model.name, "N": order, "checks": checks, "status": status})
-    return 0 if status == "pass" else 1
+    return {"model": model.name, "N": order, "checks": checks, "status": status}
 
 
 # -- jfun ---------------------------------------------------------------------
@@ -295,18 +279,16 @@ def cmd_jfun(args):
     payload["J"] = J.to_json()
 
     if args.verify is not None:
-        if args.verify == _BUILTIN_SENTINEL:
-            ops = builtin_operators(model)
-        else:
-            ops = _load_expressions(args.verify, model, load_operators, "operator")
+        ops, _ = _expressions(
+            args.verify, model, builtin_operators, load_operators, "operator"
+        )
         report = verify_annihilated(J, ops)
         payload["verification"] = report
         if report["status"] != "pass":
             status = "fail"
 
     payload["status"] = status
-    _emit(payload, args.out)
-    return 0 if status == "pass" else 1
+    return payload
 
 
 # -- gw ------------------------------------------------------------------------
@@ -340,16 +322,12 @@ def cmd_gw(args):
                 if not axiom:
                     rec["note"] = "forced by degree axiom"
                 table.append(rec)
-    _emit(
-        {
-            "model": model.name,
-            "N": order,
-            "max_degree": args.max_degree,
-            "invariants": table,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "model": model.name,
+        "N": order,
+        "max_degree": args.max_degree,
+        "invariants": table,
+    }
 
 
 # -- classical ------------------------------------------------------------------
@@ -377,11 +355,7 @@ def cmd_classical(args):
 
     aj = asymptotic_J(model, E)
     annihilation = []
-    try:
-        ops = builtin_operators(model, defining_only=True)
-    except LookupError:
-        ops = []
-    for op in ops:
+    for op in _defining_operators(model):
         qfree = op.q_free_part()
         residual = apply_classical(qfree, aj, model)
         annihilation.append(
@@ -396,17 +370,14 @@ def cmd_classical(args):
         status = "fail"
     if any(a["status"] == "fail" for a in annihilation):
         status = "fail"
-    _emit(
-        {
-            "model": model.name,
-            "matrix": matjson,
-            "identity_at_origin": identity_ok,
-            "fixture": fixture_status,
-            "annihilation": annihilation,
-            "status": status,
-        }
-    )
-    return 0 if status == "pass" else 1
+    return {
+        "model": model.name,
+        "matrix": matjson,
+        "identity_at_origin": identity_ok,
+        "fixture": fixture_status,
+        "annihilation": annihilation,
+        "status": status,
+    }
 
 
 # -- tilde ------------------------------------------------------------------------
@@ -439,10 +410,7 @@ def cmd_tilde(args):
     torder = args.t_order
     if torder < 2:
         raise UsageError("--t-order must be at least 2")
-    try:
-        ops = builtin_operators(model, defining_only=True)
-    except LookupError:
-        ops = []
+    ops = _defining_operators(model)
     words = _exp_words(model, order, torder)
     residuals = []
     for op in ops:
@@ -480,8 +448,7 @@ def cmd_tilde(args):
         )
     if not ops:
         payload["note"] = "no shipped operators for this model"
-    _emit(payload)
-    return 0 if status == "pass" else 1
+    return payload
 
 
 # -- parser ---------------------------------------------------------------------
@@ -500,6 +467,11 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options that most commands share, added ahead of their own
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True)
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--n", type=int, default=DEFAULT_N, help="Novikov order")
 
     p_models = sub.add_parser("models", help="list, inspect, validate models")
     msub = p_models.add_subparsers(dest="action", required=True)
@@ -513,10 +485,10 @@ def _build_parser():
     m_val.set_defaults(func=cmd_models_validate)
 
     p_check = sub.add_parser(
-        "check", help="flatness, associativity, and ring-relation checks"
+        "check",
+        parents=[model, order],
+        help="flatness, associativity, and ring-relation checks",
     )
-    p_check.add_argument("--model", required=True)
-    p_check.add_argument("--n", type=int, default=DEFAULT_N, help="Novikov order")
     p_check.add_argument("--flatness", action="store_true")
     p_check.add_argument("--assoc", action="store_true")
     p_check.add_argument(
@@ -530,10 +502,8 @@ def _build_parser():
     p_check.set_defaults(func=cmd_check)
 
     p_jfun = sub.add_parser(
-        "jfun", help="construct and verify the J-series"
+        "jfun", parents=[model, order], help="construct and verify the J-series"
     )
-    p_jfun.add_argument("--model", required=True)
-    p_jfun.add_argument("--n", type=int, default=DEFAULT_N, help="Novikov order")
     p_jfun.add_argument("--closed-form", action="store_true")
     p_jfun.add_argument("--solve", action="store_true")
     p_jfun.add_argument(
@@ -553,25 +523,24 @@ def _build_parser():
     p_jfun.set_defaults(func=cmd_jfun)
 
     p_gw = sub.add_parser(
-        "gw", help="two-point descendent invariant table"
+        "gw", parents=[model, order], help="two-point descendent invariant table"
     )
-    p_gw.add_argument("--model", required=True)
-    p_gw.add_argument("--n", type=int, default=DEFAULT_N, help="Novikov order")
     p_gw.add_argument("--max-degree", type=int, required=True)
     p_gw.add_argument("--out", default=None, help="also write the JSON here")
     p_gw.set_defaults(func=cmd_gw)
 
     p_cl = sub.add_parser(
-        "classical", help="constant-coefficient limit of the solution matrix"
+        "classical",
+        parents=[model],
+        help="constant-coefficient limit of the solution matrix",
     )
-    p_cl.add_argument("--model", required=True)
     p_cl.set_defaults(func=cmd_classical)
 
     p_tilde = sub.add_parser(
-        "tilde", help="quantum exponential in t and its defining equations"
+        "tilde",
+        parents=[model, order],
+        help="quantum exponential in t and its defining equations",
     )
-    p_tilde.add_argument("--model", required=True)
-    p_tilde.add_argument("--n", type=int, default=DEFAULT_N, help="Novikov order")
     p_tilde.add_argument(
         "--t-order", type=int, default=DEFAULT_L, help="t truncation order"
     )
@@ -581,15 +550,25 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one command: write its payload to --out, when given, and then to
+    stdout, so a path that cannot be written leaves stdout empty.  A failed
+    check's report goes to stdout only; bad input goes to stderr."""
     args = _build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        return args.func(args)
-    except CheckFailure as exc:
-        _emit({"report": exc.report, "status": "fail"})
-        return 1
-    except (UsageError, ModelError, ParseError, OSError, ValueError, LookupError) as exc:
+        try:
+            payload = args.func(args)
+        except CheckFailure as exc:
+            payload, out = {"report": exc.report, "status": "fail"}, None
+        text = _dump(payload)
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        sys.stdout.write(text)
+    except (UsageError, OSError, ValueError, LookupError) as exc:
         sys.stderr.write(_dump({"error": str(exc)}))
         return 2
+    return 1 if payload.get("status") == "fail" else 0
 
 
 if __name__ == "__main__":

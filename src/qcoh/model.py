@@ -266,13 +266,14 @@ class ModelSpec:
         if len(set(self.labels)) != s:
             problems.append("basis labels are not distinct")
         if len(self.degrees) != s:
-            problems.append("degree list length != basis size")
+            # every check below reads one degree per basis element
+            return problems + ["degree list length != basis size"]
         if s < self.rank + 1:
             problems.append(
                 "basis has %d elements, fewer than rank + 1 = %d (the unit "
                 "and the generators)" % (s, self.rank + 1)
             )
-        elif len(self.degrees) == s:
+        else:
             if self.degrees[0] != 0:
                 problems.append("b_0 must have degree 0")
             if sum(1 for d in self.degrees if d == 0) != 1:

@@ -502,7 +502,8 @@ def test_console_entry_point_installed():
 
 def test_shared_parser_keeps_no_state_between_calls(capsys):
     """main builds its parser once; a sequence of calls in one process,
-    including an argparse usage error, prints what fresh processes print."""
+    including an argparse usage error, prints what fresh processes print,
+    and exits as they do with each of the codes 0, 1 and 2."""
     import subprocess
     import sys
 
@@ -510,11 +511,14 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(qcoh.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    doubled = str(Path(__file__).resolve().parent / "golden" / "f3-q1-doubled.model")
     calls = (
         ["check", "--model", "cp1", "--relations", "cpm.rel"],
         ["check", "--model", "cp1"],
         ["check", "--model", "cp1", "--n"],
         ["tilde", "--model", "cp1"],
+        ["jfun", "--model", doubled, "--diff", "--n", "2"],
+        ["jfun", "--model", "cp1", "--solve", "--n", "-1"],
     )
     results = []
     for argv in calls:
@@ -522,13 +526,13 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-        results.append((code, capsys.readouterr().out))
+        results.append((code, *capsys.readouterr()))
         fresh = subprocess.run(
             [sys.executable, "-m", "qcoh.cli", *argv],
             capture_output=True, text=True, env=env,
         )
-        assert results[-1] == (fresh.returncode, fresh.stdout), argv
-    assert [code for code, _ in results] == [0, 0, 2, 0]
+        assert results[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [code for code, _, _ in results] == [0, 0, 2, 0, 1, 2]
     # the plain check runs every check, not only the relations of the call
     # before it
     checks = json.loads(results[1][1])["checks"]

@@ -334,6 +334,13 @@ def record():
 def test_golden_output(name):
     stored = json.loads((GOLDEN / ("%s.json" % name)).read_text(encoding="utf-8"))
     assert stored["argv"] == CORPUS[name]
+    # the exit code follows the payload: 2 for an error on stderr, else 1
+    # exactly when the stdout "status" is "fail"
+    if stored["stderr"] is not None:
+        assert stored["exit"] == 2
+    else:
+        status = stored["stdout"].get("status", "pass")
+        assert stored["exit"] == (0 if status == "pass" else 1)
     code, out, err = _run(stored["argv"])
     assert code == stored["exit"]
     assert out == ("" if stored["stdout"] is None else _dump(stored["stdout"]))

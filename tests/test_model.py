@@ -363,6 +363,19 @@ def test_validate_reports_a_chern_list_of_the_wrong_length_once():
     assert _problems(data) == ["chern list has 1 entries, not rank 2"]
 
 
+@pytest.mark.parametrize("degrees", [[0], [0, 2, 4]], ids=["shorter", "longer"])
+def test_constructor_reports_a_degree_list_of_the_wrong_length(degrees):
+    # the constructor takes labels and degrees as two lists (from_json
+    # builds both from the same basis records), so their lengths can differ
+    cup = {(0, 0): {0: 1}, (0, 1): {1: 1}}
+    quantum = {(0, 0): {(0,): {0: 1}}, (0, 1): {(0,): {1: 1}}, (1, 1): {(1,): {0: 1}}}
+    args = ("p1", 1, 1, ["1", "x"], [0, 2], [[0, 1], [1, 0]], cup, quantum, [2])
+    assert ModelSpec(*args).to_json() == builtin_model("cp1").to_json() | {"name": "p1"}
+    with pytest.raises(InvalidModel) as info:
+        ModelSpec(*args[:4], degrees, *args[5:])
+    assert "degree list length != basis size" in info.value.problems
+
+
 # -- one load per content --------------------------------------------------------
 
 
