@@ -186,6 +186,8 @@ def cmd_models_validate(args):
         raise UsageError("cannot read %r: %s" % (args.file, exc)) from exc
     except json.JSONDecodeError as exc:
         raise UsageError("%r is not valid JSON: %s" % (args.file, exc)) from exc
+    except RecursionError:
+        raise UsageError("%r has JSON nested too deeply" % args.file) from None
     try:
         ModelSpec.from_json(data)
         problems = []
@@ -561,7 +563,7 @@ def main(argv=None) -> int:
         except CheckFailure as exc:
             payload, out = {"report": exc.report, "status": "fail"}, None
         text = _dump(payload)
-        if out:
+        if out is not None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         sys.stdout.write(text)

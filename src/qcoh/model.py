@@ -627,6 +627,8 @@ def _model_from_bytes(data: bytes) -> ModelSpec:
         parsed = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelError("not valid JSON: %s" % exc) from exc
+    except RecursionError:
+        raise ModelError("JSON nested too deeply") from None
     return ModelSpec.from_json(parsed)
 
 

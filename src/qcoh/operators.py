@@ -288,8 +288,13 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive-descent parser over +, -, *, ^, parentheses; exponents are
-    nonnegative integer literals; multiplication is always explicit."""
+    """Recursive-descent parser with one precedence table, tightest first:
+    atoms (an integer, a name, a bracketed expression); `^` with a
+    nonnegative integer literal; unary `-`; `*` and `/`, left to right,
+    where a divisor must evaluate to a nonzero constant; binary `+` and `-`,
+    after one optional leading `+`.  Multiplication is always explicit.  So
+    `2*-D1^2` is -2*D1^2, `q1 - -b1^2` is q1 + b1^2 and `3/4^2*b1` is
+    3/16*b1, as in Python with `**` for `^`."""
 
     def __init__(self, text, kind, rank):
         self.tokens = _tokenize(text)
@@ -305,84 +310,70 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, symbol):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != symbol:
-            raise ParseError("expected %r" % symbol, pos)
-        return self.take()
+    def take_op(self, symbols):
+        """The next token's symbol, taken, when it is an operator in
+        `symbols`; else None."""
+        kind, val, _ = self.peek()
+        if kind == "op" and val in symbols:
+            self.pos += 1
+            return val
+        return None
 
     def parse(self):
-        out = self.expr()
+        try:
+            out = self.expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply") from None
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError("unexpected %r" % val, pos)
         return out
 
     def expr(self):
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.take()
-            negate = val == "-"
+        self.take_op("+")
         out = self.term()
-        if negate:
-            out = -out
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                nxt = self.term()
-                out = out - nxt if val == "-" else out + nxt
-            else:
-                return out
+        while op := self.take_op("+-"):
+            nxt = self.term()
+            out = out - nxt if op == "-" else out + nxt
+        return out
 
     def term(self):
-        out = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                out = out * self.factor()
-            else:
-                return out
+        out = self.unary()
+        while op := self.take_op("*/"):
+            pos = self.peek()[2]
+            nxt = self.unary()
+            if op == "/":
+                zero = (0,) * self.rank
+                if set(nxt.c) != {(0, zero, zero)}:
+                    raise ParseError("divisor must be a nonzero constant", pos)
+                nxt = 1 / nxt.c[0, zero, zero]
+            out = out * nxt
+        return out
 
-    def factor(self):
+    def unary(self):
+        if self.take_op("-"):
+            return -self.unary()
         base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            kind, val, pos = self.peek()
+        if self.take_op("^"):
+            kind, val, pos = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", pos)
-            self.take()
             return base ** int(val)
         return base
 
     def atom(self):
         kind, val, pos = self.take()
         if kind == "int":
-            num = int(val)
-            kind2, val2, _ = self.peek()
-            if kind2 == "op" and val2 == "/":
-                self.take()
-                kind3, val3, pos3 = self.peek()
-                if kind3 != "int":
-                    raise ParseError("denominator must be an integer literal", pos3)
-                self.take()
-                if int(val3) == 0:
-                    raise ParseError("zero denominator", pos3)
-                return self.kind.const(self.rank, Fraction(num, int(val3)))
-            return self.kind.const(self.rank, Fraction(num))
+            return self.kind.const(self.rank, Fraction(int(val)))
         if kind == "name":
             if not _NAME_RE.match(val):
                 raise ParseError("unknown symbol %r" % val, pos)
             return _symbol(self.kind, self.rank, val, pos)
         if kind == "op" and val == "(":
             out = self.expr()
-            self.expect_op(")")
+            if not self.take_op(")"):
+                raise ParseError("expected ')'", self.peek()[2])
             return out
-        if kind == "op" and val == "-":
-            return -self.atom()
         raise ParseError("unexpected %r" % (val or "end of input"), pos)
 
 

@@ -87,6 +87,58 @@ def test_models_validate_broken_model_exits_1(capsys, tmp_path):
     assert report["status"] == "fail" and report["problems"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["check", "--model", "cp1", "--relations", "{tmp}/none.rel"],
+            "no such expression file: '{tmp}/none.rel'",
+        ),
+        (
+            ["jfun", "--model", "cp1", "--closed-form", "--verify", "{tmp}/none.ops"],
+            "no such expression file: '{tmp}/none.ops'",
+        ),
+        (
+            ["models", "validate", "{tmp}"],
+            "cannot read '{tmp}': [Errno 21] Is a directory: '{tmp}'",
+        ),
+    ],
+    ids=["relations", "verify", "validate"],
+)
+def test_unreadable_input_exits_2_naming_it(capsys, tmp_path, argv, message):
+    code, out, err = run(capsys, [a.format(tmp=tmp_path) for a in argv])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == message.format(tmp=tmp_path)
+
+
+DEEP = {
+    "brackets.ops": "(" * 3000 + "D1^2 - q1" + ")" * 3000 + "\n",
+    "minus-signs.ops": "-" * 3000 + "D1\n",
+    "nested.model": "[" * 100000 + "]" * 100000,
+}
+VERIFY = ["jfun", "--model", "cp1", "--closed-form", "--verify"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (VERIFY + ["brackets.ops"], "expression nested too deeply"),
+        (VERIFY + ["minus-signs.ops"], "expression nested too deeply"),
+        (["models", "show", "nested.model"], "cannot load model {path!r}: JSON nested too deeply"),
+        (["models", "validate", "nested.model"], "{path!r} has JSON nested too deeply"),
+    ],
+    ids=["brackets", "minus-signs", "show", "validate"],
+)
+def test_deep_nesting_exits_2(capsys, tmp_path, argv, message):
+    """Input nested past the recursion limit is bad input, not a crash."""
+    name = argv[-1]
+    path = tmp_path / name
+    path.write_text(DEEP[name])
+    code, out, err = run(capsys, argv[:-1] + [str(path)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == message.format(path=str(path))
+
+
 def test_models_validate_non_json_exits_2(capsys, tmp_path):
     path = tmp_path / "junk.model"
     path.write_text("{ not json")
@@ -267,6 +319,21 @@ def assert_unwritable_out_exits_2(capsys, argv, dest):
 def test_jfun_out_to_a_missing_directory_exits_2(capsys, tmp_path):
     argv = ["jfun", "--model", "cp1", "--solve", "--n", "1"]
     assert_unwritable_out_exits_2(capsys, argv, tmp_path / "missing" / "x.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jfun", "--model", "cp1", "--solve", "--n", "1"],
+        ["gw", "--model", "cp1", "--max-degree", "2"],
+    ],
+    ids=["jfun", "gw"],
+)
+def test_empty_out_exits_2(capsys, argv):
+    # an empty path is a path that cannot be written, not a missing --out
+    code, out, err = run(capsys, argv + ["--out", ""])
+    assert code == 2 and out == ""
+    assert "error" in json.loads(err)
 
 
 # -- gw -----------------------------------------------------------------------

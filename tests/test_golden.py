@@ -151,6 +151,14 @@ CORPUS = {
     "check-relations-failing": [
         "check", "--model", "f3", "--relations", "wrong-f3.rel", "--n", "3"
     ],
+    # lines that hold only when unary minus binds looser than ^ and tighter
+    # than * and /, and a divisor is a whole factor
+    "check-relations-signs": [
+        "check", "--model", "cp1", "--relations", "signs.rel", "--n", "4"
+    ],
+    "jfun-closed-form-verify-signs": [
+        "jfun", "--model", "cp1", "--closed-form", "--verify", "signs.ops", "--n", "4"
+    ],
     # the non-integrable f3 is not associative: tilde fails its constant-q
     # equations, with witnesses written by the shift, and check names the
     # failing triples, with witnesses written by QElem.describe

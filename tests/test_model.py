@@ -240,6 +240,67 @@ def test_from_json_missing_field():
         ModelSpec.from_json({"name": "x"})
 
 
+def _set(*path_and_value):
+    """A mutation of model JSON that sets data[p0][p1]... to the value and
+    returns the data."""
+    *path, key, value = path_and_value
+
+    def mutate(data):
+        record = data
+        for p in path:
+            record = record[p]
+        record[key] = value
+        return data
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "name, mutate, message",
+    [
+        ("cp2", _set("basis", 2, "label", "x"), "basis labels are not distinct"),
+        ("cp2", _set("basis", 0, "degree", 2), "b_0 must have degree 0"),
+        (
+            "cp2",
+            _set("basis", 2, "degree", 0),
+            "the unit must be the only degree-0 basis element",
+        ),
+        (
+            "cp2",
+            _set("basis", 2, "degree", 6),
+            "last basis element must have top degree 2*dim",
+        ),
+        (
+            "cp2",
+            _set("pairing", [[0, 0, 1], [0, 1, 0]]),
+            "pairing matrix is not (s+1)x(s+1)",
+        ),
+        ("cp2", _set("pairing", 0, 1, 1), "pairing not symmetric at (0,1)"),
+        ("cp1", _set("quantum", 2, "D", [-1]), "bad multidegree (-1,) in product (1,1)"),
+        (
+            "cp1",
+            _set("cup", 0, "k", 7),
+            "cup record {'i': 0, 'j': 0, 'k': 7, 'c': 1} out of range",
+        ),
+        (
+            "cp1",
+            _set("quantum", 0, "D", [0, 0]),
+            "quantum record {'i': 0, 'j': 0, 'k': 0, 'D': [0, 0], 'c': '1'} has wrong rank",
+        ),
+        ("cp1", lambda data: list(data), "a model is a JSON object, not list"),
+    ],
+    ids=[
+        "labels", "unit-degree", "second-degree-0", "top-degree", "pairing-shape",
+        "pairing-symmetry", "multidegree", "out-of-range", "wrong-rank", "not-an-object",
+    ],
+)
+def test_model_json_problems_are_named(name, mutate, message):
+    data = mutate(builtin_model(name).to_json())
+    with pytest.raises(ModelError) as info:
+        ModelSpec.from_json(data)
+    assert message in info.value.problems
+
+
 def test_validate_catches_degree_mutation(tmp_path):
     data = builtin_model("cp2").to_json()
     data["basis"][1]["degree"] = 4

@@ -87,6 +87,25 @@ def test_parser_precedence_and_unary_minus():
     assert op == parse_operator("2*D1 - D1^2", 1)
     op = parse_operator("3/6*D1", 1)
     assert op == parse_operator("1/2*D1", 1)
+    # unary minus binds looser than ^ and tighter than * and /, wherever it
+    # stands, and a divisor is a whole factor
+    assert parse_relation("2*-b1^2", 1) == RelPoly(1, {((0,), (2,)): -2})
+    assert parse_relation("q1 - -b1^2", 1) == RelPoly(1, {((1,), (0,)): 1, ((0,), (2,)): 1})
+    assert parse_relation("3/4^2*b1", 1) == RelPoly(1, {((0,), (1,)): Fraction(3, 16)})
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("D1/2", "1/2*D1"), ("1/2/3", "1/6"), ("2/-3", "-2/3"), ("q1/(1 + 1)^2", "1/4*q1")],
+)
+def test_division_by_a_constant(text, value):
+    assert str(parse_operator(text, 1)) == value
+
+
+@pytest.mark.parametrize("text", ["1/D1", "1/0", "D1/(q1 - q1)", "1/h"])
+def test_divisor_must_be_a_nonzero_constant(text):
+    with pytest.raises(ParseError, match="^divisor must be a nonzero constant"):
+        parse_operator(text, 1)
 
 
 def test_parser_rejects_malformed_input():
@@ -300,7 +319,8 @@ def test_eval_relation_drops_h_terms():
 @st.composite
 def relation_texts(draw, rank, depth=1):
     """A sum of products of q_i, b_i, rational constants and bracketed
-    sums (`depth` levels deep), each factor possibly raised to a power."""
+    sums (`depth` levels deep), each factor possibly raised to a power and
+    negated, and each product possibly divided by a nonzero constant."""
     terms = []
     for _ in range(draw(st.integers(1, 3))):
         factors = []
@@ -314,8 +334,11 @@ def relation_texts(draw, rank, depth=1):
                 factor = "%s%d" % (kind, draw(st.integers(1, rank)))
             if draw(st.booleans()):
                 factor += "^%d" % draw(st.integers(0, 2))
-            factors.append(factor)
-        terms.append((draw(st.sampled_from("+-")), "*".join(factors)))
+            factors.append(draw(st.sampled_from(("", "-"))) + factor)
+        product = "*".join(factors)
+        if draw(st.booleans()):
+            product += "/%s%d" % (draw(st.sampled_from(("", "-"))), draw(st.integers(1, 4)))
+        terms.append((draw(st.sampled_from("+-")), product))
     return " ".join("%s %s" % term for term in terms)
 
 
@@ -334,6 +357,22 @@ def test_relation_is_the_h0_symbol_of_its_operator(case):
     assert all(hexp == 0 for hexp, _, _ in rel.c)
     assert rel.c == {key: v for key, v in op.c.items() if key[0] == 0}
     assert parse_relation(str(rel), rank) == rel
+
+
+@settings(max_examples=40, deadline=None)
+@given(ranked_relation_texts())
+def test_relation_parses_as_sympy_reads_it(case):
+    """The parser's precedence is Python's, `^` read as `**`."""
+    import sympy
+
+    rank, text = case
+    got = 0
+    for (_, qdeg, bexp), v in parse_relation(text, rank).c.items():
+        term = sympy.Rational(v.numerator, v.denominator)
+        for i, (d, e) in enumerate(zip(qdeg, bexp), 1):
+            term *= sympy.Symbol("q%d" % i) ** d * sympy.Symbol("b%d" % i) ** e
+        got += term
+    assert sympy.expand(got - sympy.sympify(text.replace("^", "**"))) == 0, text
 
 
 # -- application soundness ------------------------------------------------------------

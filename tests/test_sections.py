@@ -16,6 +16,7 @@ from qcoh.model import (
     InvalidModel,
     ModelSpec,
     builtin_model,
+    cp_dimension,
     load_model,
     save_model,
 )
@@ -918,6 +919,26 @@ def test_asymptotic_J_is_last_row(name):
                     want = want + lau * model.pairing[m][k]
             got = HLaurent.term(Fraction(mat[k * size + model.top], den) * top, -sum(e))
             assert got == want, (e, k)
+
+
+@pytest.mark.parametrize(
+    "name", BUILTIN_NAMES + tuple(sorted(p.name for p in GOLDEN.glob("*.model")))
+)
+def test_solver_commutators_are_nilpotent(name):
+    """B_j raises degree by 2, so (ad B_j)^(2 size - 1) sends every basis
+    matrix to 0 and the solver's geometric sum stops by then; the bound is
+    reached on cp<m>, whose b_1^m is the top class."""
+    model = load_model(GOLDEN / name) if name.endswith(".model") else builtin_model(name)
+    size = model.size
+    steps = 0
+    for commutator in sections._solver_maps(model)[0].values():
+        for e in range(size * size):
+            X, depth = [int(k == e) for k in range(size * size)], 0
+            while any(X) and depth < 2 * size:
+                X, depth = sections._flat_apply(commutator, X, [0] * (size * size)), depth + 1
+            assert depth <= 2 * size - 1, (name, e)
+            steps = max(steps, depth)
+    assert steps == 2 * size - 1 or not cp_dimension(name), steps
 
 
 # -- descendent extraction ---------------------------------------------------------
