@@ -73,6 +73,14 @@ CORPUS = {
     "gw-rescaled-max-degree-3": [
         "gw", "--model", "f3-rescaled.model", "--max-degree", "3"
     ],
+    # cp1 with labels JSON must escape (a quote, a backslash, non-ASCII
+    # text), the unit's label sorting after the hyperplane's
+    "gw-quoted-labels-max-degree-3": [
+        "gw", "--model", "quoted-labels.model", "--max-degree", "3"
+    ],
+    "jfun-quoted-labels-solve": [
+        "jfun", "--model", "quoted-labels.model", "--solve", "--n", "4"
+    ],
     # f3 with every q^D term scaled by 2^d1: a valid, integrable model whose
     # J is not the f3 closed form, so --diff fails with a witness at q^(1,0)
     "jfun-diff-q1-doubled": [
