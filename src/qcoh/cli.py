@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quoted
 
@@ -69,11 +68,62 @@ def _dump(payload) -> str:
     """payload and a newline, byte for byte as json.dumps(payload,
     indent=1, sort_keys=True) writes them, without the pure-Python encoder
     that an indent selects.  It writes dicts with str keys, lists, tuples,
-    str, int, bool and None, and raises TypeError on anything else."""
+    str, int, bool and None, and raises TypeError on anything else.
+
+    Two payload shapes have record writers, each one `%` template per
+    record: a `_GWTable` (gw's invariant records) and a `_JSeries` (the
+    records of jfun's "J").  Every other payload takes the generic walk."""
     out = []
     _write_json(payload, "\n", out.append)
     out.append("\n")
     return "".join(out)
+
+
+class _GWTable(list):
+    """gw's invariant records, written by `_gw_writer`."""
+
+
+class _JSeries(list):
+    """The records of a J-series, written by `_j_writer`."""
+
+
+def _gw_writer(nl):
+    """The writer of one record {"D": [int], "axiom": bool, "j_label": str,
+    "n": int, "note": str when not axiom, "value": str} at the newline and
+    indent nl.  D is never empty: gw lists only positive degrees."""
+    i1 = nl + " "
+    # each "~" is the indent of a key, so "~ " is the indent of D's entries
+    template = '{~"D": [~ %s~],~"axiom": %s,~"j_label": %s,~"n": %d,~%s"value": %s'
+    template = template.replace("~", i1) + nl + "}"
+    dsep, note = "," + i1 + " ", '"note": %s,' + i1
+    return lambda r: template % (
+        dsep.join(map(str, r["D"])), "true" if r["axiom"] else "false", _quoted(r["j_label"]),
+        r["n"], note % _quoted(r["note"]) if "note" in r else "", _quoted(r["value"]),
+    )
+
+
+def _j_writer(nl):
+    """The writer of one record {"coeffs": {label: [[x, "v"], ...]},
+    "degree": [int]} at the newline and indent nl, with the coeffs and every
+    list of pairs nonempty; it sorts the labels itself."""
+    i1, i2, i3, i4 = (nl + " " * k for k in range(1, 5))
+    template = '{~"coeffs": {%s~},~"degree": %s'.replace("~", i1) + nl + "}"
+    label, pair = "%s: [" + i3 + "%s" + i2 + "]", "[~%d,~%s".replace("~", i4) + i3 + "]"
+    sep, psep = "," + i2, "," + i3
+
+    def write(r):
+        c, D = r["coeffs"], r["degree"]
+        body = sep.join([
+            label % (_quoted(k), psep.join([pair % (x, _quoted(v)) for x, v in c[k]]))
+            for k in sorted(c)
+        ])
+        degree = "[" + i2 + sep.join(map(str, D)) + i1 + "]" if D else "[]"
+        return template % (i2 + body, degree)
+
+    return write
+
+
+_RECORD_WRITERS = {_GWTable: _gw_writer, _JSeries: _j_writer}
 
 
 def _write_json(x, nl, out):
@@ -107,6 +157,10 @@ def _write_json(x, nl, out):
             return
         inner = nl + " "
         sep = "[" + inner
+        writer = _RECORD_WRITERS.get(type(x))
+        if writer is not None:
+            out(sep + ("," + inner).join(map(writer(inner), x)) + nl + "]")
+            return
         for v in x:
             out(sep)
             _write_json(v, inner, out)
@@ -278,7 +332,7 @@ def cmd_jfun(args):
     else:
         J, construction = solved, "solve"
     payload["construction"] = construction
-    payload["J"] = J.to_json()
+    payload["J"] = _JSeries(J.to_json())
 
     if args.verify is not None:
         ops, _ = _expressions(
@@ -306,19 +360,18 @@ def cmd_gw(args):
     # each record sits at the one level the degree axiom allows: (D, j) names it
     records = extract_descendents(model, Hm, args.max_degree)
     found = {(tuple(r["degree"]), r["j"]): r["value"] for r in records}
-    table = []
+    table = _GWTable()
     for D in _degrees_upto(model.rank, args.max_degree)[1:]:
         # allowed[j]: the one level the degree axiom allows along b_j at D, or None
         allowed = [descendent_level(model, j, D) for j in range(model.size)]
         for n in range(max((m for m in allowed if m is not None), default=-1) + 1):
             for j in range(model.size):
                 axiom = allowed[j] == n
-                value = found.get((D, j), Fraction(0)) if axiom else Fraction(0)
                 rec = {
                     "D": list(D),
                     "n": n,
                     "j_label": model.labels[j],
-                    "value": format_rational(value),
+                    "value": format_rational(found.get((D, j), 0)) if axiom else "0",
                     "axiom": axiom,
                 }
                 if not axiom:

@@ -18,6 +18,7 @@ from math import comb, lcm
 
 from .algebra import TPoly, format_rational, monomial_text, rational
 from .model import (
+    CP_MAX,
     ModelSpec,
     _integer,
     builtin_model,
@@ -273,6 +274,10 @@ _TOKEN_RE = re.compile(
 
 _NAME_RE = re.compile(r"^(h|[qDb][1-9][0-9]*)$")
 
+# The largest exponent `^` takes, M1 of the largest cp<m>; a power is built
+# by repeated products, so an unbounded one would run for hours.
+MAX_EXPONENT = CP_MAX + 1
+
 
 def _tokenize(text):
     tokens = []
@@ -289,12 +294,12 @@ def _tokenize(text):
 
 class _Parser:
     """Recursive-descent parser with one precedence table, tightest first:
-    atoms (an integer, a name, a bracketed expression); `^` with a
-    nonnegative integer literal; unary `-`; `*` and `/`, left to right,
-    where a divisor must evaluate to a nonzero constant; binary `+` and `-`,
-    after one optional leading `+`.  Multiplication is always explicit.  So
-    `2*-D1^2` is -2*D1^2, `q1 - -b1^2` is q1 + b1^2 and `3/4^2*b1` is
-    3/16*b1, as in Python with `**` for `^`."""
+    atoms (an integer, a name, a bracketed expression); `^` with an
+    integer literal from 0 to MAX_EXPONENT; unary `-`; `*` and `/`, left to
+    right, where a divisor must evaluate to a nonzero constant; binary `+`
+    and `-`, after one optional leading `+`.  Multiplication is always
+    explicit.  So `2*-D1^2` is -2*D1^2, `q1 - -b1^2` is q1 + b1^2 and
+    `3/4^2*b1` is 3/16*b1, as in Python with `**` for `^`."""
 
     def __init__(self, text, kind, rank):
         self.tokens = _tokenize(text)
@@ -358,6 +363,8 @@ class _Parser:
             kind, val, pos = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal", pos)
+            if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+                raise ParseError("exponent too large: at most %d" % MAX_EXPONENT, pos)
             return base ** int(val)
         return base
 

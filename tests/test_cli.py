@@ -9,6 +9,7 @@ import pytest
 
 from qcoh.cli import _dump, main
 from qcoh.model import builtin_model, save_model
+from qcoh.operators import MAX_EXPONENT
 
 
 def run(capsys, argv):
@@ -137,6 +138,25 @@ def test_deep_nesting_exits_2(capsys, tmp_path, argv, message):
     code, out, err = run(capsys, argv[:-1] + [str(path)])
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == message.format(path=str(path))
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (VERIFY, "D1^1000000000 - q1"),
+        (["check", "--model", "cp1", "--relations"], "b1^1000000000 - q1"),
+    ],
+    ids=["verify", "relations"],
+)
+def test_exponent_too_large_exits_2(capsys, tmp_path, argv, line):
+    """A power is built by repeated products, so an exponent past the
+    maximum is refused while parsing, not computed for hours."""
+    path = tmp_path / "big.txt"
+    path.write_text(line + "\n")
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 2 and out == ""
+    message = "exponent too large: at most %d (at position 3)" % MAX_EXPONENT
+    assert json.loads(err)["error"] == message
 
 
 def test_models_validate_non_json_exits_2(capsys, tmp_path):
@@ -534,6 +554,9 @@ def test_all_reports_have_sorted_keys(capsys):
         ["gw", "--model", "cp1", "--max-degree", "1"],
         ["classical", "--model", "cp1"],
         ["tilde", "--model", "cp1", "--t-order", "3"],
+        # the largest tables the record writers write; no golden pins them
+        ["gw", "--model", "f3", "--max-degree", "4"],
+        ["jfun", "--model", "f3", "--solve", "--n", "12"],
     ):
         code, out, _ = run(capsys, argv)
         assert code == 0, argv

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import qcoh
 from qcoh.algebra import HLaurent
 from qcoh.cli import main
-from qcoh.model import builtin_model, load_model
+from qcoh.model import CP_MAX, builtin_model, load_model, resolve_model
 from qcoh.operators import (
+    MAX_EXPONENT,
     ParseError,
     QDEOperator,
     RelPoly,
@@ -123,6 +124,17 @@ def test_parser_rejects_malformed_input():
         parse_relation("h*b1", 1)  # h is an operator-only name
     with pytest.raises(ParseError):
         parse_relation("D1", 1)
+
+
+def test_exponent_is_at_most_the_largest_shipped_one():
+    # cp64's shipped files raise D1 and b1 to m + 1 = 65, and nothing more
+    model = resolve_model("cp%d" % CP_MAX)
+    assert str(builtin_operators(model)[0]) == "D1^%d - q1" % MAX_EXPONENT
+    assert str(builtin_relations(model)[0]) == "b1^%d - q1" % MAX_EXPONENT
+    assert parse_operator("D1^0065", 1) == parse_operator("D1^65", 1)
+    for text in ("D1^66", "D1^1000000000", "D1^" + "9" * 5000):
+        with pytest.raises(ParseError, match="^exponent too large: at most 65 "):
+            parse_operator(text, 1)
 
 
 def test_parse_error_carries_position():

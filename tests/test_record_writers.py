@@ -1,0 +1,143 @@
+"""The record writers of `cli._dump`: a `_GWTable` or `_JSeries` must be
+written as the same string the generic walk writes for the same records
+in a plain list, at any indent, whatever order its coeff dicts were built
+in."""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcoh.cli import _dump, _GWTable, _JSeries
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# labels JSON must escape, and the empty label
+AWKWARD = ['"', "\\", "é", "\u2028", " ", "", 'x"\\é', '"1"']
+
+
+def _reversed_coeffs(records):
+    """The J records with each coeffs dict built in reverse label order."""
+    return [
+        {**r, "coeffs": {k: r["coeffs"][k] for k in sorted(r["coeffs"], reverse=True)}}
+        for r in records
+    ]
+
+
+def _assert_written_alike(records, kind):
+    """`kind(records)` and the plain list are written alike at the top
+    level, inside a dict and inside two lists."""
+    for wrap in (lambda t: t, lambda t: {"J": t, "N": 1}, lambda t: [[t], 0]):
+        assert _dump(wrap(kind(records))) == _dump(wrap(list(records)))
+
+
+def _golden_records(prefix, key):
+    """{case: its stdout[key]} for the golden cases named prefix*."""
+    out = {}
+    for path in sorted(GOLDEN.glob(prefix + "*.json")):
+        stdout = json.loads(path.read_text(encoding="utf-8"))["stdout"]
+        if stdout is not None and key in stdout:
+            out[path.stem] = stdout[key]
+    return out
+
+
+GW_GOLDENS = _golden_records("gw-", "invariants")
+J_GOLDENS = _golden_records("jfun-", "J")
+
+
+def test_the_goldens_hold_the_payloads():
+    # every gw case holds a table; a jfun case that exits 2 or fails in the
+    # solver holds no J
+    assert len(GW_GOLDENS) == len(list(GOLDEN.glob("gw-*.json"))) >= 12
+    assert len(J_GOLDENS) >= 20
+
+
+@pytest.mark.parametrize("name", sorted(GW_GOLDENS))
+def test_gw_writer_on_golden_payload(name):
+    _assert_written_alike(GW_GOLDENS[name], _GWTable)
+
+
+@pytest.mark.parametrize("name", sorted(J_GOLDENS))
+def test_j_writer_on_golden_payload(name):
+    J = J_GOLDENS[name]
+    _assert_written_alike(J, _JSeries)
+    # the writer orders the labels itself, not by dict insertion
+    _assert_written_alike(_reversed_coeffs(J), _JSeries)
+
+
+def test_empty_tables():
+    for kind in (_GWTable, _JSeries):
+        _assert_written_alike([], kind)
+        assert _dump(kind()) == "[]\n"
+
+
+def test_coeff_insertion_order_differs_from_label_order():
+    record = {
+        "degree": [2, 0],
+        "coeffs": {"z": [[-3, "1/2"]], "a": [[-1, "-7"], [0, "1"]], "": [[4, "3"]]},
+    }
+    assert list(record["coeffs"]) != sorted(record["coeffs"])
+    _assert_written_alike([record], _JSeries)
+
+
+def test_negative_exponents_and_long_numerators():
+    value = str(Fraction(-(10**29) - 7, 3**20))
+    assert len(value.split("/")[0]) == 31  # a sign and 30 digits
+    gw = {"D": [0, 3], "axiom": True, "j_label": "\u2028", "n": 12, "value": value}
+    J = {"degree": [0], "coeffs": {"é": [[-40, value], [-2, "0"]]}}
+    _assert_written_alike([gw], _GWTable)
+    _assert_written_alike([J], _JSeries)
+
+
+_labels = st.one_of(st.sampled_from(AWKWARD), st.text(max_size=6))
+_values = st.builds(
+    lambda n, d: str(Fraction(n, d)),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=1, max_value=10**30),
+)
+# a J degree of a rank-0 model is empty; gw lists only positive degrees
+_degrees = st.lists(st.integers(min_value=0, max_value=30), max_size=3)
+
+
+@st.composite
+def _gw_records(draw):
+    axiom = draw(st.booleans())
+    record = {
+        "D": draw(_degrees.filter(bool)),
+        "n": draw(st.integers(min_value=0, max_value=40)),
+        "j_label": draw(_labels),
+        "value": draw(_values),
+        "axiom": axiom,
+    }
+    if not axiom:
+        record["note"] = draw(st.sampled_from(["forced by degree axiom", 'a "note" \\ é']))
+    return record
+
+
+_j_records = st.fixed_dictionaries(
+    {
+        "degree": _degrees,
+        "coeffs": st.dictionaries(
+            _labels,
+            st.lists(st.tuples(st.integers(-60, 60), _values).map(list), min_size=1, max_size=3),
+            min_size=1,
+            max_size=5,
+        ),
+    }
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_gw_records(), max_size=6))
+def test_gw_writer_on_generated_tables(records):
+    _assert_written_alike(records, _GWTable)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_j_records, max_size=6))
+def test_j_writer_on_generated_series(records):
+    _assert_written_alike(records, _JSeries)
+    _assert_written_alike(_reversed_coeffs(records), _JSeries)
