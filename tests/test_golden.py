@@ -128,6 +128,16 @@ CORPUS = {
     "jfun-solve-nonintegrable": [
         "jfun", "--model", "f3-nonintegrable.model", "--solve", "--n", "4"
     ],
+    # f3 with its first q^(0,1) coefficient doubled: q^(0,1) is solved along
+    # q_2, so the solver fails the check along q_1, below the solved direction
+    "jfun-solve-q2-doubled": [
+        "jfun", "--model", "f3-q2-doubled.model", "--solve", "--n", "3"
+    ],
+    # a parse error in the third line of an expression file, after a
+    # comment line and a blank line
+    "jfun-verify-unknown-symbol": [
+        "jfun", "--model", "cp1", "--closed-form", "--verify", "unknown-symbol.ops"
+    ],
     # the ring path: the quantum exponential, the classical limit and the
     # ring checks on every builtin
     **{
