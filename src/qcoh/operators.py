@@ -38,11 +38,17 @@ from .series import (
 
 
 class ParseError(ValueError):
-    def __init__(self, message, pos=None):
+    """A malformed expression: the message, the position within the
+    expression and, for a line of an expression file, the file's path and
+    the 1-based line number, comment and blank lines counted."""
+
+    def __init__(self, message, pos=None, path=None, line=None):
+        self.message, self.pos, self.path, self.line = message, pos, path, line
         if pos is not None:
             message = "%s (at position %d)" % (message, pos)
+        if path is not None:
+            message = "%r, line %d: %s" % (str(path), line, message)
         super().__init__(message)
-        self.pos = pos
 
 
 def _vec_check(rank, v, what):
@@ -418,35 +424,46 @@ def read_expression_lines(path, subs=None):
     """Expression-per-line text files; '#' starts a comment, blanks skipped.
     `subs` maps placeholder names to replacement text."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _expression_lines(fh, subs)
+        return [line for _, line in _expression_lines(fh, subs)]
 
 
 def _expression_lines(lines, subs):
-    out = []
-    for raw in lines:
+    """(1-based line number, expression) for each line that holds one."""
+    for n, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if subs:
             for key, val in subs.items():
                 line = line.replace(key, val)
-        out.append(line)
-    return out
+        yield n, line
 
 
 def _parsed_lines(data, parse, rank, subs):
     """The expressions of an expression file's bytes, read as
-    `read_expression_lines` reads the file, each parsed by `parse`."""
+    `read_expression_lines` reads the file, each parsed by `parse`; a
+    ParseError gets the number of its line."""
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    return tuple(parse(line, rank) for line in _expression_lines(text, dict(subs)))
+    out = []
+    for n, line in _expression_lines(text, dict(subs)):
+        try:
+            out.append(parse(line, rank))
+        except ParseError as exc:
+            exc.line = n
+            raise
+    return tuple(out)
 
 
 def _load(path, parse, rank, subs):
     """A fresh list of the file's parsed expressions, parsed once per
     distinct content and shared (`read_cached`); `subs` keeps its order,
-    since the substitutions apply in turn."""
+    since the substitutions apply in turn.  A ParseError names the path
+    and the line."""
     subs = tuple(subs.items()) if subs else ()
-    return list(read_cached(path, _parsed_lines, parse, rank, subs))
+    try:
+        return list(read_cached(path, _parsed_lines, parse, rank, subs))
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.pos, path, exc.line) from None
 
 
 def load_operators(path, rank, subs=None):

@@ -249,9 +249,10 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
 
     where B_j is the cup matrix of b_j and m_{j,D'} the q^{D'} part of the
     quantum multiplication matrix.  Each step inverts (d_j h - ad B_j) for
-    the first j with D_j > 0 by a finite geometric sum (B_j raises degree
+    the first j* with D_j* > 0 by a finite geometric sum (B_j raises degree
     by 2, so (ad B_j)^(2 * size - 1) = 0) and then checks the equation in
-    every direction, that one included: an integrability check.
+    every other direction: an integrability check.  Along j* the equation
+    is the inversion identity, exact once the sum stops, so it cannot fail.
 
     The system is homogeneous (deg h = 2, deg q^D = 2<c1, D>), so entry
     (i, k) of G_D is a single monomial c * h^e with
@@ -289,9 +290,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     commutator, mparts, duals, dual_den = model.solver_maps(_solver_maps)
 
     G = {zero: ([int(e % (size + 1) == 0) for e in range(area)], 1)}
-    for D in _degrees_upto(rank, order):
-        if not any(D):
-            continue
+    for D in _degrees_upto(rank, order)[1:]:
         rhs = {}
         for j in range(1, rank + 1):
             parts = []
@@ -315,8 +314,8 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         den *= step ** max(depth - 1, 0)
         g = gcd(den, *total)
         G[D] = num, den = [a // g for a in total], den // g
-        # every direction must agree: integrability of the system
-        for j in range(1, rank + 1):
+        # every other direction must agree: integrability of the system
+        for j in (*range(1, jstar), *range(jstar + 1, rank + 1)):
             # d_j G_D - [B_j, G_D] over den * qden, compared with the right
             # side by cross-multiplying entry by entry
             lhs = _flat_apply(commutator[j], num, [D[j - 1] * qden * a for a in num], -1)

@@ -123,8 +123,8 @@ VERIFY = ["jfun", "--model", "cp1", "--closed-form", "--verify"]
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (VERIFY + ["brackets.ops"], "expression nested too deeply"),
-        (VERIFY + ["minus-signs.ops"], "expression nested too deeply"),
+        (VERIFY + ["brackets.ops"], "{path!r}, line 1: expression nested too deeply"),
+        (VERIFY + ["minus-signs.ops"], "{path!r}, line 1: expression nested too deeply"),
         (["models", "show", "nested.model"], "cannot load model {path!r}: JSON nested too deeply"),
         (["models", "validate", "nested.model"], "{path!r} has JSON nested too deeply"),
     ],
@@ -155,8 +155,8 @@ def test_exponent_too_large_exits_2(capsys, tmp_path, argv, line):
     path.write_text(line + "\n")
     code, out, err = run(capsys, argv + [str(path)])
     assert code == 2 and out == ""
-    message = "exponent too large: at most %d (at position 3)" % MAX_EXPONENT
-    assert json.loads(err)["error"] == message
+    message = "%r, line 1: exponent too large: at most %d (at position 3)"
+    assert json.loads(err)["error"] == message % (str(path), MAX_EXPONENT)
 
 
 def test_models_validate_non_json_exits_2(capsys, tmp_path):

@@ -143,6 +143,20 @@ def test_parse_error_carries_position():
     assert err.value.pos == 5
 
 
+@pytest.mark.parametrize(
+    "load, line", [(load_operators, "D1^2 + zz"), (load_relations, "b1^2 + zz")]
+)
+def test_parse_error_in_a_file_names_path_and_line(tmp_path, load, line):
+    # comment and blank lines count; the position stays within the line
+    path = tmp_path / "bad.txt"
+    path.write_text("# first\n\n%s  # third\n" % line)
+    with pytest.raises(ParseError) as err:
+        load(path, 1)
+    exc = err.value
+    assert (exc.path, exc.line, exc.message, exc.pos) == (path, 3, "unknown symbol 'zz'", 7)
+    assert str(exc) == "%r, line 3: unknown symbol 'zz' (at position 7)" % str(path)
+
+
 def test_negative_h_power_rejected():
     with pytest.raises(ValueError):
         QDEOperator(1, {(-1, (0,), (0,)): Fraction(1)})
