@@ -238,7 +238,7 @@ def cmd_models_validate(args):
             data = json.load(fh)
     except OSError as exc:
         raise UsageError("cannot read %r: %s" % (args.file, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError("%r is not valid JSON: %s" % (args.file, exc)) from exc
     except RecursionError:
         raise UsageError("%r has JSON nested too deeply" % args.file) from None

@@ -351,6 +351,10 @@ class ModelSpec:
         for j in range(s):
             if cups[0][j] != ((j, cden),):
                 problems.append("b_0 does not act as the unit on b_%d" % j)
+            if any(any(D) for _, D, _ in table[0][j]):
+                problems.append(
+                    "b_0 o b_%d has a q-term: b_0 is not the quantum unit" % j
+                )
         return problems
 
     # -- serialization ---------------------------------------------------------
@@ -625,7 +629,7 @@ def in_builtin_basis(model: ModelSpec) -> bool:
 def _model_from_bytes(data: bytes) -> ModelSpec:
     try:
         parsed = json.loads(data.decode("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelError("not valid JSON: %s" % exc) from exc
     except RecursionError:
         raise ModelError("JSON nested too deeply") from None

@@ -442,10 +442,16 @@ def _expression_lines(lines, subs):
 def _parsed_lines(data, parse, rank, subs):
     """The expressions of an expression file's bytes, read as
     `read_expression_lines` reads the file, each parsed by `parse`; a
-    ParseError gets the number of its line."""
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    ParseError gets the number of its line, and so do bytes that are not
+    UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line count of the text before the bad byte, plus one
+        line = len((data[: exc.start] + b".").splitlines())
+        raise ParseError("not valid UTF-8: %s" % exc.reason, line=line) from None
     out = []
-    for n, line in _expression_lines(text, dict(subs)):
+    for n, line in _expression_lines(io.StringIO(text, newline=None), dict(subs)):
         try:
             out.append(parse(line, rank))
         except ParseError as exc:

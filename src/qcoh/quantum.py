@@ -197,12 +197,17 @@ def check_flatness(model: ModelSpec, order: int) -> dict:
 
 
 def check_associativity(model: ModelSpec, order: int) -> dict:
-    """(b_i o b_j) o b_k = b_i o (b_j o b_k) for all basis triples."""
+    """(b_i o b_j) o b_k = b_i o (b_j o b_k) for the basis triples
+    i <= j <= k with i >= 1: b_0 is the quantum unit of every model
+    (`ModelSpec` checks it), so a triple through it has b_j o b_k on
+    both sides."""
     size = model.size
     basis = [QElem.basis(model, order, i) for i in range(size)]
-    pairs = {(j, k): basis[j] * basis[k] for j in range(size) for k in range(j, size)}
+    pairs = {
+        (j, k): basis[j] * basis[k] for j in range(1, size) for k in range(j, size)
+    }
     witnesses = []
-    for i in range(size):
+    for i in range(1, size):
         for j in range(i, size):
             for k in range(j, size):
                 lhs = pairs[i, j] * basis[k]

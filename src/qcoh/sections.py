@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import product, zip_longest
+from itertools import product
 from math import gcd, isqrt, lcm, prod
 
 from .algebra import HLaurent, NovikovSeries, TPoly, format_ratio, format_rational
@@ -38,7 +38,7 @@ from .series import (
 # size * size ints, entry (i, k) at i * size + k, over a positive int
 # denominator.  Two kernels multiply them, one per access pattern: the
 # solver applies fixed sparse operators at every degree, compiled once per
-# model (`_flat_map`, `_flat_apply`); the one-shot products of `q_factorize`
+# model (`_flat_map`, `_flat_apply`); the one-shot products of `_qmat_divide`
 # and `asymptotic_H` run one direct loop (`_flat_mul`).
 
 
@@ -63,25 +63,15 @@ def _integral(m):
     return [v.numerator * (den // v.denominator) for row in m for v in row], den
 
 
-def _first_difference(a, b, size):
-    """(D, i, k, a_ik, b_ik) for the first entry, by degree and then
-    row-major, where the series ({D: flat ints}, den) a and b differ."""
-    (a, aden), (b, bden) = a, b
-    for D in sorted(set(a) | set(b), key=_degree_order):
-        for e, (x, y) in enumerate(zip_longest(a.get(D, ()), b.get(D, ()), fillvalue=0)):
-            x, y = Fraction(x, aden), Fraction(y, bden)
-            if x != y:
-                return D, *divmod(e, size), x, y
-
-
 # -- solver ----------------------------------------------------------------
 
 
 class HMatrix:
     """Fundamental solution data: one gauge-normalized series per row,
-    given as the rows (ValueError unless one per basis element) or as a
-    function row(i) that builds row i.  A row is built when first read and
-    kept: `jrow` builds only the rows it sums, `rows` builds every row."""
+    given as the rows (ValueError unless one per basis element, each of
+    the matrix's order) or as a function row(i) that builds row i.  A row
+    is built when first read and kept: `jrow` builds only the rows it
+    sums, `rows` builds every row."""
 
     __slots__ = ("model", "order", "_build", "_built")
 
@@ -90,6 +80,8 @@ class HMatrix:
             rows = tuple(rows)
             if len(rows) != model.size:
                 raise ValueError("expected %d rows" % model.size)
+            if any(row.order != order for row in rows):
+                raise ValueError("expected rows of order %d" % order)
             rows = rows.__getitem__
         self.model, self.order, self._build, self._built = model, order, rows, {}
 
@@ -522,19 +514,6 @@ def build_H_from_J(model: ModelSpec, J: GaugeSeries, rowspec) -> HMatrix:
 # for the whole series.
 
 
-def _qmat_mul(A, B, size, order):
-    """Numerator of the product of two q-matrix series, truncated at `order`."""
-    out = {}
-    for Da, a in A.items():
-        for Db, b in B.items():
-            D = tuple(x + y for x, y in zip(Da, Db))
-            if sum(D) <= order:
-                if D not in out:
-                    out[D] = [0] * len(a)
-                _flat_mul(a, b, size, out[D])
-    return {D: m for D, m in out.items() if any(m)}
-
-
 def _qmat_reduced(A, den):
     """(A, den) divided through by one gcd over the whole series."""
     g = gcd(den, *(v for m in A.values() for v in m))
@@ -658,18 +637,17 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
             {"degree": list(zero), "detail": "q^0 part of H_0 is singular"},
         ) from None
     A, aden = _graded_at_one(model, [_components(row) for row in Hm.rows], "H")
-
-    def failure(expected, got, detail):
-        D, i, k, want, have = _first_difference(expected, got, size)
-        e = (degrees[k] - degrees[i] - model.qdegree(D)) // 2
-        return _qfactor_failure(
-            model, D, i, k, HLaurent.term(want, e), HLaurent.term(have, e), detail
-        )
-
+    # Q * H_0 = H holds by construction to the order of H (`_qmat_divide`),
+    # so only the head and the h-independence of Q remain to be checked
     Q, qden = _qmat_divide(model, (A, aden), (A0, a0den), head_inverse, order)
-    identity = {zero: [qden * (e % (size + 1) == 0) for e in range(size * size)]}
-    if Q.get(zero) != identity[zero]:
-        raise failure((identity, qden), (Q, qden), "q^0 part of Q is not the identity")
+    for e, v in enumerate(Q.get(zero, [0] * (size * size))):
+        i, k = divmod(e, size)
+        if v != qden * (i == k):
+            x = (degrees[k] - degrees[i]) // 2
+            raise _qfactor_failure(
+                model, zero, i, k, HLaurent.term(int(i == k), x),
+                HLaurent.term(Fraction(v, qden), x), "q^0 part of Q is not the identity",
+            )
     entries = [[{} for _ in range(size)] for _ in range(size)]
     for D, mat in sorted(Q.items(), key=lambda kv: _degree_order(kv[0])):
         qdeg = model.qdegree(D)
@@ -684,12 +662,6 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
                         "entry depends on h: %s" % got,
                     )
                 entries[i][k][D] = v
-    # confirm the factorization reproduces H exactly (to the truncation):
-    # Q * H_0 over qden * a0den against H over aden, cross-multiplied
-    recon, rden = _qmat_mul(Q, A0, size, order), qden * a0den
-    scaled = {D: [v * aden for v in m] for D, m in recon.items()}
-    if scaled != {D: [v * rden for v in m] for D, m in A.items()}:
-        raise failure((A, aden), (recon, rden), "Q*H_0 does not reproduce H")
     return [[NovikovSeries(rank, order, c) for c in row] for row in entries], H0
 
 

@@ -167,6 +167,35 @@ def test_models_validate_non_json_exits_2(capsys, tmp_path):
     assert "error" in json.loads(err)
 
 
+NOT_UTF8 = {"bad.ops": b"# a comment\n\xff\n", "bad.model": b'{"name": "\xff"}'}
+DECODER = "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (VERIFY + ["bad.ops"], "{path!r}, line 2: not valid UTF-8: invalid start byte"),
+        (
+            ["check", "--model", "cp1", "--relations", "bad.ops"],
+            "{path!r}, line 2: not valid UTF-8: invalid start byte",
+        ),
+        (
+            ["jfun", "--solve", "--n", "1", "--model", "bad.model"],
+            "cannot load model {path!r}: not valid JSON: " + DECODER,
+        ),
+        (["models", "validate", "bad.model"], "{path!r} is not valid JSON: " + DECODER),
+    ],
+    ids=["verify", "relations", "model", "validate"],
+)
+def test_input_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path, argv, message):
+    name = argv[-1]
+    path = tmp_path / name
+    path.write_bytes(NOT_UTF8[name])
+    code, out, err = run(capsys, argv[:-1] + [str(path)])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == message.format(path=str(path))
+
+
 def test_model_path_env_var(capsys, tmp_path, monkeypatch):
     save_model(builtin_model("cp3"), tmp_path / "local.model")
     monkeypatch.setenv("QCOH_MODEL_PATH", str(tmp_path))

@@ -133,6 +133,15 @@ CORPUS = {
     "jfun-solve-q2-doubled": [
         "jfun", "--model", "f3-q2-doubled.model", "--solve", "--n", "3"
     ],
+    # f3 with b_0 o z = z + q1 a: graded and commutative, and b_0 is still
+    # the cup unit, but not the quantum unit, so the model is refused (the
+    # files under tests/golden/invalid are well formed but not valid)
+    "models-validate-unit-q-term": [
+        "models", "validate", "invalid/f3-unit-q-term.model"
+    ],
+    "jfun-solve-unit-q-term": [
+        "jfun", "--model", "invalid/f3-unit-q-term.model", "--solve", "--n", "2"
+    ],
     # a parse error in the third line of an expression file, after a
     # comment line and a blank line
     "jfun-verify-unknown-symbol": [

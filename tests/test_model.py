@@ -288,10 +288,20 @@ def _set(*path_and_value):
             "quantum record {'i': 0, 'j': 0, 'k': 0, 'D': [0, 0], 'c': '1'} has wrong rank",
         ),
         ("cp1", lambda data: list(data), "a model is a JSON object, not list"),
+        (
+            # graded and commutative, and b_0 is still the cup unit
+            "f3",
+            lambda data: {
+                **data,
+                "quantum": data["quantum"] + [{"i": 0, "j": 5, "k": 1, "D": [1, 0], "c": 1}],
+            },
+            "b_0 o b_5 has a q-term: b_0 is not the quantum unit",
+        ),
     ],
     ids=[
         "labels", "unit-degree", "second-degree-0", "top-degree", "pairing-shape",
         "pairing-symmetry", "multidegree", "out-of-range", "wrong-rank", "not-an-object",
+        "quantum-unit",
     ],
 )
 def test_model_json_problems_are_named(name, mutate, message):

@@ -157,6 +157,15 @@ def test_parse_error_in_a_file_names_path_and_line(tmp_path, load, line):
     assert str(exc) == "%r, line 3: unknown symbol 'zz' (at position 7)" % str(path)
 
 
+def test_bytes_that_are_not_utf8_name_path_and_line(tmp_path):
+    # lines end as the file's text reads them: \r\n counts once
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"D1\r\n\r\nD1 \xff\n")
+    with pytest.raises(ParseError) as err:
+        load_operators(path, 1)
+    assert str(err.value) == "%r, line 3: not valid UTF-8: invalid start byte" % str(path)
+
+
 def test_negative_h_power_rejected():
     with pytest.raises(ValueError):
         QDEOperator(1, {(-1, (0,), (0,)): Fraction(1)})

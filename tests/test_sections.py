@@ -459,6 +459,17 @@ def test_hmatrix_rejects_the_wrong_number_of_rows():
     assert HMatrix(model, 2, list(rows)).rows == rows
 
 
+def test_hmatrix_rejects_rows_of_another_order():
+    # q_factorize reads every degree of the rows and solves Q only up to
+    # the matrix's order, so rows of a higher order would pass a wrong Q
+    model = builtin_model("cp2")
+    rows = solve_fundamental(model, 4).rows
+    for order in (2, 6):
+        with pytest.raises(ValueError, match="^expected rows of order %d$" % order):
+            HMatrix(model, order, rows)
+    assert HMatrix(model, 4, rows).rows == rows
+
+
 def test_hmatrix_row_refuses_an_index_outside_the_basis():
     # on both construction paths, and nothing out of range is kept
     model = builtin_model("f3")
@@ -732,19 +743,6 @@ def _perturbed_quotient_witness(monkeypatch, index):
     return _q_factorization_witness(info)
 
 
-def test_q_factorization_reconstruction_witness(monkeypatch):
-    """A wrong Q that stays h-free at order 1 breaks Q * H_0 = H; the
-    witness names the first differing entry.  Entry (0, 3), flat index 3,
-    of the q^(1, 0) part carries h^0."""
-    assert _perturbed_quotient_witness(monkeypatch, 3) == {
-        "degree": [1, 0],
-        "entry": [0, 3],
-        "expected": [],
-        "got": [[0, "1"]],
-        "detail": "Q*H_0 does not reproduce H",
-    }
-
-
 def test_q_factorization_h_dependent_entry_witness(monkeypatch):
     """Entry (0, 5), flat index 5, of the q^(1, 0) part of a graded matrix
     carries h^1 for f3 ((6 - 0 - 4) / 2), so a wrong Q there depends on
@@ -804,6 +802,18 @@ def _flat_over_den(series, size):
 def test_qmat_divide_solves_q_times_b_equals_a_to_the_truncation(case):
     model, order, B, A = case
     size, zero = model.size, (0,) * model.rank
+
+    def product(X, Y):
+        """Numerator of the product of two q-matrix series, truncated at
+        `order`, its zero degrees dropped."""
+        out = {}
+        for Dx, x in X.items():
+            for Dy, y in Y.items():
+                D = tuple(a + b for a, b in zip(Dx, Dy))
+                if sum(D) <= order:
+                    sections._flat_mul(x, y, size, out.setdefault(D, [0] * len(x)))
+        return {D: m for D, m in out.items() if any(m)}
+
     (B, bden), (A, aden) = _flat_over_den(B, size), _flat_over_den(A, size)
     head = B[zero]
     head_inverse = sections._integral(
@@ -811,16 +821,15 @@ def test_qmat_divide_solves_q_times_b_equals_a_to_the_truncation(case):
     )
     Q, qden = sections._qmat_divide(model, (A, aden), (B, bden), head_inverse, order)
     # Q * B over qden * bden against A over aden, cross-multiplied
-    product = sections._qmat_mul(Q, B, size, order)
-    assert {D: [v * aden for v in m] for D, m in product.items()} == {
+    assert {D: [v * aden for v in m] for D, m in product(Q, B).items()} == {
         D: [v * qden * bden for v in m] for D, m in A.items() if any(m)
     }
     # with A the unit series, Q is B's two-sided inverse to the truncation
     unit = {zero: [int(e % (size + 1) == 0) for e in range(size * size)]}
     inverse, iden = sections._qmat_divide(model, (unit, 1), (B, bden), head_inverse, order)
     identity = {zero: [bden * iden * v for v in unit[zero]]}
-    assert sections._qmat_mul(B, inverse, size, order) == identity
-    assert sections._qmat_mul(inverse, B, size, order) == identity
+    assert product(B, inverse) == identity
+    assert product(inverse, B) == identity
 
 
 # -- classical limit ----------------------------------------------------------------
