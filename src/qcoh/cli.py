@@ -70,9 +70,11 @@ def _dump(payload) -> str:
     that an indent selects.  It writes dicts with str keys, lists, tuples,
     str, int, bool and None, and raises TypeError on anything else.
 
-    Two payload shapes have record writers, each one `%` template per
-    record: a `_GWTable` (gw's invariant records) and a `_JSeries` (the
-    records of jfun's "J").  Every other payload takes the generic walk."""
+    Four payload shapes have record writers, each one `%` template per
+    record: a `_GWTable` (gw's invariant records), a `_JSeries` (the
+    records of jfun's "J"), a `_TildeTable` (tilde's "v_at_h1") and a
+    `_TPolyMatrix` (the rows of classical's "matrix").  Every other
+    payload takes the generic walk."""
     out = []
     _write_json(payload, "\n", out.append)
     out.append("\n")
@@ -85,6 +87,21 @@ class _GWTable(list):
 
 class _JSeries(list):
     """The records of a J-series, written by `_j_writer`."""
+
+
+class _TildeTable(list):
+    """The records of tilde's quantum exponential, written by `_tilde_writer`."""
+
+
+class _TPolyMatrix(list):
+    """The rows of a `tpoly_matrix_json` matrix, written by `_matrix_writer`."""
+
+
+def _lister(inner):
+    """The writer of a JSON list whose items, each already written and
+    none empty, sit at the newline and indent inner."""
+    sep, close = "," + inner, inner[:-1] + "]"
+    return lambda items: "[" + inner + body + close if (body := sep.join(items)) else "[]"
 
 
 def _gw_writer(nl):
@@ -109,21 +126,59 @@ def _j_writer(nl):
     i1, i2, i3, i4 = (nl + " " * k for k in range(1, 5))
     template = '{~"coeffs": {%s~},~"degree": %s'.replace("~", i1) + nl + "}"
     label, pair = "%s: [" + i3 + "%s" + i2 + "]", "[~%d,~%s".replace("~", i4) + i3 + "]"
-    sep, psep = "," + i2, "," + i3
+    sep, psep, degree = "," + i2, "," + i3, _lister(i2)
 
     def write(r):
-        c, D = r["coeffs"], r["degree"]
+        c = r["coeffs"]
         body = sep.join([
             label % (_quoted(k), psep.join([pair % (x, _quoted(v)) for x, v in c[k]]))
             for k in sorted(c)
         ])
-        degree = "[" + i2 + sep.join(map(str, D)) + i1 + "]" if D else "[]"
-        return template % (i2 + body, degree)
+        return template % (i2 + body, degree(map(str, r["degree"])))
 
     return write
 
 
-_RECORD_WRITERS = {_GWTable: _gw_writer, _JSeries: _j_writer}
+def _tilde_writer(nl):
+    """The writer of one record {"t": [int], "terms": [{"coeffs": {label:
+    str}, "degree": [int]}]} at the newline and indent nl, with every
+    coeffs nonempty; it sorts the labels itself."""
+    i1, i2, i3, i4 = (nl + " " * k for k in range(1, 5))
+    template = '{~"t": %s,~"terms": %s'.replace("~", i1) + nl + "}"
+    term = '{~"coeffs": {%s~},~"degree": %s'.replace("~", i3) + i2 + "}"
+    sep, outer, inner = "," + i4, _lister(i2), _lister(i4)
+
+    def write(r):
+        terms = []
+        for x in r["terms"]:
+            c = x["coeffs"]
+            coeffs = sep.join([_quoted(k) + ": " + _quoted(c[k]) for k in sorted(c)])
+            terms.append(term % (i4 + coeffs, inner(map(str, x["degree"]))))
+        return template % (outer(map(str, r["t"])), outer(terms))
+
+    return write
+
+
+def _matrix_writer(nl):
+    """The writer of one row of entries at the newline and indent nl, each
+    entry a list, maybe empty, of {"h": [[int, str]], "t": [int]}."""
+    i1, i2, i3, i4, i5 = (nl + " " * k for k in range(1, 6))
+    term = '{~"h": %s,~"t": %s'.replace("~", i3) + i2 + "}"
+    pair = "[~%d,~%s".replace("~", i5) + i4 + "]"
+    row, entry, inner = _lister(i1), _lister(i2), _lister(i4)
+    return lambda r: row([
+        entry([
+            term % (inner([pair % (x, _quoted(v)) for x, v in d["h"]]), inner(map(str, d["t"])))
+            for d in e
+        ])
+        for e in r
+    ])
+
+
+_RECORD_WRITERS = {
+    _GWTable: _gw_writer, _JSeries: _j_writer,
+    _TildeTable: _tilde_writer, _TPolyMatrix: _matrix_writer,
+}
 
 
 def _write_json(x, nl, out):
@@ -395,7 +450,7 @@ def _fixture_entries(data: bytes):
 def cmd_classical(args):
     model = _get_model(args.model)
     E = asymptotic_H(model)
-    matjson = tpoly_matrix_json(E)
+    matjson = _TPolyMatrix(tpoly_matrix_json(E))
     size = model.size
     identity = [int(e % (size + 1) == 0) for e in range(size * size)]
     identity_ok = E[(0,) * model.rank] == (identity, 1)
@@ -442,7 +497,7 @@ def _v_at_h1(model, words):
     """The quantum exponential at h = 1, word(e)/e! for each t^e by (|e|, e),
     read from its divided-power word table (`quantum._exp_words`), whose
     every b_k coordinate is one h-power."""
-    out = []
+    out = _TildeTable()
     for e, (flat, den) in words.items():
         den *= _factorial(e)
         terms = [

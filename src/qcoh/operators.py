@@ -422,28 +422,20 @@ def parse_relation(src: str, rank: int) -> RelPoly:
 
 def read_expression_lines(path, subs=None):
     """Expression-per-line text files; '#' starts a comment, blanks skipped.
-    `subs` maps placeholder names to replacement text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line for _, line in _expression_lines(fh, subs)]
+    `subs` maps placeholder names to replacement text.  Bytes that are not
+    UTF-8 raise the ParseError of `load_operators`, naming path and line."""
+    return _load(path, _verbatim, None, subs)
 
 
-def _expression_lines(lines, subs):
-    """(1-based line number, expression) for each line that holds one."""
-    for n, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if subs:
-            for key, val in subs.items():
-                line = line.replace(key, val)
-        yield n, line
+def _verbatim(line, rank):
+    """The line itself: the parse of `read_expression_lines`."""
+    return line
 
 
 def _parsed_lines(data, parse, rank, subs):
-    """The expressions of an expression file's bytes, read as
-    `read_expression_lines` reads the file, each parsed by `parse`; a
-    ParseError gets the number of its line, and so do bytes that are not
-    UTF-8."""
+    """The expressions of an expression file's bytes, lines ending as a
+    text reader ends them, each parsed by `parse`; a ParseError gets the
+    number of its line, and so do bytes that are not UTF-8."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -451,7 +443,12 @@ def _parsed_lines(data, parse, rank, subs):
         line = len((data[: exc.start] + b".").splitlines())
         raise ParseError("not valid UTF-8: %s" % exc.reason, line=line) from None
     out = []
-    for n, line in _expression_lines(io.StringIO(text, newline=None), dict(subs)):
+    for n, line in enumerate(io.StringIO(text, newline=None), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        for key, val in subs:
+            line = line.replace(key, val)
         try:
             out.append(parse(line, rank))
         except ParseError as exc:

@@ -81,7 +81,8 @@ class QElem(IntSeries):
 
     def shifted(self, shift):
         """The series times q^shift, truncated at the order; ValueError
-        unless shift holds one int >= 0 per generator."""
+        unless shift holds one int >= 0 per generator.  The result shares
+        its rows with self, which the ownership rule of `series` allows."""
         shift = tuple(shift)
         if len(shift) != self.model.rank or not all(isinstance(x, int) and x >= 0 for x in shift):
             raise ValueError("bad multidegree %r" % (shift,))

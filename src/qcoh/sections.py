@@ -406,7 +406,7 @@ def _factor_values(model, factor, order):
     k = 0, so a negative p needs charges >= 0.  x is nilpotent, as every
     positive-degree class of a graded ring is, so x^(dim + 1) = 0."""
     row, charge, power = factor
-    x = QElem._stored(model, 0, {(0,) * model.rank: row}, 1)
+    x = QElem._stored(model, 0, {(0,) * model.rank: dict(row)}, 1)  # row is module data
     pows = [QElem.unit(model, 0)]
     for _ in range(model.dim + 1):
         p = pows[-1] * x

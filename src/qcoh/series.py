@@ -12,6 +12,12 @@ canonical (`_canonical`): no zero numerators or empty degrees, and the gcd
 of den and every numerator is 1.  So two series are equal exactly when
 their pairs are, and zero is ({}, 1).
 
+`_canonical` keeps rows that are already canonical, so a stored pair may
+hold the very dicts its producer passed in, and two series may share a
+row.  Hence the ownership rule: a producer hands `IntSeries._stored` only
+dicts it built itself (never a model's or module data), and no stored
+row is ever changed in place.
+
 Every kernel reads and writes that form.  The helpers here know its keys
 (the theta kernel, the t-shift, the scaled shifted sum and the components
 along the dual basis; not `_prefix_walk`, the one walk over generator
@@ -43,8 +49,9 @@ def _canonical(rows, den):
     """(rows, den) without zero numerators or empty rows, and with the gcd
     of den and every numerator divided out; zero is ({}, 1).  The rows are
     dicts of int numerators under any keys: (k, x) for a CohSeries, k for
-    a QElem."""
-    rows = {D: r for D, row in rows.items() if (r := {k: v for k, v in row.items() if v})}
+    a QElem.  With nothing to drop or divide out, rows itself comes back."""
+    if not all(row and all(row.values()) for row in rows.values()):
+        rows = {D: r for D, row in rows.items() if (r := {k: v for k, v in row.items() if v})}
     if den == 1:
         return rows, den
     g = gcd(den, *(v for row in rows.values() for v in row.values()))
@@ -136,7 +143,8 @@ class IntSeries:
     @classmethod
     def _stored(cls, model, order, flat, den):
         """The series of the numerators `flat` over den, made canonical:
-        how every producer builds its result."""
+        how every producer builds its result.  It may keep flat and its
+        rows, which the caller must have built and must not change."""
         out = object.__new__(cls)
         out.model, out.order = model, order
         out.flat, out.den = _canonical(flat, den)

@@ -166,6 +166,17 @@ def test_bytes_that_are_not_utf8_name_path_and_line(tmp_path):
     assert str(err.value) == "%r, line 3: not valid UTF-8: invalid start byte" % str(path)
 
 
+def test_expression_lines_that_are_not_utf8_name_path_and_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"D1\r\n\r\nD1 \xff\n")
+    with pytest.raises(ParseError) as err:
+        read_expression_lines(path)
+    assert str(err.value) == "%r, line 3: not valid UTF-8: invalid start byte" % str(path)
+    # the same file, valid, reads its lines with the substitutions made
+    path.write_bytes(b"D1 # one\r\n\r\nD1 + x\n")
+    assert read_expression_lines(path, {"x": "q1"}) == ["D1", "D1 + q1"]
+
+
 def test_negative_h_power_rejected():
     with pytest.raises(ValueError):
         QDEOperator(1, {(-1, (0,), (0,)): Fraction(1)})

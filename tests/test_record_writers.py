@@ -1,7 +1,7 @@
-"""The record writers of `cli._dump`: a `_GWTable` or `_JSeries` must be
-written as the same string the generic walk writes for the same records
-in a plain list, at any indent, whatever order its coeff dicts were built
-in."""
+"""The record writers of `cli._dump`: a `_GWTable`, `_JSeries`,
+`_TildeTable` or `_TPolyMatrix` must be written as the same string the
+generic walk writes for the same records in a plain list, at any indent,
+whatever order its coeff dicts were built in."""
 
 import json
 from fractions import Fraction
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoh.cli import _dump, _GWTable, _JSeries
+from qcoh.cli import _dump, _GWTable, _JSeries, _TildeTable, _TPolyMatrix
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -25,6 +25,11 @@ def _reversed_coeffs(records):
         {**r, "coeffs": {k: r["coeffs"][k] for k in sorted(r["coeffs"], reverse=True)}}
         for r in records
     ]
+
+
+def _reversed_terms(records):
+    """The tilde records with each term's coeffs built in reverse label order."""
+    return [{**r, "terms": _reversed_coeffs(r["terms"])} for r in records]
 
 
 def _assert_written_alike(records, kind):
@@ -46,13 +51,19 @@ def _golden_records(prefix, key):
 
 GW_GOLDENS = _golden_records("gw-", "invariants")
 J_GOLDENS = _golden_records("jfun-", "J")
+TILDE_GOLDENS = _golden_records("tilde-", "v_at_h1")
+MATRIX_GOLDENS = _golden_records("classical-", "matrix")
 
 
 def test_the_goldens_hold_the_payloads():
-    # every gw case holds a table; a jfun case that exits 2 or fails in the
-    # solver holds no J
+    # every gw, tilde and classical case holds its payload; a jfun case
+    # that exits 2 or fails in the solver holds no J
     assert len(GW_GOLDENS) == len(list(GOLDEN.glob("gw-*.json"))) >= 12
     assert len(J_GOLDENS) >= 20
+    assert len(TILDE_GOLDENS) == len(list(GOLDEN.glob("tilde-*.json"))) >= 14
+    assert len(MATRIX_GOLDENS) == len(list(GOLDEN.glob("classical-*.json"))) >= 10
+    # some matrix entry is empty
+    assert any(not e for m in MATRIX_GOLDENS.values() for row in m for e in row)
 
 
 @pytest.mark.parametrize("name", sorted(GW_GOLDENS))
@@ -68,8 +79,20 @@ def test_j_writer_on_golden_payload(name):
     _assert_written_alike(_reversed_coeffs(J), _JSeries)
 
 
+@pytest.mark.parametrize("name", sorted(TILDE_GOLDENS))
+def test_tilde_writer_on_golden_payload(name):
+    table = TILDE_GOLDENS[name]
+    _assert_written_alike(table, _TildeTable)
+    _assert_written_alike(_reversed_terms(table), _TildeTable)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_GOLDENS))
+def test_matrix_writer_on_golden_payload(name):
+    _assert_written_alike(MATRIX_GOLDENS[name], _TPolyMatrix)
+
+
 def test_empty_tables():
-    for kind in (_GWTable, _JSeries):
+    for kind in (_GWTable, _JSeries, _TildeTable, _TPolyMatrix):
         _assert_written_alike([], kind)
         assert _dump(kind()) == "[]\n"
 
@@ -81,6 +104,17 @@ def test_coeff_insertion_order_differs_from_label_order():
     }
     assert list(record["coeffs"]) != sorted(record["coeffs"])
     _assert_written_alike([record], _JSeries)
+    term = {"degree": [1, 0], "coeffs": {"z": "1/2", "a": "-7", "": "3"}}
+    assert list(term["coeffs"]) != sorted(term["coeffs"])
+    _assert_written_alike([{"t": [0, 2], "terms": [term]}], _TildeTable)
+
+
+def test_rank_0_lists_and_empty_entries():
+    # a rank-0 model has empty t-exponents and degrees
+    tilde = {"t": [], "terms": [{"coeffs": {"1": "1"}, "degree": []}]}
+    _assert_written_alike([tilde, {"t": [2], "terms": []}], _TildeTable)
+    rows = [[[], [{"h": [[0, "1"]], "t": []}]], [], [[]]]
+    _assert_written_alike(rows, _TPolyMatrix)
 
 
 def test_negative_exponents_and_long_numerators():
@@ -90,6 +124,10 @@ def test_negative_exponents_and_long_numerators():
     J = {"degree": [0], "coeffs": {"é": [[-40, value], [-2, "0"]]}}
     _assert_written_alike([gw], _GWTable)
     _assert_written_alike([J], _JSeries)
+    term = {"coeffs": {"\u2028": value, "é": "-2"}, "degree": [40, 0]}
+    _assert_written_alike([{"t": [0, 3], "terms": [term]}], _TildeTable)
+    entry = [{"h": [[-40, value]], "t": [0, 40]}, {"h": [[-2, "0"], [3, value]], "t": [2]}]
+    _assert_written_alike([[entry, []]], _TPolyMatrix)
 
 
 _labels = st.one_of(st.sampled_from(AWKWARD), st.text(max_size=6))
@@ -141,3 +179,27 @@ def test_gw_writer_on_generated_tables(records):
 def test_j_writer_on_generated_series(records):
     _assert_written_alike(records, _JSeries)
     _assert_written_alike(_reversed_coeffs(records), _JSeries)
+
+
+_tilde_terms = st.fixed_dictionaries(
+    {"coeffs": st.dictionaries(_labels, _values, min_size=1, max_size=5), "degree": _degrees}
+)
+_tilde_records = st.fixed_dictionaries({"t": _degrees, "terms": st.lists(_tilde_terms, max_size=3)})
+
+_pairs = st.lists(st.tuples(st.integers(-60, 60), _values).map(list), max_size=2)
+_matrix_rows = st.lists(
+    st.lists(st.fixed_dictionaries({"h": _pairs, "t": _degrees}), max_size=3), max_size=4
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_tilde_records, max_size=5))
+def test_tilde_writer_on_generated_tables(records):
+    _assert_written_alike(records, _TildeTable)
+    _assert_written_alike(_reversed_terms(records), _TildeTable)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_matrix_rows, max_size=5))
+def test_matrix_writer_on_generated_matrices(rows):
+    _assert_written_alike(rows, _TPolyMatrix)

@@ -1,5 +1,6 @@
 """Cohomology-valued Novikov series and the gauge-normalized theta action."""
 
+import copy
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -13,7 +14,7 @@ from qcoh.algebra import HLaurent
 from qcoh.model import CohClass, builtin_model, load_model
 from qcoh.operators import apply_gauge, parse_operator
 from qcoh.quantum import QElem
-from qcoh.sections import closed_form
+from qcoh.sections import closed_form, hypergeometric_factors
 from qcoh.series import CohSeries, GaugeSeries, _add_term, _canonical, _theta_flat
 
 RESCALED = Path(__file__).resolve().parent / "golden" / "f3-rescaled.model"
@@ -278,3 +279,48 @@ def test_stored_form_is_canonical_and_round_trips(case):
     assert there.scaled(Fraction(3, 2)) == s
     zero = s - s
     assert not zero and zero.c == {} and (zero.flat, zero.den) == ({}, 1)
+
+
+def _canonical_by_rebuilding(rows, den):
+    """The reference `_canonical`: every row rebuilt, then the gcd divided out."""
+    rows = {D: r for D, row in rows.items() if (r := {k: v for k, v in row.items() if v})}
+    if den == 1:
+        return rows, den
+    g = gcd(den, *(v for row in rows.values() for v in row.values()))
+    if g > 1:
+        den //= g
+        rows = {D: {k: v // g for k, v in row.items()} for D, row in rows.items()}
+    return rows, den
+
+
+@st.composite
+def raw_pair(draw):
+    """Numerators with zeros and empty rows, over a den that is 1 or shares
+    the factor g with every numerator."""
+    g = draw(st.integers(1, 6))
+    den = draw(st.one_of(st.just(1), st.integers(1, 12).map(lambda d: d * g)))
+    key = st.tuples(st.integers(0, 2), st.integers(-2, 2))
+    row = st.dictionaries(key, st.integers(-9, 9).map(lambda n: n * g), max_size=4)
+    return draw(st.dictionaries(st.tuples(st.integers(0, 3)), row, max_size=4)), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pair())
+def test_canonical_matches_rebuilding_and_keeps_canonical_rows(pair):
+    rows, den = pair
+    before = copy.deepcopy(rows)
+    got = _canonical(rows, den)
+    assert got == _canonical_by_rebuilding(before, den)
+    assert rows == before
+    # an already canonical pair comes back as the same objects
+    again = _canonical(*got)
+    assert again == got and again[0] is got[0]
+    assert all(again[0][D] is row for D, row in got[0].items())
+
+
+@pytest.mark.parametrize("name", ["f3", "sigma1"])
+def test_closed_form_leaves_the_factor_data_unchanged(name):
+    model = builtin_model(name)
+    before = copy.deepcopy(hypergeometric_factors(model))
+    closed_form(model, 4)
+    assert copy.deepcopy(hypergeometric_factors(model)) == before
