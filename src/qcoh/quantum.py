@@ -1,9 +1,11 @@
 """Quantum ring arithmetic over the model's one integral product table
 (`ModelSpec.quantum_rows`): products of classes with Novikov coefficients,
 flatness and associativity checks, ring relations, and the exponential of
-quantum multiplication by a degree-2 class.  A multiplication matrix M_j
-is held as its columns, the QElem values b_j o b_l, so flatness compares
-columns.
+quantum multiplication by a degree-2 class.  Every product runs the one
+kernel `_add_times`, a product by one basis element: `QElem.__mul__`
+once per entry of its right factor, and `QElem.times`, which the word
+walk and the two checks call, once.  A multiplication matrix M_j is held
+as its columns, the QElem values b_j o b_l, so flatness compares columns.
 """
 
 from __future__ import annotations
@@ -95,35 +97,27 @@ class QElem(IntSeries):
 
     def __mul__(self, other):
         """The quantum product, truncated at the series order: numerators
-        times the integral structure constants, over den * den' * qden."""
+        times the integral structure constants, over den * den' * qden, one
+        `_add_times` per entry of other."""
         if not isinstance(other, QElem):
             return NotImplemented
         if self.order != other.order:
             raise ValueError("order mismatch")
         qden, table = self.model.quantum_rows()
         out = {}
-        for D1, r1 in self.flat.items():
-            room1 = self.order - sum(D1)
-            for D2, r2 in other.flat.items():
-                room = room1 - sum(D2)
-                if room < 0:
-                    continue
-                base = tuple(map(add, D1, D2))
-                targets = {}  # Dq: the row of q^(base + Dq)
-                for i, x in r1.items():
-                    products = table[i]
-                    for j, y in r2.items():
-                        p = x * y
-                        # terms come by total degree: stop at the first past room
-                        for n, Dq, terms in products[j]:
-                            if n > room:
-                                break
-                            acc = targets.get(Dq)
-                            if acc is None:
-                                acc = targets[Dq] = out.setdefault(tuple(map(add, base, Dq)), {})
-                            for k, c in terms:
-                                acc[k] = acc.get(k, 0) + c * p
+        for D, row in other.flat.items():
+            for c, n in row.items():
+                _add_times(out, self.flat, table, c, n, D, self.order)
         return self._new(out, self.den * other.den * qden)
+
+    def times(self, c):
+        """self o b_c, the product by one basis element without building it;
+        the same value as self * QElem.basis(model, order, c)."""
+        if not 0 <= c < self.model.size:
+            raise ValueError("basis element %r outside 0..%d" % (c, self.model.size - 1))
+        qden, table = self.model.quantum_rows()
+        out = _add_times({}, self.flat, table, c, 1, (), self.order)
+        return self._new(out, self.den * qden)
 
     def describe(self):
         if not self.flat:
@@ -138,12 +132,37 @@ class QElem(IntSeries):
     __repr__ = describe
 
 
+def _add_times(out, flat, table, c, n, shift, order):
+    """out += n * q^shift * (flat o b_c) in place on numerators, dropping
+    degrees past `order`, and return out: flat is the numerator dict of a
+    QElem, table the one of `ModelSpec.quantum_rows` and shift a
+    multidegree (or () for none).  The one product loop of the module."""
+    lift = sum(shift)
+    for D, row in flat.items():
+        room = order - lift - sum(D)
+        if lift:
+            D = tuple(map(add, D, shift))
+        for i, x in row.items():
+            p = x * n
+            # terms come by total degree: stop at the first past room
+            for total, Dq, terms in table[i][c]:
+                if total > room:
+                    break
+                key = tuple(map(add, D, Dq)) if total else D
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = {}
+                for k, m in terms:
+                    acc[k] = acc.get(k, 0) + m * p
+    return out
+
+
 def _word_walk(model: ModelSpec, order: int, exps):
     """(e, 1 o b_1^{e_1} o b_2^{e_2} o ...) for each distinct e in `exps` by
     `series._prefix_walk`, one product by a generator per distinct prefix,
-    left to right, so a model that is not associative keeps its terms."""
-    basis = [QElem.basis(model, order, i) for i in range(model.rank + 1)]  # basis[0] = 1
-    return _prefix_walk(exps, basis[0], lambda x, i: x * basis[i])
+    left to right (`QElem.times`), so a model that is not associative keeps
+    its terms."""
+    return _prefix_walk(exps, QElem.unit(model, order), QElem.times)
 
 
 def _weighted(elem: QElem, i: int) -> QElem:
@@ -179,15 +198,17 @@ def check_flatness(model: ModelSpec, order: int) -> dict:
     """Zero-curvature test for the connection built from the M_j: the
     multiplication matrices must commute and have symmetric q-derivatives.
     Column l of M_j is b_j o b_l, so column l of M_i M_j is
-    b_i o (b_j o b_l) and column l of d_i M_j is b_j o b_l weighted by D_i."""
+    b_i o (b_j o b_l), computed as (b_j o b_l) o b_i (`QElem.times`): the
+    product is commutative in every model (`ModelSpec` refuses a table that
+    is not).  Column l of d_i M_j is b_j o b_l weighted by D_i."""
     gens = range(1, model.rank + 1)
-    basis = [QElem.basis(model, order, l) for l in range(model.size)]
-    cols = {j: [basis[j] * b for b in basis] for j in gens}
+    basis = [QElem.basis(model, order, j) for j in range(model.rank + 1)]
+    cols = {j: [basis[j].times(l) for l in range(model.size)] for j in gens}
     pairs = [(i, j) for i in gens for j in gens if i < j]
     witnesses = []
     for i, j in pairs:
-        ab = [basis[i] * c for c in cols[j]]
-        ba = [basis[j] * c for c in cols[i]]
+        ab = [c.times(i) for c in cols[j]]
+        ba = [c.times(j) for c in cols[i]]
         witnesses += _flatness_witnesses("[M%d, M%d]" % (i, j), ab, ba)
     for i, j in pairs:
         lhs = [_weighted(c, i) for c in cols[j]]
@@ -201,18 +222,18 @@ def check_associativity(model: ModelSpec, order: int) -> dict:
     """(b_i o b_j) o b_k = b_i o (b_j o b_k) for the basis triples
     i <= j <= k with i >= 1: b_0 is the quantum unit of every model
     (`ModelSpec` checks it), so a triple through it has b_j o b_k on
-    both sides."""
+    both sides.  Each side is a stored pair times one basis element
+    (`QElem.times`), the right one as (b_j o b_k) o b_i: the product is
+    commutative in every model (`ModelSpec` refuses a table that is not)."""
     size = model.size
     basis = [QElem.basis(model, order, i) for i in range(size)]
-    pairs = {
-        (j, k): basis[j] * basis[k] for j in range(1, size) for k in range(j, size)
-    }
+    pairs = {(j, k): basis[j].times(k) for j in range(1, size) for k in range(j, size)}
     witnesses = []
     for i in range(1, size):
         for j in range(i, size):
             for k in range(j, size):
-                lhs = pairs[i, j] * basis[k]
-                rhs = basis[i] * pairs[j, k]
+                lhs = pairs[i, j].times(k)
+                rhs = pairs[j, k].times(i)
                 if lhs != rhs:
                     witnesses.append(
                         {

@@ -22,7 +22,7 @@ Every kernel reads and writes that form.  The helpers here know its keys
 (the theta kernel, the t-shift, the scaled shifted sum and the components
 along the dual basis; not `_prefix_walk`, the one walk over generator
 words, which `operators.apply_gauge_many` steps with the theta kernel and
-`quantum` with a product by b_i), and so do the producers and readers
+`quantum` with `QElem.times`, the product by b_i), and so do the producers and readers
 that write or read the pair directly: in `sections` the solver's row
 builder, `_graded_series`, `_graded_at_one`, `asymptotic_J`,
 `extract_descendents` and the H_0 head check of `q_factorize`;
@@ -252,7 +252,8 @@ class CohSeries(IntSeries):
 # -- kernels on the flat form ---------------------------------------------------
 # A flat pair (flat, den) is the storage of a series.  The theta kernel, the
 # t-shift and `_add_term` return numerators without the canonical
-# reduction, which the caller applies once to the result it keeps.
+# reduction, which the caller applies once to the result it keeps; the
+# t-shift keeps only the targets whose numerators do not all cancel.
 
 
 def _theta_flat(model: ModelSpec, flat, i: int) -> tuple:
@@ -290,23 +291,26 @@ def _shift_t(terms, ft, targets, model, order) -> dict:
     flat pairs of the nonzero t^e/e! coefficients; `terms` are the items
     ((a, Q, E), v) of an operator.  Each term adds v times ft[f + E] once
     to the t^f/f! coefficient, moved by a + |E| in h and by Q in q
-    (dropping degrees past `order`).  Returns {f: the t^f coefficient as a
-    CohSeries} for the targets f where it is not zero.  The one t-series
+    (dropping degrees past `order`), through `_add_term`.  Returns {f: the
+    t^f coefficient as a CohSeries} for the targets f where it is not
+    zero; a target whose numerators all cancel, as every one does on a
+    passing `tilde`, is never stored.  The one t-series
     kernel, behind `apply_constq`, `apply_classical` and `tilde`."""
-    terms = [(a + sum(E), Q, E, v) for (a, Q, E), v in terms]
+    terms = [(a + sum(E), Q, E, v.numerator, v.denominator) for (a, Q, E), v in terms]
     out = {}
     for f in targets:
         parts = [
-            (pair, a, Q, v)
-            for a, Q, E, v in terms
+            (pair, a, Q, n, d)
+            for a, Q, E, n, d in terms
             if (pair := ft.get(tuple(map(add, f, E))))
         ]
-        den = lcm(*(d * v.denominator for (_, d), _, _, v in parts))
+        den = lcm(*(pd * d for (_, pd), _, _, _, d in parts))
         acc = {}
-        for (flat, d), a, Q, v in parts:
-            _add_term(acc, flat, v.numerator * (den // (d * v.denominator)), a, Q, order)
-        if cs := CohSeries._stored(model, order, acc, den * _factorial(f)):
-            out[f] = cs
+        for (flat, pd), a, Q, n, d in parts:
+            _add_term(acc, flat, n * (den // (pd * d)), a, Q, order)
+        # a passing residual cancels: store only a target that does not
+        if any(n for row in acc.values() for n in row.values()):
+            out[f] = CohSeries._stored(model, order, acc, den * _factorial(f))
     return out
 
 
@@ -321,17 +325,17 @@ def _add_term(acc, flat, n, hexp, qdeg, order):
     flat series and n an int that brings it to the denominator of acc.
     Zeros are kept, for `_canonical` to drop."""
     shift = any(qdeg)
-    unit = n == 1
     for D, terms in flat.items():
         if shift:
-            D = tuple(a + b for a, b in zip(D, qdeg))
+            D = tuple(map(add, D, qdeg))
             if sum(D) > order:
                 continue
-        out = acc.setdefault(D, {})
+        out = acc.get(D)
+        if out is None:
+            out = acc[D] = {}
         for (k, x), a in terms.items():
             key = (k, x + hexp)
-            p = a if unit else a * n
-            out[key] = out[key] + p if key in out else p
+            out[key] = out.get(key, 0) + a * n
     return acc
 
 

@@ -612,3 +612,82 @@ def test_qelem_is_canonical(name):
     assert gen * top
     low = QElem.basis(model, 0, 1) * QElem.basis(model, 0, model.top)
     assert not low and low == QElem.zero(model, 0)
+
+
+# -- the product kernel against the product loop it replaced -------------------
+
+
+def reference_mul(x, y):
+    """x o y by the earlier product loop: over each pair of degrees and each
+    pair of coordinates, every q-term of the integral table that fits in
+    the order, over den * den' * qden."""
+    qden, table = x.model.quantum_rows()
+    out = {}
+    for D1, r1 in x.flat.items():
+        for D2, r2 in y.flat.items():
+            room = x.order - sum(D1) - sum(D2)
+            if room < 0:
+                continue
+            base = tuple(a + b for a, b in zip(D1, D2))
+            for i, a in r1.items():
+                for j, b in r2.items():
+                    for n, Dq, terms in table[i][j]:
+                        if n > room:
+                            break
+                        row = out.setdefault(tuple(u + v for u, v in zip(base, Dq)), {})
+                        for k, c in terms:
+                            row[k] = row.get(k, 0) + c * a * b
+    return QElem._stored(x.model, x.order, out, x.den * y.den * qden)
+
+
+@st.composite
+def qelem_pair(draw):
+    """A model, an order in 0..5 and two QElems with rational coefficients
+    (so den > 1), each possibly times a drawn q^shift."""
+    name = draw(st.sampled_from(PRODUCT_MODELS))
+    model = _product_model(name)
+    order = draw(st.integers(0, 5))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    degree = st.tuples(*[st.integers(0, order)] * model.rank)
+
+    def element():
+        terms = {}
+        for D, k, c in draw(
+            st.lists(st.tuples(degree, st.integers(0, model.size - 1), coeff), max_size=5)
+        ):
+            if sum(D) <= order:
+                terms.setdefault(D, [Fraction(0)] * model.size)[k] += c
+        elem = QElem(model, order, {D: CohClass(v) for D, v in terms.items()})
+        if draw(st.booleans()):
+            elem = elem.shifted(draw(st.tuples(*[st.integers(0, 2)] * model.rank)))
+        return elem
+
+    return model, order, element(), element()
+
+
+@settings(max_examples=200, deadline=None)
+@given(qelem_pair())
+def test_product_matches_the_reference_product_loop(case):
+    model, order, x, y = case
+    got = x * y
+    assert got == reference_mul(x, y)
+    _assert_canonical(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qelem_pair())
+def test_times_is_the_product_by_the_basis_element(case):
+    model, order, x, _ = case
+    for c in range(model.size):
+        basis = QElem.basis(model, order, c)
+        got = x.times(c)
+        assert got == x * basis == reference_mul(x, basis), c
+        _assert_canonical(got)
+
+
+def test_times_refuses_an_index_outside_the_basis():
+    model = builtin_model("f3")
+    x = QElem.basis(model, 2, 1)
+    for c in (-1, model.size):
+        with pytest.raises(ValueError, match="outside"):
+            x.times(c)

@@ -2,14 +2,16 @@
 against termwise application of theta from its definition (cup by b_i on
 HLaurent classes plus d_i * h, without the flat theta kernel), the number
 of theta steps it takes, and the number of quantum products the same walk
-takes for the word table and the relations; the refusal of an operator of
-another rank; and the one exponent shift on t-series
-(apply_constq, apply_classical, and tilde's residuals read from the
-quantum word table) against termwise differentiation in t.  f3-rescaled
+takes for the word table and the relations, and the ring checks for
+theirs; the refusal of an operator of another rank; and the one exponent
+shift on t-series (apply_constq, apply_classical, and tilde's residuals
+read from the quantum word table) against termwise differentiation in t,
+and with `_add_term` against copies of the earlier code.  f3-rescaled
 is f3 in a basis with cup denominators 2, 3 and 5, so its generator
 action is integral only over a common denominator."""
 
 from fractions import Fraction
+from math import factorial, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -31,9 +33,16 @@ from qcoh.operators import (
     parse_operator,
     parse_relation,
 )
-from qcoh.quantum import QElem, _exp_words, eval_relation, exp_quantum
+from qcoh.quantum import (
+    QElem,
+    _exp_words,
+    check_associativity,
+    check_flatness,
+    eval_relation,
+    exp_quantum,
+)
 from qcoh.sections import asymptotic_J, closed_form, verify_annihilated
-from qcoh.series import CohSeries, GaugeSeries, _degrees_upto, _shift_t
+from qcoh.series import CohSeries, GaugeSeries, _add_term, _degrees_upto, _shift_t
 
 CLOSED_FORM_MODELS = ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1", "f3-rescaled")
 ORDER = 4
@@ -218,15 +227,17 @@ def test_verify_annihilated_takes_one_theta_step_per_prefix(monkeypatch):
 
 @pytest.fixture
 def products(monkeypatch):
-    """The list that gets one entry per QElem product."""
+    """The list that gets one entry per QElem product: a product of two
+    elements (`QElem.__mul__`) or by one basis element (`QElem.times`)."""
     calls = []
-    mul = QElem.__mul__
+    for name in ("__mul__", "times"):
+        method = getattr(QElem, name)
 
-    def counting(a, b):
-        calls.append(1)
-        return mul(a, b)
+        def counting(a, b, method=method):
+            calls.append(1)
+            return method(a, b)
 
-    monkeypatch.setattr(QElem, "__mul__", counting)
+        monkeypatch.setattr(QElem, name, counting)
     return calls
 
 
@@ -236,6 +247,18 @@ def test_word_table_takes_one_product_per_word(products):
         products.clear()
         _exp_words(builtin_model(name), 3, torder)
         assert len(products) == want, name
+
+
+def test_ring_checks_take_one_product_per_column_and_per_side(products):
+    # f3 (rank 2, size 6): associativity 15 pairs b_j o b_k (1 <= j <= k)
+    # and two products for each of the 35 triples; flatness 12 columns
+    # b_j o b_l and 12 columns of the one commutator
+    model = builtin_model("f3")
+    for check, want in ((check_associativity, 85), (check_flatness, 24)):
+        for order in (0, 3, 6):
+            products.clear()
+            assert check(model, order)["status"] == "pass"
+            assert len(products) == want, (check.__name__, order)
 
 
 @pytest.mark.parametrize("name", ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1", "gr24"))
@@ -384,3 +407,143 @@ def test_tilde_word_table_residuals_match_termwise_application(name):
         want = {e: cs for e, cs in termwise_t(op, tp).c.items() if sum(e) <= bound}
         assert got and got == want, text
         assert list(got) == sorted(got, key=lambda e: (sum(e), e))
+
+
+# -- the t-shift and `_add_term` against the code they replaced -----------------
+
+
+def reference_add_term(acc, flat, n, hexp, qdeg, order):
+    """The earlier `_add_term`: acc += n * h^hexp * q^qdeg * flat on
+    numerators, zeros kept, degrees past the order dropped."""
+    for D, terms in flat.items():
+        if any(qdeg):
+            D = tuple(a + b for a, b in zip(D, qdeg))
+            if sum(D) > order:
+                continue
+        out = acc.setdefault(D, {})
+        for (k, x), a in terms.items():
+            key = (k, x + hexp)
+            out[key] = out[key] + a * n if key in out else a * n
+    return acc
+
+
+def reference_shift_t(terms, ft, targets, model, order):
+    """The earlier `_shift_t`: every target stored, then kept when the
+    stored series is not zero."""
+    terms = [(a + sum(E), Q, E, v) for (a, Q, E), v in terms]
+    out = {}
+    for f in targets:
+        parts = [
+            (pair, a, Q, v)
+            for a, Q, E, v in terms
+            if (pair := ft.get(tuple(x + y for x, y in zip(f, E))))
+        ]
+        den = lcm(*(d * v.denominator for (_, d), _, _, v in parts))
+        acc = {}
+        for (flat, d), a, Q, v in parts:
+            reference_add_term(acc, flat, v.numerator * (den // (d * v.denominator)), a, Q, order)
+        if cs := CohSeries._stored(model, order, acc, den * prod(map(factorial, f))):
+            out[f] = cs
+    return out
+
+
+def reference_constq(op, tp, model):
+    """The earlier `apply_constq`, through the two copies above."""
+    order = next((cs.order for cs in tp.c.values()), 0)
+    ft = {
+        e: (reference_add_term({}, cs.flat, prod(map(factorial, e)), 0, (), order), cs.den)
+        for e, cs in tp.c.items()
+    }
+    thetas = {E for _, _, E in op.c}
+    targets = {
+        tuple(x - y for x, y in zip(e, E))
+        for e in ft for E in thetas if all(x >= y for x, y in zip(e, E))
+    }
+    return TPoly(tp.nvars, reference_shift_t(op.c.items(), ft, targets, model, order))
+
+
+@st.composite
+def shift_case(draw, q_free):
+    """A model and an operator: a drawn one (which annihilates nothing in
+    general), a shipped defining operator, or, q-free, the q-free part of
+    one times a drawn q-free factor (which annihilates the classical J)."""
+    name = draw(st.sampled_from(("cp1", "cp3", "f3", "sigma1", "gr24", "f3-rescaled")))
+    model = t_series(name)[0]
+    kind = draw(st.sampled_from(("drawn", "shipped", "factor")))
+    if kind == "drawn" or name == "gr24":  # gr24 ships no operators
+        return name, draw(t_operator(model.rank, q_free))
+    op = draw(st.sampled_from(builtin_operators(model, defining_only=True)))
+    if q_free:
+        op = op.q_free_part()
+    if kind == "factor":
+        op = draw(t_operator(model.rank, True)) * op
+    return name, op
+
+
+@settings(max_examples=40, deadline=None)
+@given(shift_case(q_free=False))
+def test_constq_matches_the_reference_shift(case):
+    name, op = case
+    model, tp, _ = t_series(name)
+    got = apply_constq(op, tp, model)
+    assert got == reference_constq(op, tp, model), str(op)
+    assert all(got.c.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(shift_case(q_free=True))
+def test_classical_matches_the_reference_shift(case):
+    name, op = case
+    model, _, aj = t_series(name)
+    got = apply_classical(op, aj, model)
+    assert got == reference_constq(op, aj, model), str(op)
+    assert all(got.c.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(shift_case(q_free=False))
+def test_shift_t_on_the_word_table_stores_no_zero(case):
+    # every target up to the t-order, so the residuals of a shipped
+    # operator cancel below its bound and not above it
+    name, op = case
+    model = t_series(name)[0]
+    words = _exp_words(model, T_NOVIKOV, T_ORDER)
+    targets = _degrees_upto(model.rank, T_ORDER)
+    got = _shift_t(op.c.items(), words, targets, model, T_NOVIKOV)
+    assert got == reference_shift_t(op.c.items(), words, targets, model, T_NOVIKOV), str(op)
+    assert all(got.values())
+    assert all(cs.flat and all(all(row.values()) for row in cs.flat.values()) for cs in got.values())
+
+
+def test_shipped_operators_leave_no_residual_below_their_bound():
+    for name in ("cp1", "cp3", "f3", "sigma1", "f3-rescaled"):
+        model = t_series(name)[0]
+        words = _exp_words(model, T_NOVIKOV, T_ORDER)
+        for op in builtin_operators(model, defining_only=True):
+            low = _degrees_upto(model.rank, T_ORDER - op.theta_degree())
+            assert _shift_t(op.c.items(), words, low, model, T_NOVIKOV) == {}, str(op)
+
+
+flat_rows = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(-2, 2)), st.integers(-3, 3), max_size=4
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flat_rows,
+    flat_rows,
+    st.integers(-4, 4),
+    st.integers(-2, 2),
+    st.sampled_from(((), (0, 0), (1, 0), (0, 2), (1, 1))),
+    st.integers(0, 4),
+)
+def test_add_term_matches_the_reference(acc, flat, n, hexp, qdeg, order):
+    # zeros included, in acc, in flat and as n: both keep them
+    want = reference_add_term({D: dict(row) for D, row in acc.items()}, flat, n, hexp, qdeg, order)
+    got = _add_term(acc, flat, n, hexp, qdeg, order)
+    assert got is acc and got == want
