@@ -71,10 +71,11 @@ def _dump(payload) -> str:
     str, int, bool and None, and raises TypeError on anything else.
 
     Four payload shapes have record writers, each one `%` template per
-    record: a `_GWTable` (gw's invariant records), a `_JSeries` (the
-    records of jfun's "J"), a `_TildeTable` (tilde's "v_at_h1") and a
-    `_TPolyMatrix` (the rows of classical's "matrix").  Every other
-    payload takes the generic walk."""
+    record, made as writer(nl, table) for the table at its indent: a
+    `_GWTable` (gw's invariant records), a `_JSeries` (the stored rows of
+    jfun's "J"), a `_TildeTable` (tilde's "v_at_h1") and a `_TPolyMatrix`
+    (the rows of classical's "matrix").  Every other payload takes the
+    generic walk."""
     out = []
     _write_json(payload, "\n", out.append)
     out.append("\n")
@@ -86,7 +87,12 @@ class _GWTable(list):
 
 
 class _JSeries(list):
-    """The records of a J-series, written by `_j_writer`."""
+    """The q^D rows (D, {(k, x): n}) of a series stored as (flat, den), by
+    degree, written by `_j_writer` over den with the labels of the b_k."""
+
+    def __init__(self, flat, den, labels):
+        super().__init__(sorted(flat.items(), key=lambda r: _degree_order(r[0])))
+        self.den, self.labels = den, labels
 
 
 class _TildeTable(list):
@@ -104,7 +110,7 @@ def _lister(inner):
     return lambda items: "[" + inner + body + close if (body := sep.join(items)) else "[]"
 
 
-def _gw_writer(nl):
+def _gw_writer(nl, _table):
     """The writer of one record {"D": [int], "axiom": bool, "j_label": str,
     "n": int, "note": str when not axiom, "value": str} at the newline and
     indent nl.  D is never empty: gw lists only positive degrees."""
@@ -119,27 +125,31 @@ def _gw_writer(nl):
     )
 
 
-def _j_writer(nl):
-    """The writer of one record {"coeffs": {label: [[x, "v"], ...]},
-    "degree": [int]} at the newline and indent nl, with the coeffs and every
-    list of pairs nonempty; it sorts the labels itself."""
+def _j_writer(nl, series):
+    """The writer of one nonempty row (D, {(k, x): n}) of the `_JSeries`
+    series at the newline and indent nl, as the record {"coeffs": {label:
+    [[x, "n/den"], ...]}, "degree": D} of `CohSeries.to_json`: labels
+    sorted, each list by ascending x."""
+    labels, den = series.labels, series.den
     i1, i2, i3, i4 = (nl + " " * k for k in range(1, 5))
     template = '{~"coeffs": {%s~},~"degree": %s'.replace("~", i1) + nl + "}"
     label, pair = "%s: [" + i3 + "%s" + i2 + "]", "[~%d,~%s".replace("~", i4) + i3 + "]"
     sep, psep, degree = "," + i2, "," + i3, _lister(i2)
 
     def write(r):
-        c = r["coeffs"]
+        D, row = r
+        c = {}
+        for (k, x), n in sorted(row.items()):
+            c.setdefault(k, []).append(pair % (x, _quoted(format_ratio(n, den))))
         body = sep.join([
-            label % (_quoted(k), psep.join([pair % (x, _quoted(v)) for x, v in c[k]]))
-            for k in sorted(c)
+            label % (_quoted(labels[k]), psep.join(c[k])) for k in sorted(c, key=labels.__getitem__)
         ])
-        return template % (i2 + body, degree(map(str, r["degree"])))
+        return template % (i2 + body, degree(map(str, D)))
 
     return write
 
 
-def _tilde_writer(nl):
+def _tilde_writer(nl, _table):
     """The writer of one record {"t": [int], "terms": [{"coeffs": {label:
     str}, "degree": [int]}]} at the newline and indent nl, with every
     coeffs nonempty; it sorts the labels itself."""
@@ -159,7 +169,7 @@ def _tilde_writer(nl):
     return write
 
 
-def _matrix_writer(nl):
+def _matrix_writer(nl, _table):
     """The writer of one row of entries at the newline and indent nl, each
     entry a list, maybe empty, of {"h": [[int, str]], "t": [int]}."""
     i1, i2, i3, i4, i5 = (nl + " " * k for k in range(1, 6))
@@ -214,7 +224,7 @@ def _write_json(x, nl, out):
         sep = "[" + inner
         writer = _RECORD_WRITERS.get(type(x))
         if writer is not None:
-            out(sep + ("," + inner).join(map(writer(inner), x)) + nl + "]")
+            out(sep + ("," + inner).join(map(writer(inner, x), x)) + nl + "]")
             return
         for v in x:
             out(sep)
@@ -387,7 +397,7 @@ def cmd_jfun(args):
     else:
         J, construction = solved, "solve"
     payload["construction"] = construction
-    payload["J"] = _JSeries(J.to_json())
+    payload["J"] = _JSeries(J.flat, J.den, model.labels)
 
     if args.verify is not None:
         ops, _ = _expressions(

@@ -13,12 +13,12 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 from .algebra import HLaurent, NovikovSeries, TPoly, format_ratio, format_rational
 from .model import ModelSpec, _invert_rational_matrix, cp_dimension
 from .operators import QDEOperator, apply_gauge_many
-from .quantum import CheckFailure, QElem, _check_failure, _report
+from .quantum import CheckFailure, _check_failure, _report
 from .series import (
     CohSeries,
     GaugeSeries,
@@ -28,7 +28,6 @@ from .series import (
     _degrees_upto,
     _first_mismatch,
     _laurent,
-    _sum,
 )
 
 
@@ -352,24 +351,21 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
 # The hypergeometric coefficients are built at h = 1: the factor x + k*h
 # becomes x + k.  Each factor value is a polynomial in the factor's class
 # x, computed in Z[x]/(x^m), x^m the first power of x that vanishes, as int
-# coefficients over one positive denominator; the powers of x stop at
-# x^(dim + 1).  A class is a QElem of Novikov order 0, and classes multiply
-# only as QElem.  Each coefficient J_D is homogeneous of degree -deg q^D
-# (deg h = 2), so h comes back from the grading alone.
+# coefficients over one positive denominator.  Each J_D is one int vector
+# over its own denominator: the unit times each value, by Horner on the
+# action of x (`_flat_apply`), so no two classes are multiplied.  J_D is
+# homogeneous of degree -deg q^D (deg h = 2): h comes back from the grading.
 
 
 def _graded_series(model, order, terms):
-    """GaugeSeries from classes (QElem of order 0) computed at h = 1: the
-    b_k coordinate of the q^D coefficient is c * h^e with e = -(deg b_k +
-    deg q^D) / 2."""
-    degrees = model.degrees
-    zero = (0,) * model.rank
-    den = lcm(*(v.den for v in terms.values()))
+    """GaugeSeries from the vectors {D: (b_k coordinates as ints, den)}
+    computed at h = 1: the b_k coordinate of the q^D coefficient is c * h^e
+    with e = -(deg b_k + deg q^D) / 2."""
+    degrees, den = model.degrees, lcm(*(d for _, d in terms.values()))
     flat = {}
-    for D, v in terms.items():
-        qdeg = model.qdegree(D)
-        m, row = den // v.den, v.flat.get(zero, {})
-        flat[D] = {(k, -(degrees[k] + qdeg) // 2): m * n for k, n in row.items()}
+    for D, (vec, d) in terms.items():
+        qdeg, m = model.qdegree(D), den // d
+        flat[D] = {(k, -(degrees[k] + qdeg) // 2): m * n for k, n in enumerate(vec) if n}
     return GaugeSeries._stored(model, order, flat, den)
 
 
@@ -399,21 +395,28 @@ def hypergeometric_factors(model: ModelSpec):
 
 
 def _factor_values(model, factor, order):
-    """{n: [prod_{k<=0}(x + k) / prod_{k<=n}(x + k)]^p for the n = <charge,
-    D> of the degrees D up to the order}, as classes at h = 1, for the
-    factor (x, charge, p) with x of degree 2.  For n < 0 this is the finite
-    product prod_{k=n+1..0}(x + k)^p, which includes the bare factor x at
-    k = 0, so a negative p needs charges >= 0.  x is nilpotent, as every
-    positive-degree class of a graded ring is, so x^(dim + 1) = 0."""
+    """(action, m, values) for the factor (x, charge, p) with x of degree 2:
+    action is X = qden * (x cup -) on b_k coordinate vectors, for
+    `_flat_apply`; x^m = 0 first at m <= dim + 1, as every positive-degree
+    class of a graded ring is nilpotent (ValueError otherwise); values[n] =
+    (c, den) is [prod_{k<=0}(x + k) / prod_{k<=n}(x + k)]^p = sum_j c_j x^j
+    / den for the n = <charge, D> of the degrees D up to the order.  For
+    n < 0 this is the finite product prod_{k=n+1..0}(x + k)^p, which holds
+    the bare factor x at k = 0, so a negative p needs charges >= 0."""
     row, charge, power = factor
-    x = QElem._stored(model, 0, {(0,) * model.rank: dict(row)}, 1)  # row is module data
-    pows = [QElem.unit(model, 0)]
-    for _ in range(model.dim + 1):
-        p = pows[-1] * x
-        if not p:
+    cols = {}  # {c: {k: the b_k coordinate of X b_c}}
+    for i, a in row.items():
+        for c, terms in enumerate(model.integral_action(i)):
+            col = cols.setdefault(c, {})
+            for k, n in terms:
+                col[k] = col.get(k, 0) + a * n
+    action = tuple((c, tuple((k, n) for k, n in col.items() if n)) for c, col in cols.items())
+    v = [1] + [0] * (model.size - 1)
+    for m in range(1, model.dim + 2):
+        if not any(v := _flat_apply(action, v, [0] * len(v))):
             break
-        pows.append(p)
-    m = len(pows)
+    else:
+        raise ValueError("the factor class %r is not nilpotent" % (row,))
 
     def step(value, k, e):
         """value * (x + k)^e in Z[x]/(x^m), reduced by one gcd; k >= 1 when
@@ -436,16 +439,7 @@ def _factor_values(model, factor, order):
         values[n] = step(values[n - 1], n, -power)
     for n in range(-1, order * min(0, *charge) - 1, -1):
         values[n] = step(values[n + 1], n + 1, power)
-
-    def to_class(c, den):
-        scaled = (
-            ({D: {k: a * v for k, v in r.items()} for D, r in xj.flat.items()}, den * xj.den)
-            for a, xj in zip(c, pows)
-            if a
-        )
-        return QElem._stored(model, 0, *_sum(scaled))
-
-    return {n: to_class(*v) for n, v in values.items()}
+    return action, m, values
 
 
 def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
@@ -456,17 +450,23 @@ def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
 
     the inverse of prod_{k=1..n}(x + kh)^p for n = <charge, D> >= 0 and the
     finite product prod_{k=n+1..0}(x + kh)^p for n < 0.  LookupError when
-    the model has no factor list (`hypergeometric_factors`)."""
-    values = [
-        (factor[1], _factor_values(model, factor, order))
-        for factor in hypergeometric_factors(model)
-    ]
+    the model has no factor list (`hypergeometric_factors`), ValueError on a
+    negative order (`_degrees_upto`)."""
+    qden = model.quantum_rows()[0]
+    factors = [(f[1], *_factor_values(model, f, order)) for f in hypergeometric_factors(model)]
     terms = {}
     for D in _degrees_upto(model.rank, order):
-        first, *rest = [
-            vals[sum(c * d for c, d in zip(charge, D))] for charge, vals in values
-        ]
-        terms[D] = prod(rest, start=first)
+        v, den = [1] + [0] * (model.size - 1), 1
+        for charge, action, m, values in factors:
+            if n := sum(c * d for c, d in zip(charge, D)):
+                (*c, top), d = values[n]
+                # Horner on X = qden x: r = qden^(m-1) sum_j c_j x^j v
+                r = [top * a for a in v]
+                for e, cj in enumerate(reversed(c), 1):
+                    r = _flat_apply(action, r, [cj * qden**e * a for a in v])
+                g = gcd(den := den * d * qden ** (m - 1), *r)
+                v, den = [a // g for a in r], den // g
+        terms[D] = v, den
     return _graded_series(model, order, terms)
 
 

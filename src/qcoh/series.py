@@ -24,9 +24,10 @@ along the dual basis; not `_prefix_walk`, the one walk over generator
 words, which `operators.apply_gauge_many` steps with the theta kernel and
 `quantum` with `QElem.times`, the product by b_i), and so do the producers and readers
 that write or read the pair directly: in `sections` the solver's row
-builder, `_graded_series`, `_graded_at_one`, `asymptotic_J`,
-`extract_descendents` and the H_0 head check of `q_factorize`;
-`quantum._exp_words`; and `cli._v_at_h1`.  HLaurent and Fraction values are built only for output
+builder, `_graded_series` (from the closed form's int vectors),
+`_graded_at_one`, `asymptotic_J`, `extract_descendents` and the H_0 head
+check of `q_factorize`; `quantum._exp_words`; and `cli._v_at_h1` and
+`cli._j_writer`.  HLaurent and Fraction values are built only for output
 (`to_json`, `describe`) and for the read-only views (`c`, `coeff`,
 `items_sorted`).
 
@@ -81,7 +82,10 @@ def _degree_order(D):
 
 
 def _degrees_upto(rank, order):
-    """All multidegrees with total degree <= order, ascending by (total, lex)."""
+    """All multidegrees with total degree <= order, ascending by (total, lex);
+    ValueError on a negative order, which no degree is below."""
+    if order < 0:
+        raise ValueError("negative order %d" % order)
     out = [()]
     for _ in range(rank):
         out = [d + (k,) for d in out for k in range(order + 1 - sum(d))]

@@ -1,17 +1,21 @@
-"""The record writers of `cli._dump`: a `_GWTable`, `_JSeries`,
-`_TildeTable` or `_TPolyMatrix` must be written as the same string the
-generic walk writes for the same records in a plain list, at any indent,
-whatever order its coeff dicts were built in."""
+"""The record writers of `cli._dump`: a `_GWTable`, `_TildeTable` or
+`_TPolyMatrix` must be written as the same string the generic walk writes
+for the same records in a plain list, and a `_JSeries` over a stored series
+(flat, den) as the string it writes for the series' `to_json()` records, at
+any indent, whatever order the coeff dicts or labels come in."""
 
 import json
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoh.cli import _dump, _GWTable, _JSeries, _TildeTable, _TPolyMatrix
+from qcoh.series import CohSeries
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -20,7 +24,7 @@ AWKWARD = ['"', "\\", "é", "\u2028", " ", "", 'x"\\é', '"1"']
 
 
 def _reversed_coeffs(records):
-    """The J records with each coeffs dict built in reverse label order."""
+    """The records with each coeffs dict built in reverse label order."""
     return [
         {**r, "coeffs": {k: r["coeffs"][k] for k in sorted(r["coeffs"], reverse=True)}}
         for r in records
@@ -30,6 +34,21 @@ def _reversed_coeffs(records):
 def _reversed_terms(records):
     """The tilde records with each term's coeffs built in reverse label order."""
     return [{**r, "terms": _reversed_coeffs(r["terms"])} for r in records]
+
+
+def _j_series(records, reverse=False):
+    """The `_JSeries` of the stored series whose `to_json()` the J records
+    are: its (flat, den) over the lcm of their denominators, with the labels
+    in sorted order, or in reverse so that b_k order is not label order."""
+    labels = sorted({k for r in records for k in r["coeffs"]}, reverse=reverse)
+    index = {k: i for i, k in enumerate(labels)}
+    values = [(r["degree"], k, x, Fraction(v)) for r in records for k in r["coeffs"]
+              for x, v in r["coeffs"][k]]
+    den = lcm(*(v.denominator for *_, v in values))
+    flat = {}
+    for D, k, x, v in values:
+        flat.setdefault(tuple(D), {})[index[k], x] = int(v * den)
+    return _JSeries(flat, den, labels)
 
 
 def _assert_written_alike(records, kind):
@@ -74,9 +93,9 @@ def test_gw_writer_on_golden_payload(name):
 @pytest.mark.parametrize("name", sorted(J_GOLDENS))
 def test_j_writer_on_golden_payload(name):
     J = J_GOLDENS[name]
-    _assert_written_alike(J, _JSeries)
-    # the writer orders the labels itself, not by dict insertion
-    _assert_written_alike(_reversed_coeffs(J), _JSeries)
+    _assert_written_alike(J, _j_series)
+    # the writer orders the labels itself, not by b_k or dict insertion order
+    _assert_written_alike(J, lambda records: _j_series(records, reverse=True))
 
 
 @pytest.mark.parametrize("name", sorted(TILDE_GOLDENS))
@@ -92,9 +111,11 @@ def test_matrix_writer_on_golden_payload(name):
 
 
 def test_empty_tables():
-    for kind in (_GWTable, _JSeries, _TildeTable, _TPolyMatrix):
+    for kind in (_GWTable, _TildeTable, _TPolyMatrix):
         _assert_written_alike([], kind)
         assert _dump(kind()) == "[]\n"
+    _assert_written_alike([], _j_series)
+    assert _dump(_JSeries({}, 1, ["1", "x"])) == "[]\n"
 
 
 def test_coeff_insertion_order_differs_from_label_order():
@@ -103,7 +124,8 @@ def test_coeff_insertion_order_differs_from_label_order():
         "coeffs": {"z": [[-3, "1/2"]], "a": [[-1, "-7"], [0, "1"]], "": [[4, "3"]]},
     }
     assert list(record["coeffs"]) != sorted(record["coeffs"])
-    _assert_written_alike([record], _JSeries)
+    _assert_written_alike([record], _j_series)
+    _assert_written_alike([record], lambda records: _j_series(records, reverse=True))
     term = {"degree": [1, 0], "coeffs": {"z": "1/2", "a": "-7", "": "3"}}
     assert list(term["coeffs"]) != sorted(term["coeffs"])
     _assert_written_alike([{"t": [0, 2], "terms": [term]}], _TildeTable)
@@ -123,7 +145,7 @@ def test_negative_exponents_and_long_numerators():
     gw = {"D": [0, 3], "axiom": True, "j_label": "\u2028", "n": 12, "value": value}
     J = {"degree": [0], "coeffs": {"é": [[-40, value], [-2, "0"]]}}
     _assert_written_alike([gw], _GWTable)
-    _assert_written_alike([J], _JSeries)
+    _assert_written_alike([J], _j_series)
     term = {"coeffs": {"\u2028": value, "é": "-2"}, "degree": [40, 0]}
     _assert_written_alike([{"t": [0, 3], "terms": [term]}], _TildeTable)
     entry = [{"h": [[-40, value]], "t": [0, 40]}, {"h": [[-2, "0"], [3, value]], "t": [2]}]
@@ -155,17 +177,18 @@ def _gw_records(draw):
     return record
 
 
-_j_records = st.fixed_dictionaries(
-    {
-        "degree": _degrees,
-        "coeffs": st.dictionaries(
-            _labels,
-            st.lists(st.tuples(st.integers(-60, 60), _values).map(list), min_size=1, max_size=3),
-            min_size=1,
-            max_size=5,
-        ),
-    }
-)
+@st.composite
+def _stored_series(draw):
+    """A CohSeries stored as (flat, den), with distinct labels in any order;
+    its degrees all have one length, as a model's rank fixes it."""
+    labels = draw(st.lists(_labels, min_size=1, max_size=5, unique=True))
+    rank = draw(st.integers(min_value=0, max_value=3))
+    degree = st.lists(st.integers(min_value=0, max_value=30), min_size=rank, max_size=rank)
+    key = st.tuples(st.integers(0, len(labels) - 1), st.integers(-60, 60))
+    row = st.dictionaries(key, st.integers(-(10**30), 10**30), max_size=6)
+    flat = draw(st.dictionaries(degree.map(tuple), row, max_size=6))
+    den = draw(st.integers(min_value=1, max_value=10**30))
+    return CohSeries._stored(SimpleNamespace(labels=labels), 0, flat, den)
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,10 +198,11 @@ def test_gw_writer_on_generated_tables(records):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_j_records, max_size=6))
-def test_j_writer_on_generated_series(records):
-    _assert_written_alike(records, _JSeries)
-    _assert_written_alike(_reversed_coeffs(records), _JSeries)
+@given(_stored_series())
+def test_j_writer_on_generated_series(series):
+    table = _JSeries(series.flat, series.den, series.model.labels)
+    for wrap in (lambda t: t, lambda t: {"J": t, "N": 1}, lambda t: [[t], 0]):
+        assert _dump(wrap(table)) == _dump(wrap(series.to_json()))
 
 
 _tilde_terms = st.fixed_dictionaries(

@@ -2,7 +2,7 @@
 assembly, Q-factorization, classical limits, and descendent extraction."""
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -27,7 +27,8 @@ from qcoh.operators import (
     builtin_rowspec,
     parse_operator,
 )
-from qcoh.series import GaugeSeries
+from qcoh.quantum import QElem
+from qcoh.series import GaugeSeries, _degrees_upto
 from qcoh.sections import (
     CheckFailure,
     HMatrix,
@@ -138,13 +139,14 @@ def test_closed_form_cp_matches_sympy_expansion(m):
 def test_factor_values_match_sympy_expansion(name):
     """Independent oracle for each factor (x, charge, p): expand
     [prod_{k<=0}(x+k) / prod_{k<=n}(x+k)]^p in x with sympy at h = 1 and
-    sum the coefficients against the powers of x under the model's cup,
-    for every n = <charge, D> with |D| <= 4.  Covers n < 0 (sigma1) and
+    compare its x^j coefficients with the returned ones, for every
+    n = <charge, D> with |D| <= 4, in Z[x]/(x^m) with x^m the first power
+    of x that vanishes under the model's cup.  Covers n < 0 (sigma1) and
     p = -1 (f3)."""
     import sympy
 
     model = builtin_model(name)
-    order, zero = 4, (0,) * model.rank
+    order = 4
     x = sympy.symbols("x")
     for factor in hypergeometric_factors(model):
         row, charge, power = factor
@@ -152,18 +154,97 @@ def test_factor_values_match_sympy_expansion(name):
         pows = [CohClass(Fraction(int(k == 0)) for k in range(model.size))]
         while pows[-1]:
             pows.append(model.cup(pows[-1], cls))
-        values = sections._factor_values(model, factor, order)
+        _, m, values = sections._factor_values(model, factor, order)
+        assert m == len(pows) - 1
         lo, hi = order * min(0, *charge), order * max(0, *charge)
         assert sorted(values) == list(range(lo, hi + 1))
-        for n, value in values.items():
+        for n, (coeffs, den) in values.items():
             ks = range(n + 1, 1) if n < 0 else range(1, n + 1)
             f = sympy.Mul(*[(x + k) ** (power if n < 0 else -power) for k in ks])
-            want = [Fraction(0)] * model.size
-            for j, xj in enumerate(pows):
+            want = []
+            for j in range(m):
                 a = sympy.diff(f, x, j).subs(x, 0) / sympy.factorial(j)
-                a = Fraction(int(a.p), int(a.q))
-                want = [w + a * c for w, c in zip(want, xj.coords)]
-            assert list(value.coeff(zero).coords) == want, (factor, n)
+                want.append(Fraction(int(a.p), int(a.q)))
+            assert [Fraction(c, den) for c in coeffs] == want, (factor, n)
+
+
+def _class_product_closed_form(model, order):
+    """The closed form as the class-product builder computed it before the
+    Horner build: each factor value turned into a class (QElem of Novikov
+    order 0) over the powers of x, and J_D the product of the classes."""
+    zero = (0,) * model.rank
+    values = []
+    for row, charge, power in hypergeometric_factors(model):
+        x = QElem._stored(model, 0, {zero: dict(row)}, 1)
+        pows = [QElem.unit(model, 0)]
+        for _ in range(model.dim + 1):
+            p = pows[-1] * x
+            if not p:
+                break
+            pows.append(p)
+        m = len(pows)
+
+        def step(value, k, e, m=m):
+            c, den = value
+            for _ in range(e):
+                c = [k * a + b for a, b in zip(c, [0, *c])]
+            for _ in range(-e):
+                o, out = 0, []
+                for j, a in enumerate(c):
+                    o = a * k**j - o
+                    out.append(o * k ** (m - 1 - j))
+                c, den = out, den * k**m
+            g = gcd(den, *c)
+            return [a // g for a in c], den // g
+
+        vals = {0: ([1] + [0] * (m - 1), 1)}
+        for n in range(1, order * max(0, *charge) + 1):
+            vals[n] = step(vals[n - 1], n, -power)
+        for n in range(-1, order * min(0, *charge) - 1, -1):
+            vals[n] = step(vals[n + 1], n + 1, power)
+        classes = {}
+        for n, (c, den) in vals.items():
+            total = QElem.zero(model, 0)
+            for a, xj in zip(c, pows):
+                total = total + xj.scaled(Fraction(a, den))
+            classes[n] = total
+        values.append((charge, classes))
+    den, flat, terms = 1, {}, {}
+    for D in _degrees_upto(model.rank, order):
+        first, *rest = [v[sum(c * d for c, d in zip(charge, D))] for charge, v in values]
+        terms[D] = prod(rest, start=first)
+        den = lcm(den, terms[D].den)
+    for D, v in terms.items():
+        e = model.qdegree(D)
+        flat[D] = {(k, -(model.degrees[k] + e) // 2): n * (den // v.den)
+                   for k, n in v.flat.get(zero, {}).items()}
+    return GaugeSeries._stored(model, order, flat, den)
+
+
+@pytest.mark.parametrize(
+    "name", ["cp1", "cp2", "cp3", "cp4", "cp5", "cp12", "f3", "sigma1", "f3-rescaled"]
+)
+def test_closed_form_matches_the_class_product_builder(name):
+    # f3-rescaled has qden 30, so its Horner steps carry powers of qden
+    if name == "f3-rescaled":
+        model = load_model(Path(__file__).resolve().parent / "golden" / "f3-rescaled.model")
+        assert model.quantum_rows()[0] == 30
+    else:
+        model = builtin_model(name)
+    for order in range(9):
+        J = closed_form(model, order)
+        want = _class_product_closed_form(model, order)
+        assert (J.flat, J.den) == (want.flat, want.den), order
+
+
+@pytest.mark.parametrize("build", [closed_form, solve_fundamental])
+@pytest.mark.parametrize("name", ["cp1", "f3"])
+def test_negative_order_is_refused(build, name):
+    # the closed form gave the zero series and the solver q^0 alone in a
+    # series of order -1; an empty result is never a valid answer
+    for order in (-1, -3):
+        with pytest.raises(ValueError, match="negative order"):
+            build(builtin_model(name), order)
 
 
 def test_a_generator_that_is_not_nilpotent_is_refused():
