@@ -140,7 +140,7 @@ class ModelSpec:
         "pairing",
         "chern",
         "aliases",
-        "_solver",
+        "_compiled",
         "_cup",
         "_quantum",
         "_cup_actions",
@@ -181,7 +181,7 @@ class ModelSpec:
             "pairing": tuple(tuple(int(x) for x in row) for row in pairing),
             "chern": tuple(int(c) for c in chern),
             "aliases": MappingProxyType(dict(aliases or {})),
-            "_solver": None,
+            "_compiled": {},
             # b_i cup b_j = sum n/cden b_k for the terms (k, n) of [i][j]
             "_cup": (cden, tuple(tuple(_int_terms(c, cden) for c in row) for row in cup)),
             "_quantum": (qden, table),
@@ -237,11 +237,12 @@ class ModelSpec:
         scale = Fraction(1, qden)
         return CohClass(tuple(a * scale if a else Fraction(0) for a in out))
 
-    def solver_maps(self, build):
-        """The solver's operators build(self), kept from the first call that returns."""
-        if self._solver is None:
-            object.__setattr__(self, "_solver", build(self))
-        return self._solver
+    def compiled(self, build):
+        """build(self), kept per builder from the first call that returns: the
+        one memo of what depends on the model alone.  A raise stores nothing."""
+        if build not in self._compiled:
+            self._compiled[build] = build(self)
+        return self._compiled[build]
 
     # -- quantum structure ---------------------------------------------------
 

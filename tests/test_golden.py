@@ -416,6 +416,37 @@ def test_solver_operators_are_kept_per_model_not_per_name():
     assert (code, out) == (stored["exit"], _dump(stored["stdout"]))
 
 
+def test_closed_forms_are_compiled_per_model_not_per_name():
+    # three models named f3 (the builtin, the rescaled one with qden 30 and
+    # another cup table, and cp2's tables, which have no f3 closed form),
+    # each built in turn: every closed form must read its own model's
+    # factor actions, as a fresh copy of the model (nothing kept) does
+    from qcoh.sections import _factor_actions
+
+    named_cp2 = load_model(GOLDEN / "cp2-named-f3.model")
+    models = [
+        builtin_model("f3"),
+        load_model(GOLDEN / "f3-rescaled.model"),
+        named_cp2,
+        builtin_model("f3"),
+    ]
+    assert {m.name for m in models} == {"f3"}
+    for _ in range(2):
+        for m in models:
+            if m is named_cp2:
+                with pytest.raises(LookupError, match="outside b_1..b_1"):
+                    closed_form(m, 4)
+                assert _factor_actions not in m._compiled
+                continue
+            fresh = ModelSpec.from_json(m.to_json())
+            assert closed_form(m, 4) == closed_form(fresh, 4)
+    assert closed_form(models[0], 4) != closed_form(models[1], 4)
+    # the memo holds nothing keyed by order: a lower order after a higher one
+    f3 = builtin_model("f3")
+    assert closed_form(f3, 8).order == 8
+    assert closed_form(f3, 3) == closed_form(ModelSpec.from_json(f3.to_json()), 3)
+
+
 @pytest.mark.parametrize("case", sorted(QFACTOR_CORPUS))
 def test_golden_q_factorization(case):
     name, order = QFACTOR_CORPUS[case]

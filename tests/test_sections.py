@@ -148,13 +148,14 @@ def test_factor_values_match_sympy_expansion(name):
     model = builtin_model(name)
     order = 4
     x = sympy.symbols("x")
-    for factor in hypergeometric_factors(model):
+    compiled = model.compiled(sections._factor_actions)
+    for factor, (_, _, _, m) in zip(hypergeometric_factors(model), compiled, strict=True):
         row, charge, power = factor
         cls = CohClass(Fraction(row.get(k, 0)) for k in range(model.size))
         pows = [CohClass(Fraction(int(k == 0)) for k in range(model.size))]
         while pows[-1]:
             pows.append(model.cup(pows[-1], cls))
-        _, m, values = sections._factor_values(model, factor, order)
+        values = sections._factor_values(charge, power, m, order)
         assert m == len(pows) - 1
         lo, hi = order * min(0, *charge), order * max(0, *charge)
         assert sorted(values) == list(range(lo, hi + 1))

@@ -3,19 +3,34 @@
 import copy
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoh.algebra import HLaurent
+from qcoh import sections
+from qcoh.algebra import HLaurent, monomial_text
 from qcoh.model import CohClass, builtin_model, load_model
 from qcoh.operators import apply_gauge, parse_operator
 from qcoh.quantum import QElem
-from qcoh.sections import closed_form, hypergeometric_factors
-from qcoh.series import CohSeries, GaugeSeries, _add_term, _canonical, _theta_flat
+from qcoh.sections import (
+    asymptotic_H,
+    asymptotic_J,
+    closed_form,
+    hypergeometric_factors,
+    solve_fundamental,
+)
+from qcoh.series import (
+    CohSeries,
+    GaugeSeries,
+    _add_term,
+    _canonical,
+    _degrees_upto,
+    _graded,
+    _theta_flat,
+)
 
 RESCALED = Path(__file__).resolve().parent / "golden" / "f3-rescaled.model"
 
@@ -324,3 +339,134 @@ def test_closed_form_leaves_the_factor_data_unchanged(name):
     before = copy.deepcopy(hypergeometric_factors(model))
     closed_form(model, 4)
     assert copy.deepcopy(hypergeometric_factors(model)) == before
+
+
+# -- one writer that puts h back, one describe: against the code they replaced --
+# Each owner is compared with a local copy of the parent code it replaced:
+# `sections._graded_series` (the closed form's writer), the solver's row
+# builder (every row, not only J's), `asymptotic_J`'s key loop, and the
+# `describe` methods of CohSeries and QElem.
+
+OWNER_MODELS = ("cp1", "cp2", "cp3", "cp4", "cp5", "cp12", "f3", "sigma1", RESCALED.name)
+
+
+def _owner_model(name):
+    return load_model(RESCALED.parent / name) if name.endswith(".model") else builtin_model(name)
+
+
+def _parent_graded_series(model, order, terms):
+    degrees, den = model.degrees, lcm(*(d for _, d in terms.values()))
+    flat = {}
+    for D, (vec, d) in terms.items():
+        qdeg, m = model.qdegree(D), den // d
+        flat[D] = {(k, -(degrees[k] + qdeg) // 2): m * n for k, n in enumerate(vec) if n}
+    return GaugeSeries._stored(model, order, flat, den)
+
+
+def _parent_solver_rows(model, order):
+    """Every row of the fundamental solution: G_D solved along j* as the
+    solver does (without its checks), and the rows written from G_D by the
+    parent's row builder, h^e per (i, l, D)."""
+    size, rank, degrees = model.size, model.rank, model.degrees
+    area = size * size
+    qden = model.quantum_rows()[0]
+    commutator, mparts, duals, dual_den = sections._solver_maps(model)
+    G = {(0,) * rank: ([int(e % (size + 1) == 0) for e in range(area)], 1)}
+    for D in _degrees_upto(rank, order)[1:]:
+        j = next(j for j in range(1, rank + 1) if D[j - 1] > 0)
+        parts = [
+            (lmap, *G[rest])
+            for Dp, lmap in mparts[j]
+            if min(rest := tuple(a - b for a, b in zip(D, Dp))) >= 0
+        ]
+        term, den = [0] * area, qden * lcm(*(d for _, _, d in parts))
+        for lmap, num, d in parts:
+            sections._flat_apply(lmap, num, term, den // (qden * d))
+        step, den = D[j - 1] * qden, den * D[j - 1]
+        total, depth = [0] * area, 0
+        while any(term):
+            total = [a * step + b for a, b in zip(total, term)]
+            term = sections._flat_apply(commutator[j], term, [0] * area)
+            depth += 1
+        G[D] = total, den * step ** max(depth - 1, 0)
+    den = lcm(*(d for _, d in G.values()))
+
+    def row(i):
+        flat = {}
+        for D, (mat, d) in G.items():
+            coords = flat[D] = {}
+            qdeg = model.qdegree(D)
+            for l, v in enumerate(mat[i * size : (i + 1) * size]):
+                v *= den // d
+                exp = (degrees[l] - degrees[i] - qdeg) // 2
+                for k, a in duals[l]:
+                    key = (k, exp)
+                    coords[key] = coords.get(key, 0) + a * v
+        return GaugeSeries._stored(model, order, flat, den * dual_den)
+
+    return tuple(map(row, range(size)))
+
+
+def _parent_describe(s, bare):
+    """CohSeries.describe with bare "(%s)", QElem.describe with "%s"."""
+    if not s.flat:
+        return "0"
+    parts = []
+    for D, cls in s.items_sorted():
+        mono = monomial_text("q", D)
+        body = cls.describe(s.model.labels)
+        parts.append("(%s)*%s" % (body, mono) if mono else bare % body)
+    return " + ".join(parts)
+
+
+@pytest.mark.parametrize("name", OWNER_MODELS)
+def test_graded_writes_the_closed_form_as_the_parent_writer_did(name, monkeypatch):
+    model = _owner_model(name)
+    seen = []
+
+    def spy(model, rows, weight=0):
+        seen.append((rows, weight))
+        return _graded(model, rows, weight)
+
+    monkeypatch.setattr(sections, "_graded", spy)
+    for order in range(7):
+        seen.clear()
+        J = closed_form(model, order)
+        [(rows, weight)] = seen
+        assert weight == 0
+        assert J == _parent_graded_series(model, order, rows), order
+
+
+@pytest.mark.parametrize("name", OWNER_MODELS + ("gr24",))
+def test_solver_rows_match_the_parent_row_builder(name):
+    model = _owner_model(name)
+    for order in range(7):
+        assert solve_fundamental(model, order).rows == _parent_solver_rows(model, order), order
+
+
+@pytest.mark.parametrize("name", OWNER_MODELS)
+def test_asymptotic_J_matches_the_parent_key_loop(name):
+    model = _owner_model(name)
+    E = asymptotic_H(model)
+    zero = (0,) * model.rank
+    want = {
+        e: CohSeries._stored(
+            model, 0, {zero: {(k, -sum(e)): n for k, n in enumerate(mat[: model.size])}}, den
+        )
+        for e, (mat, den) in E.items()
+    }
+    assert asymptotic_J(model, E).c == {e: s for e, s in want.items() if s}
+
+
+@pytest.mark.parametrize("name", OWNER_MODELS)
+def test_describe_writes_as_the_parent_methods_did(name):
+    model = _owner_model(name)
+    for order in range(7):
+        J = closed_form(model, order)
+        rows = solve_fundamental(model, order).rows
+        for s in (J, J - _unit_series(model, order), J.scaled(0), *rows):
+            assert s.describe() == _parent_describe(s, "(%s)")
+        for j in range(model.size):
+            for k in range(model.size):
+                x = QElem.basis(model, order, j).times(k)
+                assert x.describe() == repr(x) == _parent_describe(x, "%s")
