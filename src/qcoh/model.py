@@ -22,6 +22,7 @@ import re
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from operator import mul
 from importlib import resources
 from types import MappingProxyType
 
@@ -213,7 +214,7 @@ class ModelSpec:
 
     def qdegree(self, D):
         """deg q^D = 2 <c_1, D>: twice the pairing of c_1 with the curve class D."""
-        return 2 * sum(d * c for d, c in zip(D, self.chern))
+        return 2 * sum(map(mul, D, self.chern))
 
     def basis_class(self, i):
         coords = [Fraction(0)] * self.size

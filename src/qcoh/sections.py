@@ -27,6 +27,7 @@ from .series import (
     _degree_order,
     _degrees_upto,
     _first_mismatch,
+    _flat_apply,
     _graded,
     _laurent,
 )
@@ -36,10 +37,12 @@ from .series import (
 # Every matrix this module computes at h = 1 (the solver's G_D, the q-matrix
 # series of `q_factorize` and the classical limit E) is one flat list of
 # size * size ints, entry (i, k) at i * size + k, over a positive int
-# denominator.  Two kernels multiply them, one per access pattern: the
-# solver applies fixed sparse operators at every degree, compiled once per
-# model (`_flat_map`, `_flat_apply`); the one-shot products of `_qmat_divide`
-# and `asymptotic_H` run one direct loop (`_flat_mul`).
+# denominator; entry (i, k) at q^D of a graded one carries the h-power of
+# `_entry_powers`.  Two kernels multiply them, one per access pattern: the
+# solver's fixed sparse operators, compiled once per model by `_flat_map`,
+# run on `series._flat_apply` (the dense kernel of the closed form and the
+# operator walk too); the one-shot products of `_qmat_divide` and
+# `asymptotic_H` run one direct loop (`_flat_mul`).
 
 
 def _flat_mul(a, b, size, out, f=1):
@@ -54,6 +57,13 @@ def _flat_mul(a, b, size, out, f=1):
                 if y := b[u + k]:
                     out[i + k] += x * y
     return out
+
+
+def _entry_powers(model, D):
+    """The h-power e of every entry (i, k) of a graded matrix at q^D, flat at
+    i * size + k: e = (deg b_k - deg b_i - deg q^D) / 2, once per degree."""
+    degrees, qdeg = model.degrees, model.qdegree(D)
+    return [(b - a - qdeg) // 2 for a in degrees for b in degrees]
 
 
 def _integral(m):
@@ -193,16 +203,6 @@ def _flat_map(size, left=(), right=()):
     return tuple((s, tuple((t, c) for t, c in ts.items() if c)) for s, ts in maps.items())
 
 
-def _flat_apply(lmap, X, out, f=1):
-    """out += f * lmap(X) in place, for a map compiled by `_flat_map`."""
-    for s, pairs in lmap:
-        if x := X[s]:
-            x *= f
-            for t, c in pairs:
-                out[t] += c * x
-    return out
-
-
 def _solver_maps(model):
     """The solver's operators, which depend on the model alone:
     commutator[j] maps X to [B_j, X] times qden, mparts[j] holds the maps
@@ -274,11 +274,6 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     rank = model.rank
     degrees = model.degrees
 
-    def monomial(i, k, D, value):
-        # entry (i, k) of a side of the degree-D equation: h times G_D's
-        e = (degrees[k] - degrees[i] - model.qdegree(D)) // 2
-        return HLaurent.term(value, e + 1)
-
     qden = model.quantum_rows()[0]
     zero = (0,) * rank
     commutator, mparts, duals, dual_den = model.compiled(_solver_maps)
@@ -318,6 +313,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
             bad = next((e for e in range(area) if want[e] * lden != lhs[e] * wden), None)
             if bad is not None:
                 i, k = divmod(bad, size)
+                e = _entry_powers(model, D)[bad] + 1  # each side is h times G_D
                 raise _check_failure(
                     model,
                     "solver-consistency",
@@ -325,8 +321,8 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                         "degree": list(D),
                         "direction": j,
                         "entry": [i, k],
-                        "expected": monomial(i, k, D, Fraction(want[bad], wden)).to_json(),
-                        "got": monomial(i, k, D, Fraction(lhs[bad], lden)).to_json(),
+                        "expected": HLaurent.term(Fraction(want[bad], wden), e).to_json(),
+                        "got": HLaurent.term(Fraction(lhs[bad], lden), e).to_json(),
                     },
                 )
 
@@ -501,11 +497,10 @@ def build_H_from_J(model: ModelSpec, J: GaugeSeries, rowspec) -> HMatrix:
 
 # -- Q-factorization -------------------------------------------------------
 # H, H_0 and Q are graded like the solver's matrices: entry (i, k) at q^D
-# is c * h^e with e = (deg b_k - deg b_i - deg q^D) / 2.  Once the entries
-# of H and H_0, read from the stored rows (`series._components`), are
-# checked against that rule, the factorization runs at h = 1 on q-matrix
-# series: pairs ({D: flat ints}, den) with one positive int denominator
-# for the whole series.
+# is c * h^e with e from `_entry_powers`.  Once the entries of H and H_0,
+# read from the stored rows (`series._components`), are checked against
+# that rule, the factorization runs at h = 1 on q-matrix series: pairs
+# ({D: flat ints}, den) with one positive int denominator for the series.
 
 
 def _qmat_reduced(A, den):
@@ -533,25 +528,22 @@ def _graded_at_one(model, comps, name):
     components `comps[i]` (`series._components`), after checking every
     entry against the grading; the first entry that breaks it, by degree,
     row and column, names the failure."""
-    size = model.size
-    degrees = model.degrees
-    den = lcm(*(d for _, d in comps))
-    out = {}
-    bad = []
+    size, den = model.size, lcm(*(d for _, d in comps))
+    out, powers, bad = {}, {}, []
     for i, (comp, d) in enumerate(comps):
         for D, terms in comp.items():
             if D not in out:
-                out[D] = [0] * (size * size)
-            mat, qdeg = out[D], model.qdegree(D)
+                out[D], powers[D] = [0] * (size * size), _entry_powers(model, D)
+            mat, row = out[D], i * size
             for (k, x), n in terms.items():
-                if x == (degrees[k] - degrees[i] - qdeg) // 2:
-                    mat[i * size + k] = n * (den // d)
+                if x == powers[D][row + k]:
+                    mat[row + k] = n * (den // d)
                 else:
                     bad.append((_degree_order(D), i, k))
     if bad:
         (_, D), i, k = min(bad)
         v = _laurent(comps[i][0][D], comps[i][1], k)
-        e = (degrees[k] - degrees[i] - model.qdegree(D)) // 2
+        e = powers[D][i * size + k]
         raise _qfactor_failure(
             model, D, i, k, HLaurent.term(v.c.get(e, 0), e), v,
             "entry of %s breaks the grading: expected a multiple "
@@ -603,7 +595,6 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
     size = model.size
     rank = model.rank
     order = Hm.order
-    degrees = model.degrees
     zero = (0,) * rank
     J = Hm.jrow()
     theta_rows = [op.theta_part() for op in rowspec]
@@ -634,23 +625,24 @@ def q_factorize(model: ModelSpec, Hm: HMatrix, rowspec):
     # Q * H_0 = H holds by construction to the order of H (`_qmat_divide`),
     # so only the head and the h-independence of Q remain to be checked
     Q, qden = _qmat_divide(model, (A, aden), (A0, a0den), head_inverse, order)
+    powers = _entry_powers(model, zero)
     for e, v in enumerate(Q.get(zero, [0] * (size * size))):
         i, k = divmod(e, size)
         if v != qden * (i == k):
-            x = (degrees[k] - degrees[i]) // 2
+            x = powers[e]
             raise _qfactor_failure(
                 model, zero, i, k, HLaurent.term(int(i == k), x),
                 HLaurent.term(Fraction(v, qden), x), "q^0 part of Q is not the identity",
             )
     entries = [[{} for _ in range(size)] for _ in range(size)]
     for D, mat in sorted(Q.items(), key=lambda kv: _degree_order(kv[0])):
-        qdeg = model.qdegree(D)
+        powers = _entry_powers(model, D)
         for e, v in enumerate(mat):
             if v:
                 i, k = divmod(e, size)
                 v = Fraction(v, qden)
-                if e := (degrees[k] - degrees[i] - qdeg) // 2:
-                    got = HLaurent.term(v, e)
+                if x := powers[e]:
+                    got = HLaurent.term(v, x)
                     raise _qfactor_failure(
                         model, D, i, k, HLaurent(), got,
                         "entry depends on h: %s" % got,

@@ -19,17 +19,20 @@ dicts it built itself (never a model's or module data), and no stored
 row is ever changed in place.
 
 Every kernel reads and writes that form.  The helpers here know its keys
-(the theta kernel, the t-shift, the scaled shifted sum, the components
-along the dual basis and `_graded`; not `_prefix_walk`, the one walk over
-generator words, which `operators.apply_gauge_many` steps with the theta
-kernel and `quantum` with `QElem.times`, the product by b_i).  `_graded`
-puts h back, from the grading, into the solver's rows, the closed form
-and `asymptotic_J`, all computed at h = 1; `quantum._exp_words` writes
-its own (k, -|e|) keys.  Readers of the pair: in `sections`
-`_graded_at_one`, `extract_descendents` and the H_0 head check of
-`q_factorize`; `cli._v_at_h1` and `cli._j_writer`.  HLaurent and
-Fraction values are built only for output (`to_json`, `describe`) and
-for the read-only views (`c`, `coeff`, `items_sorted`).
+(the theta kernel `_theta_flat`, the t-shift, the scaled shifted sum, the
+components along the dual basis and `_graded`).  The dense kernels at
+h = 1 know none: `_flat_apply`, a sparse map on int vectors that the
+solver, the closed form and the operator walk share, and `_theta_at_one`,
+the step with which `operators.apply_gauge_many` walks `_prefix_walk`,
+the one walk over generator words (`quantum` steps it with `QElem.times`,
+the product by b_i).  `_graded` puts h back, from the grading, into the
+solver's rows, the closed form, `asymptotic_J` and the walk's results,
+all computed at h = 1; `quantum._exp_words` writes its own (k, -|e|)
+keys.  Readers of the pair: in `sections` `_graded_at_one`,
+`extract_descendents` and the H_0 head check of `q_factorize`; the split
+by weight of `apply_gauge_many`; `cli._v_at_h1` and `cli._j_writer`.
+HLaurent and Fraction values are built only for output (`to_json`,
+`describe`) and for the read-only views (`c`, `coeff`, `items_sorted`).
 
 A GaugeSeries is the same data read as the section e^{t/h} * sum_D c_D q^D;
 in that reading the operator theta_i = h d/dt_i acts on the q^D term as cup
@@ -273,12 +276,34 @@ def _graded(model: ModelSpec, rows, weight=0) -> tuple:
     return flat, den
 
 
+def _flat_apply(lmap, X, out, f=1):
+    """out += f * lmap(X) in place on dense int vectors, for a map of pairs
+    (source, ((target, n), ...)): `sections._flat_map`'s, or an integral action."""
+    for s, pairs in lmap:
+        if x := X[s]:
+            x *= f
+            for t, c in pairs:
+                out[t] += c * x
+    return out
+
+
+def _theta_at_one(model: ModelSpec, rows, i: int) -> tuple:
+    """theta_i at h = 1 on the pair ({D: ints}, den) of dense b_k coordinate
+    vectors, over den * qden: v at degree D becomes X_i v + d_i * qden * v,
+    X_i = qden * (b_i cup -) (`ModelSpec.integral_action`) and d_i = D[i - 1],
+    and is dropped when it vanishes.  The step of the operator walk."""
+    rows, den = rows
+    action, qden = tuple(enumerate(model.integral_action(i))), model.quantum_rows()[0]
+    steps = ((D, _flat_apply(action, v, [D[i - 1] * qden * a for a in v])) for D, v in rows.items())
+    return {D: v for D, v in steps if any(v)}, den * qden
+
+
 def _theta_flat(model: ModelSpec, flat, i: int) -> tuple:
     """theta_i on a flat series, over den * qden (`ModelSpec.quantum_rows`):
     the numerator a at (j, x) of degree D adds a * n at (k, x) for each
     (k, n) of b_i cup b_j in `ModelSpec.integral_action`, and a * d_i * qden
-    at (j, x + 1) where d_i = D[i - 1].  The one theta kernel, shared by
-    GaugeSeries.theta, the operator walk and the first-order-system check."""
+    at (j, x + 1) where d_i = D[i - 1].  The theta kernel on stored pairs,
+    behind GaugeSeries.theta and so the first-order-system check."""
     flat, den = flat
     action = model.integral_action(i)
     qden = model.quantum_rows()[0]

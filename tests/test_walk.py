@@ -1,7 +1,8 @@
 """Operator application by one walk over shared theta prefixes: the walk
 against termwise application of theta from its definition (cup by b_i on
-HLaurent classes plus d_i * h, without the flat theta kernel), the number
-of theta steps it takes, and the number of quantum products the same walk
+HLaurent classes plus d_i * h, without the flat theta kernel), on inputs
+of two weights against a copy of the earlier walk over (k, x)-keyed
+dicts, the number of theta steps it takes, and the number of quantum products the same walk
 takes for the word table and the relations, and the ring checks for
 theirs; the refusal of an operator of another rank; and the one exponent
 shift on t-series (apply_constq, apply_classical, and tilde's residuals
@@ -10,16 +11,18 @@ and with `_add_term` against copies of the earlier code.  f3-rescaled
 is f3 in a basis with cup denominators 2, 3 and 5, so its generator
 action is integral only over a common denominator."""
 
+import json
 from fractions import Fraction
 from math import factorial, lcm, prod
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcoh.algebra import HLaurent, TPoly
-from qcoh import operators
+from qcoh import operators, sections
 from qcoh.model import CohClass, builtin_model, load_model
 from qcoh.operators import (
     QDEOperator,
@@ -42,7 +45,15 @@ from qcoh.quantum import (
     exp_quantum,
 )
 from qcoh.sections import asymptotic_J, closed_form, verify_annihilated
-from qcoh.series import CohSeries, GaugeSeries, _add_term, _degrees_upto, _shift_t
+from qcoh.series import (
+    CohSeries,
+    GaugeSeries,
+    _add_term,
+    _degrees_upto,
+    _prefix_walk,
+    _shift_t,
+    _theta_flat,
+)
 
 CLOSED_FORM_MODELS = ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1", "f3-rescaled")
 ORDER = 4
@@ -201,10 +212,91 @@ def test_walk_matches_termwise_application_on_random_operators(case):
         assert series.c == reference_apply(op, name).c, str(op)
 
 
+# -- inputs of more than one weight ----------------------------------------------
+# The walk splits its input by weight u = 2x + deg b_k + deg q^D.  A J has
+# one weight; J plus c*h^a*J (which every shipped operator still
+# annihilates) or plus c*h*q_j*J has two, so a walk that assumed one input
+# weight fails here.
+
+
+def dict_walk(ops, s):
+    """The earlier `apply_gauge_many`, which walks the stored (k, x)-keyed
+    numerators with the theta kernel `_theta_flat` and adds each term by
+    `_add_term`, keeping every power of h."""
+    model, order = s.model, s.order
+    qden = model.quantum_rows()[0]
+    dens, groups = [], {}
+    for pos, op in enumerate(ops):
+        den = s.den
+        for (hexp, qdeg, E), v in op.c.items():
+            den = lcm(den, s.den * v.denominator * qden ** sum(E))
+            groups.setdefault(E, []).append((pos, hexp, qdeg, v))
+        dens.append(den)
+    acc = [{} for _ in dens]
+    walk = _prefix_walk(groups, (s.flat, s.den), lambda flat, i: _theta_flat(model, flat, i))
+    for E, (prefix, den) in walk:
+        for pos, hexp, qdeg, v in groups[E]:
+            n = v.numerator * (dens[pos] // (v.denominator * den))
+            _add_term(acc[pos], prefix, n, hexp, qdeg, order)
+    return [GaugeSeries._stored(model, order, out, den) for out, den in zip(acc, dens)]
+
+
+def weights(s):
+    degrees, qdegree = s.model.degrees, s.model.qdegree
+    return {2 * x + degrees[k] + qdegree(D) for D, row in s.flat.items() for k, x in row}
+
+
+@st.composite
+def mixed_weight_case(draw):
+    """A model, a series of two weights built from its J, whether it is
+    J + c*h^a*J, and operators of mixed weight: P*A and A, which annihilate
+    J + c*h^a*J, P and A*P."""
+    name = draw(st.sampled_from(CLOSED_FORM_MODELS))
+    J = closed_form_J(name)
+    rank, c = J.model.rank, draw(coefficients())
+    if central := draw(st.booleans()):
+        a, qdeg = draw(st.sampled_from((-1, 1, 2))), (0,) * rank
+    else:
+        j = draw(st.integers(1, rank))
+        a, qdeg = 1, tuple(int(i == j) for i in range(1, rank + 1))
+    extra = reference_times(J, qdeg, HLaurent.term(c, a))
+    A = draw(st.sampled_from(shipped_operators(name)))
+    P = draw(inhomogeneous_factor(rank))
+    return name, J + extra, central, [P * A, A, P, A * P]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_weight_case())
+def test_walk_on_inputs_of_mixed_weight_matches_the_dict_walk(case):
+    name, s, central, ops = case
+    assert len(weights(s)) == 2
+    got, want = apply_gauge_many(ops, s), dict_walk(ops, s)
+    assert not central or not (got[0] or got[1])
+    assert [(r.flat, r.den) for r in got] == [(r.flat, r.den) for r in want]
+    report = json.dumps(verify_annihilated(s, ops), indent=1)
+    with patch.object(sections, "apply_gauge_many", dict_walk):
+        assert report == json.dumps(verify_annihilated(s, ops), indent=1)
+
+
+def test_walk_on_inputs_of_mixed_weight_passes_and_fails():
+    # J + h*J is still annihilated by f3's shipped operators, J + h*q1*J is not
+    J = closed_form_J("f3")
+    ops = shipped_operators("f3")
+    for extra, status in (
+        (reference_times(J, (0, 0), HLaurent.term(1, 1)), "pass"),
+        (reference_times(J, (1, 0), HLaurent.term(1, 1)), "fail"),
+    ):
+        s = J + extra
+        assert len(weights(s)) == 2
+        assert verify_annihilated(s, ops)["status"] == status
+        assert [r.flat for r in apply_gauge_many(ops, s)] == [r.flat for r in dict_walk(ops, s)]
+
+
 # -- one theta-kernel call per distinct prefix ---------------------------------
 
 
 def test_verify_annihilated_takes_one_theta_step_per_prefix(monkeypatch):
+    # one dense step per distinct prefix per weight of J, and f3's J has one
     J = closed_form_J("f3")
     ops = builtin_operators(J.model)
     ops += [
@@ -212,13 +304,13 @@ def test_verify_annihilated_takes_one_theta_step_per_prefix(monkeypatch):
         for t in ("1/2 + D1 + q2*D1", "-3 + 2*h*D2 + h*q1", "1 + D2 - q1")
     ]
     calls = []
-    kernel = operators._theta_flat
+    kernel = operators._theta_at_one
 
-    def counting(model, flat, i):
+    def counting(model, rows, i):
         calls.append(i)
-        return kernel(model, flat, i)
+        return kernel(model, rows, i)
 
-    monkeypatch.setattr(operators, "_theta_flat", counting)
+    monkeypatch.setattr(operators, "_theta_at_one", counting)
     report = verify_annihilated(J, ops)
     assert report["status"] == "pass"
     assert len(calls) == len(theta_words(ops))
