@@ -30,9 +30,12 @@ from .model import (
 )
 from .series import (
     GaugeSeries,
+    _add_shifted,
     _add_term,
+    _by_weight,
     _factorial,
     _graded,
+    _nonzero,
     _prefix_walk,
     _shift_t,
     _theta_at_one,
@@ -493,21 +496,19 @@ def apply_gauge_many(ops, s: GaugeSeries) -> list:
     """Apply several normal-ordered operators to one gauge-normalized
     section, returning one GaugeSeries per operator, computed at h = 1.
 
-    With deg h = 2, the term n * h^x at b_k of the q^D coefficient of s has
-    weight u = 2x + deg b_k + deg q^D; s is split by weight into dense b_k
-    vectors at h = 1, one per (u, D) (a J has one weight).  Per weight, one
-    `series._prefix_walk` stepped by `_theta_at_one` reaches each theta^E
-    of the terms once, one step per distinct prefix.  A term
+    s is split by weight (`series._by_weight`; a J has one weight).  Per
+    weight u, one `series._prefix_walk` stepped by `_theta_at_one` reaches
+    each theta^E of the terms once, one step per distinct prefix.  A term
     c * h^a * q^B * theta^E adds its prefix, shifted by B, to the part of
     weight u + w, w = 2a + deg q^B + 2|E|, and `series._graded` puts h
-    back into each part.  Exact: each part is homogeneous, so it is zero
-    exactly when it is zero at h = 1, and two weights never share a (D, k, x).
+    back.  Exact: each part is homogeneous, so it is zero exactly when it
+    is zero at h = 1.
 
     theta^E multiplies s.den by qden^|E| (`ModelSpec.quantum_rows`); an
     operator's result is over the lcm of c.denominator * s.den * qden^|E|
     over its terms, each an int multiple of its prefix."""
     model, order = s.model, s.order
-    qden, degrees, qdegree = model.quantum_rows()[0], model.degrees, model.qdegree
+    qden, qdegree = model.quantum_rows()[0], model.qdegree
     dens, groups = [], {}  # groups: E: the terms (pos, w, B, c) of theta^E
     for pos, op in enumerate(ops):
         if op.rank != model.rank:
@@ -517,30 +518,18 @@ def apply_gauge_many(ops, s: GaugeSeries) -> list:
             den = lcm(den, s.den * c.denominator * qden ** sum(E))
             groups.setdefault(E, []).append((pos, 2 * (hexp + sum(E)) + qdegree(B), B, c))
         dens.append(den)
-    parts = {}  # {u: {D: the b_k coordinates of the weight-u part of the q^D term}}
-    for D, terms in s.flat.items():
-        qd = qdegree(D)
-        for (k, x), n in terms.items():
-            parts.setdefault(2 * x + degrees[k] + qd, {}).setdefault(D, [0] * model.size)[k] = n
-    acc, shifts = {}, {}  # acc: {(pos, weight): {D: numerators over dens[pos]}}
-    for u, part in parts.items():
+    acc, shifts = [{} for _ in dens], {}  # acc[pos]: {weight: {D: numerators over dens[pos]}}
+    for u, part in _by_weight(model, s.flat).items():
         walk = _prefix_walk(groups, (part, s.den), lambda rows, i: _theta_at_one(model, rows, i))
         for E, (rows, den) in walk:
             for pos, w, B, c in groups[E]:
                 n = c.numerator * (dens[pos] // (c.denominator * den))
                 if B not in shifts:  # {D: D + B} for the degrees of s, up to the order
                     shifts[B] = {D: T for D in s.flat if sum(T := tuple(map(add, D, B))) <= order}
-                shift, out = shifts[B], acc.setdefault((pos, u + w), {})
-                for D, v in rows.items():
-                    if (T := shift.get(D)) is not None:
-                        r = out.get(T)  # the sum so far at q^T
-                        out[T] = [n * a + b for a, b in zip(v, r)] if r else [n * a for a in v]
-    flats = [{} for _ in dens]
-    for (pos, weight), rows in acc.items():
-        part, flat = {D: (vec, dens[pos]) for D, vec in rows.items() if any(vec)}, flats[pos]
-        for D, row in _graded(model, part, weight)[0].items():
-            flat[D] = {**flat[D], **row} if D in flat else row
-    return [GaugeSeries._stored(model, order, flat, den) for flat, den in zip(flats, dens)]
+                _add_shifted(acc[pos].setdefault(u + w, {}), rows, shifts[B], n)
+    return [
+        GaugeSeries._stored(model, order, *_graded(model, _nonzero(*p))) for p in zip(acc, dens)
+    ]
 
 
 def apply_gauge(op: QDEOperator, s: GaugeSeries) -> GaugeSeries:

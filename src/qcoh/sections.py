@@ -14,6 +14,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
+from operator import add
 
 from .algebra import HLaurent, NovikovSeries, TPoly, format_ratio, format_rational
 from .model import ModelSpec, _invert_rational_matrix, cp_dimension
@@ -22,7 +23,8 @@ from .quantum import CheckFailure, _check_failure, _report
 from .series import (
     CohSeries,
     GaugeSeries,
-    _add_term,
+    _add_shifted,
+    _by_weight,
     _components,
     _degree_order,
     _degrees_upto,
@@ -30,6 +32,8 @@ from .series import (
     _flat_apply,
     _graded,
     _laurent,
+    _nonzero,
+    _theta_at_one,
 )
 
 
@@ -141,37 +145,41 @@ class HMatrix:
 
 
 def _system_report(model, order, rows) -> dict:
-    """The first-order-system report of the rows of a solution matrix.
-
-    Both sides are built on the stored flat numerators (see series.py), so
-    every h-exponent is compared and no grading is assumed: the left side
-    by the theta kernel, the right side by adding q^D (M_j)_{iu} times row
-    u for every q^D part M_j of multiplication by b_j (read from
-    `ModelSpec.quantum_rows`), over qden times the lcm of the rows'
-    denominators.  Both are stored canonical and compared.  A failing
-    row's witness names the first differing coordinate: the degree, the
-    entry [i, k] (row i, coordinate along b_k) and the expected (right
-    side) and obtained (left side) values."""
-    size = model.size
+    """The first-order-system report of the rows of a solution matrix:
+    h d_j row_i = sum_u (M_j)_{iu} row_u, with the q^D parts (M_j)^D_{iu}
+    of multiplication by b_j over qden (`ModelSpec.quantum_rows`).  The
+    rows are brought over the lcm L of their denominators and split once
+    by weight (`series._by_weight`).  Per direction, every right side is
+    built at once, a part of weight u landing at u + deg q^D up to the
+    order; a left side is `_theta_at_one` on each part, at weight u + 2.
+    Both are over L * qden, so comparing nonzero parts is exact.  A failing
+    row's sides are written back (`series._graded`) for its witness: the
+    first differing coordinate, by degree and entry [i, k] (row i, along
+    b_k), with the expected (right side) and obtained (left side) values."""
     qden, table = model.quantum_rows()
-    witnesses = []
+    L = lcm(*(row.den for row in rows))
+    split = []
+    for row in rows:
+        parts, m = _by_weight(model, row.flat).items(), L // row.den
+        split.append({w: {D: [m * a for a in v] for D, v in p.items()} for w, p in parts})
+    degrees = {D for parts in split for part in parts.values() for D in part}
+    witnesses, shifts = [], {}  # shifts: D: {S: S + D up to the order}
     for j in range(1, model.rank + 1):
-        # terms[k]: (D, row u, n) for each b_k coordinate n/qden of b_j o b_u
-        terms = [[] for _ in range(size)]
+        rhs = [{} for _ in rows]  # rhs[i]: {weight: {T: numerators over L * qden}}
         for u, parts in enumerate(table[j]):
             for total, D, coords in parts:
-                if total <= order:
-                    for k, n in coords:
-                        terms[k].append((D, rows[u], n))
-        for i in range(size):
-            den = qden * lcm(*(row.den for _, row, _ in terms[i]))
-            rhs = {}
-            for D, row, n in terms[i]:
-                _add_term(rhs, row.flat, n * (den // (qden * row.den)), 0, D, order)
-            want = GaugeSeries._stored(model, order, rhs, den)
-            got = rows[i].theta(j)
-            if got != want:
-                witnesses.append(_system_witness(j, i, want, got))
+                if total > order:
+                    continue
+                if D not in shifts:
+                    shifts[D] = {S: T for S in degrees if sum(T := tuple(map(add, S, D))) <= order}
+                qd = model.qdegree(D)
+                for (k, n), (w, part) in product(coords, split[u].items()):
+                    _add_shifted(rhs[k].setdefault(w + qd, {}), part, shifts[D], n)
+        for i, parts in enumerate(split):
+            got = {w + 2: _theta_at_one(model, (part, L), j)[0] for w, part in parts.items()}
+            if (got := _nonzero(got, L * qden)) != (want := _nonzero(rhs[i], L * qden)):
+                sides = [GaugeSeries._stored(model, order, *_graded(model, p)) for p in (want, got)]
+                witnesses.append(_system_witness(j, i, *sides))
     return _report("first-order-system", model, order, witnesses)
 
 
@@ -335,7 +343,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                 for k, a in duals[l]:
                     vec[k] += a * v
             vecs[D] = vec, d * dual_den
-        flat = _graded(model, vecs, 2 * model.dim - degrees[i])
+        flat = _graded(model, {2 * model.dim - degrees[i]: vecs})
         return GaugeSeries._stored(model, order, *flat)
 
     return HMatrix(model, order, row)
@@ -457,7 +465,7 @@ def closed_form(model: ModelSpec, order: int) -> GaugeSeries:
                 g = gcd(den := den * d * qden ** (m - 1), *r)
                 v, den = [a // g for a in r], den // g
         terms[D] = v, den
-    return GaugeSeries._stored(model, order, *_graded(model, terms))
+    return GaugeSeries._stored(model, order, *_graded(model, {0: terms}))
 
 
 # -- verification ----------------------------------------------------------
@@ -697,7 +705,7 @@ def asymptotic_J(model: ModelSpec, E=None) -> TPoly:
     E = asymptotic_H(model) if E is None else E
     size, zero = model.size, (0,) * model.rank
     coeffs = {
-        e: CohSeries._stored(model, 0, *_graded(model, {zero: (mat[:size], den)}))
+        e: CohSeries._stored(model, 0, *_graded(model, {0: {zero: (mat[:size], den)}}))
         for e, (mat, den) in E.items()
     }
     return TPoly(model.rank, coeffs)

@@ -18,21 +18,19 @@ row.  Hence the ownership rule: a producer hands `IntSeries._stored` only
 dicts it built itself (never a model's or module data), and no stored
 row is ever changed in place.
 
-Every kernel reads and writes that form.  The helpers here know its keys
-(the theta kernel `_theta_flat`, the t-shift, the scaled shifted sum, the
-components along the dual basis and `_graded`).  The dense kernels at
-h = 1 know none: `_flat_apply`, a sparse map on int vectors that the
-solver, the closed form and the operator walk share, and `_theta_at_one`,
-the step with which `operators.apply_gauge_many` walks `_prefix_walk`,
-the one walk over generator words (`quantum` steps it with `QElem.times`,
-the product by b_i).  `_graded` puts h back, from the grading, into the
-solver's rows, the closed form, `asymptotic_J` and the walk's results,
-all computed at h = 1; `quantum._exp_words` writes its own (k, -|e|)
-keys.  Readers of the pair: in `sections` `_graded_at_one`,
-`extract_descendents` and the H_0 head check of `q_factorize`; the split
-by weight of `apply_gauge_many`; `cli._v_at_h1` and `cli._j_writer`.
-HLaurent and Fraction values are built only for output (`to_json`,
-`describe`) and for the read-only views (`c`, `coeff`, `items_sorted`).
+The t-shift (`_shift_t`, `_add_term`) and `_components` read and write
+the stored (k, x) keys.  The other kernels run at h = 1 on dense int
+vectors of b_k coordinates, one per degree and weight: `_flat_apply`, the
+sparse map that the solver, the closed form and the operator walk share,
+and `_theta_at_one`, the one theta kernel, which steps `_prefix_walk` (the
+one walk over generator words; `quantum` steps it with `QElem.times`) in
+`operators.apply_gauge_many`, and serves `GaugeSeries.theta` and
+`sections._system_report`.  `_by_weight` takes h out of a stored series and
+`_graded` puts it back, from the grading; `quantum._exp_words` writes its
+own (k, -|e|) keys.  Other readers of the keys: in `sections`
+`_graded_at_one`, `extract_descendents` and the H_0 head check of
+`q_factorize`; `cli._v_at_h1` and `cli._j_writer`.  HLaurent and Fraction
+values are built only for output and the views `c`, `coeff`, `items_sorted`.
 
 A GaugeSeries is the same data read as the section e^{t/h} * sum_D c_D q^D;
 in that reading the operator theta_i = h d/dt_i acts on the q^D term as cup
@@ -256,24 +254,54 @@ class CohSeries(IntSeries):
         return out
 
 
-# -- kernels on the flat form ---------------------------------------------------
-# A flat pair (flat, den) is the storage of a series.  The theta kernel, the
-# t-shift and `_add_term` return numerators without the canonical
-# reduction, which the caller applies once to the result it keeps; the
-# t-shift keeps only the targets whose numerators do not all cancel.
+# -- kernels --------------------------------------------------------------------
+# Kernels return numerators without the canonical reduction, which the caller
+# applies once to the result it keeps; the t-shift keeps only the targets
+# whose numerators do not all cancel.
 
 
-def _graded(model: ModelSpec, rows, weight=0) -> tuple:
-    """The flat pair (flat, den) of a homogeneous series computed at h = 1
-    as dense vectors {D: (ints, d)} of b_k coordinates over d: the one place
-    where h is put back.  With deg h = 2, the b_k coordinate of the q^D
-    coefficient is c * h^x with 2x + deg b_k + deg q^D = weight."""
-    degrees, den = model.degrees, lcm(*(d for _, d in rows.values()))
-    flat = {}
-    for D, (vec, d) in rows.items():
-        w, m = weight - model.qdegree(D), den // d
-        flat[D] = {(k, (w - degrees[k]) // 2): m * n for k, n in enumerate(vec) if n}
+def _by_weight(model: ModelSpec, flat) -> dict:
+    """The numerators `flat` of a series split by weight into homogeneous
+    parts {u: {D: dense b_k numerators}}, u = 2x + deg b_k + deg q^D for the
+    h^x term at b_k of q^D (deg h = 2): the one place where h is taken out."""
+    degrees, size, parts = model.degrees, model.size, {}
+    for D, terms in flat.items():
+        qd = model.qdegree(D)
+        for (k, x), n in terms.items():
+            parts.setdefault(2 * x + degrees[k] + qd, {}).setdefault(D, [0] * size)[k] = n
+    return parts
+
+
+def _graded(model: ModelSpec, parts) -> tuple:
+    """The flat pair (flat, den) of a series computed at h = 1 as parts
+    {u: {D: (ints, d)}} of dense b_k vectors over d, part u of weight u: the
+    one place where h is put back, the b_k coordinate at q^D becoming c * h^x
+    with 2x + deg b_k + deg q^D = u.  Two weights never share a (k, x)."""
+    degrees, flat, qdegree = model.degrees, {}, model.qdegree
+    if len(parts) > 1:  # a degree may recur in several parts: deg q^D once per degree
+        qdegree = {D: qdegree(D) for D in set().union(*parts.values())}.__getitem__
+    den = lcm(*(d for part in parts.values() for _, d in part.values()))
+    for u, part in parts.items():
+        for D, (vec, d) in part.items():
+            w, m = u - qdegree(D), den // d
+            row = {(k, (w - degrees[k]) // 2): m * n for k, n in enumerate(vec) if n}
+            flat[D] = {**flat[D], **row} if D in flat else row
     return flat, den
+
+
+def _nonzero(parts, den) -> dict:
+    """Parts {u: {D: ints}} of numerators over den as `_graded` reads them,
+    {u: {D: (ints, den)}}, without zero vectors or empty parts."""
+    return {u: p for u, r in parts.items() if (p := {D: (v, den) for D, v in r.items() if any(v)})}
+
+
+def _add_shifted(out, rows, shift, n):
+    """out[D + B] += n * v in place on dense int vectors {D: v}, where
+    shift = {D: D + B} holds only the targets up to the order."""
+    for D, v in rows.items():
+        if (T := shift.get(D)) is not None:
+            r = out.get(T)  # the sum so far at q^T
+            out[T] = [n * a + b for a, b in zip(v, r)] if r else [n * a for a in v]
 
 
 def _flat_apply(lmap, X, out, f=1):
@@ -291,39 +319,11 @@ def _theta_at_one(model: ModelSpec, rows, i: int) -> tuple:
     """theta_i at h = 1 on the pair ({D: ints}, den) of dense b_k coordinate
     vectors, over den * qden: v at degree D becomes X_i v + d_i * qden * v,
     X_i = qden * (b_i cup -) (`ModelSpec.integral_action`) and d_i = D[i - 1],
-    and is dropped when it vanishes.  The step of the operator walk."""
+    and is dropped when it vanishes.  The one theta kernel."""
     rows, den = rows
     action, qden = tuple(enumerate(model.integral_action(i))), model.quantum_rows()[0]
     steps = ((D, _flat_apply(action, v, [D[i - 1] * qden * a for a in v])) for D, v in rows.items())
     return {D: v for D, v in steps if any(v)}, den * qden
-
-
-def _theta_flat(model: ModelSpec, flat, i: int) -> tuple:
-    """theta_i on a flat series, over den * qden (`ModelSpec.quantum_rows`):
-    the numerator a at (j, x) of degree D adds a * n at (k, x) for each
-    (k, n) of b_i cup b_j in `ModelSpec.integral_action`, and a * d_i * qden
-    at (j, x + 1) where d_i = D[i - 1].  The theta kernel on stored pairs,
-    behind GaugeSeries.theta and so the first-order-system check."""
-    flat, den = flat
-    action = model.integral_action(i)
-    qden = model.quantum_rows()[0]
-    out = {}
-    for D, terms in flat.items():
-        d = D[i - 1] * qden
-        acc = {}
-        for (j, x), a in terms.items():
-            for k, n in action[j]:
-                key = (k, x)
-                p = a * n
-                acc[key] = acc[key] + p if key in acc else p
-            if d:
-                key = (j, x + 1)
-                p = a * d
-                acc[key] = acc[key] + p if key in acc else p
-        acc = {key: n for key, n in acc.items() if n}
-        if acc:
-            out[D] = acc
-    return out, den * qden
 
 
 def _shift_t(terms, ft, targets, model, order) -> dict:
@@ -409,9 +409,12 @@ class GaugeSeries(CohSeries):
     __slots__ = ()
 
     def theta(self, i: int) -> "GaugeSeries":
-        """Apply theta_i: on the q^D coefficient this is cup-by-b_i plus
-        multiplication by d_i*h, computed by the flat kernel `_theta_flat`
-        over the model's sparse generator action."""
+        """Apply theta_i, cup-by-b_i plus d_i*h on the q^D coefficient: the
+        part of each weight u (`_by_weight`) stepped by `_theta_at_one`."""
         if not 1 <= i <= self.model.rank:
             raise ValueError("theta_%r: generators are 1..%d" % (i, self.model.rank))
-        return self._new(*_theta_flat(self.model, (self.flat, self.den), i))
+        parts = {}
+        for u, part in _by_weight(self.model, self.flat).items():
+            rows, den = _theta_at_one(self.model, (part, self.den), i)
+            parts[u + 2] = {D: (v, den) for D, v in rows.items()}
+        return self._new(*_graded(self.model, parts))

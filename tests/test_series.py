@@ -26,10 +26,11 @@ from qcoh.series import (
     CohSeries,
     GaugeSeries,
     _add_term,
+    _by_weight,
     _canonical,
     _degrees_upto,
     _graded,
-    _theta_flat,
+    _theta_at_one,
 )
 
 RESCALED = Path(__file__).resolve().parent / "golden" / "f3-rescaled.model"
@@ -215,7 +216,10 @@ def test_flat_form_holds_only_int_numerators():
     flat, den = J.flat, J.den
     assert type(den) is int and den > 1 and _all_int(flat)
     assert GaugeSeries(model, 4, J.c) == J
-    stepped, sden = _theta_flat(model, (flat, den), 1)
+    # J has one weight u; theta_1 steps it at h = 1 and `_graded` writes it at u + 2
+    [(u, part)] = _by_weight(model, flat).items()
+    rows, sden = _theta_at_one(model, (part, den), 1)
+    stepped = _graded(model, {u + 2: {D: (v, sden) for D, v in rows.items()}})[0]
     assert sden == den and _all_int(stepped)
     acc = {}
     _add_term(acc, flat, 3, 1, (1, 0), 4)
@@ -229,7 +233,9 @@ def test_theta_on_rational_cup_table_is_integral_over_a_common_denominator():
     model = load_model(RESCALED)
     J = closed_form(model, 3)
     flat = J.flat, J.den
-    stepped = _theta_flat(model, flat, 1)
+    [(u, part)] = _by_weight(model, J.flat).items()
+    rows, sden = _theta_at_one(model, (part, J.den), 1)
+    stepped = _graded(model, {u + 2: {D: (v, sden) for D, v in rows.items()}})
     assert stepped[1] == 30 * flat[1] and _all_int(stepped[0])
     assert GaugeSeries._stored(model, 3, *stepped) == theta_by_definition(J, 1)
     # the same series over a larger denominator has the same canonical form
@@ -424,15 +430,16 @@ def test_graded_writes_the_closed_form_as_the_parent_writer_did(name, monkeypatc
     model = _owner_model(name)
     seen = []
 
-    def spy(model, rows, weight=0):
-        seen.append((rows, weight))
-        return _graded(model, rows, weight)
+    def spy(model, parts):
+        seen.append(parts)
+        return _graded(model, parts)
 
     monkeypatch.setattr(sections, "_graded", spy)
     for order in range(7):
         seen.clear()
         J = closed_form(model, order)
-        [(rows, weight)] = seen
+        [parts] = seen
+        [(weight, rows)] = parts.items()
         assert weight == 0
         assert J == _parent_graded_series(model, order, rows), order
 

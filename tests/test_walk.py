@@ -1,8 +1,10 @@
 """Operator application by one walk over shared theta prefixes: the walk
 against termwise application of theta from its definition (cup by b_i on
-HLaurent classes plus d_i * h, without the flat theta kernel), on inputs
+HLaurent classes plus d_i * h, without the dense theta kernel), on inputs
 of two weights against a copy of the earlier walk over (k, x)-keyed
-dicts, the number of theta steps it takes, and the number of quantum products the same walk
+dicts, the first-order-system check on rows of two weights against a copy
+of the earlier check on those dicts, the number of theta steps the walk
+takes, and the number of quantum products the same walk
 takes for the word table and the relations, and the ring checks for
 theirs; the refusal of an operator of another rank; and the one exponent
 shift on t-series (apply_constq, apply_classical, and tilde's residuals
@@ -39,12 +41,19 @@ from qcoh.operators import (
 from qcoh.quantum import (
     QElem,
     _exp_words,
+    _report,
     check_associativity,
     check_flatness,
     eval_relation,
     exp_quantum,
 )
-from qcoh.sections import asymptotic_J, closed_form, verify_annihilated
+from qcoh.sections import (
+    asymptotic_J,
+    build_H_from_J,
+    closed_form,
+    solve_fundamental,
+    verify_annihilated,
+)
 from qcoh.series import (
     CohSeries,
     GaugeSeries,
@@ -52,7 +61,6 @@ from qcoh.series import (
     _degrees_upto,
     _prefix_walk,
     _shift_t,
-    _theta_flat,
 )
 
 CLOSED_FORM_MODELS = ("cp1", "cp2", "cp3", "cp4", "cp5", "f3", "sigma1", "f3-rescaled")
@@ -219,9 +227,32 @@ def test_walk_matches_termwise_application_on_random_operators(case):
 # weight fails here.
 
 
+def theta_flat(model, flat, i):
+    """The earlier theta kernel on stored (k, x)-keyed numerators, over
+    den * qden: the numerator a at (j, x) of degree D adds a * n at (k, x)
+    for each (k, n) of b_i cup b_j in `ModelSpec.integral_action`, and
+    a * d_i * qden at (j, x + 1) where d_i = D[i - 1]."""
+    flat, den = flat
+    action = model.integral_action(i)
+    qden = model.quantum_rows()[0]
+    out = {}
+    for D, terms in flat.items():
+        d = D[i - 1] * qden
+        acc = {}
+        for (j, x), a in terms.items():
+            for k, n in action[j]:
+                acc[(k, x)] = acc.get((k, x), 0) + a * n
+            if d:
+                acc[(j, x + 1)] = acc.get((j, x + 1), 0) + a * d
+        acc = {key: n for key, n in acc.items() if n}
+        if acc:
+            out[D] = acc
+    return out, den * qden
+
+
 def dict_walk(ops, s):
     """The earlier `apply_gauge_many`, which walks the stored (k, x)-keyed
-    numerators with the theta kernel `_theta_flat` and adds each term by
+    numerators with the theta kernel `theta_flat` and adds each term by
     `_add_term`, keeping every power of h."""
     model, order = s.model, s.order
     qden = model.quantum_rows()[0]
@@ -233,7 +264,7 @@ def dict_walk(ops, s):
             groups.setdefault(E, []).append((pos, hexp, qdeg, v))
         dens.append(den)
     acc = [{} for _ in dens]
-    walk = _prefix_walk(groups, (s.flat, s.den), lambda flat, i: _theta_flat(model, flat, i))
+    walk = _prefix_walk(groups, (s.flat, s.den), lambda flat, i: theta_flat(model, flat, i))
     for E, (prefix, den) in walk:
         for pos, hexp, qdeg, v in groups[E]:
             n = v.numerator * (dens[pos] // (v.denominator * den))
@@ -290,6 +321,84 @@ def test_walk_on_inputs_of_mixed_weight_passes_and_fails():
         assert len(weights(s)) == 2
         assert verify_annihilated(s, ops)["status"] == status
         assert [r.flat for r in apply_gauge_many(ops, s)] == [r.flat for r in dict_walk(ops, s)]
+
+
+# -- the first-order-system check on rows of mixed weight ---------------------
+# `sections._system_report` splits each row by weight and compares both sides
+# at h = 1.  Its reference is the earlier check on the stored (k, x)-keyed
+# numerators: `theta_flat` on the left, the right side summed by `_add_term`.
+# H + c*h^a*H solves the system and has two weights per row; one row
+# bumped by c*h^a*q^B*b_k does not solve it.
+
+SYSTEM_MODELS = CLOSED_FORM_MODELS + ("gr24",)
+_H = {}
+
+
+def dict_system_report(model, order, rows):
+    """The earlier `_system_report`, on the stored numerators of the rows."""
+    qden, table = model.quantum_rows()
+    witnesses = []
+    for j in range(1, model.rank + 1):
+        terms = [[] for _ in rows]  # terms[k]: (D, row u, n) for each b_k coordinate of b_j o b_u
+        for u, parts in enumerate(table[j]):
+            for total, D, coords in parts:
+                if total <= order:
+                    for k, n in coords:
+                        terms[k].append((D, rows[u], n))
+        for i, row in enumerate(rows):
+            den = qden * lcm(*(r.den for _, r, _ in terms[i]))
+            rhs = {}
+            for D, r, n in terms[i]:
+                _add_term(rhs, r.flat, n * (den // (qden * r.den)), 0, D, order)
+            want = GaugeSeries._stored(model, order, rhs, den)
+            got = GaugeSeries._stored(model, order, *theta_flat(model, (row.flat, row.den), j))
+            if got != want:
+                witnesses.append(sections._system_witness(j, i, want, got))
+    return _report("first-order-system", model, order, witnesses)
+
+
+def solution_rows(name):
+    """The rows of the solution matrix at ORDER: `build_H_from_J` on the
+    closed form, or the solver's rows for gr24 (no closed form) and for
+    f3-rescaled (the shipped row operators are written for the builtin
+    basis, and its identity row is 5 times the row of the top class)."""
+    if name not in _H:
+        model = model_named(name)
+        if name in ("gr24", "f3-rescaled"):
+            _H[name] = solve_fundamental(model, ORDER).rows
+        else:
+            _H[name] = build_H_from_J(model, closed_form_J(name), builtin_rowspec(model)).rows
+    return _H[name]
+
+
+@st.composite
+def mixed_weight_rows(draw):
+    """The rows H + c*h^a*H, which pass, or H with row i bumped by
+    c*h^a*q^B*b_k, which fails."""
+    rows = solution_rows(draw(st.sampled_from(SYSTEM_MODELS)))
+    model = rows[0].model
+    scale = HLaurent.term(draw(coefficients()), draw(st.sampled_from((-2, -1, 1, 2, 3))))
+    if draw(st.booleans()):
+        zero = (0,) * model.rank
+        return [row + reference_times(row, zero, scale) for row in rows], "pass"
+    i, k = draw(st.integers(0, model.size - 1)), draw(st.integers(0, model.size - 1))
+    B = draw(st.tuples(*[st.integers(0, 2)] * model.rank).filter(lambda B: sum(B) <= ORDER))
+    bump = CohClass(scale if j == k else 0 for j in range(model.size))
+    rows = list(rows)
+    rows[i] += GaugeSeries(model, ORDER, {B: bump})
+    return rows, "fail"
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_weight_rows())
+def test_system_report_on_rows_of_mixed_weight_matches_the_dict_check(case):
+    rows, status = case
+    model = rows[0].model
+    assert status == "fail" or all(len(weights(row)) == 2 for row in rows)
+    report = sections._system_report(model, ORDER, rows)
+    assert report["status"] == status
+    want = dict_system_report(model, ORDER, rows)
+    assert json.dumps(report, indent=1) == json.dumps(want, indent=1)
 
 
 # -- one theta-kernel call per distinct prefix ---------------------------------
