@@ -278,8 +278,6 @@ def _graded(model: ModelSpec, parts) -> tuple:
     one place where h is put back, the b_k coordinate at q^D becoming c * h^x
     with 2x + deg b_k + deg q^D = u.  Two weights never share a (k, x)."""
     degrees, flat, qdegree = model.degrees, {}, model.qdegree
-    if len(parts) > 1:  # a degree may recur in several parts: deg q^D once per degree
-        qdegree = {D: qdegree(D) for D in set().union(*parts.values())}.__getitem__
     den = lcm(*(d for part in parts.values() for _, d in part.values()))
     for u, part in parts.items():
         for D, (vec, d) in part.items():
@@ -413,8 +411,6 @@ class GaugeSeries(CohSeries):
         part of each weight u (`_by_weight`) stepped by `_theta_at_one`."""
         if not 1 <= i <= self.model.rank:
             raise ValueError("theta_%r: generators are 1..%d" % (i, self.model.rank))
-        parts = {}
-        for u, part in _by_weight(self.model, self.flat).items():
-            rows, den = _theta_at_one(self.model, (part, self.den), i)
-            parts[u + 2] = {D: (v, den) for D, v in rows.items()}
-        return self._new(*_graded(self.model, parts))
+        m, den, parts = self.model, self.den, _by_weight(self.model, self.flat)
+        steps = {u + 2: _theta_at_one(m, (p, den), i)[0] for u, p in parts.items()}
+        return self._new(*_graded(m, _nonzero(steps, den * m.quantum_rows()[0])))
