@@ -44,6 +44,7 @@ from .series import (
 # denominator; entry (i, k) at q^D of a graded one carries the h-power of
 # `_entry_powers`.  Two kernels multiply them, one per access pattern: the
 # solver's fixed sparse operators, compiled once per model by `_flat_map`,
+# and the inverses of (step - commutator) built from them (`_resolvents`)
 # run on `series._flat_apply` (the dense kernel of the closed form and the
 # operator walk too); the one-shot products of `_qmat_divide` and
 # `asymptotic_H` run one direct loop (`_flat_mul`).
@@ -239,6 +240,35 @@ def _solver_maps(model):
     return commutator, mparts, duals, dual_den
 
 
+def _resolvents(model):
+    """The solver's inverse of (step - C_j), C_j = commutator[j] of
+    `_solver_maps`, for every step, as (pre, K, post, span) per direction j.
+    Each pair of C_j lowers the grade e(i, k) = (deg b_k - deg b_i) / 2 of
+    an entry by exactly 1, so C_j^n takes grade e to e - n and
+    K = sum_n C_j^n, built by ascending grade as K[s] = s + sum c K[t] over
+    the pairs (t, c) of C_j[s], needs no power of the step.  With
+    span = max e - min e, pre[s] = max e - e(s) and post[t] = e(t) - min e,
+
+        step^(span + 1) (step - C_j)^-1 R = post(K(pre(R))),
+
+    pre and post scaling each entry by step to its power."""
+    area = model.size * model.size
+    grade = _entry_powers(model, (0,) * model.rank)
+    low, high = min(grade), max(grade)
+    pre, post = tuple(high - e for e in grade), tuple(e - low for e in grade)
+    out = {}
+    for j, commutator in model.compiled(_solver_maps)[0].items():
+        pairs, K = dict(commutator), {}
+        for s in sorted(range(area), key=grade.__getitem__):
+            K[s] = col = Counter({s: 1})
+            for t, c in pairs.get(s, ()):
+                for u, n in K[t].items():
+                    col[u] += c * n
+        K = tuple((s, tuple((t, n) for t, n in K[s].items() if n)) for s in range(area))
+        out[j] = pre, K, post, high - low
+    return out
+
+
 def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     """Solve h d_j H = M_j H degree by degree.
 
@@ -249,10 +279,10 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
 
     where B_j is the cup matrix of b_j and m_{j,D'} the q^{D'} part of the
     quantum multiplication matrix.  Each step inverts (d_j h - ad B_j) for
-    the first j* with D_j* > 0 by a finite geometric sum (B_j raises degree
-    by 2, so (ad B_j)^(2 * size - 1) = 0) and then checks the equation in
-    every other direction: an integrability check.  Along j* the equation
-    is the inversion identity, exact once the sum stops, so it cannot fail.
+    the first j* with D_j* > 0 by the geometric sum in ad B_j, finite since
+    B_j raises degree by 2, and then checks the equation in every other
+    direction: an integrability check.  Along j* the equation is the
+    inversion identity, exact once the sum stops, so it cannot fail.
 
     The system is homogeneous (deg h = 2, deg q^D = 2<c1, D>), so entry
     (i, k) of G_D is a single monomial c * h^e with
@@ -269,12 +299,14 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     sparse int rows over the model's qden (`ModelSpec.quantum_rows`), are
     compiled once per model and kept in its memo (`_solver_maps`, through
     `ModelSpec.compiled`).  A right side is summed over the lcm of its
-    parts' denominators.  With step = D_j * qden, the commutator term T_n
-    is over den * step^n, so G_D is summed once, as
-    sum_n T_n step^(N-n) over den * step^N for the last nonzero term T_N,
-    and reduced by one gcd.  The consistency check cross-multiplies entry
-    by entry; witnesses carry the reduced Fractions.  A row is stored flat
-    over one denominator and built from the G_D when first read
+    parts' denominators.  With step = D_j* * qden, G_D is the right side
+    R times (step - C)^-1 times qden, C = qden * ad B_j*; that inverse is
+    compiled once per model and direction (`_resolvents`): one sparse map K
+    between two scalings of the entries by powers of step, so G_D is one
+    pass of K over den * D_j* * step^span, reduced by one gcd (when step
+    is 1 the scalings are skipped).  The consistency check cross-multiplies
+    entry by entry; witnesses carry the reduced Fractions.  A row is stored
+    flat over one denominator and built from the G_D when first read
     (`HMatrix`), so `jrow` builds only the rows that pair with 1.
     """
     size = model.size
@@ -285,6 +317,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     qden = model.quantum_rows()[0]
     zero = (0,) * rank
     commutator, mparts, duals, dual_den = model.compiled(_solver_maps)
+    resolvents = model.compiled(_resolvents)
 
     G = {zero: ([int(e % (size + 1) == 0) for e in range(area)], 1)}
     for D in _degrees_upto(rank, order)[1:]:
@@ -300,15 +333,17 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                 _flat_apply(lmap, num, acc, den // (qden * d))
         jstar = next(j for j in range(1, rank + 1) if D[j - 1] > 0)
         step = D[jstar - 1] * qden
-        term, den = rhs[jstar]
-        den *= D[jstar - 1]
-        # Horner: after the N-th nonzero term, total is sum_n T_n step^(N-n)
-        total, depth = [0] * area, 0
-        while any(term):
-            total = [a * step + b for a, b in zip(total, term)]
-            term = _flat_apply(commutator[jstar], term, [0] * area)
-            depth += 1
-        den *= step ** max(depth - 1, 0)
+        pre, K, post, span = resolvents[jstar]
+        acc, den = rhs[jstar]
+        # R = acc / den, and G_D = (step - C)^-1 qden R = post(K(pre(acc)))
+        # over den * D_j* * step^span
+        if step == 1:
+            total = _flat_apply(K, acc, [0] * area)
+        else:
+            pw = [step**k for k in range(span + 1)]
+            total = _flat_apply(K, [a * pw[p] for a, p in zip(acc, pre)], [0] * area)
+            total = [a * pw[p] for a, p in zip(total, post)]
+        den *= D[jstar - 1] * step**span
         g = gcd(den, *total)
         G[D] = num, den = [a // g for a in total], den // g
         # every other direction must agree: integrability of the system

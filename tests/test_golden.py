@@ -416,6 +416,20 @@ def test_solver_operators_are_kept_per_model_not_per_name():
     assert (code, out) == (stored["exit"], _dump(stored["stdout"]))
 
 
+def test_solver_memo_holds_nothing_keyed_by_order():
+    # a lower order after a higher one reads the same compiled maps and
+    # resolvents, and solves as a fresh copy of the model (nothing kept)
+    # does: on f3 and on the rescaled f3, whose qden is 30
+    from qcoh.sections import _resolvents, _solver_maps
+
+    for m in (builtin_model("f3"), load_model(GOLDEN / "f3-rescaled.model")):
+        m = ModelSpec.from_json(m.to_json())
+        assert solve_fundamental(m, 8).order == 8
+        assert {_solver_maps, _resolvents} <= set(m._compiled)
+        fresh = ModelSpec.from_json(m.to_json())
+        assert solve_fundamental(m, 3).rows == solve_fundamental(fresh, 3).rows
+
+
 def test_closed_forms_are_compiled_per_model_not_per_name():
     # three models named f3 (the builtin, the rescaled one with qden 30 and
     # another cup table, and cp2's tables, which have no f3 closed form),

@@ -2,6 +2,7 @@
 assembly, Q-factorization, classical limits, and descendent extraction."""
 
 from fractions import Fraction
+from itertools import product
 from math import factorial, gcd, lcm, prod
 from pathlib import Path
 
@@ -1045,6 +1046,34 @@ def test_solver_commutators_are_nilpotent(name):
             assert depth <= 2 * size - 1, (name, e)
             steps = max(steps, depth)
     assert steps == 2 * size - 1 or not cp_dimension(name), steps
+
+
+@pytest.mark.parametrize(
+    "name", BUILTIN_NAMES + ("cp12",) + tuple(sorted(p.name for p in GOLDEN.glob("*.model")))
+)
+def test_solver_resolvents_invert_step_minus_commutator(name):
+    """Each pair of the commutator C_j lowers the grade
+    e(i, k) = (deg b_k - deg b_i) / 2 by exactly 1, the premise of the
+    scalings; then Y = post(K(pre(R))) solves (step - C_j) Y = step^(span+1) R
+    exactly, for every unit vector R and step c * qden, c = 1, 2, 3."""
+    model = load_model(GOLDEN / name) if name.endswith(".model") else builtin_model(name)
+    area, degrees = model.size * model.size, model.degrees
+    grade = [(degrees[e % model.size] - degrees[e // model.size]) // 2 for e in range(area)]
+    assert max(grade) - min(grade) == max(degrees) - min(degrees)
+    qden = model.quantum_rows()[0]
+    commutators = sections._solver_maps(model)[0]
+    resolvents = sections._resolvents(model)
+    assert sorted(resolvents) == sorted(commutators) == list(range(1, model.rank + 1))
+    for j, (pre, K, post, span) in resolvents.items():
+        assert span == max(grade) - min(grade)
+        for s, pairs in commutators[j]:
+            assert all(grade[t] == grade[s] - 1 for t, _ in pairs), (j, s)
+        for step, e in product((qden, 2 * qden, 3 * qden), range(area)):
+            R = [int(k == e) for k in range(area)]
+            Y = sections._flat_apply(K, [a * step ** p for a, p in zip(R, pre)], [0] * area)
+            Y = [a * step ** p for a, p in zip(Y, post)]
+            lhs = sections._flat_apply(commutators[j], Y, [step * a for a in Y], -1)
+            assert lhs == [step ** (span + 1) * a for a in R], (j, step, e)
 
 
 # -- descendent extraction ---------------------------------------------------------

@@ -451,6 +451,50 @@ def test_solver_rows_match_the_parent_row_builder(name):
         assert solve_fundamental(model, order).rows == _parent_solver_rows(model, order), order
 
 
+# The denominator of each G_D times the dual basis' dual_den, as the row
+# builder hands them to `_graded`, recorded from the Neumann-loop solver
+# that this solver's resolvents replaced; both reduce each G_D by its gcd.
+SOLVER_DENOMINATORS = {
+    ("cp5", 8): {
+        (0,): 1, (1,): 1, (2,): 512, (3,): 10077696, (4,): 1320903770112,
+        (5,): 64497254400000000000, (6,): 3009183901286400000000000,
+        (7,): 850019971802667260313600000000000,
+        (8,): 7130484335623629001204747468800000000000,
+    },
+    ("f3", 6): {
+        (0, 0): 1, (0, 1): 1, (1, 0): 1, (0, 2): 16, (1, 1): 1, (2, 0): 16,
+        (0, 3): 1296, (1, 2): 16, (2, 1): 16, (3, 0): 1296, (0, 4): 165888,
+        (1, 3): 1296, (2, 2): 32, (3, 1): 1296, (4, 0): 165888,
+        (0, 5): 518400000, (1, 4): 165888, (2, 3): 2592, (3, 2): 2592,
+        (4, 1): 165888, (5, 0): 518400000, (0, 6): 6220800000,
+        (1, 5): 518400000, (2, 4): 331776, (3, 3): 7776, (4, 2): 331776,
+        (5, 1): 518400000, (6, 0): 6220800000,
+    },
+    (RESCALED.name, 4): {
+        (0, 0): 30, (0, 1): 900, (1, 0): 900, (0, 2): 4800, (1, 1): 900,
+        (2, 0): 7200, (0, 3): 388800, (1, 2): 14400, (2, 1): 14400,
+        (3, 0): 194400, (0, 4): 4976640, (1, 3): 1166400, (2, 2): 28800,
+        (3, 1): 388800, (4, 0): 14929920,
+    },
+}
+
+
+@pytest.mark.parametrize("name, order", sorted(SOLVER_DENOMINATORS))
+def test_solver_hands_the_row_builder_reduced_denominators(name, order, monkeypatch):
+    # the stored rows are canonical whatever the solver's denominators, so
+    # only these pin the gcd that reduces each G_D
+    model = _owner_model(name)
+    seen = []
+
+    def spy(model, parts):
+        seen.append({D: d for part in parts.values() for D, (_, d) in part.items()})
+        return _graded(model, parts)
+
+    monkeypatch.setattr(sections, "_graded", spy)
+    solve_fundamental(model, order).rows
+    assert seen == [SOLVER_DENOMINATORS[name, order]] * model.size
+
+
 @pytest.mark.parametrize("name", OWNER_MODELS)
 def test_asymptotic_J_matches_the_parent_key_loop(name):
     model = _owner_model(name)
