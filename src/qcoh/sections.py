@@ -303,11 +303,11 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     R times (step - C)^-1 times qden, C = qden * ad B_j*; that inverse is
     compiled once per model and direction (`_resolvents`): one sparse map K
     between two scalings of the entries by powers of step, so G_D is one
-    pass of K over den * D_j* * step^span, reduced by one gcd (when step
-    is 1 the scalings are skipped).  The consistency check cross-multiplies
-    entry by entry; witnesses carry the reduced Fractions.  A row is stored
-    flat over one denominator and built from the G_D when first read
-    (`HMatrix`), so `jrow` builds only the rows that pair with 1.
+    pass of K over den * D_j* * step^span, reduced by one gcd.  The
+    consistency check cross-multiplies entry by entry; witnesses carry the
+    reduced Fractions.  A row is stored flat over one denominator and built
+    from the G_D when first read (`HMatrix`), so `jrow` builds only the
+    rows that pair with 1.
     """
     size = model.size
     area = size * size
@@ -337,13 +337,10 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         acc, den = rhs[jstar]
         # R = acc / den, and G_D = (step - C)^-1 qden R = post(K(pre(acc)))
         # over den * D_j* * step^span
-        if step == 1:
-            total = _flat_apply(K, acc, [0] * area)
-        else:
-            pw = [step**k for k in range(span + 1)]
-            total = _flat_apply(K, [a * pw[p] for a, p in zip(acc, pre)], [0] * area)
-            total = [a * pw[p] for a, p in zip(total, post)]
-        den *= D[jstar - 1] * step**span
+        pw = [step**k for k in range(span + 1)]
+        total = _flat_apply(K, [a * pw[p] for a, p in zip(acc, pre)], [0] * area)
+        total = [a * pw[p] for a, p in zip(total, post)]
+        den *= D[jstar - 1] * pw[span]
         g = gcd(den, *total)
         G[D] = num, den = [a // g for a in total], den // g
         # every other direction must agree: integrability of the system
