@@ -260,10 +260,10 @@ def _resolvents(model):
     for j, commutator in model.compiled(_solver_maps)[0].items():
         pairs, K = dict(commutator), {}
         for s in sorted(range(area), key=grade.__getitem__):
-            K[s] = col = Counter({s: 1})
+            K[s] = col = {s: 1}
             for t, c in pairs.get(s, ()):
                 for u, n in K[t].items():
-                    col[u] += c * n
+                    col[u] = col.get(u, 0) + c * n
         K = tuple((s, tuple((t, n) for t, n in K[s].items() if n)) for s in range(area))
         out[j] = pre, K, post, high - low
     return out
