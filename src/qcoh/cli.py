@@ -72,10 +72,11 @@ def _dump(payload) -> str:
 
     Four payload shapes have record writers, each one `%` template per
     record, made as writer(nl, table) for the table at its indent: a
-    `_GWTable` (gw's invariant records), a `_JSeries` (the stored rows of
-    jfun's "J"), a `_TildeTable` (tilde's "v_at_h1") and a `_TPolyMatrix`
-    (the rows of classical's "matrix").  Every other payload takes the
-    generic walk."""
+    `_GWTable` (gw's per-degree rows, each written as its block of
+    invariant records), a `_JSeries` (the stored rows of jfun's "J"), a
+    `_TildeTable` (tilde's "v_at_h1") and a `_TPolyMatrix` (the rows of
+    classical's "matrix").  Neither of the first two holds dicts.  Every
+    other payload takes the generic walk."""
     out = []
     _write_json(payload, "\n", out.append)
     out.append("\n")
@@ -83,7 +84,15 @@ def _dump(payload) -> str:
 
 
 class _GWTable(list):
-    """gw's invariant records, written by `_gw_writer`."""
+    """gw's invariant table, written by `_gw_writer`: one row (D, top,
+    allowed, values) per degree D that has an allowed level, with the
+    model's labels.  allowed[j] is the one level the degree axiom allows
+    along b_j at D, or None; top is the largest of them, and values[j] the
+    formatted invariant at allowed[j]."""
+
+    def __init__(self, labels):
+        super().__init__()
+        self.labels = labels
 
 
 class _JSeries(list):
@@ -110,19 +119,36 @@ def _lister(inner):
     return lambda items: "[" + inner + body + close if (body := sep.join(items)) else "[]"
 
 
-def _gw_writer(nl, _table):
-    """The writer of one record {"D": [int], "axiom": bool, "j_label": str,
-    "n": int, "note": str when not axiom, "value": str} at the newline and
-    indent nl.  D is never empty: gw lists only positive degrees."""
+def _gw_writer(nl, table):
+    """The writer of one degree's block of records {"D": [int], "axiom":
+    bool, "j_label": str, "n": int, "note": str when not axiom, "value":
+    str} at the newline and indent nl: for each level n up to top, one
+    record per b_j, the axiom record at allowed[j] and a zero record with
+    the note elsewhere.  D is never empty: gw lists only positive degrees.
+    The labels are quoted once per table and D written once per degree;
+    each record is its (D, j) text, axiom or zero, % n."""
     i1 = nl + " "
     # each "~" is the indent of a key, so "~ " is the indent of D's entries
-    template = '{~"D": [~ %s~],~"axiom": %s,~"j_label": %s,~"n": %d,~%s"value": %s'
-    template = template.replace("~", i1) + nl + "}"
-    dsep, note = "," + i1 + " ", '"note": %s,' + i1
-    return lambda r: template % (
-        dsep.join(map(str, r["D"])), "true" if r["axiom"] else "false", _quoted(r["j_label"]),
-        r["n"], note % _quoted(r["note"]) if "note" in r else "", _quoted(r["value"]),
-    )
+    head = '{~"D": [~ %s~],~"axiom": '.replace("~", i1)
+    tail = '~"j_label": %s,~"n": %%d,~%s"value": %s'.replace("~", i1) + nl + "}"
+    # a % in a label is doubled: the record texts are templates in n
+    labels = [_quoted(k).replace("%", "%%") for k in table.labels]
+    zeros = ["false," + tail % (k, '"note": "forced by degree axiom",' + i1, '"0"') for k in labels]
+    dsep, sep = "," + i1 + " ", "," + nl
+
+    def write(row):
+        D, top, allowed, values = row
+        d = head % dsep.join(map(str, D))
+        zero = [d + z for z in zeros]
+        hit = [
+            z if m is None else d + "true," + tail % (k, "", _quoted(v))
+            for m, z, k, v in zip(allowed, zero, labels, values)
+        ]
+        return sep.join([
+            (a if m == n else z) % n for n in range(top + 1) for m, a, z in zip(allowed, hit, zero)
+        ])
+
+    return write
 
 
 def _j_writer(nl, series):
@@ -425,23 +451,16 @@ def cmd_gw(args):
     # each record sits at the one level the degree axiom allows: (D, j) names it
     records = extract_descendents(model, Hm, args.max_degree)
     found = {(tuple(r["degree"]), r["j"]): r["value"] for r in records}
-    table = _GWTable()
+    table = _GWTable(model.labels)
     for D in _degrees_upto(model.rank, args.max_degree)[1:]:
         # allowed[j]: the one level the degree axiom allows along b_j at D, or None
         allowed = [descendent_level(model, j, D) for j in range(model.size)]
-        for n in range(max((m for m in allowed if m is not None), default=-1) + 1):
-            for j in range(model.size):
-                axiom = allowed[j] == n
-                rec = {
-                    "D": list(D),
-                    "n": n,
-                    "j_label": model.labels[j],
-                    "value": format_rational(found.get((D, j), 0)) if axiom else "0",
-                    "axiom": axiom,
-                }
-                if not axiom:
-                    rec["note"] = "forced by degree axiom"
-                table.append(rec)
+        levels = [n for n in allowed if n is not None]
+        # a degree with no allowed level writes no block
+        if levels:
+            values = [None if n is None else format_rational(found.get((D, j), 0))
+                      for j, n in enumerate(allowed)]
+            table.append((D, max(levels), allowed, values))
     return {
         "model": model.name,
         "N": order,

@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
-from operator import add
+from operator import add, sub
 
 from .algebra import HLaurent, NovikovSeries, TPoly, format_ratio, format_rational
 from .model import ModelSpec, _invert_rational_matrix, cp_dimension
@@ -325,8 +325,9 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         for j in range(1, rank + 1):
             parts = []
             for Dp, lmap in mparts[j]:
-                rest = tuple(a - b for a, b in zip(D, Dp))
-                if min(rest) >= 0:
+                # G holds exactly the solved degrees: D - D' is one of them iff >= 0
+                rest = tuple(map(sub, D, Dp))
+                if rest in G:
                     parts.append((lmap, *G[rest]))
             rhs[j] = acc, den = [0] * area, qden * lcm(*(d for _, _, d in parts))
             for lmap, num, d in parts:

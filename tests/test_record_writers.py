@@ -1,8 +1,11 @@
-"""The record writers of `cli._dump`: a `_GWTable`, `_TildeTable` or
-`_TPolyMatrix` must be written as the same string the generic walk writes
-for the same records in a plain list, and a `_JSeries` over a stored series
-(flat, den) as the string it writes for the series' `to_json()` records, at
-any indent, whatever order the coeff dicts or labels come in."""
+"""The record writers of `cli._dump`: a `_TildeTable` or `_TPolyMatrix`
+must be written as the same string the generic walk writes for the same
+records in a plain list, a `_JSeries` over a stored series (flat, den) as
+the string it writes for the series' `to_json()` records, and a `_GWTable`
+of per-degree rows as the string it writes for the dict records gw's
+per-record loop expanded them to, at any indent, whatever order the coeff
+dicts or labels come in.  gw builds the same records as that loop did on
+every builtin and the golden models."""
 
 import json
 from fractions import Fraction
@@ -14,13 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoh.cli import _dump, _GWTable, _JSeries, _TildeTable, _TPolyMatrix
-from qcoh.series import CohSeries
+from qcoh import cli
+from qcoh.algebra import format_rational
+from qcoh.cli import _build_parser, _dump, _get_model, _GWTable, _JSeries, _TildeTable, _TPolyMatrix
+from qcoh.model import BUILTIN_NAMES
+from qcoh.sections import descendent_level, extract_descendents, solve_fundamental
+from qcoh.series import CohSeries, _degrees_upto
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# labels JSON must escape, and the empty label
-AWKWARD = ['"', "\\", "é", "\u2028", " ", "", 'x"\\é', '"1"']
+# labels JSON must escape, the empty label, and % signs a template must not read
+AWKWARD = ['"', "\\", "é", "\u2028", " ", "", 'x"\\é', '"1"', "%", "%d", "%%s"]
+
+WRAPS = (lambda t: t, lambda t: {"J": t, "N": 1}, lambda t: [[t], 0])
 
 
 def _reversed_coeffs(records):
@@ -54,24 +63,83 @@ def _j_series(records, reverse=False):
 def _assert_written_alike(records, kind):
     """`kind(records)` and the plain list are written alike at the top
     level, inside a dict and inside two lists."""
-    for wrap in (lambda t: t, lambda t: {"J": t, "N": 1}, lambda t: [[t], 0]):
+    for wrap in WRAPS:
         assert _dump(wrap(kind(records))) == _dump(wrap(list(records)))
 
 
+def _gw_records(table):
+    """The dict records of a `_GWTable`, by gw's record loop before the
+    per-degree table: for each level n up to top and each b_j, the axiom
+    record at allowed[j] and a zero record with the note elsewhere."""
+    records = []
+    for D, top, allowed, values in table:
+        for n in range(top + 1):
+            for j, label in enumerate(table.labels):
+                axiom = allowed[j] == n
+                rec = {
+                    "D": list(D),
+                    "n": n,
+                    "j_label": label,
+                    "value": values[j] if axiom else "0",
+                    "axiom": axiom,
+                }
+                if not axiom:
+                    rec["note"] = "forced by degree axiom"
+                records.append(rec)
+    return records
+
+
+def _parent_gw_records(model, max_degree, order, level=descendent_level):
+    """gw's invariant records as its per-record loop built them, one dict
+    per (D, n, j), with level in place of `descendent_level`: the
+    reference the per-degree table is held to."""
+    Hm = solve_fundamental(model, order)
+    records = extract_descendents(model, Hm, max_degree)
+    found = {(tuple(r["degree"]), r["j"]): r["value"] for r in records}
+    table = []
+    for D in _degrees_upto(model.rank, max_degree)[1:]:
+        allowed = [level(model, j, D) for j in range(model.size)]
+        for n in range(max((m for m in allowed if m is not None), default=-1) + 1):
+            for j in range(model.size):
+                axiom = allowed[j] == n
+                rec = {
+                    "D": list(D),
+                    "n": n,
+                    "j_label": model.labels[j],
+                    "value": format_rational(found.get((D, j), 0)) if axiom else "0",
+                    "axiom": axiom,
+                }
+                if not axiom:
+                    rec["note"] = "forced by degree axiom"
+                table.append(rec)
+    return table
+
+
+def _gw_table(argv):
+    """The `_GWTable` that `cmd_gw` builds for argv."""
+    args = _build_parser().parse_args(argv)
+    return args.func(args)["invariants"]
+
+
+def _assert_gw_written_alike(table, records):
+    for wrap in WRAPS:
+        assert _dump(wrap(table)) == _dump(wrap(records))
+
+
 def _golden_records(prefix, key):
-    """{case: its stdout[key]} for the golden cases named prefix*."""
+    """{case: (its stdout[key], its argv)} for the golden cases named prefix*."""
     out = {}
     for path in sorted(GOLDEN.glob(prefix + "*.json")):
-        stdout = json.loads(path.read_text(encoding="utf-8"))["stdout"]
-        if stdout is not None and key in stdout:
-            out[path.stem] = stdout[key]
+        case = json.loads(path.read_text(encoding="utf-8"))
+        if case["stdout"] is not None and key in case["stdout"]:
+            out[path.stem] = case["stdout"][key], case["argv"]
     return out
 
 
 GW_GOLDENS = _golden_records("gw-", "invariants")
-J_GOLDENS = _golden_records("jfun-", "J")
-TILDE_GOLDENS = _golden_records("tilde-", "v_at_h1")
-MATRIX_GOLDENS = _golden_records("classical-", "matrix")
+J_GOLDENS = {k: v for k, (v, _) in _golden_records("jfun-", "J").items()}
+TILDE_GOLDENS = {k: v for k, (v, _) in _golden_records("tilde-", "v_at_h1").items()}
+MATRIX_GOLDENS = {k: v for k, (v, _) in _golden_records("classical-", "matrix").items()}
 
 
 def test_the_goldens_hold_the_payloads():
@@ -86,8 +154,49 @@ def test_the_goldens_hold_the_payloads():
 
 
 @pytest.mark.parametrize("name", sorted(GW_GOLDENS))
-def test_gw_writer_on_golden_payload(name):
-    _assert_written_alike(GW_GOLDENS[name], _GWTable)
+def test_gw_writer_on_golden_payload(name, monkeypatch):
+    # the golden argv name model files by their bare names in tests/golden
+    monkeypatch.chdir(GOLDEN)
+    records, argv = GW_GOLDENS[name]
+    table = _gw_table(argv)
+    assert type(table) is _GWTable
+    _assert_gw_written_alike(table, records)
+
+
+GW_MODELS = (*BUILTIN_NAMES, "quoted-labels.model", "f3-rescaled.model")
+
+
+@pytest.mark.parametrize("model", GW_MODELS)
+@pytest.mark.parametrize("max_degree", range(1, 6))
+@pytest.mark.parametrize("above", [False, True], ids=["n0", "n-above"])
+def test_gw_table_expands_to_the_per_record_loop(model, max_degree, above, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    n = max_degree + 2 if above else 0
+    argv = ["gw", "--model", model, "--max-degree", str(max_degree), "--n", str(n)]
+    table = _gw_table(argv)
+    parent = _parent_gw_records(_get_model(model), max_degree, max(n, max_degree))
+    assert _gw_records(table) == parent
+    assert table.labels == _get_model(model).labels
+    # every row has an allowed level, so every row writes a block
+    assert all(any(m is not None for m in allowed) for _, _, allowed, _ in table)
+    _assert_gw_written_alike(table, parent)
+
+
+def test_gw_skips_the_degrees_with_no_allowed_level(monkeypatch):
+    # no shipped or golden model has such a degree: the axiom allows none
+    # here on every odd |D|, or on every degree
+    def odd_none(model, j, D):
+        return None if sum(D) % 2 else descendent_level(model, j, D)
+
+    model = _get_model("f3")
+    for level, blocks in ((odd_none, True), (lambda *_: None, False)):
+        monkeypatch.setattr(cli, "descendent_level", level)
+        table = _gw_table(["gw", "--model", "f3", "--max-degree", "4"])
+        assert [sum(D) for D, *_ in table] == ([2, 2, 2, 4, 4, 4, 4, 4] if blocks else [])
+        parent = _parent_gw_records(model, 4, 6, level)
+        assert bool(parent) is blocks
+        _assert_gw_written_alike(table, parent)
+    assert _dump(table) == "[]\n"
 
 
 @pytest.mark.parametrize("name", sorted(J_GOLDENS))
@@ -111,9 +220,11 @@ def test_matrix_writer_on_golden_payload(name):
 
 
 def test_empty_tables():
-    for kind in (_GWTable, _TildeTable, _TPolyMatrix):
+    for kind in (_TildeTable, _TPolyMatrix):
         _assert_written_alike([], kind)
         assert _dump(kind()) == "[]\n"
+    _assert_gw_written_alike(_GWTable(["1", "x"]), [])
+    assert _dump(_GWTable(["1", "x"])) == "[]\n"
     _assert_written_alike([], _j_series)
     assert _dump(_JSeries({}, 1, ["1", "x"])) == "[]\n"
 
@@ -142,9 +253,13 @@ def test_rank_0_lists_and_empty_entries():
 def test_negative_exponents_and_long_numerators():
     value = str(Fraction(-(10**29) - 7, 3**20))
     assert len(value.split("/")[0]) == 31  # a sign and 30 digits
-    gw = {"D": [0, 3], "axiom": True, "j_label": "\u2028", "n": 12, "value": value}
+    gw = _GWTable(["\u2028", "%d"])
+    gw.append(((0, 3), 12, [12, None], [value, None]))
+    records = _gw_records(gw)
+    assert len(records) == 26
+    assert records[-2] == {"D": [0, 3], "axiom": True, "j_label": "\u2028", "n": 12, "value": value}
     J = {"degree": [0], "coeffs": {"é": [[-40, value], [-2, "0"]]}}
-    _assert_written_alike([gw], _GWTable)
+    _assert_gw_written_alike(gw, records)
     _assert_written_alike([J], _j_series)
     term = {"coeffs": {"\u2028": value, "é": "-2"}, "degree": [40, 0]}
     _assert_written_alike([{"t": [0, 3], "terms": [term]}], _TildeTable)
@@ -163,18 +278,18 @@ _degrees = st.lists(st.integers(min_value=0, max_value=30), max_size=3)
 
 
 @st.composite
-def _gw_records(draw):
-    axiom = draw(st.booleans())
-    record = {
-        "D": draw(_degrees.filter(bool)),
-        "n": draw(st.integers(min_value=0, max_value=40)),
-        "j_label": draw(_labels),
-        "value": draw(_values),
-        "axiom": axiom,
-    }
-    if not axiom:
-        record["note"] = draw(st.sampled_from(["forced by degree axiom", 'a "note" \\ é']))
-    return record
+def _gw_tables(draw):
+    """A `_GWTable` of per-degree rows: each b_j's level None, at most top,
+    or past it, and a value at each level that is not None."""
+    labels = draw(st.lists(_labels, min_size=1, max_size=4))
+    table = _GWTable(labels)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        top = draw(st.integers(min_value=0, max_value=12))
+        level = st.one_of(st.none(), st.integers(min_value=0, max_value=top + 3))
+        allowed = draw(st.lists(level, min_size=len(labels), max_size=len(labels)))
+        values = [None if m is None else draw(_values) for m in allowed]
+        table.append((tuple(draw(_degrees.filter(bool))), top, allowed, values))
+    return table
 
 
 @st.composite
@@ -192,9 +307,9 @@ def _stored_series(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_gw_records(), max_size=6))
-def test_gw_writer_on_generated_tables(records):
-    _assert_written_alike(records, _GWTable)
+@given(_gw_tables())
+def test_gw_writer_on_generated_tables(table):
+    _assert_gw_written_alike(table, _gw_records(table))
 
 
 @settings(max_examples=200, deadline=None)
