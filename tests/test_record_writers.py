@@ -67,51 +67,49 @@ def _assert_written_alike(records, kind):
         assert _dump(wrap(kind(records))) == _dump(wrap(list(records)))
 
 
-def _gw_records(table):
-    """The dict records of a `_GWTable`, by gw's record loop before the
-    per-degree table: for each level n up to top and each b_j, the axiom
-    record at allowed[j] and a zero record with the note elsewhere."""
+def _degree_records(D, top, allowed, labels, value):
+    """gw's record loop before the per-degree table, at the degree D: for
+    each level n up to top and each b_j, the axiom record at allowed[j],
+    valued value(j), and a zero record with the note elsewhere."""
     records = []
-    for D, top, allowed, values in table:
-        for n in range(top + 1):
-            for j, label in enumerate(table.labels):
-                axiom = allowed[j] == n
-                rec = {
-                    "D": list(D),
-                    "n": n,
-                    "j_label": label,
-                    "value": values[j] if axiom else "0",
-                    "axiom": axiom,
-                }
-                if not axiom:
-                    rec["note"] = "forced by degree axiom"
-                records.append(rec)
+    for n in range(top + 1):
+        for j, label in enumerate(labels):
+            axiom = allowed[j] == n
+            rec = {
+                "D": list(D),
+                "n": n,
+                "j_label": label,
+                "value": value(j) if axiom else "0",
+                "axiom": axiom,
+            }
+            if not axiom:
+                rec["note"] = "forced by degree axiom"
+            records.append(rec)
     return records
 
 
+def _gw_records(table):
+    """The dict records that the record loop expands a `_GWTable` to."""
+    return [
+        rec
+        for D, top, allowed, values in table
+        for rec in _degree_records(D, top, allowed, table.labels, values.__getitem__)
+    ]
+
+
 def _parent_gw_records(model, max_degree, order, level=descendent_level):
-    """gw's invariant records as its per-record loop built them, one dict
-    per (D, n, j), with level in place of `descendent_level`: the
-    reference the per-degree table is held to."""
+    """gw's invariant records as its per-record loop built them, with level
+    in place of `descendent_level`: the reference the table is held to."""
     Hm = solve_fundamental(model, order)
     records = extract_descendents(model, Hm, max_degree)
     found = {(tuple(r["degree"]), r["j"]): r["value"] for r in records}
     table = []
     for D in _degrees_upto(model.rank, max_degree)[1:]:
         allowed = [level(model, j, D) for j in range(model.size)]
-        for n in range(max((m for m in allowed if m is not None), default=-1) + 1):
-            for j in range(model.size):
-                axiom = allowed[j] == n
-                rec = {
-                    "D": list(D),
-                    "n": n,
-                    "j_label": model.labels[j],
-                    "value": format_rational(found.get((D, j), 0)) if axiom else "0",
-                    "axiom": axiom,
-                }
-                if not axiom:
-                    rec["note"] = "forced by degree axiom"
-                table.append(rec)
+        top = max((m for m in allowed if m is not None), default=-1)
+        table += _degree_records(
+            D, top, allowed, model.labels, lambda j: format_rational(found.get((D, j), 0))
+        )
     return table
 
 
@@ -127,19 +125,23 @@ def _assert_gw_written_alike(table, records):
 
 
 def _golden_records(prefix, key):
-    """{case: (its stdout[key], its argv)} for the golden cases named prefix*."""
+    """{case: its stdout[key]} for the golden cases named prefix*."""
     out = {}
     for path in sorted(GOLDEN.glob(prefix + "*.json")):
-        case = json.loads(path.read_text(encoding="utf-8"))
-        if case["stdout"] is not None and key in case["stdout"]:
-            out[path.stem] = case["stdout"][key], case["argv"]
+        stdout = json.loads(path.read_text(encoding="utf-8"))["stdout"]
+        if stdout is not None and key in stdout:
+            out[path.stem] = stdout[key]
     return out
 
 
 GW_GOLDENS = _golden_records("gw-", "invariants")
-J_GOLDENS = {k: v for k, (v, _) in _golden_records("jfun-", "J").items()}
-TILDE_GOLDENS = {k: v for k, (v, _) in _golden_records("tilde-", "v_at_h1").items()}
-MATRIX_GOLDENS = {k: v for k, (v, _) in _golden_records("classical-", "matrix").items()}
+GW_ARGV = {
+    path.stem: json.loads(path.read_text(encoding="utf-8"))["argv"]
+    for path in GOLDEN.glob("gw-*.json")
+}
+J_GOLDENS = _golden_records("jfun-", "J")
+TILDE_GOLDENS = _golden_records("tilde-", "v_at_h1")
+MATRIX_GOLDENS = _golden_records("classical-", "matrix")
 
 
 def test_the_goldens_hold_the_payloads():
@@ -157,10 +159,9 @@ def test_the_goldens_hold_the_payloads():
 def test_gw_writer_on_golden_payload(name, monkeypatch):
     # the golden argv name model files by their bare names in tests/golden
     monkeypatch.chdir(GOLDEN)
-    records, argv = GW_GOLDENS[name]
-    table = _gw_table(argv)
+    table = _gw_table(GW_ARGV[name])
     assert type(table) is _GWTable
-    _assert_gw_written_alike(table, records)
+    _assert_gw_written_alike(table, GW_GOLDENS[name])
 
 
 GW_MODELS = (*BUILTIN_NAMES, "quoted-labels.model", "f3-rescaled.model")
