@@ -19,7 +19,7 @@ from operator import add, sub
 from .algebra import HLaurent, NovikovSeries, TPoly, format_ratio, format_rational
 from .model import ModelSpec, _invert_rational_matrix, cp_dimension
 from .operators import QDEOperator, apply_gauge_many
-from .quantum import CheckFailure, _check_failure, _report
+from .quantum import CheckFailure, _check_failure, _report, check_flatness
 from .series import (
     CohSeries,
     GaugeSeries,
@@ -47,7 +47,11 @@ from .series import (
 # and the inverses of (step - commutator) built from them (`_resolvents`)
 # run on `series._flat_apply` (the dense kernel of the closed form and the
 # operator walk too); the one-shot products of `_qmat_divide` and
-# `asymptotic_H` run one direct loop (`_flat_mul`).
+# `asymptotic_H` run one direct loop (`_flat_mul`).  On a model that passes
+# the flatness certificate (`_flat_certificate`) the solver applies only
+# the maps of one direction j* per degree: the right side's m_{j*,D'} and
+# the resolvent of j*; the commutators of the other directions run only in
+# the consistency check of a model that fails it.
 
 
 def _flat_mul(a, b, size, out, f=1):
@@ -269,6 +273,19 @@ def _resolvents(model):
     return out
 
 
+def _flat_certificate(model):
+    """Whether the connection h d_j - M_j is flat for every order at once:
+    [M_i, M_j] = 0 and d_i M_j = d_j M_i.  The table is finite, so the M_j
+    are polynomials in q of degree at most max |D| over its q-terms, and
+    both identities hold exactly when they hold up to 2 max |D|
+    (`quantum.check_flatness`).  A rank-1 model has one direction and
+    passes."""
+    if model.rank == 1:
+        return True
+    top = max(total for row in model.quantum_rows()[1] for terms in row for total, _, _ in terms)
+    return check_flatness(model, 2 * top)["status"] == "pass"
+
+
 def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     """Solve h d_j H = M_j H degree by degree.
 
@@ -280,9 +297,21 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     where B_j is the cup matrix of b_j and m_{j,D'} the q^{D'} part of the
     quantum multiplication matrix.  Each step inverts (d_j h - ad B_j) for
     the first j* with D_j* > 0 by the geometric sum in ad B_j, finite since
-    B_j raises degree by 2, and then checks the equation in every other
-    direction: an integrability check.  Along j* the equation is the
-    inversion identity, exact once the sum stops, so it cannot fail.
+    B_j raises degree by 2.  Along j* the equation is the inversion
+    identity, exact once the sum stops, so it cannot fail.
+
+    The equation in every other direction j is checked only on a model
+    that fails its flatness certificate (`_flat_certificate`, once per
+    model in its memo); such a model builds every right side R_j and
+    raises `solver-consistency` at the first degree where one disagrees.
+    On a flat model the check cannot fail.  The operators
+    L_j = h d_j - M_j + (right product by B_j) commute when the M_j
+    commute and d_i M_j = d_j M_i, since the B_j commute with each other
+    and act on the other side.  With every degree below D solved in every
+    direction, X = (D_j h - ad B_j) G_D - R_j is the degree-D part of
+    L_j G, so the degree-D part of L_j* L_j G = L_j L_j* G gives
+    (D_j* h - ad B_j*) X = 0.  As D_j* > 0 and ad B_j* is nilpotent, X = 0.
+    So a certified model builds R_j* alone and compares nothing.
 
     The system is homogeneous (deg h = 2, deg q^D = 2<c1, D>), so entry
     (i, k) of G_D is a single monomial c * h^e with
@@ -304,7 +333,8 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     compiled once per model and direction (`_resolvents`): one sparse map K
     between two scalings of the entries by powers of step, so G_D is one
     pass of K over den * D_j* * step^span, reduced by one gcd.  The
-    consistency check cross-multiplies entry by entry; witnesses carry the
+    consistency check of a model without the certificate cross-multiplies
+    entry by entry; witnesses carry the
     reduced Fractions.  A row is stored flat over one denominator and built
     from the G_D when first read (`HMatrix`), so `jrow` builds only the
     rows that pair with 1.
@@ -318,11 +348,14 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     zero = (0,) * rank
     commutator, mparts, duals, dual_den = model.compiled(_solver_maps)
     resolvents = model.compiled(_resolvents)
+    checked = not model.compiled(_flat_certificate)
 
     G = {zero: ([int(e % (size + 1) == 0) for e in range(area)], 1)}
     for D in _degrees_upto(rank, order)[1:]:
+        jstar = next(j for j in range(1, rank + 1) if D[j - 1] > 0)
+        others = [j for j in range(1, rank + 1) if j != jstar] if checked else []
         rhs = {}
-        for j in range(1, rank + 1):
+        for j in (jstar, *others):
             parts = []
             for Dp, lmap in mparts[j]:
                 # G holds exactly the solved degrees: D - D' is one of them iff >= 0
@@ -332,7 +365,6 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
             rhs[j] = acc, den = [0] * area, qden * lcm(*(d for _, _, d in parts))
             for lmap, num, d in parts:
                 _flat_apply(lmap, num, acc, den // (qden * d))
-        jstar = next(j for j in range(1, rank + 1) if D[j - 1] > 0)
         step = D[jstar - 1] * qden
         pre, K, post, span = resolvents[jstar]
         acc, den = rhs[jstar]
@@ -344,8 +376,9 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         den *= D[jstar - 1] * pw[span]
         g = gcd(den, *total)
         G[D] = num, den = [a // g for a in total], den // g
-        # every other direction must agree: integrability of the system
-        for j in (*range(1, jstar), *range(jstar + 1, rank + 1)):
+        # every other direction must agree: integrability of the system,
+        # checked only on a model without the flatness certificate
+        for j in others:
             # d_j G_D - [B_j, G_D] over den * qden, compared with the right
             # side by cross-multiplying entry by entry
             lhs = _flat_apply(commutator[j], num, [D[j - 1] * qden * a for a in num], -1)

@@ -416,18 +416,30 @@ def test_solver_operators_are_kept_per_model_not_per_name():
     assert (code, out) == (stored["exit"], _dump(stored["stdout"]))
 
 
-def test_solver_memo_holds_nothing_keyed_by_order():
-    # a lower order after a higher one reads the same compiled maps and
-    # resolvents, and solves as a fresh copy of the model (nothing kept)
-    # does: on f3 and on the rescaled f3, whose qden is 30
-    from qcoh.sections import _resolvents, _solver_maps
+def test_solver_memo_holds_nothing_keyed_by_order(monkeypatch):
+    # a lower order after a higher one reads the same compiled maps,
+    # resolvents and flatness certificate, and solves as a fresh copy of the
+    # model (nothing kept) does: on f3 and on the rescaled f3, whose qden is
+    # 30.  The certificate is one memo entry, checked once per model.
+    from qcoh import sections
+    from qcoh.sections import _flat_certificate, _resolvents, _solver_maps
 
+    checked = []
+
+    def spy(model, order):
+        checked.append(model)
+        return check_flatness(model, order)
+
+    check_flatness = sections.check_flatness
+    monkeypatch.setattr(sections, "check_flatness", spy)
     for m in (builtin_model("f3"), load_model(GOLDEN / "f3-rescaled.model")):
         m = ModelSpec.from_json(m.to_json())
         assert solve_fundamental(m, 8).order == 8
-        assert {_solver_maps, _resolvents} <= set(m._compiled)
         fresh = ModelSpec.from_json(m.to_json())
         assert solve_fundamental(m, 3).rows == solve_fundamental(fresh, 3).rows
+        assert set(m._compiled) == {_solver_maps, _resolvents, _flat_certificate}
+        assert m._compiled[_flat_certificate] is True
+        assert sum(c is m for c in checked) == 1
 
 
 def test_closed_forms_are_compiled_per_model_not_per_name():

@@ -1,9 +1,11 @@
 """Flat sections: closed-form series, the degree-by-degree solver, row
 assembly, Q-factorization, classical limits, and descendent extraction."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, lcm, prod
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,7 @@ from qcoh.sections import (
     tpoly_matrix_json,
     verify_annihilated,
 )
+from test_series import _parent_solver_rows
 
 ORDER = 6
 
@@ -1074,6 +1077,140 @@ def test_solver_resolvents_invert_step_minus_commutator(name):
             Y = [a * step ** p for a, p in zip(Y, post)]
             lhs = sections._flat_apply(commutators[j], Y, [step * a for a in Y], -1)
             assert lhs == [step ** (span + 1) * a for a in R], (j, step, e)
+
+
+# -- the flatness certificate: against the solver's checking loop ----------------
+# A model that passes `_flat_certificate` skips the solver's check in every
+# direction j != j*.  The reference is a local copy of the loop that ran
+# before: every right side built, and every other direction compared.
+
+
+def _checking_loop_witness(model, order):
+    """The first `solver-consistency` witness of the checking loop up to the
+    order, or None: G_D solved along j* and d_j G_D - [B_j, G_D] compared
+    with the right side R_j in every direction j != j*, at every degree."""
+    size, rank = model.size, model.rank
+    area = size * size
+    qden = model.quantum_rows()[0]
+    commutator, mparts, _, _ = sections._solver_maps(model)
+    resolvents = sections._resolvents(model)
+    G = {(0,) * rank: ([int(e % (size + 1) == 0) for e in range(area)], 1)}
+    for D in _degrees_upto(rank, order)[1:]:
+        rhs = {}
+        for j in range(1, rank + 1):
+            parts = [
+                (lmap, *G[rest])
+                for Dp, lmap in mparts[j]
+                if (rest := tuple(map(sub, D, Dp))) in G
+            ]
+            rhs[j] = acc, den = [0] * area, qden * lcm(*(d for _, _, d in parts))
+            for lmap, num, d in parts:
+                sections._flat_apply(lmap, num, acc, den // (qden * d))
+        jstar = next(j for j in range(1, rank + 1) if D[j - 1] > 0)
+        step = D[jstar - 1] * qden
+        pre, K, post, span = resolvents[jstar]
+        acc, den = rhs[jstar]
+        pw = [step**k for k in range(span + 1)]
+        total = sections._flat_apply(K, [a * pw[p] for a, p in zip(acc, pre)], [0] * area)
+        total = [a * pw[p] for a, p in zip(total, post)]
+        den *= D[jstar - 1] * pw[span]
+        g = gcd(den, *total)
+        G[D] = num, den = [a // g for a in total], den // g
+        for j in (*range(1, jstar), *range(jstar + 1, rank + 1)):
+            lhs = sections._flat_apply(commutator[j], num, [D[j - 1] * qden * a for a in num], -1)
+            lden = den * qden
+            want, wden = rhs[j]
+            bad = next((e for e in range(area) if want[e] * lden != lhs[e] * wden), None)
+            if bad is not None:
+                e = sections._entry_powers(model, D)[bad] + 1
+                return {
+                    "degree": list(D),
+                    "direction": j,
+                    "entry": list(divmod(bad, size)),
+                    "expected": HLaurent.term(Fraction(want[bad], wden), e).to_json(),
+                    "got": HLaurent.term(Fraction(lhs[bad], lden), e).to_json(),
+                }
+    return None
+
+
+def _record_mutants(model):
+    """(label, mutant) for every single q-record of the model's quantum
+    table scaled by 2, -1 and 0."""
+    data = model.to_json()
+    for n, rec in enumerate(data["quantum"]):
+        if any(rec["D"]):
+            for lam in (2, -1, 0):
+                records = [dict(r) for r in data["quantum"]]
+                records[n]["c"] = format_rational(lam * Fraction(rec["c"]))
+                label = "%s %s x %d" % ((rec["i"], rec["j"], rec["k"]), rec["D"], lam)
+                yield label, ModelSpec.from_json({**data, "quantum": records})
+
+
+def _raises_the_loops_witness(model, witness):
+    """An uncertified model raises the checking loop's witness at the
+    witness degree and above, and solves as the checks-free parent solve
+    did below it."""
+    top = sum(witness["degree"])
+    for order in (top - 1, top, top + 2):
+        if order < top:
+            assert solve_fundamental(model, order).rows == _parent_solver_rows(model, order)
+            continue
+        with pytest.raises(CheckFailure) as info:
+            solve_fundamental(model, order)
+        assert info.value.report["check"] == "solver-consistency"
+        assert info.value.report["witnesses"] == [witness]
+
+
+@pytest.mark.parametrize(
+    "name", BUILTIN_NAMES + ("cp12",) + tuple(sorted(p.name for p in GOLDEN.glob("*.model")))
+)
+def test_a_certified_model_passes_the_checking_loop(name):
+    model = load_model(GOLDEN / name) if name.endswith(".model") else builtin_model(name)
+    if sections._flat_certificate(model):
+        assert _checking_loop_witness(model, 6) is None
+
+
+@pytest.mark.parametrize(
+    "path, passes",
+    [
+        ("f3-q2-doubled.model", False),
+        ("f3-nonintegrable.model", False),
+        ("p1xp1-no-q2.model", False),
+        ("f3-q1-doubled.model", True),
+        ("f3-q1-halved.model", True),
+        ("f3-rescaled.model", True),
+    ],
+)
+def test_flat_certificate_verdicts_on_the_golden_variants(path, passes):
+    assert sections._flat_certificate(load_model(GOLDEN / path)) is passes
+
+
+@pytest.mark.parametrize(
+    "name, certified, uncertified",
+    [("f3", 21, 24), ("sigma1", 3, 18), ("f3-rescaled.model", 21, 24)],
+)
+def test_the_certificate_agrees_with_the_checking_loop_on_every_record_mutant(
+    name, certified, uncertified
+):
+    # a mutant passes the certificate exactly when the checking loop finds
+    # no witness up to order 6; one that fails raises the loop's witness
+    model = load_model(GOLDEN / name) if name.endswith(".model") else builtin_model(name)
+    verdicts = Counter()
+    for label, mutant in _record_mutants(model):
+        passes, witness = sections._flat_certificate(mutant), _checking_loop_witness(mutant, 6)
+        assert passes == (witness is None), label
+        if witness is not None:
+            _raises_the_loops_witness(mutant, witness)
+        verdicts[passes] += 1
+    assert verdicts == {True: certified, False: uncertified}
+
+
+@pytest.mark.parametrize("path", ["f3-nonintegrable.model", "f3-q2-doubled.model", "p1xp1-no-q2.model"])
+def test_an_uncertified_golden_model_raises_the_checking_loops_witness(path):
+    model = load_model(GOLDEN / path)
+    witness = _checking_loop_witness(model, 6)
+    assert not sections._flat_certificate(model) and witness is not None
+    _raises_the_loops_witness(model, witness)
 
 
 # -- descendent extraction ---------------------------------------------------------
