@@ -424,13 +424,12 @@ def test_solver_memo_holds_nothing_keyed_by_order(monkeypatch):
     from qcoh import sections
     from qcoh.sections import _flat_certificate, _resolvents, _solver_maps
 
-    checked = []
+    checked, check_flatness = [], sections.check_flatness
 
     def spy(model, order):
         checked.append(model)
         return check_flatness(model, order)
 
-    check_flatness = sections.check_flatness
     monkeypatch.setattr(sections, "check_flatness", spy)
     for m in (builtin_model("f3"), load_model(GOLDEN / "f3-rescaled.model")):
         m = ModelSpec.from_json(m.to_json())
