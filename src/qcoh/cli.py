@@ -15,7 +15,7 @@ import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quoted
 
-from .algebra import format_ratio, format_rational
+from .algebra import format_ratio
 from .model import (
     BUILTIN_NAMES,
     InvalidModel,
@@ -46,8 +46,7 @@ from .sections import (
     asymptotic_H,
     asymptotic_J,
     closed_form,
-    descendent_level,
-    extract_descendents,
+    descendent_table,
     solve_fundamental,
     tpoly_matrix_json,
     verify_annihilated,
@@ -90,8 +89,8 @@ class _GWTable(list):
     along b_j at D, or None; top is the largest of them, and values[j] the
     formatted invariant at allowed[j]."""
 
-    def __init__(self, labels):
-        super().__init__()
+    def __init__(self, labels, rows=()):
+        super().__init__(rows)
         self.labels = labels
 
 
@@ -448,19 +447,7 @@ def cmd_gw(args):
         raise UsageError("--max-degree must be at least 1")
     order = max(order, args.max_degree)
     Hm = solve_fundamental(model, order)
-    # each record sits at the one level the degree axiom allows: (D, j) names it
-    records = extract_descendents(model, Hm, args.max_degree)
-    found = {(tuple(r["degree"]), r["j"]): r["value"] for r in records}
-    table = _GWTable(model.labels)
-    for D in _degrees_upto(model.rank, args.max_degree)[1:]:
-        # allowed[j]: the one level the degree axiom allows along b_j at D, or None
-        allowed = [descendent_level(model, j, D) for j in range(model.size)]
-        levels = [n for n in allowed if n is not None]
-        # a degree with no allowed level writes no block
-        if levels:
-            values = [None if n is None else format_rational(found.get((D, j), 0))
-                      for j, n in enumerate(allowed)]
-            table.append((D, max(levels), allowed, values))
+    table = _GWTable(model.labels, descendent_table(model, Hm, args.max_degree))
     return {
         "model": model.name,
         "N": order,

@@ -14,9 +14,9 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
-from .algebra import HLaurent, NovikovSeries, TPoly, format_ratio, format_rational
+from .algebra import HLaurent, NovikovSeries, TPoly, format_ratio
 from .model import ModelSpec, _invert_rational_matrix, cp_dimension
 from .operators import QDEOperator, apply_gauge_many
 from .quantum import CheckFailure, _check_failure, _report, check_flatness
@@ -92,9 +92,9 @@ class HMatrix:
     is built when first read and kept: `jrow` builds only the rows it
     sums, `rows` builds every row."""
 
-    __slots__ = ("model", "order", "_build", "_built")
+    __slots__ = ("model", "order", "_build", "_built", "_paired")
 
-    def __init__(self, model: ModelSpec, order: int, rows):
+    def __init__(self, model: ModelSpec, order: int, rows, paired=None):
         if not callable(rows):
             rows = tuple(rows)
             if len(rows) != model.size:
@@ -103,6 +103,17 @@ class HMatrix:
                 raise ValueError("expected rows of order %d" % order)
             rows = rows.__getitem__
         self.model, self.order, self._build, self._built = model, order, rows, {}
+        self._paired = paired
+
+    def jcomponents(self, D):
+        """The J-row's components along the dual classes at q^D, as
+        ({(j, x): n}, den) with no zero n: n/den is the h^x term of
+        <J_D, b_j>.  Read by the solver's `paired` from its G_D, else from
+        `jrow` (`series._components`, kept once read)."""
+        if self._paired is None:
+            comps, den = _components(self.jrow())
+            self._paired = lambda D: (comps.get(D, {}), den)
+        return self._paired(D)
 
     def row(self, i) -> GaugeSeries:
         if i not in self._built:
@@ -334,10 +345,10 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     between two scalings of the entries by powers of step, so G_D is one
     pass of K over den * D_j* * step^span, reduced by one gcd.  The
     consistency check of a model without the certificate cross-multiplies
-    entry by entry; witnesses carry the
-    reduced Fractions.  A row is stored flat over one denominator and built
-    from the G_D when first read (`HMatrix`), so `jrow` builds only the
-    rows that pair with 1.
+    entry by entry; witnesses carry the reduced Fractions.  A row is stored
+    flat over one denominator and built from the G_D when first read
+    (`HMatrix`), so `jrow` builds only the rows that pair with 1; the
+    J-row's components (`HMatrix.jcomponents`) are read from the G_D.
     """
     size = model.size
     area = size * size
@@ -400,6 +411,18 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
                     },
                 )
 
+    # J = sum_i <b_0, b_i> row_i and <a_l, b_j> = delta_lj, so <J_D, b_j> =
+    # sum_i <b_0, b_i> (G_D)_{ij} over d_D, at the h-power of entry (i, j)
+    # (one for every such i: the pairing is graded); none above the order
+    unit = [(i, g) for i, g in enumerate(model.pairing[0]) if g]
+    gs, powers = [g for _, g in unit], _entry_powers(model, zero)[unit[0][0] * size :][:size]
+
+    def paired(D):
+        (mat, d), half = G.get(D, ((), 1)), model.qdegree(D) // 2
+        cols = zip(*(mat[i * size : (i + 1) * size] for i, _ in unit))
+        sums = (sum(map(mul, gs, col)) for col in cols)
+        return {(j, x - half): n for j, (x, n) in enumerate(zip(powers, sums)) if n}, d
+
     def row(i):
         # row i at q^D is sum_l (G_D)_{il} a_l, as b_k coordinates at h = 1
         vecs = {}
@@ -412,7 +435,7 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         flat = _graded(model, {2 * model.dim - degrees[i]: vecs})
         return GaugeSeries._stored(model, order, *flat)
 
-    return HMatrix(model, order, row)
+    return HMatrix(model, order, row, paired)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -804,56 +827,45 @@ def descendent_level(model: ModelSpec, j, D):
     return n if n >= 0 and not odd else None
 
 
-def extract_descendents(model: ModelSpec, Hm: HMatrix, max_degree: int):
-    """Read two-point descendent invariants against the fundamental class
-    from the J-row: the value at level n along the j-th dual basis element
-    and degree D is the h^{-(n+1)} coefficient of the scalar entry.
+def descendent_table(model: ModelSpec, Hm: HMatrix, max_degree: int):
+    """gw's rows (D, top, allowed, values) for 0 < |D| <= max_degree, in one
+    pass by degree over `HMatrix.jcomponents`: the invariant at level n
+    along a_j is the h^{-(n+1)} term.  allowed[j] = `descendent_level`,
+    top the largest, values[j] the reduced text at allowed[j] ("0" when
+    none, None where no level is allowed); a degree with none has no row.
+    Any other nonzero term, or one at a nonnegative h power, raises
+    CheckFailure naming the first by component, degree and h power."""
+    rows, bad = [], []
+    for D in _degrees_upto(model.rank, max_degree)[1:]:
+        allowed = [descendent_level(model, j, D) for j in range(model.size)]
+        values = [None if n is None else "0" for n in allowed]
+        terms, den = Hm.jcomponents(D)
+        for (j, x), n in terms.items():
+            if x < 0 and -x - 1 == allowed[j]:
+                values[j] = format_ratio(n, den)
+            else:
+                bad.append((j, _degree_order(D), x, n, den))
+        if levels := [n for n in allowed if n is not None]:
+            rows.append((D, max(levels), allowed, values))
+    if bad:
+        j, (_, D), x, n, den = min(bad)
+        witness = {"degree": list(D), "component": model.labels[j]} | (
+            {"detail": "nonnegative h power %d" % x} if x >= 0 else
+            {"level": -x - 1, "value": format_ratio(n, den),
+             "detail": "nonzero value where the degree axiom forces zero"})
+        raise _check_failure(model, "descendent-extraction", witness)
+    return rows
 
-    Every entry with 0 < |D| <= max_degree is checked: a nonnegative h power
-    or a level other than `descendent_level` raises CheckFailure.
-    """
-    comps, den = _components(Hm.jrow())
-    # (j, degree, exp, n), component first: the first bad entry names the failure
-    entries = sorted(
-        (j, _degree_order(D), exp, n)
-        for D, terms in comps.items()
-        if any(D) and sum(D) <= max_degree
-        for (j, exp), n in terms.items()
-    )
-    records = []
-    for j, (_, D), exp, n in entries:
-        value = Fraction(n, den)
-        if exp >= 0:
-            raise _check_failure(
-                model,
-                "descendent-extraction",
-                {
-                    "degree": list(D),
-                    "component": model.labels[j],
-                    "detail": "nonnegative h power %d" % exp,
-                },
-            )
-        level = -exp - 1
-        if level != descendent_level(model, j, D):
-            raise _check_failure(
-                model,
-                "descendent-extraction",
-                {
-                    "degree": list(D),
-                    "component": model.labels[j],
-                    "level": level,
-                    "value": format_rational(value),
-                    "detail": "nonzero value where the degree axiom forces zero",
-                },
-            )
-        records.append(
-            {
-                "degree": list(D),
-                "level": level,
-                "label": model.labels[j],
-                "j": j,
-                "value": value,
-            }
-        )
+
+def extract_descendents(model: ModelSpec, Hm: HMatrix, max_degree: int):
+    """The nonzero invariants of `descendent_table` as records {"degree",
+    "level", "label", "j", "value": Fraction}, by |D|, D, level and j; the
+    same checks raise the same CheckFailure."""
+    records = [
+        {"degree": list(D), "level": n, "label": model.labels[j], "j": j, "value": Fraction(v)}
+        for D, _, allowed, values in descendent_table(model, Hm, max_degree)
+        for j, (n, v) in enumerate(zip(allowed, values))
+        if v not in (None, "0")
+    ]
     records.sort(key=lambda r: (sum(r["degree"]), r["degree"], r["level"], r["j"]))
     return records
