@@ -88,9 +88,10 @@ def _integral(m):
 class HMatrix:
     """Fundamental solution data: one gauge-normalized series per row,
     given as the rows (ValueError unless one per basis element, each of
-    the matrix's order) or as a function row(i) that builds row i.  A row
-    is built when first read and kept: `jrow` builds only the rows it
-    sums, `rows` builds every row."""
+    the matrix's order) or as a function row(i) that builds row i, and
+    optionally the J-row's components per degree as paired(D); the solver
+    reads those from its G_D.  A row is built when first read and kept:
+    `jrow` builds only the rows it sums, `rows` builds every row."""
 
     __slots__ = ("model", "order", "_build", "_built", "_paired")
 
@@ -107,9 +108,8 @@ class HMatrix:
 
     def jcomponents(self, D):
         """The J-row's components along the dual classes at q^D, as
-        ({(j, x): n}, den) with no zero n: n/den is the h^x term of
-        <J_D, b_j>.  Read by the solver's `paired` from its G_D, else from
-        `jrow` (`series._components`, kept once read)."""
+        ({(j, x): n}, den) with no zero n: n/den is the h^x term of <J_D,
+        b_j>.  Without paired, `series._components` of `jrow`, kept."""
         if self._paired is None:
             comps, den = _components(self.jrow())
             self._paired = lambda D: (comps.get(D, {}), den)

@@ -28,8 +28,10 @@ one walk over generator words; `quantum` steps it with `QElem.times`) in
 `sections._system_report`.  `_by_weight` takes h out of a stored series and
 `_graded` puts it back, from the grading; `quantum._exp_words` writes its
 own (k, -|e|) keys.  Other readers of the keys: in `sections`
-`_graded_at_one`, `extract_descendents` and the H_0 head check of
-`q_factorize`; `cli._v_at_h1` and `cli._j_writer`.  HLaurent and Fraction
+`_graded_at_one`, `HMatrix.jcomponents` and the H_0 head check of
+`q_factorize`; `cli._v_at_h1` and `cli._j_writer`.  The solver writes
+the same (j, x) component keys from its degree matrices, for
+`HMatrix.jcomponents`, which `sections.descendent_table` reads.  HLaurent and Fraction
 values are built only for output and the views `c`, `coeff`, `items_sorted`.
 
 A GaugeSeries is the same data read as the section e^{t/h} * sum_D c_D q^D;

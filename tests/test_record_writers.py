@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcoh import cli
+from qcoh import cli, sections
 from qcoh.algebra import format_rational
 from qcoh.cli import _build_parser, _dump, _get_model, _GWTable, _JSeries, _TildeTable, _TPolyMatrix
 from qcoh.model import BUILTIN_NAMES
-from qcoh.sections import descendent_level, extract_descendents, solve_fundamental
-from qcoh.series import CohSeries, _degrees_upto
+from qcoh.sections import HMatrix, descendent_level, extract_descendents, solve_fundamental
+from qcoh.series import CohSeries, _components, _degree_order, _degrees_upto
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -97,11 +97,35 @@ def _gw_records(table):
     ]
 
 
+def _reference_descendents(model, Hm, max_degree):
+    """The descendent records as they were read before the one-pass table:
+    the J-row's components paired back from its b_k coordinates
+    (`series._components`), a Fraction per record and two sorts.  Every
+    entry must sit at a negative h power at the level the axiom allows."""
+    comps, den = _components(Hm.jrow())
+    entries = sorted(
+        (j, _degree_order(D), exp, n)
+        for D, terms in comps.items()
+        if any(D) and sum(D) <= max_degree
+        for (j, exp), n in terms.items()
+    )
+    records = []
+    for j, (_, D), exp, n in entries:
+        assert exp < 0 and -exp - 1 == descendent_level(model, j, D), (D, j, exp)
+        records.append(
+            {"degree": list(D), "level": -exp - 1, "label": model.labels[j], "j": j,
+             "value": Fraction(n, den)}
+        )
+    records.sort(key=lambda r: (sum(r["degree"]), r["degree"], r["level"], r["j"]))
+    return records
+
+
 def _parent_gw_records(model, max_degree, order, level=descendent_level):
-    """gw's invariant records as its per-record loop built them, with level
-    in place of `descendent_level`: the reference the table is held to."""
+    """gw's invariant records as its per-record loop built them from
+    `_reference_descendents`, with level in place of `descendent_level`:
+    the reference the table is held to."""
     Hm = solve_fundamental(model, order)
-    records = extract_descendents(model, Hm, max_degree)
+    records = _reference_descendents(model, Hm, max_degree)
     found = {(tuple(r["degree"]), r["j"]): r["value"] for r in records}
     table = []
     for D in _degrees_upto(model.rank, max_degree)[1:]:
@@ -175,8 +199,11 @@ def test_gw_table_expands_to_the_per_record_loop(model, max_degree, above, monke
     n = max_degree + 2 if above else 0
     argv = ["gw", "--model", model, "--max-degree", str(max_degree), "--n", str(n)]
     table = _gw_table(argv)
-    parent = _parent_gw_records(_get_model(model), max_degree, max(n, max_degree))
+    spec, order = _get_model(model), max(n, max_degree)
+    parent = _parent_gw_records(spec, max_degree, order)
     assert _gw_records(table) == parent
+    Hm = solve_fundamental(spec, order)
+    assert extract_descendents(spec, Hm, max_degree) == _reference_descendents(spec, Hm, max_degree)
     assert table.labels == _get_model(model).labels
     # every row has an allowed level, so every row writes a block
     assert all(any(m is not None for m in allowed) for _, _, allowed, _ in table)
@@ -185,19 +212,44 @@ def test_gw_table_expands_to_the_per_record_loop(model, max_degree, above, monke
 
 def test_gw_skips_the_degrees_with_no_allowed_level(monkeypatch):
     # no shipped or golden model has such a degree: the axiom allows none
-    # here on every odd |D|, or on every degree
+    # here on every odd |D|, or on every degree, and the J-row reads zero
+    # there (a nonzero invariant at such a degree fails the check)
     def odd_none(model, j, D):
         return None if sum(D) % 2 else descendent_level(model, j, D)
 
-    model = _get_model("f3")
+    model, read = _get_model("f3"), HMatrix.jcomponents
     for level, blocks in ((odd_none, True), (lambda *_: None, False)):
-        monkeypatch.setattr(cli, "descendent_level", level)
+        monkeypatch.setattr(sections, "descendent_level", level)
+        zero = lambda Hm, D, level=level: ({}, 1) if level(model, 0, D) is None else read(Hm, D)
+        monkeypatch.setattr(HMatrix, "jcomponents", zero)
         table = _gw_table(["gw", "--model", "f3", "--max-degree", "4"])
         assert [sum(D) for D, *_ in table] == ([2, 2, 2, 4, 4, 4, 4, 4] if blocks else [])
         parent = _parent_gw_records(model, 4, 6, level)
         assert bool(parent) is blocks
         _assert_gw_written_alike(table, parent)
     assert _dump(table) == "[]\n"
+
+
+def test_gw_fails_on_an_invariant_where_the_level_lookup_allows_none(monkeypatch, capsys):
+    # the extraction pass looks the level up; with none allowed at one
+    # (D, j) whose invariant is nonzero, the check on the solver's
+    # components must exit 1 naming that degree and component
+    model = _get_model("f3")
+    records = _parent_gw_records(model, 2, 6)
+    r, *_ = [r for r in records if r["D"] == [1, 0] and r["axiom"] and r["value"] != "0"]
+    j = model.labels.index(r["j_label"])
+    forbid = lambda m, k, D: None if (D, k) == ((1, 0), j) else descendent_level(m, k, D)
+    monkeypatch.setattr(sections, "descendent_level", forbid)
+    assert cli.main(["gw", "--model", "f3", "--max-degree", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["check"] == "descendent-extraction"
+    assert report["witnesses"] == [{
+        "degree": [1, 0],
+        "component": r["j_label"],
+        "level": r["n"],
+        "value": r["value"],
+        "detail": "nonzero value where the degree axiom forces zero",
+    }]
 
 
 @pytest.mark.parametrize("name", sorted(J_GOLDENS))

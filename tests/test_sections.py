@@ -31,7 +31,7 @@ from qcoh.operators import (
     parse_operator,
 )
 from qcoh.quantum import QElem
-from qcoh.series import GaugeSeries, _degrees_upto
+from qcoh.series import GaugeSeries, _canonical, _components, _degrees_upto, _sum
 from qcoh.sections import (
     CheckFailure,
     HMatrix,
@@ -1226,6 +1226,30 @@ def test_descendent_table_cp1_exact_values():
         assert table[((d,), 2 * d, 0)] == -2 * harmonic(d) * scalar
     # those are the only nonzero slots
     assert len(table) == 2 * ORDER
+
+
+@pytest.mark.parametrize(
+    "name", BUILTIN_NAMES + ("cp12",) + tuple(sorted(p.name for p in GOLDEN.glob("*.model")))
+)
+def test_the_solvers_jcomponents_are_the_jrows_paired_back(name):
+    """`HMatrix.jcomponents`, read by the solver from its G_D, holds the
+    J-row's components exactly as `series._components` pairs them back
+    from its b_k coordinates, at every order 0-6 the model solves to; and
+    so does a matrix built from the same rows.  f3-rescaled's unit pairs
+    with b_top by 5, so the factor <b_0, b_i> is held too."""
+    model = load_model(GOLDEN / name) if name.endswith(".model") else builtin_model(name)
+    for order in range(7):
+        try:
+            Hm = solve_fundamental(model, order)
+        except CheckFailure:
+            continue
+        want = _components(Hm.jrow())
+        for H in (Hm, HMatrix(model, order, Hm.rows)):
+            per_degree = {D: H.jcomponents(D) for D in _degrees_upto(model.rank, order + 1)}
+            assert all(n for terms, _ in per_degree.values() for n in terms.values())
+            assert _canonical(*_sum(({D: t}, d) for D, (t, d) in per_degree.items())) == want
+            above = [D for D in per_degree if sum(D) > order]
+            assert all(per_degree[D][0] == {} for D in above), (name, order)
 
 
 def test_descendent_records_all_satisfy_degree_axiom():
