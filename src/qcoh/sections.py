@@ -44,14 +44,14 @@ from .series import (
 # denominator; entry (i, k) at q^D of a graded one carries the h-power of
 # `_entry_powers`.  Two kernels multiply them, one per access pattern: the
 # solver's fixed sparse operators, compiled once per model by `_flat_map`,
-# and the inverses of (step - commutator) built from them (`_resolvents`)
 # run on `series._flat_apply` (the dense kernel of the closed form and the
-# operator walk too); the one-shot products of `_qmat_divide` and
-# `asymptotic_H` run one direct loop (`_flat_mul`).  On a model that passes
-# the flatness certificate (`_flat_certificate`) the solver applies only
-# the maps of one direction j* per degree: the right side's m_{j*,D'} and
-# the resolvent of j*; the commutators of the other directions run only in
-# the consistency check of a model that fails it.
+# operator walk too), which also inverts (step - commutator) by one pass in
+# place; the one-shot products of `_qmat_divide` and `asymptotic_H` run one
+# direct loop (`_flat_mul`).  On a model that passes the flatness
+# certificate (`_flat_certificate`) the solver applies only the maps of one
+# direction j* per degree: the right side's m_{j*,D'} and the commutator of
+# j*; the other commutators run only in the consistency check of a model
+# that fails it.
 
 
 def _flat_mul(a, b, size, out, f=1):
@@ -229,10 +229,13 @@ def _flat_map(size, left=(), right=()):
 
 def _solver_maps(model):
     """The solver's operators, which depend on the model alone:
-    commutator[j] maps X to [B_j, X] times qden, mparts[j] holds the maps
-    X -> m_{j,D'} X times qden, and duals[l] the (k, n) of a_l over dual_den."""
+    commutator[j] maps X to [B_j, X] times qden, its sources by descending
+    grade e, mparts[j] holds the maps X -> m_{j,D'} X times qden, duals[l]
+    the (k, n) of a_l over dual_den, and pre[s] = max e - e(s),
+    post[s] = e(s) - min e and span = max e - min e (`solve_fundamental`)."""
     size = model.size
     table = model.quantum_rows()[1]
+    grade = _entry_powers(model, (0,) * model.rank)
     commutator, mparts = {}, {}
     for j in range(1, model.rank + 1):
         # the q^D parts of b_j o -: rows mat[r] = {c: n} for the b_r
@@ -248,40 +251,14 @@ def _solver_maps(model):
             if any(D):
                 mparts[j].append((D, _flat_map(size, mat)))
             else:
-                commutator[j] = _flat_map(size, mat, [{c: -n for c, n in r.items()} for r in mat])
+                ad = _flat_map(size, mat, [{c: -n for c, n in r.items()} for r in mat])
+                commutator[j] = tuple(sorted(ad, key=lambda p: -grade[p[0]]))
     flat, dual_den = _integral(_invert_rational_matrix(model.pairing))
     rows = (flat[l : l + size] for l in range(0, len(flat), size))
     duals = tuple(tuple((k, a) for k, a in enumerate(row) if a) for row in rows)
-    return commutator, mparts, duals, dual_den
-
-
-def _resolvents(model):
-    """The solver's inverse of (step - C_j), C_j = commutator[j] of
-    `_solver_maps`, for every step, as (pre, K, post, span) per direction j.
-    Each pair of C_j lowers the grade e(i, k) = (deg b_k - deg b_i) / 2 of
-    an entry by exactly 1, so C_j^n takes grade e to e - n and
-    K = sum_n C_j^n, built by ascending grade as K[s] = s + sum c K[t] over
-    the pairs (t, c) of C_j[s], needs no power of the step.  With
-    span = max e - min e, pre[s] = max e - e(s) and post[t] = e(t) - min e,
-
-        step^(span + 1) (step - C_j)^-1 R = post(K(pre(R))),
-
-    pre and post scaling each entry by step to its power."""
-    area = model.size * model.size
-    grade = _entry_powers(model, (0,) * model.rank)
     low, high = min(grade), max(grade)
     pre, post = tuple(high - e for e in grade), tuple(e - low for e in grade)
-    out = {}
-    for j, commutator in model.compiled(_solver_maps)[0].items():
-        pairs, K = dict(commutator), {}
-        for s in sorted(range(area), key=grade.__getitem__):
-            K[s] = col = {s: 1}
-            for t, c in pairs.get(s, ()):
-                for u, n in K[t].items():
-                    col[u] = col.get(u, 0) + c * n
-        K = tuple((s, tuple((t, n) for t, n in K[s].items() if n)) for s in range(area))
-        out[j] = pre, K, post, high - low
-    return out
+    return commutator, mparts, duals, dual_den, pre, post, high - low
 
 
 def _flat_certificate(model):
@@ -307,9 +284,9 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
 
     where B_j is the cup matrix of b_j and m_{j,D'} the q^{D'} part of the
     quantum multiplication matrix.  Each step inverts (d_j h - ad B_j) for
-    the first j* with D_j* > 0 by the geometric sum in ad B_j, finite since
-    B_j raises degree by 2.  Along j* the equation is the inversion
-    identity, exact once the sum stops, so it cannot fail.
+    the first j* with D_j* > 0, exactly: ad B_j is nilpotent, since B_j
+    raises degree by 2.  Along j* the equation is the inversion identity,
+    so it cannot fail.
 
     The equation in every other direction j is checked only on a model
     that fails its flatness certificate (`_flat_certificate`, once per
@@ -339,26 +316,23 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
     sparse int rows over the model's qden (`ModelSpec.quantum_rows`), are
     compiled once per model and kept in its memo (`_solver_maps`, through
     `ModelSpec.compiled`).  A right side is summed over the lcm of its
-    parts' denominators.  With step = D_j* * qden, G_D is the right side
-    R times (step - C)^-1 times qden, C = qden * ad B_j*; that inverse is
-    compiled once per model and direction (`_resolvents`): one sparse map K
-    between two scalings of the entries by powers of step, so G_D is one
-    pass of K over den * D_j* * step^span, reduced by one gcd.  The
+    parts' denominators.  With step = D_j* * qden and C = qden * ad B_j*,
+    G_D = (step - C)^-1 qden R.  Each pair of C lowers the grade
+    e(i, k) = (deg b_k - deg b_i) / 2 by 1, so G_D is post(x) over
+    den * D_j* * step^span, pre and post scaling entry s by step^(max e -
+    e(s)) and step^(e(s) - min e), and x = (I - C)^-1 pre(R) = pre(R) + C x
+    is one pass of C in place: its sources, compiled by descending grade,
+    are final when read.  G_D is reduced by one gcd.  The
     consistency check of a model without the certificate cross-multiplies
     entry by entry; witnesses carry the reduced Fractions.  A row is stored
     flat over one denominator and built from the G_D when first read
     (`HMatrix`), so `jrow` builds only the rows that pair with 1; the
     J-row's components (`HMatrix.jcomponents`) are read from the G_D.
     """
-    size = model.size
-    area = size * size
-    rank = model.rank
-    degrees = model.degrees
-
-    qden = model.quantum_rows()[0]
+    size, rank, degrees = model.size, model.rank, model.degrees
+    area, qden = size * size, model.quantum_rows()[0]
     zero = (0,) * rank
-    commutator, mparts, duals, dual_den = model.compiled(_solver_maps)
-    resolvents = model.compiled(_resolvents)
+    commutator, mparts, duals, dual_den, pre, post, span = model.compiled(_solver_maps)
     checked = not model.compiled(_flat_certificate)
 
     G = {zero: ([int(e % (size + 1) == 0) for e in range(area)], 1)}
@@ -367,22 +341,19 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
         others = [j for j in range(1, rank + 1) if j != jstar] if checked else []
         rhs = {}
         for j in (jstar, *others):
-            parts = []
-            for Dp, lmap in mparts[j]:
-                # G holds exactly the solved degrees: D - D' is one of them iff >= 0
-                rest = tuple(map(sub, D, Dp))
-                if rest in G:
-                    parts.append((lmap, *G[rest]))
+            # G holds exactly the solved degrees: D - D' is one of them iff >= 0
+            rests = ((lmap, tuple(map(sub, D, Dp))) for Dp, lmap in mparts[j])
+            parts = [(lmap, *G[rest]) for lmap, rest in rests if rest in G]
             rhs[j] = acc, den = [0] * area, qden * lcm(*(d for _, _, d in parts))
             for lmap, num, d in parts:
                 _flat_apply(lmap, num, acc, den // (qden * d))
         step = D[jstar - 1] * qden
-        pre, K, post, span = resolvents[jstar]
         acc, den = rhs[jstar]
-        # R = acc / den, and G_D = (step - C)^-1 qden R = post(K(pre(acc)))
-        # over den * D_j* * step^span
+        # R = acc / den and G_D = (step - C)^-1 qden R = post(x) over
+        # den * D_j* * step^span, x = pre(acc) + C x: one pass in place
         pw = [step**k for k in range(span + 1)]
-        total = _flat_apply(K, [a * pw[p] for a, p in zip(acc, pre)], [0] * area)
+        total = [a * pw[p] for a, p in zip(acc, pre)]
+        _flat_apply(commutator[jstar], total, total)
         total = [a * pw[p] for a, p in zip(total, post)]
         den *= D[jstar - 1] * pw[span]
         g = gcd(den, *total)
@@ -397,19 +368,12 @@ def solve_fundamental(model: ModelSpec, order: int) -> HMatrix:
             want, wden = rhs[j]
             bad = next((e for e in range(area) if want[e] * lden != lhs[e] * wden), None)
             if bad is not None:
-                i, k = divmod(bad, size)
                 e = _entry_powers(model, D)[bad] + 1  # each side is h times G_D
-                raise _check_failure(
-                    model,
-                    "solver-consistency",
-                    {
-                        "degree": list(D),
-                        "direction": j,
-                        "entry": [i, k],
-                        "expected": HLaurent.term(Fraction(want[bad], wden), e).to_json(),
-                        "got": HLaurent.term(Fraction(lhs[bad], lden), e).to_json(),
-                    },
-                )
+                raise _check_failure(model, "solver-consistency", {
+                    "degree": list(D), "direction": j, "entry": list(divmod(bad, size)),
+                    "expected": HLaurent.term(Fraction(want[bad], wden), e).to_json(),
+                    "got": HLaurent.term(Fraction(lhs[bad], lden), e).to_json(),
+                })
 
     # J = sum_i <b_0, b_i> row_i and <a_l, b_j> = delta_lj, so <J_D, b_j> =
     # sum_i <b_0, b_i> (G_D)_{ij} over d_D, at the h-power of entry (i, j)

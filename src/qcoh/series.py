@@ -306,7 +306,8 @@ def _add_shifted(out, rows, shift, n):
 
 def _flat_apply(lmap, X, out, f=1):
     """out += f * lmap(X) in place on dense int vectors, for a map of pairs
-    (source, ((target, n), ...)): `sections._flat_map`'s, or an integral action."""
+    (source, ((target, n), ...)): `sections._flat_map`'s, or an integral
+    action; out may be X when each source follows every pair writing to it."""
     for s, pairs in lmap:
         if x := X[s]:
             x *= f
