@@ -230,9 +230,9 @@ def _flat_map(size, left=(), right=()):
 def _solver_maps(model):
     """The solver's operators, which depend on the model alone:
     commutator[j] maps X to [B_j, X] times qden, its sources by descending
-    grade e, mparts[j] holds the maps X -> m_{j,D'} X times qden, duals[l]
-    the (k, n) of a_l over dual_den, and pre[s] = max e - e(s),
-    post[s] = e(s) - min e and span = max e - min e (`solve_fundamental`)."""
+    grade e (`_entry_powers` at q^0); mparts[j] holds the maps X -> m_{j,D'}
+    X times qden; duals[l] the (k, n) of a_l over dual_den; pre[s] =
+    max e - e(s), post[s] = e(s) - min e and span = max e - min e."""
     size = model.size
     table = model.quantum_rows()[1]
     grade = _entry_powers(model, (0,) * model.rank)

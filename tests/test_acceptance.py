@@ -29,6 +29,7 @@ from qcoh.quantum import (
     eval_relation,
     exp_quantum,
 )
+from qcoh import sections
 from qcoh.sections import (
     asymptotic_H,
     asymptotic_J,
@@ -309,3 +310,16 @@ def test_criterion_9_property_suites():
             )
         lau = HLaurent({-3: Fraction(2, 7), 0: 1, 5: Fraction(-9, 4)})
         assert HLaurent(dict(lau.to_json())) == lau
+
+
+def test_criterion_10_solver_scales_to_cp64():
+    with criterion(10, "solver on the largest projective space against its closed form", 1):
+        # each degree is one in-place pass of the commutator: the compiled
+        # maps grow as size^2, never as the area^2 of an inverse
+        model = builtin_model("cp64")
+        for order in (2, 8):
+            assert solve_fundamental(model, order).jrow() == closed_form(model, order), order
+        commutator, mparts, duals = sections._solver_maps(model)[:3]
+        pairs = [p for j in commutator for _, p in commutator[j]]
+        pairs += [p for j in mparts for _, lmap in mparts[j] for _, p in lmap]
+        assert sum(map(len, pairs)) + sum(map(len, duals)) < 20000

@@ -417,12 +417,12 @@ def test_solver_operators_are_kept_per_model_not_per_name():
 
 
 def test_solver_memo_holds_nothing_keyed_by_order(monkeypatch):
-    # a lower order after a higher one reads the same compiled maps,
-    # resolvents and flatness certificate, and solves as a fresh copy of the
-    # model (nothing kept) does: on f3 and on the rescaled f3, whose qden is
-    # 30.  The certificate is one memo entry, checked once per model.
+    # a lower order after a higher one reads the same compiled maps and
+    # flatness certificate, and solves as a fresh copy of the model
+    # (nothing kept) does: on f3 and on the rescaled f3, whose qden is 30.
+    # The certificate is one memo entry, checked once per model.
     from qcoh import sections
-    from qcoh.sections import _flat_certificate, _resolvents, _solver_maps
+    from qcoh.sections import _flat_certificate, _solver_maps
 
     checked, check_flatness = [], sections.check_flatness
 
@@ -436,7 +436,7 @@ def test_solver_memo_holds_nothing_keyed_by_order(monkeypatch):
         assert solve_fundamental(m, 8).order == 8
         fresh = ModelSpec.from_json(m.to_json())
         assert solve_fundamental(m, 3).rows == solve_fundamental(fresh, 3).rows
-        assert set(m._compiled) == {_solver_maps, _resolvents, _flat_certificate}
+        assert set(m._compiled) == {_solver_maps, _flat_certificate}
         assert m._compiled[_flat_certificate] is True
         assert sum(c is m for c in checked) == 1
 

@@ -82,7 +82,7 @@ def test_pairing_antidiagonal_in_degree(name):
 def test_dual_basis_inverts_pairing(name):
     # the solver's dual rows: a_i = sum n/den b_k over the (k, n) of duals[i]
     model = builtin_model(name)
-    duals, den = _solver_maps(model)[2:]
+    duals, den = _solver_maps(model)[2:4]
     assert len(duals) == model.size
     for i, a in enumerate(duals):
         for j in range(model.size):

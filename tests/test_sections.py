@@ -1036,7 +1036,8 @@ def test_asymptotic_J_is_last_row(name):
 )
 def test_solver_commutators_are_nilpotent(name):
     """B_j raises degree by 2, so (ad B_j)^(2 size - 1) sends every basis
-    matrix to 0 and the solver's geometric sum stops by then; the bound is
+    matrix to 0 and the inverse of (I - C_j) that the solver's in-place
+    pass applies is the finite sum of the powers of C_j; the bound is
     reached on cp<m>, whose b_1^m is the top class."""
     model = load_model(GOLDEN / name) if name.endswith(".model") else builtin_model(name)
     size = model.size
@@ -1056,26 +1057,30 @@ def test_solver_commutators_are_nilpotent(name):
 )
 def test_solver_resolvents_invert_step_minus_commutator(name):
     """Each pair of the commutator C_j lowers the grade
-    e(i, k) = (deg b_k - deg b_i) / 2 by exactly 1, the premise of the
-    scalings; then Y = post(K(pre(R))) solves (step - C_j) Y = step^(span+1) R
-    exactly, for every unit vector R and step c * qden, c = 1, 2, 3."""
+    e(i, k) = (deg b_k - deg b_i) / 2 by exactly 1, and its sources come by
+    non-increasing grade, the premises of the scalings and of the solver's
+    in-place pass; then Y = post(pass(pre(R))) solves
+    (step - C_j) Y = step^(span+1) R exactly, for every unit vector R and
+    step c * qden, c = 1, 2, 3, with C_j applied out of place."""
     model = load_model(GOLDEN / name) if name.endswith(".model") else builtin_model(name)
     area, degrees = model.size * model.size, model.degrees
     grade = [(degrees[e % model.size] - degrees[e // model.size]) // 2 for e in range(area)]
     assert max(grade) - min(grade) == max(degrees) - min(degrees)
     qden = model.quantum_rows()[0]
-    commutators = sections._solver_maps(model)[0]
-    resolvents = sections._resolvents(model)
-    assert sorted(resolvents) == sorted(commutators) == list(range(1, model.rank + 1))
-    for j, (pre, K, post, span) in resolvents.items():
-        assert span == max(grade) - min(grade)
-        for s, pairs in commutators[j]:
+    commutators, _, _, _, pre, post, span = sections._solver_maps(model)
+    assert sorted(commutators) == list(range(1, model.rank + 1))
+    assert span == max(grade) - min(grade)
+    for j, commutator in commutators.items():
+        sources = [grade[s] for s, _ in commutator]
+        assert sources == sorted(sources, reverse=True), j
+        for s, pairs in commutator:
             assert all(grade[t] == grade[s] - 1 for t, _ in pairs), (j, s)
         for step, e in product((qden, 2 * qden, 3 * qden), range(area)):
             R = [int(k == e) for k in range(area)]
-            Y = sections._flat_apply(K, [a * step ** p for a, p in zip(R, pre)], [0] * area)
+            Y = [a * step ** p for a, p in zip(R, pre)]
+            sections._flat_apply(commutator, Y, Y)
             Y = [a * step ** p for a, p in zip(Y, post)]
-            lhs = sections._flat_apply(commutators[j], Y, [step * a for a in Y], -1)
+            lhs = sections._flat_apply(commutator, Y, [step * a for a in Y], -1)
             assert lhs == [step ** (span + 1) * a for a in R], (j, step, e)
 
 
@@ -1092,8 +1097,7 @@ def _checking_loop_witness(model, order):
     size, rank = model.size, model.rank
     area = size * size
     qden = model.quantum_rows()[0]
-    commutator, mparts, _, _ = sections._solver_maps(model)
-    resolvents = sections._resolvents(model)
+    commutator, mparts, _, _, pre, post, span = sections._solver_maps(model)
     G = {(0,) * rank: ([int(e % (size + 1) == 0) for e in range(area)], 1)}
     for D in _degrees_upto(rank, order)[1:]:
         rhs = {}
@@ -1108,10 +1112,10 @@ def _checking_loop_witness(model, order):
                 sections._flat_apply(lmap, num, acc, den // (qden * d))
         jstar = next(j for j in range(1, rank + 1) if D[j - 1] > 0)
         step = D[jstar - 1] * qden
-        pre, K, post, span = resolvents[jstar]
         acc, den = rhs[jstar]
         pw = [step**k for k in range(span + 1)]
-        total = sections._flat_apply(K, [a * pw[p] for a, p in zip(acc, pre)], [0] * area)
+        total = [a * pw[p] for a, p in zip(acc, pre)]
+        sections._flat_apply(commutator[jstar], total, total)
         total = [a * pw[p] for a, p in zip(total, post)]
         den *= D[jstar - 1] * pw[span]
         g = gcd(den, *total)

@@ -376,7 +376,7 @@ def _parent_solver_rows(model, order):
     size, rank, degrees = model.size, model.rank, model.degrees
     area = size * size
     qden = model.quantum_rows()[0]
-    commutator, mparts, duals, dual_den = sections._solver_maps(model)
+    commutator, mparts, duals, dual_den = sections._solver_maps(model)[:4]
     G = {(0,) * rank: ([int(e % (size + 1) == 0) for e in range(area)], 1)}
     for D in _degrees_upto(rank, order)[1:]:
         j = next(j for j in range(1, rank + 1) if D[j - 1] > 0)
@@ -453,7 +453,7 @@ def test_solver_rows_match_the_parent_row_builder(name):
 
 # The denominator of each G_D times the dual basis' dual_den, as the row
 # builder hands them to `_graded`, recorded from the Neumann-loop solver
-# that this solver's resolvents replaced; both reduce each G_D by its gcd.
+# that this solver's in-place pass replaced; both reduce each G_D by its gcd.
 SOLVER_DENOMINATORS = {
     ("cp5", 8): {
         (0,): 1, (1,): 1, (2,): 512, (3,): 10077696, (4,): 1320903770112,
