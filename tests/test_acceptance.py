@@ -314,8 +314,8 @@ def test_criterion_9_property_suites():
 
 def test_criterion_10_solver_scales_to_cp64():
     with criterion(10, "solver on the largest projective space against its closed form", 1):
-        # each degree is one in-place pass of the commutator: the compiled
-        # maps grow as size^2, never as the area^2 of an inverse
+        # each degree is one in-place pass of the commutator, which holds at
+        # most 2 size nnz(B_j) pairs, not the area^2 / 2 of a compiled inverse
         model = builtin_model("cp64")
         for order in (2, 8):
             assert solve_fundamental(model, order).jrow() == closed_form(model, order), order
